@@ -46,8 +46,7 @@ def _flow(cfg: RunConfig):
     return find_separatrix(cfg.profile(),
                            bracket=(cfg.bracket_lo, cfg.bracket_hi),
                            x0_horizon_max=cfg.x0_horizon_max,
-                           ode_tol=cfg.ode_tol, rho_min=cfg.rho_min,
-                           tol=cfg.sep_tol)
+                           ode_tol=cfg.ode_tol, rho_min=cfg.rho_min)
 
 
 def _packet(cfg: RunConfig, sigma_star: float, a: float | None = None) -> PacketParams:

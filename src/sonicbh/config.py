@@ -32,7 +32,6 @@ class RunConfig:
     # separatrix search
     bracket_lo: float = 0.3
     bracket_hi: float = 3.0
-    sep_tol: float = 1e-12
     x0_horizon_max: float = 10.0
     # packet
     alpha: float = 1.0
@@ -53,7 +52,7 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for name in ("ode_tol", "rho_min", "sep_tol", "tau"):
+        for name in ("ode_tol", "rho_min", "tau", "x0_horizon_max"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):

@@ -14,7 +14,7 @@ class ConfigError(SonicbhError):
 
 
 class BracketError(SonicbhError):
-    """Bisection bracket endpoints classify identically."""
+    """The separatrix value sigma_star falls outside the requested bracket."""
 
 
 class StepFailureError(SonicbhError):

@@ -16,6 +16,10 @@ through (rho, x0).  It is constant along rays, equals rho at x0 = 0 and is
 strictly increasing in rho; its radial derivative is obtained from the
 tangent (variational) equation integrated alongside the ray, which stays
 accurate even where neighbouring rays separate exponentially.
+
+Forward in x0 the separatrix repels neighbouring rays, so backward in x0
+it attracts them: sigma_star and the horizon curve come from backward
+solves, along which every start error shrinks.
 """
 
 from __future__ import annotations
@@ -35,16 +39,10 @@ __all__ = [
     "characteristic_rhs",
     "integrate_characteristic",
     "find_separatrix",
+    "transport",
     "sigma_of",
     "sigma_map",
 ]
-
-# Forward classification runs to this many transition times; the separatrix
-# repels nearby rays at unit-order rate, so 30*tau keeps the classification
-# bias below ~exp(-30), which the horizon's forward instability can afford.
-CLASSIFY_WINDOW_TAUS = 30.0
-
-_ESCAPE_FACTOR = 2.0  # escaped once rho > 2*|A(+inf)|
 
 
 @dataclass(frozen=True)
@@ -145,13 +143,18 @@ def characteristic_rhs(rho: float, x0: float, profile: VelocityProfile) -> float
 
 def _solve(profile: VelocityProfile, y0, span, *, ode_tol,
            events=None, t_eval=None, tangent=False):
-    """solve_ivp wrapper for the ray equation, optionally with tangent J."""
+    """solve_ivp wrapper for the ray equation.
+
+    With tangent=True, y0 stacks n rays followed by their n tangents J.
+    """
 
     if tangent:
+        n = len(y0) // 2
+
         def rhs(t, y):
-            rho, jac = y
+            r, jac = y[:n], y[n:]
             a = profile.eval(t)
-            return [a / rho + 1.0, (-a / rho ** 2) * jac]
+            return np.concatenate([a / r + 1.0, (-a / r ** 2) * jac])
     else:
         def rhs(t, y):
             return [profile.eval(t) / y[0] + 1.0]
@@ -164,9 +167,9 @@ def _solve(profile: VelocityProfile, y0, span, *, ode_tol,
     return sol
 
 
-def _capture_event(rho_min: float):
+def _capture_event(rho_min: float, n_rays: int = 1):
     def hit(t, y):
-        return y[0] - rho_min
+        return np.min(y[:n_rays]) - rho_min
     hit.terminal = True
     hit.direction = -1
     return hit
@@ -188,44 +191,17 @@ def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
     return CharacteristicPath(x0=sol.t, rho=sol.y[0], captured=captured)
 
 
-def _classifier(profile: VelocityProfile, *, ode_tol: float, rho_min: float):
-    """Predicate: does the ray started at (0, sigma) escape to infinity?
-
-    Escape is declared once rho exceeds 2*|A(+inf)| within the forward
-    window; capture once rho falls to rho_min.  rho(window) is monotone in
-    the start value, so the predicate is monotone and bisection is exact.
-    """
-    window = CLASSIFY_WINDOW_TAUS * profile.tau
-    escape_level = _ESCAPE_FACTOR * abs(profile.a_inf_plus)
-
-    def crossed(t, y):
-        return y[0] - escape_level
-    crossed.terminal = True
-    crossed.direction = 1
-
-    def escapes(sigma: float) -> bool:
-        if sigma >= escape_level:
-            return True
-        sol = _solve(profile, [sigma], (0.0, window), ode_tol=ode_tol,
-                     events=[_capture_event(rho_min), crossed])
-        if sol.t_events[0].size:
-            return False
-        return bool(sol.t_events[1].size) or sol.y[0, -1] > escape_level
-
-    return escapes
-
-
 def find_separatrix(profile: VelocityProfile, bracket=None,
                     x0_horizon_max: float = 10.0, *,
                     ode_tol: float = 1e-10, rho_min: float = 1e-3,
-                    tol: float = 1e-12, n_horizon: int = 401) -> FlowMap:
-    """Locate sigma_star by bisection and sample the horizon curve.
+                    n_horizon: int = 401) -> FlowMap:
+    """Locate sigma_star by one backward solve and sample the horizon curve.
 
-    The bracket must straddle the separatrix: the lower endpoint captured,
-    the upper escaping.  The horizon curve is integrated forward and
-    backward from (0, sigma_star); forward integration amplifies the
-    sigma_star uncertainty like exp(|A|/rho*^2 * x0), which the default
-    tol = 1e-12 keeps below ~1e-7 at x0 = 10 for unit-order profiles.
+    The ray started at |A(+inf)| far in the future and integrated back to
+    x0 = 0 lands on sigma_star; the same solve samples the x0 >= 0 half of
+    the horizon, and a backward solve from (0, sigma_star) samples the
+    x0 < 0 half.  Both run at min(ode_tol, 1e-12).  The bracket is only a
+    check: a sigma_star outside (lo, hi) raises BracketError.
     """
     if bracket is None:
         lo = max(4.0 * rho_min, 0.25 * min(abs(profile.a_minus), abs(profile.a_plus)))
@@ -233,87 +209,64 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
 
-    escapes = _classifier(profile, ode_tol=ode_tol, rho_min=rho_min)
-    if escapes(lo):
-        raise BracketError(f"lower bracket endpoint {lo} already escapes")
-    if not escapes(hi):
-        raise BracketError(f"upper bracket endpoint {hi} does not escape")
-
-    # coarse passes at relaxed tolerance, final passes at full tolerance
-    coarse = _classifier(profile, ode_tol=max(ode_tol, 1e-8), rho_min=rho_min)
-    while hi - lo > 1e4 * tol:
-        mid = 0.5 * (lo + hi)
-        if coarse(mid):
-            hi = mid
-        else:
-            lo = mid
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if escapes(mid):
-            hi = mid
-        else:
-            lo = mid
-    sigma_star = 0.5 * (lo + hi)
-
+    tol = min(ode_tol, 1e-12)
     x_grid = np.linspace(0.0, float(x0_horizon_max), n_horizon)
-    fwd = _solve(profile, [sigma_star], (0.0, x0_horizon_max),
-                 ode_tol=min(ode_tol, 1e-12), t_eval=x_grid)
-    bwd = _solve(profile, [sigma_star], (0.0, -x0_horizon_max),
-                 ode_tol=min(ode_tol, 1e-12), t_eval=-x_grid)
+    # rho*(x) - |A(x)| = O(e^{-2x/tau}), so starting at |A(+inf)| from
+    # x >= 20 tau errs by ~1e-17, and the backward flow shrinks that error
+    # further.  Starting strictly beyond x0_horizon_max as well puts every
+    # horizon sample, the last one included, downstream of the start.
+    x_start = max(20.0 * profile.tau, x0_horizon_max + profile.tau)
+    pos = _solve(profile, [abs(profile.a_inf_plus)], (x_start, 0.0),
+                 ode_tol=tol, t_eval=x_grid[::-1])
+    sigma_star = float(pos.y[0, -1])
+    if not lo < sigma_star < hi:
+        raise BracketError(
+            f"sigma_star = {sigma_star} lies outside the bracket ({lo}, {hi})")
+
+    neg = _solve(profile, [sigma_star], (0.0, -x0_horizon_max),
+                 ode_tol=tol, t_eval=-x_grid)
     x0 = np.concatenate([-x_grid[::-1], x_grid[1:]])
-    rho_star = np.concatenate([bwd.y[0][::-1], fwd.y[0][1:]])
+    rho_star = np.concatenate([neg.y[0][::-1], pos.y[0][-2::-1]])
     horizon = HorizonCurve(x0=x0, rho_star=rho_star)
 
     return FlowMap(profile=profile, sigma_star=sigma_star, horizon=horizon,
                    ode_tol=ode_tol, rho_min=rho_min)
 
 
+def transport(rho, x0_from: float, x0_to: float, flow: FlowMap):
+    """Carry rays from x0_from to x0_to together with their tangents.
+
+    Returns (rho(x0_to), J) for the rays through the points rho at
+    x0_from, where J = d rho(x0_to) / d rho(x0_from) solves the tangent
+    equation dJ/dx0 = (-A/rho^2) J, J(x0_from) = 1.  Vectorised over rho;
+    raises CaptureError if a ray reaches rho_min on the way.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if x0_from == x0_to:
+        return rho.copy(), np.ones_like(rho)
+    n = rho.size
+    sol = _solve(flow.profile, np.concatenate([rho, np.ones(n)]),
+                 (float(x0_from), float(x0_to)), ode_tol=flow.ode_tol,
+                 events=[_capture_event(flow.rho_min, n)], tangent=True)
+    if sol.t_events[0].size:
+        raise CaptureError(
+            f"a ray from x0={x0_from} reaches rho_min before x0={x0_to}")
+    return sol.y[:n, -1], sol.y[n:, -1]
+
+
 def sigma_of(rho: float, x0: float, flow: FlowMap) -> tuple[float, float]:
     """Characteristic label sigma(rho, x0) and its radial derivative.
 
-    Integrates the ray through (rho, x0) back to x0 = 0 together with the
-    tangent equation dJ/dx0 = (-A/rho^2) J, J(x0) = 1; returns
-    (rho(0), J(0)).  At x0 = 0 this is (rho, 1) identically.
+    The ray through (rho, x0) is carried back to x0 = 0 with its tangent;
+    returns (rho(0), J(0)).  At x0 = 0 this is (rho, 1) identically.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if x0 == 0.0:
-        return float(rho), 1.0
-    sol = _solve(flow.profile, [float(rho), 1.0], (float(x0), 0.0),
-                 ode_tol=flow.ode_tol,
-                 events=[_capture_event(flow.rho_min)], tangent=True)
-    if sol.t_events[0].size:
-        raise CaptureError(
-            f"ray through (rho={rho}, x0={x0}) reaches rho_min before x0=0")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+    sigma, dsig = sigma_map([rho], x0, flow)
+    return float(sigma[0]), float(dsig[0])
 
 
 def sigma_map(rho, x0: float, flow: FlowMap):
-    """Vectorised sigma_of over a radial grid, for x0 >= 0.
-
-    Backward rays from x0 >= 0 never reach rho = 0 (the inward drift makes
-    rho grow toward the past), so no capture handling is needed here.
-    """
+    """Vectorised sigma_of over a radial grid."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("rho must be positive")
-    if x0 < 0.0:
-        raise ValueError("sigma_map supports x0 >= 0; use sigma_of pointwise")
-    if x0 == 0.0:
-        return rho.copy(), np.ones_like(rho)
-
-    n = rho.size
-    profile = flow.profile
-
-    def rhs(t, y):
-        r = y[:n]
-        jac = y[n:]
-        a = profile.eval(t)
-        return np.concatenate([a / r + 1.0, (-a / r ** 2) * jac])
-
-    y0 = np.concatenate([rho, np.ones(n)])
-    sol = solve_ivp(rhs, (float(x0), 0.0), y0, method="DOP853",
-                    rtol=flow.ode_tol, atol=flow.ode_tol * 1e-2)
-    if not sol.success:
-        raise StepFailureError(f"sigma_map integration failed: {sol.message}")
-    return sol.y[:n, -1], sol.y[n:, -1]
+    return transport(rho, x0, 0.0, flow)

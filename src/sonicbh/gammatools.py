@@ -70,7 +70,16 @@ def _gamma0(alpha: float, eps: float) -> complex:
 
 
 def gamma0_modulus_sq(alpha: float, eps: float) -> float:
-    return abs(_gamma0(alpha, eps)) ** 2
+    """|Gamma0|^2 = e^{pi alpha} |Gamma(1+eps+i*alpha)|^2, formed in log space.
+
+    Formed directly, e^{pi alpha/2} overflows and the Gamma value underflows
+    once alpha exceeds about 452, while |Gamma0|^2 grows only like
+    alpha^(1 + 2 eps).
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive (Gamma(2*eps) finite)")
+    return math.exp(math.pi * alpha
+                    + 2.0 * special.loggamma(1.0 + eps + 1j * alpha).real)
 
 
 def _quad_complex(f, a, b, **kw):
@@ -121,7 +130,8 @@ def packet_fourier(eta, p: GammaParams, a: float):
 def _packet_fourier(eta, alpha: float, eps: float, a: float):
     w = 1.0 + eps + 1j * alpha
     z = eta + 1j * a
-    val = special.gamma(w) * np.exp(1j * np.pi * w / 2.0) * np.exp(-w * np.log(z))
+    # one exponent: the three factors under- and overflow apart at large alpha
+    val = np.exp(special.loggamma(w) + 1j * np.pi * w / 2.0 - w * np.log(z))
     return complex(val) if np.isscalar(eta) or np.ndim(eta) == 0 else val
 
 

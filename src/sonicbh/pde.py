@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InstabilityError, ResolutionError
-from .flow import FlowMap, VelocityProfile
+from .flow import FlowMap, VelocityProfile, transport
+from .gammatools import _quad_complex
 from .packets import (FieldOnGrid, ModeSpec, PacketParams, eikonal_fields,
                       gamma_tilde, mode_initial_data, packet_fields)
 from .spectrum import density_from_projections
@@ -367,10 +367,8 @@ def initial_projection_pair(eta: float, p: PacketParams,
         def g(uu):
             s = uu ** (1.0 / eps)
             return fn(s) * s / (eps * uu)
-        kw = dict(epsabs=1e-13, epsrel=1e-11, limit=800)
-        re = integrate.quad(lambda x: g(x).real, 0.0, u_max, **kw)[0]
-        im = integrate.quad(lambda x: g(x).imag, 0.0, u_max, **kw)[0]
-        return re + 1j * im
+        return _quad_complex(g, 0.0, u_max, epsabs=1e-13, epsrel=1e-11,
+                             limit=800)
 
     return complex(cquad(f1)), complex(-cquad(f2))
 
@@ -588,25 +586,8 @@ def packet_quadrature(p: PacketParams, flow: FlowMap, x0: float,
     s, w = _two_zone_nodes(p.eps, p.alpha, float(eta_abs), s_max,
                            n_per_panel=n_per_panel)
 
-    if x0 == 0.0:
-        rho = p.sigma_star + s
-        jac = np.ones_like(s)
-    else:
-        # forward rays from (0, sigma_star + s) with tangent drho/dsigma
-        from scipy.integrate import solve_ivp
-        n = s.size
-        profile = flow.profile
-
-        def rhs(t, y):
-            r = y[:n]
-            j = y[n:]
-            a = profile.eval(t)
-            return np.concatenate([a / r + 1.0, (-a / r ** 2) * j])
-
-        y0 = np.concatenate([p.sigma_star + s, np.ones(n)])
-        sol = solve_ivp(rhs, (0.0, float(x0)), y0, method="DOP853",
-                        rtol=flow.ode_tol, atol=flow.ode_tol * 1e-2)
-        rho, jac = sol.y[:n, -1], sol.y[n:, -1]
+    # forward rays from (0, sigma_star + s) with tangent drho/dsigma
+    rho, jac = transport(p.sigma_star + s, 0.0, x0, flow)
     return PacketQuadrature(s=s, rho=rho, dsig_drho=1.0 / jac,
                             weights=w * jac, x0=float(x0))
 
@@ -639,7 +620,8 @@ def _mode_fields_at_nodes(q: PacketQuadrature, state: FieldState,
     from scipy.interpolate import CubicSpline
     fld = state_to_field(state, grid, profile)
     if q.rho.min() < grid.rho_min or q.rho.max() > grid.rho_max:
-        raise ValueError("packet support left the grid; enlarge rho_max")
+        raise ResolutionError(
+            "packet support left the grid; enlarge grid_rho_max")
     val = CubicSpline(grid.rho, fld.value)(q.rho)
     u_t = CubicSpline(grid.rho, fld.d_dx0)(q.rho)
     u_r = CubicSpline(grid.rho, fld.d_drho)(q.rho)

@@ -43,6 +43,11 @@ def test_config_rejects_bad_input():
         RunConfig(a_sweep=(8.0, 4.0))
     with pytest.raises(ConfigError):
         RunConfig(order=3)
+    with pytest.raises(ConfigError):
+        RunConfig(x0_horizon_max=0.0)
+    # the separatrix needs no search tolerance
+    with pytest.raises(ConfigError):
+        RunConfig.from_text("sep_tol = 1e-12\n")
 
 
 # -- commands --------------------------------------------------------------------
@@ -165,6 +170,23 @@ def test_pde_verify_resolution_exit_code(tmp_path, capsys):
                "--set", "eta_list=-60"])
     assert rc == 4
     assert "resolution failure" in capsys.readouterr().err
+
+
+def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):
+    # the transported packet support outruns a short grid
+    rc = main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "1024",
+               "--set", "grid_rho_max=5"])
+    assert rc == 4
+    assert "resolution failure" in capsys.readouterr().err
+
+
+def test_spectrum_large_alpha(tmp_path):
+    # e^{pi alpha/2} alone overflows beyond alpha ~ 452
+    rc = main(["spectrum", "--out-dir", str(tmp_path),
+               "--set", "alpha=500", "--set", "a_sweep=8"])
+    assert rc == 0
+    for name in ("spectrum_a8.csv", "spectrum_totals.json"):
+        assert "nan" not in (tmp_path / name).read_text().lower()
 
 
 def test_selftest_command(capsys):

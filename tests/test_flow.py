@@ -4,11 +4,14 @@ Covers:
   - ray equation values and domain errors
   - constant-A closed forms: equilibrium, first integral rho + ln(rho-1) - x0
   - capture detection and the escape/capture dichotomy around sigma_star
-  - bisection against a halved-tolerance rerun, bracket validation
+  - sigma_star against the former bisection value, bracket validation
+  - the forward-fate oracle over a grid of (A-, A+, tau) profiles
   - sigma(rho, x0): x0=0 identity, first-integral root-find oracle,
     round-trip inversion, monotonicity of the radial derivative
   - horizon endpoint limits and the semigroup property of the ray flow
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -102,10 +105,9 @@ def test_separatrix_constant_profile(a):
 
 def test_separatrix_smooth_step(smooth_flow, smooth_profile):
     assert 0.8 < smooth_flow.sigma_star < 1.2
-    # bisection oracle: rerun at halved tolerance, same answer within tol
-    again = find_separatrix(smooth_profile, bracket=(0.3, 3.0),
-                            x0_horizon_max=1.0, tol=0.5e-12)
-    assert abs(again.sigma_star - smooth_flow.sigma_star) < 1e-12 + 0.5e-12
+    # the value an independent method (bisection with a forward classifier,
+    # tol 1e-12) found for this profile, where its classifier is unbiased
+    assert abs(smooth_flow.sigma_star - 0.8938572134126047) < 1e-11
 
 
 def test_horizon_endpoint_limits(smooth_flow):
@@ -130,14 +132,28 @@ def test_bracket_error(const_profile):
         find_separatrix(const_profile, bracket=(0.2, 0.6))
 
 
-def test_separatrix_sharpness(smooth_flow, smooth_profile):
-    # a one-sided nudge flips the fate of the ray
-    tol = 1e-9
-    up = integrate_characteristic(smooth_flow.sigma_star + tol, 0.0, 30.0,
-                                  smooth_profile)
-    dn = integrate_characteristic(smooth_flow.sigma_star - tol, 0.0, 30.0,
-                                  smooth_profile)
-    assert not up.captured and up.rho[-1] > 2.0 * 0.8
+_FATE_PROFILES = (
+    [pytest.param(-1.2, -0.8, 1.0, id="default")]
+    + [pytest.param(am, ap, tau, id=f"{am:g},{ap:g},{tau:g}")
+       for am in (-2.0, -1.2, -0.5) for ap in (-2.0, -1.2, -0.5)
+       for tau in (0.3, 1.0, 3.0)]
+    # the grid holds (-2, -0.5, 3), where the bisection failed to step;
+    # this short transition is where its forward classifier was biased
+    + [pytest.param(-0.8, -1.2, 0.5, id="-0.8,-1.2,0.5")])
+
+
+@pytest.mark.parametrize("a_minus,a_plus,tau", _FATE_PROFILES)
+def test_separatrix_sharpness(a_minus, a_plus, tau):
+    # a one-sided relative nudge flips the fate of the ray; rays leave the
+    # horizon at about |A+|/rho*^2 = 1/|A+| per unit x0, so the window
+    # allows twice the e-folds that turn the nudge into an O(1) departure
+    profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
+    star = find_separatrix(profile, bracket=(0.3, 3.0)).sigma_star
+    nudge = 1e-9
+    window = 3.0 * tau + 2.0 * math.log(1.0 / nudge) * abs(a_plus)
+    up = integrate_characteristic(star * (1.0 + nudge), 0.0, window, profile)
+    dn = integrate_characteristic(star * (1.0 - nudge), 0.0, window, profile)
+    assert not up.captured and up.rho[-1] > 2.0 * abs(a_plus)
     assert dn.captured
 
 

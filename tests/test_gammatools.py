@@ -45,6 +45,25 @@ def test_gamma0_sinh_identity_small_eps(alpha):
     assert abs(got / ref - 1.0) < 1e-4
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 7.5, 50.0])
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+def test_gamma0_modulus_sq_matches_direct_product(alpha, eps):
+    direct = abs(gamma0(GammaParams(alpha=alpha, eps=eps))) ** 2
+    assert gamma0_modulus_sq(alpha, eps) == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [500.0, 2000.0])
+def test_gamma0_modulus_sq_large_alpha(alpha):
+    # the direct product overflows here; pi*alpha cancels against
+    # ln|Gamma|^2 in the log form, so about 1e-12 relative is what is left
+    got = gamma0_modulus_sq(alpha, 0.25)
+    with mp.workdps(40):
+        ref = float(abs(mp.e ** (mp.pi * alpha / 2)
+                        * mp.gamma(1 + mp.mpf("0.25") + 1j * alpha)) ** 2)
+    assert math.isfinite(got)
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
 @pytest.mark.parametrize("alpha,eps", [(1.0, 0.5), (0.5, 0.1), (2.0, 0.25)])
 def test_gamma0_contour_quadrature(alpha, eps):
     c = gamma0(GammaParams(alpha=alpha, eps=eps))

@@ -317,12 +317,3 @@ def test_spectrum_rescaling_invariance(packet):
     assert scaled.total_normalized == pytest.approx(base.total_normalized,
                                                     rel=1e-12)
     np.testing.assert_allclose(scaled.c1, (3.0 - 4.0j) * base.c1, rtol=1e-12)
-
-
-def test_spectrum_thread_determinism(packet, monkeypatch):
-    base = build_spectrum(packet, n_eta=32)
-    monkeypatch.setenv("SONICBH_THREADS", "4")
-    threaded = build_spectrum(packet, n_eta=32)
-    assert np.array_equal(base.density, threaded.density)
-    assert np.array_equal(base.c1, threaded.c1)
-    assert base.total == threaded.total
