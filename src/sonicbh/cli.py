@@ -164,6 +164,9 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
     if cfg.dt > 0.0:
         grid = pde.RadialGrid(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
                               dt=cfg.dt, order=cfg.order)
+        if not grid.within_cfl(profile.a_max_abs):
+            raise ConfigError(f"dt = {cfg.dt:g} exceeds the CFL bound "
+                              f"{grid.cfl_dt(profile.a_max_abs):g}")
     else:
         grid = pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max,
                                    cfg.nrho, profile.a_max_abs,

@@ -52,11 +52,27 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for name in ("ode_tol", "rho_min", "tau", "x0_horizon_max"):
-            if getattr(self, name) <= 0.0:
+        for name in ("ode_tol", "rho_min", "tau", "x0_horizon_max", "alpha",
+                     "a", "tfinal", "grid_rho_min"):
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
+        if not (self.a_minus < 0.0 and self.a_plus < 0.0):
+            raise ConfigError("a_minus and a_plus must be negative")
+        if not 0.0 < self.eps <= 0.5:
+            raise ConfigError("eps must lie in (0, 1/2]")
+        if not self.a_sweep or not self.a_sweep[0] > 0.0:
+            raise ConfigError("a_sweep must hold positive values")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):
             raise ConfigError("a_sweep must be strictly increasing")
+        if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
+            raise ConfigError("eta_list must hold negative values")
+        if not self.grid_rho_max > self.grid_rho_min:
+            raise ConfigError("grid_rho_max must exceed grid_rho_min")
+        # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
+        if self.nrho < 30:
+            raise ConfigError("nrho must be at least 30")
+        if not self.dt >= 0.0:
+            raise ConfigError("dt must be nonnegative (0 derives it)")
         if self.form not in ("constant", "smooth-step"):
             raise ConfigError(f"unknown profile form {self.form!r}")
         if self.order not in (2, 4):

@@ -37,10 +37,11 @@ __all__ = [
     "ModeSpec",
     "FieldOnGrid",
     "eval_packet_profile",
-    "packet_profile_derivative",
+    "packet_values",
     "eval_packet",
     "packet_fields",
     "mode_initial_data",
+    "eikonal_values",
     "eval_eikonal",
     "eikonal_fields",
     "gamma_tilde",
@@ -103,50 +104,50 @@ class FieldOnGrid:
                            c * self.d_drho)
 
 
+def _profile(s, p: PacketParams):
+    """P and dP/dsigma at offsets s = sigma - sigma_star, both zero for s <= 0.
+
+    P' = P ((eps + i alpha)/s - a) is integrably singular at the edge for eps < 1.
+    """
+    w = p.eps + 1j * p.alpha
+    pos = s > 0.0
+    sp = s + (s <= 0.0) * (1.0 - s)  # s on the support, 1 off it
+    prof = np.exp(w * np.log(sp) - p.a * sp) * pos
+    return prof, prof * (w / sp - p.a)
+
+
 def eval_packet_profile(sigma, p: PacketParams):
     """Profile P(sigma): zero at and below sigma_star, continuous there (eps > 0)."""
-    sigma = np.asarray(sigma, dtype=float)
-    s = sigma - p.sigma_star
-    out = np.zeros(s.shape, dtype=complex)
-    pos = s > 0.0
-    sp = s[pos]
-    out[pos] = np.exp((p.eps + 1j * p.alpha) * np.log(sp) - p.a * sp)
+    out = _profile(np.asarray(sigma, dtype=float) - p.sigma_star, p)[0]
     return out if out.ndim else complex(out)
 
 
-def packet_profile_derivative(sigma, p: PacketParams):
-    """dP/dsigma on the support; integrably singular at sigma_star for eps < 1."""
-    sigma = np.asarray(sigma, dtype=float)
-    s = sigma - p.sigma_star
-    out = np.zeros(s.shape, dtype=complex)
-    pos = s > 0.0
-    sp = s[pos]
-    out[pos] = (np.exp((p.eps + 1j * p.alpha) * np.log(sp) - p.a * sp)
-                * ((p.eps + 1j * p.alpha) / sp - p.a))
-    return out if out.ndim else complex(out)
+def packet_values(s, rho, dsig_drho, a0, p: PacketParams):
+    """Packet value, d/dx0 and d/drho at offsets s = sigma - sigma_star.
+
+    rho is where the ray of label sigma sits, dsig_drho its tangent and a0
+    the flow strength A(x0).  d/dx0 follows from the transport of sigma:
+    dC0/dx0 = rho^(-1/2) P'(sigma) * (-(A/rho + 1) dsigma/drho).
+    """
+    prof, dprof = _profile(s, p)
+    inv_sqrt = rho ** -0.5
+    value = inv_sqrt * prof
+    d_dx0 = inv_sqrt * dprof * (-(a0 / rho + 1.0) * dsig_drho)
+    d_drho = -0.5 * rho ** -1.5 * prof + inv_sqrt * dprof * dsig_drho
+    return value, d_dx0, d_drho
 
 
 def eval_packet(rho: float, x0: float, p: PacketParams, flow: FlowMap) -> complex:
     """C0(x0, rho); zero whenever the ray label sigma(rho, x0) <= sigma_star."""
-    sigma, _ = flow.sigma_of(rho, x0)
-    return complex(eval_packet_profile(sigma, p) / math.sqrt(rho))
+    return complex(packet_fields([rho], x0, p, flow).value[0])
 
 
 def packet_fields(rho, x0: float, p: PacketParams, flow: FlowMap) -> FieldOnGrid:
-    """Packet value and derivatives on a grid, via the ray label and its tangent.
-
-    d/dx0 follows from the transport of sigma:
-    dC0/dx0 = rho^(-1/2) P'(sigma) * (-(A/rho + 1) dsigma/drho).
-    """
+    """Packet value and derivatives on a grid, via the ray label and its tangent."""
     rho = np.asarray(rho, dtype=float)
     sigma, dsig = flow.sigma_map(rho, x0)
-    a0 = flow.profile.eval(x0)
-    inv_sqrt = rho ** -0.5
-    prof = eval_packet_profile(sigma, p)
-    dprof = packet_profile_derivative(sigma, p)
-    value = inv_sqrt * prof
-    d_dx0 = inv_sqrt * dprof * (-(a0 / rho + 1.0) * dsig)
-    d_drho = -0.5 * rho ** -1.5 * prof + inv_sqrt * dprof * dsig
+    value, d_dx0, d_drho = packet_values(sigma - p.sigma_star, rho, dsig,
+                                         flow.profile.eval(x0), p)
     return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho)
 
 
@@ -177,28 +178,32 @@ def mode_initial_data(mode: ModeSpec, rho, a0_over_rho, family: str = "+"):
     return value, d_dx0
 
 
-def eval_eikonal(rho: float, x0: float, eta: float, flow: FlowMap) -> complex:
-    """E = gamma(rho, eta) e^{-i eta sigma(rho, x0)} for eta < 0."""
-    if eta >= 0.0:
-        raise ValueError("the eikonal uses the eta < 0 branch")
-    sigma, _ = flow.sigma_of(rho, x0)
-    return complex(gamma_tilde(eta) * rho ** -0.5 * np.exp(-1j * eta * sigma))
+def eikonal_values(sigma, rho, dsig_drho, a0, eta: float):
+    """Eikonal value, d/dx0 and d/drho (eta < 0) from the ray label sigma.
 
-
-def eikonal_fields(rho, x0: float, eta: float, flow: FlowMap) -> FieldOnGrid:
-    """Eikonal value and derivatives on a grid (eta < 0).
-
-    dE/dx0 = E * i eta (A/rho + 1) dsigma/drho, which at x0 = 0 carries
-    |eta| where the exact mode carries sqrt(eta^2 + 1).
+    E = gamma(rho, eta) e^{-i eta sigma}; dE/dx0 = E * i eta (A/rho + 1)
+    dsigma/drho, which at x0 = 0 carries |eta| where the exact mode carries
+    sqrt(eta^2 + 1).
     """
     if eta >= 0.0:
         raise ValueError("the eikonal uses the eta < 0 branch")
+    value = gamma_tilde(eta) * rho ** -0.5 * np.exp(-1j * eta * sigma)
+    d_dx0 = value * (1j * eta * (a0 / rho + 1.0) * dsig_drho)
+    d_drho = value * (-0.5 / rho - 1j * eta * dsig_drho)
+    return value, d_dx0, d_drho
+
+
+def eval_eikonal(rho: float, x0: float, eta: float, flow: FlowMap) -> complex:
+    """E = gamma(rho, eta) e^{-i eta sigma(rho, x0)} for eta < 0."""
+    return complex(eikonal_fields([rho], x0, eta, flow).value[0])
+
+
+def eikonal_fields(rho, x0: float, eta: float, flow: FlowMap) -> FieldOnGrid:
+    """Eikonal value and derivatives on a grid (eta < 0)."""
     rho = np.asarray(rho, dtype=float)
     sigma, dsig = flow.sigma_map(rho, x0)
-    a0 = flow.profile.eval(x0)
-    value = gamma_tilde(eta) * rho ** -0.5 * np.exp(-1j * eta * sigma)
-    d_dx0 = value * (1j * eta * (a0 / rho + 1.0) * dsig)
-    d_drho = value * (-0.5 / rho - 1j * eta * dsig)
+    value, d_dx0, d_drho = eikonal_values(sigma, rho, dsig,
+                                          flow.profile.eval(x0), eta)
     return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho)
 
 
@@ -225,11 +230,7 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     def bracket(s):
         # full x0 = 0 integrand of the KG norm, written in s = rho - sigma_star
         rho = star + s
-        prof = np.exp((p.eps + 1j * p.alpha) * np.log(s) - p.a * s)
-        dprof = prof * ((p.eps + 1j * p.alpha) / s - p.a)
-        c = rho ** -0.5 * prof
-        c_t = -rho ** -0.5 * (a0 / rho + 1.0) * dprof
-        c_r = -0.5 * rho ** -1.5 * prof + rho ** -0.5 * dprof
+        c, c_t, c_r = packet_values(s, rho, 1.0, a0, p)
         term = (np.conj(c) * c_t).imag + (a0 / rho) * (np.conj(c) * c_r).imag
         return -4.0 * math.pi * term * rho
 

@@ -22,9 +22,10 @@ eikonal matches in value (gamma e^{-i eta rho}) and misses in frequency
 (sqrt(eta^2+1) against |eta|), so the difference field away from x0 = 0
 isolates the transport and frequency remainders of the eikonal.  The
 module also evaluates the projection pair of a field history against the
-transported packet, both from the exact x0 = 0 data by adaptive quadrature
-and from evolved grids, to measure how fast those remainders fall with the
-localisation rate a and with |eta|.
+transported packet, to measure how fast those remainders fall with the
+localisation rate a and with |eta|: at x0 = 0 from the eikonal pair on
+Gauss nodes plus the exact-minus-eikonal change in closed form, and on
+evolved grids from the interpolated mode.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ import numpy as np
 
 from .errors import InstabilityError, ResolutionError
 from .flow import FlowMap, VelocityProfile, transport
-from .gammatools import _quad_complex
-from .packets import (FieldOnGrid, ModeSpec, PacketParams, eikonal_fields,
-                      gamma_tilde, mode_initial_data, packet_fields)
+from .gammatools import packet_fourier
+from .packets import (FieldOnGrid, ModeSpec, PacketParams, eikonal_values,
+                      gamma_tilde, mode_initial_data, packet_values)
 from .spectrum import density_from_projections
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "PacketQuadrature",
     "packet_quadrature",
     "evolved_projection_densities",
-    "initial_projection_pair",
     "RemainderRow",
     "RemainderReport",
     "remainder_contribution",
@@ -63,6 +63,8 @@ __all__ = [
 CFL_SAFETY = 0.45
 GROWTH_BOUND = 5.0  # per-step sup-norm growth that flags blow-up
 POINTS_PER_WAVELENGTH = 16
+A_VALUES = (8.0, 16.0, 32.0)  # localisation rates of the remainder sweep
+EVOLVE_ETA = -4.0  # wavenumber of the evolved remainder rows
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,9 @@ class RadialGrid:
 
     def cfl_dt(self, a_max_abs: float) -> float:
         return CFL_SAFETY * self.drho / self.max_speed(a_max_abs)
+
+    def within_cfl(self, a_max_abs: float) -> bool:
+        return self.dt <= self.cfl_dt(a_max_abs) * (1.0 + 1e-12)
 
     @classmethod
     def auto(cls, rho_min: float, rho_max: float, n_rho: int,
@@ -146,7 +151,7 @@ class WaveStepper:
             a_max_abs = drift.a_max_abs if a_max_abs is None else a_max_abs
         else:
             self.drift = drift
-        if a_max_abs is not None and grid.dt > grid.cfl_dt(a_max_abs) * (1.0 + 1e-12):
+        if a_max_abs is not None and not grid.within_cfl(a_max_abs):
             raise ValueError(
                 f"dt = {grid.dt:g} violates the CFL bound "
                 f"{grid.cfl_dt(a_max_abs):g} for max|A| = {a_max_abs:g}")
@@ -317,62 +322,6 @@ def state_to_field(state: FieldState, grid: RadialGrid, profile) -> FieldOnGrid:
                        d_drho=stepper.d1_centered(state.value))
 
 
-def initial_projection_pair(eta: float, p: PacketParams,
-                            profile: VelocityProfile,
-                            mode: str = "exact") -> tuple[complex, complex]:
-    """Adaptive-quadrature projection pair at x0 = 0 from closed-form data.
-
-    mode="exact" uses the plane-wave frequency sqrt(eta^2+1); "eikonal"
-    uses the transported frequency |eta|.  The two share value and radial
-    derivative at x0 = 0, so they differ only through the mode-derivative
-    side.  The substitution u = s^eps absorbs the packet-edge singularity.
-    """
-    if eta >= 0.0:
-        raise ValueError("eta must be negative")
-    if mode not in ("exact", "eikonal"):
-        raise ValueError("mode must be 'exact' or 'eikonal'")
-    a0 = float(profile.eval(0.0))
-    gt = gamma_tilde(eta)
-    root = math.sqrt(eta * eta + 1.0)
-    star = p.sigma_star
-    eps = p.eps
-
-    def pieces(s):
-        rho = star + s
-        prof = np.exp((eps + 1j * p.alpha) * np.log(s) - p.a * s)
-        dprof = prof * ((eps + 1j * p.alpha) / s - p.a)
-        v = rho ** -0.5 * prof
-        v_t = -rho ** -0.5 * (a0 / rho + 1.0) * dprof
-        v_r = -0.5 * rho ** -1.5 * prof + rho ** -0.5 * dprof
-        u = gt * rho ** -0.5 * np.exp(-1j * eta * rho)
-        if mode == "exact":
-            u_t = 1j * (a0 * eta / rho - root) * u
-        else:
-            u_t = 1j * (a0 * eta / rho + eta) * u
-        u_r = (-0.5 / rho - 1j * eta) * u
-        return rho, u, u_t, u_r, v, v_t, v_r
-
-    def f1(s):
-        rho, u, _, _, _, v_t, v_r = pieces(s)
-        return 1j * np.conj(u) * (v_t + (a0 / rho) * v_r) * rho
-
-    def f2(s):
-        rho, _, u_t, u_r, v, _, _ = pieces(s)
-        return -1j * (np.conj(u_t) + (a0 / rho) * np.conj(u_r)) * v * rho
-
-    s_max = 45.0 / p.a
-    u_max = s_max ** eps
-
-    def cquad(fn):
-        def g(uu):
-            s = uu ** (1.0 / eps)
-            return fn(s) * s / (eps * uu)
-        return _quad_complex(g, 0.0, u_max, epsabs=1e-13, epsrel=1e-11,
-                             limit=800)
-
-    return complex(cquad(f1)), complex(-cquad(f2))
-
-
 @dataclass(frozen=True)
 class RemainderRow:
     a: float
@@ -431,49 +380,76 @@ _SWEEP_NODES = 0.5 * (_SWEEP_HI - _SWEEP_LO) * (_SWEEP_NODES + 1.0) + _SWEEP_LO
 _SWEEP_WEIGHTS = 0.5 * (_SWEEP_HI - _SWEEP_LO) * _SWEEP_WEIGHTS
 
 
-def _node_total(p: PacketParams, profile: VelocityProfile, mode: str) -> float:
-    """Fixed-node quadrature of the projection density over eta = a*eta'."""
-    tot = 0.0
+def _delta_c2(eta: float, p: PacketParams) -> complex:
+    """Exact-minus-eikonal change in c2 at x0 = 0, eta < 0.
+
+    The exact mode shares value and radial derivative with the eikonal at
+    x0 = 0 and differs only in the frequency of its time derivative,
+    sqrt(eta^2+1) against |eta|, so the change is closed in the packet
+    transform F:
+
+        delta c2 = -(sqrt(eta^2+1) - |eta|) gt(eta) e^{i eta sigma*} F(eta).
+    """
+    # sqrt(eta^2+1) - |eta| without the cancellation at large |eta|
+    mismatch = 1.0 / (math.hypot(eta, 1.0) + abs(eta))
+    return complex(-mismatch * gamma_tilde(eta) * np.exp(1j * eta * p.sigma_star)
+                   * packet_fourier(eta, p.gamma_params, p.a))
+
+
+def _initial_densities(eta: float, p: PacketParams, profile: VelocityProfile,
+                       flow: FlowMap) -> tuple[float, float]:
+    """(eikonal density, exact-minus-eikonal density) at x0 = 0, eta < 0.
+
+    c1 and the eikonal c2 come from the node pair; the exact mode changes
+    only c2, so the density changes by -4 Re(c1 conj(delta c2)).
+    """
+    q = packet_quadrature(p, flow, 0.0, abs(eta))
+    pk, eik = _node_fields(q, p, eta, profile)
+    c1, c2 = _pair_on_nodes(eik, pk, q, profile)
+    return (density_from_projections(c1, c2),
+            density_from_projections(c1, _delta_c2(eta, p)))
+
+
+def _node_total(p: PacketParams, profile: VelocityProfile,
+                flow: FlowMap) -> tuple[float, float]:
+    """Fixed-node totals over eta = a*eta' of the eikonal density and of the
+    exact-minus-eikonal density."""
+    tot_eik = tot_diff = 0.0
     for w, ep in zip(_SWEEP_WEIGHTS, _SWEEP_NODES):
-        eta = -p.a * float(ep)
-        pair = initial_projection_pair(eta, p, profile, mode=mode)
-        tot += w * p.a * density_from_projections(*pair)
-    return tot
+        d_eik, d_diff = _initial_densities(-p.a * float(ep), p, profile, flow)
+        tot_eik += w * p.a * d_eik
+        tot_diff += w * p.a * d_diff
+    return tot_eik, tot_diff
 
 
 def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
                            profile: VelocityProfile, flow: FlowMap, *,
-                           a_values=(8.0, 16.0, 32.0), t_final: float = 0.75,
-                           evolve: bool = True,
-                           evolve_eta: float = -4.0) -> RemainderReport:
+                           t_final: float = 0.75) -> RemainderReport:
     """Measure how the exact-mode creation density departs from the eikonal one.
 
-    At x0 = 0 the departure is evaluated by adaptive quadrature from the
-    closed-form data (discretisation-free), per fixed eta sample and as a
-    node total over eta = a*eta'; the decay exponents of the total's
-    relative deviation and of the per-eta deviation in (1 + |eta|) are
-    fitted there, where no grid error can contaminate them.  With
-    evolve=True the mode at evolve_eta is also evolved to t_final for each
-    a and the deviation re-measured on transported nodes; a coarse-grid
-    twin supplies a discretisation estimate and a warning when it is not
-    small against the deviation being measured.
+    At x0 = 0 the departure is closed in the packet transform (see
+    _initial_densities), so it is free of grid error; it is evaluated per
+    fixed eta sample and as a node total over eta = a*eta', and the decay
+    exponents of the total's relative deviation and of the per-eta
+    deviation in (1 + |eta|) are fitted there.  The mode at EVOLVE_ETA is
+    also evolved to t_final and, for each a in A_VALUES, the deviation is
+    re-measured on transported nodes; a coarse-grid twin supplies a
+    discretisation estimate and a warning when it is not small against the
+    deviation being measured.
     """
     report = RemainderReport()
 
     # per-eta departures at x0 = 0, fixed eta samples, largest a
-    a_ref = float(max(a_values))
+    a_ref = max(A_VALUES)
     p_ref = p.with_a(a_ref)
     devs = []
     for eta in eta_samples:
         eta = float(eta)
-        de = density_from_projections(
-            *initial_projection_pair(eta, p_ref, profile, mode="exact"))
-        dk = density_from_projections(
-            *initial_projection_pair(eta, p_ref, profile, mode="eikonal"))
-        dev = abs(de - dk) / abs(dk)
+        dk, d_diff = _initial_densities(eta, p_ref, profile, flow)
+        dev = abs(d_diff) / abs(dk)
         devs.append((abs(eta), dev))
         report.rows_initial.append(RemainderRow(
-            a=a_ref, eta=eta, density_exact=de, density_eikonal=dk,
+            a=a_ref, eta=eta, density_exact=dk + d_diff, density_eikonal=dk,
             dev_rel=dev, x0=0.0))
     if len(devs) >= 2:
         x = np.log1p([d[0] for d in devs])
@@ -481,12 +457,10 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
         report.eta_fit_exponent = float(-np.polyfit(x, y, 1)[0])
 
     # a-sweep of the node-total deviation at x0 = 0
-    for a in a_values:
-        pa = p.with_a(float(a))
-        te = _node_total(pa, profile, "exact")
-        tk = _node_total(pa, profile, "eikonal")
-        report.sweep_a.append(float(a))
-        report.sweep_dev.append(abs(te - tk) / abs(tk))
+    for a in A_VALUES:
+        tk, t_diff = _node_total(p.with_a(a), profile, flow)
+        report.sweep_a.append(a)
+        report.sweep_dev.append(abs(t_diff) / abs(tk))
         report.sweep_leading.append(abs(tk))
     la = np.log(report.sweep_a)
     report.fit_exponent = float(-np.polyfit(la, np.log(report.sweep_dev), 1)[0])
@@ -494,12 +468,9 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
         la, np.log(report.sweep_leading), 1)[0])
     report.fit_exponent_absolute = report.fit_exponent + report.leading_exponent
 
-    if not evolve:
-        return report
-
     # the mode solve depends only on eta: run it (and its coarse twin) once
     # and project against each packet
-    eta = float(evolve_eta)
+    eta = EVOLVE_ETA
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
                              profile.a_max_abs, order=grid.order)
     try:
@@ -514,14 +485,13 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     except ResolutionError:
         coarse_state = None
 
-    for a in a_values:
-        pa = p.with_a(float(a))
-        row = _evolved_row(pa, eta, fine_state, grid, coarse_state, coarse,
-                           profile, flow, t_final)
+    for a in A_VALUES:
+        row = _evolved_row(p.with_a(a), eta, fine_state, grid, coarse_state,
+                           coarse, profile, flow, t_final)
         report.rows_evolved.append(row)
         if not row.resolved:
             report.warnings.append(
-                f"a={a} eta={evolve_eta}: discretisation estimate "
+                f"a={a} eta={eta}: discretisation estimate "
                 f"{row.discr_estimate:.3g} not small against the measured "
                 f"deviation {row.dev_rel:.3g}")
     return report
@@ -592,27 +562,12 @@ def packet_quadrature(p: PacketParams, flow: FlowMap, x0: float,
                             weights=w * jac, x0=float(x0))
 
 
-def _packet_fields_at_nodes(q: PacketQuadrature, p: PacketParams,
-                            profile: VelocityProfile):
+def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
+                 profile: VelocityProfile):
+    """Packet and eikonal (value, d/dx0, d/drho) on transported nodes."""
     a0 = float(profile.eval(q.x0))
-    rho = q.rho
-    prof = np.exp((p.eps + 1j * p.alpha) * np.log(q.s) - p.a * q.s)
-    dprof = prof * ((p.eps + 1j * p.alpha) / q.s - p.a)
-    v = rho ** -0.5 * prof
-    v_t = rho ** -0.5 * dprof * (-(a0 / rho + 1.0) * q.dsig_drho)
-    v_r = -0.5 * rho ** -1.5 * prof + rho ** -0.5 * dprof * q.dsig_drho
-    return v, v_t, v_r
-
-
-def _eikonal_fields_at_nodes(q: PacketQuadrature, eta: float, p: PacketParams,
-                             profile: VelocityProfile):
-    a0 = float(profile.eval(q.x0))
-    rho = q.rho
-    sigma = p.sigma_star + q.s
-    val = gamma_tilde(eta) * rho ** -0.5 * np.exp(-1j * eta * sigma)
-    u_t = val * (1j * eta * (a0 / rho + 1.0) * q.dsig_drho)
-    u_r = val * (-0.5 / rho - 1j * eta * q.dsig_drho)
-    return val, u_t, u_r
+    return (packet_values(q.s, q.rho, q.dsig_drho, a0, p),
+            eikonal_values(p.sigma_star + q.s, q.rho, q.dsig_drho, a0, eta))
 
 
 def _mode_fields_at_nodes(q: PacketQuadrature, state: FieldState,
@@ -650,13 +605,11 @@ def evolved_projection_densities(state: FieldState, grid: RadialGrid,
     the nodes.
     """
     q = packet_quadrature(p, flow, state.x0, abs(eta))
-    pk = _packet_fields_at_nodes(q, p, profile)
+    pk, eik = _node_fields(q, p, eta, profile)
     d_num = density_from_projections(
         *_pair_on_nodes(_mode_fields_at_nodes(q, state, grid, profile), pk,
                         q, profile))
-    d_eik = density_from_projections(
-        *_pair_on_nodes(_eikonal_fields_at_nodes(q, eta, p, profile), pk,
-                        q, profile))
+    d_eik = density_from_projections(*_pair_on_nodes(eik, pk, q, profile))
     return d_num, d_eik
 
 

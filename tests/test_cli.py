@@ -32,7 +32,7 @@ def test_config_parsing_and_overrides(tmp_path):
     assert cfg2.a_minus == -1.1
 
 
-def test_config_rejects_bad_input():
+def test_config_rejects_bad_input(tmp_path, capsys):
     with pytest.raises(ConfigError):
         RunConfig.from_text("unknown_key = 3\n")
     with pytest.raises(ConfigError):
@@ -48,6 +48,30 @@ def test_config_rejects_bad_input():
     # the separatrix needs no search tolerance
     with pytest.raises(ConfigError):
         RunConfig.from_text("sep_tol = 1e-12\n")
+    # values the flow, the packet or the wave grid would reject later
+    for bad in ({"alpha": -1.0}, {"eps": 0.7}, {"a": 0.0}, {"a_minus": 0.5},
+                {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
+                {"nrho": 8}, {"nrho": 29}, {"grid_rho_min": 0.0},
+                {"grid_rho_max": 0.2}, {"tfinal": -1.0}, {"tfinal": 0.0},
+                {"dt": -1e-3}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
+    RunConfig(nrho=30)  # its coarse twin still has 16 points
+    # the same values from the command line exit 2, before any output
+    for argv in (["pde-verify", "--eta-list", "2,-6"],
+                 ["pde-verify", "--eta-list="],
+                 ["limit", "--set", "a_sweep="],
+                 ["spectrum", "--set", "alpha=-1"],
+                 ["spectrum", "--set", "eps=0.7"],
+                 ["spectrum", "--set", "a=0"],
+                 ["horizon", "--set", "a_minus=0.5"],
+                 ["pde-verify", "--nrho", "8"],
+                 ["pde-verify", "--set", "grid_rho_min=0"],
+                 ["pde-verify", "--tfinal", "-1"],
+                 ["pde-verify", "--dt", "1"]):  # over the default grid's CFL bound
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
+        assert "config error" in capsys.readouterr().err, argv
+        assert not any(tmp_path.iterdir()), argv
 
 
 # -- commands --------------------------------------------------------------------

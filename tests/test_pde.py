@@ -9,16 +9,21 @@ import math
 import numpy as np
 import pytest
 
+import scipy.integrate
+
+from sonicbh import packets
 from sonicbh.errors import InstabilityError, ResolutionError
+from sonicbh.flow import VelocityProfile
+from sonicbh.gammatools import _quad_complex
 from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
-    packet_fields
-from sonicbh.pde import (FieldState, RadialGrid, WaveStepper, dalembert_error,
-                         evolved_projection_densities, initial_projection_pair,
+    gamma_tilde, packet_fields
+from sonicbh.pde import (A_VALUES, FieldState, RadialGrid, WaveStepper,
+                         dalembert_error, evolved_projection_densities,
                          packet_quadrature, remainder_contribution,
                          smooth_window, solve_cauchy, solve_mode,
-                         state_to_field, step_wave, _horizon_window,
-                         _eikonal_fields_at_nodes, _packet_fields_at_nodes,
-                         _pair_on_nodes)
+                         state_to_field, step_wave, _delta_c2,
+                         _horizon_window, _node_fields, _pair_on_nodes,
+                         _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import density_from_projections, kg_inner
 
 
@@ -26,6 +31,63 @@ from sonicbh.spectrum import density_from_projections, kg_inner
 def packet(smooth_flow):
     return PacketParams(alpha=1.0, a=8.0, eps=0.25,
                         sigma_star=smooth_flow.sigma_star)
+
+
+# the adaptive reference for the node pair and the closed delta c2
+def initial_projection_pair(eta: float, p: PacketParams,
+                            profile: VelocityProfile,
+                            mode: str = "exact") -> tuple[complex, complex]:
+    """Adaptive-quadrature projection pair at x0 = 0 from closed-form data.
+
+    mode="exact" uses the plane-wave frequency sqrt(eta^2+1); "eikonal"
+    uses the transported frequency |eta|.  The two share value and radial
+    derivative at x0 = 0, so they differ only through the mode-derivative
+    side.  The substitution u = s^eps absorbs the packet-edge singularity.
+    """
+    if eta >= 0.0:
+        raise ValueError("eta must be negative")
+    if mode not in ("exact", "eikonal"):
+        raise ValueError("mode must be 'exact' or 'eikonal'")
+    a0 = float(profile.eval(0.0))
+    gt = gamma_tilde(eta)
+    root = math.sqrt(eta * eta + 1.0)
+    star = p.sigma_star
+    eps = p.eps
+
+    def pieces(s):
+        rho = star + s
+        prof = np.exp((eps + 1j * p.alpha) * np.log(s) - p.a * s)
+        dprof = prof * ((eps + 1j * p.alpha) / s - p.a)
+        v = rho ** -0.5 * prof
+        v_t = -rho ** -0.5 * (a0 / rho + 1.0) * dprof
+        v_r = -0.5 * rho ** -1.5 * prof + rho ** -0.5 * dprof
+        u = gt * rho ** -0.5 * np.exp(-1j * eta * rho)
+        if mode == "exact":
+            u_t = 1j * (a0 * eta / rho - root) * u
+        else:
+            u_t = 1j * (a0 * eta / rho + eta) * u
+        u_r = (-0.5 / rho - 1j * eta) * u
+        return rho, u, u_t, u_r, v, v_t, v_r
+
+    def f1(s):
+        rho, u, _, _, _, v_t, v_r = pieces(s)
+        return 1j * np.conj(u) * (v_t + (a0 / rho) * v_r) * rho
+
+    def f2(s):
+        rho, _, u_t, u_r, v, _, _ = pieces(s)
+        return -1j * (np.conj(u_t) + (a0 / rho) * np.conj(u_r)) * v * rho
+
+    s_max = 45.0 / p.a
+    u_max = s_max ** eps
+
+    def cquad(fn):
+        def g(uu):
+            s = uu ** (1.0 / eps)
+            return fn(s) * s / (eps * uu)
+        return _quad_complex(g, 0.0, u_max, epsabs=1e-13, epsrel=1e-11,
+                             limit=800)
+
+    return complex(cquad(f1)), complex(-cquad(f2))
 
 
 def test_grid_validation():
@@ -205,10 +267,9 @@ def test_node_quadrature_closed_form(packet, smooth_flow):
 def test_node_pair_matches_adaptive(packet, smooth_flow, smooth_profile):
     for eta in (-2.0, -8.0):
         q = packet_quadrature(packet, smooth_flow, 0.0, abs(eta))
-        pk = _packet_fields_at_nodes(q, packet, smooth_profile)
+        pk, eik = _node_fields(q, packet, eta, smooth_profile)
         d_nodes = density_from_projections(*_pair_on_nodes(
-            _eikonal_fields_at_nodes(q, eta, packet, smooth_profile), pk, q,
-            smooth_profile))
+            eik, pk, q, smooth_profile))
         d_adapt = density_from_projections(*initial_projection_pair(
             eta, packet, smooth_profile, mode="eikonal"))
         assert abs(d_nodes / d_adapt - 1.0) < 1e-8
@@ -242,28 +303,91 @@ def test_initial_deviation_follows_frequency_mismatch(packet, smooth_profile):
                                         abs=tol)
 
 
-def test_remainder_contribution_report(packet, smooth_profile, smooth_flow):
+@pytest.mark.parametrize("alpha,eps", [(1.0, 0.25), (0.5, 0.1), (3.0, 0.5)])
+def test_delta_c2_matches_adaptive(alpha, eps, smooth_flow, smooth_profile):
+    # the exact mode changes only c2 at x0 = 0, by a closed multiple of the
+    # packet transform
+    for a in (8.0, 32.0):
+        p = PacketParams(alpha=alpha, a=a, eps=eps,
+                         sigma_star=smooth_flow.sigma_star)
+        for eta in (-2.0, -6.0, -18.0):
+            c1_ex, c2_ex = initial_projection_pair(eta, p, smooth_profile,
+                                                   mode="exact")
+            c1_ek, c2_ek = initial_projection_pair(eta, p, smooth_profile,
+                                                   mode="eikonal")
+            assert c1_ex == c1_ek
+            want = c2_ex - c2_ek
+            assert abs(_delta_c2(eta, p) - want) <= 1e-12 * abs(want), (a, eta)
+
+
+@pytest.fixture(scope="module")
+def report(packet, smooth_profile, smooth_flow):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
-    rep = remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
-                                 smooth_profile, smooth_flow,
-                                 a_values=(8.0, 16.0, 32.0), t_final=0.3)
+    return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
+                                  smooth_profile, smooth_flow, t_final=0.3)
+
+
+def test_remainder_report_matches_adaptive(report, packet, smooth_profile):
+    # the x0 = 0 part of the report, rebuilt from the adaptive oracle
+    def densities(eta, p):
+        return [density_from_projections(*initial_projection_pair(
+            eta, p, smooth_profile, mode=m)) for m in ("exact", "eikonal")]
+
+    for row in report.rows_initial:
+        de, dk = densities(row.eta, packet.with_a(row.a))
+        assert row.density_exact == pytest.approx(de, rel=1e-7)
+        assert row.density_eikonal == pytest.approx(dk, rel=1e-7)
+        assert row.dev_rel == pytest.approx(abs(de - dk) / abs(dk), rel=1e-7)
+    assert report.sweep_a == list(A_VALUES)
+    for a, dev, lead in zip(report.sweep_a, report.sweep_dev,
+                            report.sweep_leading):
+        pa = packet.with_a(a)
+        te = tk = 0.0
+        for w, ep in zip(_SWEEP_WEIGHTS, _SWEEP_NODES):
+            de, dk = densities(-a * float(ep), pa)
+            te += w * a * de
+            tk += w * a * dk
+        assert dev == pytest.approx(abs(te - tk) / abs(tk), rel=1e-7)
+        assert lead == pytest.approx(abs(tk), rel=1e-7)
+
+
+def test_remainder_contribution_makes_no_quad_calls(packet, smooth_profile,
+                                                    smooth_flow, monkeypatch):
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    packets.packet_norm(packet, smooth_flow, numeric=True)
+    assert calls, "the counter does not see the package's quad calls"
+    calls.clear()
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs)
+    remainder_contribution(packet, (-2.0, -6.0, -18.0), grid, smooth_profile,
+                           smooth_flow, t_final=0.05)
+    assert not calls
+
+
+def test_remainder_contribution_report(report, packet):
     # x0 = 0 sweeps: relative deviation decays ~a^-2, leading term ~a^-2eps
-    assert 1.5 < rep.fit_exponent < 2.5
-    assert rep.leading_exponent == pytest.approx(2.0 * packet.eps, abs=0.06)
-    assert rep.fit_exponent_absolute - rep.leading_exponent >= 0.5
-    assert rep.eta_fit_exponent >= 1.5
-    assert all(r.dev_rel > 0 for r in rep.rows_initial)
+    assert 1.5 < report.fit_exponent < 2.5
+    assert report.leading_exponent == pytest.approx(2.0 * packet.eps, abs=0.06)
+    assert report.fit_exponent_absolute - report.leading_exponent >= 0.5
+    assert report.eta_fit_exponent >= 1.5
+    assert all(r.dev_rel > 0 for r in report.rows_initial)
     # the remainder never touches the first significant digit of the
     # normalised total once a >= 16
-    for a, dev in zip(rep.sweep_a, rep.sweep_dev):
+    for a, dev in zip(report.sweep_a, report.sweep_dev):
         if a >= 16.0:
             assert dev < 0.05, (a, dev)
     # evolved diagnostics carry a discretisation estimate
-    assert len(rep.rows_evolved) == 3
-    for row in rep.rows_evolved:
+    assert len(report.rows_evolved) == 3
+    for row in report.rows_evolved:
         assert row.discr_estimate is not None
         assert row.resolved  # 1024 points resolve eta = -4 comfortably
-    js = rep.to_jsonable()
+    js = report.to_jsonable()
     import json
     json.dumps(js)  # serialisable end to end
     assert js["sweep"]["a"] == [8.0, 16.0, 32.0]

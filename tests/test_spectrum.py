@@ -244,6 +244,23 @@ def test_limit_thermal_suppression_of_excess():
     assert ex[4.0] / ex[2.0] < math.exp(-2.0 * math.pi)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+def test_limit_tends_to_one_at_large_alpha(eps):
+    # theta = asin(1/sqrt(eta^2+1)) gives eta = cot(theta) and
+    # eta (eta^2+1)^(-eps-1) deta = -cos(theta) sin(theta)^(2 eps - 1) dtheta,
+    # so J = int_0^{pi/2} cos(theta) sin(theta)^(2 eps - 1) e^{-2 alpha theta}
+    # dtheta.  For large alpha only theta ~ 1/alpha counts, where the
+    # integrand is theta^(2 eps - 1) e^{-2 alpha theta}: J -> Gamma(2 eps) /
+    # (2 alpha)^(2 eps).  Stirling, |Gamma(1+eps+i alpha)|^2 -> 2 pi
+    # alpha^(1+2 eps) e^{-pi alpha}, gives |Gamma0|^2 -> 2 pi alpha^(1+2 eps).
+    # The prefactor 2^(2 eps) / (2 pi alpha Gamma(2 eps)) then makes the
+    # limit tend to 1.  The approach is exponential in alpha (at eps = 1/2
+    # the limit is (1 + e^{-pi alpha}/(2 alpha)) / (1 + e^{-2 pi alpha})),
+    # so from alpha = 10 on only rounding is left.
+    for alpha in (10.0, 20.0, 50.0, 100.0):
+        assert abs(normalized_number_limit(alpha, eps) - 1.0) <= 1e-12, alpha
+
+
 def test_limit_prefactor_consistency():
     # limit = 2^(2 eps) |Gamma0|^2 J / (2 pi alpha Gamma(2 eps)) identically
     alpha, eps = 1.3, 0.3
