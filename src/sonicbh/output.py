@@ -2,7 +2,8 @@
 
 CSV files carry '#'-prefixed metadata lines echoing the resolved config,
 then a header row, then rows with floats at 17 significant digits.  JSON
-summaries sort keys.  Identical inputs produce byte-identical files.
+summaries sort keys and hold finite numbers only.  Identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 from pathlib import Path
 
 from .config import fmt_float
+from .errors import ToleranceError
 
 __all__ = ["write_csv", "write_json", "format_cell"]
 
@@ -35,7 +37,13 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
 
 
 def write_json(path, obj: dict) -> Path:
+    """Write obj as JSON; a NaN or infinity raises ToleranceError and writes
+    nothing, since JSON has no spelling for them."""
     path = Path(path)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ToleranceError(f"{path.name}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")
     return path

@@ -1,14 +1,15 @@
 """Direct finite-difference solution of the radial wave equation.
 
-The operator factorises through the drift derivative
+The radial flow v = A(x0)/rho has div v = 0, so for a massless field the
+2+1 acoustic wave operator factorises through the drift derivative
 D = d/dx0 + (A(x0)/rho) d/drho:
 
-    L f = D^2 f - d^2 f / drho^2 = 0,
+    L f = D^2 f - (d^2 f/drho^2 + (1/rho) df/drho) = 0,
 
 stepped as the first-order system (f, g) with g = D f:
 
     df/dx0 = g - (A/rho) df/drho,
-    dg/dx0 = d^2 f/drho^2 - (A/rho) dg/drho,
+    dg/dx0 = d^2 f/drho^2 + (1/rho) df/drho - (A/rho) dg/drho,
 
 with classic RK4 in time.  The drift speed A/rho is negative everywhere,
 so its derivative is one-sided toward larger rho (the inflow side); the
@@ -46,7 +47,6 @@ __all__ = [
     "RadialGrid",
     "FieldState",
     "WaveStepper",
-    "step_wave",
     "smooth_window",
     "solve_cauchy",
     "solve_mode",
@@ -137,14 +137,7 @@ class WaveStepper:
     """
 
     def __init__(self, grid: RadialGrid, drift, *, a_max_abs: float | None = None,
-                 sponge_fraction: float = 0.1, sponge_strength: float | None = None,
-                 radial_term: bool = False):
-        # radial_term adds the (1/rho) d/drho piece of the 2D Laplacian.
-        # The bare operator admits no conserved pairing for any radial
-        # weight; with this term the standard pairing is conserved exactly
-        # for static drift, which the conservation tests rely on.  All
-        # closed-form results are insensitive to it (1/rho-suppressed).
-        self.radial_term = bool(radial_term)
+                 sponge_fraction: float = 0.1, sponge_strength: float | None = None):
         self.grid = grid
         if isinstance(drift, VelocityProfile):
             self.drift = lambda x0: float(drift.eval(x0))
@@ -211,9 +204,7 @@ class WaveStepper:
 
     def _rhs(self, f, g, x0):
         c = self.drift(x0) * self.inv_rho
-        lap = self.d2(f)
-        if self.radial_term:
-            lap = lap + self.inv_rho * self.d1_centered(f)
+        lap = self.d2(f) + self.inv_rho * self.d1_centered(f)
         df = g - c * self.d1_upwind(f) - self.sponge * f
         dg = lap - c * self.d1_upwind(g) - self.sponge * g
         return df, dg
@@ -237,29 +228,14 @@ class WaveStepper:
         return FieldState(value=f, dvalue_dx0=g - c * self.d1_centered(f), x0=x0)
 
 
-def step_wave(state: FieldState, grid: RadialGrid, profile) -> FieldState:
-    """Advance one time step; raises InstabilityError on per-step blow-up."""
-    stepper = WaveStepper(grid, profile)
-    f = state.value.astype(complex)
-    g = stepper.g_from_state(state)
-    before = float(np.max(np.abs(f))) or 1.0
-    f1, g1 = stepper.step(f, g, state.x0)
-    after = float(np.max(np.abs(f1)))
-    if not np.isfinite(after) or after > GROWTH_BOUND * max(before, 1e-300):
-        raise InstabilityError(
-            f"sup-norm grew {after / before:.3g}x in one step at x0={state.x0:g}")
-    return stepper.state_from_fg(f1, g1, state.x0 + grid.dt)
-
-
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
-                 t_final: float, out_times=None,
-                 radial_term: bool = False) -> list[FieldState]:
+                 t_final: float, out_times=None) -> list[FieldState]:
     """Evolve generic data to t_final, recording states at out_times.
 
     out_times are snapped to step multiples; the initial state is always
     recorded first.
     """
-    stepper = WaveStepper(grid, profile, radial_term=radial_term)
+    stepper = WaveStepper(grid, profile)
     dt = grid.dt
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
@@ -286,15 +262,15 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
 
 
 def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
-               t_final: float, *, out_times=None, window=None,
-               radial_term: bool = False) -> list[FieldState]:
+               t_final: float, *, out_times=None) -> list[FieldState]:
     """Exact mode history for eta < 0 from eikonal-matched initial data.
 
     Data: f(0) = gamma e^{-i eta rho} * W, df/dx0(0) = i (A(0) eta / rho
     - sqrt(eta^2+1)) f(0) -- the conjugate-paired member of the plane-wave
     family (equivalently the "+" branch at wavenumber |eta|), which shares
-    its value with the eikonal at x0 = 0.  W is a smooth window equal to 1
-    on the region of interest, controlling edge contamination.
+    its value with the eikonal at x0 = 0.  W is the horizon window: 1 from
+    the inner edge to a taper ahead of the outer sponge, so it never clips
+    the packet support.
     """
     if eta >= 0.0:
         raise ValueError("solve_mode uses the eta < 0 branch")
@@ -304,14 +280,11 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
             f"grid spacing {grid.drho:g} exceeds lambda/{POINTS_PER_WAVELENGTH} "
             f"= {lam / POINTS_PER_WAVELENGTH:g} at eta = {eta:g}")
     rho = grid.rho
-    if window is None:
-        window = _default_window(grid)
-    lo, hi, width = window
-    w = smooth_window(rho, lo, hi, width)
+    w = smooth_window(rho, *_horizon_window(grid))
     value0, dvalue0 = mode_initial_data(ModeSpec(eta=-eta), rho,
                                         profile.eval(0.0) / rho, family="+")
     return solve_cauchy(w * value0, w * dvalue0, grid, profile, t_final,
-                        out_times=out_times, radial_term=radial_term)
+                        out_times=out_times)
 
 
 def state_to_field(state: FieldState, grid: RadialGrid, profile) -> FieldOnGrid:
@@ -346,22 +319,24 @@ class RemainderReport:
     fit_exponent: float = float("nan")
     fit_exponent_absolute: float = float("nan")
     leading_exponent: float = float("nan")
-    eta_fit_exponent: float = float("nan")
+    eta_fit_exponent: float | None = None  # None below two eta samples
     warnings: list[str] = field(default_factory=list)
+    # fine-grid EVOLVE_ETA states at x0 = 0, t_final/2 and t_final (snapped
+    # to steps); kept for field snapshots, not serialised
+    history: list[FieldState] = field(default_factory=list, repr=False)
 
     def to_jsonable(self) -> dict:
         def row(r: RemainderRow) -> dict:
-            d = {"a": r.a, "eta": r.eta, "dev_rel": r.dev_rel, "x0": r.x0,
-                 "density_exact": r.density_exact,
-                 "density_eikonal": r.density_eikonal,
-                 "fit_exponent": self.fit_exponent}
-            if r.discr_estimate is not None:
-                d["discr_estimate"] = r.discr_estimate
-                d["resolved"] = r.resolved
-            return d
+            return {"a": r.a, "eta": r.eta, "dev_rel": r.dev_rel, "x0": r.x0,
+                    "density_exact": r.density_exact,
+                    "density_eikonal": r.density_eikonal}
+
+        def evolved(r: RemainderRow) -> dict:
+            return dict(row(r), discr_estimate=r.discr_estimate,
+                        resolved=r.resolved)
         return {
             "rows_initial": [row(r) for r in self.rows_initial],
-            "rows_evolved": [row(r) for r in self.rows_evolved],
+            "rows_evolved": [evolved(r) for r in self.rows_evolved],
             "sweep": {"a": self.sweep_a, "dev_rel": self.sweep_dev,
                       "leading": self.sweep_leading},
             "fit_exponent": self.fit_exponent,
@@ -435,7 +410,9 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     also evolved to t_final and, for each a in A_VALUES, the deviation is
     re-measured on transported nodes; a coarse-grid twin supplies a
     discretisation estimate and a warning when it is not small against the
-    deviation being measured.
+    deviation being measured.  A grid too coarse for EVOLVE_ETA raises
+    ResolutionError; a coarse twin too coarse for it leaves the estimate
+    None, with a warning.
     """
     report = RemainderReport()
 
@@ -455,6 +432,9 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
         x = np.log1p([d[0] for d in devs])
         y = np.log([d[1] for d in devs])
         report.eta_fit_exponent = float(-np.polyfit(x, y, 1)[0])
+    else:
+        report.warnings.append("eta-decay exponent needs at least two eta "
+                               "samples; none fitted")
 
     # a-sweep of the node-total deviation at x0 = 0
     for a in A_VALUES:
@@ -473,23 +453,21 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     eta = EVOLVE_ETA
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
                              profile.a_max_abs, order=grid.order)
+    report.history = solve_mode(eta, grid, profile, t_final,
+                                out_times=[0.5 * t_final, t_final])
+    fine_state = report.history[-1]
     try:
-        fine_state = solve_mode(eta, grid, profile, t_final,
-                                window=_horizon_window(grid))[-1]
+        coarse_state = solve_mode(eta, coarse, profile, t_final)[-1]
     except ResolutionError as exc:
-        report.warnings.append(f"evolved rows skipped: {exc}")
-        return report
-    try:
-        coarse_state = solve_mode(eta, coarse, profile, t_final,
-                                  window=_horizon_window(coarse))[-1]
-    except ResolutionError:
         coarse_state = None
+        report.warnings.append(
+            f"evolved rows have no discretisation estimate: coarse twin {exc}")
 
     for a in A_VALUES:
         row = _evolved_row(p.with_a(a), eta, fine_state, grid, coarse_state,
-                           coarse, profile, flow, t_final)
+                           coarse, profile, flow)
         report.rows_evolved.append(row)
-        if not row.resolved:
+        if row.discr_estimate is not None and not row.resolved:
             report.warnings.append(
                 f"a={a} eta={eta}: discretisation estimate "
                 f"{row.discr_estimate:.3g} not small against the measured "
@@ -613,12 +591,6 @@ def evolved_projection_densities(state: FieldState, grid: RadialGrid,
     return d_num, d_eik
 
 
-def _default_window(grid: RadialGrid) -> tuple[float, float, float]:
-    span = grid.rho_max - grid.rho_min
-    return (grid.rho_min + 0.05 * span, grid.rho_max - 0.18 * span,
-            0.015 * span)
-
-
 def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
     """Outer taper only: the packet support hugs the horizon, and inside it
     both characteristic families point inward, so the inner edge needs no
@@ -630,8 +602,8 @@ def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
 
 def _evolved_row(p: PacketParams, eta: float, fine_state: FieldState,
                  grid: RadialGrid, coarse_state: FieldState | None,
-                 coarse: RadialGrid, profile: VelocityProfile, flow: FlowMap,
-                 t_final: float) -> RemainderRow:
+                 coarse: RadialGrid, profile: VelocityProfile,
+                 flow: FlowMap) -> RemainderRow:
     d_num, d_eik = evolved_projection_densities(fine_state, grid, profile,
                                                 flow, p, eta)
     dev = abs(d_num - d_eik) / abs(d_eik)
@@ -639,36 +611,33 @@ def _evolved_row(p: PacketParams, eta: float, fine_state: FieldState,
         d_num_c, d_eik_c = evolved_projection_densities(
             coarse_state, coarse, profile, flow, p, eta)
         dev_c = abs(d_num_c - d_eik_c) / abs(d_eik_c)
-        discr = abs(dev - dev_c) / (2 ** grid.order - 1.0)
+        discr = float(abs(dev - dev_c) / (2 ** grid.order - 1.0))
     else:
-        discr = float("inf")
-    resolved = bool(discr < 0.3 * dev)
+        discr = None
     return RemainderRow(a=float(p.a), eta=float(eta),
                         density_exact=float(d_num),
                         density_eikonal=float(d_eik), dev_rel=float(dev),
-                        x0=float(t_final), discr_estimate=float(discr),
-                        resolved=resolved)
+                        x0=float(fine_state.x0), discr_estimate=discr,
+                        resolved=discr is not None and bool(discr < 0.3 * dev))
 
 
 def dalembert_error(n_rho: int, order: int, t_final: float = 1.0) -> float:
-    """Max error against the exact traveling bump for A == 0.
+    """Max error against the exact standing Bessel mode for A == 0.
 
-    With no drift the system reduces to f_tt = f_rr; data f = b(rho),
-    f_t = -b'(rho) propagate exactly as b(rho - x0).
+    With no drift the system reduces to f_tt = f_rr + f_r / rho; data
+    f = J0(k rho), f_t = 0 evolve exactly as J0(k rho) cos(k x0).  The
+    error is taken on [2 + t + 1/4, 11 - t - 1/4], which neither grid edge
+    nor the sponge (rho > 11) can reach by time t at unit speed.
     """
+    from scipy.special import j0
     trial = RadialGrid.auto(2.0, 12.0, n_rho, a_max_abs=0.0, order=order)
     dt = t_final / math.ceil(t_final / trial.dt)  # land exactly on t_final
     grid = RadialGrid(2.0, 12.0, n_rho, dt=dt, order=order)
-
-    def bump(x):
-        return np.exp(-((x - 5.0) / 0.5) ** 2)
-
-    def dbump(x):
-        return -2.0 * (x - 5.0) / 0.25 * np.exp(-((x - 5.0) / 0.5) ** 2)
-
+    k = 3.0
     rho = grid.rho
-    hist = solve_cauchy(bump(rho).astype(complex),
-                        (-dbump(rho)).astype(complex),
+    hist = solve_cauchy(j0(k * rho).astype(complex), np.zeros(n_rho, complex),
                         grid, lambda x0: 0.0, t_final)
     last = hist[-1]
-    return float(np.max(np.abs(last.value.real - bump(rho - last.x0))))
+    inner = (rho >= 2.25 + last.x0) & (rho <= 10.75 - last.x0)
+    exact = j0(k * rho[inner]) * math.cos(k * last.x0)
+    return float(np.max(np.abs(last.value.real[inner] - exact)))

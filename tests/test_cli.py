@@ -182,18 +182,70 @@ def test_pde_verify_command(tmp_path, capsys):
     report = json.loads((tmp_path / "pde_report.json").read_text())["report"]
     assert report["fit_exponent"] > 0.5
     assert {"a", "eta", "dev_rel", "x0"} <= set(report["rows_initial"][0])
-    snaps = sorted(Path(tmp_path).glob("field_eta*.csv"))
-    assert snaps, "field snapshots missing"
+    snaps = sorted(Path(tmp_path).glob("field_eta-4_t*.csv"))
+    assert len(snaps) == 3, "field snapshots missing"
     body = [ln for ln in snaps[0].read_text().splitlines()
             if not ln.startswith("#")]
     assert body[0] == "rho,re,im"
 
 
 def test_pde_verify_resolution_exit_code(tmp_path, capsys):
+    # eta_list sets only the closed-form x0=0 rows; the evolved mode at
+    # eta = -4 is what 64 points cannot resolve
     rc = main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "64",
                "--set", "eta_list=-60"])
     assert rc == 4
-    assert "resolution failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resolution failure" in err and "eta = -4" in err
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{name} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
+    # the fine solve feeds both the evolved rows and the field snapshots;
+    # its coarse twin is the only other solve
+    from sonicbh import pde
+    calls = []
+    solve_mode = pde.solve_mode
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].n_rho)
+        return solve_mode(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_mode", counting)
+    assert main(["pde-verify", "--out-dir", str(tmp_path)]) == 0
+    assert calls == [2048, 1025]
+    report = _strict_json(tmp_path / "pde_report.json")["report"]
+    snaps = {p.name for p in tmp_path.glob("field_eta*.csv")}
+    assert len(snaps) == 3 and "field_eta-4_t0.csv" in snaps
+    for row in report["rows_evolved"]:
+        assert f"field_eta-4_t{row['x0']:g}.csv" in snaps
+        assert row["x0"] != 0.75  # the step-snapped time, not tfinal
+
+
+def test_pde_verify_json_is_finite(tmp_path, capsys):
+    # a single eta sample has no eta fit; 120 points leave the coarse twin
+    # (61 points) unable to resolve eta = -4: both write null, not NaN/inf
+    for args, key in ((["--set", "eta_list=-6"], "eta_fit_exponent"),
+                      (["--nrho", "120"], "discr_estimate")):
+        out = tmp_path / key
+        assert main(["pde-verify", "--out-dir", str(out)] + args) == 0, args
+        report = _strict_json(out / "pde_report.json")["report"]
+        assert report["warnings"], args
+        rows = report["rows_evolved"] if key == "discr_estimate" else [report]
+        assert all(r[key] is None for r in rows), args
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    from sonicbh.errors import ToleranceError
+    from sonicbh.output import write_json
+    with pytest.raises(ToleranceError):
+        write_json(tmp_path / "bad.json", {"x": float("nan")})
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):

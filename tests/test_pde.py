@@ -17,11 +17,10 @@ from sonicbh.flow import VelocityProfile
 from sonicbh.gammatools import _quad_complex
 from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
     gamma_tilde, packet_fields
-from sonicbh.pde import (A_VALUES, FieldState, RadialGrid, WaveStepper,
-                         dalembert_error, evolved_projection_densities,
-                         packet_quadrature, remainder_contribution,
-                         smooth_window, solve_cauchy, solve_mode,
-                         state_to_field, step_wave, _delta_c2,
+from sonicbh.pde import (A_VALUES, RadialGrid, WaveStepper, dalembert_error,
+                         evolved_projection_densities, packet_quadrature,
+                         remainder_contribution, smooth_window, solve_cauchy,
+                         solve_mode, state_to_field, _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import density_from_projections, kg_inner
@@ -111,11 +110,8 @@ def test_instability_detector():
     grid = RadialGrid(2.0, 12.0, 256, dt=1.0)
     rho = grid.rho
     f = np.exp(-((rho - 7.0) / 0.5) ** 2).astype(complex)
-    state = FieldState(value=f, dvalue_dx0=np.zeros_like(f), x0=0.0)
     with pytest.raises(InstabilityError):
-        st = state
-        for _ in range(10):
-            st = step_wave(st, grid, lambda x0: 0.0)
+        solve_cauchy(f, np.zeros_like(f), grid, lambda x0: 0.0, 10.0)
 
 
 @pytest.mark.parametrize("order,floor", [(2, 1.9), (4, 3.8)])
@@ -131,24 +127,11 @@ def test_grid_refinement_halves_error_fourfold():
     assert e1 / e2 == pytest.approx(4.0, rel=0.1)
 
 
-def test_step_wave_matches_solver(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs)
-    rho = grid.rho
-    f0 = np.exp(-((rho - 3.0) / 0.4) ** 2).astype(complex)
-    d0 = (0.3j * f0).astype(complex)
-    one = step_wave(FieldState(f0.copy(), d0.copy(), 0.0), grid, smooth_profile)
-    hist = solve_cauchy(f0, d0, grid, smooth_profile, grid.dt,
-                        out_times=[grid.dt])
-    np.testing.assert_allclose(one.value, hist[-1].value, atol=1e-14)
-    assert one.x0 == pytest.approx(grid.dt)
-
-
 def test_solve_mode_initial_state(smooth_profile, smooth_flow):
     grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs)
     eta = -3.0
-    win = _horizon_window(grid)
-    hist = solve_mode(eta, grid, smooth_profile, 5 * grid.dt, window=win)
-    w = smooth_window(grid.rho, *win)
+    hist = solve_mode(eta, grid, smooth_profile, 5 * grid.dt)
+    w = smooth_window(grid.rho, *_horizon_window(grid))
     val, dval = mode_initial_data(ModeSpec(eta=-eta), grid.rho,
                                   smooth_profile.eval(0.0) / grid.rho, "+")
     np.testing.assert_allclose(hist[0].value, w * val, atol=1e-15)
@@ -180,17 +163,16 @@ def test_difference_field_initial_slope(smooth_profile, smooth_flow):
 def test_difference_field_bounded_over_run(smooth_profile, smooth_flow):
     # |f0 - E| stays below C (1+|eta|)^-1 (1+eta^2)^-(1/4) and decays with
     # |eta|.  The eikonal's rho^(-1/2) amplitude is the WKB amplitude of
-    # the operator with the radial 1/rho term; under it the leading
-    # transport source of L E cancels and the bound shape is met (C <= 1
-    # measured).  Under the bare operator the residual O(eta) source slows
-    # the decay and no uniform C fits at desk scale.
+    # the 2+1 operator, whose radial 1/rho term cancels the leading
+    # transport source of L E, so the bound shape is met (C <= 1
+    # measured).  Without that term a residual O(eta) source slows the
+    # decay and no uniform C fits at desk scale.
     from sonicbh.packets import eikonal_fields
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
     times = [0.1, 0.2, 0.3]
     worsts = {}
     for eta in (-2.0, -6.0, -18.0):
-        hist = solve_mode(eta, grid, smooth_profile, 0.3, out_times=times,
-                          window=_horizon_window(grid), radial_term=True)
+        hist = solve_mode(eta, grid, smooth_profile, 0.3, out_times=times)
         mask = (grid.rho > 0.6) & (grid.rho < 6.0)
         worst = 0.0
         for st in hist[1:]:
@@ -212,20 +194,19 @@ def test_difference_field_bounded_over_run(smooth_profile, smooth_flow):
 
 
 def test_stationary_kg_product_constant(const_profile, const_flow):
-    # static drift: the pairing of two evolved solutions is conserved; the
-    # conservative operator variant carries the radial 1/rho term
+    # static drift: the pairing of two evolved solutions is conserved, which
+    # holds for the 2+1 operator with its radial 1/rho term
     p = PacketParams(alpha=1.0, a=8.0, eps=0.5,
                      sigma_star=const_flow.sigma_star)
     drifts = []
     for n in (1024, 2048):
         grid = RadialGrid.auto(0.3, 9.0, n, 1.0)
         times = [0.1, 0.2, 0.3]
-        hu = solve_mode(-4.0, grid, const_profile, 0.3, out_times=times,
-                        window=_horizon_window(grid), radial_term=True)
+        hu = solve_mode(-4.0, grid, const_profile, 0.3, out_times=times)
         pk0 = packet_fields(grid.rho, 0.0, p, const_flow)
         w = smooth_window(grid.rho, *_horizon_window(grid))
         hv = solve_cauchy(w * pk0.value, w * pk0.d_dx0, grid, const_profile,
-                          0.3, out_times=times, radial_term=True)
+                          0.3, out_times=times)
         vals = [kg_inner(state_to_field(su, grid, const_profile),
                          state_to_field(sv, grid, const_profile),
                          su.x0, const_profile)
@@ -240,8 +221,7 @@ def test_eikonal_transport_of_phase_fronts(smooth_profile, smooth_flow):
     # ride the rays, with only the small frequency-mismatch remainder
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
     eta, t1 = -6.0, 0.1
-    hist = solve_mode(eta, grid, smooth_profile, t1,
-                      window=_horizon_window(grid))
+    hist = solve_mode(eta, grid, smooth_profile, t1)
     idx = [int(np.argmin(np.abs(grid.rho - r))) for r in (1.5, 2.0, 3.0)]
     for i in idx:
         sig, _ = smooth_flow.sigma_of(float(grid.rho[i]), t1)
@@ -278,8 +258,7 @@ def test_node_pair_matches_adaptive(packet, smooth_flow, smooth_profile):
 def test_evolved_densities_at_time_zero(packet, smooth_flow, smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
     eta = -4.0
-    hist = solve_mode(eta, grid, smooth_profile, 2 * grid.dt,
-                      window=_horizon_window(grid))
+    hist = solve_mode(eta, grid, smooth_profile, 2 * grid.dt)
     d_num, d_eik = evolved_projection_densities(hist[0], grid, smooth_profile,
                                                 smooth_flow, packet, eta)
     ref_num = density_from_projections(*initial_projection_pair(
@@ -382,12 +361,18 @@ def test_remainder_contribution_report(report, packet):
     for a, dev in zip(report.sweep_a, report.sweep_dev):
         if a >= 16.0:
             assert dev < 0.05, (a, dev)
-    # evolved diagnostics carry a discretisation estimate
+    # evolved diagnostics carry a discretisation estimate and sit at the
+    # step-snapped time of the recorded history
     assert len(report.rows_evolved) == 3
+    assert len(report.history) == 3 and report.history[0].x0 == 0.0
     for row in report.rows_evolved:
         assert row.discr_estimate is not None
         assert row.resolved  # 1024 points resolve eta = -4 comfortably
+        assert row.x0 == report.history[-1].x0 == pytest.approx(0.3, rel=1e-2)
     js = report.to_jsonable()
     import json
-    json.dumps(js)  # serialisable end to end
+    json.dumps(js, allow_nan=False)  # serialisable end to end
     assert js["sweep"]["a"] == [8.0, 16.0, 32.0]
+    assert "history" not in js
+    assert all("fit_exponent" not in r
+               for r in js["rows_initial"] + js["rows_evolved"])
