@@ -109,6 +109,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         totals[f"{a:g}"] = {
             "total_grid": table.total,
             "total": tn.value,
+            "tail_value": tn.tail_value,
             "tail_bound": tn.tail_bound,
             "norm": packet_norm(p),
             "total_normalized": tn.value / packet_norm(p),
@@ -133,11 +134,6 @@ def cmd_limit(cfg: RunConfig) -> int:
                     rows, meta)
     if len(sweep.rows) < 3:
         print("warning: sweep too short for a meaningful slope fit")
-    # rescaling the packet leaves every normalized number unchanged
-    check = spectrum.build_spectrum(p, amplitude=3.0 - 4.0j, n_eta=24)
-    base = spectrum.build_spectrum(p, n_eta=24)
-    invariant = abs(check.total_normalized - base.total_normalized) \
-        <= 1e-12 * abs(base.total_normalized)
     summary = {
         "config": meta,
         "limit": sweep.limit,
@@ -146,7 +142,6 @@ def cmd_limit(cfg: RunConfig) -> int:
         "residual_slope": -sweep.slope if np.isfinite(sweep.slope) else None,
         "richardson_extrapolation": sweep.richardson,
         "final_relative_residual": sweep.final_relative_residual,
-        "rescaling_invariant": bool(invariant),
     }
     write_json(f"{cfg.out_dir}/limit_summary.json", summary)
     print(f"limit = {sweep.limit:.12g}   variant = {sweep.limit_variant:.12g} "

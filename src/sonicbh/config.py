@@ -66,6 +66,9 @@ class RunConfig:
             raise ConfigError("a_sweep must be strictly increasing")
         if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
             raise ConfigError("eta_list must hold negative values")
+        # at 16 points Simpson misses the adaptive head integral by up to 15%
+        if self.n_eta < 24:
+            raise ConfigError("n_eta must be at least 24")
         if not self.grid_rho_max > self.grid_rho_min:
             raise ConfigError("grid_rho_max must exceed grid_rho_min")
         # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points

@@ -79,14 +79,6 @@ class VelocityProfile:
         return mid + amp * np.tanh(np.asarray(x0, dtype=float) / self.tau)
 
     @property
-    def a_inf_minus(self) -> float:
-        return self.a_minus
-
-    @property
-    def a_inf_plus(self) -> float:
-        return self.a_plus
-
-    @property
     def a_max_abs(self) -> float:
         return max(abs(self.a_minus), abs(self.a_plus))
 
@@ -216,7 +208,7 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
     # further.  Starting strictly beyond x0_horizon_max as well puts every
     # horizon sample, the last one included, downstream of the start.
     x_start = max(20.0 * profile.tau, x0_horizon_max + profile.tau)
-    pos = _solve(profile, [abs(profile.a_inf_plus)], (x_start, 0.0),
+    pos = _solve(profile, [abs(profile.a_plus)], (x_start, 0.0),
                  ode_tol=tol, t_eval=x_grid[::-1])
     sigma_star = float(pos.y[0, -1])
     if not lo < sigma_star < hi:

@@ -14,7 +14,7 @@ for a > 0.  The phase-rotated Gamma value
 carries the modulus that survives in all creation-rate formulas:
 
     |F(eta)|^2 = |Gamma0|^2 e^{-2 alpha asin(a / sqrt(eta^2 + a^2))}
-                 / (eta^2 + a^2)^(eps + 1)      (eta < 0).
+                 / (eta^2 + a^2)^(eps + 1)      (eta <= 0).
 
 Each closed form is paired with an independent adaptive-quadrature
 evaluation of its defining integral; the oscillatory Gamma0 integral is
@@ -136,10 +136,13 @@ def _packet_fourier(eta, alpha: float, eps: float, a: float):
 
 
 def packet_fourier_modulus_sq(eta, p: GammaParams, a: float):
-    """|F(eta)|^2 via the Gamma0 modulus and the asin phase-exponent, eta < 0."""
+    """|F(eta)|^2 via the Gamma0 modulus and the asin phase-exponent, eta <= 0.
+
+    Continuous at eta = 0, where it is |Gamma(w)|^2 / a^(2+2 eps).
+    """
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta >= 0.0):
-        raise ValueError("modulus formula uses the eta < 0 branch")
+    if np.any(eta > 0.0):
+        raise ValueError("modulus formula uses the eta <= 0 branch")
     r = np.hypot(eta, a)
     return (gamma0_modulus_sq(p.alpha, p.eps)
             * np.exp(-2.0 * p.alpha * np.arcsin(a / r))

@@ -99,10 +99,6 @@ class FieldOnGrid:
             if arr.shape != n:
                 raise GridMismatchError("field components disagree in shape")
 
-    def scaled(self, c: complex) -> "FieldOnGrid":
-        return FieldOnGrid(self.rho, c * self.value, c * self.d_dx0,
-                           c * self.d_drho)
-
 
 def _profile(s, p: PacketParams):
     """P and dP/dsigma at offsets s = sigma - sigma_star, both zero for s <= 0.

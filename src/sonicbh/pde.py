@@ -128,6 +128,21 @@ def smooth_window(rho, lo: float, hi: float, width: float):
     return up * dn
 
 
+def _d1_centered(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Centered first derivative at the grid's order, one-sided at the edges."""
+    dr = grid.drho
+    out = np.empty_like(u)
+    if grid.order == 2:
+        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
+    else:
+        out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dr)
+        out[1] = (u[2] - u[0]) / (2.0 * dr)
+        out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
+    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
+    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+    return out
+
+
 class WaveStepper:
     """RK4 stepper for the (f, g) system on a RadialGrid.
 
@@ -136,8 +151,7 @@ class WaveStepper:
     at construction when max|A| is known.
     """
 
-    def __init__(self, grid: RadialGrid, drift, *, a_max_abs: float | None = None,
-                 sponge_fraction: float = 0.1, sponge_strength: float | None = None):
+    def __init__(self, grid: RadialGrid, drift, *, a_max_abs: float | None = None):
         self.grid = grid
         if isinstance(drift, VelocityProfile):
             self.drift = lambda x0: float(drift.eval(x0))
@@ -151,11 +165,10 @@ class WaveStepper:
         self.rho = grid.rho
         self.inv_rho = 1.0 / self.rho
         self._dr = grid.drho
-        width = sponge_fraction * (grid.rho_max - grid.rho_min)
+        # cubic sponge over the outer tenth of the grid
+        width = 0.1 * (grid.rho_max - grid.rho_min)
         ramp = np.clip((self.rho - (grid.rho_max - width)) / width, 0.0, 1.0)
-        if sponge_strength is None:
-            sponge_strength = 4.0 / width
-        self.sponge = sponge_strength * ramp ** 3
+        self.sponge = 4.0 / width * ramp ** 3
 
     # -- spatial operators ------------------------------------------------
 
@@ -171,19 +184,6 @@ class WaveStepper:
             out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
         out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
         out[-1] = (u[-1] - u[-2]) / dr
-        return out
-
-    def d1_centered(self, u: np.ndarray) -> np.ndarray:
-        dr = self._dr
-        out = np.empty_like(u)
-        if self.grid.order == 2:
-            out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-        else:
-            out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dr)
-            out[1] = (u[2] - u[0]) / (2.0 * dr)
-            out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
-        out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
-        out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
         return out
 
     def d2(self, u: np.ndarray) -> np.ndarray:
@@ -204,7 +204,7 @@ class WaveStepper:
 
     def _rhs(self, f, g, x0):
         c = self.drift(x0) * self.inv_rho
-        lap = self.d2(f) + self.inv_rho * self.d1_centered(f)
+        lap = self.d2(f) + self.inv_rho * _d1_centered(f, self.grid)
         df = g - c * self.d1_upwind(f) - self.sponge * f
         dg = lap - c * self.d1_upwind(g) - self.sponge * g
         return df, dg
@@ -221,11 +221,12 @@ class WaveStepper:
 
     def g_from_state(self, state: FieldState) -> np.ndarray:
         c = self.drift(state.x0) * self.inv_rho
-        return state.dvalue_dx0 + c * self.d1_centered(state.value)
+        return state.dvalue_dx0 + c * _d1_centered(state.value, self.grid)
 
     def state_from_fg(self, f, g, x0) -> FieldState:
         c = self.drift(x0) * self.inv_rho
-        return FieldState(value=f, dvalue_dx0=g - c * self.d1_centered(f), x0=x0)
+        return FieldState(value=f, dvalue_dx0=g - c * _d1_centered(f, self.grid),
+                          x0=x0)
 
 
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
@@ -287,12 +288,11 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
                         out_times=out_times)
 
 
-def state_to_field(state: FieldState, grid: RadialGrid, profile) -> FieldOnGrid:
+def state_to_field(state: FieldState, grid: RadialGrid) -> FieldOnGrid:
     """FieldOnGrid view of a state (radial derivative by centered differences)."""
-    stepper = WaveStepper(grid, profile)
     return FieldOnGrid(rho=grid.rho, value=state.value,
                        d_dx0=state.dvalue_dx0,
-                       d_drho=stepper.d1_centered(state.value))
+                       d_drho=_d1_centered(state.value, grid))
 
 
 @dataclass(frozen=True)
@@ -549,9 +549,9 @@ def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
 
 
 def _mode_fields_at_nodes(q: PacketQuadrature, state: FieldState,
-                          grid: RadialGrid, profile) -> tuple:
+                          grid: RadialGrid) -> tuple:
     from scipy.interpolate import CubicSpline
-    fld = state_to_field(state, grid, profile)
+    fld = state_to_field(state, grid)
     if q.rho.min() < grid.rho_min or q.rho.max() > grid.rho_max:
         raise ResolutionError(
             "packet support left the grid; enlarge grid_rho_max")
@@ -585,7 +585,7 @@ def evolved_projection_densities(state: FieldState, grid: RadialGrid,
     q = packet_quadrature(p, flow, state.x0, abs(eta))
     pk, eik = _node_fields(q, p, eta, profile)
     d_num = density_from_projections(
-        *_pair_on_nodes(_mode_fields_at_nodes(q, state, grid, profile), pk,
+        *_pair_on_nodes(_mode_fields_at_nodes(q, state, grid), pk,
                         q, profile))
     d_eik = density_from_projections(*_pair_on_nodes(eik, pk, q, profile))
     return d_num, d_eik

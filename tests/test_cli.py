@@ -53,10 +53,11 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
                 {"nrho": 8}, {"nrho": 29}, {"grid_rho_min": 0.0},
                 {"grid_rho_max": 0.2}, {"tfinal": -1.0}, {"tfinal": 0.0},
-                {"dt": -1e-3}):
+                {"dt": -1e-3}, {"n_eta": 23}, {"n_eta": 1}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
+    RunConfig(n_eta=24)
     # the same values from the command line exit 2, before any output
     for argv in (["pde-verify", "--eta-list", "2,-6"],
                  ["pde-verify", "--eta-list="],
@@ -64,6 +65,7 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["spectrum", "--set", "alpha=-1"],
                  ["spectrum", "--set", "eps=0.7"],
                  ["spectrum", "--set", "a=0"],
+                 ["spectrum", "--set", "n_eta=1"],
                  ["horizon", "--set", "a_minus=0.5"],
                  ["pde-verify", "--nrho", "8"],
                  ["pde-verify", "--set", "grid_rho_min=0"],
@@ -116,8 +118,7 @@ def test_spectrum_command(tmp_path):
     body = [ln for ln in (tmp_path / "spectrum_a4.csv").read_text().splitlines()
             if not ln.startswith("#")]
     assert body[0] == "eta,density,c1_re,c1_im,c2_re,c2_im"
-    first = body[1].split(",")
-    assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+    assert body[1] == "0,0,0,0,0,0"  # +0 throughout, no -0
 
     # density column reproduces the closed form for the echoed sigma_star
     totals = json.loads((tmp_path / "spectrum_totals.json").read_text())
@@ -144,9 +145,20 @@ def test_spectrum_command(tmp_path):
     assert all(float(ln.split(",")[3]) < 1e-8 for ln in norm_body[1:])
 
 
+def test_spectrum_totals_report_tail(tmp_path):
+    # total_grid is the Simpson head over (0, 50 (a + 1)]; the adaptive
+    # total adds the tail beyond it
+    assert main(["spectrum", "--out-dir", str(tmp_path)]) == 0
+    totals = json.loads((tmp_path / "spectrum_totals.json").read_text())
+    for t in totals["totals"].values():
+        head = t["total"] - t["tail_value"]
+        assert t["tail_value"] > 0.0
+        assert abs(t["total_grid"] / head - 1.0) < 1e-3
+
+
 def test_spectrum_reproducible(tmp_path):
     args = ["spectrum", "--out-dir", str(tmp_path),
-            "--set", "a_sweep=4", "--set", "n_eta=16"]
+            "--set", "a_sweep=4", "--set", "n_eta=24"]
     assert main(list(args)) == 0
     first_csv = (tmp_path / "spectrum_a4.csv").read_bytes()
     first_json = (tmp_path / "spectrum_totals.json").read_bytes()
@@ -161,7 +173,6 @@ def test_limit_command(tmp_path, capsys):
     summary = json.loads((tmp_path / "limit_summary.json").read_text())
     assert summary["variant_ratio"] == pytest.approx(2.0 ** -0.25, rel=1e-10)
     assert summary["final_relative_residual"] < 1e-4
-    assert summary["rescaling_invariant"] is True
     body = [ln for ln in (tmp_path / "sweep.csv").read_text().splitlines()
             if not ln.startswith("#")]
     assert body[0] == "a,total,total_normalized,limit,residual"

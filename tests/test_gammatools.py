@@ -132,10 +132,13 @@ def test_packet_fourier_vs_quadrature(alpha, eps):
 
 def test_packet_fourier_modulus_identity():
     p = GammaParams(alpha=1.3, eps=0.25)
-    eta = np.array([-0.4, -3.0, -40.0])
+    # eta = 0 closes the branch: |F(0)|^2 = |Gamma(w)|^2 / a^(2 + 2 eps)
+    eta = np.array([0.0, -0.4, -3.0, -40.0])
     m = packet_fourier_modulus_sq(eta, p, 2.0)
     direct = np.abs(packet_fourier(eta, p, 2.0)) ** 2
     np.testing.assert_allclose(direct, m, rtol=1e-12)
+    with pytest.raises(ValueError):
+        packet_fourier_modulus_sq(1e-300, p, 2.0)
 
 
 def test_packet_fourier_conjugation():

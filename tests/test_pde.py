@@ -207,8 +207,8 @@ def test_stationary_kg_product_constant(const_profile, const_flow):
         w = smooth_window(grid.rho, *_horizon_window(grid))
         hv = solve_cauchy(w * pk0.value, w * pk0.d_dx0, grid, const_profile,
                           0.3, out_times=times)
-        vals = [kg_inner(state_to_field(su, grid, const_profile),
-                         state_to_field(sv, grid, const_profile),
+        vals = [kg_inner(state_to_field(su, grid),
+                         state_to_field(sv, grid),
                          su.x0, const_profile)
                 for su, sv in zip(hu, hv)]
         drifts.append(max(abs(v - vals[0]) for v in vals) / abs(vals[0]))

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sonicbh.errors import GridMismatchError
-from sonicbh.gammatools import gamma0_modulus_sq
+from sonicbh.errors import GridMismatchError, ToleranceError
+from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
+                                packet_fourier_modulus_sq)
 from sonicbh.packets import (FieldOnGrid, ModeSpec, PacketParams, gamma_tilde,
                              mode_initial_data, packet_fields, packet_norm)
 from sonicbh.spectrum import (build_spectrum, creation_density,
@@ -327,10 +328,47 @@ def test_spectrum_table_invariants(packet):
         table.total / packet_norm(packet), rel=1e-14)
 
 
-def test_spectrum_rescaling_invariance(packet):
-    base = build_spectrum(packet, n_eta=32)
-    scaled = build_spectrum(packet, amplitude=3.0 - 4.0j, n_eta=32)
-    assert scaled.total == pytest.approx(25.0 * base.total, rel=1e-12)
-    assert scaled.total_normalized == pytest.approx(base.total_normalized,
-                                                    rel=1e-12)
-    np.testing.assert_allclose(scaled.c1, (3.0 - 4.0j) * base.c1, rtol=1e-12)
+@pytest.mark.parametrize("n_eta", [96, 2048])
+def test_spectrum_table_matches_scalar_density(smooth_flow, n_eta):
+    # the array pass against the scalar closed form, point by point
+    star = smooth_flow.sigma_star
+    for alpha, eps, a in ((1.0, 0.25, 8.0), (0.5, 0.1, 4.0), (3.0, 0.5, 64.0)):
+        p = PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=star)
+        table = build_spectrum(p, n_eta=n_eta)
+        loop = np.array([creation_density_closed(e, p)
+                         for e in table.eta_grid.tolist()])
+        np.testing.assert_allclose(table.density, loop, rtol=1e-13, atol=0.0)
+
+
+def test_spectrum_table_fourier_calls_independent_of_n_eta(packet, monkeypatch):
+    from sonicbh import spectrum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return packet_fourier(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "packet_fourier", counting)
+    counts = []
+    for n_eta in (96, 2048):
+        calls.clear()
+        build_spectrum(packet, n_eta=n_eta)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
+
+
+def test_density_identity_names_failing_eta(packet, monkeypatch):
+    from sonicbh import spectrum
+    grid = default_eta_grid(packet.a)
+    k = 17
+
+    def perturbed(*args, **kwargs):
+        m = packet_fourier_modulus_sq(*args, **kwargs)
+        m[k] *= 1.0 + 1e-8
+        return m
+
+    creation_density(grid, packet)  # unperturbed: the identity holds
+    monkeypatch.setattr(spectrum, "packet_fourier_modulus_sq", perturbed)
+    with pytest.raises(ToleranceError, match=f"eta={grid[k]}:"):
+        creation_density(grid, packet)
