@@ -19,8 +19,7 @@ from .packets import (FieldOnGrid, ModeSpec, PacketParams, eval_eikonal,
                       eval_packet, eval_packet_profile, eikonal_fields,
                       mode_initial_data, packet_fields, packet_norm)
 from .spectrum import (SpectrumTable, SweepResult, TotalNumber,
-                       build_spectrum, creation_density,
-                       creation_density_closed, default_eta_grid,
+                       build_spectrum, creation_density, default_eta_grid,
                        density_from_projections, eikonal_projections,
                        kg_inner, limit_sweep, normalized_number_limit,
                        normalized_number_limit_variant, total_number)

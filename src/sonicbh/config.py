@@ -58,8 +58,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if not (self.a_minus < 0.0 and self.a_plus < 0.0):
             raise ConfigError("a_minus and a_plus must be negative")
-        if not 0.0 < self.eps <= 0.5:
-            raise ConfigError("eps must lie in (0, 1/2]")
+        if not 0.05 <= self.eps <= 0.5:
+            raise ConfigError("eps must lie in [0.05, 1/2]: below 0.05 the "
+                              "packet edge s^eps needs quadrature nodes "
+                              "smaller than the smallest float")
         if not self.a_sweep or not self.a_sweep[0] > 0.0:
             raise ConfigError("a_sweep must hold positive values")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):

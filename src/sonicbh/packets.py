@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, ToleranceError
 from .flow import FlowMap
 from .gammatools import GammaParams
 
@@ -210,7 +210,8 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     Closed form 4 pi alpha Gamma(2 eps) / (2a)^(2 eps).  With numeric=True
     the full norm bracket (time and drift terms) is integrated adaptively;
     the substitution u = s^(2 eps) absorbs the s^(2 eps - 1) endpoint of
-    the integrand, s = sigma - sigma_star.
+    the integrand, s = sigma - sigma_star; a non-finite result raises
+    ToleranceError.
     """
     closed = 4.0 * math.pi * p.alpha * special.gamma(2.0 * p.eps) \
         / (2.0 * p.a) ** (2.0 * p.eps)
@@ -239,4 +240,7 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
 
     val, _ = integrate.quad(integrand, 0.0, u_max, epsabs=1e-13,
                             epsrel=epsrel, limit=400)
+    if not math.isfinite(val):
+        raise ToleranceError(f"numeric packet norm is {val} at alpha="
+                             f"{p.alpha}, a={p.a}, eps={p.eps}")
     return float(val)

@@ -21,18 +21,21 @@ combination -4 Re(c1 conj(c2)) = 4 |c1|^2 reproduces the closed density
 
 which is manifestly nonnegative and vanishes quadratically at eta = 0.
 The projections and the density are vectorised over |eta|: a spectrum
-table is one array pass, with both evaluations computed and cross-checked
-as arrays.  The scalar creation_density_closed serves the adaptive totals.
+table is one array pass, with both evaluations computed once and
+cross-checked as arrays.
 
-Integrated counts: after eta = a*eta', the normalised total converges to
+Integrated counts: with eta = a cot(theta), theta is the angle of the
+density's exponent and
 
-    limit = 2^(2 eps) |Gamma0|^2 / (2 pi alpha Gamma(2 eps))
-            * int_0^inf eta (eta^2+1)^(-eps-1)
-                        e^{-2 alpha asin(1/sqrt(eta^2+1))} deta .
+    D deta = 2 |Gamma0|^2 a^(-2 eps) cos sin^(2 eps - 1) e^{-2 alpha theta}
+             w_a dtheta,    w_a = a cos / sqrt(a^2 cos^2 + sin^2),
 
-A variant with prefactor 2^eps and an alpha-free exponent is also
-provided for side-by-side reporting; the two coincide only at alpha = 1
-up to the 2^(-eps) prefactor ratio.
+over theta in (0, pi/2).  Divided by the packet norm the total is
+K I(alpha, eps, a), K = 2^(2 eps) |Gamma0|^2 / (2 pi alpha Gamma(2 eps)),
+with I the theta integral; w_a -> 1 as a -> inf gives the
+sharp-localisation limit K I(alpha, eps, inf).  A variant with prefactor
+2^eps and rate 1 in the exponent is reported beside it; the two coincide
+only at alpha = 1 up to the 2^(-eps) prefactor ratio.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "kg_inner",
     "eikonal_projections",
     "creation_density",
-    "creation_density_closed",
     "density_from_projections",
     "SpectrumTable",
     "build_spectrum",
@@ -70,8 +72,6 @@ __all__ = [
 
 DENSITY_IDENTITY_RTOL = 1e-10
 _TINY = np.finfo(float).tiny
-
-_QUAD_KW = dict(epsabs=1e-14, epsrel=1e-11, limit=800)
 
 
 def kg_inner(u: FieldOnGrid, v: FieldOnGrid, x0: float,
@@ -119,24 +119,6 @@ def density_from_projections(c1, c2):
     return -4.0 * (c1 * np.conj(c2)).real
 
 
-def creation_density_closed(eta_abs: float, p: PacketParams) -> float:
-    """Closed-form creation density at |eta| = eta_abs (zero at eta = 0).
-
-    Scalar on purpose: the adaptive quadrature of total_number calls it
-    point by point, where math runs several times faster than the array
-    form of creation_density.
-    """
-    if eta_abs < 0.0:
-        raise ValueError("eta_abs must be nonnegative")
-    if eta_abs == 0.0:
-        return 0.0
-    g2 = gamma0_modulus_sq(p.alpha, p.eps)
-    r = math.hypot(eta_abs, p.a)
-    return (2.0 * eta_abs ** 2 * g2
-            * math.exp(-2.0 * p.alpha * math.asin(p.a / r))
-            / (math.hypot(eta_abs, 1.0) * r ** (2.0 * p.eps + 2.0)))
-
-
 def creation_density(eta_abs, p: PacketParams):
     """Creation density over an array of |eta|, cross-checked to 1e-10 relative.
 
@@ -145,7 +127,12 @@ def creation_density(eta_abs, p: PacketParams):
     returned.
     """
     eta_abs = np.asarray(eta_abs, dtype=float)
-    pair = density_from_projections(*eikonal_projections(eta_abs, p))
+    return _checked_density(eta_abs, p, *eikonal_projections(eta_abs, p))
+
+
+def _checked_density(eta_abs: np.ndarray, p: PacketParams, c1, c2):
+    """Closed density at eta_abs, checked against the given projection pair."""
+    pair = density_from_projections(c1, c2)
     closed = (2.0 * eta_abs ** 2 / np.hypot(eta_abs, 1.0)
               * packet_fourier_modulus_sq(-eta_abs, p.gamma_params, p.a))
     # below the smallest normal float both sides have lost their digits
@@ -185,7 +172,7 @@ def build_spectrum(p: PacketParams, eta_grid=None,
         eta_grid = default_eta_grid(p.a, n_eta)
     eta_grid = np.asarray(eta_grid, dtype=float)
     c1, c2 = eikonal_projections(eta_grid, p)
-    density = creation_density(eta_grid, p)
+    density = _checked_density(eta_grid, p, c1, c2)
     total = float(integrate.simpson(density, x=eta_grid))
     return SpectrumTable(eta_grid=eta_grid, density=density, c1=c1, c2=c2,
                          total=total, total_normalized=total / packet_norm(p))
@@ -193,7 +180,7 @@ def build_spectrum(p: PacketParams, eta_grid=None,
 
 @dataclass(frozen=True)
 class TotalNumber:
-    """Adaptive-quadrature total with its tail bookkeeping."""
+    """Integrated creation density with its tail bookkeeping."""
 
     value: float
     eta_break: float
@@ -201,71 +188,67 @@ class TotalNumber:
     tail_bound: float
 
 
+def _angle_integral(rate: float, eps: float, a: float = math.inf,
+                    theta_max: float = 0.5 * math.pi) -> float:
+    """int_0^theta_max cos sin^(2 eps - 1) e^{-2 rate theta} w_a dtheta.
+
+    The algebraic-weight rule takes the theta^(2 eps - 1) edge at theta = 0
+    (eta -> inf); the smooth factor carries (sin(theta)/theta)^(2 eps - 1),
+    and w_a = cos / hypot(cos, sin/a) is 1 at a = inf.
+    """
+    power = 2.0 * eps - 1.0
+
+    def smooth(th):
+        s, c = math.sin(th), math.cos(th)
+        sinc = s / th if th > 0.0 else 1.0
+        return (c * c / math.hypot(c, s / a) * sinc ** power
+                * math.exp(-2.0 * rate * th))
+
+    val, _ = integrate.quad(smooth, 0.0, theta_max, weight="alg",
+                            wvar=(power, 0.0), epsabs=0.0, epsrel=1e-11,
+                            limit=200)
+    return float(val)
+
+
 def total_number(p: PacketParams) -> TotalNumber:
     """Integral of the closed creation density over eta in (0, inf).
 
-    Head: adaptive quadrature to eta_break = 50 (a + 1).  Tail: the
-    substitution u = 1/eta maps the algebraic eta^(-2 eps - 1) falloff to
-    a u^(2 eps - 1) endpoint handled by an algebraic-weight rule; the
-    recorded tail_bound |Gamma0|^2 eta_break^(-2 eps) / eps dominates the
-    exact tail and certifies the truncation of the head alone.
+    One angle integral, 2 |Gamma0|^2 a^(-2 eps) I(alpha, eps, a).
+    tail_value is its part beyond eta_break = 50 (a + 1), i.e. below
+    theta_b = atan(a / eta_break); tail_bound = |Gamma0|^2
+    eta_break^(-2 eps) / eps dominates it.
     """
-    g2 = gamma0_modulus_sq(p.alpha, p.eps)
-    a, alpha, eps = p.a, p.alpha, p.eps
+    a, eps = p.a, p.eps
+    g2 = gamma0_modulus_sq(p.alpha, eps)
+    scale = 2.0 * g2 * a ** (-2.0 * eps)
     eta_break = 50.0 * (a + 1.0)
-
-    head, _ = integrate.quad(lambda e: creation_density_closed(e, p),
-                             0.0, eta_break, points=[a, 3.0 * a], **_QUAD_KW)
-
-    def tail_smooth(u):
-        r2 = 1.0 + (a * u) ** 2
-        return (2.0 * g2 * np.exp(-2.0 * alpha * np.arcsin(a * u / np.sqrt(r2)))
-                / (np.sqrt(1.0 + u * u) * r2 ** (eps + 1.0)))
-
-    tail, _ = integrate.quad(tail_smooth, 0.0, 1.0 / eta_break,
-                             weight="alg", wvar=(2.0 * eps - 1.0, 0.0),
-                             epsabs=1e-15, epsrel=1e-11, limit=400)
+    value = scale * _angle_integral(p.alpha, eps, a)
+    tail = scale * _angle_integral(p.alpha, eps, a, math.atan(a / eta_break))
     bound = g2 * eta_break ** (-2.0 * eps) / eps
-    return TotalNumber(value=float(head + tail), eta_break=eta_break,
-                       tail_value=float(tail), tail_bound=float(bound))
+    return TotalNumber(value=value, eta_break=eta_break, tail_value=tail,
+                       tail_bound=bound)
 
 
-def limit_integral(alpha: float, eps: float, alpha_in_exponent: bool = True) -> float:
-    """J = int_0^inf eta (eta^2+1)^(-eps-1) e^{-2 c asin(1/sqrt(eta^2+1))} deta.
+def limit_integral(rate: float, eps: float) -> float:
+    """I(rate, eps, inf) = int_0^{pi/2} cos sin^(2 eps - 1) e^{-2 rate theta} dtheta.
 
-    c = alpha normally; c = 1 for the alpha-free variant exponent.  Same
-    head/tail split as total_number (the tail endpoint is u^(2 eps - 1)).
+    In eta = cot(theta) this is int_0^inf eta (eta^2+1)^(-eps-1)
+    e^{-2 rate asin(1/sqrt(eta^2+1))} deta.
     """
-    c = alpha if alpha_in_exponent else 1.0
-    brk = 50.0
-
-    def f(e):
-        q = e * e + 1.0
-        return e * q ** -(eps + 1.0) * np.exp(-2.0 * c * np.arcsin(1.0 / np.sqrt(q)))
-
-    head, _ = integrate.quad(f, 0.0, brk, **_QUAD_KW)
-
-    def tail_smooth(u):
-        q = 1.0 + u * u
-        return np.exp(-2.0 * c * np.arcsin(u / np.sqrt(q))) / q ** (eps + 1.0)
-
-    tail, _ = integrate.quad(tail_smooth, 0.0, 1.0 / brk, weight="alg",
-                             wvar=(2.0 * eps - 1.0, 0.0),
-                             epsabs=1e-15, epsrel=1e-11, limit=400)
-    return float(head + tail)
+    return _angle_integral(rate, eps)
 
 
 def normalized_number_limit(alpha: float, eps: float) -> float:
-    """Sharp-localisation limit of the normalised created-particle number."""
+    """Sharp-localisation limit K I(alpha, eps, inf) of the normalised number."""
     return (2.0 ** (2.0 * eps) * gamma0_modulus_sq(alpha, eps)
             * limit_integral(alpha, eps)
             / (2.0 * math.pi * alpha * special.gamma(2.0 * eps)))
 
 
 def normalized_number_limit_variant(alpha: float, eps: float) -> float:
-    """Variant closed form (prefactor 2^eps, alpha-free exponent), for reporting."""
+    """Variant closed form (prefactor 2^eps, rate 1 in the exponent), for reporting."""
     return (2.0 ** eps * gamma0_modulus_sq(alpha, eps)
-            * limit_integral(alpha, eps, alpha_in_exponent=False)
+            * limit_integral(1.0, eps)
             / (2.0 * math.pi * alpha * special.gamma(2.0 * eps)))
 
 

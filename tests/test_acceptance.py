@@ -30,9 +30,11 @@ from sonicbh.gammatools import (GammaParams, gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_quadrature)
 from sonicbh.packets import PacketParams, packet_norm
 from sonicbh.pde import RadialGrid, dalembert_error, remainder_contribution
-from sonicbh.spectrum import (creation_density_closed, default_eta_grid,
-                              density_from_projections, eikonal_projections,
-                              limit_sweep, normalized_number_limit_variant)
+from sonicbh.spectrum import (default_eta_grid, density_from_projections,
+                              eikonal_projections, limit_sweep,
+                              normalized_number_limit_variant)
+
+from oracles import creation_density_closed
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -53,11 +53,13 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
                 {"nrho": 8}, {"nrho": 29}, {"grid_rho_min": 0.0},
                 {"grid_rho_max": 0.2}, {"tfinal": -1.0}, {"tfinal": 0.0},
-                {"dt": -1e-3}, {"n_eta": 23}, {"n_eta": 1}):
+                {"dt": -1e-3}, {"n_eta": 23}, {"n_eta": 1}, {"eps": 0.049},
+                {"eps": 0.5001}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
     RunConfig(n_eta=24)
+    RunConfig(eps=0.05)
     # the same values from the command line exit 2, before any output
     for argv in (["pde-verify", "--eta-list", "2,-6"],
                  ["pde-verify", "--eta-list="],
@@ -66,6 +68,8 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["spectrum", "--set", "eps=0.7"],
                  ["spectrum", "--set", "a=0"],
                  ["spectrum", "--set", "n_eta=1"],
+                 ["spectrum", "--set", "eps=0.002"],
+                 ["pde-verify", "--nrho", "1024", "--set", "eps=0.04"],
                  ["horizon", "--set", "a_minus=0.5"],
                  ["pde-verify", "--nrho", "8"],
                  ["pde-verify", "--set", "grid_rho_min=0"],
@@ -124,7 +128,7 @@ def test_spectrum_command(tmp_path):
     totals = json.loads((tmp_path / "spectrum_totals.json").read_text())
     star = totals["config"]["sigma_star"]
     from sonicbh.packets import PacketParams
-    from sonicbh.spectrum import creation_density_closed
+    from oracles import creation_density_closed
     p = PacketParams(alpha=1.0, a=4.0, eps=0.25, sigma_star=star)
     row = body[12].split(",")
     assert float(row[1]) == pytest.approx(
@@ -257,6 +261,66 @@ def test_write_json_rejects_non_finite(tmp_path):
     with pytest.raises(ToleranceError):
         write_json(tmp_path / "bad.json", {"x": float("nan")})
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_write_csv_rejects_non_finite(tmp_path):
+    from sonicbh.errors import ToleranceError
+    from sonicbh.output import write_csv
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ToleranceError, match="bad.csv"):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0, 2.0), (3.0, bad)])
+        assert not (tmp_path / "bad.csv").exists()
+
+
+def _assert_outputs_finite(out_dir):
+    def finite(text):
+        x = float(text)
+        assert np.isfinite(x), text
+        return x
+
+    for path in out_dir.glob("*.csv"):
+        body = [ln for ln in path.read_text().splitlines()
+                if not ln.startswith("#")]
+        for ln in body[1:]:
+            for cell in ln.split(","):
+                finite(cell)
+    for path in out_dir.glob("*.json"):
+        json.loads(path.read_text(), parse_float=finite,
+                   parse_constant=finite)
+
+
+_TYPED = {2: "config error", 3: "numerical failure", 4: "resolution failure"}
+
+
+def _run_boundary(argv, out_dir, capsys, accepted):
+    # exit 0 with finite outputs, or a typed failure; never an exception
+    rc = main(argv + ["--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    if rc == 0:
+        _assert_outputs_finite(out_dir)
+    else:
+        assert _TYPED[rc] in err, (argv, err)
+    assert rc == (0 if accepted else 2), (argv, err)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5, 0.049, 0.5001])
+@pytest.mark.parametrize("command", ["spectrum", "limit"])
+def test_boundary_inputs_finite_or_typed(tmp_path, capsys, command, eps):
+    for alpha in (0.05, 2000.0):
+        for a in (1e-3, 1e6):
+            for n_eta in (24, 23):
+                argv = [command, "--set", f"eps={eps}",
+                        "--set", f"alpha={alpha}", "--set", f"a_sweep={a}",
+                        "--set", f"n_eta={n_eta}"]
+                out = tmp_path / f"{alpha}_{a}_{n_eta}"
+                _run_boundary(argv, out, capsys,
+                              accepted=eps in (0.05, 0.5) and n_eta == 24)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.04])
+def test_boundary_pde_verify_eps(tmp_path, capsys, eps):
+    _run_boundary(["pde-verify", "--nrho", "1024", "--set", f"eps={eps}"],
+                  tmp_path, capsys, accepted=eps == 0.05)
 
 
 def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):

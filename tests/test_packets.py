@@ -6,12 +6,13 @@ quadrature must reproduce it at quadrature accuracy for every a.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
-from sonicbh.errors import GridMismatchError
+from sonicbh.errors import GridMismatchError, ToleranceError
 from sonicbh.packets import (FieldOnGrid, ModeSpec, PacketParams,
                              eikonal_fields, eval_eikonal, eval_packet,
                              eval_packet_profile, mode_initial_data,
@@ -159,6 +160,17 @@ def test_norm_numeric_matches_closed(smooth_flow):
                      sigma_star=smooth_flow.sigma_star)
     numeric = packet_norm(p, smooth_flow, numeric=True)
     assert abs(numeric / packet_norm(p) - 1.0) < 1e-6
+
+
+def test_norm_numeric_non_finite_raises(smooth_flow):
+    # at eps = 0.002 the bracket overflows to nan near the edge; the numeric
+    # norm refuses it instead of returning it
+    p = PacketParams(alpha=1.0, a=8.0, eps=0.002,
+                     sigma_star=smooth_flow.sigma_star)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ToleranceError, match="numeric packet norm is nan"):
+            packet_norm(p, smooth_flow, numeric=True)
 
 
 def test_norm_scaling_in_a(smooth_flow):

@@ -22,11 +22,13 @@ from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
 from sonicbh.packets import (FieldOnGrid, ModeSpec, PacketParams, gamma_tilde,
                              mode_initial_data, packet_fields, packet_norm)
 from sonicbh.spectrum import (build_spectrum, creation_density,
-                              creation_density_closed, default_eta_grid,
-                              density_from_projections, eikonal_projections,
-                              kg_inner, limit_integral, limit_sweep,
-                              normalized_number_limit,
+                              default_eta_grid, density_from_projections,
+                              eikonal_projections, kg_inner, limit_integral,
+                              limit_sweep, normalized_number_limit,
                               normalized_number_limit_variant, total_number)
+
+from oracles import (creation_density_closed, eta_limit_integral,
+                     eta_total_number)
 
 G2_ONE_HALF = 7.8393421115269398
 DENSITY_1_1_HALF_1 = 0.81481955850645377
@@ -224,6 +226,23 @@ def test_total_against_angle_form(packet):
     assert got.tail_bound > 0.0 and got.tail_value < got.tail_bound
 
 
+@pytest.mark.parametrize("a", [1e-3, 8.0, 1e6])
+@pytest.mark.parametrize("eps", [0.05, 0.25, 0.5])
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 50.0, 2000.0])
+def test_angle_integral_against_eta_form(alpha, eps, a):
+    # the one angle integral against the eta-space head + u = 1/eta tail
+    p = PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=1.0)
+    got, want = total_number(p), eta_total_number(p)
+    assert got.value == pytest.approx(want.value, rel=1e-10)
+    assert got.tail_value == pytest.approx(want.tail_value, rel=1e-10)
+    assert got.eta_break == want.eta_break
+    assert got.tail_bound == want.tail_bound
+    assert limit_integral(alpha, eps) == pytest.approx(
+        eta_limit_integral(alpha, eps), rel=1e-12)
+    assert limit_integral(1.0, eps) == pytest.approx(
+        eta_limit_integral(alpha, eps, alpha_in_exponent=False), rel=1e-12)
+
+
 def test_limit_integrand_finite_at_half():
     # eps = 1/2: integrand ~ eta^{-2} at infinity, J finite and positive
     j = limit_integral(1.0, 0.5)
@@ -354,8 +373,7 @@ def test_spectrum_table_fourier_calls_independent_of_n_eta(packet, monkeypatch):
         calls.clear()
         build_spectrum(packet, n_eta=n_eta)
         counts.append(len(calls))
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
+    assert counts == [1, 1]
 
 
 def test_density_identity_names_failing_eta(packet, monkeypatch):
