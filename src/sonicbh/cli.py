@@ -175,7 +175,7 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
 
     # the evolved mode's fine-grid history as CSV snapshots
     for st in report.history:
-        rows = zip(grid.rho.tolist(), st.value.real.tolist(),
+        rows = zip(st.rho.tolist(), st.value.real.tolist(),
                    st.value.imag.tolist())
         write_csv(f"{cfg.out_dir}/field_eta{pde.EVOLVE_ETA:g}_t{st.x0:g}.csv",
                   ["rho", "re", "im"], rows, meta)

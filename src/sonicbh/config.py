@@ -7,6 +7,7 @@ floats at 17 significant digits).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -52,6 +53,13 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        # inf passes the positivity checks below, and keys without a check
+        # (the bracket) take nan; neither value has a meaning here
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (v if isinstance(v, tuple) else (v,))):
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("ode_tol", "rho_min", "tau", "x0_horizon_max", "alpha",
                      "a", "tfinal", "grid_rho_min"):
             if not getattr(self, name) > 0.0:

@@ -185,15 +185,15 @@ def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
 
 def find_separatrix(profile: VelocityProfile, bracket=None,
                     x0_horizon_max: float = 10.0, *,
-                    ode_tol: float = 1e-10, rho_min: float = 1e-3,
-                    n_horizon: int = 401) -> FlowMap:
+                    ode_tol: float = 1e-10, rho_min: float = 1e-3) -> FlowMap:
     """Locate sigma_star by one backward solve and sample the horizon curve.
 
     The ray started at |A(+inf)| far in the future and integrated back to
     x0 = 0 lands on sigma_star; the same solve samples the x0 >= 0 half of
     the horizon, and a backward solve from (0, sigma_star) samples the
-    x0 < 0 half.  Both run at min(ode_tol, 1e-12).  The bracket is only a
-    check: a sigma_star outside (lo, hi) raises BracketError.
+    x0 < 0 half, at 401 points each.  Both run at min(ode_tol, 1e-12).  The
+    bracket is only a check: a sigma_star outside (lo, hi) raises
+    BracketError.
     """
     if bracket is None:
         lo = max(4.0 * rho_min, 0.25 * min(abs(profile.a_minus), abs(profile.a_plus)))
@@ -202,7 +202,7 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
         lo, hi = float(bracket[0]), float(bracket[1])
 
     tol = min(ode_tol, 1e-12)
-    x_grid = np.linspace(0.0, float(x0_horizon_max), n_horizon)
+    x_grid = np.linspace(0.0, float(x0_horizon_max), 401)
     # rho*(x) - |A(x)| = O(e^{-2x/tau}), so starting at |A(+inf)| from
     # x >= 20 tau errs by ~1e-17, and the backward flow shrinks that error
     # further.  Starting strictly beyond x0_horizon_max as well puts every

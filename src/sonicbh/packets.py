@@ -68,6 +68,11 @@ class PacketParams:
     def gamma_params(self) -> GammaParams:
         return GammaParams(alpha=self.alpha, eps=self.eps)
 
+    @property
+    def s_max(self) -> float:
+        """Support cut in s = sigma - sigma_star, where e^{-a s} = e^{-45}."""
+        return 45.0 / self.a
+
     def with_a(self, a: float) -> "PacketParams":
         return PacketParams(alpha=self.alpha, a=a, eps=self.eps,
                             sigma_star=self.sigma_star)
@@ -86,12 +91,14 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class FieldOnGrid:
-    """A complex field sampled on a radial grid with both first derivatives."""
+    """A complex field sampled on a radial grid at time x0, with both first
+    derivatives."""
 
     rho: np.ndarray
     value: np.ndarray
     d_dx0: np.ndarray
     d_drho: np.ndarray
+    x0: float
 
     def __post_init__(self) -> None:
         n = self.rho.shape
@@ -144,7 +151,8 @@ def packet_fields(rho, x0: float, p: PacketParams, flow: FlowMap) -> FieldOnGrid
     sigma, dsig = flow.sigma_map(rho, x0)
     value, d_dx0, d_drho = packet_values(sigma - p.sigma_star, rho, dsig,
                                          flow.profile.eval(x0), p)
-    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho)
+    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
+                       x0=x0)
 
 
 def gamma_tilde(eta: float) -> float:
@@ -200,11 +208,12 @@ def eikonal_fields(rho, x0: float, eta: float, flow: FlowMap) -> FieldOnGrid:
     sigma, dsig = flow.sigma_map(rho, x0)
     value, d_dx0, d_drho = eikonal_values(sigma, rho, dsig,
                                           flow.profile.eval(x0), eta)
-    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho)
+    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
+                       x0=x0)
 
 
 def packet_norm(p: PacketParams, flow: FlowMap | None = None,
-                numeric: bool = False, *, epsrel: float = 1e-11) -> float:
+                numeric: bool = False) -> float:
     """Klein-Gordon norm of the packet at x0 = 0.
 
     Closed form 4 pi alpha Gamma(2 eps) / (2a)^(2 eps).  With numeric=True
@@ -231,15 +240,14 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
         term = (np.conj(c) * c_t).imag + (a0 / rho) * (np.conj(c) * c_r).imag
         return -4.0 * math.pi * term * rho
 
-    s_max = 45.0 / p.a
-    u_max = s_max ** two_eps
+    u_max = p.s_max ** two_eps
 
     def integrand(u):
         s = u ** (1.0 / two_eps)
         return bracket(s) * s / (two_eps * u)
 
     val, _ = integrate.quad(integrand, 0.0, u_max, epsabs=1e-13,
-                            epsrel=epsrel, limit=400)
+                            epsrel=1e-11, limit=400)
     if not math.isfinite(val):
         raise ToleranceError(f"numeric packet norm is {val} at alpha="
                              f"{p.alpha}, a={p.a}, eps={p.eps}")

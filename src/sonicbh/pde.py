@@ -11,12 +11,13 @@ stepped as the first-order system (f, g) with g = D f:
     df/dx0 = g - (A/rho) df/drho,
     dg/dx0 = d^2 f/drho^2 + (1/rho) df/drho - (A/rho) dg/drho,
 
-with classic RK4 in time.  The drift speed A/rho is negative everywhere,
-so its derivative is one-sided toward larger rho (the inflow side); the
-second derivative is centered.  Inside the horizon both characteristic
-speeds point inward, so the inner edge is pure outflow and one-sided
-stencils suffice there; the outer edge carries a sponge layer that damps
-whatever the data window lets through.
+with classic RK4 in time by solve_cauchy, the one stepper, whose history
+is a list of FieldOnGrid states (value, d/dx0 and d/drho at each recorded
+x0).  The drift speed A/rho is negative everywhere, so its derivative is
+one-sided toward larger rho (the inflow side); the second derivative is
+centered.  Inside the horizon both characteristic speeds point inward, so
+the inner edge is pure outflow and one-sided stencils suffice there; the
+outer edge carries a sponge layer that damps what the data window lets by.
 
 The exact mode at wavenumber eta < 0 is started from the data that the
 eikonal matches in value (gamma e^{-i eta rho}) and misses in frequency
@@ -45,12 +46,9 @@ from .spectrum import density_from_projections
 
 __all__ = [
     "RadialGrid",
-    "FieldState",
-    "WaveStepper",
     "smooth_window",
     "solve_cauchy",
     "solve_mode",
-    "state_to_field",
     "PacketQuadrature",
     "packet_quadrature",
     "evolved_projection_densities",
@@ -95,11 +93,8 @@ class RadialGrid:
     def drho(self) -> float:
         return (self.rho_max - self.rho_min) / (self.n_rho - 1)
 
-    def max_speed(self, a_max_abs: float) -> float:
-        return 1.0 + a_max_abs / self.rho_min
-
     def cfl_dt(self, a_max_abs: float) -> float:
-        return CFL_SAFETY * self.drho / self.max_speed(a_max_abs)
+        return CFL_SAFETY * self.drho / (1.0 + a_max_abs / self.rho_min)
 
     def within_cfl(self, a_max_abs: float) -> bool:
         return self.dt <= self.cfl_dt(a_max_abs) * (1.0 + 1e-12)
@@ -109,15 +104,6 @@ class RadialGrid:
              a_max_abs: float, order: int = 2) -> "RadialGrid":
         g = cls(rho_min, rho_max, n_rho, dt=1.0, order=order)
         return cls(rho_min, rho_max, n_rho, dt=g.cfl_dt(a_max_abs), order=order)
-
-
-@dataclass
-class FieldState:
-    """Field and its time derivative on the grid at one instant."""
-
-    value: np.ndarray
-    dvalue_dx0: np.ndarray
-    x0: float
 
 
 def smooth_window(rho, lo: float, hi: float, width: float):
@@ -143,100 +129,69 @@ def _d1_centered(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-class WaveStepper:
-    """RK4 stepper for the (f, g) system on a RadialGrid.
+def _d1_upwind(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """First derivative biased toward +rho (wind blows inward)."""
+    dr = grid.drho
+    out = np.empty_like(u)
+    if grid.order == 2:
+        out[:-2] = (-3.0 * u[:-2] + 4.0 * u[1:-1] - u[2:]) / (2.0 * dr)
+    else:
+        out[1:-2] = (-2.0 * u[:-3] - 3.0 * u[1:-2]
+                     + 6.0 * u[2:-1] - u[3:]) / (6.0 * dr)
+        out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
+    out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
+    out[-1] = (u[-1] - u[-2]) / dr
+    return out
 
-    drift is any callable x0 -> A(x0); a VelocityProfile works directly.
-    The CFL bound dt <= safety * drho / (1 + max|A|/rho_min) is enforced
-    at construction when max|A| is known.
-    """
 
-    def __init__(self, grid: RadialGrid, drift, *, a_max_abs: float | None = None):
-        self.grid = grid
-        if isinstance(drift, VelocityProfile):
-            self.drift = lambda x0: float(drift.eval(x0))
-            a_max_abs = drift.a_max_abs if a_max_abs is None else a_max_abs
-        else:
-            self.drift = drift
-        if a_max_abs is not None and not grid.within_cfl(a_max_abs):
-            raise ValueError(
-                f"dt = {grid.dt:g} violates the CFL bound "
-                f"{grid.cfl_dt(a_max_abs):g} for max|A| = {a_max_abs:g}")
-        self.rho = grid.rho
-        self.inv_rho = 1.0 / self.rho
-        self._dr = grid.drho
-        # cubic sponge over the outer tenth of the grid
-        width = 0.1 * (grid.rho_max - grid.rho_min)
-        ramp = np.clip((self.rho - (grid.rho_max - width)) / width, 0.0, 1.0)
-        self.sponge = 4.0 / width * ramp ** 3
-
-    # -- spatial operators ------------------------------------------------
-
-    def d1_upwind(self, u: np.ndarray) -> np.ndarray:
-        """First derivative biased toward +rho (wind blows inward)."""
-        dr = self._dr
-        out = np.empty_like(u)
-        if self.grid.order == 2:
-            out[:-2] = (-3.0 * u[:-2] + 4.0 * u[1:-1] - u[2:]) / (2.0 * dr)
-        else:
-            out[1:-2] = (-2.0 * u[:-3] - 3.0 * u[1:-2]
-                         + 6.0 * u[2:-1] - u[3:]) / (6.0 * dr)
-            out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
-        out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
-        out[-1] = (u[-1] - u[-2]) / dr
-        return out
-
-    def d2(self, u: np.ndarray) -> np.ndarray:
-        dr = self._dr
-        out = np.empty_like(u)
-        if self.grid.order == 2:
-            out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
-        else:
-            out[2:-2] = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2]
-                         + 16.0 * u[3:-1] - u[4:]) / (12.0 * dr ** 2)
-            out[1] = (u[2] - 2.0 * u[1] + u[0]) / dr ** 2
-            out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / dr ** 2
-        out[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dr ** 2
-        out[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dr ** 2
-        return out
-
-    # -- time stepping -----------------------------------------------------
-
-    def _rhs(self, f, g, x0):
-        c = self.drift(x0) * self.inv_rho
-        lap = self.d2(f) + self.inv_rho * _d1_centered(f, self.grid)
-        df = g - c * self.d1_upwind(f) - self.sponge * f
-        dg = lap - c * self.d1_upwind(g) - self.sponge * g
-        return df, dg
-
-    def step(self, f, g, x0):
-        dt = self.grid.dt
-        k1f, k1g = self._rhs(f, g, x0)
-        k2f, k2g = self._rhs(f + 0.5 * dt * k1f, g + 0.5 * dt * k1g, x0 + 0.5 * dt)
-        k3f, k3g = self._rhs(f + 0.5 * dt * k2f, g + 0.5 * dt * k2g, x0 + 0.5 * dt)
-        k4f, k4g = self._rhs(f + dt * k3f, g + dt * k3g, x0 + dt)
-        f1 = f + dt / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        g1 = g + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        return f1, g1
-
-    def g_from_state(self, state: FieldState) -> np.ndarray:
-        c = self.drift(state.x0) * self.inv_rho
-        return state.dvalue_dx0 + c * _d1_centered(state.value, self.grid)
-
-    def state_from_fg(self, f, g, x0) -> FieldState:
-        c = self.drift(x0) * self.inv_rho
-        return FieldState(value=f, dvalue_dx0=g - c * _d1_centered(f, self.grid),
-                          x0=x0)
+def _d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Centered second derivative at the grid's order, one-sided at the edges."""
+    dr = grid.drho
+    out = np.empty_like(u)
+    if grid.order == 2:
+        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
+    else:
+        out[2:-2] = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2]
+                     + 16.0 * u[3:-1] - u[4:]) / (12.0 * dr ** 2)
+        out[1] = (u[2] - 2.0 * u[1] + u[0]) / dr ** 2
+        out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / dr ** 2
+    out[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dr ** 2
+    out[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dr ** 2
+    return out
 
 
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
-                 t_final: float, out_times=None) -> list[FieldState]:
-    """Evolve generic data to t_final, recording states at out_times.
+                 t_final: float, out_times=None) -> list[FieldOnGrid]:
+    """Evolve data (f, df/dx0) at x0 = 0 to t_final with classic RK4.
 
-    out_times are snapped to step multiples; the initial state is always
-    recorded first.
+    profile is a VelocityProfile, whose max|A| sets the CFL bound
+    dt <= safety * drho / (1 + max|A|/rho_min) (ValueError beyond it), or
+    any callable x0 -> A(x0), which is stepped unchecked.  States are
+    recorded at out_times, snapped to step multiples, after the initial
+    state; each carries d/drho by centered differences.
     """
-    stepper = WaveStepper(grid, profile)
+    drift = profile
+    if isinstance(profile, VelocityProfile):
+        if not grid.within_cfl(profile.a_max_abs):
+            raise ValueError(
+                f"dt = {grid.dt:g} violates the CFL bound "
+                f"{grid.cfl_dt(profile.a_max_abs):g} for max|A| = "
+                f"{profile.a_max_abs:g}")
+        drift = profile.eval
+    rho = grid.rho
+    inv_rho = 1.0 / rho
+    # cubic sponge over the outer tenth of the grid
+    width = 0.1 * (grid.rho_max - grid.rho_min)
+    sponge = 4.0 / width * np.clip((rho - (grid.rho_max - width)) / width,
+                                   0.0, 1.0) ** 3
+
+    def rhs(f, g, x0):
+        c = drift(x0) * inv_rho
+        lap = _d2(f, grid) + inv_rho * _d1_centered(f, grid)
+        df = g - c * _d1_upwind(f, grid) - sponge * f
+        dg = lap - c * _d1_upwind(g, grid) - sponge * g
+        return df, dg
+
     dt = grid.dt
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
@@ -245,25 +200,34 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         out_times = [t_final]
     want = sorted({int(round(t / dt)) for t in out_times if t > 0.0})
 
-    f = np.asarray(value0, dtype=complex).copy()
-    g = stepper.g_from_state(FieldState(f, np.asarray(dvalue0, dtype=complex), 0.0))
-    history = [FieldState(value=f.copy(),
-                          dvalue_dx0=np.asarray(dvalue0, dtype=complex).copy(),
-                          x0=0.0)]
+    # g = D f = df/dx0 + (A/rho) df/drho
+    f = np.array(value0, dtype=complex)
+    f_t = np.array(dvalue0, dtype=complex)
+    f_r = _d1_centered(f, grid)
+    g = f_t + drift(0.0) * inv_rho * f_r
+    history = [FieldOnGrid(rho, f, f_t, f_r, 0.0)]
     peak = max(float(np.max(np.abs(f))), 1e-300)
     for k in range(1, n_steps + 1):
-        f, g = stepper.step(f, g, (k - 1) * dt)
+        x0 = (k - 1) * dt
+        k1f, k1g = rhs(f, g, x0)
+        k2f, k2g = rhs(f + 0.5 * dt * k1f, g + 0.5 * dt * k1g, x0 + 0.5 * dt)
+        k3f, k3g = rhs(f + 0.5 * dt * k2f, g + 0.5 * dt * k2g, x0 + 0.5 * dt)
+        k4f, k4g = rhs(f + dt * k3f, g + dt * k3g, x0 + dt)
+        f = f + dt / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        g = g + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
         m = float(np.max(np.abs(f)))
         if not np.isfinite(m) or m > GROWTH_BOUND * peak:
             raise InstabilityError(f"solution blew up at step {k}")
         peak = max(peak, m)
         if k in want:
-            history.append(stepper.state_from_fg(f, g, k * dt))
+            f_r = _d1_centered(f, grid)
+            history.append(FieldOnGrid(rho, f, g - drift(k * dt) * inv_rho * f_r,
+                                       f_r, k * dt))
     return history
 
 
 def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
-               t_final: float, *, out_times=None) -> list[FieldState]:
+               t_final: float, *, out_times=None) -> list[FieldOnGrid]:
     """Exact mode history for eta < 0 from eikonal-matched initial data.
 
     Data: f(0) = gamma e^{-i eta rho} * W, df/dx0(0) = i (A(0) eta / rho
@@ -286,13 +250,6 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
                                         profile.eval(0.0) / rho, family="+")
     return solve_cauchy(w * value0, w * dvalue0, grid, profile, t_final,
                         out_times=out_times)
-
-
-def state_to_field(state: FieldState, grid: RadialGrid) -> FieldOnGrid:
-    """FieldOnGrid view of a state (radial derivative by centered differences)."""
-    return FieldOnGrid(rho=grid.rho, value=state.value,
-                       d_dx0=state.dvalue_dx0,
-                       d_drho=_d1_centered(state.value, grid))
 
 
 @dataclass(frozen=True)
@@ -323,7 +280,7 @@ class RemainderReport:
     warnings: list[str] = field(default_factory=list)
     # fine-grid EVOLVE_ETA states at x0 = 0, t_final/2 and t_final (snapped
     # to steps); kept for field snapshots, not serialised
-    history: list[FieldState] = field(default_factory=list, repr=False)
+    history: list[FieldOnGrid] = field(default_factory=list, repr=False)
 
     def to_jsonable(self) -> dict:
         def row(r: RemainderRow) -> dict:
@@ -464,8 +421,8 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"evolved rows have no discretisation estimate: coarse twin {exc}")
 
     for a in A_VALUES:
-        row = _evolved_row(p.with_a(a), eta, fine_state, grid, coarse_state,
-                           coarse, profile, flow)
+        row = _evolved_row(p.with_a(a), eta, fine_state, coarse_state,
+                           grid.order, profile, flow)
         report.rows_evolved.append(row)
         if row.discr_estimate is not None and not row.resolved:
             report.warnings.append(
@@ -494,13 +451,14 @@ class PacketQuadrature:
     x0: float
 
 
-def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float,
-                    n_per_panel: int = 12, tol_mass: float = 1e-12):
-    """Nodes and weights (for plain ds integration) over (0, s_max]."""
-    base, bw = np.polynomial.legendre.leggauss(n_per_panel)
+def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
+    """Nodes and weights (for plain ds integration) over (0, s_max], twelve
+    Gauss points a panel."""
+    base, bw = np.polynomial.legendre.leggauss(12)
     s_split = min(0.5 / max(eta_abs, 1e-30), 0.25 * s_max)
-    # head: t = ln s; truncation below s_min loses O(s_min^eps / eps) mass
-    s_min = (tol_mass * eps) ** (1.0 / eps) * s_split
+    # head: t = ln s; truncation below s_min loses O(s_min^eps / eps) mass,
+    # a relative 1e-12
+    s_min = (1e-12 * eps) ** (1.0 / eps) * s_split
     t_lo, t_hi = math.log(s_min), math.log(s_split)
     rad_per_panel = 2.0
     n_head = max(4, int(math.ceil((t_hi - t_lo) * max(alpha, 0.5) / rad_per_panel)))
@@ -527,12 +485,8 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float,
 
 
 def packet_quadrature(p: PacketParams, flow: FlowMap, x0: float,
-                      eta_abs: float, s_max: float | None = None,
-                      n_per_panel: int = 12) -> PacketQuadrature:
-    if s_max is None:
-        s_max = 45.0 / p.a
-    s, w = _two_zone_nodes(p.eps, p.alpha, float(eta_abs), s_max,
-                           n_per_panel=n_per_panel)
+                      eta_abs: float) -> PacketQuadrature:
+    s, w = _two_zone_nodes(p.eps, p.alpha, float(eta_abs), p.s_max)
 
     # forward rays from (0, sigma_star + s) with tangent drho/dsigma
     rho, jac = transport(p.sigma_star + s, 0.0, x0, flow)
@@ -548,16 +502,14 @@ def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
             eikonal_values(p.sigma_star + q.s, q.rho, q.dsig_drho, a0, eta))
 
 
-def _mode_fields_at_nodes(q: PacketQuadrature, state: FieldState,
-                          grid: RadialGrid) -> tuple:
+def _mode_fields_at_nodes(q: PacketQuadrature, fld: FieldOnGrid) -> tuple:
     from scipy.interpolate import CubicSpline
-    fld = state_to_field(state, grid)
-    if q.rho.min() < grid.rho_min or q.rho.max() > grid.rho_max:
+    if q.rho.min() < fld.rho[0] or q.rho.max() > fld.rho[-1]:
         raise ResolutionError(
             "packet support left the grid; enlarge grid_rho_max")
-    val = CubicSpline(grid.rho, fld.value)(q.rho)
-    u_t = CubicSpline(grid.rho, fld.d_dx0)(q.rho)
-    u_r = CubicSpline(grid.rho, fld.d_drho)(q.rho)
+    val = CubicSpline(fld.rho, fld.value)(q.rho)
+    u_t = CubicSpline(fld.rho, fld.d_dx0)(q.rho)
+    u_r = CubicSpline(fld.rho, fld.d_drho)(q.rho)
     return val, u_t, u_r
 
 
@@ -572,7 +524,7 @@ def _pair_on_nodes(mode_fields, packet_fields_, q: PacketQuadrature,
     return complex(c1), complex(-c2_raw)
 
 
-def evolved_projection_densities(state: FieldState, grid: RadialGrid,
+def evolved_projection_densities(state: FieldOnGrid,
                                  profile: VelocityProfile, flow: FlowMap,
                                  p: PacketParams, eta: float
                                  ) -> tuple[float, float]:
@@ -585,8 +537,7 @@ def evolved_projection_densities(state: FieldState, grid: RadialGrid,
     q = packet_quadrature(p, flow, state.x0, abs(eta))
     pk, eik = _node_fields(q, p, eta, profile)
     d_num = density_from_projections(
-        *_pair_on_nodes(_mode_fields_at_nodes(q, state, grid), pk,
-                        q, profile))
+        *_pair_on_nodes(_mode_fields_at_nodes(q, state), pk, q, profile))
     d_eik = density_from_projections(*_pair_on_nodes(eik, pk, q, profile))
     return d_num, d_eik
 
@@ -600,18 +551,17 @@ def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
     return (grid.rho_min - 10.0 * width, grid.rho_max - 0.18 * span, width)
 
 
-def _evolved_row(p: PacketParams, eta: float, fine_state: FieldState,
-                 grid: RadialGrid, coarse_state: FieldState | None,
-                 coarse: RadialGrid, profile: VelocityProfile,
-                 flow: FlowMap) -> RemainderRow:
-    d_num, d_eik = evolved_projection_densities(fine_state, grid, profile,
-                                                flow, p, eta)
+def _evolved_row(p: PacketParams, eta: float, fine_state: FieldOnGrid,
+                 coarse_state: FieldOnGrid | None, order: int,
+                 profile: VelocityProfile, flow: FlowMap) -> RemainderRow:
+    d_num, d_eik = evolved_projection_densities(fine_state, profile, flow,
+                                                p, eta)
     dev = abs(d_num - d_eik) / abs(d_eik)
     if coarse_state is not None:
         d_num_c, d_eik_c = evolved_projection_densities(
-            coarse_state, coarse, profile, flow, p, eta)
+            coarse_state, profile, flow, p, eta)
         dev_c = abs(d_num_c - d_eik_c) / abs(d_eik_c)
-        discr = float(abs(dev - dev_c) / (2 ** grid.order - 1.0))
+        discr = float(abs(dev - dev_c) / (2 ** order - 1.0))
     else:
         discr = None
     return RemainderRow(a=float(p.a), eta=float(eta),

@@ -1,6 +1,7 @@
 """Config handling, CLI commands, file formats, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,15 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 {"nrho": 8}, {"nrho": 29}, {"grid_rho_min": 0.0},
                 {"grid_rho_max": 0.2}, {"tfinal": -1.0}, {"tfinal": 0.0},
                 {"dt": -1e-3}, {"n_eta": 23}, {"n_eta": 1}, {"eps": 0.049},
-                {"eps": 0.5001}):
+                {"eps": 0.5001},
+                # non-finite values: the first three hung, the rest ended
+                # in a traceback or a later failure instead of exit 2
+                {"tau": math.inf}, {"a_minus": -math.inf},
+                {"x0_horizon_max": math.inf}, {"tfinal": math.inf},
+                {"ode_tol": math.inf}, {"rho_min": math.inf},
+                {"bracket_hi": math.inf}, {"bracket_lo": math.nan},
+                {"grid_rho_max": math.inf}, {"alpha": math.inf},
+                {"a_sweep": (4.0, math.inf)}, {"eta_list": (-math.inf,)}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
@@ -74,7 +83,10 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["pde-verify", "--nrho", "8"],
                  ["pde-verify", "--set", "grid_rho_min=0"],
                  ["pde-verify", "--tfinal", "-1"],
-                 ["pde-verify", "--dt", "1"]):  # over the default grid's CFL bound
+                 ["pde-verify", "--dt", "1"],  # over the default grid's CFL bound
+                 ["pde-verify", "--set", "tfinal=inf"],
+                 ["spectrum", "--set", "alpha=inf"],
+                 ["horizon", "--set", "ode_tol=inf"]):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
         assert not any(tmp_path.iterdir()), argv

@@ -205,7 +205,8 @@ def test_field_on_grid_shape_mismatch():
     rho = np.linspace(1.0, 2.0, 5)
     with pytest.raises(GridMismatchError):
         FieldOnGrid(rho=rho, value=np.zeros(5, complex),
-                    d_dx0=np.zeros(4, complex), d_drho=np.zeros(5, complex))
+                    d_dx0=np.zeros(4, complex), d_drho=np.zeros(5, complex),
+                    x0=0.0)
 
 
 def test_support_boundary_tightens_with_a(smooth_flow):

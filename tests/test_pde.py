@@ -17,10 +17,10 @@ from sonicbh.flow import VelocityProfile
 from sonicbh.gammatools import _quad_complex
 from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
     gamma_tilde, packet_fields
-from sonicbh.pde import (A_VALUES, RadialGrid, WaveStepper, dalembert_error,
+from sonicbh.pde import (A_VALUES, RadialGrid, dalembert_error,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
-                         solve_mode, state_to_field, _delta_c2,
+                         solve_mode, _d1_upwind, _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import density_from_projections, kg_inner
@@ -101,12 +101,13 @@ def test_grid_validation():
 def test_cfl_enforced(smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
+    f = np.zeros(256, complex)
     with pytest.raises(ValueError):
-        WaveStepper(bad, smooth_profile)
+        solve_cauchy(f, f, bad, smooth_profile, 10 * bad.dt)
 
 
 def test_instability_detector():
-    # far beyond the CFL bound (no profile passed, so no construction guard)
+    # far beyond the CFL bound (a callable drift, so no CFL check)
     grid = RadialGrid(2.0, 12.0, 256, dt=1.0)
     rho = grid.rho
     f = np.exp(-((rho - 7.0) / 0.5) ** 2).astype(complex)
@@ -117,6 +118,21 @@ def test_instability_detector():
 @pytest.mark.parametrize("order,floor", [(2, 1.9), (4, 3.8)])
 def test_dalembert_self_convergence(order, floor):
     errs = [dalembert_error(n, order, t_final=1.0) for n in (257, 513, 1025)]
+    rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert min(rates) >= floor, (errs, rates)
+
+
+@pytest.mark.parametrize("order,floor", [(2, 1.9), (4, 2.9)])
+def test_d1_upwind_interior_rate(order, floor):
+    # the drift stencil alone: at order 4 it is the third-order biased one,
+    # which dalembert_error never reaches (A = 0 there)
+    errs = []
+    for n in (257, 513, 1025):
+        grid = RadialGrid(2.0, 12.0, n, dt=1.0, order=order)
+        rho = grid.rho
+        inner = (rho >= 3.0) & (rho <= 11.0)
+        err = _d1_upwind(np.sin(3.0 * rho), grid) - 3.0 * np.cos(3.0 * rho)
+        errs.append(float(np.max(np.abs(err[inner]))))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) >= floor, (errs, rates)
 
@@ -135,7 +151,7 @@ def test_solve_mode_initial_state(smooth_profile, smooth_flow):
     val, dval = mode_initial_data(ModeSpec(eta=-eta), grid.rho,
                                   smooth_profile.eval(0.0) / grid.rho, "+")
     np.testing.assert_allclose(hist[0].value, w * val, atol=1e-15)
-    np.testing.assert_allclose(hist[0].dvalue_dx0, w * dval, atol=1e-15)
+    np.testing.assert_allclose(hist[0].d_dx0, w * dval, atol=1e-15)
 
 
 def test_solve_mode_resolution_error(smooth_profile):
@@ -207,10 +223,7 @@ def test_stationary_kg_product_constant(const_profile, const_flow):
         w = smooth_window(grid.rho, *_horizon_window(grid))
         hv = solve_cauchy(w * pk0.value, w * pk0.d_dx0, grid, const_profile,
                           0.3, out_times=times)
-        vals = [kg_inner(state_to_field(su, grid),
-                         state_to_field(sv, grid),
-                         su.x0, const_profile)
-                for su, sv in zip(hu, hv)]
+        vals = [kg_inner(su, sv, const_profile) for su, sv in zip(hu, hv)]
         drifts.append(max(abs(v - vals[0]) for v in vals) / abs(vals[0]))
     assert drifts[1] < 5e-3
     assert drifts[0] / drifts[1] > 3.0  # shrinks at scheme order
@@ -259,7 +272,7 @@ def test_evolved_densities_at_time_zero(packet, smooth_flow, smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
     eta = -4.0
     hist = solve_mode(eta, grid, smooth_profile, 2 * grid.dt)
-    d_num, d_eik = evolved_projection_densities(hist[0], grid, smooth_profile,
+    d_num, d_eik = evolved_projection_densities(hist[0], smooth_profile,
                                                 smooth_flow, packet, eta)
     ref_num = density_from_projections(*initial_projection_pair(
         eta, packet, smooth_profile, mode="exact"))
@@ -304,6 +317,24 @@ def report(packet, smooth_profile, smooth_flow):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
     return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
                                   smooth_profile, smooth_flow, t_final=0.3)
+
+
+@pytest.fixture(scope="module")
+def report_order4(packet, smooth_profile, smooth_flow):
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, order=4)
+    return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
+                                  smooth_profile, smooth_flow, t_final=0.3)
+
+
+def test_remainder_contribution_order4(report, report_order4):
+    # the order-4 stencils with drift: the evolved deviation is the same
+    # physics (within 1%) at a far smaller discretisation estimate, and the
+    # grid-free x0 = 0 rows do not move
+    assert report_order4.rows_initial == report.rows_initial
+    assert len(report_order4.rows_evolved) == len(report.rows_evolved) == 3
+    for r4, r2 in zip(report_order4.rows_evolved, report.rows_evolved):
+        assert r4.dev_rel == pytest.approx(r2.dev_rel, rel=0.01), (r4, r2)
+        assert r4.discr_estimate < 0.1 * r2.discr_estimate, (r4, r2)
 
 
 def test_remainder_report_matches_adaptive(report, packet, smooth_profile):

@@ -52,7 +52,7 @@ def test_kg_inner_packet_norm(smooth_flow, smooth_profile):
     p = PacketParams(alpha=1.0, a=8.0, eps=0.5, sigma_star=star)
     rho = star + np.geomspace(1e-12, 6.0, 6001)
     f = packet_fields(rho, 0.0, p, smooth_flow)
-    val = kg_inner(f, f, 0.0, smooth_profile)
+    val = kg_inner(f, f, smooth_profile)
     assert val.imag == 0.0
     assert val.real == pytest.approx(packet_norm(p), rel=1e-8)
 
@@ -64,8 +64,8 @@ def test_kg_inner_conjugate_symmetry(smooth_flow, smooth_profile):
                       PacketParams(1.0, 8.0, 0.5, star), smooth_flow)
     v = packet_fields(rho, 0.0,
                       PacketParams(2.0, 6.0, 0.5, star), smooth_flow)
-    assert kg_inner(u, v, 0.0, smooth_profile) == pytest.approx(
-        np.conj(kg_inner(v, u, 0.0, smooth_profile)), rel=1e-12)
+    assert kg_inner(u, v, smooth_profile) == pytest.approx(
+        np.conj(kg_inner(v, u, smooth_profile)), rel=1e-12)
 
 
 def test_kg_inner_grid_mismatch(smooth_flow, smooth_profile):
@@ -74,7 +74,11 @@ def test_kg_inner_grid_mismatch(smooth_flow, smooth_profile):
     u = packet_fields(star + np.geomspace(1e-8, 6.0, 101), 0.0, p, smooth_flow)
     v = packet_fields(star + np.geomspace(1e-8, 6.0, 102), 0.0, p, smooth_flow)
     with pytest.raises(GridMismatchError):
-        kg_inner(u, v, 0.0, smooth_profile)
+        kg_inner(u, v, smooth_profile)
+    # the same grid at two times
+    later = packet_fields(u.rho, 0.1, p, smooth_flow)
+    with pytest.raises(GridMismatchError):
+        kg_inner(u, later, smooth_profile)
 
 
 def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
@@ -98,7 +102,7 @@ def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
         drho += wk * phase * v * (-0.5 / rho + 1j * eta)
     de = etas[1] - etas[0]
     return (FieldOnGrid(rho=rho, value=val * de, d_dx0=dval * de,
-                        d_drho=drho * de),
+                        d_drho=drho * de, x0=0.0),
             sigma_w * math.sqrt(math.pi))  # int |w|^2 d eta
 
 
@@ -113,13 +117,13 @@ def test_smeared_norms_and_orthogonality(smooth_flow, smooth_profile):
     same_minus, _ = _smeared_mode(rho, 6.0, "-", sigma_w, rho_c, smooth_profile)
 
     scale = (2.0 * math.pi) ** 2 * w2
-    nu = kg_inner(u_plus, u_plus, 0.0, smooth_profile)
-    nv = kg_inner(v_minus, v_minus, 0.0, smooth_profile)
+    nu = kg_inner(u_plus, u_plus, smooth_profile)
+    nv = kg_inner(v_minus, v_minus, smooth_profile)
     assert nu.real == pytest.approx(scale, rel=2e-3)
     assert nv.real == pytest.approx(-scale, rel=2e-3)
 
     for other in (v_minus, same_minus):
-        cross = kg_inner(u_plus, other, 0.0, smooth_profile)
+        cross = kg_inner(u_plus, other, smooth_profile)
         assert abs(cross) < 1e-4 * scale
 
 
