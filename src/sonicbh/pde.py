@@ -19,6 +19,13 @@ centered.  Inside the horizon both characteristic speeds point inward, so
 the inner edge is pure outflow and one-sided stencils suffice there; the
 outer edge carries a sponge layer that damps what the data window lets by.
 
+The coefficients of the system are real, so the real and imaginary parts
+evolve apart: the stepper holds one real (4, n) state, rows Re f, Im f,
+Re g, Im g, in preallocated buffers.  Its coefficients are folded once per
+solve: the upwind stencil carries -1/rho, so a stage scales it by A(x0)
+alone, and d^2/drho^2 + (1/rho) d/drho is one stencil with coefficient
+vectors over rho.
+
 The exact mode at wavenumber eta < 0 is started from the data that the
 eikonal matches in value (gamma e^{-i eta rho}) and misses in frequency
 (sqrt(eta^2+1) against |eta|), so the difference field away from x0 = 0
@@ -114,50 +121,114 @@ def smooth_window(rho, lo: float, hi: float, width: float):
     return up * dn
 
 
-def _d1_centered(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+# Stencils as (rows, first offset, coefficients in units of drho^-p).  The
+# first entry covers the interior rows, with its coefficients on forward
+# differences u[i+1] - u[i]; they are written out rather than summed from
+# the coefficients on u, whose rounding would leave a spurious drift of
+# order eps/drho in d2.  The rest are single edge rows, one-sided or of
+# lower order, with their coefficients on u, reaching at most _EDGE points
+# from their end of the grid.
+_EDGE = 4
+_D1_CENTERED = {
+    2: ((slice(1, -1), -1, (0.5, 0.5)),
+        (0, 0, (-1.5, 2.0, -0.5)), (-1, -2, (0.5, -2.0, 1.5))),
+    4: ((slice(2, -2), -2, (-1 / 12, 7 / 12, 7 / 12, -1 / 12)),
+        (0, 0, (-1.5, 2.0, -0.5)), (1, -1, (-0.5, 0.0, 0.5)),
+        (-2, -1, (-0.5, 0.0, 0.5)), (-1, -2, (0.5, -2.0, 1.5))),
+}
+# biased toward +rho: the wind blows inward
+_D1_UPWIND = {
+    2: ((slice(0, -2), 0, (1.5, -0.5)),
+        (-2, -1, (-0.5, 0.0, 0.5)), (-1, -1, (-1.0, 1.0))),
+    4: ((slice(1, -2), -1, (1 / 3, 5 / 6, -1 / 6)),
+        (0, 0, (-1.5, 2.0, -0.5)),
+        (-2, -1, (-0.5, 0.0, 0.5)), (-1, -1, (-1.0, 1.0))),
+}
+_D2 = {
+    2: ((slice(1, -1), -1, (-1.0, 1.0)),
+        (0, 0, (2.0, -5.0, 4.0, -1.0)), (-1, -3, (-1.0, 4.0, -5.0, 2.0))),
+    4: ((slice(2, -2), -2, (1 / 12, -5 / 4, 5 / 4, -1 / 12)),
+        (0, 0, (2.0, -5.0, 4.0, -1.0)), (1, -1, (1.0, -2.0, 1.0)),
+        (-2, -1, (1.0, -2.0, 1.0)), (-1, -3, (-1.0, 4.0, -5.0, 2.0))),
+}
+
+
+class _Stencil:
+    """A banded operator along the last axis of C-contiguous arrays of a
+    fixed shape.
+
+    terms is a list of (stencil table, scale), the scale a scalar or a
+    vector over rho; the terms share their interior rows and add, so one
+    stencil can carry variable coefficients such as d2 + (1/rho) d1.  The
+    interior acts on the forward difference of u, which stencils of one
+    state can share; it runs over the flattened array, all rows in one
+    pass, and the values it leaves where rows meet are overwritten by the
+    edge rows, two small dense blocks over the _EDGE end columns.
+    """
+
+    def __init__(self, shape, terms) -> None:
+        n = shape[-1]
+        (inner, _, _), *_ = terms[0][0]  # interior rows, shared by the terms
+        self.lo, self.hi = inner.start, -inner.stop
+        self.left = np.zeros((_EDGE, self.lo))
+        self.right = np.zeros((_EDGE, self.hi))
+        taps = {}
+        for ((_, first, coefs), *edge_rows), scale in terms:
+            scale = np.broadcast_to(np.asarray(scale, dtype=float), (n,))
+            for k, c in enumerate(coefs, first):
+                taps.setdefault(k, np.zeros(n))[inner] += c * scale[inner]
+            for row, first, coefs in edge_rows:
+                if row >= 0:
+                    block, col, dst = self.left, row + first, row
+                else:
+                    block, col, dst = (self.right, _EDGE + row + first,
+                                       self.hi + row)
+                block[col:col + len(coefs), dst] += np.multiply(coefs,
+                                                                scale[row])
+        self.first = min(taps)
+        size = math.prod(shape)
+        self.taps = [np.tile(taps[k], size // n)[self.lo:size - self.hi]
+                     for k in sorted(taps)]
+
+    def __call__(self, u, out=None, diff=None):
+        """Apply to u; diff, the forward difference of u flattened, may be
+        passed in when stencils share it."""
+        u = np.ascontiguousarray(u)
+        if out is None:
+            out = np.empty_like(u, dtype=np.result_type(u, 1.0))
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        n = u.shape[-1]
+        diff = np.diff(u.reshape(-1)) if diff is None else diff
+        inner = out.reshape(-1)[self.lo:u.size - self.hi]
+        m = len(inner)
+        at = self.lo + self.first
+        np.multiply(diff[at:at + m], self.taps[0], out=inner)
+        for k, b in enumerate(self.taps[1:], at + 1):
+            inner += b * diff[k:k + m]
+        u, out2 = u.reshape(-1, n), out.reshape(-1, n)
+        if self.lo:
+            np.matmul(u[:, :_EDGE], self.left, out=out2[:, :self.lo])
+        np.matmul(u[:, n - _EDGE:], self.right, out=out2[:, n - self.hi:])
+        return out
+
+
+def _d1_centered(u: np.ndarray, grid: RadialGrid, out=None) -> np.ndarray:
     """Centered first derivative at the grid's order, one-sided at the edges."""
-    dr = grid.drho
-    out = np.empty_like(u)
-    if grid.order == 2:
-        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-    else:
-        out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dr)
-        out[1] = (u[2] - u[0]) / (2.0 * dr)
-        out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
-    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
-    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
-    return out
+    return _Stencil(np.shape(u), [(_D1_CENTERED[grid.order],
+                                   1.0 / grid.drho)])(u, out)
 
 
-def _d1_upwind(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+def _d1_upwind(u: np.ndarray, grid: RadialGrid, out=None) -> np.ndarray:
     """First derivative biased toward +rho (wind blows inward)."""
-    dr = grid.drho
-    out = np.empty_like(u)
-    if grid.order == 2:
-        out[:-2] = (-3.0 * u[:-2] + 4.0 * u[1:-1] - u[2:]) / (2.0 * dr)
-    else:
-        out[1:-2] = (-2.0 * u[:-3] - 3.0 * u[1:-2]
-                     + 6.0 * u[2:-1] - u[3:]) / (6.0 * dr)
-        out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
-    out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
-    out[-1] = (u[-1] - u[-2]) / dr
-    return out
+    return _Stencil(np.shape(u), [(_D1_UPWIND[grid.order],
+                                   1.0 / grid.drho)])(u, out)
 
 
-def _d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+def _d2(u: np.ndarray, grid: RadialGrid, out=None) -> np.ndarray:
     """Centered second derivative at the grid's order, one-sided at the edges."""
-    dr = grid.drho
-    out = np.empty_like(u)
-    if grid.order == 2:
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
-    else:
-        out[2:-2] = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2]
-                     + 16.0 * u[3:-1] - u[4:]) / (12.0 * dr ** 2)
-        out[1] = (u[2] - 2.0 * u[1] + u[0]) / dr ** 2
-        out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / dr ** 2
-    out[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dr ** 2
-    out[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dr ** 2
-    return out
+    return _Stencil(np.shape(u), [(_D2[grid.order],
+                                   grid.drho ** -2)])(u, out)
 
 
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
@@ -167,8 +238,16 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     profile is a VelocityProfile, whose max|A| sets the CFL bound
     dt <= safety * drho / (1 + max|A|/rho_min) (ValueError beyond it), or
     any callable x0 -> A(x0), which is stepped unchecked.  States are
-    recorded at out_times, snapped to step multiples, after the initial
-    state; each carries d/drho by centered differences.
+    recorded after the initial state at out_times (default t_final), each
+    at step max(1, round(t/dt)); the loop stops at the last of them.  Each
+    recorded state carries d/drho by centered differences.
+
+    The coefficients of the operator are real, so the real and imaginary
+    parts evolve apart: the state is one real (4, n) array with rows
+    Re f, Im f, Re g, Im g, stepped in place.  The upwind drift stencil
+    carries -1/rho, so a stage multiplies it by A(x0) alone; the Laplacian
+    d2 + (1/rho) d1 is one stencil with coefficient vectors; the sponge
+    acts only where it is nonzero.
     """
     drift = profile
     if isinstance(profile, VelocityProfile):
@@ -178,27 +257,38 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                 f"{grid.cfl_dt(profile.a_max_abs):g} for max|A| = "
                 f"{profile.a_max_abs:g}")
         drift = profile.eval
+    n, dt = grid.n_rho, grid.dt
     rho = grid.rho
     inv_rho = 1.0 / rho
     # cubic sponge over the outer tenth of the grid
     width = 0.1 * (grid.rho_max - grid.rho_min)
     sponge = 4.0 / width * np.clip((rho - (grid.rho_max - width)) / width,
                                    0.0, 1.0) ** 3
+    s0 = int(np.argmax(sponge > 0.0))
+    sponge = sponge[s0:]
+    upwind = _Stencil((4, n), [(_D1_UPWIND[grid.order],
+                                -inv_rho / grid.drho)])
+    laplacian = _Stencil((2, n), [(_D2[grid.order], grid.drho ** -2),
+                                  (_D1_CENTERED[grid.order],
+                                   inv_rho / grid.drho)])
 
-    def rhs(f, g, x0):
-        c = drift(x0) * inv_rho
-        lap = _d2(f, grid) + inv_rho * _d1_centered(f, grid)
-        df = g - c * _d1_upwind(f, grid) - sponge * f
-        dg = lap - c * _d1_upwind(g, grid) - sponge * g
-        return df, dg
+    y = np.empty((4, n))
+    acc, k_s, y_s, drift_term, tmp = (np.empty_like(y) for _ in range(5))
+    diff = np.empty(4 * n - 1)
 
-    dt = grid.dt
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
-        n_steps = int(math.ceil(t_final / dt))
+    def rhs(y, x0, out):
+        # out = (g - (A/rho) f_r - sponge f, lap f - (A/rho) g_r - sponge g)
+        np.subtract(y.reshape(-1)[1:], y.reshape(-1)[:-1], out=diff)
+        upwind(y, drift_term, diff)
+        np.multiply(drift_term, drift(x0), out=drift_term)
+        np.add(y[2:], drift_term[:2], out=out[:2])
+        laplacian(y[:2], out[2:], diff[:2 * n - 1])
+        np.add(out[2:], drift_term[2:], out=out[2:])
+        out[:, s0:] -= sponge * y[:, s0:]
+
     if out_times is None:
         out_times = [t_final]
-    want = sorted({int(round(t / dt)) for t in out_times if t > 0.0})
+    want = {max(1, int(round(t / dt))) for t in out_times if t > 0.0}
 
     # g = D f = df/dx0 + (A/rho) df/drho
     f = np.array(value0, dtype=complex)
@@ -206,23 +296,31 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     f_r = _d1_centered(f, grid)
     g = f_t + drift(0.0) * inv_rho * f_r
     history = [FieldOnGrid(rho, f, f_t, f_r, 0.0)]
+    y[:] = f.real, f.imag, g.real, g.imag
     peak = max(float(np.max(np.abs(f))), 1e-300)
-    for k in range(1, n_steps + 1):
+    h = 0.5 * dt
+    for k in range(1, max(want, default=0) + 1):
         x0 = (k - 1) * dt
-        k1f, k1g = rhs(f, g, x0)
-        k2f, k2g = rhs(f + 0.5 * dt * k1f, g + 0.5 * dt * k1g, x0 + 0.5 * dt)
-        k3f, k3g = rhs(f + 0.5 * dt * k2f, g + 0.5 * dt * k2g, x0 + 0.5 * dt)
-        k4f, k4g = rhs(f + dt * k3f, g + dt * k3g, x0 + dt)
-        f = f + dt / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        g = g + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        m = float(np.max(np.abs(f)))
-        if not np.isfinite(m) or m > GROWTH_BOUND * peak:
+        rhs(y, x0, acc)
+        stage = acc
+        for step, weight in ((h, 2.0), (h, 2.0), (dt, 1.0)):
+            np.multiply(stage, step, out=y_s)
+            y_s += y
+            rhs(y_s, x0 + step, k_s)
+            acc += (k_s if weight == 1.0 else
+                    np.multiply(k_s, weight, out=tmp))
+            stage = k_s
+        acc *= dt / 6.0
+        y += acc
+        m = math.sqrt(float(np.max(y[0] ** 2 + y[1] ** 2)))
+        if not math.isfinite(m) or m > GROWTH_BOUND * peak:
             raise InstabilityError(f"solution blew up at step {k}")
         peak = max(peak, m)
         if k in want:
+            f = y[0] + 1j * y[1]
             f_r = _d1_centered(f, grid)
-            history.append(FieldOnGrid(rho, f, g - drift(k * dt) * inv_rho * f_r,
-                                       f_r, k * dt))
+            f_t = y[2] + 1j * y[3] - drift(k * dt) * inv_rho * f_r
+            history.append(FieldOnGrid(rho, f, f_t, f_r, k * dt))
     return history
 
 

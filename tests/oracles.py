@@ -1,10 +1,17 @@
-"""Independent scalar oracles for the closed creation density and its totals.
+"""Independent oracles for the closed creation density, its totals and
+the wave stepper.
 
-These are the eta-space forms the package used before its totals became
-one angle integral: the density point by point, and the totals as an
-adaptive head over (0, 50 (a + 1)] with breakpoints at a and 3a plus a
-u = 1/eta tail.  They share no code path with sonicbh.spectrum's array
-density or its angle integral.
+The density and totals are the eta-space forms the package used before
+its totals became one angle integral: the density point by point, and
+the totals as an adaptive head over (0, 50 (a + 1)] with breakpoints at a
+and 3a plus a u = 1/eta tail.  They share no code path with
+sonicbh.spectrum's array density or its angle integral.
+
+The stepper is the complex two-array RK4 the package used before its
+state became one real (4, n) array: explicit slice stencils, (f, g) as
+two complex arrays and a fresh array for every stage.  It shares no
+stencil code with sonicbh.pde.solve_cauchy, only the grid, the errors and
+the step rule for recorded times.
 """
 
 import math
@@ -12,8 +19,11 @@ import math
 import numpy as np
 from scipy import integrate
 
+from sonicbh.errors import InstabilityError
+from sonicbh.flow import VelocityProfile
 from sonicbh.gammatools import gamma0_modulus_sq
-from sonicbh.packets import PacketParams
+from sonicbh.packets import FieldOnGrid, PacketParams
+from sonicbh.pde import GROWTH_BOUND, RadialGrid
 from sonicbh.spectrum import TotalNumber
 
 _QUAD_KW = dict(epsabs=1e-14, epsrel=1e-11, limit=800)
@@ -90,3 +100,106 @@ def eta_limit_integral(alpha: float, eps: float,
                              wvar=(2.0 * eps - 1.0, 0.0),
                              epsabs=1e-15, epsrel=1e-11, limit=400)
     return float(head + tail)
+
+
+def d1_centered(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Centered first derivative at the grid's order, one-sided at the edges."""
+    dr = grid.drho
+    out = np.empty_like(u)
+    if grid.order == 2:
+        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
+    else:
+        out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dr)
+        out[1] = (u[2] - u[0]) / (2.0 * dr)
+        out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
+    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
+    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+    return out
+
+
+def d1_upwind(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """First derivative biased toward +rho (wind blows inward)."""
+    dr = grid.drho
+    out = np.empty_like(u)
+    if grid.order == 2:
+        out[:-2] = (-3.0 * u[:-2] + 4.0 * u[1:-1] - u[2:]) / (2.0 * dr)
+    else:
+        out[1:-2] = (-2.0 * u[:-3] - 3.0 * u[1:-2]
+                     + 6.0 * u[2:-1] - u[3:]) / (6.0 * dr)
+        out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
+    out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
+    out[-1] = (u[-1] - u[-2]) / dr
+    return out
+
+
+def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Centered second derivative at the grid's order, one-sided at the edges."""
+    dr = grid.drho
+    out = np.empty_like(u)
+    if grid.order == 2:
+        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
+    else:
+        out[2:-2] = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2]
+                     + 16.0 * u[3:-1] - u[4:]) / (12.0 * dr ** 2)
+        out[1] = (u[2] - 2.0 * u[1] + u[0]) / dr ** 2
+        out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / dr ** 2
+    out[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dr ** 2
+    out[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dr ** 2
+    return out
+
+
+def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
+                 t_final: float, out_times=None) -> list[FieldOnGrid]:
+    """Complex two-array RK4 with the contract of sonicbh.pde.solve_cauchy:
+    the same CFL ValueError and InstabilityError messages, and states
+    recorded at step max(1, round(t/dt)) for each t in out_times."""
+    drift = profile
+    if isinstance(profile, VelocityProfile):
+        if not grid.within_cfl(profile.a_max_abs):
+            raise ValueError(
+                f"dt = {grid.dt:g} violates the CFL bound "
+                f"{grid.cfl_dt(profile.a_max_abs):g} for max|A| = "
+                f"{profile.a_max_abs:g}")
+        drift = profile.eval
+    rho = grid.rho
+    inv_rho = 1.0 / rho
+    width = 0.1 * (grid.rho_max - grid.rho_min)
+    sponge = 4.0 / width * np.clip((rho - (grid.rho_max - width)) / width,
+                                   0.0, 1.0) ** 3
+
+    def rhs(f, g, x0):
+        c = drift(x0) * inv_rho
+        lap = d2(f, grid) + inv_rho * d1_centered(f, grid)
+        df = g - c * d1_upwind(f, grid) - sponge * f
+        dg = lap - c * d1_upwind(g, grid) - sponge * g
+        return df, dg
+
+    dt = grid.dt
+    if out_times is None:
+        out_times = [t_final]
+    want = sorted({max(1, int(round(t / dt))) for t in out_times if t > 0.0})
+    n_steps = want[-1] if want else 0
+
+    f = np.array(value0, dtype=complex)
+    f_t = np.array(dvalue0, dtype=complex)
+    f_r = d1_centered(f, grid)
+    g = f_t + drift(0.0) * inv_rho * f_r
+    history = [FieldOnGrid(rho, f, f_t, f_r, 0.0)]
+    peak = max(float(np.max(np.abs(f))), 1e-300)
+    for k in range(1, n_steps + 1):
+        x0 = (k - 1) * dt
+        k1f, k1g = rhs(f, g, x0)
+        k2f, k2g = rhs(f + 0.5 * dt * k1f, g + 0.5 * dt * k1g, x0 + 0.5 * dt)
+        k3f, k3g = rhs(f + 0.5 * dt * k2f, g + 0.5 * dt * k2g, x0 + 0.5 * dt)
+        k4f, k4g = rhs(f + dt * k3f, g + dt * k3g, x0 + dt)
+        f = f + dt / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        g = g + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        m = float(np.max(np.abs(f)))
+        if not np.isfinite(m) or m > GROWTH_BOUND * peak:
+            raise InstabilityError(f"solution blew up at step {k}")
+        peak = max(peak, m)
+        if k in want:
+            f_r = d1_centered(f, grid)
+            history.append(FieldOnGrid(rho, f, g - drift(k * dt) * inv_rho * f_r,
+                                       f_r, k * dt))
+    return history

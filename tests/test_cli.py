@@ -254,6 +254,22 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
         assert row["x0"] != 0.75  # the step-snapped time, not tfinal
 
 
+def test_pde_verify_short_tfinal_records_first_step(tmp_path):
+    # a tfinal below dt/2 snaps to the first step: the evolved rows and the
+    # last snapshot sit at x0 = dt, not at the initial state
+    from sonicbh.pde import RadialGrid
+    cfg = RunConfig(nrho=1024)
+    dt = RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, 1024,
+                         cfg.profile().a_max_abs).dt
+    assert dt > 2e-4
+    assert main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "1024",
+                 "--tfinal", "1e-4"]) == 0
+    report = _strict_json(tmp_path / "pde_report.json")["report"]
+    snaps = {p.name for p in tmp_path.glob("field_eta*.csv")}
+    assert snaps == {"field_eta-4_t0.csv", f"field_eta-4_t{dt:g}.csv"}
+    assert [row["x0"] for row in report["rows_evolved"]] == [dt] * 3
+
+
 def test_pde_verify_json_is_finite(tmp_path, capsys):
     # a single eta sample has no eta fit; 120 points leave the coarse twin
     # (61 points) unable to resolve eta = -4: both write null, not NaN/inf

@@ -11,6 +11,7 @@ import pytest
 
 import scipy.integrate
 
+import oracles
 from sonicbh import packets
 from sonicbh.errors import InstabilityError, ResolutionError
 from sonicbh.flow import VelocityProfile
@@ -20,7 +21,8 @@ from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
 from sonicbh.pde import (A_VALUES, RadialGrid, dalembert_error,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
-                         solve_mode, _d1_upwind, _delta_c2,
+                         solve_mode, _d1_centered, _d1_upwind, _d2,
+                         _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import density_from_projections, kg_inner
@@ -135,6 +137,63 @@ def test_d1_upwind_interior_rate(order, floor):
         errs.append(float(np.max(np.abs(err[inner]))))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) >= floor, (errs, rates)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_stencils_match_oracle(order):
+    # one row and a (4, n) stack with out=, real and complex: the banded
+    # stencils against the explicit slice stencils of the oracle
+    rng = np.random.default_rng(order)
+    grid = RadialGrid(0.3, 9.0, 257, dt=1.0, order=order)
+    u = rng.standard_normal((4, grid.n_rho))
+    z = u[0] + 1j * u[1]
+    for ours, ref in ((_d1_centered, oracles.d1_centered),
+                      (_d1_upwind, oracles.d1_upwind), (_d2, oracles.d2)):
+        out = np.empty_like(u)
+        assert ours(u, grid, out=out) is out
+        want = np.array([ref(row, grid) for row in u])
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(out - want)) <= 1e-13 * scale, ours
+        assert np.max(np.abs(ours(z, grid) - ref(z, grid))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_solve_cauchy_matches_oracle(order, smooth_profile):
+    # tanh drift, data over the whole grid (the sponge included) and
+    # recorded times off the step grid, one of them below dt/2
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs,
+                           order=order)
+    rho = grid.rho
+    value0 = np.exp(-3j * rho) / np.sqrt(rho)
+    dvalue0 = (0.5 + 2j) * value0 * np.cos(rho)
+    times = [0.3 * grid.dt, 0.13, 0.2]
+    ours = solve_cauchy(value0, dvalue0, grid, smooth_profile, 0.2,
+                        out_times=times)
+    ref = oracles.solve_cauchy(value0, dvalue0, grid, smooth_profile, 0.2,
+                               out_times=times)
+    assert [s.x0 for s in ours] == [s.x0 for s in ref]
+    assert len(ours) == 4 and ours[1].x0 == grid.dt
+    assert np.max(np.abs(ref[-1].value[rho > 8.2])) > 0.01  # in the sponge
+    for a, b in zip(ours, ref):
+        for name in ("value", "d_dx0", "d_drho"):
+            want = getattr(b, name)
+            err = np.max(np.abs(getattr(a, name) - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), (b.x0, name, err)
+
+
+def test_solve_cauchy_errors_match_oracle(smooth_profile):
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs)
+    bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
+    blowup = RadialGrid(2.0, 12.0, 256, dt=1.0)
+    f = np.exp(-((blowup.rho - 7.0) / 0.5) ** 2).astype(complex)
+    messages = []
+    for solver in (solve_cauchy, oracles.solve_cauchy):
+        with pytest.raises(ValueError) as cfl:
+            solver(f, f, bad, smooth_profile, 10 * bad.dt)
+        with pytest.raises(InstabilityError) as unstable:
+            solver(f, np.zeros_like(f), blowup, lambda x0: 0.0, 10.0)
+        messages.append((str(cfl.value), str(unstable.value)))
+    assert messages[0] == messages[1]
 
 
 def test_grid_refinement_halves_error_fourfold():
