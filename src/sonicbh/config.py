@@ -66,6 +66,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if not (self.a_minus < 0.0 and self.a_plus < 0.0):
             raise ConfigError("a_minus and a_plus must be negative")
+        # the horizon lies between |A-| and |A+|; the ray ODE stops at rho_min
+        if not min(-self.a_minus, -self.a_plus) > self.rho_min:
+            raise ConfigError("min(|a_minus|, |a_plus|) must exceed rho_min")
         if not 0.05 <= self.eps <= 0.5:
             raise ConfigError("eps must lie in [0.05, 1/2]: below 0.05 the "
                               "packet edge s^eps needs quadrature nodes "

@@ -1,10 +1,12 @@
 """Deterministic CSV/JSON emission.
 
 CSV files carry '#'-prefixed metadata lines echoing the resolved config,
-then a header row, then rows with floats at 17 significant digits.  JSON
-summaries sort keys.  Both hold finite numbers only: a NaN or infinity
-raises ToleranceError and writes nothing.  Identical inputs produce
-byte-identical files.
+then a header row, then rows of floats at 17 significant digits.  The rows
+are stacked into one float array, checked for width and finiteness once,
+and formatted by a single '%' call over a '%.17g' template, which spells
+each value exactly as f"{v:.17g}" does.  JSON summaries sort keys.  Both
+hold finite numbers only: a NaN or infinity raises ToleranceError and
+writes nothing.  Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .config import fmt_float
 from .errors import ToleranceError
@@ -28,17 +32,31 @@ def format_cell(v) -> str:
 
 
 def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
-    """Write a CSV; a NaN or infinity raises ToleranceError and writes nothing."""
+    """Write a CSV of float rows, one value per column.
+
+    rows is any iterable of equal-width rows, or a 2-D array.  A row width
+    other than len(columns) raises ValueError, and a NaN or infinity raises
+    ToleranceError; either way nothing is written.
+    """
     path = Path(path)
-    lines = []
+    ncols = len(columns)
+    body = np.array(list(rows), dtype=float)
+    if body.size and (body.ndim != 2 or body.shape[1] != ncols):
+        raise ValueError(f"{path.name}: rows of shape {body.shape[1:]} "
+                         f"under {ncols} columns")
     try:
-        for key in sorted(meta or {}):
-            lines.append(f"# {key} = {format_cell((meta or {})[key])}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(format_cell(v) for v in row))
+        lines = [f"# {key} = {format_cell(meta[key])}"
+                 for key in sorted(meta or {})]
     except ToleranceError as exc:
         raise ToleranceError(f"{path.name}: {exc}") from None
+    lines.append(",".join(columns))
+    if body.size:
+        bad = ~np.isfinite(body)
+        if bad.any():
+            v = float(body.flat[np.flatnonzero(bad)[0]])
+            raise ToleranceError(f"{path.name}: non-finite value {v}")
+        template = "\n".join([",".join(["%.17g"] * ncols)] * len(body))
+        lines.append(template % tuple(body.ravel().tolist()))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path

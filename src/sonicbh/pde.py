@@ -463,11 +463,11 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     exponents of the total's relative deviation and of the per-eta
     deviation in (1 + |eta|) are fitted there.  The mode at EVOLVE_ETA is
     also evolved to t_final and, for each a in A_VALUES, the deviation is
-    re-measured on transported nodes; a coarse-grid twin supplies a
-    discretisation estimate and a warning when it is not small against the
-    deviation being measured.  A grid too coarse for EVOLVE_ETA raises
-    ResolutionError; a coarse twin too coarse for it leaves the estimate
-    None, with a warning.
+    re-measured on transported nodes; a coarse-grid twin at the same time
+    supplies a discretisation estimate and a warning when it is not small
+    against the deviation being measured.  A grid too coarse for
+    EVOLVE_ETA raises ResolutionError; a coarse twin too coarse for it
+    leaves the estimate None, with a warning.
     """
     report = RemainderReport()
 
@@ -506,13 +506,11 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     # the mode solve depends only on eta: run it (and its coarse twin) once
     # and project against each packet
     eta = EVOLVE_ETA
-    coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
-                             profile.a_max_abs, order=grid.order)
     report.history = solve_mode(eta, grid, profile, t_final,
                                 out_times=[0.5 * t_final, t_final])
     fine_state = report.history[-1]
     try:
-        coarse_state = solve_mode(eta, coarse, profile, t_final)[-1]
+        coarse_state = _coarse_twin(eta, grid, profile, fine_state.x0)
     except ResolutionError as exc:
         coarse_state = None
         report.warnings.append(
@@ -647,6 +645,22 @@ def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
     span = grid.rho_max - grid.rho_min
     width = 0.015 * span
     return (grid.rho_min - 10.0 * width, grid.rho_max - 0.18 * span, width)
+
+
+def _coarse_twin(eta: float, grid: RadialGrid, profile: VelocityProfile,
+                 x0: float) -> FieldOnGrid:
+    """The mode at x0 on the half-resolution grid, stepped to land on x0.
+
+    x0 is the fine state's (step-snapped) time, so that the two states
+    differ by their grids alone; the coarse step is the largest within its
+    CFL bound that divides x0.
+    """
+    n_rho = grid.n_rho // 2 + 1
+    cfl_dt = RadialGrid.auto(grid.rho_min, grid.rho_max, n_rho,
+                             profile.a_max_abs, order=grid.order).dt
+    coarse = RadialGrid(grid.rho_min, grid.rho_max, n_rho,
+                        dt=x0 / math.ceil(x0 / cfl_dt), order=grid.order)
+    return solve_mode(eta, coarse, profile, x0)[-1]
 
 
 def _evolved_row(p: PacketParams, eta: float, fine_state: FieldOnGrid,

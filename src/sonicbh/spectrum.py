@@ -224,14 +224,17 @@ def total_number(p: PacketParams) -> TotalNumber:
     eta_break^(-2 eps) / eps dominates it.
     """
     a, eps = p.a, p.eps
-    g2 = gamma0_modulus_sq(p.alpha, eps)
-    scale = 2.0 * g2 * a ** (-2.0 * eps)
     eta_break = 50.0 * (a + 1.0)
-    value = scale * _angle_integral(p.alpha, eps, a)
-    tail = scale * _angle_integral(p.alpha, eps, a, math.atan(a / eta_break))
-    bound = g2 * eta_break ** (-2.0 * eps) / eps
-    return TotalNumber(value=value, eta_break=eta_break, tail_value=tail,
-                       tail_bound=bound)
+    tail = _total_value(p, math.atan(a / eta_break))
+    bound = gamma0_modulus_sq(p.alpha, eps) * eta_break ** (-2.0 * eps) / eps
+    return TotalNumber(value=_total_value(p), eta_break=eta_break,
+                       tail_value=tail, tail_bound=bound)
+
+
+def _total_value(p: PacketParams, theta_max: float = 0.5 * math.pi) -> float:
+    """2 |Gamma0|^2 a^(-2 eps) times the angle integral up to theta_max."""
+    scale = 2.0 * gamma0_modulus_sq(p.alpha, p.eps) * p.a ** (-2.0 * p.eps)
+    return scale * _angle_integral(p.alpha, p.eps, p.a, theta_max)
 
 
 def limit_integral(rate: float, eps: float) -> float:
@@ -297,7 +300,7 @@ def limit_sweep(p: PacketParams, a_list) -> SweepResult:
     rows = []
     for a in a_list:
         pa = p.with_a(float(a))
-        tn = total_number(pa).value
+        tn = _total_value(pa)
         norm = packet_norm(pa)
         v = tn / norm
         rows.append(SweepRow(a=float(a), total=tn, total_normalized=v,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,9 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 {"ode_tol": math.inf}, {"rho_min": math.inf},
                 {"bracket_hi": math.inf}, {"bracket_lo": math.nan},
                 {"grid_rho_max": math.inf}, {"alpha": math.inf},
-                {"a_sweep": (4.0, math.inf)}, {"eta_list": (-math.inf,)}):
+                {"a_sweep": (4.0, math.inf)}, {"eta_list": (-math.inf,)},
+                # the horizon between |A-| and |A+| at or below rho_min
+                {"a_plus": -1e-6}, {"a_minus": -1e-3}, {"rho_min": 0.8}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
@@ -300,6 +303,64 @@ def test_write_csv_rejects_non_finite(tmp_path):
         assert not (tmp_path / "bad.csv").exists()
 
 
+def _per_cell_csv(columns, rows, meta) -> str:
+    # the reference writer: one f"{v:.17g}" per cell
+    lines = [f"# {k} = {meta[k]:.17g}" if isinstance(meta[k], float)
+             else f"# {k} = {meta[k]}" for k in sorted(meta)]
+    lines.append(",".join(columns))
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    from sonicbh.output import write_csv
+    rng = np.random.default_rng(7919)
+    bits = rng.integers(0, 2 ** 64, size=16000,
+                        dtype=np.uint64).view(np.float64)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22,
+               1e16, 2.0 ** 53, 2.0 ** 53 + 2.0, 123456789.0]
+    cells = np.concatenate([special, np.arange(-50.0, 51.0),
+                            bits[np.isfinite(bits)]])
+    cells = cells[:len(cells) // 4 * 4].reshape(-1, 4)
+    columns = ["a", "b", "c", "d"]
+    meta = {"x": 0.1, "name": "run", "n": 3, "eta_list": [-2.0, -6.0]}
+    want = _per_cell_csv(columns, cells.tolist(), meta)
+    for name, rows in (("zip.csv", zip(*(c.tolist() for c in cells.T))),
+                       ("array.csv", cells)):
+        assert write_csv(tmp_path / name, columns, rows,
+                         meta).read_text() == want, name
+
+
+def test_write_csv_non_finite_deep_in_table(tmp_path):
+    from sonicbh.errors import ToleranceError
+    from sonicbh.output import write_csv
+    rows = np.random.default_rng(1).standard_normal((2048, 6))
+    for bad in (math.nan, math.inf, -math.inf):
+        rows[1733, 4] = bad
+        with pytest.raises(ToleranceError,
+                           match=f"big.csv: non-finite value {bad}"):
+            write_csv(tmp_path / "big.csv", list("abcdef"),
+                      zip(*(c.tolist() for c in rows.T)))
+        assert not (tmp_path / "big.csv").exists()
+
+
+def test_write_csv_rejects_width_mismatch(tmp_path):
+    from sonicbh.output import write_csv
+    for rows in ([(1.0, 2.0, 3.0)] * 4, [(1.0,)] * 6, [1.0, 2.0],
+                 [(1.0, 2.0), (3.0, 4.0, 5.0)]):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "wide.csv", ["a", "b"], rows)
+        assert not (tmp_path / "wide.csv").exists()
+
+
+def test_write_csv_empty_table(tmp_path):
+    from sonicbh.output import write_csv
+    path = write_csv(tmp_path / "empty.csv", ["a", "b"], iter([]),
+                     {"k": 1.0, "s": "x"})
+    assert path.read_text() == "# k = 1\n# s = x\na,b\n"
+
+
 def _assert_outputs_finite(out_dir):
     def finite(text):
         x = float(text)
@@ -343,6 +404,19 @@ def test_boundary_inputs_finite_or_typed(tmp_path, capsys, command, eps):
                 out = tmp_path / f"{alpha}_{a}_{n_eta}"
                 _run_boundary(argv, out, capsys,
                               accepted=eps in (0.05, 0.5) and n_eta == 24)
+
+
+def test_boundary_amplitudes_against_rho_min(tmp_path, capsys):
+    # |A+| = 1e-6 below rho_min = 1e-3 was accepted and ran past a 20 s
+    # timeout; just above rho_min the horizon takes under a second
+    for key, value, accepted in (("a_plus", -1e-6, False),
+                                 ("a_plus", -1e-3, False),
+                                 ("a_plus", -0.002, True),
+                                 ("a_minus", -0.002, True)):
+        t0 = time.monotonic()
+        _run_boundary(["horizon", "--set", f"{key}={value}"],
+                      tmp_path / f"{key}{value}", capsys, accepted)
+        assert time.monotonic() - t0 < 10.0, (key, value)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.04])

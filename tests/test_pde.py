@@ -22,7 +22,7 @@ from sonicbh.pde import (A_VALUES, RadialGrid, dalembert_error,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
                          solve_mode, _d1_centered, _d1_upwind, _d2,
-                         _delta_c2,
+                         _coarse_twin, _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import density_from_projections, kg_inner
@@ -217,6 +217,18 @@ def test_solve_mode_resolution_error(smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile.a_max_abs)
     with pytest.raises(ResolutionError):
         solve_mode(-40.0, grid, smooth_profile, 10 * grid.dt)
+
+
+@pytest.mark.parametrize("n_rho,t_final", [(256, 0.75), (256, 1e-4),
+                                            (512, 0.3)])
+def test_coarse_twin_lands_on_fine_time(smooth_profile, n_rho, t_final):
+    # the fine state sits at its step-snapped time; the twin steps to that
+    # time, not to its own snap of t_final, so the two differ by grid alone
+    grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs)
+    fine = solve_mode(-4.0, grid, smooth_profile, t_final)[-1]
+    twin = _coarse_twin(-4.0, grid, smooth_profile, fine.x0)
+    assert twin.rho.size == n_rho // 2 + 1
+    assert abs(twin.x0 - fine.x0) <= np.spacing(fine.x0)
 
 
 def test_difference_field_initial_slope(smooth_profile, smooth_flow):

@@ -318,6 +318,27 @@ def test_limit_sweep(smooth_flow):
     assert abs(sweep.richardson - sweep.limit) < 0.1 * sweep.rows[-1].residual
 
 
+def test_limit_sweep_totals_skip_the_tail(smooth_flow, monkeypatch):
+    # the sweep's totals are total_number's values bit for bit, from one
+    # angle integral per a instead of two
+    from sonicbh import spectrum
+    p = PacketParams(alpha=1.3, a=4.0, eps=0.3,
+                     sigma_star=smooth_flow.sigma_star)
+    a_list = [4.0, 8.0, 16.0, 32.0, 64.0]
+    want = [total_number(p.with_a(a)).value for a in a_list]
+    calls = []
+    angle_integral = spectrum._angle_integral
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return angle_integral(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_angle_integral", counting)
+    sweep = limit_sweep(p, a_list)
+    assert [r.total for r in sweep.rows] == want
+    assert len(calls) == len(a_list) + 2  # plus the two limits
+
+
 def test_sweep_richardson_extrapolation_model(monkeypatch):
     # on synthetic v(a) = L - (c log a + d)/a^2 totals the extrapolation
     # recovers L exactly, whatever the earlier sweep points are
@@ -325,11 +346,9 @@ def test_sweep_richardson_extrapolation_model(monkeypatch):
     L, c, d = 2.0, 3.0, -1.5
 
     def synthetic_total(p):
-        v = L - (c * math.log(p.a) + d) / p.a ** 2
-        return spectrum.TotalNumber(value=v, eta_break=0.0, tail_value=0.0,
-                                    tail_bound=0.0)
+        return L - (c * math.log(p.a) + d) / p.a ** 2
 
-    monkeypatch.setattr(spectrum, "total_number", synthetic_total)
+    monkeypatch.setattr(spectrum, "_total_value", synthetic_total)
     monkeypatch.setattr(spectrum, "packet_norm", lambda p: 1.0)
     p = PacketParams(alpha=1.0, a=4.0, eps=0.25, sigma_star=1.0)
     sweep = spectrum.limit_sweep(p, [1.5, 4.0, 8.0, 16.0, 32.0])
