@@ -19,15 +19,22 @@ accurate even where neighbouring rays separate exponentially.
 
 Forward in x0 the separatrix repels neighbouring rays, so backward in x0
 it attracts them: sigma_star and the horizon curve come from backward
-solves, along which every start error shrinks.
+solves, along which every start error shrinks.  Backward the ray equation
+is stiff (its Jacobian -A/rho^2 pulls neighbours in at rate |A|/rho^2
+while the profile varies on the scale tau), so these two solves use LSODA
+(scipy.integrate.odeint, whose step loop runs in Fortran) with the
+analytic Jacobian; their cost is flat in tau.  Rays and tangents away
+from the separatrix use DOP853.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
 from .errors import BracketError, CaptureError, StepFailureError
 
@@ -43,6 +50,11 @@ __all__ = [
     "sigma_of",
     "sigma_map",
 ]
+
+# LSODA steps allowed between two output times of a separatrix solve; the
+# first backward stretch, from x0 = 20 tau, takes 900-1000 at tau = 1e6 and
+# grows like log(tau); odeint's default of 500 fails from tau = 100
+LSODA_MXSTEP = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,11 +83,22 @@ class VelocityProfile:
         return cls(a_minus=a, a_plus=a, form="constant")
 
     def eval(self, x0):
-        """A(x0); accepts scalars or arrays."""
+        """A(x0); a float in gives a float out, an array in an array out.
+
+        The scalar branch goes through math.tanh, about a quarter of the
+        array path's cost on one float, which matters in the scalar ODE
+        right-hand sides; on about one argument in eight the two differ
+        in the last place.
+        """
+        scalar = isinstance(x0, (float, int))
         if self.form == "constant":
+            if scalar:
+                return self.a_minus
             return self.a_minus * np.ones_like(np.asarray(x0, dtype=float))
         mid = 0.5 * (self.a_plus + self.a_minus)
         amp = 0.5 * (self.a_plus - self.a_minus)
+        if scalar:
+            return mid + amp * math.tanh(x0 / self.tau)
         return mid + amp * np.tanh(np.asarray(x0, dtype=float) / self.tau)
 
     @property
@@ -183,6 +206,32 @@ def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
     return CharacteristicPath(x0=sol.t, rho=sol.y[0], captured=captured)
 
 
+def _lsoda_ray(profile: VelocityProfile, rho0: float, x_out, tol: float):
+    """rho at x_out[1:] of the ray with rho(x_out[0]) = rho0, by one LSODA
+    call with the analytic Jacobian -A/rho^2.
+
+    odeint reports failure by a warning and can hand back garbage with it,
+    so the warning is silenced here and the failure raised as
+    StepFailureError with LSODA's message.
+    """
+    # one equation: plain floats in and out halve the cost of a call
+    def rhs(x0, rho):
+        return profile.eval(x0) / rho.item() + 1.0
+
+    def jac(x0, rho):
+        return -profile.eval(x0) / rho.item() ** 2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        rho, info = odeint(rhs, [rho0], x_out, Dfun=jac, rtol=tol,
+                           atol=tol * 1e-2, mxstep=LSODA_MXSTEP,
+                           full_output=True, tfirst=True)
+    if info["message"] != "Integration successful.":
+        raise StepFailureError(
+            f"separatrix integration failed: LSODA: {info['message']}")
+    return rho[1:, 0]
+
+
 def find_separatrix(profile: VelocityProfile, bracket=None,
                     x0_horizon_max: float = 10.0, *,
                     ode_tol: float = 1e-10, rho_min: float = 1e-3) -> FlowMap:
@@ -191,9 +240,11 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
     The ray started at |A(+inf)| far in the future and integrated back to
     x0 = 0 lands on sigma_star; the same solve samples the x0 >= 0 half of
     the horizon, and a backward solve from (0, sigma_star) samples the
-    x0 < 0 half, at 401 points each.  Both run at min(ode_tol, 1e-12).  The
-    bracket is only a check: a sigma_star outside (lo, hi) raises
-    BracketError.
+    x0 < 0 half, at 401 points each.  Each is one LSODA call with the
+    analytic Jacobian, at rtol max(min(ode_tol, 1e-12)/10, 3e-14) and atol
+    rtol/100 (LSODA refuses rtol 1e-14); a failed call raises
+    StepFailureError.  The bracket is only a check: a sigma_star outside
+    (lo, hi) raises BracketError.
     """
     if bracket is None:
         lo = max(4.0 * rho_min, 0.25 * min(abs(profile.a_minus), abs(profile.a_plus)))
@@ -201,24 +252,23 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
 
-    tol = min(ode_tol, 1e-12)
+    tol = max(min(ode_tol, 1e-12) / 10.0, 3e-14)
     x_grid = np.linspace(0.0, float(x0_horizon_max), 401)
     # rho*(x) - |A(x)| = O(e^{-2x/tau}), so starting at |A(+inf)| from
     # x >= 20 tau errs by ~1e-17, and the backward flow shrinks that error
     # further.  Starting strictly beyond x0_horizon_max as well puts every
     # horizon sample, the last one included, downstream of the start.
     x_start = max(20.0 * profile.tau, x0_horizon_max + profile.tau)
-    pos = _solve(profile, [abs(profile.a_plus)], (x_start, 0.0),
-                 ode_tol=tol, t_eval=x_grid[::-1])
-    sigma_star = float(pos.y[0, -1])
+    pos = _lsoda_ray(profile, abs(profile.a_plus),
+                     np.concatenate([[x_start], x_grid[::-1]]), tol)
+    sigma_star = float(pos[-1])
     if not lo < sigma_star < hi:
         raise BracketError(
             f"sigma_star = {sigma_star} lies outside the bracket ({lo}, {hi})")
 
-    neg = _solve(profile, [sigma_star], (0.0, -x0_horizon_max),
-                 ode_tol=tol, t_eval=-x_grid)
+    neg = _lsoda_ray(profile, sigma_star, -x_grid, tol)
     x0 = np.concatenate([-x_grid[::-1], x_grid[1:]])
-    rho_star = np.concatenate([neg.y[0][::-1], pos.y[0][-2::-1]])
+    rho_star = np.concatenate([neg[::-1], [sigma_star], pos[-2::-1]])
     horizon = HorizonCurve(x0=x0, rho_star=rho_star)
 
     return FlowMap(profile=profile, sigma_star=sigma_star, horizon=horizon,

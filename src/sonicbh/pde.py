@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InstabilityError, ResolutionError
+from .errors import ConfigError, InstabilityError, ResolutionError
 from .flow import FlowMap, VelocityProfile, transport
 from .gammatools import packet_fourier
 from .packets import (FieldOnGrid, ModeSpec, PacketParams, eikonal_values,
@@ -62,11 +62,14 @@ __all__ = [
     "RemainderRow",
     "RemainderReport",
     "remainder_contribution",
+    "predicted_point_steps",
     "dalembert_error",
 ]
 
 CFL_SAFETY = 0.45
 GROWTH_BOUND = 5.0  # per-step sup-norm growth that flags blow-up
+# AC7d's 5-minute budget for pde-verify at 250 ns per RK4 point-step
+MAX_POINT_STEPS = 1.2e9
 POINTS_PER_WAVELENGTH = 16
 A_VALUES = (8.0, 16.0, 32.0)  # localisation rates of the remainder sweep
 EVOLVE_ETA = -4.0  # wavenumber of the evolved remainder rows
@@ -467,8 +470,16 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     supplies a discretisation estimate and a warning when it is not small
     against the deviation being measured.  A grid too coarse for
     EVOLVE_ETA raises ResolutionError; a coarse twin too coarse for it
-    leaves the estimate None, with a warning.
+    leaves the estimate None, with a warning.  Grids whose two solves
+    would take more than MAX_POINT_STEPS point-steps raise ConfigError
+    before any work.
     """
+    work = predicted_point_steps(grid, profile, t_final)
+    if work > MAX_POINT_STEPS:
+        raise ConfigError(
+            f"the wave solves would take {work:.3g} point-steps (n_rho x "
+            f"steps), beyond the budget of {MAX_POINT_STEPS:.3g}; lower "
+            f"nrho or tfinal, or raise grid_rho_min or dt")
     report = RemainderReport()
 
     # per-eta departures at x0 = 0, fixed eta samples, largest a
@@ -647,20 +658,38 @@ def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
     return (grid.rho_min - 10.0 * width, grid.rho_max - 0.18 * span, width)
 
 
+def _coarse_grid(grid: RadialGrid, profile: VelocityProfile,
+                 x0: float) -> tuple[RadialGrid, int]:
+    """The half-resolution twin of grid, stepped to land on x0, and its
+    step count: the largest step within its CFL bound that divides x0."""
+    n_rho = grid.n_rho // 2 + 1
+    cfl_dt = RadialGrid.auto(grid.rho_min, grid.rho_max, n_rho,
+                             profile.a_max_abs, order=grid.order).dt
+    steps = math.ceil(x0 / cfl_dt)
+    return RadialGrid(grid.rho_min, grid.rho_max, n_rho, dt=x0 / steps,
+                      order=grid.order), steps
+
+
 def _coarse_twin(eta: float, grid: RadialGrid, profile: VelocityProfile,
                  x0: float) -> FieldOnGrid:
     """The mode at x0 on the half-resolution grid, stepped to land on x0.
 
     x0 is the fine state's (step-snapped) time, so that the two states
-    differ by their grids alone; the coarse step is the largest within its
-    CFL bound that divides x0.
+    differ by their grids alone.
     """
-    n_rho = grid.n_rho // 2 + 1
-    cfl_dt = RadialGrid.auto(grid.rho_min, grid.rho_max, n_rho,
-                             profile.a_max_abs, order=grid.order).dt
-    coarse = RadialGrid(grid.rho_min, grid.rho_max, n_rho,
-                        dt=x0 / math.ceil(x0 / cfl_dt), order=grid.order)
-    return solve_mode(eta, coarse, profile, x0)[-1]
+    return solve_mode(eta, _coarse_grid(grid, profile, x0)[0], profile, x0)[-1]
+
+
+def predicted_point_steps(grid: RadialGrid, profile: VelocityProfile,
+                          t_final: float) -> float:
+    """RK4 point-steps (n_rho x steps) of remainder_contribution's two
+    solves: the fine one to t_final and its coarse twin; inf when the step
+    count overflows a float."""
+    steps = max(1.0, round(t_final / grid.dt, 0))
+    if not math.isfinite(steps):
+        return math.inf
+    coarse, coarse_steps = _coarse_grid(grid, profile, steps * grid.dt)
+    return grid.n_rho * steps + coarse.n_rho * coarse_steps
 
 
 def _evolved_row(p: PacketParams, eta: float, fine_state: FieldOnGrid,

@@ -1,5 +1,11 @@
-"""Independent oracles for the closed creation density, its totals and
-the wave stepper.
+"""Independent oracles for the separatrix, the closed creation density,
+its totals and the wave stepper.
+
+The separatrix is the explicit DOP853 pair of backward solves the
+package used before its two solves became LSODA calls with the analytic
+Jacobian, run here at rtol 3e-14 (just above solve_ivp's floor of
+100 machine epsilons).  It shares no integrator with
+sonicbh.flow.find_separatrix, only the start point and the sample grid.
 
 The density and totals are the eta-space forms the package used before
 its totals became one angle integral: the density point by point, and
@@ -27,6 +33,33 @@ from sonicbh.pde import GROWTH_BOUND, RadialGrid
 from sonicbh.spectrum import TotalNumber
 
 _QUAD_KW = dict(epsabs=1e-14, epsrel=1e-11, limit=800)
+
+
+def dop853_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
+                      rtol: float = 3e-14) -> tuple[float, np.ndarray]:
+    """(sigma_star, rho_star) on find_separatrix's 801-point horizon grid.
+
+    One backward solve from |A(+inf)| at max(20 tau, x0_horizon_max + tau)
+    to x0 = 0 samples the x0 >= 0 half; one from (0, sigma_star) to
+    -x0_horizon_max samples the rest.  Both are DOP853 at rtol, atol
+    rtol/100.  The cost grows with tau: the backward stretch is stiff.
+    """
+    def rhs(t, y):
+        return [profile.eval(t) / y[0] + 1.0]
+
+    def solve(y0, t0, t_eval):
+        sol = integrate.solve_ivp(rhs, (t0, t_eval[-1]), [y0],
+                                  method="DOP853", rtol=rtol,
+                                  atol=rtol * 1e-2, t_eval=t_eval)
+        assert sol.success, sol.message
+        return sol.y[0]
+
+    x_grid = np.linspace(0.0, float(x0_horizon_max), 401)
+    x_start = max(20.0 * profile.tau, x0_horizon_max + profile.tau)
+    pos = solve(abs(profile.a_plus), x_start, x_grid[::-1])
+    sigma_star = float(pos[-1])
+    neg = solve(sigma_star, 0.0, -x_grid)
+    return sigma_star, np.concatenate([neg[::-1], pos[-2::-1]])
 
 
 def creation_density_closed(eta_abs: float, p: PacketParams) -> float:

@@ -419,6 +419,38 @@ def test_boundary_amplitudes_against_rho_min(tmp_path, capsys):
         assert time.monotonic() - t0 < 10.0, (key, value)
 
 
+@pytest.mark.parametrize("tau", [1e2, 1e4, 1e6])
+def test_horizon_large_tau(tmp_path, capsys, tau):
+    # the backward stretch from x0 = 20 tau is stiff: tau = 1e6 ran past a
+    # 120 s timeout with DOP853.  For slow transitions the separatrix trails
+    # |A(x0)|: sigma_star = 1 - 0.2/tau + 0.08/tau^2 + O(tau^-3) at the
+    # default amplitudes.  Measured remainder 0.36/tau^3 at 1e2 and 1e4,
+    # 1e-14 at 1e6 (the solver's tolerance)
+    t0 = time.monotonic()
+    _run_boundary(["horizon", "--set", f"tau={tau:g}"], tmp_path, capsys,
+                  accepted=True)
+    assert time.monotonic() - t0 < 10.0
+    meta = (tmp_path / "horizon.csv").read_text().splitlines()
+    star = float(next(ln for ln in meta if ln.startswith("# sigma_star"))
+                 .split("=")[1])
+    expansion = 1.0 - 0.2 / tau + 0.08 / tau ** 2
+    assert abs(star - expansion) <= 1.0 / tau ** 3 + 1e-13, star - expansion
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nrho", "1024", "--set", "grid_rho_min=1e-6"],
+    ["--dt", "1e-9"],
+    ["--dt", "5e-324"]])
+def test_pde_verify_refuses_work_beyond_budget(tmp_path, capsys, argv):
+    # grid_rho_min = 1e-6 asks for 2.3e8 CFL steps a solve and ran past a
+    # 120 s timeout; a tiny dt likewise.  The refusal comes before stepping
+    t0 = time.monotonic()
+    assert main(["pde-verify", "--out-dir", str(tmp_path)] + argv) == 2
+    assert time.monotonic() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert "config error" in err and "point-steps" in err
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.04])
 def test_boundary_pde_verify_eps(tmp_path, capsys, eps):
     _run_boundary(["pde-verify", "--nrho", "1024", "--set", f"eps={eps}"],

@@ -5,6 +5,8 @@ Covers:
   - constant-A closed forms: equilibrium, first integral rho + ln(rho-1) - x0
   - capture detection and the escape/capture dichotomy around sigma_star
   - sigma_star against the former bisection value, bracket validation
+  - sigma_star and the horizon against an explicit DOP853 oracle, and a
+    failed LSODA call as a typed error
   - the forward-fate oracle over a grid of (A-, A+, tau) profiles
   - sigma(rho, x0): x0=0 identity, first-integral root-find oracle,
     round-trip inversion, monotonicity of the radial derivative
@@ -12,12 +14,17 @@ Covers:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import ODEintWarning
 from scipy.optimize import brentq
 
-from sonicbh.errors import BracketError, CaptureError
+import oracles
+from sonicbh import flow
+from sonicbh.cli import main
+from sonicbh.errors import BracketError, CaptureError, StepFailureError
 from sonicbh.flow import (VelocityProfile, characteristic_rhs,
                           find_separatrix, integrate_characteristic,
                           sigma_map, sigma_of)
@@ -155,6 +162,42 @@ def test_separatrix_sharpness(a_minus, a_plus, tau):
     dn = integrate_characteristic(star * (1.0 - nudge), 0.0, window, profile)
     assert not up.captured and up.rho[-1] > 2.0 * abs(a_plus)
     assert dn.captured
+
+
+# measured against the oracle over these 31 profiles: sigma_star at most
+# 4.7e-12 off, a horizon sample at most 7.6e-12; the former DOP853 path
+# at rtol 1e-12 put a sample 2.7e-10 off
+SEPARATRIX_ATOL = 1e-11
+HORIZON_ATOL = 2e-11
+
+
+@pytest.mark.parametrize("a_minus,a_plus,tau", _FATE_PROFILES + [
+    pytest.param(-1.2, -0.8, 10.0, id="tau10"),
+    pytest.param(-1.2, -0.8, 100.0, id="tau100")])
+def test_separatrix_matches_dop853_oracle(a_minus, a_plus, tau):
+    profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
+    got = find_separatrix(profile, bracket=(0.3, 3.0))
+    star, rho_star = oracles.dop853_separatrix(profile)
+    assert abs(got.sigma_star - star) <= SEPARATRIX_ATOL
+    assert np.max(np.abs(got.horizon.rho_star - rho_star)) <= HORIZON_ATOL
+
+
+def test_separatrix_lsoda_failure_is_typed(smooth_profile, tmp_path, capsys,
+                                           monkeypatch):
+    # odeint's default step budget runs out at tau = 100, where odeint
+    # signals failure only by a warning and returns sigma_star = 0; the
+    # warning must not leak
+    monkeypatch.setattr(flow, "LSODA_MXSTEP", 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ODEintWarning)
+        with pytest.raises(StepFailureError, match="LSODA: Excess work done"):
+            find_separatrix(VelocityProfile(-1.2, -0.8, tau=100.0))
+        monkeypatch.setattr(flow, "LSODA_MXSTEP", 5)
+        with pytest.raises(StepFailureError, match="LSODA: Excess work done"):
+            find_separatrix(smooth_profile)
+        assert main(["horizon", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Excess work done" in err
 
 
 def test_sigma_of_identity_at_zero(smooth_flow):

@@ -12,8 +12,8 @@ import pytest
 import scipy.integrate
 
 import oracles
-from sonicbh import packets
-from sonicbh.errors import InstabilityError, ResolutionError
+from sonicbh import packets, pde
+from sonicbh.errors import ConfigError, InstabilityError, ResolutionError
 from sonicbh.flow import VelocityProfile
 from sonicbh.gammatools import _quad_complex
 from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
@@ -449,6 +449,47 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_profile,
     remainder_contribution(packet, (-2.0, -6.0, -18.0), grid, smooth_profile,
                            smooth_flow, t_final=0.05)
     assert not calls
+
+
+def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
+                                                smooth_flow, monkeypatch):
+    # a stepped drift callable is read once for g(0), four times a step and
+    # once a recorded state, so the calls count the steps actually taken
+    work = []
+
+    def counting(value0, dvalue0, grid, profile, t_final, out_times=None):
+        calls = [0]
+
+        def drift(x0):
+            calls[0] += 1
+            return profile.eval(x0)
+
+        hist = solve_cauchy(value0, dvalue0, grid, drift, t_final, out_times)
+        work.append(grid.n_rho * (calls[0] - len(hist)) // 4)
+        return hist
+
+    monkeypatch.setattr(pde, "solve_cauchy", counting)
+    for n_rho, t_final in ((512, 0.05), (256, 1e-4)):
+        work.clear()
+        grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs)
+        remainder_contribution(packet, (-2.0, -6.0), grid, smooth_profile,
+                               smooth_flow, t_final=t_final)
+        assert len(work) == 2
+        assert sum(work) == pde.predicted_point_steps(grid, smooth_profile,
+                                                      t_final)
+
+
+def test_work_budget_admits_the_benchmark_grids(smooth_profile):
+    # the pde-verify defaults and the wave benchmark's six grids; the
+    # largest, 4096 points to t = 0.75, takes about 2e7 point-steps
+    for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
+                           (2048, 0.5), (4096, 0.5), (4096, 0.75)):
+        grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs)
+        work = pde.predicted_point_steps(grid, smooth_profile, t_final)
+        assert work < 0.05 * pde.MAX_POINT_STEPS, (n_rho, t_final, work)
+    grid = RadialGrid.auto(1e-6, 9.0, 1024, smooth_profile.a_max_abs)
+    with pytest.raises(ConfigError, match="point-steps"):
+        remainder_contribution(None, (-2.0,), grid, smooth_profile, None)
 
 
 def test_remainder_contribution_report(report, packet):
