@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: horizon, spectrum, limit, pde-verify, selftest.  A config
-file of key=value lines (--config) supplies parameters; repeated --set
-key=value flags override it.  Exit codes: 0 success, 2 config error,
+Subcommands: horizon, spectrum, limit, pde-verify.  A config file of
+key=value lines (--config) supplies parameters; repeated --set key=value
+flags override it.  Exit codes: 0 success, 2 config error,
 3 numerical-tolerance failure, 4 resolution failure.
 """
 
@@ -18,7 +18,6 @@ from .config import RunConfig
 from .errors import (BracketError, ConfigError, ResolutionError,
                      SonicbhError, StepFailureError, ToleranceError)
 from .flow import find_separatrix
-from .gammatools import selftest_checks
 from .output import write_csv, write_json
 from .packets import PacketParams, eval_packet_profile, packet_norm
 
@@ -188,24 +187,11 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    rows = selftest_checks()
-    width = max(len(r[0]) for r in rows)
-    bad = 0
-    for name, ok, detail in rows:
-        flag = "PASS" if ok else "FAIL"
-        bad += not ok
-        print(f"{name:<{width}}  {flag}  {detail}")
-    print(f"{len(rows) - bad}/{len(rows)} checks passed")
-    return EXIT_OK if bad == 0 else EXIT_TOLERANCE
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sonicbh", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn in (("horizon", cmd_horizon), ("spectrum", cmd_spectrum),
-                     ("limit", cmd_limit), ("pde-verify", cmd_pde_verify),
-                     ("selftest", cmd_selftest)):
+                     ("limit", cmd_limit), ("pde-verify", cmd_pde_verify)):
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("--set", action="append", default=[],

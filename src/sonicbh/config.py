@@ -1,8 +1,8 @@
 """Run configuration: key=value text files with flag overrides.
 
-Every output file embeds the fully resolved configuration, and a config
-round-trips through its text form byte-identically (canonical key order,
-floats at 17 significant digits).
+Every output file embeds the fully resolved configuration in canonical
+key order, its floats at 17 significant digits (fmt_float), which parse
+back to the same values.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ class RunConfig:
             raise ConfigError("dt must be nonnegative (0 derives it)")
         if self.form not in ("constant", "smooth-step"):
             raise ConfigError(f"unknown profile form {self.form!r}")
+        # a constant profile has one value; find_separatrix starts at |a_plus|
+        if self.form == "constant" and self.a_plus != self.a_minus:
+            raise ConfigError("form=constant needs a_plus == a_minus")
+        if not self.bracket_lo < self.bracket_hi:
+            raise ConfigError("bracket_lo must be below bracket_hi")
         if self.order not in (2, 4):
             raise ConfigError("order must be 2 or 4")
 
@@ -138,19 +143,6 @@ class RunConfig:
         return replace(self, **updates)
 
     # -- serialisation -------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                s = ",".join(fmt_float(x) for x in v)
-            elif isinstance(v, float):
-                s = fmt_float(v)
-            else:
-                s = str(v)
-            lines.append(f"{f.name} = {s}")
-        return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         out = {}

@@ -43,12 +43,9 @@ __all__ = [
     "HorizonCurve",
     "FlowMap",
     "CharacteristicPath",
-    "characteristic_rhs",
     "integrate_characteristic",
     "find_separatrix",
     "transport",
-    "sigma_of",
-    "sigma_map",
 ]
 
 # LSODA steps allowed between two output times of a separatrix solve; the
@@ -61,8 +58,9 @@ LSODA_MXSTEP = 100_000
 class VelocityProfile:
     """Flow strength A(x0): negative, smooth, with finite limits at +-infinity.
 
-    form="smooth-step" uses A(x0) = (a_plus+a_minus)/2
-    + (a_plus-a_minus)/2 * tanh(x0/tau); form="constant" holds a_minus.
+    A(x0) = (a_plus+a_minus)/2 + (a_plus-a_minus)/2 * tanh(x0/tau).
+    form="constant" requires a_plus == a_minus, where the step is that
+    constant exactly.
     """
 
     a_minus: float
@@ -77,10 +75,9 @@ class VelocityProfile:
             raise ValueError("flow strength must be negative at both ends")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-
-    @classmethod
-    def constant(cls, a: float) -> "VelocityProfile":
-        return cls(a_minus=a, a_plus=a, form="constant")
+        # find_separatrix starts at |a_plus|, the fixed point of the far future
+        if self.form == "constant" and self.a_plus != self.a_minus:
+            raise ValueError("a constant profile needs a_plus == a_minus")
 
     def eval(self, x0):
         """A(x0); a float in gives a float out, an array in an array out.
@@ -91,10 +88,6 @@ class VelocityProfile:
         in the last place.
         """
         scalar = isinstance(x0, (float, int))
-        if self.form == "constant":
-            if scalar:
-                return self.a_minus
-            return self.a_minus * np.ones_like(np.asarray(x0, dtype=float))
         mid = 0.5 * (self.a_plus + self.a_minus)
         amp = 0.5 * (self.a_plus - self.a_minus)
         if scalar:
@@ -113,9 +106,6 @@ class HorizonCurve:
     x0: np.ndarray
     rho_star: np.ndarray
 
-    def __call__(self, x):
-        return np.interp(x, self.x0, self.rho_star)
-
 
 @dataclass(frozen=True)
 class FlowMap:
@@ -127,18 +117,6 @@ class FlowMap:
     ode_tol: float = 1e-10
     rho_min: float = 1e-3
 
-    def sigma_of(self, rho: float, x0: float) -> tuple[float, float]:
-        return sigma_of(rho, x0, self)
-
-    def sigma_map(self, rho, x0: float):
-        return sigma_map(rho, x0, self)
-
-    def integrate(self, sigma0: float, x0_from: float, x0_to: float,
-                  t_eval=None) -> "CharacteristicPath":
-        return integrate_characteristic(
-            sigma0, x0_from, x0_to, self.profile,
-            ode_tol=self.ode_tol, rho_min=self.rho_min, t_eval=t_eval)
-
 
 @dataclass(frozen=True)
 class CharacteristicPath:
@@ -147,13 +125,6 @@ class CharacteristicPath:
     x0: np.ndarray
     rho: np.ndarray
     captured: bool
-
-
-def characteristic_rhs(rho: float, x0: float, profile: VelocityProfile) -> float:
-    """Right-hand side A(x0)/rho + 1 of the ray equation."""
-    if np.any(np.asarray(rho) <= 0.0):
-        raise ValueError("rho must be positive (ODE is singular at rho = 0)")
-    return profile.eval(x0) / rho + 1.0
 
 
 def _solve(profile: VelocityProfile, y0, span, *, ode_tol,
@@ -294,21 +265,3 @@ def transport(rho, x0_from: float, x0_to: float, flow: FlowMap):
         raise CaptureError(
             f"a ray from x0={x0_from} reaches rho_min before x0={x0_to}")
     return sol.y[:n, -1], sol.y[n:, -1]
-
-
-def sigma_of(rho: float, x0: float, flow: FlowMap) -> tuple[float, float]:
-    """Characteristic label sigma(rho, x0) and its radial derivative.
-
-    The ray through (rho, x0) is carried back to x0 = 0 with its tangent;
-    returns (rho(0), J(0)).  At x0 = 0 this is (rho, 1) identically.
-    """
-    sigma, dsig = sigma_map([rho], x0, flow)
-    return float(sigma[0]), float(dsig[0])
-
-
-def sigma_map(rho, x0: float, flow: FlowMap):
-    """Vectorised sigma_of over a radial grid."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("rho must be positive")
-    return transport(rho, x0, 0.0, flow)

@@ -38,12 +38,8 @@ __all__ = [
     "FieldOnGrid",
     "eval_packet_profile",
     "packet_values",
-    "eval_packet",
-    "packet_fields",
     "mode_initial_data",
     "eikonal_values",
-    "eval_eikonal",
-    "eikonal_fields",
     "gamma_tilde",
     "packet_norm",
 ]
@@ -140,21 +136,6 @@ def packet_values(s, rho, dsig_drho, a0, p: PacketParams):
     return value, d_dx0, d_drho
 
 
-def eval_packet(rho: float, x0: float, p: PacketParams, flow: FlowMap) -> complex:
-    """C0(x0, rho); zero whenever the ray label sigma(rho, x0) <= sigma_star."""
-    return complex(packet_fields([rho], x0, p, flow).value[0])
-
-
-def packet_fields(rho, x0: float, p: PacketParams, flow: FlowMap) -> FieldOnGrid:
-    """Packet value and derivatives on a grid, via the ray label and its tangent."""
-    rho = np.asarray(rho, dtype=float)
-    sigma, dsig = flow.sigma_map(rho, x0)
-    value, d_dx0, d_drho = packet_values(sigma - p.sigma_star, rho, dsig,
-                                         flow.profile.eval(x0), p)
-    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
-                       x0=x0)
-
-
 def gamma_tilde(eta: float) -> float:
     """Frequency normalisation 2^(-1/2) (eta^2 + 1)^(-1/4) (the 1/sqrt(rho) split off)."""
     return 2.0 ** -0.5 * (eta * eta + 1.0) ** -0.25
@@ -195,21 +176,6 @@ def eikonal_values(sigma, rho, dsig_drho, a0, eta: float):
     d_dx0 = value * (1j * eta * (a0 / rho + 1.0) * dsig_drho)
     d_drho = value * (-0.5 / rho - 1j * eta * dsig_drho)
     return value, d_dx0, d_drho
-
-
-def eval_eikonal(rho: float, x0: float, eta: float, flow: FlowMap) -> complex:
-    """E = gamma(rho, eta) e^{-i eta sigma(rho, x0)} for eta < 0."""
-    return complex(eikonal_fields([rho], x0, eta, flow).value[0])
-
-
-def eikonal_fields(rho, x0: float, eta: float, flow: FlowMap) -> FieldOnGrid:
-    """Eikonal value and derivatives on a grid (eta < 0)."""
-    rho = np.asarray(rho, dtype=float)
-    sigma, dsig = flow.sigma_map(rho, x0)
-    value, d_dx0, d_drho = eikonal_values(sigma, rho, dsig,
-                                          flow.profile.eval(x0), eta)
-    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
-                       x0=x0)
 
 
 def packet_norm(p: PacketParams, flow: FlowMap | None = None,

@@ -63,7 +63,6 @@ __all__ = [
     "RemainderReport",
     "remainder_contribution",
     "predicted_point_steps",
-    "dalembert_error",
 ]
 
 CFL_SAFETY = 0.45
@@ -216,22 +215,10 @@ class _Stencil:
         return out
 
 
-def _d1_centered(u: np.ndarray, grid: RadialGrid, out=None) -> np.ndarray:
+def _d1_centered(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Centered first derivative at the grid's order, one-sided at the edges."""
     return _Stencil(np.shape(u), [(_D1_CENTERED[grid.order],
-                                   1.0 / grid.drho)])(u, out)
-
-
-def _d1_upwind(u: np.ndarray, grid: RadialGrid, out=None) -> np.ndarray:
-    """First derivative biased toward +rho (wind blows inward)."""
-    return _Stencil(np.shape(u), [(_D1_UPWIND[grid.order],
-                                   1.0 / grid.drho)])(u, out)
-
-
-def _d2(u: np.ndarray, grid: RadialGrid, out=None) -> np.ndarray:
-    """Centered second derivative at the grid's order, one-sided at the edges."""
-    return _Stencil(np.shape(u), [(_D2[grid.order],
-                                   grid.drho ** -2)])(u, out)
+                                   1.0 / grid.drho)])(u)
 
 
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
@@ -620,10 +607,10 @@ def _mode_fields_at_nodes(q: PacketQuadrature, fld: FieldOnGrid) -> tuple:
     return val, u_t, u_r
 
 
-def _pair_on_nodes(mode_fields, packet_fields_, q: PacketQuadrature,
+def _pair_on_nodes(mode_fields, packet_fields, q: PacketQuadrature,
                    profile) -> tuple[complex, complex]:
     u, u_t, u_r = mode_fields
-    v, v_t, v_r = packet_fields_
+    v, v_t, v_r = packet_fields
     a_over_rho = float(profile.eval(q.x0)) / q.rho
     c1 = 1j * np.sum(q.weights * np.conj(u) * (v_t + a_over_rho * v_r) * q.rho)
     c2_raw = -1j * np.sum(q.weights * (np.conj(u_t) + a_over_rho * np.conj(u_r))
@@ -710,25 +697,3 @@ def _evolved_row(p: PacketParams, eta: float, fine_state: FieldOnGrid,
                         density_eikonal=float(d_eik), dev_rel=float(dev),
                         x0=float(fine_state.x0), discr_estimate=discr,
                         resolved=discr is not None and bool(discr < 0.3 * dev))
-
-
-def dalembert_error(n_rho: int, order: int, t_final: float = 1.0) -> float:
-    """Max error against the exact standing Bessel mode for A == 0.
-
-    With no drift the system reduces to f_tt = f_rr + f_r / rho; data
-    f = J0(k rho), f_t = 0 evolve exactly as J0(k rho) cos(k x0).  The
-    error is taken on [2 + t + 1/4, 11 - t - 1/4], which neither grid edge
-    nor the sponge (rho > 11) can reach by time t at unit speed.
-    """
-    from scipy.special import j0
-    trial = RadialGrid.auto(2.0, 12.0, n_rho, a_max_abs=0.0, order=order)
-    dt = t_final / math.ceil(t_final / trial.dt)  # land exactly on t_final
-    grid = RadialGrid(2.0, 12.0, n_rho, dt=dt, order=order)
-    k = 3.0
-    rho = grid.rho
-    hist = solve_cauchy(j0(k * rho).astype(complex), np.zeros(n_rho, complex),
-                        grid, lambda x0: 0.0, t_final)
-    last = hist[-1]
-    inner = (rho >= 2.25 + last.x0) & (rho <= 10.75 - last.x0)
-    exact = j0(k * rho[inner]) * math.cos(k * last.x0)
-    return float(np.max(np.abs(last.value.real[inner] - exact)))

@@ -1,4 +1,4 @@
-"""Klein-Gordon pairing, projection coefficients, and created-particle counts.
+"""Projections onto the Klein-Gordon pairing and created-particle counts.
 
 The conserved pairing between two azimuthally symmetric fields is
 
@@ -46,14 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .errors import GridMismatchError, ToleranceError
-from .flow import VelocityProfile
+from .errors import ToleranceError
 from .gammatools import (gamma0_modulus_sq, packet_fourier,
                          packet_fourier_modulus_sq)
-from .packets import FieldOnGrid, PacketParams, gamma_tilde, packet_norm
+from .packets import PacketParams, gamma_tilde, packet_norm
 
 __all__ = [
-    "kg_inner",
     "eikonal_projections",
     "creation_density",
     "density_from_projections",
@@ -72,29 +70,6 @@ __all__ = [
 
 DENSITY_IDENTITY_RTOL = 1e-10
 _TINY = np.finfo(float).tiny
-
-
-def kg_inner(u: FieldOnGrid, v: FieldOnGrid,
-             profile: VelocityProfile) -> complex:
-    """Conserved pairing of two sampled fields on a common radial grid.
-
-    The time x0, at which the drift A(x0) enters, comes from the fields,
-    which must share it and their grid (GridMismatchError otherwise).
-    Composite Simpson quadrature of the full bracket times rho, times the
-    2 pi azimuthal factor.  Satisfies <v, u> = conj(<u, v>) and <u, u>
-    real by construction of the bracket.
-    """
-    if u.rho.shape != v.rho.shape or not np.array_equal(u.rho, v.rho):
-        raise GridMismatchError("fields sampled on different radial grids")
-    if u.x0 != v.x0:
-        raise GridMismatchError(f"fields sampled at different times "
-                                f"x0 = {u.x0:g} and {v.x0:g}")
-    a_over_rho = profile.eval(u.x0) / u.rho
-    bracket = (np.conj(u.value) * v.d_dx0 - np.conj(u.d_dx0) * v.value
-               + a_over_rho * (np.conj(u.value) * v.d_drho
-                               - np.conj(u.d_drho) * v.value))
-    return complex(2.0j * math.pi
-                   * integrate.simpson(bracket * u.rho, x=u.rho))
 
 
 def eikonal_projections(eta_abs, p: PacketParams):

@@ -16,7 +16,7 @@ def smooth_flow(smooth_profile):
 
 @pytest.fixture(scope="session")
 def const_profile():
-    return VelocityProfile.constant(-1.0)
+    return VelocityProfile(a_minus=-1.0, a_plus=-1.0, form="constant")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
-"""Independent oracles for the separatrix, the closed creation density,
-its totals and the wave stepper.
+"""Independent oracles for the separatrix, Gamma0 and the packet
+transform, the closed creation density, its totals, the conserved pairing
+and the wave stepper.
 
 The separatrix is the explicit DOP853 pair of backward solves the
 package used before its two solves became LSODA calls with the analytic
@@ -18,18 +19,32 @@ state became one real (4, n) array: explicit slice stencils, (f, g) as
 two complex arrays and a fresh array for every stage.  It shares no
 stencil code with sonicbh.pde.solve_cauchy, only the grid, the errors and
 the step rule for recorded times.
+
+Gamma0 and the packet transform are checked against adaptive quadrature
+of their defining integrals: the oscillatory Gamma0 integral on a ray
+rotated into the decaying sector (exact for this integrand class), the
+transform directly, with a Fourier-weighted rule away from the algebraic
+endpoint.
+
+kg_inner is the conserved pairing by composite Simpson quadrature over a
+sampled grid; packet_fields and eikonal_fields sample the packet and the
+eikonal on a grid from the rays of sonicbh.flow.transport, which the
+package itself evaluates only on quadrature nodes.  dalembert_error
+measures sonicbh.pde.solve_cauchy against an exact drift-free mode.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
-from sonicbh.errors import InstabilityError
-from sonicbh.flow import VelocityProfile
+from sonicbh.errors import GridMismatchError, InstabilityError
+from sonicbh.flow import FlowMap, VelocityProfile, transport
 from sonicbh.gammatools import gamma0_modulus_sq
-from sonicbh.packets import FieldOnGrid, PacketParams
+from sonicbh.packets import (FieldOnGrid, PacketParams, eikonal_values,
+                             packet_values)
 from sonicbh.pde import GROWTH_BOUND, RadialGrid
+from sonicbh.pde import solve_cauchy as package_solve_cauchy
 from sonicbh.spectrum import TotalNumber
 
 _QUAD_KW = dict(epsabs=1e-14, epsrel=1e-11, limit=800)
@@ -236,3 +251,146 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             history.append(FieldOnGrid(rho, f, g - drift(k * dt) * inv_rho * f_r,
                                        f_r, k * dt))
     return history
+
+
+# -- Gamma0 and the packet transform ------------------------------------------
+
+def quad_complex(f, a, b, **kw):
+    """Adaptive quadrature of a complex integrand, real and imaginary apart."""
+    kw.setdefault("epsabs", 1e-13)
+    kw.setdefault("epsrel", 1e-11)
+    kw.setdefault("limit", 400)
+    re = integrate.quad(lambda x: f(x).real, a, b, **kw)[0]
+    im = integrate.quad(lambda x: f(x).imag, a, b, **kw)[0]
+    return re + 1j * im
+
+
+def gamma0(alpha: float, eps: float) -> complex:
+    """Gamma0(i*alpha + eps + 1) = e^{pi alpha/2} e^{-i pi eps/2} Gamma(1+eps+i*alpha)."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive (Gamma(2*eps) finite)")
+    return complex(np.exp(np.pi * alpha / 2.0)
+                   * np.exp(-1j * np.pi * eps / 2.0)
+                   * special.gamma(1.0 + eps + 1j * alpha))
+
+
+def gamma0_quadrature(alpha: float, eps: float, theta: float = np.pi / 4) -> complex:
+    """Gamma0 from its defining oscillatory integral i*int_0^inf y^(i alpha+eps) e^{-iy} dy.
+
+    The ray y = r e^{-i theta}, theta in (0, pi/2], turns the integrand into
+    a decaying oscillation (envelope e^{-r sin theta}); the arc contribution
+    vanishes in the improper-limit sense, so the rotated integral is exact.
+    """
+    if not 0.0 < theta <= np.pi / 2:
+        raise ValueError("theta must lie in (0, pi/2]")
+    pref = 1j * np.exp(-1j * theta * (1j * alpha + eps + 1.0))
+
+    def f(r):
+        return np.exp((1j * alpha + eps) * np.log(r) - 1j * r * np.exp(-1j * theta))
+
+    return complex(pref * quad_complex(f, 0.0, np.inf))
+
+
+def packet_fourier_quadrature(eta: float, alpha: float, eps: float, a: float,
+                              tail: float = 40.0) -> complex:
+    """Direct adaptive quadrature of int_0^inf e^{i s eta} s^(eps + i alpha) e^{-a s} ds.
+
+    Truncated at s = tail/a where the e^{-a s} envelope leaves a relative
+    remainder below ~e^(-tail); the slow chirp alpha*ln(s) is folded into
+    the amplitude and the e^{i eta s} oscillation is handled by a weighted
+    (Fourier) rule away from the algebraic endpoint.
+    """
+    if a <= 0.0:
+        raise ValueError("a must be positive")
+    cut = tail / a
+
+    def amp(s):
+        return np.exp((eps + 1j * alpha) * np.log(s) - a * s)
+
+    # endpoint piece: at most a fraction of an oscillation across it
+    split = min(cut, 0.25 / max(abs(eta), 1e-30), 1.0 / a)
+    head = quad_complex(lambda s: amp(s) * np.exp(1j * eta * s), 0.0, split)
+    if split >= cut:
+        return complex(head)
+
+    kw = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+    parts = []
+    for comp in (lambda s: amp(s).real, lambda s: amp(s).imag):
+        cos_part = integrate.quad(comp, split, cut, weight="cos", wvar=eta, **kw)[0]
+        sin_part = integrate.quad(comp, split, cut, weight="sin", wvar=eta, **kw)[0]
+        parts.append((cos_part, sin_part))
+    (rc, rs), (ic, is_) = parts
+    # (Re + i Im)(cos + i sin)
+    body = (rc - is_) + 1j * (rs + ic)
+    return complex(head + body)
+
+
+# -- sampled fields and the conserved pairing ----------------------------------
+
+def packet_fields(rho, x0: float, p: PacketParams, flow: FlowMap) -> FieldOnGrid:
+    """Packet value and derivatives on a grid at x0, via the ray label
+    sigma(rho, x0) and its radial derivative."""
+    rho = np.asarray(rho, dtype=float)
+    sigma, dsig = transport(rho, x0, 0.0, flow)
+    value, d_dx0, d_drho = packet_values(sigma - p.sigma_star, rho, dsig,
+                                         flow.profile.eval(x0), p)
+    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
+                       x0=x0)
+
+
+def eikonal_fields(rho, x0: float, eta: float, flow: FlowMap) -> FieldOnGrid:
+    """Eikonal value and derivatives on a grid at x0 (eta < 0)."""
+    rho = np.asarray(rho, dtype=float)
+    sigma, dsig = transport(rho, x0, 0.0, flow)
+    value, d_dx0, d_drho = eikonal_values(sigma, rho, dsig,
+                                          flow.profile.eval(x0), eta)
+    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
+                       x0=x0)
+
+
+def kg_inner(u: FieldOnGrid, v: FieldOnGrid,
+             profile: VelocityProfile) -> complex:
+    """Conserved pairing of two sampled fields on a common radial grid.
+
+    The time x0, at which the drift A(x0) enters, comes from the fields,
+    which must share it and their grid (GridMismatchError otherwise).
+    Composite Simpson quadrature of the full bracket times rho, times the
+    2 pi azimuthal factor.  Satisfies <v, u> = conj(<u, v>) and <u, u>
+    real by construction of the bracket.
+    """
+    if u.rho.shape != v.rho.shape or not np.array_equal(u.rho, v.rho):
+        raise GridMismatchError("fields sampled on different radial grids")
+    if u.x0 != v.x0:
+        raise GridMismatchError(f"fields sampled at different times "
+                                f"x0 = {u.x0:g} and {v.x0:g}")
+    a_over_rho = profile.eval(u.x0) / u.rho
+    bracket = (np.conj(u.value) * v.d_dx0 - np.conj(u.d_dx0) * v.value
+               + a_over_rho * (np.conj(u.value) * v.d_drho
+                               - np.conj(u.d_drho) * v.value))
+    return complex(2.0j * math.pi
+                   * integrate.simpson(bracket * u.rho, x=u.rho))
+
+
+# -- the wave stepper against an exact mode ------------------------------------
+
+def dalembert_error(n_rho: int, order: int, t_final: float = 1.0) -> float:
+    """Max error of sonicbh.pde.solve_cauchy against the exact standing
+    Bessel mode for A == 0.
+
+    With no drift the system reduces to f_tt = f_rr + f_r / rho; data
+    f = J0(k rho), f_t = 0 evolve exactly as J0(k rho) cos(k x0).  The
+    error is taken on [2 + t + 1/4, 11 - t - 1/4], which neither grid edge
+    nor the sponge (rho > 11) can reach by time t at unit speed.
+    """
+    trial = RadialGrid.auto(2.0, 12.0, n_rho, a_max_abs=0.0, order=order)
+    dt = t_final / math.ceil(t_final / trial.dt)  # land exactly on t_final
+    grid = RadialGrid(2.0, 12.0, n_rho, dt=dt, order=order)
+    k = 3.0
+    rho = grid.rho
+    hist = package_solve_cauchy(special.j0(k * rho).astype(complex),
+                                np.zeros(n_rho, complex), grid,
+                                lambda x0: 0.0, t_final)
+    last = hist[-1]
+    inner = (rho >= 2.25 + last.x0) & (rho <= 10.75 - last.x0)
+    exact = special.j0(k * rho[inner]) * math.cos(k * last.x0)
+    return float(np.max(np.abs(last.value.real[inner] - exact)))

@@ -26,15 +26,15 @@ from scipy import integrate, special
 
 from sonicbh.cli import main
 from sonicbh.flow import VelocityProfile, find_separatrix
-from sonicbh.gammatools import (GammaParams, gamma0_modulus_sq, packet_fourier,
-                                packet_fourier_quadrature)
+from sonicbh.gammatools import GammaParams, gamma0_modulus_sq, packet_fourier
 from sonicbh.packets import PacketParams, packet_norm
-from sonicbh.pde import RadialGrid, dalembert_error, remainder_contribution
+from sonicbh.pde import RadialGrid, remainder_contribution
 from sonicbh.spectrum import (default_eta_grid, density_from_projections,
                               eikonal_projections, limit_sweep,
                               normalized_number_limit_variant)
 
-from oracles import creation_density_closed
+from oracles import (creation_density_closed, dalembert_error,
+                     packet_fourier_quadrature)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -9,17 +9,24 @@ import numpy as np
 import pytest
 
 from sonicbh.cli import main
-from sonicbh.config import RunConfig
+from sonicbh.config import RunConfig, fmt_float
 from sonicbh.errors import ConfigError
 
 
 # -- config --------------------------------------------------------------------
 
 def test_config_text_roundtrip():
+    # every key, spelled as the outputs echo it (floats at 17 digits),
+    # parses back to the same config
     cfg = RunConfig()
-    again = RunConfig.from_text(cfg.to_text())
-    assert again == cfg
-    assert again.to_text() == cfg.to_text()
+    lines = []
+    for key, v in cfg.to_dict().items():
+        if isinstance(v, list):
+            v = ",".join(fmt_float(x) for x in v)
+        elif isinstance(v, float):
+            v = fmt_float(v)
+        lines.append(f"{key} = {v}")
+    assert RunConfig.from_text("\n".join(lines) + "\n") == cfg
 
 
 def test_config_parsing_and_overrides(tmp_path):
@@ -66,7 +73,13 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 {"grid_rho_max": math.inf}, {"alpha": math.inf},
                 {"a_sweep": (4.0, math.inf)}, {"eta_list": (-math.inf,)},
                 # the horizon between |A-| and |A+| at or below rho_min
-                {"a_plus": -1e-6}, {"a_minus": -1e-3}, {"rho_min": 0.8}):
+                {"a_plus": -1e-6}, {"a_minus": -1e-3}, {"rho_min": 0.8},
+                # a reversed or empty bracket is a config error, not a
+                # numerical failure of the separatrix
+                {"bracket_lo": 3.0, "bracket_hi": 0.3},
+                {"bracket_lo": 1.0, "bracket_hi": 1.0},
+                # a constant profile has one value
+                {"form": "constant"}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
@@ -89,7 +102,11 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["pde-verify", "--dt", "1"],  # over the default grid's CFL bound
                  ["pde-verify", "--set", "tfinal=inf"],
                  ["spectrum", "--set", "alpha=inf"],
-                 ["horizon", "--set", "ode_tol=inf"]):
+                 ["horizon", "--set", "ode_tol=inf"],
+                 ["horizon", "--set", "bracket_lo=3", "--set", "bracket_hi=0.3"],
+                 # the constant form would start the separatrix at |a_plus|
+                 # and return sigma* = 1.19999997743 for the fixed point 1.2
+                 ["horizon", "--set", "form=constant", "--set", "a_plus=-0.5"]):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
         assert not any(tmp_path.iterdir()), argv
@@ -475,7 +492,9 @@ def test_spectrum_large_alpha(tmp_path):
 
 
 def test_selftest_command(capsys):
-    rc = main(["selftest"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    # there is no selftest subcommand: the test suite checks every closed
+    # form against its quadrature twin
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Background flow, rays, separatrix, and the characteristic label.
 
 Covers:
-  - ray equation values and domain errors
+  - profile validation and limits
   - constant-A closed forms: equilibrium, first integral rho + ln(rho-1) - x0
   - capture detection and the escape/capture dichotomy around sigma_star
   - sigma_star against the former bisection value, bracket validation
@@ -25,29 +25,8 @@ import oracles
 from sonicbh import flow
 from sonicbh.cli import main
 from sonicbh.errors import BracketError, CaptureError, StepFailureError
-from sonicbh.flow import (VelocityProfile, characteristic_rhs,
-                          find_separatrix, integrate_characteristic,
-                          sigma_map, sigma_of)
-
-
-def test_rhs_fixed_point(const_profile):
-    assert characteristic_rhs(1.0, 0.0, const_profile) == 0.0
-
-
-def test_rhs_direct_substitution(const_profile):
-    assert characteristic_rhs(2.0, 0.0, const_profile) == pytest.approx(0.5)
-
-
-def test_rhs_smooth_step_midpoint(smooth_profile):
-    # A(0) = (a_plus + a_minus)/2 = -1 exactly
-    assert characteristic_rhs(1.0, 0.0, smooth_profile) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_rhs_domain_error(const_profile):
-    with pytest.raises(ValueError):
-        characteristic_rhs(-0.5, 0.0, const_profile)
-    with pytest.raises(ValueError):
-        characteristic_rhs(0.0, 0.0, const_profile)
+from sonicbh.flow import (VelocityProfile, find_separatrix,
+                          integrate_characteristic, transport)
 
 
 def test_profile_validation():
@@ -57,6 +36,17 @@ def test_profile_validation():
         VelocityProfile(a_minus=-1.0, a_plus=-1.0, tau=0.0)
     with pytest.raises(ValueError):
         VelocityProfile(a_minus=-1.0, a_plus=-1.0, form="step")
+    # find_separatrix starts at |a_plus|, so a constant profile needs it
+    with pytest.raises(ValueError, match="a_plus == a_minus"):
+        VelocityProfile(a_minus=-1.2, a_plus=-0.5, form="constant")
+
+
+def test_constant_form_is_the_step_with_equal_ends():
+    x = np.linspace(-40.0, 40.0, 10001)
+    for form in ("constant", "smooth-step"):
+        profile = VelocityProfile(a_minus=-1.2, a_plus=-1.2, form=form)
+        assert np.all(profile.eval(x) == -1.2)
+        assert all(profile.eval(float(v)) == -1.2 for v in x[::100])
 
 
 def test_profile_limits_monotone(smooth_profile):
@@ -94,18 +84,21 @@ def test_capture_flag(const_profile):
         assert path.rho[-1] == pytest.approx(1e-3, rel=1e-6)
 
 
-def test_semigroup(smooth_flow):
+def test_semigroup(smooth_flow, smooth_profile):
     ode_tol = smooth_flow.ode_tol
-    one = smooth_flow.integrate(1.7, 0.0, 2.4, t_eval=[0.0, 2.4])
-    mid = smooth_flow.integrate(1.7, 0.0, 1.1, t_eval=[0.0, 1.1])
-    two = smooth_flow.integrate(mid.rho[-1], 1.1, 2.4, t_eval=[1.1, 2.4])
+    one = integrate_characteristic(1.7, 0.0, 2.4, smooth_profile,
+                                   ode_tol=ode_tol, t_eval=[0.0, 2.4])
+    mid = integrate_characteristic(1.7, 0.0, 1.1, smooth_profile,
+                                   ode_tol=ode_tol, t_eval=[0.0, 1.1])
+    two = integrate_characteristic(mid.rho[-1], 1.1, 2.4, smooth_profile,
+                                   ode_tol=ode_tol, t_eval=[1.1, 2.4])
     assert abs(two.rho[-1] - one.rho[-1]) < 10.0 * ode_tol
 
 
 @pytest.mark.parametrize("a", [-1.0, -0.8])
 def test_separatrix_constant_profile(a):
-    flow = find_separatrix(VelocityProfile.constant(a), bracket=(0.3, 2.8),
-                           x0_horizon_max=5.0)
+    flow = find_separatrix(VelocityProfile(a, a, form="constant"),
+                           bracket=(0.3, 2.8), x0_horizon_max=5.0)
     assert flow.sigma_star == pytest.approx(abs(a), abs=1e-9)
     np.testing.assert_allclose(flow.horizon.rho_star, abs(a), atol=1e-7)
 
@@ -200,15 +193,17 @@ def test_separatrix_lsoda_failure_is_typed(smooth_profile, tmp_path, capsys,
     assert "numerical failure" in err and "Excess work done" in err
 
 
+# sigma(rho, x0) and d sigma/d rho: the rays through rho at x0, carried to 0
+
 def test_sigma_of_identity_at_zero(smooth_flow):
-    sig, dsig = sigma_of(1.7, 0.0, smooth_flow)
-    assert sig == 1.7 and dsig == 1.0
+    sig, dsig = transport([1.7], 0.0, 0.0, smooth_flow)
+    assert sig[0] == 1.7 and dsig[0] == 1.0
 
 
 def test_sigma_of_first_integral_oracle(const_flow):
     # sigma solves sigma + ln(sigma - 1) = 2 + ln(1) - T
     T = 3.0
-    sig, _ = sigma_of(2.0, T, const_flow)
+    (sig,), _ = transport([2.0], T, 0.0, const_flow)
     oracle = brentq(lambda s: s + np.log(s - 1.0) - (2.0 - T),
                     1.0 + 1e-12, 2.0, xtol=1e-14)
     assert sig == pytest.approx(oracle, abs=1e-9)
@@ -218,22 +213,22 @@ def test_transport_roundtrip(smooth_flow, smooth_profile):
     for sigma0 in (smooth_flow.sigma_star + 0.05, 1.3, 2.6):
         path = integrate_characteristic(sigma0, 0.0, 1.8, smooth_profile,
                                         t_eval=[0.0, 1.8])
-        back, _ = sigma_of(path.rho[-1], 1.8, smooth_flow)
+        (back,), _ = transport([path.rho[-1]], 1.8, 0.0, smooth_flow)
         assert back == pytest.approx(sigma0, abs=1e-9)
 
 
 def test_sigma_monotone_in_rho(smooth_flow):
     rho = np.linspace(0.9, 4.0, 25)
-    sig, dsig = sigma_map(rho, 1.5, smooth_flow)
+    sig, dsig = transport(rho, 1.5, 0.0, smooth_flow)
     assert np.all(np.diff(sig) > 0.0)
     assert np.all(dsig > 0.0)
 
 
 def test_sigma_map_matches_scalar(smooth_flow):
     rho = np.array([0.7, 1.1, 2.5])
-    sig, dsig = sigma_map(rho, 2.0, smooth_flow)
+    sig, dsig = transport(rho, 2.0, 0.0, smooth_flow)
     for i, r in enumerate(rho):
-        s, d = sigma_of(float(r), 2.0, smooth_flow)
+        (s,), (d,) = transport([r], 2.0, 0.0, smooth_flow)
         assert sig[i] == pytest.approx(s, abs=1e-10)
         assert dsig[i] == pytest.approx(d, rel=1e-8)
 
@@ -241,4 +236,4 @@ def test_sigma_map_matches_scalar(smooth_flow):
 def test_capture_error_from_negative_time(smooth_flow):
     # below the separatrix at x0 < 0 the forward ray to x0 = 0 is swallowed
     with pytest.raises(CaptureError):
-        sigma_of(0.05, -6.0, smooth_flow)
+        transport([0.05], -6.0, 0.0, smooth_flow)

@@ -14,18 +14,20 @@ import scipy.integrate
 import oracles
 from sonicbh import packets, pde
 from sonicbh.errors import ConfigError, InstabilityError, ResolutionError
-from sonicbh.flow import VelocityProfile
-from sonicbh.gammatools import _quad_complex
+from sonicbh.flow import VelocityProfile, transport
 from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
-    gamma_tilde, packet_fields
-from sonicbh.pde import (A_VALUES, RadialGrid, dalembert_error,
+    gamma_tilde
+from sonicbh.pde import (A_VALUES, RadialGrid,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
-                         solve_mode, _d1_centered, _d1_upwind, _d2,
+                         solve_mode, _Stencil, _D1_CENTERED, _D1_UPWIND, _D2,
                          _coarse_twin, _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
-from sonicbh.spectrum import density_from_projections, kg_inner
+from sonicbh.spectrum import density_from_projections
+
+from oracles import (dalembert_error, eikonal_fields, kg_inner,
+                     packet_fields, quad_complex)
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +87,8 @@ def initial_projection_pair(eta: float, p: PacketParams,
         def g(uu):
             s = uu ** (1.0 / eps)
             return fn(s) * s / (eps * uu)
-        return _quad_complex(g, 0.0, u_max, epsabs=1e-13, epsrel=1e-11,
-                             limit=800)
+        return quad_complex(g, 0.0, u_max, epsabs=1e-13, epsrel=1e-11,
+                            limit=800)
 
     return complex(cquad(f1)), complex(-cquad(f2))
 
@@ -133,7 +135,8 @@ def test_d1_upwind_interior_rate(order, floor):
         grid = RadialGrid(2.0, 12.0, n, dt=1.0, order=order)
         rho = grid.rho
         inner = (rho >= 3.0) & (rho <= 11.0)
-        err = _d1_upwind(np.sin(3.0 * rho), grid) - 3.0 * np.cos(3.0 * rho)
+        d1_upwind = _Stencil((n,), [(_D1_UPWIND[order], 1.0 / grid.drho)])
+        err = d1_upwind(np.sin(3.0 * rho)) - 3.0 * np.cos(3.0 * rho)
         errs.append(float(np.max(np.abs(err[inner]))))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) >= floor, (errs, rates)
@@ -147,14 +150,18 @@ def test_stencils_match_oracle(order):
     grid = RadialGrid(0.3, 9.0, 257, dt=1.0, order=order)
     u = rng.standard_normal((4, grid.n_rho))
     z = u[0] + 1j * u[1]
-    for ours, ref in ((_d1_centered, oracles.d1_centered),
-                      (_d1_upwind, oracles.d1_upwind), (_d2, oracles.d2)):
+    inv_h, inv_h2 = 1.0 / grid.drho, grid.drho ** -2
+    for table, factor, ref in ((_D1_CENTERED, inv_h, oracles.d1_centered),
+                               (_D1_UPWIND, inv_h, oracles.d1_upwind),
+                               (_D2, inv_h2, oracles.d2)):
+        terms = [(table[order], factor)]
         out = np.empty_like(u)
-        assert ours(u, grid, out=out) is out
+        assert _Stencil(u.shape, terms)(u, out=out) is out
         want = np.array([ref(row, grid) for row in u])
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(out - want)) <= 1e-13 * scale, ours
-        assert np.max(np.abs(ours(z, grid) - ref(z, grid))) <= 1e-13 * scale
+        assert np.max(np.abs(out - want)) <= 1e-13 * scale, ref
+        ours = _Stencil(z.shape, terms)(z)
+        assert np.max(np.abs(ours - ref(z, grid))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -235,7 +242,6 @@ def test_difference_field_initial_slope(smooth_profile, smooth_flow):
     # d = f0 - E vanishes at x0 = 0 and its time derivative is
     # -i gamma (sqrt(eta^2+1) - |eta|) e^{-i eta rho}: two independent code
     # paths (mode data vs eikonal fields) must agree on this
-    from sonicbh.packets import eikonal_fields
     eta = -4.0
     rho = np.linspace(1.0, 4.0, 9)
     val, dval = mode_initial_data(ModeSpec(eta=-eta), rho,
@@ -254,7 +260,6 @@ def test_difference_field_bounded_over_run(smooth_profile, smooth_flow):
     # transport source of L E, so the bound shape is met (C <= 1
     # measured).  Without that term a residual O(eta) source slows the
     # decay and no uniform C fits at desk scale.
-    from sonicbh.packets import eikonal_fields
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
     times = [0.1, 0.2, 0.3]
     worsts = {}
@@ -308,7 +313,7 @@ def test_eikonal_transport_of_phase_fronts(smooth_profile, smooth_flow):
     hist = solve_mode(eta, grid, smooth_profile, t1)
     idx = [int(np.argmin(np.abs(grid.rho - r))) for r in (1.5, 2.0, 3.0)]
     for i in idx:
-        sig, _ = smooth_flow.sigma_of(float(grid.rho[i]), t1)
+        (sig,), _ = transport([grid.rho[i]], t1, 0.0, smooth_flow)
         want = -eta * sig
         got = np.angle(hist[-1].value[i])
         dphase = (got - want + math.pi) % (2.0 * math.pi) - math.pi

@@ -20,15 +20,15 @@ from sonicbh.errors import GridMismatchError, ToleranceError
 from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_modulus_sq)
 from sonicbh.packets import (FieldOnGrid, ModeSpec, PacketParams, gamma_tilde,
-                             mode_initial_data, packet_fields, packet_norm)
+                             mode_initial_data, packet_norm)
 from sonicbh.spectrum import (build_spectrum, creation_density,
                               default_eta_grid, density_from_projections,
-                              eikonal_projections, kg_inner, limit_integral,
+                              eikonal_projections, limit_integral,
                               limit_sweep, normalized_number_limit,
                               normalized_number_limit_variant, total_number)
 
 from oracles import (creation_density_closed, eta_limit_integral,
-                     eta_total_number)
+                     eta_total_number, kg_inner, packet_fields)
 
 G2_ONE_HALF = 7.8393421115269398
 DENSITY_1_1_HALF_1 = 0.81481955850645377
