@@ -32,7 +32,7 @@ def _load_config(args) -> RunConfig:
     if args.set:
         cfg = cfg.with_overrides(args.set)
     overrides = []
-    for key in ("nrho", "dt", "tfinal", "order", "out_dir"):
+    for key in ("nrho", "tfinal", "order", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             overrides.append(f"{key}={val}")
@@ -155,16 +155,8 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
     flow = _flow(cfg)
     p = _packet(cfg, flow.sigma_star)
     profile = cfg.profile()
-    if cfg.dt > 0.0:
-        grid = pde.RadialGrid(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
-                              dt=cfg.dt, order=cfg.order)
-        if not grid.within_cfl(profile.a_max_abs):
-            raise ConfigError(f"dt = {cfg.dt:g} exceeds the CFL bound "
-                              f"{grid.cfl_dt(profile.a_max_abs):g}")
-    else:
-        grid = pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max,
-                                   cfg.nrho, profile.a_max_abs,
-                                   order=cfg.order)
+    grid = pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
+                               profile.a_max_abs, cfg.tfinal, cfg.order)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, profile, flow,
                                         t_final=cfg.tfinal)
     meta = cfg.to_dict()
@@ -199,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", dest="out_dir")
         if name == "pde-verify":
             sp.add_argument("--nrho", type=int)
-            sp.add_argument("--dt", type=float)
             sp.add_argument("--tfinal", type=float)
             sp.add_argument("--eta-list", dest="eta_list")
             sp.add_argument("--order", type=int)

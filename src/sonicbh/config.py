@@ -27,7 +27,6 @@ class RunConfig:
     a_minus: float = -1.2
     a_plus: float = -0.8
     tau: float = 1.0
-    form: str = "smooth-step"
     ode_tol: float = 1e-10
     rho_min: float = 1e-3
     # separatrix search
@@ -43,7 +42,6 @@ class RunConfig:
     n_eta: int = 96
     # wave solver
     nrho: int = 2048
-    dt: float = 0.0  # 0 = derive from the CFL bound
     tfinal: float = 0.75
     eta_list: tuple[float, ...] = (-2.0, -6.0, -18.0)
     order: int = 2
@@ -87,13 +85,6 @@ class RunConfig:
         # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
         if self.nrho < 30:
             raise ConfigError("nrho must be at least 30")
-        if not self.dt >= 0.0:
-            raise ConfigError("dt must be nonnegative (0 derives it)")
-        if self.form not in ("constant", "smooth-step"):
-            raise ConfigError(f"unknown profile form {self.form!r}")
-        # a constant profile has one value; find_separatrix starts at |a_plus|
-        if self.form == "constant" and self.a_plus != self.a_minus:
-            raise ConfigError("form=constant needs a_plus == a_minus")
         if not self.bracket_lo < self.bracket_hi:
             raise ConfigError("bracket_lo must be below bracket_hi")
         if self.order not in (2, 4):
@@ -155,7 +146,7 @@ class RunConfig:
 
     def profile(self) -> VelocityProfile:
         return VelocityProfile(a_minus=self.a_minus, a_plus=self.a_plus,
-                               tau=self.tau, form=self.form)
+                               tau=self.tau)
 
 
 def _parse(ftype: str, key: str, val: str):

@@ -58,26 +58,19 @@ LSODA_MXSTEP = 100_000
 class VelocityProfile:
     """Flow strength A(x0): negative, smooth, with finite limits at +-infinity.
 
-    A(x0) = (a_plus+a_minus)/2 + (a_plus-a_minus)/2 * tanh(x0/tau).
-    form="constant" requires a_plus == a_minus, where the step is that
-    constant exactly.
+    A(x0) = (a_plus+a_minus)/2 + (a_plus-a_minus)/2 * tanh(x0/tau);
+    with a_plus == a_minus it is that constant exactly.
     """
 
     a_minus: float
     a_plus: float
     tau: float = 1.0
-    form: str = "smooth-step"
 
     def __post_init__(self) -> None:
-        if self.form not in ("constant", "smooth-step"):
-            raise ValueError(f"unknown profile form {self.form!r}")
         if not (self.a_minus < 0.0 and self.a_plus < 0.0):
             raise ValueError("flow strength must be negative at both ends")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        # find_separatrix starts at |a_plus|, the fixed point of the far future
-        if self.form == "constant" and self.a_plus != self.a_minus:
-            raise ValueError("a constant profile needs a_plus == a_minus")
 
     def eval(self, x0):
         """A(x0); a float in gives a float out, an array in an array out.

@@ -40,6 +40,7 @@ evolved grids from the interpolated mode.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,11 +109,38 @@ class RadialGrid:
     def within_cfl(self, a_max_abs: float) -> bool:
         return self.dt <= self.cfl_dt(a_max_abs) * (1.0 + 1e-12)
 
+    def steps(self, t: float) -> int:
+        """The number of steps to x0 = t; ValueError unless t is a positive
+        whole number of steps, up to rounding."""
+        n = t / self.dt
+        k = round(n) if math.isfinite(n) else 0
+        if k < 1 or abs(n - k) > 1e-9 * k:
+            raise ValueError(f"x0 = {t!r} is not a whole number of steps "
+                             f"dt = {self.dt!r}")
+        return k
+
     @classmethod
     def auto(cls, rho_min: float, rho_max: float, n_rho: int,
-             a_max_abs: float, order: int = 2) -> "RadialGrid":
-        g = cls(rho_min, rho_max, n_rho, dt=1.0, order=order)
-        return cls(rho_min, rho_max, n_rho, dt=g.cfl_dt(a_max_abs), order=order)
+             a_max_abs: float, t_final: float, order: int = 2) -> "RadialGrid":
+        """The grid with the largest step within the CFL bound for which
+        t_final/2 and t_final are whole steps: dt = t_final/(2m).
+
+        ConfigError when the step count overflows a float or dt falls
+        below the smallest normal float, where t_final/dt loses its digits.
+        """
+        cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0,
+                     order=order).cfl_dt(a_max_abs)
+        if not t_final > 0.0:
+            raise ConfigError("tfinal must be positive")
+        half_steps = t_final / (2.0 * cfl_dt) if cfl_dt > 0.0 else math.inf
+        if not half_steps < math.inf:
+            raise ConfigError(f"tfinal = {t_final:g} in steps of at most "
+                              f"{cfl_dt:g} overflows the step count")
+        dt = t_final / (2.0 * math.ceil(half_steps))
+        if not dt >= sys.float_info.min:
+            raise ConfigError(f"tfinal = {t_final:g} needs a time step below "
+                              f"the smallest normal float")
+        return cls(rho_min, rho_max, n_rho, dt=dt, order=order)
 
 
 def smooth_window(rho, lo: float, hi: float, width: float):
@@ -229,7 +257,8 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     dt <= safety * drho / (1 + max|A|/rho_min) (ValueError beyond it), or
     any callable x0 -> A(x0), which is stepped unchecked.  States are
     recorded after the initial state at out_times (default t_final), each
-    at step max(1, round(t/dt)); the loop stops at the last of them.  Each
+    with x0 the requested time, which must be a whole number of steps
+    (ValueError otherwise); the loop stops at the last of them.  Each
     recorded state carries d/drho by centered differences.
 
     The coefficients of the operator are real, so the real and imaginary
@@ -276,9 +305,8 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         np.add(out[2:], drift_term[2:], out=out[2:])
         out[:, s0:] -= sponge * y[:, s0:]
 
-    if out_times is None:
-        out_times = [t_final]
-    want = {max(1, int(round(t / dt))) for t in out_times if t > 0.0}
+    want = {grid.steps(t): t for t in
+            ([t_final] if out_times is None else out_times)}
 
     # g = D f = df/dx0 + (A/rho) df/drho
     f = np.array(value0, dtype=complex)
@@ -307,10 +335,11 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             raise InstabilityError(f"solution blew up at step {k}")
         peak = max(peak, m)
         if k in want:
+            t = want[k]
             f = y[0] + 1j * y[1]
             f_r = _d1_centered(f, grid)
-            f_t = y[2] + 1j * y[3] - drift(k * dt) * inv_rho * f_r
-            history.append(FieldOnGrid(rho, f, f_t, f_r, k * dt))
+            f_t = y[2] + 1j * y[3] - drift(t) * inv_rho * f_r
+            history.append(FieldOnGrid(rho, f, f_t, f_r, t))
     return history
 
 
@@ -366,8 +395,8 @@ class RemainderReport:
     leading_exponent: float = float("nan")
     eta_fit_exponent: float | None = None  # None below two eta samples
     warnings: list[str] = field(default_factory=list)
-    # fine-grid EVOLVE_ETA states at x0 = 0, t_final/2 and t_final (snapped
-    # to steps); kept for field snapshots, not serialised
+    # fine-grid EVOLVE_ETA states at x0 = 0, t_final/2 and t_final; kept
+    # for field snapshots, not serialised
     history: list[FieldOnGrid] = field(default_factory=list, repr=False)
 
     def to_jsonable(self) -> dict:
@@ -444,7 +473,7 @@ def _node_total(p: PacketParams, profile: VelocityProfile,
 
 def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
                            profile: VelocityProfile, flow: FlowMap, *,
-                           t_final: float = 0.75) -> RemainderReport:
+                           t_final: float) -> RemainderReport:
     """Measure how the exact-mode creation density departs from the eikonal one.
 
     At x0 = 0 the departure is closed in the packet transform (see
@@ -452,21 +481,24 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     fixed eta sample and as a node total over eta = a*eta', and the decay
     exponents of the total's relative deviation and of the per-eta
     deviation in (1 + |eta|) are fitted there.  The mode at EVOLVE_ETA is
-    also evolved to t_final and, for each a in A_VALUES, the deviation is
-    re-measured on transported nodes; a coarse-grid twin at the same time
-    supplies a discretisation estimate and a warning when it is not small
-    against the deviation being measured.  A grid too coarse for
-    EVOLVE_ETA raises ResolutionError; a coarse twin too coarse for it
-    leaves the estimate None, with a warning.  Grids whose two solves
-    would take more than MAX_POINT_STEPS point-steps raise ConfigError
-    before any work.
+    also evolved on grid, which must step to t_final/2 and t_final, and,
+    for each a in A_VALUES, the deviation is re-measured on transported
+    nodes at t_final; a half-resolution twin from RadialGrid.auto, solved
+    to the same t_final, supplies a discretisation estimate and a warning
+    when it is not small against the deviation being measured.  A grid too
+    coarse for EVOLVE_ETA raises ResolutionError; a coarse twin too coarse
+    for it leaves the estimate None, with a warning.  Grids whose two
+    solves would take more than MAX_POINT_STEPS point-steps raise
+    ConfigError before any work.
     """
-    work = predicted_point_steps(grid, profile, t_final)
+    coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
+                             profile.a_max_abs, t_final, grid.order)
+    work = predicted_point_steps((grid, coarse), t_final)
     if work > MAX_POINT_STEPS:
         raise ConfigError(
             f"the wave solves would take {work:.3g} point-steps (n_rho x "
             f"steps), beyond the budget of {MAX_POINT_STEPS:.3g}; lower "
-            f"nrho or tfinal, or raise grid_rho_min or dt")
+            f"nrho or tfinal, or raise grid_rho_min")
     report = RemainderReport()
 
     # per-eta departures at x0 = 0, fixed eta samples, largest a
@@ -506,17 +538,16 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     eta = EVOLVE_ETA
     report.history = solve_mode(eta, grid, profile, t_final,
                                 out_times=[0.5 * t_final, t_final])
-    fine_state = report.history[-1]
+    states = report.history[-1:]
     try:
-        coarse_state = _coarse_twin(eta, grid, profile, fine_state.x0)
+        states.append(solve_mode(eta, coarse, profile, t_final)[-1])
     except ResolutionError as exc:
-        coarse_state = None
         report.warnings.append(
             f"evolved rows have no discretisation estimate: coarse twin {exc}")
 
     for a in A_VALUES:
-        row = _evolved_row(p.with_a(a), eta, fine_state, coarse_state,
-                           grid.order, profile, flow)
+        row = _evolved_row(p.with_a(a), eta, states, grid.order, profile,
+                           flow)
         report.rows_evolved.append(row)
         if row.discr_estimate is not None and not row.resolved:
             report.warnings.append(
@@ -618,22 +649,25 @@ def _pair_on_nodes(mode_fields, packet_fields, q: PacketQuadrature,
     return complex(c1), complex(-c2_raw)
 
 
-def evolved_projection_densities(state: FieldOnGrid,
-                                 profile: VelocityProfile, flow: FlowMap,
-                                 p: PacketParams, eta: float
-                                 ) -> tuple[float, float]:
-    """(numeric-mode, eikonal) projection densities at state.x0.
+def evolved_projection_densities(states, profile: VelocityProfile,
+                                 flow: FlowMap, p: PacketParams, eta: float
+                                 ) -> tuple[list[float], float]:
+    """Numeric-mode projection densities of states, which share one x0,
+    and the eikonal density there.
 
-    Both sides use the identical transported node quadrature, so its error
-    cancels in the deviation; the numeric mode is spline-interpolated onto
-    the nodes.
+    Every side uses the one transported node quadrature, so its error
+    cancels in the deviations; each numeric mode is spline-interpolated
+    onto the nodes.
     """
-    q = packet_quadrature(p, flow, state.x0, abs(eta))
+    x0 = states[0].x0
+    if any(st.x0 != x0 for st in states):
+        raise ValueError("states must share one x0")
+    q = packet_quadrature(p, flow, x0, abs(eta))
     pk, eik = _node_fields(q, p, eta, profile)
-    d_num = density_from_projections(
-        *_pair_on_nodes(_mode_fields_at_nodes(q, state), pk, q, profile))
-    d_eik = density_from_projections(*_pair_on_nodes(eik, pk, q, profile))
-    return d_num, d_eik
+    d_nums = [density_from_projections(*_pair_on_nodes(
+        _mode_fields_at_nodes(q, st), pk, q, profile)) for st in states]
+    return d_nums, density_from_projections(*_pair_on_nodes(eik, pk, q,
+                                                            profile))
 
 
 def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
@@ -645,55 +679,21 @@ def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
     return (grid.rho_min - 10.0 * width, grid.rho_max - 0.18 * span, width)
 
 
-def _coarse_grid(grid: RadialGrid, profile: VelocityProfile,
-                 x0: float) -> tuple[RadialGrid, int]:
-    """The half-resolution twin of grid, stepped to land on x0, and its
-    step count: the largest step within its CFL bound that divides x0."""
-    n_rho = grid.n_rho // 2 + 1
-    cfl_dt = RadialGrid.auto(grid.rho_min, grid.rho_max, n_rho,
-                             profile.a_max_abs, order=grid.order).dt
-    steps = math.ceil(x0 / cfl_dt)
-    return RadialGrid(grid.rho_min, grid.rho_max, n_rho, dt=x0 / steps,
-                      order=grid.order), steps
+def predicted_point_steps(grids, t_final: float) -> float:
+    """RK4 point-steps (n_rho x steps) of solves to t_final on grids."""
+    return sum(g.n_rho * float(g.steps(t_final)) for g in grids)
 
 
-def _coarse_twin(eta: float, grid: RadialGrid, profile: VelocityProfile,
-                 x0: float) -> FieldOnGrid:
-    """The mode at x0 on the half-resolution grid, stepped to land on x0.
-
-    x0 is the fine state's (step-snapped) time, so that the two states
-    differ by their grids alone.
-    """
-    return solve_mode(eta, _coarse_grid(grid, profile, x0)[0], profile, x0)[-1]
-
-
-def predicted_point_steps(grid: RadialGrid, profile: VelocityProfile,
-                          t_final: float) -> float:
-    """RK4 point-steps (n_rho x steps) of remainder_contribution's two
-    solves: the fine one to t_final and its coarse twin; inf when the step
-    count overflows a float."""
-    steps = max(1.0, round(t_final / grid.dt, 0))
-    if not math.isfinite(steps):
-        return math.inf
-    coarse, coarse_steps = _coarse_grid(grid, profile, steps * grid.dt)
-    return grid.n_rho * steps + coarse.n_rho * coarse_steps
-
-
-def _evolved_row(p: PacketParams, eta: float, fine_state: FieldOnGrid,
-                 coarse_state: FieldOnGrid | None, order: int,
-                 profile: VelocityProfile, flow: FlowMap) -> RemainderRow:
-    d_num, d_eik = evolved_projection_densities(fine_state, profile, flow,
-                                                p, eta)
-    dev = abs(d_num - d_eik) / abs(d_eik)
-    if coarse_state is not None:
-        d_num_c, d_eik_c = evolved_projection_densities(
-            coarse_state, profile, flow, p, eta)
-        dev_c = abs(d_num_c - d_eik_c) / abs(d_eik_c)
-        discr = float(abs(dev - dev_c) / (2 ** order - 1.0))
-    else:
-        discr = None
+def _evolved_row(p: PacketParams, eta: float, states: list[FieldOnGrid],
+                 order: int, profile: VelocityProfile,
+                 flow: FlowMap) -> RemainderRow:
+    """The row from the fine state and, when given, its coarse twin."""
+    d_nums, d_eik = evolved_projection_densities(states, profile, flow, p,
+                                                 eta)
+    dev, *dev_c = (abs(d - d_eik) / abs(d_eik) for d in d_nums)
+    discr = float(abs(dev - dev_c[0]) / (2 ** order - 1.0)) if dev_c else None
     return RemainderRow(a=float(p.a), eta=float(eta),
-                        density_exact=float(d_num),
+                        density_exact=float(d_nums[0]),
                         density_eikonal=float(d_eik), dev_rel=float(dev),
-                        x0=float(fine_state.x0), discr_estimate=discr,
+                        x0=float(states[0].x0), discr_estimate=discr,
                         resolved=discr is not None and bool(discr < 0.3 * dev))

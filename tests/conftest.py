@@ -16,7 +16,7 @@ def smooth_flow(smooth_profile):
 
 @pytest.fixture(scope="session")
 def const_profile():
-    return VelocityProfile(a_minus=-1.0, a_plus=-1.0, form="constant")
+    return VelocityProfile(a_minus=-1.0, a_plus=-1.0)
 
 
 @pytest.fixture(scope="session")

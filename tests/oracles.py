@@ -18,7 +18,7 @@ The stepper is the complex two-array RK4 the package used before its
 state became one real (4, n) array: explicit slice stencils, (f, g) as
 two complex arrays and a fresh array for every stage.  It shares no
 stencil code with sonicbh.pde.solve_cauchy, only the grid, the errors and
-the step rule for recorded times.
+the grid's step rule for recorded times (RadialGrid.steps).
 
 Gamma0 and the packet transform are checked against adaptive quadrature
 of their defining integrals: the oscillatory Gamma0 integral on a ray
@@ -199,8 +199,9 @@ def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Complex two-array RK4 with the contract of sonicbh.pde.solve_cauchy:
-    the same CFL ValueError and InstabilityError messages, and states
-    recorded at step max(1, round(t/dt)) for each t in out_times."""
+    the same CFL ValueError and InstabilityError messages, and a state
+    recorded at x0 = t for each t in out_times, each a whole number of
+    steps (the same ValueError otherwise)."""
     drift = profile
     if isinstance(profile, VelocityProfile):
         if not grid.within_cfl(profile.a_max_abs):
@@ -223,10 +224,8 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         return df, dg
 
     dt = grid.dt
-    if out_times is None:
-        out_times = [t_final]
-    want = sorted({max(1, int(round(t / dt))) for t in out_times if t > 0.0})
-    n_steps = want[-1] if want else 0
+    want = {grid.steps(t): t for t in
+            ([t_final] if out_times is None else out_times)}
 
     f = np.array(value0, dtype=complex)
     f_t = np.array(dvalue0, dtype=complex)
@@ -234,7 +233,7 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     g = f_t + drift(0.0) * inv_rho * f_r
     history = [FieldOnGrid(rho, f, f_t, f_r, 0.0)]
     peak = max(float(np.max(np.abs(f))), 1e-300)
-    for k in range(1, n_steps + 1):
+    for k in range(1, max(want, default=0) + 1):
         x0 = (k - 1) * dt
         k1f, k1g = rhs(f, g, x0)
         k2f, k2g = rhs(f + 0.5 * dt * k1f, g + 0.5 * dt * k1g, x0 + 0.5 * dt)
@@ -247,9 +246,10 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             raise InstabilityError(f"solution blew up at step {k}")
         peak = max(peak, m)
         if k in want:
+            t = want[k]
             f_r = d1_centered(f, grid)
-            history.append(FieldOnGrid(rho, f, g - drift(k * dt) * inv_rho * f_r,
-                                       f_r, k * dt))
+            history.append(FieldOnGrid(rho, f, g - drift(t) * inv_rho * f_r,
+                                       f_r, t))
     return history
 
 
@@ -382,9 +382,7 @@ def dalembert_error(n_rho: int, order: int, t_final: float = 1.0) -> float:
     error is taken on [2 + t + 1/4, 11 - t - 1/4], which neither grid edge
     nor the sponge (rho > 11) can reach by time t at unit speed.
     """
-    trial = RadialGrid.auto(2.0, 12.0, n_rho, a_max_abs=0.0, order=order)
-    dt = t_final / math.ceil(t_final / trial.dt)  # land exactly on t_final
-    grid = RadialGrid(2.0, 12.0, n_rho, dt=dt, order=order)
+    grid = RadialGrid.auto(2.0, 12.0, n_rho, 0.0, t_final, order)
     k = 3.0
     rho = grid.rho
     hist = package_solve_cauchy(special.j0(k * rho).astype(complex),

@@ -54,15 +54,17 @@ def test_config_rejects_bad_input(tmp_path, capsys):
         RunConfig(order=3)
     with pytest.raises(ConfigError):
         RunConfig(x0_horizon_max=0.0)
-    # the separatrix needs no search tolerance
-    with pytest.raises(ConfigError):
-        RunConfig.from_text("sep_tol = 1e-12\n")
+    # removed keys: the separatrix needs no search tolerance, the wave
+    # solver derives dt from tfinal, and the profile has one form
+    for line in ("sep_tol = 1e-12", "dt = 1e-3", "form = constant"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            RunConfig.from_text(line + "\n")
     # values the flow, the packet or the wave grid would reject later
     for bad in ({"alpha": -1.0}, {"eps": 0.7}, {"a": 0.0}, {"a_minus": 0.5},
                 {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
                 {"nrho": 8}, {"nrho": 29}, {"grid_rho_min": 0.0},
                 {"grid_rho_max": 0.2}, {"tfinal": -1.0}, {"tfinal": 0.0},
-                {"dt": -1e-3}, {"n_eta": 23}, {"n_eta": 1}, {"eps": 0.049},
+                {"n_eta": 23}, {"n_eta": 1}, {"eps": 0.049},
                 {"eps": 0.5001},
                 # non-finite values: the first three hung, the rest ended
                 # in a traceback or a later failure instead of exit 2
@@ -77,9 +79,7 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 # a reversed or empty bracket is a config error, not a
                 # numerical failure of the separatrix
                 {"bracket_lo": 3.0, "bracket_hi": 0.3},
-                {"bracket_lo": 1.0, "bracket_hi": 1.0},
-                # a constant profile has one value
-                {"form": "constant"}):
+                {"bracket_lo": 1.0, "bracket_hi": 1.0}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
@@ -99,14 +99,14 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["pde-verify", "--nrho", "8"],
                  ["pde-verify", "--set", "grid_rho_min=0"],
                  ["pde-verify", "--tfinal", "-1"],
-                 ["pde-verify", "--dt", "1"],  # over the default grid's CFL bound
                  ["pde-verify", "--set", "tfinal=inf"],
                  ["spectrum", "--set", "alpha=inf"],
                  ["horizon", "--set", "ode_tol=inf"],
                  ["horizon", "--set", "bracket_lo=3", "--set", "bracket_hi=0.3"],
-                 # the constant form would start the separatrix at |a_plus|
-                 # and return sigma* = 1.19999997743 for the fixed point 1.2
-                 ["horizon", "--set", "form=constant", "--set", "a_plus=-0.5"]):
+                 # removed keys
+                 ["horizon", "--set", "sep_tol=1e-12"],
+                 ["pde-verify", "--set", "dt=1e-3"],
+                 ["horizon", "--set", "form=constant"]):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
         assert not any(tmp_path.iterdir()), argv
@@ -125,7 +125,7 @@ def test_malformed_config_exit_code(tmp_path, capsys):
 def test_horizon_command(tmp_path, capsys):
     rc = main(["horizon", "--out-dir", str(tmp_path),
                "--set", "a_minus=-1.0", "--set", "a_plus=-1.0",
-               "--set", "form=constant", "--set", "x0_horizon_max=4",
+               "--set", "x0_horizon_max=4",
                "--set", "bracket_lo=0.4", "--set", "bracket_hi=2.4"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -141,8 +141,7 @@ def test_horizon_command(tmp_path, capsys):
 def test_horizon_bracket_failure_exit_code(tmp_path, capsys):
     rc = main(["horizon", "--out-dir", str(tmp_path),
                "--set", "bracket_lo=1.5", "--set", "bracket_hi=2.8",
-               "--set", "a_minus=-1.0", "--set", "a_plus=-1.0",
-               "--set", "form=constant"])
+               "--set", "a_minus=-1.0", "--set", "a_plus=-1.0"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -268,26 +267,29 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
     assert calls == [2048, 1025]
     report = _strict_json(tmp_path / "pde_report.json")["report"]
     snaps = {p.name for p in tmp_path.glob("field_eta*.csv")}
-    assert len(snaps) == 3 and "field_eta-4_t0.csv" in snaps
+    assert snaps == {"field_eta-4_t0.csv", "field_eta-4_t0.375.csv",
+                     "field_eta-4_t0.75.csv"}
+    assert not report["warnings"]
     for row in report["rows_evolved"]:
         assert f"field_eta-4_t{row['x0']:g}.csv" in snaps
-        assert row["x0"] != 0.75  # the step-snapped time, not tfinal
+        assert row["x0"] == 0.75  # tfinal itself, a whole number of steps
 
 
 def test_pde_verify_short_tfinal_records_first_step(tmp_path):
-    # a tfinal below dt/2 snaps to the first step: the evolved rows and the
-    # last snapshot sit at x0 = dt, not at the initial state
+    # a tfinal below the CFL step is two steps of tfinal/2: the evolved
+    # rows and the last snapshot sit at x0 = tfinal exactly
     from sonicbh.pde import RadialGrid
     cfg = RunConfig(nrho=1024)
-    dt = RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, 1024,
-                         cfg.profile().a_max_abs).dt
-    assert dt > 2e-4
+    grid = RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, 1024,
+                           cfg.profile().a_max_abs, 1e-4)
+    assert grid.dt == 5e-5
     assert main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "1024",
                  "--tfinal", "1e-4"]) == 0
     report = _strict_json(tmp_path / "pde_report.json")["report"]
     snaps = {p.name for p in tmp_path.glob("field_eta*.csv")}
-    assert snaps == {"field_eta-4_t0.csv", f"field_eta-4_t{dt:g}.csv"}
-    assert [row["x0"] for row in report["rows_evolved"]] == [dt] * 3
+    assert snaps == {"field_eta-4_t0.csv", "field_eta-4_t5e-05.csv",
+                     "field_eta-4_t0.0001.csv"}
+    assert [row["x0"] for row in report["rows_evolved"]] == [1e-4] * 3
 
 
 def test_pde_verify_json_is_finite(tmp_path, capsys):
@@ -456,16 +458,25 @@ def test_horizon_large_tau(tmp_path, capsys, tau):
 
 @pytest.mark.parametrize("argv", [
     ["--nrho", "1024", "--set", "grid_rho_min=1e-6"],
-    ["--dt", "1e-9"],
-    ["--dt", "5e-324"]])
+    ["--tfinal", "1e5"],
+    ["--tfinal", "1e308", "--set", "grid_rho_min=1e-300"],
+    ["--tfinal", "5e-324"],
+    ["--set", "grid_rho_min=5e-324"]])
 def test_pde_verify_refuses_work_beyond_budget(tmp_path, capsys, argv):
     # grid_rho_min = 1e-6 asks for 2.3e8 CFL steps a solve and ran past a
-    # 120 s timeout; a tiny dt likewise.  The refusal comes before stepping
+    # 120 s timeout; tfinal = 1e5 asks for 2.6e8.  The refusal comes before
+    # stepping.  At tfinal = 1e308 the step count overflows a float, as it
+    # does at grid_rho_min = 5e-324, where the CFL step is zero; at tfinal
+    # = 5e-324 the step tfinal/2 underflows to zero.  All are config errors,
+    # none a traceback
     t0 = time.monotonic()
     assert main(["pde-verify", "--out-dir", str(tmp_path)] + argv) == 2
     assert time.monotonic() - t0 < 10.0
     err = capsys.readouterr().err
-    assert "config error" in err and "point-steps" in err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert any(m in err for m in ("point-steps", "overflows the step count",
+                                  "smallest normal float"))
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.04])

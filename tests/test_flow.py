@@ -34,19 +34,14 @@ def test_profile_validation():
         VelocityProfile(a_minus=-1.0, a_plus=0.5)
     with pytest.raises(ValueError):
         VelocityProfile(a_minus=-1.0, a_plus=-1.0, tau=0.0)
-    with pytest.raises(ValueError):
-        VelocityProfile(a_minus=-1.0, a_plus=-1.0, form="step")
-    # find_separatrix starts at |a_plus|, so a constant profile needs it
-    with pytest.raises(ValueError, match="a_plus == a_minus"):
-        VelocityProfile(a_minus=-1.2, a_plus=-0.5, form="constant")
 
 
 def test_constant_form_is_the_step_with_equal_ends():
+    # equal ends give the constant bit for bit, on both evaluation paths
     x = np.linspace(-40.0, 40.0, 10001)
-    for form in ("constant", "smooth-step"):
-        profile = VelocityProfile(a_minus=-1.2, a_plus=-1.2, form=form)
-        assert np.all(profile.eval(x) == -1.2)
-        assert all(profile.eval(float(v)) == -1.2 for v in x[::100])
+    profile = VelocityProfile(a_minus=-1.2, a_plus=-1.2)
+    assert np.all(profile.eval(x) == -1.2)
+    assert all(profile.eval(float(v)) == -1.2 for v in x[::100])
 
 
 def test_profile_limits_monotone(smooth_profile):
@@ -97,7 +92,7 @@ def test_semigroup(smooth_flow, smooth_profile):
 
 @pytest.mark.parametrize("a", [-1.0, -0.8])
 def test_separatrix_constant_profile(a):
-    flow = find_separatrix(VelocityProfile(a, a, form="constant"),
+    flow = find_separatrix(VelocityProfile(a, a),
                            bracket=(0.3, 2.8), x0_horizon_max=5.0)
     assert flow.sigma_star == pytest.approx(abs(a), abs=1e-9)
     np.testing.assert_allclose(flow.horizon.rho_star, abs(a), atol=1e-7)

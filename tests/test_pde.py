@@ -21,7 +21,7 @@ from sonicbh.pde import (A_VALUES, RadialGrid,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
                          solve_mode, _Stencil, _D1_CENTERED, _D1_UPWIND, _D2,
-                         _coarse_twin, _delta_c2,
+                         _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import density_from_projections
@@ -102,8 +102,21 @@ def test_grid_validation():
         RadialGrid(0.5, 1.0, 8, dt=1e-3)
 
 
+@pytest.mark.parametrize("t_final", [0.75, 0.1, 1.0 / 3.0, 1e-4, 1e-300, 1e5])
+def test_auto_grid_lands_on_half_and_final_time(smooth_profile, t_final):
+    # dt = t_final/(2m), the largest such step within the CFL bound
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs, t_final)
+    cfl_dt = grid.cfl_dt(smooth_profile.a_max_abs)
+    m = grid.steps(0.5 * t_final)
+    assert grid.steps(t_final) == 2 * m
+    assert grid.within_cfl(smooth_profile.a_max_abs)
+    assert m == 1 or t_final / (2 * m - 2) > cfl_dt
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        grid.steps(1.5 * grid.dt)
+
+
 def test_cfl_enforced(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs, 0.1)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
     f = np.zeros(256, complex)
     with pytest.raises(ValueError):
@@ -166,20 +179,27 @@ def test_stencils_match_oracle(order):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_solve_cauchy_matches_oracle(order, smooth_profile):
-    # tanh drift, data over the whole grid (the sponge included) and
-    # recorded times off the step grid, one of them below dt/2
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs,
-                           order=order)
+    # tanh drift, data over the whole grid (the sponge included), states
+    # recorded at the first step and at multiples of t_final; times off
+    # the step grid raise the same ValueError from both
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.05,
+                           order)
     rho = grid.rho
     value0 = np.exp(-3j * rho) / np.sqrt(rho)
     dvalue0 = (0.5 + 2j) * value0 * np.cos(rho)
-    times = [0.3 * grid.dt, 0.13, 0.2]
+    times = [grid.dt, 0.1, 0.2]
     ours = solve_cauchy(value0, dvalue0, grid, smooth_profile, 0.2,
                         out_times=times)
     ref = oracles.solve_cauchy(value0, dvalue0, grid, smooth_profile, 0.2,
                                out_times=times)
-    assert [s.x0 for s in ours] == [s.x0 for s in ref]
-    assert len(ours) == 4 and ours[1].x0 == grid.dt
+    assert [s.x0 for s in ours] == [s.x0 for s in ref] == [0.0] + times
+    for off in ([0.3 * grid.dt], [0.1, 0.13], [-0.05]):
+        messages = set()
+        for solver in (solve_cauchy, oracles.solve_cauchy):
+            with pytest.raises(ValueError, match="whole number") as exc:
+                solver(value0, dvalue0, grid, smooth_profile, 0.2, off)
+            messages.add(str(exc.value))
+        assert len(messages) == 1, messages
     assert np.max(np.abs(ref[-1].value[rho > 8.2])) > 0.01  # in the sponge
     for a, b in zip(ours, ref):
         for name in ("value", "d_dx0", "d_drho"):
@@ -189,7 +209,7 @@ def test_solve_cauchy_matches_oracle(order, smooth_profile):
 
 
 def test_solve_cauchy_errors_match_oracle(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs, 0.1)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
     blowup = RadialGrid(2.0, 12.0, 256, dt=1.0)
     f = np.exp(-((blowup.rho - 7.0) / 0.5) ** 2).astype(complex)
@@ -210,9 +230,9 @@ def test_grid_refinement_halves_error_fourfold():
 
 
 def test_solve_mode_initial_state(smooth_profile, smooth_flow):
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.01)
     eta = -3.0
-    hist = solve_mode(eta, grid, smooth_profile, 5 * grid.dt)
+    hist = solve_mode(eta, grid, smooth_profile, 0.01)
     w = smooth_window(grid.rho, *_horizon_window(grid))
     val, dval = mode_initial_data(ModeSpec(eta=-eta), grid.rho,
                                   smooth_profile.eval(0.0) / grid.rho, "+")
@@ -221,21 +241,33 @@ def test_solve_mode_initial_state(smooth_profile, smooth_flow):
 
 
 def test_solve_mode_resolution_error(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile.a_max_abs, 0.05)
     with pytest.raises(ResolutionError):
-        solve_mode(-40.0, grid, smooth_profile, 10 * grid.dt)
+        solve_mode(-40.0, grid, smooth_profile, 0.05)
 
 
 @pytest.mark.parametrize("n_rho,t_final", [(256, 0.75), (256, 1e-4),
                                             (512, 0.3)])
-def test_coarse_twin_lands_on_fine_time(smooth_profile, n_rho, t_final):
-    # the fine state sits at its step-snapped time; the twin steps to that
-    # time, not to its own snap of t_final, so the two differ by grid alone
-    grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs)
-    fine = solve_mode(-4.0, grid, smooth_profile, t_final)[-1]
-    twin = _coarse_twin(-4.0, grid, smooth_profile, fine.x0)
-    assert twin.rho.size == n_rho // 2 + 1
-    assert abs(twin.x0 - fine.x0) <= np.spacing(fine.x0)
+def test_coarse_twin_lands_on_fine_time(packet, smooth_profile, smooth_flow,
+                                        monkeypatch, n_rho, t_final):
+    # the fine solve and its half-resolution twin both end at t_final bit
+    # for bit, so the two states differ by their grids alone
+    histories = []
+
+    def recording(*args, **kwargs):
+        histories.append(solve_mode(*args, **kwargs))
+        return histories[-1]
+
+    monkeypatch.setattr(pde, "solve_mode", recording)
+    grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs, t_final)
+    report = remainder_contribution(packet, (-2.0, -6.0), grid,
+                                    smooth_profile, smooth_flow,
+                                    t_final=t_final)
+    fine, coarse = histories
+    assert [st.x0 for st in fine] == [0.0, 0.5 * t_final, t_final]
+    assert [st.x0 for st in coarse] == [0.0, t_final]
+    assert [fine[0].rho.size, coarse[0].rho.size] == [n_rho, n_rho // 2 + 1]
+    assert [row.x0 for row in report.rows_evolved] == [t_final] * 3
 
 
 def test_difference_field_initial_slope(smooth_profile, smooth_flow):
@@ -260,7 +292,7 @@ def test_difference_field_bounded_over_run(smooth_profile, smooth_flow):
     # transport source of L E, so the bound shape is met (C <= 1
     # measured).  Without that term a residual O(eta) source slows the
     # decay and no uniform C fits at desk scale.
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.1)
     times = [0.1, 0.2, 0.3]
     worsts = {}
     for eta in (-2.0, -6.0, -18.0):
@@ -292,7 +324,7 @@ def test_stationary_kg_product_constant(const_profile, const_flow):
                      sigma_star=const_flow.sigma_star)
     drifts = []
     for n in (1024, 2048):
-        grid = RadialGrid.auto(0.3, 9.0, n, 1.0)
+        grid = RadialGrid.auto(0.3, 9.0, n, 1.0, 0.1)
         times = [0.1, 0.2, 0.3]
         hu = solve_mode(-4.0, grid, const_profile, 0.3, out_times=times)
         pk0 = packet_fields(grid.rho, 0.0, p, const_flow)
@@ -308,8 +340,8 @@ def test_stationary_kg_product_constant(const_profile, const_flow):
 def test_eikonal_transport_of_phase_fronts(smooth_profile, smooth_flow):
     # the numeric solution's phase tracks -eta sigma(rho, x0): the fronts
     # ride the rays, with only the small frequency-mismatch remainder
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
     eta, t1 = -6.0, 0.1
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, t1)
     hist = solve_mode(eta, grid, smooth_profile, t1)
     idx = [int(np.argmin(np.abs(grid.rho - r))) for r in (1.5, 2.0, 3.0)]
     for i in idx:
@@ -345,11 +377,11 @@ def test_node_pair_matches_adaptive(packet, smooth_flow, smooth_profile):
 
 
 def test_evolved_densities_at_time_zero(packet, smooth_flow, smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.01)
     eta = -4.0
-    hist = solve_mode(eta, grid, smooth_profile, 2 * grid.dt)
-    d_num, d_eik = evolved_projection_densities(hist[0], smooth_profile,
-                                                smooth_flow, packet, eta)
+    hist = solve_mode(eta, grid, smooth_profile, 0.01)
+    (d_num,), d_eik = evolved_projection_densities(hist[:1], smooth_profile,
+                                                   smooth_flow, packet, eta)
     ref_num = density_from_projections(*initial_projection_pair(
         eta, packet, smooth_profile, mode="exact"))
     ref_eik = density_from_projections(*initial_projection_pair(
@@ -390,14 +422,15 @@ def test_delta_c2_matches_adaptive(alpha, eps, smooth_flow, smooth_profile):
 
 @pytest.fixture(scope="module")
 def report(packet, smooth_profile, smooth_flow):
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.3)
     return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
                                   smooth_profile, smooth_flow, t_final=0.3)
 
 
 @pytest.fixture(scope="module")
 def report_order4(packet, smooth_profile, smooth_flow):
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, order=4)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.3,
+                           order=4)
     return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
                                   smooth_profile, smooth_flow, t_final=0.3)
 
@@ -450,7 +483,7 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_profile,
     packets.packet_norm(packet, smooth_flow, numeric=True)
     assert calls, "the counter does not see the package's quad calls"
     calls.clear()
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.05)
     remainder_contribution(packet, (-2.0, -6.0, -18.0), grid, smooth_profile,
                            smooth_flow, t_final=0.05)
     assert not calls
@@ -460,7 +493,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
                                                 smooth_flow, monkeypatch):
     # a stepped drift callable is read once for g(0), four times a step and
     # once a recorded state, so the calls count the steps actually taken
-    work = []
+    work, grids = [], []
 
     def counting(value0, dvalue0, grid, profile, t_final, out_times=None):
         calls = [0]
@@ -471,17 +504,19 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
 
         hist = solve_cauchy(value0, dvalue0, grid, drift, t_final, out_times)
         work.append(grid.n_rho * (calls[0] - len(hist)) // 4)
+        grids.append(grid)
         return hist
 
     monkeypatch.setattr(pde, "solve_cauchy", counting)
     for n_rho, t_final in ((512, 0.05), (256, 1e-4)):
         work.clear()
-        grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs)
+        grids.clear()
+        grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs,
+                               t_final)
         remainder_contribution(packet, (-2.0, -6.0), grid, smooth_profile,
                                smooth_flow, t_final=t_final)
-        assert len(work) == 2
-        assert sum(work) == pde.predicted_point_steps(grid, smooth_profile,
-                                                      t_final)
+        assert [g.n_rho for g in grids] == [n_rho, n_rho // 2 + 1]
+        assert sum(work) == pde.predicted_point_steps(grids, t_final)
 
 
 def test_work_budget_admits_the_benchmark_grids(smooth_profile):
@@ -489,12 +524,14 @@ def test_work_budget_admits_the_benchmark_grids(smooth_profile):
     # largest, 4096 points to t = 0.75, takes about 2e7 point-steps
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
                            (2048, 0.5), (4096, 0.5), (4096, 0.75)):
-        grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs)
-        work = pde.predicted_point_steps(grid, smooth_profile, t_final)
+        grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile.a_max_abs,
+                                 t_final) for n in (n_rho, n_rho // 2 + 1)]
+        work = pde.predicted_point_steps(grids, t_final)
         assert work < 0.05 * pde.MAX_POINT_STEPS, (n_rho, t_final, work)
-    grid = RadialGrid.auto(1e-6, 9.0, 1024, smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(1e-6, 9.0, 1024, smooth_profile.a_max_abs, 0.75)
     with pytest.raises(ConfigError, match="point-steps"):
-        remainder_contribution(None, (-2.0,), grid, smooth_profile, None)
+        remainder_contribution(None, (-2.0,), grid, smooth_profile, None,
+                               t_final=0.75)
 
 
 def test_remainder_contribution_report(report, packet):
@@ -509,14 +546,14 @@ def test_remainder_contribution_report(report, packet):
     for a, dev in zip(report.sweep_a, report.sweep_dev):
         if a >= 16.0:
             assert dev < 0.05, (a, dev)
-    # evolved diagnostics carry a discretisation estimate and sit at the
-    # step-snapped time of the recorded history
+    # evolved diagnostics carry a discretisation estimate and sit at
+    # t_final, the last state of the recorded history
     assert len(report.rows_evolved) == 3
-    assert len(report.history) == 3 and report.history[0].x0 == 0.0
+    assert [st.x0 for st in report.history] == [0.0, 0.15, 0.3]
     for row in report.rows_evolved:
         assert row.discr_estimate is not None
         assert row.resolved  # 1024 points resolve eta = -4 comfortably
-        assert row.x0 == report.history[-1].x0 == pytest.approx(0.3, rel=1e-2)
+        assert row.x0 == 0.3
     js = report.to_jsonable()
     import json
     json.dumps(js, allow_nan=False)  # serialisable end to end
