@@ -18,6 +18,9 @@ one-sided toward larger rho (the inflow side); the second derivative is
 centered.  Inside the horizon both characteristic speeds point inward, so
 the inner edge is pure outflow and one-sided stencils suffice there; the
 outer edge carries a sponge layer that damps what the data window lets by.
+The time step is 0.9 of the step at which the drift, at its fastest, and
+the wave term share RK4's stability region, from the step limits of the
+interior drift and second-derivative stencils alone (RadialGrid.cfl_dt).
 
 The coefficients of the system are real, so the real and imaginary parts
 evolve apart: the stepper holds one real (4, n) state, rows Re f, Im f,
@@ -66,7 +69,12 @@ __all__ = [
     "predicted_point_steps",
 ]
 
-CFL_SAFETY = 0.45
+# RK4 step limits, in drho per unit speed, of the interior stencils alone,
+# per order: (upwind _D1_UPWIND, from a theta scan of its symbol against
+# |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1, rounded down; centred _D2, whose
+# wave pair has the imaginary symbol i sqrt|D2|, so 2 sqrt 2 / max sqrt|D2|)
+STEP_LIMITS = {2: (0.6963, math.sqrt(2.0)), 4: (1.7452, math.sqrt(1.5))}
+STEP_SAFETY = 0.9
 GROWTH_BOUND = 5.0  # per-step sup-norm growth that flags blow-up
 # AC7d's 5-minute budget for pde-verify at 250 ns per RK4 point-step
 MAX_POINT_STEPS = 1.2e9
@@ -104,7 +112,12 @@ class RadialGrid:
         return (self.rho_max - self.rho_min) / (self.n_rho - 1)
 
     def cfl_dt(self, a_max_abs: float) -> float:
-        return CFL_SAFETY * self.drho / (1.0 + a_max_abs / self.rho_min)
+        """STEP_SAFETY times the step at which the drift, at its fastest
+        speed max|A|/rho_min, and the wave term share the RK4 stability
+        region: drho / (v_max/s_drift + 1/s_wave)."""
+        s_drift, s_wave = STEP_LIMITS[self.order]
+        return STEP_SAFETY * self.drho / (a_max_abs / self.rho_min / s_drift
+                                          + 1.0 / s_wave)
 
     def within_cfl(self, a_max_abs: float) -> bool:
         return self.dt <= self.cfl_dt(a_max_abs) * (1.0 + 1e-12)
@@ -122,8 +135,9 @@ class RadialGrid:
     @classmethod
     def auto(cls, rho_min: float, rho_max: float, n_rho: int,
              a_max_abs: float, t_final: float, order: int = 2) -> "RadialGrid":
-        """The grid with the largest step within the CFL bound for which
-        t_final/2 and t_final are whole steps: dt = t_final/(2m).
+        """The grid with the largest step within cfl_dt, the stencils' RK4
+        step bound, for which t_final/2 and t_final are whole steps:
+        dt = t_final/(2m).
 
         ConfigError when the step count overflows a float or dt falls
         below the smallest normal float, where t_final/dt loses its digits.
@@ -253,8 +267,8 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Evolve data (f, df/dx0) at x0 = 0 to t_final with classic RK4.
 
-    profile is a VelocityProfile, whose max|A| sets the CFL bound
-    dt <= safety * drho / (1 + max|A|/rho_min) (ValueError beyond it), or
+    profile is a VelocityProfile, whose max|A| sets the step bound
+    grid.cfl_dt, from the stencils' RK4 limits (ValueError beyond it), or
     any callable x0 -> A(x0), which is stepped unchecked.  States are
     recorded after the initial state at out_times (default t_final), each
     with x0 the requested time, which must be a whole number of steps
@@ -395,6 +409,8 @@ class RemainderReport:
     leading_exponent: float = float("nan")
     eta_fit_exponent: float | None = None  # None below two eta samples
     warnings: list[str] = field(default_factory=list)
+    # n_rho, dt and steps of the fine solve and of its coarse twin
+    solves: dict[str, dict] = field(default_factory=dict)
     # fine-grid EVOLVE_ETA states at x0 = 0, t_final/2 and t_final; kept
     # for field snapshots, not serialised
     history: list[FieldOnGrid] = field(default_factory=list, repr=False)
@@ -418,6 +434,7 @@ class RemainderReport:
             "leading_exponent": self.leading_exponent,
             "eta_fit_exponent": self.eta_fit_exponent,
             "warnings": self.warnings,
+            "solves": self.solves,
         }
 
 
@@ -487,9 +504,10 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     to the same t_final, supplies a discretisation estimate and a warning
     when it is not small against the deviation being measured.  A grid too
     coarse for EVOLVE_ETA raises ResolutionError; a coarse twin too coarse
-    for it leaves the estimate None, with a warning.  Grids whose two
-    solves would take more than MAX_POINT_STEPS point-steps raise
-    ConfigError before any work.
+    for it leaves the estimate None, with a warning.  The report records
+    n_rho, dt and steps of each solve made.  Grids whose two solves would
+    take more than MAX_POINT_STEPS point-steps raise ConfigError before any
+    work.
     """
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
                              profile.a_max_abs, t_final, grid.order)
@@ -499,7 +517,9 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"the wave solves would take {work:.3g} point-steps (n_rho x "
             f"steps), beyond the budget of {MAX_POINT_STEPS:.3g}; lower "
             f"nrho or tfinal, or raise grid_rho_min")
-    report = RemainderReport()
+    report = RemainderReport(solves={
+        name: {"n_rho": g.n_rho, "dt": g.dt, "steps": g.steps(t_final)}
+        for name, g in (("fine", grid), ("coarse", coarse))})
 
     # per-eta departures at x0 = 0, fixed eta samples, largest a
     a_ref = max(A_VALUES)
@@ -542,6 +562,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     try:
         states.append(solve_mode(eta, coarse, profile, t_final)[-1])
     except ResolutionError as exc:
+        del report.solves["coarse"]
         report.warnings.append(
             f"evolved rows have no discretisation estimate: coarse twin {exc}")
 

@@ -270,6 +270,9 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
     assert snaps == {"field_eta-4_t0.csv", "field_eta-4_t0.375.csv",
                      "field_eta-4_t0.75.csv"}
     assert not report["warnings"]
+    assert report["solves"] == {
+        "fine": {"n_rho": 2048, "dt": 0.75 / 1266, "steps": 1266},
+        "coarse": {"n_rho": 1025, "dt": 0.75 / 634, "steps": 634}}
     for row in report["rows_evolved"]:
         assert f"field_eta-4_t{row['x0']:g}.csv" in snaps
         assert row["x0"] == 0.75  # tfinal itself, a whole number of steps
@@ -303,6 +306,8 @@ def test_pde_verify_json_is_finite(tmp_path, capsys):
         assert report["warnings"], args
         rows = report["rows_evolved"] if key == "discr_estimate" else [report]
         assert all(r[key] is None for r in rows), args
+        # the unresolved coarse twin is never solved, so not recorded
+        assert ("coarse" in report["solves"]) == (key != "discr_estimate")
 
 
 def test_write_json_rejects_non_finite(tmp_path):

@@ -1,7 +1,8 @@
 """Wave solver: scheme order, stability guards, mode evolution, remainders.
 
-Heavier runs live in the acceptance suite; here grids stay at or below
-n_rho = 1024 and a fraction of a transition time.
+Heavier runs live in the acceptance suite; here solves stay at or below
+n_rho = 1024 and, but for the long-run stability check on 384 points, a
+fraction of a transition time.
 """
 
 import math
@@ -130,6 +131,88 @@ def test_instability_detector():
     f = np.exp(-((rho - 7.0) / 0.5) ** 2).astype(complex)
     with pytest.raises(InstabilityError):
         solve_cauchy(f, np.zeros_like(f), grid, lambda x0: 0.0, 10.0)
+
+
+def _interior_symbol(table, theta):
+    """Fourier symbol, in units of drho^-p, of a stencil's interior row,
+    whose coefficients sit on forward differences."""
+    (_, first, coefs), *_ = table
+    z = np.exp(1j * theta)
+    return sum(c * z ** k * (z - 1.0) for k, c in enumerate(coefs, first))
+
+
+def _rk4_gain(z):
+    return np.abs(1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
+
+
+def test_step_limits_match_stencil_symbols():
+    theta = np.linspace(1e-7, np.pi, 4001)
+    for order in (2, 4):
+        drift = _interior_symbol(_D1_UPWIND[order], theta)
+        d2 = _interior_symbol(_D2[order], theta)
+        lo, hi = 0.0, 4.0  # the drift alone: z = s * symbol
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = ((mid, hi) if np.all(_rk4_gain(mid * drift) <= 1.0)
+                      else (lo, mid))
+        # the wave pair (f, g) has symbol +-i sqrt|D2|; RK4 holds the
+        # imaginary axis to 2 sqrt 2
+        s_wave = 2.0 * math.sqrt(2.0) / math.sqrt(np.max(np.abs(d2)))
+        s_drift_table, s_wave_table = pde.STEP_LIMITS[order]
+        assert s_drift_table == pytest.approx(lo, abs=1e-3)
+        assert s_drift_table <= lo
+        assert s_wave_table == pytest.approx(s_wave, abs=1e-3)
+
+        # the coupled interior system with coefficients frozen at rho_min,
+        # where drift and f_r/rho peak: lambda = v D1up +- sqrt(D2 + D1c/rho).
+        # The operator itself grows at up to max Re lambda; at cfl_dt/0.9
+        # no mode may outgrow that, so cfl_dt <= 0.9 x the coupled bound.
+        centred = _interior_symbol(_D1_CENTERED[order], theta)
+        for n_rho in (384, 2048):
+            grid = RadialGrid(0.3, 9.0, n_rho, dt=1.0, order=order)
+            h, rho = grid.drho, grid.rho_min
+            root = np.sqrt(d2 / h ** 2 + centred / (rho * h))
+            for v in np.geomspace(1e-3, 1e4, 29):
+                lam = np.concatenate([v * drift / h + root,
+                                      v * drift / h - root])
+                dt = grid.cfl_dt(v * rho) / pde.STEP_SAFETY
+                growth = math.exp(dt * max(0.0, float(np.max(lam.real))))
+                worst = float(np.max(_rk4_gain(dt * lam)))
+                assert worst <= growth * (1.0 + 1e-12), (order, n_rho, v)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_solve_cauchy_stable_at_step_bound(smooth_profile, order):
+    # a pulse on the default flow, to t = 20 where the drift reaches 4 and
+    # to t = 2 where it reaches 60 (grid_rho_min = 0.02)
+    a_max = smooth_profile.a_max_abs
+    for rho_min, t_final in ((0.3, 20.0), (0.02, 2.0)):
+        grid = RadialGrid.auto(rho_min, 9.0, 384, a_max, t_final, order)
+        f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
+        hist = solve_cauchy(f, np.zeros_like(f), grid, smooth_profile,
+                            t_final, out_times=[0.5 * t_final, t_final])
+        peak = max(float(np.max(np.abs(st.value))) for st in hist[1:])
+        assert peak <= 1.5, (rho_min, peak)
+    # the control: five times the bound (a callable drift, so no CFL check)
+    # blows up within tens of steps; at order 2, 3.5 times stays bounded,
+    # as the drift stencil's unstable band is carried out the inner edge
+    dt = RadialGrid(0.3, 9.0, 384, dt=1.0, order=order).cfl_dt(a_max)
+    grid = RadialGrid(0.3, 9.0, 384, dt=5.0 * dt, order=order)
+    f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
+    with pytest.raises(InstabilityError):
+        solve_cauchy(f, np.zeros_like(f), grid, smooth_profile.eval,
+                     200 * grid.dt)
+
+
+def test_step_counts_on_fixed_grids():
+    # the pde-verify defaults: fine grid, coarse twin, and order 4
+    def grid(n_rho, order=2):
+        return RadialGrid.auto(0.3, 9.0, n_rho, 1.2, 0.75, order)
+    assert grid(2048).steps(0.75) == 1266
+    assert grid(1025).steps(0.75) == 634
+    assert grid(2048, 4).steps(0.75) == 610
+    assert pde.predicted_point_steps((grid(2048), grid(1025)),
+                                     0.75) == 3_242_618
 
 
 @pytest.mark.parametrize("order,floor", [(2, 1.9), (4, 3.8)])
@@ -521,7 +604,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
 
 def test_work_budget_admits_the_benchmark_grids(smooth_profile):
     # the pde-verify defaults and the wave benchmark's six grids; the
-    # largest, 4096 points to t = 0.75, takes about 2e7 point-steps
+    # largest, 4096 points to t = 0.75, takes about 1.3e7 point-steps
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
                            (2048, 0.5), (4096, 0.5), (4096, 0.75)):
         grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile.a_max_abs,
