@@ -154,10 +154,9 @@ def cmd_limit(cfg: RunConfig) -> int:
 def cmd_pde_verify(cfg: RunConfig) -> int:
     flow = _flow(cfg)
     p = _packet(cfg, flow.sigma_star)
-    profile = cfg.profile()
     grid = pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
-                               profile.a_max_abs, cfg.tfinal, cfg.order)
-    report = pde.remainder_contribution(p, cfg.eta_list, grid, profile, flow,
+                               flow.profile.a_max_abs, cfg.tfinal, cfg.order)
+    report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,
                                         t_final=cfg.tfinal)
     meta = cfg.to_dict()
     meta["sigma_star"] = flow.sigma_star

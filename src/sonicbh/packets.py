@@ -9,8 +9,13 @@ The test packet is
 so its support lies strictly outside the horizon and collapses onto the
 horizon curve as the localisation rate a grows.  Its Klein-Gordon norm at
 x0 = 0 has the closed value 4 pi alpha Gamma(2 eps) / (2a)^(2 eps); the
-radial-drift terms cancel identically in the norm bracket, so the closed
-form is exact at every a, not merely asymptotically.
+norm bracket Im(C0* D C0) keeps only the profile-derivative term, so the
+closed form is exact at every a, not merely asymptotically.
+
+Fields are sampled as (value, D value), D = d/dx0 + (A(x0)/rho) d/drho the
+flow derivative, which is the canonical momentum of the acoustic metric
+and the variable the wave stepper evolves.  Along rays D sigma =
+-dsigma/drho, so the packet and the eikonal take closed D values.
 
 Radial modes carry wavenumber eta and frequency factor
 gamma = (2 rho)^(-1/2) (eta^2+1)^(-1/4); the two frequency branches at
@@ -87,18 +92,17 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class FieldOnGrid:
-    """A complex field sampled on a radial grid at time x0, with both first
-    derivatives."""
+    """A complex field sampled on a radial grid at time x0, with its flow
+    derivative d_flow = D value."""
 
     rho: np.ndarray
     value: np.ndarray
-    d_dx0: np.ndarray
-    d_drho: np.ndarray
+    d_flow: np.ndarray
     x0: float
 
     def __post_init__(self) -> None:
         n = self.rho.shape
-        for arr in (self.value, self.d_dx0, self.d_drho):
+        for arr in (self.value, self.d_flow):
             if arr.shape != n:
                 raise GridMismatchError("field components disagree in shape")
 
@@ -122,18 +126,16 @@ def eval_packet_profile(sigma, p: PacketParams):
 
 
 def packet_values(s, rho, dsig_drho, a0, p: PacketParams):
-    """Packet value, d/dx0 and d/drho at offsets s = sigma - sigma_star.
+    """Packet value and D value at offsets s = sigma - sigma_star.
 
     rho is where the ray of label sigma sits, dsig_drho its tangent and a0
-    the flow strength A(x0).  d/dx0 follows from the transport of sigma:
-    dC0/dx0 = rho^(-1/2) P'(sigma) * (-(A/rho + 1) dsigma/drho).
+    the flow strength A(x0).  Along rays D sigma = -dsigma/drho, so
+    D C0 = -rho^(-1/2) P'(sigma) dsigma/drho - (A/(2 rho^2)) C0.
     """
     prof, dprof = _profile(s, p)
     inv_sqrt = rho ** -0.5
     value = inv_sqrt * prof
-    d_dx0 = inv_sqrt * dprof * (-(a0 / rho + 1.0) * dsig_drho)
-    d_drho = -0.5 * rho ** -1.5 * prof + inv_sqrt * dprof * dsig_drho
-    return value, d_dx0, d_drho
+    return value, -inv_sqrt * dprof * dsig_drho - 0.5 * a0 / rho ** 2 * value
 
 
 def gamma_tilde(eta: float) -> float:
@@ -164,18 +166,16 @@ def mode_initial_data(mode: ModeSpec, rho, a0_over_rho, family: str = "+"):
 
 
 def eikonal_values(sigma, rho, dsig_drho, a0, eta: float):
-    """Eikonal value, d/dx0 and d/drho (eta < 0) from the ray label sigma.
+    """Eikonal value and D value (eta < 0) from the ray label sigma.
 
-    E = gamma(rho, eta) e^{-i eta sigma}; dE/dx0 = E * i eta (A/rho + 1)
-    dsigma/drho, which at x0 = 0 carries |eta| where the exact mode carries
-    sqrt(eta^2 + 1).
+    E = gamma(rho, eta) e^{-i eta sigma}; D E = (i eta dsigma/drho
+    - A/(2 rho^2)) E, whose frequency at x0 = 0 carries |eta| where the
+    exact mode carries sqrt(eta^2 + 1).
     """
     if eta >= 0.0:
         raise ValueError("the eikonal uses the eta < 0 branch")
     value = gamma_tilde(eta) * rho ** -0.5 * np.exp(-1j * eta * sigma)
-    d_dx0 = value * (1j * eta * (a0 / rho + 1.0) * dsig_drho)
-    d_drho = value * (-0.5 / rho - 1j * eta * dsig_drho)
-    return value, d_dx0, d_drho
+    return value, value * (1j * eta * dsig_drho - 0.5 * a0 / rho ** 2)
 
 
 def packet_norm(p: PacketParams, flow: FlowMap | None = None,
@@ -183,7 +183,7 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     """Klein-Gordon norm of the packet at x0 = 0.
 
     Closed form 4 pi alpha Gamma(2 eps) / (2a)^(2 eps).  With numeric=True
-    the full norm bracket (time and drift terms) is integrated adaptively;
+    the full norm bracket -4 pi Im(C0* D C0) rho is integrated adaptively;
     the substitution u = s^(2 eps) absorbs the s^(2 eps - 1) endpoint of
     the integrand, s = sigma - sigma_star; a non-finite result raises
     ToleranceError.
@@ -202,9 +202,8 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     def bracket(s):
         # full x0 = 0 integrand of the KG norm, written in s = rho - sigma_star
         rho = star + s
-        c, c_t, c_r = packet_values(s, rho, 1.0, a0, p)
-        term = (np.conj(c) * c_t).imag + (a0 / rho) * (np.conj(c) * c_r).imag
-        return -4.0 * math.pi * term * rho
+        c, dc = packet_values(s, rho, 1.0, a0, p)
+        return -4.0 * math.pi * (np.conj(c) * dc).imag * rho
 
     u_max = p.s_max ** two_eps
 

@@ -12,12 +12,13 @@ stepped as the first-order system (f, g) with g = D f:
     dg/dx0 = d^2 f/drho^2 + (1/rho) df/drho - (A/rho) dg/drho,
 
 with classic RK4 in time by solve_cauchy, the one stepper, whose history
-is a list of FieldOnGrid states (value, d/dx0 and d/drho at each recorded
-x0).  The drift speed A/rho is negative everywhere, so its derivative is
-one-sided toward larger rho (the inflow side); the second derivative is
-centered.  Inside the horizon both characteristic speeds point inward, so
-the inner edge is pure outflow and one-sided stencils suffice there; the
-outer edge carries a sponge layer that damps what the data window lets by.
+is a list of FieldOnGrid states: its own (f, g) at each recorded x0, the
+format in which the packet and the eikonal are sampled too.  The drift
+speed A/rho is negative everywhere, so its derivative is one-sided toward
+larger rho (the inflow side); the second derivative is centered.  Inside
+the horizon both characteristic speeds point inward, so the inner edge is
+pure outflow and one-sided stencils suffice there; the outer edge carries
+a sponge layer that damps what the data window lets by.
 The time step is 0.9 of the step at which the drift, at its fastest, and
 the wave term share RK4's stability region, from the step limits of the
 interior drift and second-derivative stencils alone (RadialGrid.cfl_dt).
@@ -37,7 +38,9 @@ module also evaluates the projection pair of a field history against the
 transported packet, to measure how fast those remainders fall with the
 localisation rate a and with |eta|: at x0 = 0 from the eikonal pair on
 Gauss nodes plus the exact-minus-eikonal change in closed form, and on
-evolved grids from the interpolated mode.
+evolved grids from the mode's (f, g) interpolated onto the nodes.  The
+pair is the conserved pairing in its D form, 2 pi i int (u* Dv - (Du)* v)
+rho drho, which carries no separate drift term.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ __all__ = [
 STEP_LIMITS = {2: (0.6963, math.sqrt(2.0)), 4: (1.7452, math.sqrt(1.5))}
 STEP_SAFETY = 0.9
 GROWTH_BOUND = 5.0  # per-step sup-norm growth that flags blow-up
+GROWTH_LIMIT = 10.0  # sup-norm growth over the initial state that flags it
 # AC7d's 5-minute budget for pde-verify at 250 ns per RK4 point-step
 MAX_POINT_STEPS = 1.2e9
 POINTS_PER_WAVELENGTH = 16
@@ -257,12 +261,6 @@ class _Stencil:
         return out
 
 
-def _d1_centered(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Centered first derivative at the grid's order, one-sided at the edges."""
-    return _Stencil(np.shape(u), [(_D1_CENTERED[grid.order],
-                                   1.0 / grid.drho)])(u)
-
-
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Evolve data (f, df/dx0) at x0 = 0 to t_final with classic RK4.
@@ -273,7 +271,10 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     recorded after the initial state at out_times (default t_final), each
     with x0 the requested time, which must be a whole number of steps
     (ValueError otherwise); the loop stops at the last of them.  Each
-    recorded state carries d/drho by centered differences.
+    recorded state is (f, g = D f) as stepped; the data's df/dx0 enters g
+    through one centered difference at x0 = 0.  InstabilityError when the
+    sup-norm of the state grows GROWTH_BOUND-fold in a step or past
+    GROWTH_LIMIT times its initial value.
 
     The coefficients of the operator are real, so the real and imaginary
     parts evolve apart: the state is one real (4, n) array with rows
@@ -324,12 +325,12 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
 
     # g = D f = df/dx0 + (A/rho) df/drho
     f = np.array(value0, dtype=complex)
-    f_t = np.array(dvalue0, dtype=complex)
-    f_r = _d1_centered(f, grid)
-    g = f_t + drift(0.0) * inv_rho * f_r
-    history = [FieldOnGrid(rho, f, f_t, f_r, 0.0)]
+    f_r = _Stencil(f.shape, [(_D1_CENTERED[grid.order], 1.0 / grid.drho)])(f)
+    g = np.array(dvalue0, dtype=complex) + drift(0.0) * inv_rho * f_r
+    history = [FieldOnGrid(rho, f, g, 0.0)]
     y[:] = f.real, f.imag, g.real, g.imag
-    peak = max(float(np.max(np.abs(f))), 1e-300)
+    peak = max(float(np.max(np.abs(y))), 1e-300)
+    limit = GROWTH_LIMIT * peak
     h = 0.5 * dt
     for k in range(1, max(want, default=0) + 1):
         x0 = (k - 1) * dt
@@ -344,16 +345,13 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             stage = k_s
         acc *= dt / 6.0
         y += acc
-        m = math.sqrt(float(np.max(y[0] ** 2 + y[1] ** 2)))
-        if not math.isfinite(m) or m > GROWTH_BOUND * peak:
+        m = float(np.max(np.abs(y, out=tmp)))
+        if not m <= min(GROWTH_BOUND * peak, limit):  # nan included
             raise InstabilityError(f"solution blew up at step {k}")
         peak = max(peak, m)
         if k in want:
-            t = want[k]
-            f = y[0] + 1j * y[1]
-            f_r = _d1_centered(f, grid)
-            f_t = y[2] + 1j * y[3] - drift(t) * inv_rho * f_r
-            history.append(FieldOnGrid(rho, f, f_t, f_r, t))
+            history.append(FieldOnGrid(rho, y[0] + 1j * y[1],
+                                       y[2] + 1j * y[3], want[k]))
     return history
 
 
@@ -462,7 +460,7 @@ def _delta_c2(eta: float, p: PacketParams) -> complex:
                    * packet_fourier(eta, p.gamma_params, p.a))
 
 
-def _initial_densities(eta: float, p: PacketParams, profile: VelocityProfile,
+def _initial_densities(eta: float, p: PacketParams,
                        flow: FlowMap) -> tuple[float, float]:
     """(eikonal density, exact-minus-eikonal density) at x0 = 0, eta < 0.
 
@@ -470,26 +468,25 @@ def _initial_densities(eta: float, p: PacketParams, profile: VelocityProfile,
     only c2, so the density changes by -4 Re(c1 conj(delta c2)).
     """
     q = packet_quadrature(p, flow, 0.0, abs(eta))
-    pk, eik = _node_fields(q, p, eta, profile)
-    c1, c2 = _pair_on_nodes(eik, pk, q, profile)
+    pk, eik = _node_fields(q, p, eta, flow)
+    c1, c2 = _pair_on_nodes(eik, pk, q)
     return (density_from_projections(c1, c2),
             density_from_projections(c1, _delta_c2(eta, p)))
 
 
-def _node_total(p: PacketParams, profile: VelocityProfile,
-                flow: FlowMap) -> tuple[float, float]:
+def _node_total(p: PacketParams, flow: FlowMap) -> tuple[float, float]:
     """Fixed-node totals over eta = a*eta' of the eikonal density and of the
     exact-minus-eikonal density."""
     tot_eik = tot_diff = 0.0
     for w, ep in zip(_SWEEP_WEIGHTS, _SWEEP_NODES):
-        d_eik, d_diff = _initial_densities(-p.a * float(ep), p, profile, flow)
+        d_eik, d_diff = _initial_densities(-p.a * float(ep), p, flow)
         tot_eik += w * p.a * d_eik
         tot_diff += w * p.a * d_diff
     return tot_eik, tot_diff
 
 
 def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
-                           profile: VelocityProfile, flow: FlowMap, *,
+                           flow: FlowMap, *,
                            t_final: float) -> RemainderReport:
     """Measure how the exact-mode creation density departs from the eikonal one.
 
@@ -509,6 +506,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     take more than MAX_POINT_STEPS point-steps raise ConfigError before any
     work.
     """
+    profile = flow.profile
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
                              profile.a_max_abs, t_final, grid.order)
     work = predicted_point_steps((grid, coarse), t_final)
@@ -527,7 +525,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     devs = []
     for eta in eta_samples:
         eta = float(eta)
-        dk, d_diff = _initial_densities(eta, p_ref, profile, flow)
+        dk, d_diff = _initial_densities(eta, p_ref, flow)
         dev = abs(d_diff) / abs(dk)
         devs.append((abs(eta), dev))
         report.rows_initial.append(RemainderRow(
@@ -543,7 +541,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
 
     # a-sweep of the node-total deviation at x0 = 0
     for a in A_VALUES:
-        tk, t_diff = _node_total(p.with_a(a), profile, flow)
+        tk, t_diff = _node_total(p.with_a(a), flow)
         report.sweep_a.append(a)
         report.sweep_dev.append(abs(t_diff) / abs(tk))
         report.sweep_leading.append(abs(tk))
@@ -567,8 +565,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"evolved rows have no discretisation estimate: coarse twin {exc}")
 
     for a in A_VALUES:
-        row = _evolved_row(p.with_a(a), eta, states, grid.order, profile,
-                           flow)
+        row = _evolved_row(p.with_a(a), eta, states, grid.order, flow)
         report.rows_evolved.append(row)
         if row.discr_estimate is not None and not row.resolved:
             report.warnings.append(
@@ -641,38 +638,39 @@ def packet_quadrature(p: PacketParams, flow: FlowMap, x0: float,
 
 
 def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
-                 profile: VelocityProfile):
-    """Packet and eikonal (value, d/dx0, d/drho) on transported nodes."""
-    a0 = float(profile.eval(q.x0))
+                 flow: FlowMap):
+    """Packet and eikonal (value, D value) on transported nodes."""
+    a0 = float(flow.profile.eval(q.x0))
     return (packet_values(q.s, q.rho, q.dsig_drho, a0, p),
             eikonal_values(p.sigma_star + q.s, q.rho, q.dsig_drho, a0, eta))
 
 
 def _mode_fields_at_nodes(q: PacketQuadrature, fld: FieldOnGrid) -> tuple:
+    """The mode's (value, D value) spline-interpolated onto the nodes."""
     from scipy.interpolate import CubicSpline
-    if q.rho.min() < fld.rho[0] or q.rho.max() > fld.rho[-1]:
-        raise ResolutionError(
-            "packet support left the grid; enlarge grid_rho_max")
-    val = CubicSpline(fld.rho, fld.value)(q.rho)
-    u_t = CubicSpline(fld.rho, fld.d_dx0)(q.rho)
-    u_r = CubicSpline(fld.rho, fld.d_drho)(q.rho)
-    return val, u_t, u_r
+    if q.rho.min() < fld.rho[0]:
+        raise ResolutionError("packet support left the grid below "
+                              "grid_rho_min; lower grid_rho_min")
+    if q.rho.max() > fld.rho[-1]:
+        raise ResolutionError("packet support left the grid beyond "
+                              "grid_rho_max; enlarge grid_rho_max")
+    return (CubicSpline(fld.rho, fld.value)(q.rho),
+            CubicSpline(fld.rho, fld.d_flow)(q.rho))
 
 
-def _pair_on_nodes(mode_fields, packet_fields, q: PacketQuadrature,
-                   profile) -> tuple[complex, complex]:
-    u, u_t, u_r = mode_fields
-    v, v_t, v_r = packet_fields
-    a_over_rho = float(profile.eval(q.x0)) / q.rho
-    c1 = 1j * np.sum(q.weights * np.conj(u) * (v_t + a_over_rho * v_r) * q.rho)
-    c2_raw = -1j * np.sum(q.weights * (np.conj(u_t) + a_over_rho * np.conj(u_r))
-                          * v * q.rho)
-    return complex(c1), complex(-c2_raw)
+def _pair_on_nodes(mode_fields, packet_fields,
+                   q: PacketQuadrature) -> tuple[complex, complex]:
+    """The two sides (c1, c2) = i int (u* Dv, (Du)* v) rho drho, on the
+    nodes, of the pairing <u, v> = 2 pi (c1 - c2)."""
+    u, du = mode_fields
+    v, dv = packet_fields
+    c1 = 1j * np.sum(q.weights * np.conj(u) * dv * q.rho)
+    c2 = 1j * np.sum(q.weights * np.conj(du) * v * q.rho)
+    return complex(c1), complex(c2)
 
 
-def evolved_projection_densities(states, profile: VelocityProfile,
-                                 flow: FlowMap, p: PacketParams, eta: float
-                                 ) -> tuple[list[float], float]:
+def evolved_projection_densities(states, flow: FlowMap, p: PacketParams,
+                                 eta: float) -> tuple[list[float], float]:
     """Numeric-mode projection densities of states, which share one x0,
     and the eikonal density there.
 
@@ -684,11 +682,10 @@ def evolved_projection_densities(states, profile: VelocityProfile,
     if any(st.x0 != x0 for st in states):
         raise ValueError("states must share one x0")
     q = packet_quadrature(p, flow, x0, abs(eta))
-    pk, eik = _node_fields(q, p, eta, profile)
+    pk, eik = _node_fields(q, p, eta, flow)
     d_nums = [density_from_projections(*_pair_on_nodes(
-        _mode_fields_at_nodes(q, st), pk, q, profile)) for st in states]
-    return d_nums, density_from_projections(*_pair_on_nodes(eik, pk, q,
-                                                            profile))
+        _mode_fields_at_nodes(q, st), pk, q)) for st in states]
+    return d_nums, density_from_projections(*_pair_on_nodes(eik, pk, q))
 
 
 def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
@@ -706,11 +703,9 @@ def predicted_point_steps(grids, t_final: float) -> float:
 
 
 def _evolved_row(p: PacketParams, eta: float, states: list[FieldOnGrid],
-                 order: int, profile: VelocityProfile,
-                 flow: FlowMap) -> RemainderRow:
+                 order: int, flow: FlowMap) -> RemainderRow:
     """The row from the fine state and, when given, its coarse twin."""
-    d_nums, d_eik = evolved_projection_densities(states, profile, flow, p,
-                                                 eta)
+    d_nums, d_eik = evolved_projection_densities(states, flow, p, eta)
     dev, *dev_c = (abs(d - d_eik) / abs(d_eik) for d in d_nums)
     discr = float(abs(dev - dev_c[0]) / (2 ** order - 1.0)) if dev_c else None
     return RemainderRow(a=float(p.a), eta=float(eta),

@@ -17,8 +17,9 @@ sonicbh.spectrum's array density or its angle integral.
 The stepper is the complex two-array RK4 the package used before its
 state became one real (4, n) array: explicit slice stencils, (f, g) as
 two complex arrays and a fresh array for every stage.  It shares no
-stencil code with sonicbh.pde.solve_cauchy, only the grid, the errors and
-the grid's step rule for recorded times (RadialGrid.steps).
+stencil code with sonicbh.pde.solve_cauchy, only the grid, the errors, the
+growth guard's bounds and the grid's step rule for recorded times
+(RadialGrid.steps).
 
 Gamma0 and the packet transform are checked against adaptive quadrature
 of their defining integrals: the oscillatory Gamma0 integral on a ray
@@ -27,7 +28,8 @@ transform directly, with a Fourier-weighted rule away from the algebraic
 endpoint.
 
 kg_inner is the conserved pairing by composite Simpson quadrature over a
-sampled grid; packet_fields and eikonal_fields sample the packet and the
+sampled grid, in the (value, D value) format of sonicbh.packets.FieldOnGrid;
+packet_fields and eikonal_fields sample the packet and the
 eikonal on a grid from the rays of sonicbh.flow.transport, which the
 package itself evaluates only on quadrature nodes.  dalembert_error
 measures sonicbh.pde.solve_cauchy against an exact drift-free mode.
@@ -43,7 +45,7 @@ from sonicbh.flow import FlowMap, VelocityProfile, transport
 from sonicbh.gammatools import gamma0_modulus_sq
 from sonicbh.packets import (FieldOnGrid, PacketParams, eikonal_values,
                              packet_values)
-from sonicbh.pde import GROWTH_BOUND, RadialGrid
+from sonicbh.pde import GROWTH_BOUND, GROWTH_LIMIT, RadialGrid
 from sonicbh.pde import solve_cauchy as package_solve_cauchy
 from sonicbh.spectrum import TotalNumber
 
@@ -199,9 +201,10 @@ def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Complex two-array RK4 with the contract of sonicbh.pde.solve_cauchy:
-    the same CFL ValueError and InstabilityError messages, and a state
-    recorded at x0 = t for each t in out_times, each a whole number of
-    steps (the same ValueError otherwise)."""
+    the same CFL ValueError, the same growth guard over the sup-norm of the
+    real and imaginary parts of (f, g) and its InstabilityError message,
+    and a state (f, g) recorded at x0 = t for each t in out_times, each a
+    whole number of steps (the same ValueError otherwise)."""
     drift = profile
     if isinstance(profile, VelocityProfile):
         if not grid.within_cfl(profile.a_max_abs):
@@ -227,12 +230,15 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     want = {grid.steps(t): t for t in
             ([t_final] if out_times is None else out_times)}
 
+    def sup(f, g):
+        return float(np.max(np.abs([f.real, f.imag, g.real, g.imag])))
+
     f = np.array(value0, dtype=complex)
-    f_t = np.array(dvalue0, dtype=complex)
-    f_r = d1_centered(f, grid)
-    g = f_t + drift(0.0) * inv_rho * f_r
-    history = [FieldOnGrid(rho, f, f_t, f_r, 0.0)]
-    peak = max(float(np.max(np.abs(f))), 1e-300)
+    g = (np.array(dvalue0, dtype=complex)
+         + drift(0.0) * inv_rho * d1_centered(f, grid))
+    history = [FieldOnGrid(rho, f, g, 0.0)]
+    peak = max(sup(f, g), 1e-300)
+    limit = GROWTH_LIMIT * peak
     for k in range(1, max(want, default=0) + 1):
         x0 = (k - 1) * dt
         k1f, k1g = rhs(f, g, x0)
@@ -241,15 +247,12 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         k4f, k4g = rhs(f + dt * k3f, g + dt * k3g, x0 + dt)
         f = f + dt / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
         g = g + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        m = float(np.max(np.abs(f)))
-        if not np.isfinite(m) or m > GROWTH_BOUND * peak:
+        m = sup(f, g)
+        if not np.isfinite(m) or m > GROWTH_BOUND * peak or m > limit:
             raise InstabilityError(f"solution blew up at step {k}")
         peak = max(peak, m)
         if k in want:
-            t = want[k]
-            f_r = d1_centered(f, grid)
-            history.append(FieldOnGrid(rho, f, g - drift(t) * inv_rho * f_r,
-                                       f_r, t))
+            history.append(FieldOnGrid(rho, f, g, want[k]))
     return history
 
 
@@ -328,45 +331,37 @@ def packet_fourier_quadrature(eta: float, alpha: float, eps: float, a: float,
 # -- sampled fields and the conserved pairing ----------------------------------
 
 def packet_fields(rho, x0: float, p: PacketParams, flow: FlowMap) -> FieldOnGrid:
-    """Packet value and derivatives on a grid at x0, via the ray label
+    """Packet value and D value on a grid at x0, via the ray label
     sigma(rho, x0) and its radial derivative."""
     rho = np.asarray(rho, dtype=float)
     sigma, dsig = transport(rho, x0, 0.0, flow)
-    value, d_dx0, d_drho = packet_values(sigma - p.sigma_star, rho, dsig,
-                                         flow.profile.eval(x0), p)
-    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
-                       x0=x0)
+    return FieldOnGrid(rho, *packet_values(sigma - p.sigma_star, rho, dsig,
+                                           flow.profile.eval(x0), p), x0)
 
 
 def eikonal_fields(rho, x0: float, eta: float, flow: FlowMap) -> FieldOnGrid:
-    """Eikonal value and derivatives on a grid at x0 (eta < 0)."""
+    """Eikonal value and D value on a grid at x0 (eta < 0)."""
     rho = np.asarray(rho, dtype=float)
     sigma, dsig = transport(rho, x0, 0.0, flow)
-    value, d_dx0, d_drho = eikonal_values(sigma, rho, dsig,
-                                          flow.profile.eval(x0), eta)
-    return FieldOnGrid(rho=rho, value=value, d_dx0=d_dx0, d_drho=d_drho,
-                       x0=x0)
+    return FieldOnGrid(rho, *eikonal_values(sigma, rho, dsig,
+                                            flow.profile.eval(x0), eta), x0)
 
 
-def kg_inner(u: FieldOnGrid, v: FieldOnGrid,
-             profile: VelocityProfile) -> complex:
-    """Conserved pairing of two sampled fields on a common radial grid.
+def kg_inner(u: FieldOnGrid, v: FieldOnGrid) -> complex:
+    """Conserved pairing 2 pi i int (u* Dv - (Du)* v) rho drho of two sampled
+    fields on a common radial grid.
 
-    The time x0, at which the drift A(x0) enters, comes from the fields,
-    which must share it and their grid (GridMismatchError otherwise).
-    Composite Simpson quadrature of the full bracket times rho, times the
-    2 pi azimuthal factor.  Satisfies <v, u> = conj(<u, v>) and <u, u>
-    real by construction of the bracket.
+    The fields must share their grid and their time x0 (GridMismatchError
+    otherwise).  Composite Simpson quadrature of the bracket times rho,
+    times the 2 pi azimuthal factor.  Satisfies <v, u> = conj(<u, v>) and
+    <u, u> real by construction of the bracket.
     """
     if u.rho.shape != v.rho.shape or not np.array_equal(u.rho, v.rho):
         raise GridMismatchError("fields sampled on different radial grids")
     if u.x0 != v.x0:
         raise GridMismatchError(f"fields sampled at different times "
                                 f"x0 = {u.x0:g} and {v.x0:g}")
-    a_over_rho = profile.eval(u.x0) / u.rho
-    bracket = (np.conj(u.value) * v.d_dx0 - np.conj(u.d_dx0) * v.value
-               + a_over_rho * (np.conj(u.value) * v.d_drho
-                               - np.conj(u.d_drho) * v.value))
+    bracket = np.conj(u.value) * v.d_flow - np.conj(u.d_flow) * v.value
     return complex(2.0j * math.pi
                    * integrate.simpson(bracket * u.rho, x=u.rho))
 

@@ -194,8 +194,8 @@ def test_ac7_pde_remainder(smooth_flow, smooth_profile):
                      sigma_star=smooth_flow.sigma_star)
     grid = RadialGrid.auto(0.3, 9.0, 4096, smooth_profile.a_max_abs, 0.5,
                            order=2)
-    rep = remainder_contribution(p, (-2.0, -6.0, -18.0), grid, smooth_profile,
-                                 smooth_flow, t_final=0.5)
+    rep = remainder_contribution(p, (-2.0, -6.0, -18.0), grid, smooth_flow,
+                                 t_final=0.5)
     elapsed = time.perf_counter() - t0
 
     decay_ok = rep.fit_exponent >= 0.5

@@ -202,6 +202,18 @@ def test_spectrum_reproducible(tmp_path):
     assert (tmp_path / "spectrum_totals.json").read_bytes() == first_json
 
 
+def test_pde_verify_reproducible(tmp_path):
+    args = ["pde-verify", "--out-dir", str(tmp_path), "--nrho", "256",
+            "--tfinal", "0.1", "--set", "eta_list=-2,-6"]
+    assert main(list(args)) == 0
+    names = ["pde_report.json", "field_eta-4_t0.csv", "field_eta-4_t0.05.csv",
+             "field_eta-4_t0.1.csv"]
+    first = [(tmp_path / name).read_bytes() for name in names]
+    assert main(list(args)) == 0
+    assert [(tmp_path / name).read_bytes() for name in names] == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
 def test_limit_command(tmp_path, capsys):
     rc = main(["limit", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -491,11 +503,18 @@ def test_boundary_pde_verify_eps(tmp_path, capsys, eps):
 
 
 def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):
-    # the transported packet support outruns a short grid
-    rc = main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "1024",
-               "--set", "grid_rho_max=5"])
-    assert rc == 4
-    assert "resolution failure" in capsys.readouterr().err
+    # the transported packet support outruns a short grid, or crosses an
+    # inner edge set above the horizon; the message names the edge crossed
+    for setting, edge, other in (("grid_rho_max=5", "grid_rho_max",
+                                  "grid_rho_min"),
+                                 ("grid_rho_min=0.85", "grid_rho_min",
+                                  "grid_rho_max")):
+        rc = main(["pde-verify", "--out-dir", str(tmp_path / edge),
+                   "--nrho", "1024", "--set", setting])
+        assert rc == 4, setting
+        err = capsys.readouterr().err
+        assert "resolution failure" in err, err
+        assert edge in err and other not in err, err
 
 
 def test_spectrum_large_alpha(tmp_path):

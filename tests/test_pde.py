@@ -204,6 +204,35 @@ def test_solve_cauchy_stable_at_step_bound(smooth_profile, order):
                      200 * grid.dt)
 
 
+@pytest.mark.parametrize("rho_min,factor,centre,steps", [
+    (0.3, 2.5, 3.0, 1000),  # grows until its square overflows a float
+    (0.02, 2.0, 0.3, 2000),  # grows below 5x a step, to 1.7e18 unguarded
+])
+def test_growth_guard_catches_slow_blowup(smooth_profile, rho_min, factor,
+                                          centre, steps):
+    # order 4 beyond the step bound (a callable drift, so no CFL check):
+    # growth below GROWTH_BOUND a step is caught once the state passes
+    # GROWTH_LIMIT times its initial sup-norm, long before floats overflow
+    dt = RadialGrid(rho_min, 9.0, 384, dt=1.0, order=4).cfl_dt(
+        smooth_profile.a_max_abs)
+    grid = RadialGrid(rho_min, 9.0, 384, dt=factor * dt, order=4)
+    f = np.exp(-((grid.rho - centre) / 0.5) ** 2).astype(complex)
+    for solver in (solve_cauchy, oracles.solve_cauchy):
+        with pytest.raises(InstabilityError, match="blew up"):
+            solver(f, np.zeros_like(f), grid, smooth_profile.eval,
+                   steps * grid.dt)
+
+
+def test_growth_guard_reads_the_whole_state(smooth_profile):
+    # data with f = 0 and a pulse in df/dx0 grow f from zero without
+    # tripping the guard, which measures (f, g) together
+    grid = RadialGrid.auto(0.3, 9.0, 384, smooth_profile.a_max_abs, 1.0)
+    pulse = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
+    hist = solve_cauchy(np.zeros_like(pulse), pulse, grid, smooth_profile,
+                        1.0)
+    assert np.max(np.abs(hist[-1].value)) > 0.1
+
+
 def test_step_counts_on_fixed_grids():
     # the pde-verify defaults: fine grid, coarse twin, and order 4
     def grid(n_rho, order=2):
@@ -285,7 +314,7 @@ def test_solve_cauchy_matches_oracle(order, smooth_profile):
         assert len(messages) == 1, messages
     assert np.max(np.abs(ref[-1].value[rho > 8.2])) > 0.01  # in the sponge
     for a, b in zip(ours, ref):
-        for name in ("value", "d_dx0", "d_drho"):
+        for name in ("value", "d_flow"):
             want = getattr(b, name)
             err = np.max(np.abs(getattr(a, name) - want))
             assert err <= 1e-12 * np.max(np.abs(want)), (b.x0, name, err)
@@ -317,10 +346,13 @@ def test_solve_mode_initial_state(smooth_profile, smooth_flow):
     eta = -3.0
     hist = solve_mode(eta, grid, smooth_profile, 0.01)
     w = smooth_window(grid.rho, *_horizon_window(grid))
-    val, dval = mode_initial_data(ModeSpec(eta=-eta), grid.rho,
-                                  smooth_profile.eval(0.0) / grid.rho, "+")
+    a0_over_rho = smooth_profile.eval(0.0) / grid.rho
+    val, dval = mode_initial_data(ModeSpec(eta=-eta), grid.rho, a0_over_rho,
+                                  "+")
     np.testing.assert_allclose(hist[0].value, w * val, atol=1e-15)
-    np.testing.assert_allclose(hist[0].d_dx0, w * dval, atol=1e-15)
+    # g = D f from the data's d/dx0 and one centred radial difference
+    want = w * dval + a0_over_rho * oracles.d1_centered(w * val, grid)
+    np.testing.assert_allclose(hist[0].d_flow, want, atol=1e-14)
 
 
 def test_solve_mode_resolution_error(smooth_profile):
@@ -343,8 +375,7 @@ def test_coarse_twin_lands_on_fine_time(packet, smooth_profile, smooth_flow,
 
     monkeypatch.setattr(pde, "solve_mode", recording)
     grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs, t_final)
-    report = remainder_contribution(packet, (-2.0, -6.0), grid,
-                                    smooth_profile, smooth_flow,
+    report = remainder_contribution(packet, (-2.0, -6.0), grid, smooth_flow,
                                     t_final=t_final)
     fine, coarse = histories
     assert [st.x0 for st in fine] == [0.0, 0.5 * t_final, t_final]
@@ -354,18 +385,20 @@ def test_coarse_twin_lands_on_fine_time(packet, smooth_profile, smooth_flow,
 
 
 def test_difference_field_initial_slope(smooth_profile, smooth_flow):
-    # d = f0 - E vanishes at x0 = 0 and its time derivative is
-    # -i gamma (sqrt(eta^2+1) - |eta|) e^{-i eta rho}: two independent code
-    # paths (mode data vs eikonal fields) must agree on this
+    # d = f0 - E vanishes at x0 = 0 with its radial derivative, so its flow
+    # derivative is its time derivative, -i gamma (sqrt(eta^2+1) - |eta|)
+    # e^{-i eta rho}: two independent code paths (mode data vs eikonal
+    # fields) must agree on this
     eta = -4.0
     rho = np.linspace(1.0, 4.0, 9)
-    val, dval = mode_initial_data(ModeSpec(eta=-eta), rho,
-                                  smooth_profile.eval(0.0) / rho, "+")
+    a0_over_rho = smooth_profile.eval(0.0) / rho
+    val, dval = mode_initial_data(ModeSpec(eta=-eta), rho, a0_over_rho, "+")
     eik = eikonal_fields(rho, 0.0, eta, smooth_flow)
     np.testing.assert_allclose(val, eik.value, rtol=1e-12)
+    d_flow = dval + a0_over_rho * (-0.5 / rho - 1j * eta) * val
     gam = 2.0 ** -0.5 * (eta * eta + 1.0) ** -0.25 / np.sqrt(rho)
     want = -1j * gam * (math.hypot(eta, 1.0) - abs(eta)) * np.exp(-1j * eta * rho)
-    np.testing.assert_allclose(dval - eik.d_dx0, want, rtol=1e-10)
+    np.testing.assert_allclose(d_flow - eik.d_flow, want, rtol=1e-10)
 
 
 def test_difference_field_bounded_over_run(smooth_profile, smooth_flow):
@@ -412,9 +445,14 @@ def test_stationary_kg_product_constant(const_profile, const_flow):
         hu = solve_mode(-4.0, grid, const_profile, 0.3, out_times=times)
         pk0 = packet_fields(grid.rho, 0.0, p, const_flow)
         w = smooth_window(grid.rho, *_horizon_window(grid))
-        hv = solve_cauchy(w * pk0.value, w * pk0.d_dx0, grid, const_profile,
-                          0.3, out_times=times)
-        vals = [kg_inner(su, sv, const_profile) for su, sv in zip(hu, hv)]
+        # the packet's d/dx0 = (A/rho + 1)(D C0 + (A/(2 rho^2)) C0), as its
+        # rays carry sigma at speed A/rho + 1; it vanishes on the horizon
+        a_rho = const_profile.eval(0.0) / grid.rho
+        c0_t = (a_rho + 1.0) * (pk0.d_flow
+                                + 0.5 * a_rho / grid.rho * pk0.value)
+        hv = solve_cauchy(w * pk0.value, w * c0_t, grid, const_profile, 0.3,
+                          out_times=times)
+        vals = [kg_inner(su, sv) for su, sv in zip(hu, hv)]
         drifts.append(max(abs(v - vals[0]) for v in vals) / abs(vals[0]))
     assert drifts[1] < 5e-3
     assert drifts[0] / drifts[1] > 3.0  # shrinks at scheme order
@@ -451,9 +489,8 @@ def test_node_quadrature_closed_form(packet, smooth_flow):
 def test_node_pair_matches_adaptive(packet, smooth_flow, smooth_profile):
     for eta in (-2.0, -8.0):
         q = packet_quadrature(packet, smooth_flow, 0.0, abs(eta))
-        pk, eik = _node_fields(q, packet, eta, smooth_profile)
-        d_nodes = density_from_projections(*_pair_on_nodes(
-            eik, pk, q, smooth_profile))
+        pk, eik = _node_fields(q, packet, eta, smooth_flow)
+        d_nodes = density_from_projections(*_pair_on_nodes(eik, pk, q))
         d_adapt = density_from_projections(*initial_projection_pair(
             eta, packet, smooth_profile, mode="eikonal"))
         assert abs(d_nodes / d_adapt - 1.0) < 1e-8
@@ -463,8 +500,8 @@ def test_evolved_densities_at_time_zero(packet, smooth_flow, smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.01)
     eta = -4.0
     hist = solve_mode(eta, grid, smooth_profile, 0.01)
-    (d_num,), d_eik = evolved_projection_densities(hist[:1], smooth_profile,
-                                                   smooth_flow, packet, eta)
+    (d_num,), d_eik = evolved_projection_densities(hist[:1], smooth_flow,
+                                                   packet, eta)
     ref_num = density_from_projections(*initial_projection_pair(
         eta, packet, smooth_profile, mode="exact"))
     ref_eik = density_from_projections(*initial_projection_pair(
@@ -507,7 +544,7 @@ def test_delta_c2_matches_adaptive(alpha, eps, smooth_flow, smooth_profile):
 def report(packet, smooth_profile, smooth_flow):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.3)
     return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
-                                  smooth_profile, smooth_flow, t_final=0.3)
+                                  smooth_flow, t_final=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -515,7 +552,7 @@ def report_order4(packet, smooth_profile, smooth_flow):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.3,
                            order=4)
     return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
-                                  smooth_profile, smooth_flow, t_final=0.3)
+                                  smooth_flow, t_final=0.3)
 
 
 def test_remainder_contribution_order4(report, report_order4):
@@ -567,15 +604,15 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_profile,
     assert calls, "the counter does not see the package's quad calls"
     calls.clear()
     grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.05)
-    remainder_contribution(packet, (-2.0, -6.0, -18.0), grid, smooth_profile,
-                           smooth_flow, t_final=0.05)
+    remainder_contribution(packet, (-2.0, -6.0, -18.0), grid, smooth_flow,
+                           t_final=0.05)
     assert not calls
 
 
 def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
                                                 smooth_flow, monkeypatch):
-    # a stepped drift callable is read once for g(0), four times a step and
-    # once a recorded state, so the calls count the steps actually taken
+    # a stepped drift callable is read once for g(0) and four times a step,
+    # so the calls count the steps actually taken
     work, grids = [], []
 
     def counting(value0, dvalue0, grid, profile, t_final, out_times=None):
@@ -586,7 +623,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
             return profile.eval(x0)
 
         hist = solve_cauchy(value0, dvalue0, grid, drift, t_final, out_times)
-        work.append(grid.n_rho * (calls[0] - len(hist)) // 4)
+        work.append(grid.n_rho * (calls[0] - 1) // 4)
         grids.append(grid)
         return hist
 
@@ -596,13 +633,13 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
         grids.clear()
         grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs,
                                t_final)
-        remainder_contribution(packet, (-2.0, -6.0), grid, smooth_profile,
-                               smooth_flow, t_final=t_final)
+        remainder_contribution(packet, (-2.0, -6.0), grid, smooth_flow,
+                               t_final=t_final)
         assert [g.n_rho for g in grids] == [n_rho, n_rho // 2 + 1]
         assert sum(work) == pde.predicted_point_steps(grids, t_final)
 
 
-def test_work_budget_admits_the_benchmark_grids(smooth_profile):
+def test_work_budget_admits_the_benchmark_grids(smooth_profile, smooth_flow):
     # the pde-verify defaults and the wave benchmark's six grids; the
     # largest, 4096 points to t = 0.75, takes about 1.3e7 point-steps
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
@@ -613,8 +650,7 @@ def test_work_budget_admits_the_benchmark_grids(smooth_profile):
         assert work < 0.05 * pde.MAX_POINT_STEPS, (n_rho, t_final, work)
     grid = RadialGrid.auto(1e-6, 9.0, 1024, smooth_profile.a_max_abs, 0.75)
     with pytest.raises(ConfigError, match="point-steps"):
-        remainder_contribution(None, (-2.0,), grid, smooth_profile, None,
-                               t_final=0.75)
+        remainder_contribution(None, (-2.0,), grid, smooth_flow, t_final=0.75)
 
 
 def test_remainder_contribution_report(report, packet):

@@ -46,39 +46,39 @@ def packet(smooth_flow):
 
 # -- kg_inner ----------------------------------------------------------------
 
-def test_kg_inner_packet_norm(smooth_flow, smooth_profile):
+def test_kg_inner_packet_norm(smooth_flow):
     # regular edge case eps = 1/2 on a graded grid reproduces the closed norm
     star = smooth_flow.sigma_star
     p = PacketParams(alpha=1.0, a=8.0, eps=0.5, sigma_star=star)
     rho = star + np.geomspace(1e-12, 6.0, 6001)
     f = packet_fields(rho, 0.0, p, smooth_flow)
-    val = kg_inner(f, f, smooth_profile)
+    val = kg_inner(f, f)
     assert val.imag == 0.0
     assert val.real == pytest.approx(packet_norm(p), rel=1e-8)
 
 
-def test_kg_inner_conjugate_symmetry(smooth_flow, smooth_profile):
+def test_kg_inner_conjugate_symmetry(smooth_flow):
     star = smooth_flow.sigma_star
     rho = star + np.geomspace(1e-10, 6.0, 2001)
     u = packet_fields(rho, 0.0,
                       PacketParams(1.0, 8.0, 0.5, star), smooth_flow)
     v = packet_fields(rho, 0.0,
                       PacketParams(2.0, 6.0, 0.5, star), smooth_flow)
-    assert kg_inner(u, v, smooth_profile) == pytest.approx(
-        np.conj(kg_inner(v, u, smooth_profile)), rel=1e-12)
+    assert kg_inner(u, v) == pytest.approx(
+        np.conj(kg_inner(v, u)), rel=1e-12)
 
 
-def test_kg_inner_grid_mismatch(smooth_flow, smooth_profile):
+def test_kg_inner_grid_mismatch(smooth_flow):
     star = smooth_flow.sigma_star
     p = PacketParams(1.0, 8.0, 0.5, star)
     u = packet_fields(star + np.geomspace(1e-8, 6.0, 101), 0.0, p, smooth_flow)
     v = packet_fields(star + np.geomspace(1e-8, 6.0, 102), 0.0, p, smooth_flow)
     with pytest.raises(GridMismatchError):
-        kg_inner(u, v, smooth_profile)
+        kg_inner(u, v)
     # the same grid at two times
     later = packet_fields(u.rho, 0.1, p, smooth_flow)
     with pytest.raises(GridMismatchError):
-        kg_inner(u, later, smooth_profile)
+        kg_inner(u, later)
 
 
 def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
@@ -91,18 +91,16 @@ def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
     etas = np.linspace(eta_c - 5.0 * sigma_w, eta_c + 5.0 * sigma_w, 241)
     w = np.exp(-((etas - eta_c) ** 2) / (2.0 * sigma_w ** 2))
     val = np.zeros_like(rho, dtype=complex)
-    dval = np.zeros_like(rho, dtype=complex)
-    drho = np.zeros_like(rho, dtype=complex)
+    d_flow = np.zeros_like(rho, dtype=complex)
     a0_over_rho = profile.eval(0.0) / rho
     for eta, wk in zip(etas, w):
         phase = np.exp(-1j * eta * rho_c)
         v, d = mode_initial_data(ModeSpec(eta=eta), rho, a0_over_rho, family)
         val += wk * phase * v
-        dval += wk * phase * d
-        drho += wk * phase * v * (-0.5 / rho + 1j * eta)
+        # D = d/dx0 + (A/rho) d/drho, the radial derivative in closed form
+        d_flow += wk * phase * (d + a0_over_rho * v * (-0.5 / rho + 1j * eta))
     de = etas[1] - etas[0]
-    return (FieldOnGrid(rho=rho, value=val * de, d_dx0=dval * de,
-                        d_drho=drho * de, x0=0.0),
+    return (FieldOnGrid(rho=rho, value=val * de, d_flow=d_flow * de, x0=0.0),
             sigma_w * math.sqrt(math.pi))  # int |w|^2 d eta
 
 
@@ -117,13 +115,13 @@ def test_smeared_norms_and_orthogonality(smooth_flow, smooth_profile):
     same_minus, _ = _smeared_mode(rho, 6.0, "-", sigma_w, rho_c, smooth_profile)
 
     scale = (2.0 * math.pi) ** 2 * w2
-    nu = kg_inner(u_plus, u_plus, smooth_profile)
-    nv = kg_inner(v_minus, v_minus, smooth_profile)
+    nu = kg_inner(u_plus, u_plus)
+    nv = kg_inner(v_minus, v_minus)
     assert nu.real == pytest.approx(scale, rel=2e-3)
     assert nv.real == pytest.approx(-scale, rel=2e-3)
 
     for other in (v_minus, same_minus):
-        cross = kg_inner(u_plus, other, smooth_profile)
+        cross = kg_inner(u_plus, other)
         assert abs(cross) < 1e-4 * scale
 
 
