@@ -41,10 +41,10 @@ class RunConfig:
     # spectrum grid
     n_eta: int = 96
     # wave solver
-    nrho: int = 2048
+    nrho: int = 1024
     tfinal: float = 0.75
     eta_list: tuple[float, ...] = (-2.0, -6.0, -18.0)
-    order: int = 2
+    order: int = 4
     grid_rho_min: float = 0.3
     grid_rho_max: float = 9.0
     # output

@@ -91,6 +91,11 @@ class VelocityProfile:
     def a_max_abs(self) -> float:
         return max(abs(self.a_minus), abs(self.a_plus))
 
+    def min_abs(self, x_lo: float, x_hi: float) -> float:
+        """min |A(x0)| over [x_lo, x_hi]; A is monotone, so it lies at an
+        end."""
+        return min(abs(self.eval(float(x_lo))), abs(self.eval(float(x_hi))))
+
 
 @dataclass(frozen=True)
 class HorizonCurve:

@@ -17,7 +17,8 @@ format in which the packet and the eikonal are sampled too.  The drift
 speed A/rho is negative everywhere, so its derivative is one-sided toward
 larger rho (the inflow side); the second derivative is centered.  Inside
 the horizon both characteristic speeds point inward, so the inner edge is
-pure outflow and one-sided stencils suffice there; the outer edge carries
+pure outflow and one-sided stencils suffice there (solve_cauchy refuses an
+inner edge where |A| does not exceed rho_min); the outer edge carries
 a sponge layer that damps what the data window lets by.
 The time step is 0.9 of the step at which the drift, at its fastest, and
 the wave term share RK4's stability region, from the step limits of the
@@ -38,9 +39,10 @@ module also evaluates the projection pair of a field history against the
 transported packet, to measure how fast those remainders fall with the
 localisation rate a and with |eta|: at x0 = 0 from the eikonal pair on
 Gauss nodes plus the exact-minus-eikonal change in closed form, and on
-evolved grids from the mode's (f, g) interpolated onto the nodes.  The
-pair is the conserved pairing in its D form, 2 pi i int (u* Dv - (Du)* v)
-rho drho, which carries no separate drift term.
+evolved grids from the mode's (f, g) interpolated onto the nodes by a
+local cubic.  The pair is the conserved pairing in its D form,
+2 pi i int (u* Dv - (Du)* v) rho drho, which carries no separate drift
+term.
 """
 
 from __future__ import annotations
@@ -266,8 +268,10 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     """Evolve data (f, df/dx0) at x0 = 0 to t_final with classic RK4.
 
     profile is a VelocityProfile, whose max|A| sets the step bound
-    grid.cfl_dt, from the stencils' RK4 limits (ValueError beyond it), or
-    any callable x0 -> A(x0), which is stepped unchecked.  States are
+    grid.cfl_dt, from the stencils' RK4 limits (ValueError beyond it), and
+    whose min|A| over the solve must exceed grid.rho_min, so that the inner
+    edge is pure outflow (ValueError otherwise); or any callable
+    x0 -> A(x0), which is stepped unchecked.  States are
     recorded after the initial state at out_times (default t_final), each
     with x0 the requested time, which must be a whole number of steps
     (ValueError otherwise); the loop stops at the last of them.  Each
@@ -283,6 +287,8 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     d2 + (1/rho) d1 is one stencil with coefficient vectors; the sponge
     acts only where it is nonzero.
     """
+    want = {grid.steps(t): t for t in
+            ([t_final] if out_times is None else out_times)}
     drift = profile
     if isinstance(profile, VelocityProfile):
         if not grid.within_cfl(profile.a_max_abs):
@@ -290,6 +296,12 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                 f"dt = {grid.dt:g} violates the CFL bound "
                 f"{grid.cfl_dt(profile.a_max_abs):g} for max|A| = "
                 f"{profile.a_max_abs:g}")
+        t_end = max(want.values(), default=0.0)
+        a_min = profile.min_abs(0.0, t_end)
+        if not a_min > grid.rho_min:
+            raise ValueError(
+                f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
+                f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
         drift = profile.eval
     n, dt = grid.n_rho, grid.dt
     rho = grid.rho
@@ -319,9 +331,6 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         laplacian(y[:2], out[2:], diff[:2 * n - 1])
         np.add(out[2:], drift_term[2:], out=out[2:])
         out[:, s0:] -= sponge * y[:, s0:]
-
-    want = {grid.steps(t): t for t in
-            ([t_final] if out_times is None else out_times)}
 
     # g = D f = df/dx0 + (A/rho) df/drho
     f = np.array(value0, dtype=complex)
@@ -502,11 +511,17 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     when it is not small against the deviation being measured.  A grid too
     coarse for EVOLVE_ETA raises ResolutionError; a coarse twin too coarse
     for it leaves the estimate None, with a warning.  The report records
-    n_rho, dt and steps of each solve made.  Grids whose two solves would
-    take more than MAX_POINT_STEPS point-steps raise ConfigError before any
-    work.
+    n_rho, dt and steps of each solve made.  Grids whose inner edge takes
+    inflow before t_final, or whose two solves would take more than
+    MAX_POINT_STEPS point-steps, raise ConfigError before any work.
     """
     profile = flow.profile
+    a_min = profile.min_abs(0.0, t_final)
+    if not a_min > grid.rho_min:
+        raise ConfigError(
+            f"grid_rho_min = {grid.rho_min:g} must lie below min|A| = "
+            f"{a_min:g} over [0, tfinal]: above it the inner edge takes "
+            f"inflow")
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
                              profile.a_max_abs, t_final, grid.order)
     work = predicted_point_steps((grid, coarse), t_final)
@@ -646,16 +661,25 @@ def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
 
 
 def _mode_fields_at_nodes(q: PacketQuadrature, fld: FieldOnGrid) -> tuple:
-    """The mode's (value, D value) spline-interpolated onto the nodes."""
-    from scipy.interpolate import CubicSpline
+    """The mode's (value, D value) on the nodes, each by the Lagrange cubic
+    through the 4 nearest points of the uniform grid (the 4 end points near
+    either end)."""
     if q.rho.min() < fld.rho[0]:
         raise ResolutionError("packet support left the grid below "
                               "grid_rho_min; lower grid_rho_min")
     if q.rho.max() > fld.rho[-1]:
         raise ResolutionError("packet support left the grid beyond "
                               "grid_rho_max; enlarge grid_rho_max")
-    return (CubicSpline(fld.rho, fld.value)(q.rho),
-            CubicSpline(fld.rho, fld.d_flow)(q.rho))
+    n = len(fld.rho)
+    s = (q.rho - fld.rho[0]) * ((n - 1) / (fld.rho[-1] - fld.rho[0]))
+    j = np.clip(s.astype(int) - 1, 0, n - 4)  # s >= 0: truncation floors
+    t = s - j
+    w = (-(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
+         t * (t - 2.0) * (t - 3.0) / 2.0,
+         -t * (t - 1.0) * (t - 3.0) / 2.0,
+         t * (t - 1.0) * (t - 2.0) / 6.0)
+    return tuple(sum(wk * f[j + k] for k, wk in enumerate(w))
+                 for f in (fld.value, fld.d_flow))
 
 
 def _pair_on_nodes(mode_fields, packet_fields,
@@ -675,8 +699,8 @@ def evolved_projection_densities(states, flow: FlowMap, p: PacketParams,
     and the eikonal density there.
 
     Every side uses the one transported node quadrature, so its error
-    cancels in the deviations; each numeric mode is spline-interpolated
-    onto the nodes.
+    cancels in the deviations; each numeric mode is interpolated onto the
+    nodes by a local cubic.
     """
     x0 = states[0].x0
     if any(st.x0 != x0 for st in states):

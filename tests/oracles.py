@@ -201,10 +201,15 @@ def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Complex two-array RK4 with the contract of sonicbh.pde.solve_cauchy:
-    the same CFL ValueError, the same growth guard over the sup-norm of the
-    real and imaginary parts of (f, g) and its InstabilityError message,
-    and a state (f, g) recorded at x0 = t for each t in out_times, each a
-    whole number of steps (the same ValueError otherwise)."""
+    the same CFL and inflow-edge ValueErrors, the same growth guard over
+    the sup-norm of the real and imaginary parts of (f, g) and its
+    InstabilityError message, and a state (f, g) recorded at x0 = t for
+    each t in out_times, each a whole number of steps (the same ValueError
+    otherwise).  The inflow check samples |A| densely over the solve rather
+    than at its ends."""
+    dt = grid.dt
+    want = {grid.steps(t): t for t in
+            ([t_final] if out_times is None else out_times)}
     drift = profile
     if isinstance(profile, VelocityProfile):
         if not grid.within_cfl(profile.a_max_abs):
@@ -212,6 +217,13 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                 f"dt = {grid.dt:g} violates the CFL bound "
                 f"{grid.cfl_dt(profile.a_max_abs):g} for max|A| = "
                 f"{profile.a_max_abs:g}")
+        t_end = max(want.values(), default=0.0)
+        a_min = float(np.min(np.abs(profile.eval(
+            np.linspace(0.0, t_end, 1001)))))
+        if not a_min > grid.rho_min:
+            raise ValueError(
+                f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
+                f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
         drift = profile.eval
     rho = grid.rho
     inv_rho = 1.0 / rho
@@ -225,10 +237,6 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         df = g - c * d1_upwind(f, grid) - sponge * f
         dg = lap - c * d1_upwind(g, grid) - sponge * g
         return df, dg
-
-    dt = grid.dt
-    want = {grid.steps(t): t for t in
-            ([t_final] if out_times is None else out_times)}
 
     def sup(f, g):
         return float(np.max(np.abs([f.real, f.imag, g.real, g.imag])))

@@ -25,10 +25,13 @@ import pytest
 from scipy import integrate, special
 
 from sonicbh.cli import main
+from sonicbh.config import RunConfig
 from sonicbh.flow import VelocityProfile, find_separatrix
 from sonicbh.gammatools import GammaParams, gamma0_modulus_sq, packet_fourier
 from sonicbh.packets import PacketParams, packet_norm
-from sonicbh.pde import RadialGrid, remainder_contribution
+from sonicbh.pde import (A_VALUES, EVOLVE_ETA, RadialGrid,
+                         evolved_projection_densities, remainder_contribution,
+                         solve_mode)
 from sonicbh.spectrum import (default_eta_grid, density_from_projections,
                               eikonal_projections, limit_sweep,
                               normalized_number_limit_variant)
@@ -216,6 +219,35 @@ def test_ac7_pde_remainder(smooth_flow, smooth_profile):
     assert eta_ok
     assert order_ok
     assert elapsed < 300.0
+
+
+def test_default_evolved_rows_against_reference(smooth_flow, smooth_profile):
+    # the pde-verify defaults (order 4, 1024 points) against order 4 on
+    # 4096 points with the inner edge at 0.7: inside the horizon both
+    # characteristic families point inward, so an outflow inner edge there
+    # leaves the rows as they are (0.3 against 0.7 moved them by 2e-8).
+    # Measured: gaps 8.9e-6/9.5e-6/9.6e-6 at a = 8/16/32, each 2.1 times
+    # discr_estimate, whose divisor 2^order - 1 assumes h^4 convergence
+    cfg = RunConfig()
+    assert cfg.profile() == smooth_profile
+    p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
+                     sigma_star=smooth_flow.sigma_star)
+    grid = RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
+                           smooth_profile.a_max_abs, cfg.tfinal, cfg.order)
+    rows = remainder_contribution(p, cfg.eta_list, grid, smooth_flow,
+                                  t_final=cfg.tfinal).rows_evolved
+    ref_grid = RadialGrid.auto(0.7, cfg.grid_rho_max, 4096,
+                               smooth_profile.a_max_abs, cfg.tfinal, 4)
+    ref_state = solve_mode(EVOLVE_ETA, ref_grid, smooth_profile,
+                           cfg.tfinal)[-1]
+    assert [r.a for r in rows] == list(A_VALUES)
+    for row in rows:
+        (d_ref,), d_eik = evolved_projection_densities(
+            [ref_state], smooth_flow, p.with_a(row.a), EVOLVE_ETA)
+        err = abs(row.dev_rel - abs(d_ref - d_eik) / abs(d_eik))
+        assert err <= 1e-5, (row.a, err)
+        assert err <= 2.5 * row.discr_estimate, (row.a, err,
+                                                 row.discr_estimate)
 
 
 def test_ac8_reproducibility(tmp_path):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -214,6 +217,25 @@ def test_pde_verify_reproducible(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
+def test_pde_verify_imports_no_spline(tmp_path):
+    # the mode reaches the nodes by a local cubic: a fresh process runs
+    # pde-verify without importing scipy.interpolate
+    import sonicbh
+    src = str(Path(sonicbh.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from sonicbh.cli import main\n"
+            f"rc = main(['pde-verify', '--out-dir', {str(tmp_path)!r}, "
+            "'--nrho', '256', '--tfinal', '0.1'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy.interpolate' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "pde_report.json").exists()
+
+
 def test_limit_command(tmp_path, capsys):
     rc = main(["limit", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -276,15 +298,15 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pde, "solve_mode", counting)
     assert main(["pde-verify", "--out-dir", str(tmp_path)]) == 0
-    assert calls == [2048, 1025]
+    assert calls == [1024, 513]
     report = _strict_json(tmp_path / "pde_report.json")["report"]
     snaps = {p.name for p in tmp_path.glob("field_eta*.csv")}
     assert snaps == {"field_eta-4_t0.csv", "field_eta-4_t0.375.csv",
                      "field_eta-4_t0.75.csv"}
     assert not report["warnings"]
     assert report["solves"] == {
-        "fine": {"n_rho": 2048, "dt": 0.75 / 1266, "steps": 1266},
-        "coarse": {"n_rho": 1025, "dt": 0.75 / 634, "steps": 634}}
+        "fine": {"n_rho": 1024, "dt": 0.75 / 306, "steps": 306},
+        "coarse": {"n_rho": 513, "dt": 0.75 / 154, "steps": 154}}
     for row in report["rows_evolved"]:
         assert f"field_eta-4_t{row['x0']:g}.csv" in snaps
         assert row["x0"] == 0.75  # tfinal itself, a whole number of steps
@@ -417,15 +439,17 @@ def _assert_outputs_finite(out_dir):
 _TYPED = {2: "config error", 3: "numerical failure", 4: "resolution failure"}
 
 
-def _run_boundary(argv, out_dir, capsys, accepted):
-    # exit 0 with finite outputs, or a typed failure; never an exception
+def _run_boundary(argv, out_dir, capsys, accepted, refused=2):
+    # exit 0 with finite outputs, or a typed failure (exit code refused);
+    # never an exception
     rc = main(argv + ["--out-dir", str(out_dir)])
     err = capsys.readouterr().err
     if rc == 0:
         _assert_outputs_finite(out_dir)
     else:
         assert _TYPED[rc] in err, (argv, err)
-    assert rc == (0 if accepted else 2), (argv, err)
+    assert rc == (0 if accepted else refused), (argv, err)
+    return err
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.5, 0.049, 0.5001])
@@ -500,6 +524,90 @@ def test_pde_verify_refuses_work_beyond_budget(tmp_path, capsys, argv):
 def test_boundary_pde_verify_eps(tmp_path, capsys, eps):
     _run_boundary(["pde-verify", "--nrho", "1024", "--set", f"eps={eps}"],
                   tmp_path, capsys, accepted=eps == 0.05)
+
+
+_SMALL = ["--nrho", "256", "--tfinal", "0.1"]
+# |A(tfinal)| at the defaults, 0.87297: |A| falls over [0, tfinal], so an
+# inner edge at or above it takes inflow before tfinal
+_A_END = RunConfig().profile().min_abs(0.0, RunConfig().tfinal)
+
+
+@pytest.mark.parametrize("argv,accepted,refused,names", [
+    # nrho: 30 is the config floor, and a grid resolves eta = -4 from 90
+    (["--nrho", "29"], False, 2, "nrho must be at least 30"),
+    (["--nrho", "30"], False, 4, "eta = -4"),
+    (["--nrho", "89"], False, 4, "eta = -4"),
+    (["--nrho", "90"], True, None, None),
+    # order: 2 and 4
+    (["--order", "1"], False, 2, "order must be 2 or 4"),
+    (["--order", "2"] + _SMALL, True, None, None),
+    (["--order", "3"], False, 2, "order must be 2 or 4"),
+    (["--order", "4"] + _SMALL, True, None, None),
+    (["--order", "5"], False, 2, "order must be 2 or 4"),
+    # grid_rho_min: positive (the smallest floats and 1e-6 exceed the work
+    # budget: test_pde_verify_refuses_work_beyond_budget); at or above
+    # |A(tfinal)| the inner edge takes inflow.  Just below it, as at 0.85,
+    # the edge is outflow, but the packet support, which hugs the
+    # separatrix (0.894 at x0 = 0, 0.830 at tfinal), crosses it
+    (["--set", "grid_rho_min=0"], False, 2, "grid_rho_min must be positive"),
+    (["--set", "grid_rho_min=0.1"] + _SMALL, True, None, None),
+    (["--set", "grid_rho_min=0.85"], False, 4, "below grid_rho_min"),
+    (["--set", f"grid_rho_min={math.nextafter(_A_END, 0.0)!r}"], False, 4,
+     "below grid_rho_min"),
+    (["--set", f"grid_rho_min={_A_END!r}"], False, 2,
+     "inner edge takes inflow"),
+    (["--set", "grid_rho_min=0.9"], False, 2, "inner edge takes inflow"),
+    (["--tfinal", "3", "--set", "grid_rho_min=0.82"], False, 2,
+     "inner edge takes inflow"),
+])
+def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
+                                  names):
+    t0 = time.monotonic()
+    err = _run_boundary(["pde-verify"] + argv, tmp_path, capsys, accepted,
+                        refused)
+    assert time.monotonic() - t0 < 10.0, argv
+    if names is not None:
+        assert names in err, (argv, err)
+        assert not any(tmp_path.iterdir()), argv
+
+
+def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
+                                                    monkeypatch):
+    # nrho has no ceiling of its own: the work budget sets it.  The largest
+    # nrho within MAX_POINT_STEPS at the defaults (56 780 points, some
+    # minutes of stepping) is accepted up to its first solve; one point
+    # more is refused before any work
+    from sonicbh import pde
+    cfg = RunConfig()
+
+    def work(n):
+        return pde.predicted_point_steps(
+            [pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, m,
+                                 cfg.profile().a_max_abs, cfg.tfinal,
+                                 cfg.order) for m in (n, n // 2 + 1)],
+            cfg.tfinal)
+
+    lo, hi = cfg.nrho, 2 ** 20
+    assert work(lo) <= pde.MAX_POINT_STEPS < work(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if work(mid) <= pde.MAX_POINT_STEPS else (lo, mid)
+
+    class Stepping(Exception):
+        pass
+
+    def first_solve(*args, **kwargs):
+        raise Stepping
+
+    monkeypatch.setattr(pde, "solve_mode", first_solve)
+    t0 = time.monotonic()
+    with pytest.raises(Stepping):
+        main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", str(lo)])
+    assert main(["pde-verify", "--out-dir", str(tmp_path),
+                 "--nrho", str(hi)]) == 2
+    assert time.monotonic() - t0 < 10.0
+    assert "point-steps" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):

@@ -54,6 +54,16 @@ def test_profile_limits_monotone(smooth_profile):
     assert a[-1] == pytest.approx(-0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("a_minus,a_plus", [(-1.2, -0.8), (-0.8, -1.2)])
+def test_profile_min_abs_at_an_end(a_minus, a_plus):
+    # |A| falls or rises across the step: its minimum over an interval is
+    # at one end, as a dense sample finds it
+    profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus)
+    for lo, hi in ((0.0, 0.75), (-2.0, 3.0), (1.0, 1.0)):
+        dense = np.min(np.abs(profile.eval(np.linspace(lo, hi, 2001))))
+        assert profile.min_abs(lo, hi) == pytest.approx(dense, rel=1e-15)
+
+
 def test_equilibrium_path(const_profile):
     path = integrate_characteristic(1.0, 0.0, 5.0, const_profile)
     assert not path.captured

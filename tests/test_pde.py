@@ -234,13 +234,18 @@ def test_growth_guard_reads_the_whole_state(smooth_profile):
 
 
 def test_step_counts_on_fixed_grids():
-    # the pde-verify defaults: fine grid, coarse twin, and order 4
-    def grid(n_rho, order=2):
+    # the pde-verify defaults (order 4, 1024 points, and the coarse twin),
+    # and order 2 on 2048 points, the defaults before order 4
+    def grid(n_rho, order):
         return RadialGrid.auto(0.3, 9.0, n_rho, 1.2, 0.75, order)
-    assert grid(2048).steps(0.75) == 1266
-    assert grid(1025).steps(0.75) == 634
+    assert grid(1024, 4).steps(0.75) == 306
+    assert grid(513, 4).steps(0.75) == 154
+    assert pde.predicted_point_steps((grid(1024, 4), grid(513, 4)),
+                                     0.75) == 392_346
+    assert grid(2048, 2).steps(0.75) == 1266
+    assert grid(1025, 2).steps(0.75) == 634
     assert grid(2048, 4).steps(0.75) == 610
-    assert pde.predicted_point_steps((grid(2048), grid(1025)),
+    assert pde.predicted_point_steps((grid(2048, 2), grid(1025, 2)),
                                      0.75) == 3_242_618
 
 
@@ -324,6 +329,7 @@ def test_solve_cauchy_errors_match_oracle(smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs, 0.1)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
     blowup = RadialGrid(2.0, 12.0, 256, dt=1.0)
+    inflow = RadialGrid.auto(0.85, 9.0, 256, smooth_profile.a_max_abs, 3.0)
     f = np.exp(-((blowup.rho - 7.0) / 0.5) ** 2).astype(complex)
     messages = []
     for solver in (solve_cauchy, oracles.solve_cauchy):
@@ -331,8 +337,40 @@ def test_solve_cauchy_errors_match_oracle(smooth_profile):
             solver(f, f, bad, smooth_profile, 10 * bad.dt)
         with pytest.raises(InstabilityError) as unstable:
             solver(f, np.zeros_like(f), blowup, lambda x0: 0.0, 10.0)
-        messages.append((str(cfl.value), str(unstable.value)))
+        with pytest.raises(ValueError, match="takes inflow") as edge:
+            solver(f, f, inflow, smooth_profile, 3.0)
+        messages.append((str(cfl.value), str(unstable.value),
+                         str(edge.value)))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("a_abs", [2e-5, 0.01])
+def test_solve_cauchy_refuses_inflow_inner_edge(a_abs):
+    # with |A| below rho_min the inner edge takes inflow, which the
+    # one-sided stencils there cannot carry: without the growth guard a
+    # unit pulse grows 2.9e3-fold by t = 20 at |A| = 2e-5, 72-fold at 0.01
+    profile = VelocityProfile(a_minus=-a_abs, a_plus=-a_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 384, a_abs, 20.0)
+    f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
+    with pytest.raises(ValueError, match="inner edge rho_min = 0.3 takes "
+                                         "inflow"):
+        solve_cauchy(f, np.zeros_like(f), grid, profile, 20.0)
+    # a plain callable drift is stepped unchecked
+    hist = solve_cauchy(f, np.zeros_like(f), grid, profile.eval, 10 * grid.dt)
+    assert hist[-1].x0 == 10 * grid.dt
+
+
+def test_inflow_check_spans_every_recorded_time(smooth_profile):
+    # |A| falls from 1 at x0 = 0 toward 0.8: rho_min = 0.85 is an outflow
+    # edge to x0 = 0.5 (|A| = 0.908) and an inflow edge by x0 = 3 (0.801),
+    # whether 3 is t_final or a recorded time beyond it
+    grid = RadialGrid.auto(0.85, 9.0, 128, smooth_profile.a_max_abs, 3.0)
+    f = np.zeros(128, complex)
+    assert len(solve_cauchy(f, f, grid, smooth_profile, 0.5)) == 2
+    for t_final, out_times in ((3.0, None), (0.5, [0.5, 3.0])):
+        with pytest.raises(ValueError, match=r"min\|A\| = 0.800989 over "
+                                             r"\[0, 3\]"):
+            solve_cauchy(f, f, grid, smooth_profile, t_final, out_times)
 
 
 def test_grid_refinement_halves_error_fourfold():
@@ -506,9 +544,47 @@ def test_evolved_densities_at_time_zero(packet, smooth_flow, smooth_profile):
         eta, packet, smooth_profile, mode="exact"))
     ref_eik = density_from_projections(*initial_projection_pair(
         eta, packet, smooth_profile, mode="eikonal"))
-    # the numeric side passes through FD/spline sampling of the data
+    # the numeric side passes through FD/cubic sampling of the data
     assert d_num == pytest.approx(ref_num, rel=5e-4)
     assert d_eik == pytest.approx(ref_eik, rel=1e-8)
+
+
+def test_mode_fields_at_nodes_local_cubic():
+    # the local cubic against a global spline, the oracle, on a smooth
+    # mode-like field: both are fourth-order, and they part most in the
+    # end intervals, where the cubic's 4 points clamp to the grid's ends.
+    # The cubic reproduces a cubic polynomial and the grid values exactly
+    from scipy.interpolate import CubicSpline
+    grid = RadialGrid(0.3, 9.0, 513, dt=1.0)
+    rho, h = grid.rho, grid.drho
+
+    def mode(r):
+        return np.exp(-3j * r) / np.sqrt(r)
+
+    def poly(r):
+        return (r ** 3 - 2.0 * r + 1.0) * (1.0 - 0.5j)
+
+    fld = packets.FieldOnGrid(rho, mode(rho), poly(rho), 0.0)
+    ends = np.array([0.0, 0.3, 0.5, 1.7])
+    x = np.concatenate([rho[0] + ends * h, np.linspace(rho[0], rho[-1], 301),
+                        rho[-1] - ends * h])
+
+    def at(nodes):
+        q = pde.PacketQuadrature(s=nodes, rho=nodes, dsig_drho=nodes,
+                                 weights=nodes, x0=0.0)
+        return pde._mode_fields_at_nodes(q, fld)
+
+    value, d_flow = at(x)
+    spline = CubicSpline(rho, fld.value)(x)
+    assert np.max(np.abs(value - spline)) <= 2e-6  # measured 1.0e-6
+    assert (np.max(np.abs(value - mode(x)))
+            <= 2.0 * np.max(np.abs(spline - mode(x))))  # measured 1.4x
+    assert np.max(np.abs(d_flow - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
+    assert np.max(np.abs(at(rho)[0] - fld.value)) <= 1e-14
+    for nodes, edge in ((x - 0.01 * h, "grid_rho_min"),
+                        (x + 0.01 * h, "grid_rho_max")):
+        with pytest.raises(ResolutionError, match=f"left the grid .* {edge}"):
+            at(nodes)
 
 
 def test_initial_deviation_follows_frequency_mismatch(packet, smooth_profile):
@@ -640,8 +716,9 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
 
 
 def test_work_budget_admits_the_benchmark_grids(smooth_profile, smooth_flow):
-    # the pde-verify defaults and the wave benchmark's six grids; the
-    # largest, 4096 points to t = 0.75, takes about 1.3e7 point-steps
+    # 2048 points to t = 0.75 and the wave benchmark's six grids, at order
+    # 2, which steps more often than order 4; the largest, 4096 points to
+    # t = 0.75, takes about 1.3e7 point-steps
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
                            (2048, 0.5), (4096, 0.5), (4096, 0.75)):
         grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile.a_max_abs,
