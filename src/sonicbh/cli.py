@@ -32,7 +32,7 @@ def _load_config(args) -> RunConfig:
     if args.set:
         cfg = cfg.with_overrides(args.set)
     overrides = []
-    for key in ("nrho", "tfinal", "order", "out_dir"):
+    for key in ("nrho", "tfinal", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             overrides.append(f"{key}={val}")
@@ -155,7 +155,7 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
     flow = _flow(cfg)
     p = _packet(cfg, flow.sigma_star)
     grid = pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
-                               flow.profile.a_max_abs, cfg.tfinal, cfg.order)
+                               flow.profile.a_max_abs, cfg.tfinal)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,
                                         t_final=cfg.tfinal)
     meta = cfg.to_dict()
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--nrho", type=int)
             sp.add_argument("--tfinal", type=float)
             sp.add_argument("--eta-list", dest="eta_list")
-            sp.add_argument("--order", type=int)
         sp.set_defaults(handler=fn)
     return ap
 

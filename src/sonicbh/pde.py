@@ -14,8 +14,10 @@ stepped as the first-order system (f, g) with g = D f:
 with classic RK4 in time by solve_cauchy, the one stepper, whose history
 is a list of FieldOnGrid states: its own (f, g) at each recorded x0, the
 format in which the packet and the eikonal are sampled too.  The drift
-speed A/rho is negative everywhere, so its derivative is one-sided toward
-larger rho (the inflow side); the second derivative is centered.  Inside
+speed A/rho is negative everywhere, so its derivative is the third-order
+stencil biased toward larger rho (the inflow side); the wave term's first
+and second derivatives are centred and fourth order; every stencil drops
+to second order in its edge rows.  Inside
 the horizon both characteristic speeds point inward, so the inner edge is
 pure outflow and one-sided stencils suffice there (solve_cauchy refuses an
 inner edge where |A| does not exceed rho_min); the outer edge carries
@@ -74,12 +76,15 @@ __all__ = [
     "predicted_point_steps",
 ]
 
-# RK4 step limits, in drho per unit speed, of the interior stencils alone,
-# per order: (upwind _D1_UPWIND, from a theta scan of its symbol against
+# RK4 step limits, in drho per unit speed, of the interior stencils alone:
+# (upwind _D1_UPWIND, from a theta scan of its symbol against
 # |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1, rounded down; centred _D2, whose
 # wave pair has the imaginary symbol i sqrt|D2|, so 2 sqrt 2 / max sqrt|D2|)
-STEP_LIMITS = {2: (0.6963, math.sqrt(2.0)), 4: (1.7452, math.sqrt(1.5))}
+STEP_LIMITS = (1.7452, math.sqrt(1.5))
 STEP_SAFETY = 0.9
+# discr_estimate divides the fine-coarse gap by 2^4 - 1, which assumes h^4
+# convergence; the rows converge like h^3.2, so it reads about 2x low
+DISCR_DIVISOR = 15.0
 GROWTH_BOUND = 5.0  # per-step sup-norm growth that flags blow-up
 GROWTH_LIMIT = 10.0  # sup-norm growth over the initial state that flags it
 # AC7d's 5-minute budget for pde-verify at 250 ns per RK4 point-step
@@ -97,15 +102,12 @@ class RadialGrid:
     rho_max: float
     n_rho: int
     dt: float
-    order: int = 2
 
     def __post_init__(self) -> None:
         if self.rho_min <= 0.0 or self.rho_max <= self.rho_min:
             raise ValueError("need 0 < rho_min < rho_max")
         if self.n_rho < 16:
             raise ValueError("n_rho too small")
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
 
@@ -120,8 +122,9 @@ class RadialGrid:
     def cfl_dt(self, a_max_abs: float) -> float:
         """STEP_SAFETY times the step at which the drift, at its fastest
         speed max|A|/rho_min, and the wave term share the RK4 stability
-        region: drho / (v_max/s_drift + 1/s_wave)."""
-        s_drift, s_wave = STEP_LIMITS[self.order]
+        region: drho / (v_max/s_drift + 1/s_wave), with (s_drift, s_wave)
+        = STEP_LIMITS = (1.7452, sqrt(3/2))."""
+        s_drift, s_wave = STEP_LIMITS
         return STEP_SAFETY * self.drho / (a_max_abs / self.rho_min / s_drift
                                           + 1.0 / s_wave)
 
@@ -140,7 +143,7 @@ class RadialGrid:
 
     @classmethod
     def auto(cls, rho_min: float, rho_max: float, n_rho: int,
-             a_max_abs: float, t_final: float, order: int = 2) -> "RadialGrid":
+             a_max_abs: float, t_final: float) -> "RadialGrid":
         """The grid with the largest step within cfl_dt, the stencils' RK4
         step bound, for which t_final/2 and t_final are whole steps:
         dt = t_final/(2m).
@@ -148,8 +151,7 @@ class RadialGrid:
         ConfigError when the step count overflows a float or dt falls
         below the smallest normal float, where t_final/dt loses its digits.
         """
-        cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0,
-                     order=order).cfl_dt(a_max_abs)
+        cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0).cfl_dt(a_max_abs)
         if not t_final > 0.0:
             raise ConfigError("tfinal must be positive")
         half_steps = t_final / (2.0 * cfl_dt) if cfl_dt > 0.0 else math.inf
@@ -160,7 +162,7 @@ class RadialGrid:
         if not dt >= sys.float_info.min:
             raise ConfigError(f"tfinal = {t_final:g} needs a time step below "
                               f"the smallest normal float")
-        return cls(rho_min, rho_max, n_rho, dt=dt, order=order)
+        return cls(rho_min, rho_max, n_rho, dt=dt)
 
 
 def smooth_window(rho, lo: float, hi: float, width: float):
@@ -179,28 +181,16 @@ def smooth_window(rho, lo: float, hi: float, width: float):
 # lower order, with their coefficients on u, reaching at most _EDGE points
 # from their end of the grid.
 _EDGE = 4
-_D1_CENTERED = {
-    2: ((slice(1, -1), -1, (0.5, 0.5)),
-        (0, 0, (-1.5, 2.0, -0.5)), (-1, -2, (0.5, -2.0, 1.5))),
-    4: ((slice(2, -2), -2, (-1 / 12, 7 / 12, 7 / 12, -1 / 12)),
-        (0, 0, (-1.5, 2.0, -0.5)), (1, -1, (-0.5, 0.0, 0.5)),
-        (-2, -1, (-0.5, 0.0, 0.5)), (-1, -2, (0.5, -2.0, 1.5))),
-}
+_D1_CENTERED = ((slice(2, -2), -2, (-1 / 12, 7 / 12, 7 / 12, -1 / 12)),
+                (0, 0, (-1.5, 2.0, -0.5)), (1, -1, (-0.5, 0.0, 0.5)),
+                (-2, -1, (-0.5, 0.0, 0.5)), (-1, -2, (0.5, -2.0, 1.5)))
 # biased toward +rho: the wind blows inward
-_D1_UPWIND = {
-    2: ((slice(0, -2), 0, (1.5, -0.5)),
-        (-2, -1, (-0.5, 0.0, 0.5)), (-1, -1, (-1.0, 1.0))),
-    4: ((slice(1, -2), -1, (1 / 3, 5 / 6, -1 / 6)),
-        (0, 0, (-1.5, 2.0, -0.5)),
-        (-2, -1, (-0.5, 0.0, 0.5)), (-1, -1, (-1.0, 1.0))),
-}
-_D2 = {
-    2: ((slice(1, -1), -1, (-1.0, 1.0)),
-        (0, 0, (2.0, -5.0, 4.0, -1.0)), (-1, -3, (-1.0, 4.0, -5.0, 2.0))),
-    4: ((slice(2, -2), -2, (1 / 12, -5 / 4, 5 / 4, -1 / 12)),
-        (0, 0, (2.0, -5.0, 4.0, -1.0)), (1, -1, (1.0, -2.0, 1.0)),
-        (-2, -1, (1.0, -2.0, 1.0)), (-1, -3, (-1.0, 4.0, -5.0, 2.0))),
-}
+_D1_UPWIND = ((slice(1, -2), -1, (1 / 3, 5 / 6, -1 / 6)),
+              (0, 0, (-1.5, 2.0, -0.5)),
+              (-2, -1, (-0.5, 0.0, 0.5)), (-1, -1, (-1.0, 1.0)))
+_D2 = ((slice(2, -2), -2, (1 / 12, -5 / 4, 5 / 4, -1 / 12)),
+       (0, 0, (2.0, -5.0, 4.0, -1.0)), (1, -1, (1.0, -2.0, 1.0)),
+       (-2, -1, (1.0, -2.0, 1.0)), (-1, -3, (-1.0, 4.0, -5.0, 2.0)))
 
 
 class _Stencil:
@@ -312,11 +302,9 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                                    0.0, 1.0) ** 3
     s0 = int(np.argmax(sponge > 0.0))
     sponge = sponge[s0:]
-    upwind = _Stencil((4, n), [(_D1_UPWIND[grid.order],
-                                -inv_rho / grid.drho)])
-    laplacian = _Stencil((2, n), [(_D2[grid.order], grid.drho ** -2),
-                                  (_D1_CENTERED[grid.order],
-                                   inv_rho / grid.drho)])
+    upwind = _Stencil((4, n), [(_D1_UPWIND, -inv_rho / grid.drho)])
+    laplacian = _Stencil((2, n), [(_D2, grid.drho ** -2),
+                                  (_D1_CENTERED, inv_rho / grid.drho)])
 
     y = np.empty((4, n))
     acc, k_s, y_s, drift_term, tmp = (np.empty_like(y) for _ in range(5))
@@ -334,7 +322,7 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
 
     # g = D f = df/dx0 + (A/rho) df/drho
     f = np.array(value0, dtype=complex)
-    f_r = _Stencil(f.shape, [(_D1_CENTERED[grid.order], 1.0 / grid.drho)])(f)
+    f_r = _Stencil(f.shape, [(_D1_CENTERED, 1.0 / grid.drho)])(f)
     g = np.array(dvalue0, dtype=complex) + drift(0.0) * inv_rho * f_r
     history = [FieldOnGrid(rho, f, g, 0.0)]
     y[:] = f.real, f.imag, g.real, g.imag
@@ -523,7 +511,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"{a_min:g} over [0, tfinal]: above it the inner edge takes "
             f"inflow")
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
-                             profile.a_max_abs, t_final, grid.order)
+                             profile.a_max_abs, t_final)
     work = predicted_point_steps((grid, coarse), t_final)
     if work > MAX_POINT_STEPS:
         raise ConfigError(
@@ -580,7 +568,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"evolved rows have no discretisation estimate: coarse twin {exc}")
 
     for a in A_VALUES:
-        row = _evolved_row(p.with_a(a), eta, states, grid.order, flow)
+        row = _evolved_row(p.with_a(a), eta, states, flow)
         report.rows_evolved.append(row)
         if row.discr_estimate is not None and not row.resolved:
             report.warnings.append(
@@ -727,11 +715,11 @@ def predicted_point_steps(grids, t_final: float) -> float:
 
 
 def _evolved_row(p: PacketParams, eta: float, states: list[FieldOnGrid],
-                 order: int, flow: FlowMap) -> RemainderRow:
+                 flow: FlowMap) -> RemainderRow:
     """The row from the fine state and, when given, its coarse twin."""
     d_nums, d_eik = evolved_projection_densities(states, flow, p, eta)
     dev, *dev_c = (abs(d - d_eik) / abs(d_eik) for d in d_nums)
-    discr = float(abs(dev - dev_c[0]) / (2 ** order - 1.0)) if dev_c else None
+    discr = float(abs(dev - dev_c[0]) / DISCR_DIVISOR) if dev_c else None
     return RemainderRow(a=float(p.a), eta=float(eta),
                         density_exact=float(d_nums[0]),
                         density_eikonal=float(d_eik), dev_rel=float(dev),

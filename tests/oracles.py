@@ -153,46 +153,39 @@ def eta_limit_integral(alpha: float, eps: float,
 
 
 def d1_centered(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Centered first derivative at the grid's order, one-sided at the edges."""
+    """Centered first derivative, fourth order, second order at the edges."""
     dr = grid.drho
     out = np.empty_like(u)
-    if grid.order == 2:
-        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-    else:
-        out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dr)
-        out[1] = (u[2] - u[0]) / (2.0 * dr)
-        out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
+    out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dr)
+    out[1] = (u[2] - u[0]) / (2.0 * dr)
+    out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
     out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
     out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
     return out
 
 
 def d1_upwind(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """First derivative biased toward +rho (wind blows inward)."""
+    """First derivative biased toward +rho (wind blows inward), third
+    order, second order at the edges."""
     dr = grid.drho
     out = np.empty_like(u)
-    if grid.order == 2:
-        out[:-2] = (-3.0 * u[:-2] + 4.0 * u[1:-1] - u[2:]) / (2.0 * dr)
-    else:
-        out[1:-2] = (-2.0 * u[:-3] - 3.0 * u[1:-2]
-                     + 6.0 * u[2:-1] - u[3:]) / (6.0 * dr)
-        out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
+    out[1:-2] = (-2.0 * u[:-3] - 3.0 * u[1:-2]
+                 + 6.0 * u[2:-1] - u[3:]) / (6.0 * dr)
+    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
     out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
     out[-1] = (u[-1] - u[-2]) / dr
     return out
 
 
 def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Centered second derivative at the grid's order, one-sided at the edges."""
+    """Centered second derivative, fourth order, second order at the
+    edges."""
     dr = grid.drho
     out = np.empty_like(u)
-    if grid.order == 2:
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
-    else:
-        out[2:-2] = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2]
-                     + 16.0 * u[3:-1] - u[4:]) / (12.0 * dr ** 2)
-        out[1] = (u[2] - 2.0 * u[1] + u[0]) / dr ** 2
-        out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / dr ** 2
+    out[2:-2] = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2]
+                 + 16.0 * u[3:-1] - u[4:]) / (12.0 * dr ** 2)
+    out[1] = (u[2] - 2.0 * u[1] + u[0]) / dr ** 2
+    out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / dr ** 2
     out[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dr ** 2
     out[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dr ** 2
     return out
@@ -376,7 +369,7 @@ def kg_inner(u: FieldOnGrid, v: FieldOnGrid) -> complex:
 
 # -- the wave stepper against an exact mode ------------------------------------
 
-def dalembert_error(n_rho: int, order: int, t_final: float = 1.0) -> float:
+def dalembert_error(n_rho: int, t_final: float = 1.0) -> float:
     """Max error of sonicbh.pde.solve_cauchy against the exact standing
     Bessel mode for A == 0.
 
@@ -385,7 +378,7 @@ def dalembert_error(n_rho: int, order: int, t_final: float = 1.0) -> float:
     error is taken on [2 + t + 1/4, 11 - t - 1/4], which neither grid edge
     nor the sponge (rho > 11) can reach by time t at unit speed.
     """
-    grid = RadialGrid.auto(2.0, 12.0, n_rho, 0.0, t_final, order)
+    grid = RadialGrid.auto(2.0, 12.0, n_rho, 0.0, t_final)
     k = 3.0
     rho = grid.rho
     hist = package_solve_cauchy(special.j0(k * rho).astype(complex),

@@ -189,14 +189,13 @@ def test_ac6_gamma_identity():
 def test_ac7_pde_remainder(smooth_flow, smooth_profile):
     t0 = time.perf_counter()
     # discretisation self-convergence on the drift-free traveling wave
-    errs = [dalembert_error(n, 2, t_final=1.0) for n in (1024, 2048, 4096)]
+    errs = [dalembert_error(n, t_final=1.0) for n in (1024, 2048, 4096)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     order_ok = min(orders) >= 1.9
 
     p = PacketParams(alpha=1.0, a=8.0, eps=0.25,
                      sigma_star=smooth_flow.sigma_star)
-    grid = RadialGrid.auto(0.3, 9.0, 4096, smooth_profile.a_max_abs, 0.5,
-                           order=2)
+    grid = RadialGrid.auto(0.3, 9.0, 4096, smooth_profile.a_max_abs, 0.5)
     rep = remainder_contribution(p, (-2.0, -6.0, -18.0), grid, smooth_flow,
                                  t_final=0.5)
     elapsed = time.perf_counter() - t0
@@ -222,22 +221,21 @@ def test_ac7_pde_remainder(smooth_flow, smooth_profile):
 
 
 def test_default_evolved_rows_against_reference(smooth_flow, smooth_profile):
-    # the pde-verify defaults (order 4, 1024 points) against order 4 on
-    # 4096 points with the inner edge at 0.7: inside the horizon both
-    # characteristic families point inward, so an outflow inner edge there
-    # leaves the rows as they are (0.3 against 0.7 moved them by 2e-8).
-    # Measured: gaps 8.9e-6/9.5e-6/9.6e-6 at a = 8/16/32, each 2.1 times
-    # discr_estimate, whose divisor 2^order - 1 assumes h^4 convergence
+    # the pde-verify defaults (1024 points) against 4096 points with the
+    # inner edge at 0.7: inside the horizon both characteristic families
+    # point inward, so an outflow inner edge there leaves the rows as they
+    # are (0.3 against 0.7 moved them by 2e-8).  Measured: gaps 8.9e-6/9.5e-6/9.6e-6 at a = 8/16/32, each 2.1 times
+    # discr_estimate, whose divisor 2^4 - 1 assumes h^4 convergence
     cfg = RunConfig()
     assert cfg.profile() == smooth_profile
     p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
                      sigma_star=smooth_flow.sigma_star)
     grid = RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
-                           smooth_profile.a_max_abs, cfg.tfinal, cfg.order)
+                           smooth_profile.a_max_abs, cfg.tfinal)
     rows = remainder_contribution(p, cfg.eta_list, grid, smooth_flow,
                                   t_final=cfg.tfinal).rows_evolved
     ref_grid = RadialGrid.auto(0.7, cfg.grid_rho_max, 4096,
-                               smooth_profile.a_max_abs, cfg.tfinal, 4)
+                               smooth_profile.a_max_abs, cfg.tfinal)
     ref_state = solve_mode(EVOLVE_ETA, ref_grid, smooth_profile,
                            cfg.tfinal)[-1]
     assert [r.a for r in rows] == list(A_VALUES)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sonicbh.cli import main
-from sonicbh.config import RunConfig, fmt_float
+from sonicbh.config import ETA_ABS_MAX, RunConfig, fmt_float
 from sonicbh.errors import ConfigError
 
 
@@ -54,13 +54,13 @@ def test_config_rejects_bad_input(tmp_path, capsys):
     with pytest.raises(ConfigError):
         RunConfig(a_sweep=(8.0, 4.0))
     with pytest.raises(ConfigError):
-        RunConfig(order=3)
-    with pytest.raises(ConfigError):
         RunConfig(x0_horizon_max=0.0)
     # removed keys: the separatrix needs no search tolerance, the wave
-    # solver derives dt from tfinal, and the profile has one form
-    for line in ("sep_tol = 1e-12", "dt = 1e-3", "form = constant"):
-        with pytest.raises(ConfigError, match="unknown key"):
+    # solver derives dt from tfinal and has one scheme, and the profile has
+    # one form
+    for line in ("sep_tol = 1e-12", "dt = 1e-3", "order = 4",
+                 "form = constant"):
+        with pytest.raises(ConfigError, match="unknown config key"):
             RunConfig.from_text(line + "\n")
     # values the flow, the packet or the wave grid would reject later
     for bad in ({"alpha": -1.0}, {"eps": 0.7}, {"a": 0.0}, {"a_minus": 0.5},
@@ -538,12 +538,13 @@ _A_END = RunConfig().profile().min_abs(0.0, RunConfig().tfinal)
     (["--nrho", "30"], False, 4, "eta = -4"),
     (["--nrho", "89"], False, 4, "eta = -4"),
     (["--nrho", "90"], True, None, None),
-    # order: 2 and 4
-    (["--order", "1"], False, 2, "order must be 2 or 4"),
-    (["--order", "2"] + _SMALL, True, None, None),
-    (["--order", "3"], False, 2, "order must be 2 or 4"),
-    (["--order", "4"] + _SMALL, True, None, None),
-    (["--order", "5"], False, 2, "order must be 2 or 4"),
+    # order: the solver has one scheme, so the flag is refused by argparse
+    # and the key as unknown, from --set or from a config file line
+    (["--order", "2"], False, "argparse", "unrecognized arguments: --order"),
+    (["--order", "4"], False, "argparse", "unrecognized arguments: --order"),
+    (["--set", "order=2"], False, 2, "unknown config key 'order'"),
+    (["--set", "order=4"], False, 2, "unknown config key 'order'"),
+    (["--config", "order = 4"], False, 2, "unknown config key 'order'"),
     # grid_rho_min: positive (the smallest floats and 1e-6 exceed the work
     # budget: test_pde_verify_refuses_work_beyond_budget); at or above
     # |A(tfinal)| the inner edge takes inflow.  Just below it, as at 0.85,
@@ -562,13 +563,40 @@ _A_END = RunConfig().profile().min_abs(0.0, RunConfig().tfinal)
 ])
 def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
                                   names):
+    out = tmp_path / "out"
+    if argv[0] == "--config":  # the rest is the config file's one line
+        (tmp_path / "run.cfg").write_text(argv[1] + "\n")
+        argv = ["--config", str(tmp_path / "run.cfg")]
     t0 = time.monotonic()
-    err = _run_boundary(["pde-verify"] + argv, tmp_path, capsys, accepted,
-                        refused)
+    if refused == "argparse":
+        with pytest.raises(SystemExit) as exc:
+            main(["pde-verify"] + argv + ["--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+    else:
+        err = _run_boundary(["pde-verify"] + argv, out, capsys, accepted,
+                            refused)
     assert time.monotonic() - t0 < 10.0, argv
     if names is not None:
         assert names in err, (argv, err)
-        assert not any(tmp_path.iterdir()), argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("eta,accepted", [
+    # the smallest |eta|, and the largest the x0 = 0 quadrature is allowed
+    # (ETA_ABS_MAX); one float beyond it is refused before any work
+    (-1e-300, True),
+    (-ETA_ABS_MAX, True),
+    (math.nextafter(-ETA_ABS_MAX, -math.inf), False),
+])
+def test_boundary_pde_verify_eta_list(tmp_path, capsys, eta, accepted):
+    t0 = time.monotonic()
+    err = _run_boundary(["pde-verify", f"--eta-list={eta!r}"] + _SMALL,
+                        tmp_path, capsys, accepted)
+    assert time.monotonic() - t0 < 10.0
+    if not accepted:
+        assert "eta_list" in err, err
+        assert not any(tmp_path.iterdir())
 
 
 def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
@@ -583,8 +611,8 @@ def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
     def work(n):
         return pde.predicted_point_steps(
             [pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, m,
-                                 cfg.profile().a_max_abs, cfg.tfinal,
-                                 cfg.order) for m in (n, n // 2 + 1)],
+                                 cfg.profile().a_max_abs, cfg.tfinal)
+             for m in (n, n // 2 + 1)],
             cfg.tfinal)
 
     lo, hi = cfg.nrho, 2 ** 20

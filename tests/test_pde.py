@@ -15,7 +15,7 @@ import scipy.integrate
 import oracles
 from sonicbh import packets, pde
 from sonicbh.errors import ConfigError, InstabilityError, ResolutionError
-from sonicbh.flow import VelocityProfile, transport
+from sonicbh.flow import VelocityProfile, find_separatrix, transport
 from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
     gamma_tilde
 from sonicbh.pde import (A_VALUES, RadialGrid,
@@ -25,7 +25,7 @@ from sonicbh.pde import (A_VALUES, RadialGrid,
                          _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
-from sonicbh.spectrum import density_from_projections
+from sonicbh.spectrum import creation_density, density_from_projections
 
 from oracles import (dalembert_error, eikonal_fields, kg_inner,
                      packet_fields, quad_complex)
@@ -98,8 +98,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         RadialGrid(0.0, 1.0, 64, dt=1e-3)
     with pytest.raises(ValueError):
-        RadialGrid(0.5, 1.0, 64, dt=1e-3, order=3)
-    with pytest.raises(ValueError):
         RadialGrid(0.5, 1.0, 8, dt=1e-3)
 
 
@@ -147,57 +145,54 @@ def _rk4_gain(z):
 
 def test_step_limits_match_stencil_symbols():
     theta = np.linspace(1e-7, np.pi, 4001)
-    for order in (2, 4):
-        drift = _interior_symbol(_D1_UPWIND[order], theta)
-        d2 = _interior_symbol(_D2[order], theta)
-        lo, hi = 0.0, 4.0  # the drift alone: z = s * symbol
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            lo, hi = ((mid, hi) if np.all(_rk4_gain(mid * drift) <= 1.0)
-                      else (lo, mid))
-        # the wave pair (f, g) has symbol +-i sqrt|D2|; RK4 holds the
-        # imaginary axis to 2 sqrt 2
-        s_wave = 2.0 * math.sqrt(2.0) / math.sqrt(np.max(np.abs(d2)))
-        s_drift_table, s_wave_table = pde.STEP_LIMITS[order]
-        assert s_drift_table == pytest.approx(lo, abs=1e-3)
-        assert s_drift_table <= lo
-        assert s_wave_table == pytest.approx(s_wave, abs=1e-3)
+    drift = _interior_symbol(_D1_UPWIND, theta)
+    d2 = _interior_symbol(_D2, theta)
+    lo, hi = 0.0, 4.0  # the drift alone: z = s * symbol
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = ((mid, hi) if np.all(_rk4_gain(mid * drift) <= 1.0)
+                  else (lo, mid))
+    # the wave pair (f, g) has symbol +-i sqrt|D2|; RK4 holds the
+    # imaginary axis to 2 sqrt 2
+    s_wave = 2.0 * math.sqrt(2.0) / math.sqrt(np.max(np.abs(d2)))
+    s_drift_table, s_wave_table = pde.STEP_LIMITS
+    assert s_drift_table == pytest.approx(lo, abs=1e-3)
+    assert s_drift_table <= lo
+    assert s_wave_table == pytest.approx(s_wave, abs=1e-3)
 
-        # the coupled interior system with coefficients frozen at rho_min,
-        # where drift and f_r/rho peak: lambda = v D1up +- sqrt(D2 + D1c/rho).
-        # The operator itself grows at up to max Re lambda; at cfl_dt/0.9
-        # no mode may outgrow that, so cfl_dt <= 0.9 x the coupled bound.
-        centred = _interior_symbol(_D1_CENTERED[order], theta)
-        for n_rho in (384, 2048):
-            grid = RadialGrid(0.3, 9.0, n_rho, dt=1.0, order=order)
-            h, rho = grid.drho, grid.rho_min
-            root = np.sqrt(d2 / h ** 2 + centred / (rho * h))
-            for v in np.geomspace(1e-3, 1e4, 29):
-                lam = np.concatenate([v * drift / h + root,
-                                      v * drift / h - root])
-                dt = grid.cfl_dt(v * rho) / pde.STEP_SAFETY
-                growth = math.exp(dt * max(0.0, float(np.max(lam.real))))
-                worst = float(np.max(_rk4_gain(dt * lam)))
-                assert worst <= growth * (1.0 + 1e-12), (order, n_rho, v)
+    # the coupled interior system with coefficients frozen at rho_min,
+    # where drift and f_r/rho peak: lambda = v D1up +- sqrt(D2 + D1c/rho).
+    # The operator itself grows at up to max Re lambda; at cfl_dt/0.9
+    # no mode may outgrow that, so cfl_dt <= 0.9 x the coupled bound.
+    centred = _interior_symbol(_D1_CENTERED, theta)
+    for n_rho in (384, 2048):
+        grid = RadialGrid(0.3, 9.0, n_rho, dt=1.0)
+        h, rho = grid.drho, grid.rho_min
+        root = np.sqrt(d2 / h ** 2 + centred / (rho * h))
+        for v in np.geomspace(1e-3, 1e4, 29):
+            lam = np.concatenate([v * drift / h + root,
+                                  v * drift / h - root])
+            dt = grid.cfl_dt(v * rho) / pde.STEP_SAFETY
+            growth = math.exp(dt * max(0.0, float(np.max(lam.real))))
+            worst = float(np.max(_rk4_gain(dt * lam)))
+            assert worst <= growth * (1.0 + 1e-12), (n_rho, v)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_solve_cauchy_stable_at_step_bound(smooth_profile, order):
+def test_solve_cauchy_stable_at_step_bound(smooth_profile):
     # a pulse on the default flow, to t = 20 where the drift reaches 4 and
     # to t = 2 where it reaches 60 (grid_rho_min = 0.02)
     a_max = smooth_profile.a_max_abs
     for rho_min, t_final in ((0.3, 20.0), (0.02, 2.0)):
-        grid = RadialGrid.auto(rho_min, 9.0, 384, a_max, t_final, order)
+        grid = RadialGrid.auto(rho_min, 9.0, 384, a_max, t_final)
         f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
         hist = solve_cauchy(f, np.zeros_like(f), grid, smooth_profile,
                             t_final, out_times=[0.5 * t_final, t_final])
         peak = max(float(np.max(np.abs(st.value))) for st in hist[1:])
         assert peak <= 1.5, (rho_min, peak)
     # the control: five times the bound (a callable drift, so no CFL check)
-    # blows up within tens of steps; at order 2, 3.5 times stays bounded,
-    # as the drift stencil's unstable band is carried out the inner edge
-    dt = RadialGrid(0.3, 9.0, 384, dt=1.0, order=order).cfl_dt(a_max)
-    grid = RadialGrid(0.3, 9.0, 384, dt=5.0 * dt, order=order)
+    # blows up within tens of steps
+    dt = RadialGrid(0.3, 9.0, 384, dt=1.0).cfl_dt(a_max)
+    grid = RadialGrid(0.3, 9.0, 384, dt=5.0 * dt)
     f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
     with pytest.raises(InstabilityError):
         solve_cauchy(f, np.zeros_like(f), grid, smooth_profile.eval,
@@ -210,12 +205,12 @@ def test_solve_cauchy_stable_at_step_bound(smooth_profile, order):
 ])
 def test_growth_guard_catches_slow_blowup(smooth_profile, rho_min, factor,
                                           centre, steps):
-    # order 4 beyond the step bound (a callable drift, so no CFL check):
-    # growth below GROWTH_BOUND a step is caught once the state passes
+    # beyond the step bound (a callable drift, so no CFL check): growth
+    # below GROWTH_BOUND a step is caught once the state passes
     # GROWTH_LIMIT times its initial sup-norm, long before floats overflow
-    dt = RadialGrid(rho_min, 9.0, 384, dt=1.0, order=4).cfl_dt(
+    dt = RadialGrid(rho_min, 9.0, 384, dt=1.0).cfl_dt(
         smooth_profile.a_max_abs)
-    grid = RadialGrid(rho_min, 9.0, 384, dt=factor * dt, order=4)
+    grid = RadialGrid(rho_min, 9.0, 384, dt=factor * dt)
     f = np.exp(-((grid.rho - centre) / 0.5) ** 2).astype(complex)
     for solver in (solve_cauchy, oracles.solve_cauchy):
         with pytest.raises(InstabilityError, match="blew up"):
@@ -234,57 +229,50 @@ def test_growth_guard_reads_the_whole_state(smooth_profile):
 
 
 def test_step_counts_on_fixed_grids():
-    # the pde-verify defaults (order 4, 1024 points, and the coarse twin),
-    # and order 2 on 2048 points, the defaults before order 4
-    def grid(n_rho, order):
-        return RadialGrid.auto(0.3, 9.0, n_rho, 1.2, 0.75, order)
-    assert grid(1024, 4).steps(0.75) == 306
-    assert grid(513, 4).steps(0.75) == 154
-    assert pde.predicted_point_steps((grid(1024, 4), grid(513, 4)),
+    # the pde-verify defaults (1024 points, and the coarse twin), and 2048
+    # points
+    def grid(n_rho):
+        return RadialGrid.auto(0.3, 9.0, n_rho, 1.2, 0.75)
+    assert grid(1024).steps(0.75) == 306
+    assert grid(513).steps(0.75) == 154
+    assert pde.predicted_point_steps((grid(1024), grid(513)),
                                      0.75) == 392_346
-    assert grid(2048, 2).steps(0.75) == 1266
-    assert grid(1025, 2).steps(0.75) == 634
-    assert grid(2048, 4).steps(0.75) == 610
-    assert pde.predicted_point_steps((grid(2048, 2), grid(1025, 2)),
-                                     0.75) == 3_242_618
+    assert grid(2048).steps(0.75) == 610
 
 
-@pytest.mark.parametrize("order,floor", [(2, 1.9), (4, 3.8)])
-def test_dalembert_self_convergence(order, floor):
-    errs = [dalembert_error(n, order, t_final=1.0) for n in (257, 513, 1025)]
+def test_dalembert_self_convergence():
+    errs = [dalembert_error(n, t_final=1.0) for n in (257, 513, 1025)]
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(rates) >= floor, (errs, rates)
+    assert min(rates) >= 3.8, (errs, rates)
 
 
-@pytest.mark.parametrize("order,floor", [(2, 1.9), (4, 2.9)])
-def test_d1_upwind_interior_rate(order, floor):
-    # the drift stencil alone: at order 4 it is the third-order biased one,
-    # which dalembert_error never reaches (A = 0 there)
+def test_d1_upwind_interior_rate():
+    # the drift stencil alone, the third-order biased one, which
+    # dalembert_error never reaches (A = 0 there)
     errs = []
     for n in (257, 513, 1025):
-        grid = RadialGrid(2.0, 12.0, n, dt=1.0, order=order)
+        grid = RadialGrid(2.0, 12.0, n, dt=1.0)
         rho = grid.rho
         inner = (rho >= 3.0) & (rho <= 11.0)
-        d1_upwind = _Stencil((n,), [(_D1_UPWIND[order], 1.0 / grid.drho)])
+        d1_upwind = _Stencil((n,), [(_D1_UPWIND, 1.0 / grid.drho)])
         err = d1_upwind(np.sin(3.0 * rho)) - 3.0 * np.cos(3.0 * rho)
         errs.append(float(np.max(np.abs(err[inner]))))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(rates) >= floor, (errs, rates)
+    assert min(rates) >= 2.9, (errs, rates)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_stencils_match_oracle(order):
+def test_stencils_match_oracle():
     # one row and a (4, n) stack with out=, real and complex: the banded
     # stencils against the explicit slice stencils of the oracle
-    rng = np.random.default_rng(order)
-    grid = RadialGrid(0.3, 9.0, 257, dt=1.0, order=order)
+    rng = np.random.default_rng(4)
+    grid = RadialGrid(0.3, 9.0, 257, dt=1.0)
     u = rng.standard_normal((4, grid.n_rho))
     z = u[0] + 1j * u[1]
     inv_h, inv_h2 = 1.0 / grid.drho, grid.drho ** -2
     for table, factor, ref in ((_D1_CENTERED, inv_h, oracles.d1_centered),
                                (_D1_UPWIND, inv_h, oracles.d1_upwind),
                                (_D2, inv_h2, oracles.d2)):
-        terms = [(table[order], factor)]
+        terms = [(table, factor)]
         out = np.empty_like(u)
         assert _Stencil(u.shape, terms)(u, out=out) is out
         want = np.array([ref(row, grid) for row in u])
@@ -294,13 +282,11 @@ def test_stencils_match_oracle(order):
         assert np.max(np.abs(ours - ref(z, grid))) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_solve_cauchy_matches_oracle(order, smooth_profile):
+def test_solve_cauchy_matches_oracle(smooth_profile):
     # tanh drift, data over the whole grid (the sponge included), states
     # recorded at the first step and at multiples of t_final; times off
     # the step grid raise the same ValueError from both
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.05,
-                           order)
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.05)
     rho = grid.rho
     value0 = np.exp(-3j * rho) / np.sqrt(rho)
     dvalue0 = (0.5 + 2j) * value0 * np.cos(rho)
@@ -363,8 +349,9 @@ def test_solve_cauchy_refuses_inflow_inner_edge(a_abs):
 def test_inflow_check_spans_every_recorded_time(smooth_profile):
     # |A| falls from 1 at x0 = 0 toward 0.8: rho_min = 0.85 is an outflow
     # edge to x0 = 0.5 (|A| = 0.908) and an inflow edge by x0 = 3 (0.801),
-    # whether 3 is t_final or a recorded time beyond it
-    grid = RadialGrid.auto(0.85, 9.0, 128, smooth_profile.a_max_abs, 3.0)
+    # whether 3 is t_final or a recorded time beyond it; both are whole
+    # numbers of the grid's steps
+    grid = RadialGrid.auto(0.85, 9.0, 128, smooth_profile.a_max_abs, 0.5)
     f = np.zeros(128, complex)
     assert len(solve_cauchy(f, f, grid, smooth_profile, 0.5)) == 2
     for t_final, out_times in ((3.0, None), (0.5, [0.5, 3.0])):
@@ -373,10 +360,10 @@ def test_inflow_check_spans_every_recorded_time(smooth_profile):
             solve_cauchy(f, f, grid, smooth_profile, t_final, out_times)
 
 
-def test_grid_refinement_halves_error_fourfold():
-    e1 = dalembert_error(513, 2)
-    e2 = dalembert_error(1025, 2)
-    assert e1 / e2 == pytest.approx(4.0, rel=0.1)
+def test_grid_refinement_cuts_error_sixteenfold():
+    e1 = dalembert_error(513)
+    e2 = dalembert_error(1025)
+    assert e1 / e2 == pytest.approx(16.0, rel=0.1)
 
 
 def test_solve_mode_initial_state(smooth_profile, smooth_flow):
@@ -587,6 +574,27 @@ def test_mode_fields_at_nodes_local_cubic():
             at(nodes)
 
 
+def test_closed_density_against_node_pair(smooth_flow):
+    # spectrum's closed eikonal density against the full pairing of the
+    # packet and eikonal fields on nodes at x0 = 0, which pde-verify's rows
+    # use: the closed one reads high by c/eta^2.  Measured c: 0.168 to
+    # 0.380 over these 40 points, so the bounds leave 1.7x below, 1.3x above
+    flows = (smooth_flow,
+             find_separatrix(VelocityProfile(a_minus=-2.0, a_plus=-0.5,
+                                             tau=3.0),
+                             bracket=(0.3, 3.0), x0_horizon_max=10.0))
+    for flow in flows:
+        for alpha, eps in ((1.0, 0.25), (2.0, 0.1)):
+            for a in (8.0, 32.0):
+                p = PacketParams(alpha=alpha, a=a, eps=eps,
+                                 sigma_star=flow.sigma_star)
+                for eta_abs in (2.0, 6.0, 18.0, 40.0, 160.0):
+                    closed = float(creation_density(eta_abs, p))
+                    pair, _ = pde._initial_densities(-eta_abs, p, flow)
+                    c = (closed / pair - 1.0) * eta_abs ** 2
+                    assert 0.1 <= c <= 0.5, (flow.profile, p, eta_abs, c)
+
+
 def test_initial_deviation_follows_frequency_mismatch(packet, smooth_profile):
     # at x0 = 0 the exact/eikonal density ratio tracks sqrt(1 + 1/eta^2)
     # up to boundary-type terms that fade with |eta|
@@ -621,25 +629,6 @@ def report(packet, smooth_profile, smooth_flow):
     grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.3)
     return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
                                   smooth_flow, t_final=0.3)
-
-
-@pytest.fixture(scope="module")
-def report_order4(packet, smooth_profile, smooth_flow):
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.3,
-                           order=4)
-    return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
-                                  smooth_flow, t_final=0.3)
-
-
-def test_remainder_contribution_order4(report, report_order4):
-    # the order-4 stencils with drift: the evolved deviation is the same
-    # physics (within 1%) at a far smaller discretisation estimate, and the
-    # grid-free x0 = 0 rows do not move
-    assert report_order4.rows_initial == report.rows_initial
-    assert len(report_order4.rows_evolved) == len(report.rows_evolved) == 3
-    for r4, r2 in zip(report_order4.rows_evolved, report.rows_evolved):
-        assert r4.dev_rel == pytest.approx(r2.dev_rel, rel=0.01), (r4, r2)
-        assert r4.discr_estimate < 0.1 * r2.discr_estimate, (r4, r2)
 
 
 def test_remainder_report_matches_adaptive(report, packet, smooth_profile):
@@ -716,9 +705,8 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
 
 
 def test_work_budget_admits_the_benchmark_grids(smooth_profile, smooth_flow):
-    # 2048 points to t = 0.75 and the wave benchmark's six grids, at order
-    # 2, which steps more often than order 4; the largest, 4096 points to
-    # t = 0.75, takes about 1.3e7 point-steps
+    # 2048 points to t = 0.75 and the wave benchmark's six grids; the
+    # largest, 4096 points to t = 0.75, takes about 6.2e6 point-steps
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
                            (2048, 0.5), (4096, 0.5), (4096, 0.75)):
         grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile.a_max_abs,
