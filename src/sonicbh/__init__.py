@@ -12,9 +12,9 @@ from .errors import (BracketError, CaptureError, ConfigError,
                      SonicbhError, StepFailureError, ToleranceError)
 from .flow import (CharacteristicPath, FlowMap, HorizonCurve, VelocityProfile,
                    find_separatrix, integrate_characteristic)
-from .gammatools import GammaParams, packet_fourier, packet_fourier_modulus_sq
-from .packets import (FieldOnGrid, ModeSpec, PacketParams,
-                      eval_packet_profile, mode_initial_data, packet_norm)
+from .gammatools import packet_fourier, packet_fourier_modulus_sq
+from .packets import (FieldOnGrid, PacketParams, eval_packet_profile,
+                      mode_initial_data, packet_norm)
 from .spectrum import (SpectrumTable, SweepResult, TotalNumber,
                        build_spectrum, creation_density, default_eta_grid,
                        density_from_projections, eikonal_projections,

@@ -29,16 +29,13 @@ EXIT_RESOLUTION = 4
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.set:
-        cfg = cfg.with_overrides(args.set)
-    overrides = []
-    for key in ("nrho", "tfinal", "out_dir"):
+    # the flags come last, so they win over --set; one check of the result
+    pairs = list(args.set)
+    for key in ("nrho", "tfinal", "eta_list", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
-            overrides.append(f"{key}={val}")
-    if getattr(args, "eta_list", None) is not None:
-        overrides.append(f"eta_list={args.eta_list}")
-    return cfg.with_overrides(overrides) if overrides else cfg
+            pairs.append(f"{key}={val}")
+    return cfg.with_overrides(pairs)
 
 
 def _flow(cfg: RunConfig):

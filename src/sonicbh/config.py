@@ -98,23 +98,9 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        known = {f.name: f for f in fields(cls)}
-        values = {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {ln}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in known:
-                raise ConfigError(f"line {ln}: unknown config key {key!r}")
-            values[key] = _parse(known[key].type, key, val)
-        try:
-            return cls(**values)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        """Defaults overridden by the key=value lines of text (# comments)."""
+        lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+        return cls().with_overrides([line for line in lines if line])
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -129,7 +115,7 @@ class RunConfig:
         updates = {}
         for item in pairs:
             if "=" not in item:
-                raise ConfigError(f"override {item!r} is not key=value")
+                raise ConfigError(f"expected key=value, got {item!r}")
             key, _, val = item.partition("=")
             key = key.strip()
             if key not in known:

@@ -16,37 +16,23 @@ carries the modulus that survives in all creation-rate formulas:
     |F(eta)|^2 = |Gamma0|^2 e^{-2 alpha asin(a / sqrt(eta^2 + a^2))}
                  / (eta^2 + a^2)^(eps + 1)      (eta <= 0).
 
-The tests pair each closed form with an independent adaptive quadrature
-of its defining integral (tests/oracles.py).
+Both transforms read alpha, eps and a from packets.PacketParams.  The
+tests pair each closed form with an independent adaptive quadrature of
+its defining integral (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
 
-__all__ = [
-    "GammaParams",
-    "packet_fourier",
-    "packet_fourier_modulus_sq",
-]
+if TYPE_CHECKING:
+    from .packets import PacketParams
 
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Logarithmic phase strength alpha > 0 and regularisation exponent eps."""
-
-    alpha: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError("alpha must be finite and positive")
-        if not (math.isfinite(self.eps) and 0.0 < self.eps <= 0.5):
-            raise ValueError("eps must lie in (0, 1/2]")
+__all__ = ["packet_fourier", "packet_fourier_modulus_sq"]
 
 
 def gamma0_modulus_sq(alpha: float, eps: float) -> float:
@@ -62,22 +48,18 @@ def gamma0_modulus_sq(alpha: float, eps: float) -> float:
                     + 2.0 * special.loggamma(1.0 + eps + 1j * alpha).real)
 
 
-def packet_fourier(eta, p: GammaParams, a: float):
+def packet_fourier(eta, p: PacketParams):
     """Closed-form transform Gamma(w) e^{i pi w/2} / (eta + i a)^w, w = 1+eps+i*alpha.
 
     Principal branch throughout; vectorised over eta.
     """
-    if a <= 0.0:
-        raise ValueError("a must be positive")
-    eta = np.asarray(eta, dtype=float)
     w = 1.0 + p.eps + 1j * p.alpha
-    z = eta + 1j * a
+    z = np.asarray(eta, dtype=float) + 1j * p.a
     # one exponent: the three factors under- and overflow apart at large alpha
-    val = np.exp(special.loggamma(w) + 1j * np.pi * w / 2.0 - w * np.log(z))
-    return complex(val) if eta.ndim == 0 else val
+    return np.exp(special.loggamma(w) + 1j * np.pi * w / 2.0 - w * np.log(z))
 
 
-def packet_fourier_modulus_sq(eta, p: GammaParams, a: float):
+def packet_fourier_modulus_sq(eta, p: PacketParams):
     """|F(eta)|^2 via the Gamma0 modulus and the asin phase-exponent, eta <= 0.
 
     Continuous at eta = 0, where it is |Gamma(w)|^2 / a^(2+2 eps).
@@ -85,7 +67,7 @@ def packet_fourier_modulus_sq(eta, p: GammaParams, a: float):
     eta = np.asarray(eta, dtype=float)
     if np.any(eta > 0.0):
         raise ValueError("modulus formula uses the eta <= 0 branch")
-    r = np.hypot(eta, a)
+    r = np.hypot(eta, p.a)
     return (gamma0_modulus_sq(p.alpha, p.eps)
-            * np.exp(-2.0 * p.alpha * np.arcsin(a / r))
+            * np.exp(-2.0 * p.alpha * np.arcsin(p.a / r))
             / r ** (2.0 * p.eps + 2.0))

@@ -20,9 +20,11 @@ and the variable the wave stepper evolves.  Along rays D sigma =
 Radial modes carry wavenumber eta and frequency factor
 gamma = (2 rho)^(-1/2) (eta^2+1)^(-1/4); the two frequency branches at
 x0 = 0 have time derivatives i*lambda_-(eta) and i*lambda_+(eta) with
-lambda_pm = -A(0) eta / rho +- sqrt(eta^2 + 1).  The eikonal
-E = gamma e^{-i eta sigma(rho, x0)} (eta < 0) transports the same data
-along rays, with |eta| standing in for sqrt(eta^2+1) in the frequency.
+lambda_pm = -A(0) eta / rho +- sqrt(eta^2 + 1).  mode_initial_data gives
+the lambda_- branch; the lambda_+ branch at eta is its conjugate at -eta.
+The eikonal E = gamma e^{-i eta sigma(rho, x0)} (eta < 0) transports the
+same data along rays, with |eta| standing in for sqrt(eta^2+1) in the
+frequency.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ from scipy import integrate, special
 
 from .errors import GridMismatchError, ToleranceError
 from .flow import FlowMap
-from .gammatools import GammaParams
 
 __all__ = [
     "PacketParams",
-    "ModeSpec",
     "FieldOnGrid",
     "eval_packet_profile",
     "packet_values",
@@ -60,14 +60,12 @@ class PacketParams:
     sigma_star: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.a > 0 and self.sigma_star > 0):
-            raise ValueError("alpha, a and sigma_star must be positive")
+        if not all(math.isfinite(v) and v > 0.0
+                   for v in (self.alpha, self.a, self.sigma_star)):
+            raise ValueError("alpha, a and sigma_star must be finite and "
+                             "positive")
         if not 0.0 < self.eps <= 0.5:
             raise ValueError("eps must lie in (0, 1/2]")
-
-    @property
-    def gamma_params(self) -> GammaParams:
-        return GammaParams(alpha=self.alpha, eps=self.eps)
 
     @property
     def s_max(self) -> float:
@@ -77,17 +75,6 @@ class PacketParams:
     def with_a(self, a: float) -> "PacketParams":
         return PacketParams(alpha=self.alpha, a=a, eps=self.eps,
                             sigma_star=self.sigma_star)
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """Radial wavenumber of an azimuthally symmetric mode (m = 0)."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.eta):
-            raise ValueError("eta must be finite")
 
 
 @dataclass(frozen=True)
@@ -121,8 +108,7 @@ def _profile(s, p: PacketParams):
 
 def eval_packet_profile(sigma, p: PacketParams):
     """Profile P(sigma): zero at and below sigma_star, continuous there (eps > 0)."""
-    out = _profile(np.asarray(sigma, dtype=float) - p.sigma_star, p)[0]
-    return out if out.ndim else complex(out)
+    return _profile(np.asarray(sigma, dtype=float) - p.sigma_star, p)[0]
 
 
 def packet_values(s, rho, dsig_drho, a0, p: PacketParams):
@@ -143,26 +129,15 @@ def gamma_tilde(eta: float) -> float:
     return 2.0 ** -0.5 * (eta * eta + 1.0) ** -0.25
 
 
-def mode_initial_data(mode: ModeSpec, rho, a0_over_rho, family: str = "+"):
-    """Plane-wave mode data at x0 = 0 for the +/- frequency branch.
+def mode_initial_data(eta: float, rho, a0_over_rho):
+    """Plane-wave mode data at x0 = 0 on the lambda_- frequency branch.
 
-    value = gamma e^{i rho eta};  d/dx0 = i lambda_mp(eta) * value, where the
-    "+" branch pairs with lambda_- and the "-" branch with lambda_+.  The
-    data satisfy conj(data(+, eta)) = data(-, -eta).
+    value = gamma e^{i rho eta};  d/dx0 = i lambda_-(eta) * value.  The
+    lambda_+ branch at eta is the conjugate of these data at -eta.
     """
-    if family not in ("+", "-"):
-        raise ValueError("family must be '+' or '-'")
-    eta = mode.eta
-    rho = np.asarray(rho, dtype=float)
-    a0_over_rho = np.asarray(a0_over_rho, dtype=float)
-    gam = gamma_tilde(eta) * rho ** -0.5
-    value = gam * np.exp(1j * eta * rho)
-    root = math.sqrt(eta * eta + 1.0)
-    lam = -a0_over_rho * eta + (-root if family == "+" else root)
-    d_dx0 = 1j * lam * value
-    if value.ndim == 0:
-        return complex(value), complex(d_dx0)
-    return value, d_dx0
+    value = gamma_tilde(eta) * rho ** -0.5 * np.exp(1j * eta * rho)
+    lam = -a0_over_rho * eta - math.sqrt(eta * eta + 1.0)
+    return value, 1j * lam * value
 
 
 def eikonal_values(sigma, rho, dsig_drho, a0, eta: float):

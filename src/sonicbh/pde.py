@@ -17,14 +17,14 @@ format in which the packet and the eikonal are sampled too.  The drift
 speed A/rho is negative everywhere, so its derivative is the third-order
 stencil biased toward larger rho (the inflow side); the wave term's first
 and second derivatives are centred and fourth order; every stencil drops
-to second order in its edge rows.  Inside
-the horizon both characteristic speeds point inward, so the inner edge is
-pure outflow and one-sided stencils suffice there (solve_cauchy refuses an
-inner edge where |A| does not exceed rho_min); the outer edge carries
-a sponge layer that damps what the data window lets by.
-The time step is 0.9 of the step at which the drift, at its fastest, and
-the wave term share RK4's stability region, from the step limits of the
-interior drift and second-derivative stencils alone (RadialGrid.cfl_dt).
+to second order in its edge rows.  Inside the horizon both characteristic
+speeds point inward, so the inner edge is pure outflow and one-sided
+stencils suffice there (solve_cauchy refuses an inner edge where |A| does
+not exceed rho_min); the outer edge carries a sponge layer that damps
+what the data window lets by.  The time step is 0.9 of the step at which
+the drift, at its fastest, and the wave term share RK4's stability
+region, from the step limits of the interior drift and second-derivative
+stencils alone (RadialGrid.cfl_dt).
 
 The coefficients of the system are real, so the real and imaginary parts
 evolve apart: the stepper holds one real (4, n) state, rows Re f, Im f,
@@ -58,7 +58,7 @@ import numpy as np
 from .errors import ConfigError, InstabilityError, ResolutionError
 from .flow import FlowMap, VelocityProfile, transport
 from .gammatools import packet_fourier
-from .packets import (FieldOnGrid, ModeSpec, PacketParams, eikonal_values,
+from .packets import (FieldOnGrid, PacketParams, eikonal_values,
                       gamma_tilde, mode_initial_data, packet_values)
 from .spectrum import density_from_projections
 
@@ -357,13 +357,12 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
     """Exact mode history for eta < 0 from eikonal-matched initial data.
 
     Data: f(0) = gamma e^{-i eta rho} * W, df/dx0(0) = i (A(0) eta / rho
-    - sqrt(eta^2+1)) f(0) -- the conjugate-paired member of the plane-wave
-    family (equivalently the "+" branch at wavenumber |eta|), which shares
-    its value with the eikonal at x0 = 0.  W is the horizon window: 1 from
-    the inner edge to a taper ahead of the outer sponge, so it never clips
-    the packet support.
+    - sqrt(eta^2+1)) f(0) -- the lambda_- branch of the plane-wave mode
+    data at wavenumber |eta|, which shares its value with the eikonal at
+    x0 = 0.  W is the horizon window: 1 from the inner edge to a taper
+    ahead of the outer sponge, so it never clips the packet support.
     """
-    if eta >= 0.0:
+    if not eta < 0.0:  # nan included
         raise ValueError("solve_mode uses the eta < 0 branch")
     lam = 2.0 * math.pi / abs(eta)
     if grid.drho > lam / POINTS_PER_WAVELENGTH:
@@ -372,8 +371,7 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
             f"= {lam / POINTS_PER_WAVELENGTH:g} at eta = {eta:g}")
     rho = grid.rho
     w = smooth_window(rho, *_horizon_window(grid))
-    value0, dvalue0 = mode_initial_data(ModeSpec(eta=-eta), rho,
-                                        profile.eval(0.0) / rho, family="+")
+    value0, dvalue0 = mode_initial_data(-eta, rho, profile.eval(0.0) / rho)
     return solve_cauchy(w * value0, w * dvalue0, grid, profile, t_final,
                         out_times=out_times)
 
@@ -454,7 +452,7 @@ def _delta_c2(eta: float, p: PacketParams) -> complex:
     # sqrt(eta^2+1) - |eta| without the cancellation at large |eta|
     mismatch = 1.0 / (math.hypot(eta, 1.0) + abs(eta))
     return complex(-mismatch * gamma_tilde(eta) * np.exp(1j * eta * p.sigma_star)
-                   * packet_fourier(eta, p.gamma_params, p.a))
+                   * packet_fourier(eta, p))
 
 
 def _initial_densities(eta: float, p: PacketParams,
@@ -491,16 +489,18 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     _initial_densities), so it is free of grid error; it is evaluated per
     fixed eta sample and as a node total over eta = a*eta', and the decay
     exponents of the total's relative deviation and of the per-eta
-    deviation in (1 + |eta|) are fitted there.  The mode at EVOLVE_ETA is
-    also evolved on grid, which must step to t_final/2 and t_final, and,
-    for each a in A_VALUES, the deviation is re-measured on transported
-    nodes at t_final; a half-resolution twin from RadialGrid.auto, solved
-    to the same t_final, supplies a discretisation estimate and a warning
-    when it is not small against the deviation being measured.  A grid too
-    coarse for EVOLVE_ETA raises ResolutionError; a coarse twin too coarse
-    for it leaves the estimate None, with a warning.  The report records
-    n_rho, dt and steps of each solve made.  Grids whose inner edge takes
-    inflow before t_final, or whose two solves would take more than
+    deviation in (1 + |eta|) are fitted there; a warning names each eta
+    sample whose eikonal density is not positive (the node pairing does
+    not vanish as eta -> 0).  The mode at EVOLVE_ETA is also evolved on
+    grid, which must step to t_final/2 and t_final, and, for each a in
+    A_VALUES, the deviation is re-measured on transported nodes at
+    t_final; a half-resolution twin from RadialGrid.auto, solved to the
+    same t_final, supplies a discretisation estimate and a warning when it
+    is not small against the deviation being measured.  A grid too coarse
+    for EVOLVE_ETA raises ResolutionError; a coarse twin too coarse for it
+    leaves the estimate None, with a warning.  The report records n_rho,
+    dt and steps of each solve made.  Grids whose inner edge takes inflow
+    before t_final, or whose two solves would take more than
     MAX_POINT_STEPS point-steps, raise ConfigError before any work.
     """
     profile = flow.profile
@@ -529,6 +529,10 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     for eta in eta_samples:
         eta = float(eta)
         dk, d_diff = _initial_densities(eta, p_ref, flow)
+        if not dk > 0.0:
+            report.warnings.append(
+                f"eta={eta:g}: x0=0 eikonal density {dk:.3g} is not "
+                f"positive, so its dev_rel is no relative deviation")
         dev = abs(d_diff) / abs(dk)
         devs.append((abs(eta), dev))
         report.rows_initial.append(RemainderRow(

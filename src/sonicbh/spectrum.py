@@ -89,8 +89,7 @@ def eikonal_projections(eta_abs, p: PacketParams):
     if np.any(eta_abs < 0.0):
         raise ValueError("eta_abs must be nonnegative")
     eta = -eta_abs
-    phase = np.exp(1j * eta * p.sigma_star) \
-        * packet_fourier(eta, p.gamma_params, p.a)
+    phase = np.exp(1j * eta * p.sigma_star) * packet_fourier(eta, p)
     c1 = -eta * gamma_tilde(eta) * phase
     # the product's sign of zero follows the phase; the table wants +0
     at_zero = eta_abs == 0.0
@@ -117,7 +116,7 @@ def _checked_density(eta_abs: np.ndarray, p: PacketParams, c1, c2):
     """Closed density at eta_abs, checked against the given projection pair."""
     pair = density_from_projections(c1, c2)
     closed = (2.0 * eta_abs ** 2 / np.hypot(eta_abs, 1.0)
-              * packet_fourier_modulus_sq(-eta_abs, p.gamma_params, p.a))
+              * packet_fourier_modulus_sq(-eta_abs, p))
     # below the smallest normal float both sides have lost their digits
     bad = ~(np.abs(pair - closed) <= DENSITY_IDENTITY_RTOL * np.abs(closed)
             + _TINY)
@@ -138,14 +137,13 @@ def default_eta_grid(a: float, n: int = 96) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Per-eta projections and density plus grid-quadrature totals."""
+    """Per-eta projections and density plus their grid-quadrature total."""
 
     eta_grid: np.ndarray
     density: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     total: float
-    total_normalized: float
 
 
 def build_spectrum(p: PacketParams, eta_grid=None,
@@ -158,7 +156,7 @@ def build_spectrum(p: PacketParams, eta_grid=None,
     density = _checked_density(eta_grid, p, c1, c2)
     total = float(integrate.simpson(density, x=eta_grid))
     return SpectrumTable(eta_grid=eta_grid, density=density, c1=c1, c2=c2,
-                         total=total, total_normalized=total / packet_norm(p))
+                         total=total)
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,6 @@ class TotalNumber:
     """Integrated creation density with its tail bookkeeping."""
 
     value: float
-    eta_break: float
     tail_value: float
     tail_bound: float
 
@@ -205,8 +202,8 @@ def total_number(p: PacketParams) -> TotalNumber:
     eta_break = 50.0 * (a + 1.0)
     tail = _total_value(p, math.atan(a / eta_break))
     bound = gamma0_modulus_sq(p.alpha, eps) * eta_break ** (-2.0 * eps) / eps
-    return TotalNumber(value=_total_value(p), eta_break=eta_break,
-                       tail_value=tail, tail_bound=bound)
+    return TotalNumber(value=_total_value(p), tail_value=tail,
+                       tail_bound=bound)
 
 
 def _total_value(p: PacketParams, theta_max: float = 0.5 * math.pi) -> float:

@@ -122,8 +122,8 @@ def eta_total_number(p: PacketParams) -> TotalNumber:
                              weight="alg", wvar=(2.0 * eps - 1.0, 0.0),
                              epsabs=1e-15, epsrel=1e-11, limit=400)
     bound = g2 * eta_break ** (-2.0 * eps) / eps
-    return TotalNumber(value=float(head + tail), eta_break=eta_break,
-                       tail_value=float(tail), tail_bound=float(bound))
+    return TotalNumber(value=float(head + tail), tail_value=float(tail),
+                       tail_bound=float(bound))
 
 
 def eta_limit_integral(alpha: float, eps: float,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonicbh.cli import main
+from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import ETA_ABS_MAX, RunConfig, fmt_float
 from sonicbh.errors import ConfigError
 
@@ -42,6 +42,22 @@ def test_config_parsing_and_overrides(tmp_path):
     cfg2 = cfg.with_overrides(["alpha=2.5", "out_dir=elsewhere"])
     assert cfg2.alpha == 2.5 and cfg2.out_dir == "elsewhere"
     assert cfg2.a_minus == -1.1
+
+
+def test_config_file_set_and_flags_in_one_parse(tmp_path):
+    # the file's lines, then --set, then the flags go through one parser:
+    # the last value of a key wins, and only the final config is checked,
+    # so nrho=5 (below the floor of 30) is no refusal once --nrho replaces it
+    path = tmp_path / "run.cfg"
+    path.write_text("nrho = 512  # from the file\ntau = 2.0\n\n")
+    args = build_parser().parse_args(
+        ["pde-verify", "--config", str(path), "--set", "nrho=5",
+         "--set", "tau=3.0", "--nrho", "256", "--eta-list=-2,-6"])
+    cfg = _load_config(args)
+    assert (cfg.nrho, cfg.tau, cfg.eta_list) == (256, 3.0, (-2.0, -6.0))
+    with pytest.raises(ConfigError, match="nrho must be at least 30"):
+        _load_config(build_parser().parse_args(
+            ["pde-verify", "--config", str(path), "--set", "nrho=5"]))
 
 
 def test_config_rejects_bad_input(tmp_path, capsys):
@@ -597,6 +613,22 @@ def test_boundary_pde_verify_eta_list(tmp_path, capsys, eta, accepted):
     if not accepted:
         assert "eta_list" in err, err
         assert not any(tmp_path.iterdir())
+
+
+def test_pde_verify_warns_on_nonpositive_eikonal_density(tmp_path, capsys):
+    # the x0 = 0 node pairing does not vanish as eta -> 0: at the default
+    # packet and a = 32 its eikonal density is -3.37e-5 at both small etas
+    # and positive at -2, so exactly the first two samples are named
+    rc = main(["pde-verify", "--eta-list=-1e-300,-1e-8,-2"] + _SMALL
+              + ["--out-dir", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "pde_report.json").read_text())["report"]
+    rows = report["rows_initial"]
+    assert [r["density_eikonal"] > 0.0 for r in rows] == [False, False, True]
+    named = [w.split(":")[0] for w in report["warnings"]
+             if "eikonal density" in w]
+    assert named == ["eta=-1e-300", "eta=-1e-08"]
+    assert capsys.readouterr().out.count("is not positive") == 2
 
 
 def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,

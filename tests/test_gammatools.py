@@ -11,10 +11,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sonicbh.gammatools import (GammaParams, gamma0_modulus_sq,
-                                packet_fourier, packet_fourier_modulus_sq)
+from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
+                                packet_fourier_modulus_sq)
+from sonicbh.packets import PacketParams
 
 from oracles import gamma0, gamma0_quadrature, packet_fourier_quadrature
+
+
+def _packet(alpha, eps, a):
+    # the transforms do not read sigma_star
+    return PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=1.0)
 
 
 def _gamma0_mp(alpha, eps):
@@ -74,13 +80,16 @@ def test_gamma0_contour_quadrature(alpha, eps):
     assert abs(c - q2) / abs(c) < 1e-8
 
 
-def test_gamma_params_validation():
-    with pytest.raises(ValueError):
-        GammaParams(alpha=-1.0, eps=0.25)
-    with pytest.raises(ValueError):
-        GammaParams(alpha=1.0, eps=0.0)
-    with pytest.raises(ValueError):
-        GammaParams(alpha=1.0, eps=0.7)
+def test_packet_params_validation():
+    # alpha, a and sigma_star finite and positive, eps in (0, 1/2]
+    good = dict(alpha=1.0, a=8.0, eps=0.25, sigma_star=1.0)
+    bad = [{"alpha": -1.0}, {"eps": 0.0}, {"eps": 0.7}, {"eps": math.nan},
+           {"a": 0.0}, {"sigma_star": -1.0}]
+    bad += [{key: v} for key in ("alpha", "a", "sigma_star")
+            for v in (math.inf, math.nan)]
+    for change in bad:
+        with pytest.raises(ValueError):
+            PacketParams(**dict(good, **change))
 
 
 def test_modulus_monotonicity():
@@ -95,30 +104,29 @@ def test_modulus_monotonicity():
 
 def test_packet_fourier_real_laplace_limit():
     # eta = 0, alpha -> 0+, eps = 1/2, a = 1: integral of sqrt(s) e^{-s}
-    p = GammaParams(alpha=1e-12, eps=0.5)
-    val = packet_fourier(0.0, p, 1.0)
+    val = packet_fourier(0.0, _packet(1e-12, 0.5, 1.0))
     assert abs(val) == pytest.approx(math.gamma(1.5), rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
 def test_packet_fourier_vs_quadrature(alpha, eps):
-    p = GammaParams(alpha=alpha, eps=eps)
+    p = _packet(alpha, eps, 1.0)
     for eta in (-0.03, -1.0, -12.0, -50.0):
-        c = packet_fourier(eta, p, 1.0)
+        c = packet_fourier(eta, p)
         q = packet_fourier_quadrature(eta, alpha, eps, 1.0)
         assert abs(c - q) / abs(c) < 1e-8, (alpha, eps, eta)
 
 
 def test_packet_fourier_modulus_identity():
-    p = GammaParams(alpha=1.3, eps=0.25)
+    p = _packet(1.3, 0.25, 2.0)
     # eta = 0 closes the branch: |F(0)|^2 = |Gamma(w)|^2 / a^(2 + 2 eps)
     eta = np.array([0.0, -0.4, -3.0, -40.0])
-    m = packet_fourier_modulus_sq(eta, p, 2.0)
-    direct = np.abs(packet_fourier(eta, p, 2.0)) ** 2
+    m = packet_fourier_modulus_sq(eta, p)
+    direct = np.abs(packet_fourier(eta, p)) ** 2
     np.testing.assert_allclose(direct, m, rtol=1e-12)
     with pytest.raises(ValueError):
-        packet_fourier_modulus_sq(1e-300, p, 2.0)
+        packet_fourier_modulus_sq(1e-300, p)
 
 
 def test_packet_fourier_conjugation():
@@ -127,20 +135,19 @@ def test_packet_fourier_conjugation():
     alpha, eps, a = 1.0, 0.25, 1.0
     for eta in (-0.7, -4.0):
         q_neg = packet_fourier_quadrature(eta, -alpha, eps, a)
-        c_pos = packet_fourier(-eta, GammaParams(alpha, eps), a)
+        c_pos = packet_fourier(-eta, _packet(alpha, eps, a))
         assert abs(q_neg - np.conj(c_pos)) / abs(c_pos) < 1e-8
 
 
 def test_packet_fourier_scaling_in_a():
     # |F(eta' a; a)|^2 a^(2 eps + 2) depends on a only through the asin
     # factor, which is a-free at fixed eta' -- so not at all
-    p = GammaParams(alpha=1.0, eps=0.25)
-    eta_prime = -1.5
+    alpha, eps, eta_prime = 1.0, 0.25, -1.5
     vals = []
     for a in (2.0, 16.0, 128.0):
-        vals.append(abs(packet_fourier(eta_prime * a, p, a)) ** 2
-                    * a ** (2 * p.eps + 2.0))
-    ref = (gamma0_modulus_sq(p.alpha, p.eps)
-           * math.exp(-2.0 * p.alpha * math.asin(1.0 / math.hypot(eta_prime, 1.0)))
-           / math.hypot(eta_prime, 1.0) ** (2.0 * p.eps + 2.0))
+        vals.append(abs(packet_fourier(eta_prime * a, _packet(alpha, eps, a)))
+                    ** 2 * a ** (2 * eps + 2.0))
+    ref = (gamma0_modulus_sq(alpha, eps)
+           * math.exp(-2.0 * alpha * math.asin(1.0 / math.hypot(eta_prime, 1.0)))
+           / math.hypot(eta_prime, 1.0) ** (2.0 * eps + 2.0))
     np.testing.assert_allclose(vals, ref, rtol=1e-12)

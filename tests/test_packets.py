@@ -14,9 +14,8 @@ import pytest
 from scipy import special
 
 from sonicbh.errors import GridMismatchError, ToleranceError
-from sonicbh.packets import (FieldOnGrid, ModeSpec, PacketParams,
-                             eval_packet_profile, mode_initial_data,
-                             packet_norm)
+from sonicbh.packets import (FieldOnGrid, PacketParams, eval_packet_profile,
+                             mode_initial_data, packet_norm)
 from sonicbh.flow import integrate_characteristic
 
 from oracles import eikonal_fields, packet_fields
@@ -98,31 +97,23 @@ def test_packet_mass_concentrates_near_edge(packet):
 
 
 def test_mode_data_eta_zero():
-    val, dval = mode_initial_data(ModeSpec(eta=0.0), 1.0, -1.0, family="+")
+    val, dval = mode_initial_data(0.0, 1.0, -1.0)
     assert val == pytest.approx(1.0 / math.sqrt(2.0))
     assert dval == pytest.approx(-1j * val)  # lambda_- = -1 at eta = 0
-    _, dval_m = mode_initial_data(ModeSpec(eta=0.0), 1.0, -1.0, family="-")
-    assert dval_m == pytest.approx(1j * val)
+    # the lambda_+ data at eta are the conjugate of these at -eta
+    val_p, dval_p = np.conj(mode_initial_data(-0.0, 1.0, -1.0))
+    assert val_p == pytest.approx(val)
+    assert dval_p == pytest.approx(1j * val)
 
 
 def test_mode_data_lambda_values():
     # eta = 1, rho = 1, A(0) = -1: lambda_pm = 1 +- sqrt(2)
-    val, dval = mode_initial_data(ModeSpec(eta=1.0), 1.0, -1.0, family="+")
+    val, dval = mode_initial_data(1.0, 1.0, -1.0)
     lam_minus = dval / (1j * val)
     assert lam_minus.real == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-12)
-    val, dval = mode_initial_data(ModeSpec(eta=1.0), 1.0, -1.0, family="-")
+    val, dval = np.conj(mode_initial_data(-1.0, 1.0, -1.0))
     lam_plus = dval / (1j * val)
     assert lam_plus.real == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
-
-
-def test_mode_data_conjugation():
-    # conj(data(+, eta)) = data(-, -eta)
-    rho = np.linspace(0.5, 3.0, 7)
-    for eta in (-2.5, 0.7):
-        vp, dp = mode_initial_data(ModeSpec(eta=eta), rho, -1.0 / rho, "+")
-        vm, dm = mode_initial_data(ModeSpec(eta=-eta), rho, -1.0 / rho, "-")
-        np.testing.assert_allclose(np.conj(vp), vm, rtol=1e-13)
-        np.testing.assert_allclose(np.conj(dp), dm, rtol=1e-13)
 
 
 def test_eikonal_at_time_zero(smooth_flow):

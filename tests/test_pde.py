@@ -16,8 +16,7 @@ import oracles
 from sonicbh import packets, pde
 from sonicbh.errors import ConfigError, InstabilityError, ResolutionError
 from sonicbh.flow import VelocityProfile, find_separatrix, transport
-from sonicbh.packets import PacketParams, mode_initial_data, ModeSpec, \
-    gamma_tilde
+from sonicbh.packets import PacketParams, mode_initial_data, gamma_tilde
 from sonicbh.pde import (A_VALUES, RadialGrid,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
@@ -372,8 +371,7 @@ def test_solve_mode_initial_state(smooth_profile, smooth_flow):
     hist = solve_mode(eta, grid, smooth_profile, 0.01)
     w = smooth_window(grid.rho, *_horizon_window(grid))
     a0_over_rho = smooth_profile.eval(0.0) / grid.rho
-    val, dval = mode_initial_data(ModeSpec(eta=-eta), grid.rho, a0_over_rho,
-                                  "+")
+    val, dval = mode_initial_data(-eta, grid.rho, a0_over_rho)
     np.testing.assert_allclose(hist[0].value, w * val, atol=1e-15)
     # g = D f from the data's d/dx0 and one centred radial difference
     want = w * dval + a0_over_rho * oracles.d1_centered(w * val, grid)
@@ -384,6 +382,15 @@ def test_solve_mode_resolution_error(smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile.a_max_abs, 0.05)
     with pytest.raises(ResolutionError):
         solve_mode(-40.0, grid, smooth_profile, 0.05)
+
+
+def test_solve_mode_refuses_eta_off_its_branch(smooth_profile):
+    # the mode data hold the lambda_- branch at |eta|; nan is refused with
+    # the rest, before any work
+    grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile.a_max_abs, 0.05)
+    for eta in (0.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match="eta < 0"):
+            solve_mode(eta, grid, smooth_profile, 0.05)
 
 
 @pytest.mark.parametrize("n_rho,t_final", [(256, 0.75), (256, 1e-4),
@@ -417,7 +424,7 @@ def test_difference_field_initial_slope(smooth_profile, smooth_flow):
     eta = -4.0
     rho = np.linspace(1.0, 4.0, 9)
     a0_over_rho = smooth_profile.eval(0.0) / rho
-    val, dval = mode_initial_data(ModeSpec(eta=-eta), rho, a0_over_rho, "+")
+    val, dval = mode_initial_data(-eta, rho, a0_over_rho)
     eik = eikonal_fields(rho, 0.0, eta, smooth_flow)
     np.testing.assert_allclose(val, eik.value, rtol=1e-12)
     d_flow = dval + a0_over_rho * (-0.5 / rho - 1j * eta) * val

@@ -19,7 +19,7 @@ from scipy import integrate
 from sonicbh.errors import GridMismatchError, ToleranceError
 from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_modulus_sq)
-from sonicbh.packets import (FieldOnGrid, ModeSpec, PacketParams, gamma_tilde,
+from sonicbh.packets import (FieldOnGrid, PacketParams, gamma_tilde,
                              mode_initial_data, packet_norm)
 from sonicbh.spectrum import (build_spectrum, creation_density,
                               default_eta_grid, density_from_projections,
@@ -84,9 +84,10 @@ def test_kg_inner_grid_mismatch(smooth_flow):
 def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
     """Gaussian eta-window packet of plane-wave mode data at x0 = 0.
 
-    The e^{-i eta rho_c} translation centres the packet at rho_c, away
-    from the half-line edge, so full-line Fourier calculus applies to
-    exponential accuracy.
+    family "+" takes the lambda_- data of mode_initial_data at eta, and
+    "-" the lambda_+ data, their conjugate at -eta.  The e^{-i eta rho_c}
+    translation centres the packet at rho_c, away from the half-line edge,
+    so full-line Fourier calculus applies to exponential accuracy.
     """
     etas = np.linspace(eta_c - 5.0 * sigma_w, eta_c + 5.0 * sigma_w, 241)
     w = np.exp(-((etas - eta_c) ** 2) / (2.0 * sigma_w ** 2))
@@ -95,7 +96,10 @@ def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
     a0_over_rho = profile.eval(0.0) / rho
     for eta, wk in zip(etas, w):
         phase = np.exp(-1j * eta * rho_c)
-        v, d = mode_initial_data(ModeSpec(eta=eta), rho, a0_over_rho, family)
+        if family == "+":
+            v, d = mode_initial_data(eta, rho, a0_over_rho)
+        else:
+            v, d = np.conj(mode_initial_data(-eta, rho, a0_over_rho))
         val += wk * phase * v
         # D = d/dx0 + (A/rho) d/drho, the radial derivative in closed form
         d_flow += wk * phase * (d + a0_over_rho * v * (-0.5 / rho + 1j * eta))
@@ -237,7 +241,6 @@ def test_angle_integral_against_eta_form(alpha, eps, a):
     got, want = total_number(p), eta_total_number(p)
     assert got.value == pytest.approx(want.value, rel=1e-10)
     assert got.tail_value == pytest.approx(want.tail_value, rel=1e-10)
-    assert got.eta_break == want.eta_break
     assert got.tail_bound == want.tail_bound
     assert limit_integral(alpha, eps) == pytest.approx(
         eta_limit_integral(alpha, eps), rel=1e-12)
@@ -364,8 +367,6 @@ def test_spectrum_table_invariants(packet):
     assert table.density[0] == 0.0
     assert np.all(table.density >= 0.0)
     assert table.total > 0.0
-    assert table.total_normalized == pytest.approx(
-        table.total / packet_norm(packet), rel=1e-14)
 
 
 @pytest.mark.parametrize("n_eta", [96, 2048])
