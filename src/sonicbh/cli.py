@@ -15,8 +15,8 @@ import numpy as np
 
 from . import pde, spectrum
 from .config import RunConfig
-from .errors import (BracketError, ConfigError, ResolutionError,
-                     SonicbhError, StepFailureError, ToleranceError)
+from .errors import (ConfigError, ResolutionError, SonicbhError,
+                     StepFailureError, ToleranceError)
 from .flow import find_separatrix
 from .output import write_csv, write_json
 from .packets import PacketParams, eval_packet_profile, packet_norm
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ToleranceError, BracketError, StepFailureError) as exc:
+    except (ToleranceError, StepFailureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except ResolutionError as exc:

@@ -13,7 +13,7 @@ class ConfigError(SonicbhError):
     """Malformed or inconsistent run configuration."""
 
 
-class BracketError(SonicbhError):
+class BracketError(ConfigError):
     """The separatrix value sigma_star falls outside the requested bracket."""
 
 

@@ -213,7 +213,7 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
     analytic Jacobian, at rtol max(min(ode_tol, 1e-12)/10, 3e-14) and atol
     rtol/100 (LSODA refuses rtol 1e-14); a failed call raises
     StepFailureError.  The bracket is only a check: a sigma_star outside
-    (lo, hi) raises BracketError.
+    (lo, hi) raises BracketError, a ConfigError naming [min|A|, max|A|].
     """
     if bracket is None:
         lo = max(4.0 * rho_min, 0.25 * min(abs(profile.a_minus), abs(profile.a_plus)))
@@ -232,8 +232,11 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
                      np.concatenate([[x_start], x_grid[::-1]]), tol)
     sigma_star = float(pos[-1])
     if not lo < sigma_star < hi:
+        a_lo = min(abs(profile.a_minus), abs(profile.a_plus))
         raise BracketError(
-            f"sigma_star = {sigma_star} lies outside the bracket ({lo}, {hi})")
+            f"sigma_star = {sigma_star} lies outside the bracket ({lo}, {hi});"
+            f" the ray equation confines it to [min|A|, max|A|] = "
+            f"[{a_lo:g}, {profile.a_max_abs:g}]")
 
     neg = _lsoda_ray(profile, sigma_star, -x_grid, tol)
     x0 = np.concatenate([-x_grid[::-1], x_grid[1:]])

@@ -19,12 +19,12 @@ and the variable the wave stepper evolves.  Along rays D sigma =
 
 Radial modes carry wavenumber eta and frequency factor
 gamma = (2 rho)^(-1/2) (eta^2+1)^(-1/4); the two frequency branches at
-x0 = 0 have time derivatives i*lambda_-(eta) and i*lambda_+(eta) with
-lambda_pm = -A(0) eta / rho +- sqrt(eta^2 + 1).  mode_initial_data gives
-the lambda_- branch; the lambda_+ branch at eta is its conjugate at -eta.
-The eikonal E = gamma e^{-i eta sigma(rho, x0)} (eta < 0) transports the
-same data along rays, with |eta| standing in for sqrt(eta^2+1) in the
-frequency.
+x0 = 0 have d/dx0 = i lambda_pm(eta), lambda_pm = -A(0) eta / rho +-
+sqrt(eta^2 + 1).  mode_initial_data gives the lambda_- branch, whose D
+value is -(i sqrt(eta^2+1) + A/(2 rho^2)) times its value.  The eikonal
+E = gamma e^{-i eta sigma(rho, x0)} (eta < 0) transports the same value
+along rays, and at x0 = 0 its D E differs only by |eta| in place of
+sqrt(eta^2+1).
 """
 
 from __future__ import annotations
@@ -129,15 +129,15 @@ def gamma_tilde(eta: float) -> float:
     return 2.0 ** -0.5 * (eta * eta + 1.0) ** -0.25
 
 
-def mode_initial_data(eta: float, rho, a0_over_rho):
-    """Plane-wave mode data at x0 = 0 on the lambda_- frequency branch.
+def mode_initial_data(eta: float, rho, a0):
+    """Plane-wave mode value and D value at x0 = 0 on the lambda_- branch.
 
-    value = gamma e^{i rho eta};  d/dx0 = i lambda_-(eta) * value.  The
-    lambda_+ branch at eta is the conjugate of these data at -eta.
-    """
+    value = gamma e^{i rho eta}, D value = -(i sqrt(eta^2+1) + A/(2 rho^2))
+    value with a0 = A(0); the lambda_+ branch at eta is their conjugate at
+    -eta."""
     value = gamma_tilde(eta) * rho ** -0.5 * np.exp(1j * eta * rho)
-    lam = -a0_over_rho * eta - math.sqrt(eta * eta + 1.0)
-    return value, 1j * lam * value
+    freq = math.sqrt(eta * eta + 1.0)
+    return value, -(1j * freq + 0.5 * a0 / rho ** 2) * value
 
 
 def eikonal_values(sigma, rho, dsig_drho, a0, eta: float):

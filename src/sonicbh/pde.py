@@ -11,20 +11,20 @@ stepped as the first-order system (f, g) with g = D f:
     df/dx0 = g - (A/rho) df/drho,
     dg/dx0 = d^2 f/drho^2 + (1/rho) df/drho - (A/rho) dg/drho,
 
-with classic RK4 in time by solve_cauchy, the one stepper, whose history
-is a list of FieldOnGrid states: its own (f, g) at each recorded x0, the
-format in which the packet and the eikonal are sampled too.  The drift
+with classic RK4 in time by solve_cauchy, the one stepper, whose data at
+x0 = 0 and recorded FieldOnGrid states are its own (f, g): the format in
+which the packet, the mode data and the eikonal are sampled too.  The drift
 speed A/rho is negative everywhere, so its derivative is the third-order
 stencil biased toward larger rho (the inflow side); the wave term's first
 and second derivatives are centred and fourth order; every stencil drops
 to second order in its edge rows.  Inside the horizon both characteristic
 speeds point inward, so the inner edge is pure outflow and one-sided
 stencils suffice there (solve_cauchy refuses an inner edge where |A| does
-not exceed rho_min); the outer edge carries a sponge layer that damps
-what the data window lets by.  The time step is 0.9 of the step at which
-the drift, at its fastest, and the wave term share RK4's stability
-region, from the step limits of the interior drift and second-derivative
-stencils alone (RadialGrid.cfl_dt).
+not exceed rho_min); the outer edge carries a sponge layer that damps what
+the data window lets by.  The time step is 0.9 of the step at which the
+drift, at its fastest, and the wave term share RK4's stability region,
+from the step limits of the interior drift and second-derivative stencils
+alone (RadialGrid.cfl_dt).
 
 The coefficients of the system are real, so the real and imaginary parts
 evolve apart: the stepper holds one real (4, n) state, rows Re f, Im f,
@@ -34,30 +34,31 @@ alone, and d^2/drho^2 + (1/rho) d/drho is one stencil with coefficient
 vectors over rho.
 
 The exact mode at wavenumber eta < 0 is started from the data that the
-eikonal matches in value (gamma e^{-i eta rho}) and misses in frequency
-(sqrt(eta^2+1) against |eta|), so the difference field away from x0 = 0
-isolates the transport and frequency remainders of the eikonal.  The
-module also evaluates the projection pair of a field history against the
-transported packet, to measure how fast those remainders fall with the
-localisation rate a and with |eta|: at x0 = 0 from the eikonal pair on
-Gauss nodes plus the exact-minus-eikonal change in closed form, and on
-evolved grids from the mode's (f, g) interpolated onto the nodes by a
-local cubic.  The pair is the conserved pairing in its D form,
-2 pi i int (u* Dv - (Du)* v) rho drho, which carries no separate drift
-term.
+eikonal matches in value (gamma e^{-i eta rho}) and misses in the
+frequency of its D value (sqrt(eta^2+1) against |eta|), so the difference
+field away from x0 = 0 isolates the transport and frequency remainders of
+the eikonal.  The module also evaluates the projection pair of a field
+history against the transported packet, to measure how fast those
+remainders fall with the localisation rate a and with |eta|: at x0 = 0
+from the eikonal pair on Gauss nodes plus the exact-minus-eikonal change
+in closed form, and on evolved grids from the mode's (f, g) interpolated
+onto the nodes by a local cubic.  The pair is the conserved pairing in its
+D form, 2 pi i int (u* Dv - (Du)* v) rho drho, which carries no separate
+drift term.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InstabilityError, ResolutionError
+from .errors import (ConfigError, InstabilityError, ResolutionError,
+                     ToleranceError)
 from .flow import FlowMap, VelocityProfile, transport
-from .gammatools import packet_fourier
+from .gammatools import packet_fourier, packet_fourier_modulus_sq
 from .packets import (FieldOnGrid, PacketParams, eikonal_values,
                       gamma_tilde, mode_initial_data, packet_values)
 from .spectrum import density_from_projections
@@ -230,16 +231,10 @@ class _Stencil:
         self.taps = [np.tile(taps[k], size // n)[self.lo:size - self.hi]
                      for k in sorted(taps)]
 
-    def __call__(self, u, out=None, diff=None):
-        """Apply to u; diff, the forward difference of u flattened, may be
-        passed in when stencils share it."""
-        u = np.ascontiguousarray(u)
-        if out is None:
-            out = np.empty_like(u, dtype=np.result_type(u, 1.0))
-        elif not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
+    def __call__(self, u, out, diff):
+        """Apply to u into out; diff is the forward difference of u
+        flattened, which stencils of one state share."""
         n = u.shape[-1]
-        diff = np.diff(u.reshape(-1)) if diff is None else diff
         inner = out.reshape(-1)[self.lo:u.size - self.hi]
         m = len(inner)
         at = self.lo + self.first
@@ -255,7 +250,7 @@ class _Stencil:
 
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
-    """Evolve data (f, df/dx0) at x0 = 0 to t_final with classic RK4.
+    """Evolve data (f, D f) at x0 = 0 to t_final with classic RK4.
 
     profile is a VelocityProfile, whose max|A| sets the step bound
     grid.cfl_dt, from the stencils' RK4 limits (ValueError beyond it), and
@@ -265,10 +260,9 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     recorded after the initial state at out_times (default t_final), each
     with x0 the requested time, which must be a whole number of steps
     (ValueError otherwise); the loop stops at the last of them.  Each
-    recorded state is (f, g = D f) as stepped; the data's df/dx0 enters g
-    through one centered difference at x0 = 0.  InstabilityError when the
-    sup-norm of the state grows GROWTH_BOUND-fold in a step or past
-    GROWTH_LIMIT times its initial value.
+    recorded state is (f, g = D f) as stepped, the format of the data.
+    InstabilityError when the sup-norm of the state grows GROWTH_BOUND-fold
+    in a step or past GROWTH_LIMIT times its initial value.
 
     The coefficients of the operator are real, so the real and imaginary
     parts evolve apart: the state is one real (4, n) array with rows
@@ -320,10 +314,7 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         np.add(out[2:], drift_term[2:], out=out[2:])
         out[:, s0:] -= sponge * y[:, s0:]
 
-    # g = D f = df/dx0 + (A/rho) df/drho
-    f = np.array(value0, dtype=complex)
-    f_r = _Stencil(f.shape, [(_D1_CENTERED, 1.0 / grid.drho)])(f)
-    g = np.array(dvalue0, dtype=complex) + drift(0.0) * inv_rho * f_r
+    f, g = np.array(value0, dtype=complex), np.array(dvalue0, dtype=complex)
     history = [FieldOnGrid(rho, f, g, 0.0)]
     y[:] = f.real, f.imag, g.real, g.imag
     peak = max(float(np.max(np.abs(y))), 1e-300)
@@ -356,11 +347,11 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
                t_final: float, *, out_times=None) -> list[FieldOnGrid]:
     """Exact mode history for eta < 0 from eikonal-matched initial data.
 
-    Data: f(0) = gamma e^{-i eta rho} * W, df/dx0(0) = i (A(0) eta / rho
-    - sqrt(eta^2+1)) f(0) -- the lambda_- branch of the plane-wave mode
-    data at wavenumber |eta|, which shares its value with the eikonal at
-    x0 = 0.  W is the horizon window: 1 from the inner edge to a taper
-    ahead of the outer sponge, so it never clips the packet support.
+    Data: W times the lambda_- branch of the plane-wave mode data at
+    wavenumber |eta| (mode_initial_data), which share value and radial
+    derivative with the eikonal at x0 = 0.  W is the horizon window: 1 from
+    the inner edge to a taper ahead of the outer sponge, so it never clips
+    the packet support; its own D stays out of the data.
     """
     if not eta < 0.0:  # nan included
         raise ValueError("solve_mode uses the eta < 0 branch")
@@ -371,7 +362,7 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
             f"= {lam / POINTS_PER_WAVELENGTH:g} at eta = {eta:g}")
     rho = grid.rho
     w = smooth_window(rho, *_horizon_window(grid))
-    value0, dvalue0 = mode_initial_data(-eta, rho, profile.eval(0.0) / rho)
+    value0, dvalue0 = mode_initial_data(-eta, rho, profile.eval(0.0))
     return solve_cauchy(w * value0, w * dvalue0, grid, profile, t_final,
                         out_times=out_times)
 
@@ -409,17 +400,13 @@ class RemainderReport:
     history: list[FieldOnGrid] = field(default_factory=list, repr=False)
 
     def to_jsonable(self) -> dict:
-        def row(r: RemainderRow) -> dict:
-            return {"a": r.a, "eta": r.eta, "dev_rel": r.dev_rel, "x0": r.x0,
-                    "density_exact": r.density_exact,
-                    "density_eikonal": r.density_eikonal}
-
-        def evolved(r: RemainderRow) -> dict:
-            return dict(row(r), discr_estimate=r.discr_estimate,
-                        resolved=r.resolved)
+        # the x0 = 0 rows have no discretisation estimate
+        initial = [{k: v for k, v in asdict(r).items()
+                    if k not in ("discr_estimate", "resolved")}
+                   for r in self.rows_initial]
         return {
-            "rows_initial": [row(r) for r in self.rows_initial],
-            "rows_evolved": [evolved(r) for r in self.rows_evolved],
+            "rows_initial": initial,
+            "rows_evolved": [asdict(r) for r in self.rows_evolved],
             "sweep": {"a": self.sweep_a, "dev_rel": self.sweep_dev,
                       "leading": self.sweep_leading},
             "fit_exponent": self.fit_exponent,
@@ -469,15 +456,14 @@ def _initial_densities(eta: float, p: PacketParams,
             density_from_projections(c1, _delta_c2(eta, p)))
 
 
-def _node_total(p: PacketParams, flow: FlowMap) -> tuple[float, float]:
-    """Fixed-node totals over eta = a*eta' of the eikonal density and of the
-    exact-minus-eikonal density."""
-    tot_eik = tot_diff = 0.0
-    for w, ep in zip(_SWEEP_WEIGHTS, _SWEEP_NODES):
-        d_eik, d_diff = _initial_densities(-p.a * float(ep), p, flow)
-        tot_eik += w * p.a * d_eik
-        tot_diff += w * p.a * d_diff
-    return tot_eik, tot_diff
+def _decay_exponent(xs, ys, name: str, scale) -> float:
+    """-slope of the line fitted through (scale(|x|), log y); ToleranceError
+    naming the first row whose y has no logarithm."""
+    for x, y in zip(xs, ys):
+        if not 0.0 < y < math.inf:
+            raise ToleranceError(f"{name}={x:g}: x0=0 value {y:.3g} has no "
+                                 f"logarithm for the decay fit")
+    return float(-np.polyfit(scale(np.abs(xs)), np.log(ys), 1)[0])
 
 
 def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
@@ -489,19 +475,21 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     _initial_densities), so it is free of grid error; it is evaluated per
     fixed eta sample and as a node total over eta = a*eta', and the decay
     exponents of the total's relative deviation and of the per-eta
-    deviation in (1 + |eta|) are fitted there; a warning names each eta
-    sample whose eikonal density is not positive (the node pairing does
-    not vanish as eta -> 0).  The mode at EVOLVE_ETA is also evolved on
-    grid, which must step to t_final/2 and t_final, and, for each a in
-    A_VALUES, the deviation is re-measured on transported nodes at
-    t_final; a half-resolution twin from RadialGrid.auto, solved to the
-    same t_final, supplies a discretisation estimate and a warning when it
-    is not small against the deviation being measured.  A grid too coarse
-    for EVOLVE_ETA raises ResolutionError; a coarse twin too coarse for it
-    leaves the estimate None, with a warning.  The report records n_rho,
-    dt and steps of each solve made.  Grids whose inner edge takes inflow
-    before t_final, or whose two solves would take more than
-    MAX_POINT_STEPS point-steps, raise ConfigError before any work.
+    deviation in (1 + |eta|) are fitted there (ToleranceError names a row
+    with no logarithm); a warning names each eta sample whose eikonal
+    density is not positive (the node pairing does not vanish as
+    eta -> 0).  The mode at EVOLVE_ETA is also evolved on grid, which must
+    step to t_final/2 and t_final, and, for each a in A_VALUES, the
+    deviation is re-measured on transported nodes at t_final; a
+    half-resolution twin from RadialGrid.auto, solved to the same t_final,
+    supplies a discretisation estimate and a warning when it is not small
+    against the deviation being measured.  A grid too coarse for EVOLVE_ETA
+    raises ResolutionError; a coarse twin too coarse for it leaves the
+    estimate None, with a warning.  The report records n_rho, dt and steps
+    of each solve made.  Grids whose inner edge takes inflow before t_final
+    or whose two solves would take more than MAX_POINT_STEPS point-steps,
+    and an alpha that leaves the |F|^2 factor of an x0 = 0 density
+    subnormal, raise ConfigError before any work.
     """
     profile = flow.profile
     a_min = profile.min_abs(0.0, t_final)
@@ -518,6 +506,15 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"the wave solves would take {work:.3g} point-steps (n_rho x "
             f"steps), beyond the budget of {MAX_POINT_STEPS:.3g}; lower "
             f"nrho or tfinal, or raise grid_rho_min")
+    for a in A_VALUES:  # |F|^2 ~ e^{-2 alpha theta} scales each density
+        etas = np.concatenate([a * _SWEEP_NODES,
+                               np.abs([*eta_samples, EVOLVE_ETA])])
+        f2 = np.min(packet_fourier_modulus_sq(-etas, p.with_a(a)))
+        if not f2 >= sys.float_info.min:
+            raise ConfigError(
+                f"alpha = {p.alpha:g} is too large: the packet transform "
+                f"|F|^2 at a = {a:g} is {f2:.3g}, below the smallest normal "
+                f"float, where the x0 = 0 densities lose their digits")
     report = RemainderReport(solves={
         name: {"n_rho": g.n_rho, "dt": g.dt, "steps": g.steps(t_final)}
         for name, g in (("fine", grid), ("coarse", coarse))})
@@ -525,37 +522,38 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     # per-eta departures at x0 = 0, fixed eta samples, largest a
     a_ref = max(A_VALUES)
     p_ref = p.with_a(a_ref)
-    devs = []
-    for eta in eta_samples:
-        eta = float(eta)
+    for eta in map(float, eta_samples):
         dk, d_diff = _initial_densities(eta, p_ref, flow)
         if not dk > 0.0:
             report.warnings.append(
                 f"eta={eta:g}: x0=0 eikonal density {dk:.3g} is not "
                 f"positive, so its dev_rel is no relative deviation")
-        dev = abs(d_diff) / abs(dk)
-        devs.append((abs(eta), dev))
         report.rows_initial.append(RemainderRow(
             a=a_ref, eta=eta, density_exact=dk + d_diff, density_eikonal=dk,
-            dev_rel=dev, x0=0.0))
-    if len(devs) >= 2:
-        x = np.log1p([d[0] for d in devs])
-        y = np.log([d[1] for d in devs])
-        report.eta_fit_exponent = float(-np.polyfit(x, y, 1)[0])
+            dev_rel=abs(d_diff) / abs(dk), x0=0.0))
+    if len(report.rows_initial) >= 2:
+        report.eta_fit_exponent = _decay_exponent(
+            [r.eta for r in report.rows_initial],
+            [r.dev_rel for r in report.rows_initial], "eta", np.log1p)
     else:
         report.warnings.append("eta-decay exponent needs at least two eta "
                                "samples; none fitted")
 
-    # a-sweep of the node-total deviation at x0 = 0
+    # a-sweep of the fixed-node totals over eta = a*eta' at x0 = 0 of the
+    # eikonal density and of the exact-minus-eikonal density
     for a in A_VALUES:
-        tk, t_diff = _node_total(p.with_a(a), flow)
+        pa, tk, t_diff = p.with_a(a), 0.0, 0.0
+        for w, ep in zip(_SWEEP_WEIGHTS, _SWEEP_NODES):
+            d_eik, d_diff = _initial_densities(-a * float(ep), pa, flow)
+            tk += w * a * d_eik
+            t_diff += w * a * d_diff
         report.sweep_a.append(a)
         report.sweep_dev.append(abs(t_diff) / abs(tk))
         report.sweep_leading.append(abs(tk))
-    la = np.log(report.sweep_a)
-    report.fit_exponent = float(-np.polyfit(la, np.log(report.sweep_dev), 1)[0])
-    report.leading_exponent = float(-np.polyfit(
-        la, np.log(report.sweep_leading), 1)[0])
+    report.fit_exponent = _decay_exponent(report.sweep_a, report.sweep_dev,
+                                          "a", np.log)
+    report.leading_exponent = _decay_exponent(
+        report.sweep_a, report.sweep_leading, "a", np.log)
     report.fit_exponent_absolute = report.fit_exponent + report.leading_exponent
 
     # the mode solve depends only on eta: run it (and its coarse twin) once
@@ -605,6 +603,11 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
     """Nodes and weights (for plain ds integration) over (0, s_max], twelve
     Gauss points a panel."""
     base, bw = np.polynomial.legendre.leggauss(12)
+    def panels(edges):
+        half = 0.5 * np.diff(edges)[:, None]
+        return ((half * (base + 1.0) + edges[:-1, None]).ravel(),
+                (half * bw).ravel())
+
     s_split = min(0.5 / max(eta_abs, 1e-30), 0.25 * s_max)
     # head: t = ln s; truncation below s_min loses O(s_min^eps / eps) mass,
     # a relative 1e-12
@@ -612,11 +615,7 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
     t_lo, t_hi = math.log(s_min), math.log(s_split)
     rad_per_panel = 2.0
     n_head = max(4, int(math.ceil((t_hi - t_lo) * max(alpha, 0.5) / rad_per_panel)))
-    edges_t = np.linspace(t_lo, t_hi, n_head + 1)
-    t_nodes = np.concatenate([0.5 * (b - a) * (base + 1.0) + a
-                              for a, b in zip(edges_t[:-1], edges_t[1:])])
-    t_w = np.concatenate([0.5 * (b - a) * bw
-                          for a, b in zip(edges_t[:-1], edges_t[1:])])
+    t_nodes, t_w = panels(np.linspace(t_lo, t_hi, n_head + 1))
     s_head = np.exp(t_nodes)
     w_head = t_w * s_head  # ds = s dt
     # tail: panel edges marched so each carries <= budget radians of the
@@ -626,11 +625,7 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
     while edges[-1] < s_max:
         freq = eta_abs + alpha / edges[-1]
         edges.append(min(s_max, edges[-1] + budget / freq))
-    edges_s = np.asarray(edges)
-    s_tail = np.concatenate([0.5 * (b - a) * (base + 1.0) + a
-                             for a, b in zip(edges_s[:-1], edges_s[1:])])
-    w_tail = np.concatenate([0.5 * (b - a) * bw
-                             for a, b in zip(edges_s[:-1], edges_s[1:])])
+    s_tail, w_tail = panels(np.asarray(edges))
     return np.concatenate([s_head, s_tail]), np.concatenate([w_head, w_tail])
 
 

@@ -194,12 +194,12 @@ def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Complex two-array RK4 with the contract of sonicbh.pde.solve_cauchy:
-    the same CFL and inflow-edge ValueErrors, the same growth guard over
-    the sup-norm of the real and imaginary parts of (f, g) and its
-    InstabilityError message, and a state (f, g) recorded at x0 = t for
-    each t in out_times, each a whole number of steps (the same ValueError
-    otherwise).  The inflow check samples |A| densely over the solve rather
-    than at its ends."""
+    data (f, g = D f) at x0 = 0, the same CFL and inflow-edge ValueErrors,
+    the same growth guard over the sup-norm of the real and imaginary parts
+    of (f, g) and its InstabilityError message, and a state (f, g) recorded
+    at x0 = t for each t in out_times, each a whole number of steps (the
+    same ValueError otherwise).  The inflow check samples |A| densely over
+    the solve rather than at its ends."""
     dt = grid.dt
     want = {grid.steps(t): t for t in
             ([t_final] if out_times is None else out_times)}
@@ -235,8 +235,7 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         return float(np.max(np.abs([f.real, f.imag, g.real, g.imag])))
 
     f = np.array(value0, dtype=complex)
-    g = (np.array(dvalue0, dtype=complex)
-         + drift(0.0) * inv_rho * d1_centered(f, grid))
+    g = np.array(dvalue0, dtype=complex)
     history = [FieldOnGrid(rho, f, g, 0.0)]
     peak = max(sup(f, g), 1e-300)
     limit = GROWTH_LIMIT * peak
@@ -373,10 +372,11 @@ def dalembert_error(n_rho: int, t_final: float = 1.0) -> float:
     """Max error of sonicbh.pde.solve_cauchy against the exact standing
     Bessel mode for A == 0.
 
-    With no drift the system reduces to f_tt = f_rr + f_r / rho; data
-    f = J0(k rho), f_t = 0 evolve exactly as J0(k rho) cos(k x0).  The
-    error is taken on [2 + t + 1/4, 11 - t - 1/4], which neither grid edge
-    nor the sponge (rho > 11) can reach by time t at unit speed.
+    With no drift the system reduces to f_tt = f_rr + f_r / rho, and D is
+    d/dx0; data f = J0(k rho), f_t = 0 evolve exactly as
+    J0(k rho) cos(k x0).  The error is taken on [2 + t + 1/4,
+    11 - t - 1/4], which neither grid edge nor the sponge (rho > 11) can
+    reach by time t at unit speed.
     """
     grid = RadialGrid.auto(2.0, 12.0, n_rho, 0.0, t_final)
     k = 3.0

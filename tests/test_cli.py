@@ -158,11 +158,15 @@ def test_horizon_command(tmp_path, capsys):
 
 
 def test_horizon_bracket_failure_exit_code(tmp_path, capsys):
+    # a bracket that misses sigma* is a config error, whose message gives
+    # the interval [min|A|, max|A|] the ray equation confines sigma* to
     rc = main(["horizon", "--out-dir", str(tmp_path),
                "--set", "bracket_lo=1.5", "--set", "bracket_hi=2.8",
                "--set", "a_minus=-1.0", "--set", "a_plus=-1.0"])
-    assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "[min|A|, max|A|] = [1, 1]" in err
 
 
 def test_spectrum_command(tmp_path):
@@ -495,6 +499,48 @@ def test_boundary_amplitudes_against_rho_min(tmp_path, capsys):
         assert time.monotonic() - t0 < 10.0, (key, value)
 
 
+_NEAR_RHO_MIN = repr(math.nextafter(-1e-3, -math.inf))
+
+
+@pytest.mark.parametrize("sets,codes,names", [
+    # a_minus and a_plus: negative and finite, with min|A| above rho_min =
+    # 1e-3; at the largest |A| the run ends in a typed failure (a bracket
+    # miss or an LSODA failure), whichever end it sits at
+    ([f"a_minus={_NEAR_RHO_MIN}"], {0}, None),
+    (["a_minus=-0.001"], {2}, "must exceed rho_min"),
+    ([f"a_minus={-sys.float_info.max!r}"], {2, 3, 4}, None),
+    (["a_minus=-inf"], {2}, "a_minus must be finite"),
+    ([f"a_plus={_NEAR_RHO_MIN}"], {0}, None),
+    (["a_plus=-0.001"], {2}, "must exceed rho_min"),
+    ([f"a_plus={-sys.float_info.max!r}"], {2, 3, 4}, None),
+    (["a_plus=-inf"], {2}, "a_plus must be finite"),
+    # tau: positive and finite
+    (["tau=5e-324"], {0}, None),
+    (["tau=0"], {2}, "tau must be positive"),
+    ([f"tau={sys.float_info.max!r}"], {2, 3, 4}, None),
+    (["tau=inf"], {2}, "tau must be finite"),
+    # accepted flows whose sigma* (4.0747, 0.21998) misses the default
+    # bracket (0.3, 3): a config error naming where sigma* must lie
+    (["a_minus=-5", "a_plus=-4"], {2}, "[min|A|, max|A|] = [4, 5]"),
+    (["a_minus=-0.25", "a_plus=-0.2"], {2}, "[min|A|, max|A|] = [0.2, 0.25]"),
+])
+def test_boundary_horizon_flow(tmp_path, capsys, sets, codes, names):
+    argv = ["horizon", "--out-dir", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    t0 = time.monotonic()
+    rc = main(argv)
+    assert time.monotonic() - t0 < 10.0, sets
+    err = capsys.readouterr().err
+    assert rc in codes, (sets, rc, err)
+    if rc == 0:
+        _assert_outputs_finite(tmp_path)
+    else:
+        assert _TYPED[rc] in err and "Traceback" not in err, (sets, err)
+    if names is not None:
+        assert names in err, (sets, err)
+
+
 @pytest.mark.parametrize("tau", [1e2, 1e4, 1e6])
 def test_horizon_large_tau(tmp_path, capsys, tau):
     # the backward stretch from x0 = 20 tau is stiff: tau = 1e6 ran past a
@@ -613,6 +659,19 @@ def test_boundary_pde_verify_eta_list(tmp_path, capsys, eta, accepted):
     if not accepted:
         assert "eta_list" in err, err
         assert not any(tmp_path.iterdir())
+
+
+def test_pde_verify_alpha_beyond_normal_density(tmp_path, capsys):
+    # from alpha ~ 235 at the defaults the packet transform |F|^2 behind
+    # the x0 = 0 densities is subnormal; at 2000 it is zero, and the run
+    # used to take a minute and end on a NaN.  It is refused before any
+    # quadrature, naming alpha
+    t0 = time.monotonic()
+    err = _run_boundary(["pde-verify", "--set", "alpha=2000"] + _SMALL,
+                        tmp_path, capsys, accepted=False)
+    assert time.monotonic() - t0 < 10.0
+    assert "alpha = 2000 is too large" in err, err
+    assert not any(tmp_path.iterdir())
 
 
 def test_pde_verify_warns_on_nonpositive_eikonal_density(tmp_path, capsys):

@@ -96,23 +96,30 @@ def test_packet_mass_concentrates_near_edge(packet):
     assert tail / total == pytest.approx(frac, rel=1e-2)
 
 
+def _time_derivative(eta, val, dval, rho=1.0, a0=-1.0):
+    """d/dx0 of plane-wave data from their D value: D minus (A/rho) times
+    the radial derivative (i eta - 1/(2 rho)) val."""
+    return dval - a0 / rho * (1j * eta - 0.5 / rho) * val
+
+
 def test_mode_data_eta_zero():
     val, dval = mode_initial_data(0.0, 1.0, -1.0)
     assert val == pytest.approx(1.0 / math.sqrt(2.0))
-    assert dval == pytest.approx(-1j * val)  # lambda_- = -1 at eta = 0
+    # lambda_- = -1 at eta = 0
+    assert _time_derivative(0.0, val, dval) == pytest.approx(-1j * val)
     # the lambda_+ data at eta are the conjugate of these at -eta
     val_p, dval_p = np.conj(mode_initial_data(-0.0, 1.0, -1.0))
     assert val_p == pytest.approx(val)
-    assert dval_p == pytest.approx(1j * val)
+    assert _time_derivative(0.0, val_p, dval_p) == pytest.approx(1j * val)
 
 
 def test_mode_data_lambda_values():
     # eta = 1, rho = 1, A(0) = -1: lambda_pm = 1 +- sqrt(2)
     val, dval = mode_initial_data(1.0, 1.0, -1.0)
-    lam_minus = dval / (1j * val)
+    lam_minus = _time_derivative(1.0, val, dval) / (1j * val)
     assert lam_minus.real == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-12)
     val, dval = np.conj(mode_initial_data(-1.0, 1.0, -1.0))
-    lam_plus = dval / (1j * val)
+    lam_plus = _time_derivative(1.0, val, dval) / (1j * val)
     assert lam_plus.real == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
 
 

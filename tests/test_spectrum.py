@@ -93,16 +93,15 @@ def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
     w = np.exp(-((etas - eta_c) ** 2) / (2.0 * sigma_w ** 2))
     val = np.zeros_like(rho, dtype=complex)
     d_flow = np.zeros_like(rho, dtype=complex)
-    a0_over_rho = profile.eval(0.0) / rho
+    a0 = profile.eval(0.0)
     for eta, wk in zip(etas, w):
         phase = np.exp(-1j * eta * rho_c)
         if family == "+":
-            v, d = mode_initial_data(eta, rho, a0_over_rho)
+            v, d = mode_initial_data(eta, rho, a0)
         else:
-            v, d = np.conj(mode_initial_data(-eta, rho, a0_over_rho))
+            v, d = np.conj(mode_initial_data(-eta, rho, a0))
         val += wk * phase * v
-        # D = d/dx0 + (A/rho) d/drho, the radial derivative in closed form
-        d_flow += wk * phase * (d + a0_over_rho * v * (-0.5 / rho + 1j * eta))
+        d_flow += wk * phase * d
     de = etas[1] - etas[0]
     return (FieldOnGrid(rho=rho, value=val * de, d_flow=d_flow * de, x0=0.0),
             sigma_w * math.sqrt(math.pi))  # int |w|^2 d eta
