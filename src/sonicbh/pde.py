@@ -37,14 +37,15 @@ The exact mode at wavenumber eta < 0 is started from the data that the
 eikonal matches in value (gamma e^{-i eta rho}) and misses in the
 frequency of its D value (sqrt(eta^2+1) against |eta|), so the difference
 field away from x0 = 0 isolates the transport and frequency remainders of
-the eikonal.  The module also evaluates the projection pair of a field
-history against the transported packet, to measure how fast those
-remainders fall with the localisation rate a and with |eta|: at x0 = 0
-from the eikonal pair on Gauss nodes plus the exact-minus-eikonal change
-in closed form, and on evolved grids from the mode's (f, g) interpolated
-onto the nodes by a local cubic.  The pair is the conserved pairing in its
-D form, 2 pi i int (u* Dv - (Du)* v) rho drho, which carries no separate
-drift term.
+the eikonal.  The module measures how fast those remainders fall with the
+localisation rate a and with |eta| through the creation density, the
+squared pairing |c1 - c2|^2 of spectrum.  At x0 = 0 both densities are
+closed: the eikonal's is spectrum.creation_density, and the exact mode's
+is that times ((|eta| + sqrt(eta^2+1)) / (2|eta|))^2, a ratio of eta
+alone.  On evolved grids the pair is taken on transported Gauss nodes,
+with the mode's (f, g) interpolated onto them by a local cubic.  The pair
+is the conserved pairing in its D form, 2 pi i int (u* Dv - (Du)* v) rho
+drho, which carries no separate drift term.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ import numpy as np
 from .errors import (ConfigError, InstabilityError, ResolutionError,
                      ToleranceError)
 from .flow import FlowMap, VelocityProfile, transport
-from .gammatools import packet_fourier, packet_fourier_modulus_sq
+from .gammatools import packet_fourier_modulus_sq
 from .packets import (FieldOnGrid, PacketParams, eikonal_values,
-                      gamma_tilde, mode_initial_data, packet_values)
-from .spectrum import density_from_projections
+                      mode_initial_data, packet_values)
+from .spectrum import creation_density, density_from_projections
 
 __all__ = [
     "RadialGrid",
@@ -426,34 +427,16 @@ _SWEEP_NODES = 0.5 * (_SWEEP_HI - _SWEEP_LO) * (_SWEEP_NODES + 1.0) + _SWEEP_LO
 _SWEEP_WEIGHTS = 0.5 * (_SWEEP_HI - _SWEEP_LO) * _SWEEP_WEIGHTS
 
 
-def _delta_c2(eta: float, p: PacketParams) -> complex:
-    """Exact-minus-eikonal change in c2 at x0 = 0, eta < 0.
+def _frequency_dev(eta_abs):
+    """Exact-over-eikonal density ratio at x0 = 0, less one:
+    ((k + sqrt(k^2+1)) / (2k))^2 - 1 = (m/k)(1 + m/(4k)), k = |eta|, with
+    m = sqrt(k^2+1) - k = 1/(sqrt(k^2+1) + k) free of cancellation.
 
-    The exact mode shares value and radial derivative with the eikonal at
-    x0 = 0 and differs only in the frequency of its time derivative,
-    sqrt(eta^2+1) against |eta|, so the change is closed in the packet
-    transform F:
-
-        delta c2 = -(sqrt(eta^2+1) - |eta|) gt(eta) e^{i eta sigma*} F(eta).
+    The two modes share value and radial derivative there and differ only
+    in the frequency of the D value, sqrt(eta^2+1) against |eta|.
     """
-    # sqrt(eta^2+1) - |eta| without the cancellation at large |eta|
-    mismatch = 1.0 / (math.hypot(eta, 1.0) + abs(eta))
-    return complex(-mismatch * gamma_tilde(eta) * np.exp(1j * eta * p.sigma_star)
-                   * packet_fourier(eta, p))
-
-
-def _initial_densities(eta: float, p: PacketParams,
-                       flow: FlowMap) -> tuple[float, float]:
-    """(eikonal density, exact-minus-eikonal density) at x0 = 0, eta < 0.
-
-    c1 and the eikonal c2 come from the node pair; the exact mode changes
-    only c2, so the density changes by -4 Re(c1 conj(delta c2)).
-    """
-    q = packet_quadrature(p, flow, 0.0, abs(eta))
-    pk, eik = _node_fields(q, p, eta, flow)
-    c1, c2 = _pair_on_nodes(eik, pk, q)
-    return (density_from_projections(c1, c2),
-            density_from_projections(c1, _delta_c2(eta, p)))
+    m = 1.0 / (np.hypot(eta_abs, 1.0) + eta_abs)
+    return m / eta_abs * (1.0 + m / (4.0 * eta_abs))
 
 
 def _decay_exponent(xs, ys, name: str, scale) -> float:
@@ -471,25 +454,25 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
                            t_final: float) -> RemainderReport:
     """Measure how the exact-mode creation density departs from the eikonal one.
 
-    At x0 = 0 the departure is closed in the packet transform (see
-    _initial_densities), so it is free of grid error; it is evaluated per
-    fixed eta sample and as a node total over eta = a*eta', and the decay
+    At x0 = 0 both densities are closed (_frequency_dev), so free of grid
+    and quadrature error; the departure is evaluated per fixed eta sample
+    at the largest a and as a node total over eta = a*eta', and the decay
     exponents of the total's relative deviation and of the per-eta
     deviation in (1 + |eta|) are fitted there (ToleranceError names a row
-    with no logarithm); a warning names each eta sample whose eikonal
-    density is not positive (the node pairing does not vanish as
-    eta -> 0).  The mode at EVOLVE_ETA is also evolved on grid, which must
-    step to t_final/2 and t_final, and, for each a in A_VALUES, the
-    deviation is re-measured on transported nodes at t_final; a
+    with no logarithm).  The mode at EVOLVE_ETA is also evolved on grid,
+    which must step to t_final/2 and t_final, and, for each a in A_VALUES,
+    the deviation is re-measured on transported nodes at t_final; a
     half-resolution twin from RadialGrid.auto, solved to the same t_final,
     supplies a discretisation estimate and a warning when it is not small
     against the deviation being measured.  A grid too coarse for EVOLVE_ETA
     raises ResolutionError; a coarse twin too coarse for it leaves the
     estimate None, with a warning.  The report records n_rho, dt and steps
-    of each solve made.  Grids whose inner edge takes inflow before t_final
-    or whose two solves would take more than MAX_POINT_STEPS point-steps,
-    and an alpha that leaves the |F|^2 factor of an x0 = 0 density
-    subnormal, raise ConfigError before any work.
+    of each solve made.  These raise ConfigError before any work: grids
+    whose inner edge takes inflow before t_final or whose two solves would
+    take more than MAX_POINT_STEPS point-steps; an alpha that leaves the
+    |F|^2 factor of a sweep or evolved density subnormal; and an eta sample
+    whose x0 = 0 eikonal density or its |F|^2 factor is not a positive
+    normal float, or whose deviation is not finite.
     """
     profile = flow.profile
     a_min = profile.min_abs(0.0, t_final)
@@ -507,30 +490,42 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"steps), beyond the budget of {MAX_POINT_STEPS:.3g}; lower "
             f"nrho or tfinal, or raise grid_rho_min")
     for a in A_VALUES:  # |F|^2 ~ e^{-2 alpha theta} scales each density
-        etas = np.concatenate([a * _SWEEP_NODES,
-                               np.abs([*eta_samples, EVOLVE_ETA])])
+        etas = np.append(a * _SWEEP_NODES, abs(EVOLVE_ETA))
         f2 = np.min(packet_fourier_modulus_sq(-etas, p.with_a(a)))
         if not f2 >= sys.float_info.min:
             raise ConfigError(
                 f"alpha = {p.alpha:g} is too large: the packet transform "
                 f"|F|^2 at a = {a:g} is {f2:.3g}, below the smallest normal "
                 f"float, where the x0 = 0 densities lose their digits")
-    report = RemainderReport(solves={
-        name: {"n_rho": g.n_rho, "dt": g.dt, "steps": g.steps(t_final)}
-        for name, g in (("fine", grid), ("coarse", coarse))})
-
     # per-eta departures at x0 = 0, fixed eta samples, largest a
     a_ref = max(A_VALUES)
     p_ref = p.with_a(a_ref)
+    rows_initial = []
     for eta in map(float, eta_samples):
-        dk, d_diff = _initial_densities(eta, p_ref, flow)
-        if not dk > 0.0:
-            report.warnings.append(
-                f"eta={eta:g}: x0=0 eikonal density {dk:.3g} is not "
-                f"positive, so its dev_rel is no relative deviation")
-        report.rows_initial.append(RemainderRow(
-            a=a_ref, eta=eta, density_exact=dk + d_diff, density_eikonal=dk,
-            dev_rel=abs(d_diff) / abs(dk), x0=0.0))
+        # overflow to inf is what this check looks for: |F|^2 runs
+        # subnormal, its power overflowing, from |eta| ~ 1e147 at most,
+        # before the eta^2 of the density would overflow (1.3e154), so the
+        # density is evaluated only behind a normal |F|^2
+        with np.errstate(over="ignore"):
+            f2 = float(packet_fourier_modulus_sq(-abs(eta), p_ref))
+            dev = float(_frequency_dev(abs(eta)))
+        dk = (float(creation_density(abs(eta), p_ref))
+              if f2 >= sys.float_info.min else None)
+        if dk is None or not (dk >= sys.float_info.min
+                              and math.isfinite(dev)):
+            raise ConfigError(
+                f"eta_list value {eta!r} is out of range: at a = {a_ref:g} "
+                f"its x0 = 0 eikonal density is "
+                f"{'unevaluated' if dk is None else f'{dk:.3g}'} and |F|^2 "
+                f"{f2:.3g}, which must be positive normal floats, and its "
+                f"deviation {dev:.3g}, which must be finite")
+        rows_initial.append(RemainderRow(
+            a=a_ref, eta=eta, density_exact=dk * (1.0 + dev),
+            density_eikonal=dk, dev_rel=dev, x0=0.0))
+    report = RemainderReport(rows_initial=rows_initial, solves={
+        name: {"n_rho": g.n_rho, "dt": g.dt, "steps": g.steps(t_final)}
+        for name, g in (("fine", grid), ("coarse", coarse))})
+
     if len(report.rows_initial) >= 2:
         report.eta_fit_exponent = _decay_exponent(
             [r.eta for r in report.rows_initial],
@@ -542,14 +537,12 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     # a-sweep of the fixed-node totals over eta = a*eta' at x0 = 0 of the
     # eikonal density and of the exact-minus-eikonal density
     for a in A_VALUES:
-        pa, tk, t_diff = p.with_a(a), 0.0, 0.0
-        for w, ep in zip(_SWEEP_WEIGHTS, _SWEEP_NODES):
-            d_eik, d_diff = _initial_densities(-a * float(ep), pa, flow)
-            tk += w * a * d_eik
-            t_diff += w * a * d_diff
+        etas = a * _SWEEP_NODES
+        wdk = _SWEEP_WEIGHTS * a * creation_density(etas, p.with_a(a))
+        tk = float(np.sum(wdk))
         report.sweep_a.append(a)
-        report.sweep_dev.append(abs(t_diff) / abs(tk))
-        report.sweep_leading.append(abs(tk))
+        report.sweep_dev.append(float(np.sum(wdk * _frequency_dev(etas))) / tk)
+        report.sweep_leading.append(tk)
     report.fit_exponent = _decay_exponent(report.sweep_a, report.sweep_dev,
                                           "a", np.log)
     report.leading_exponent = _decay_exponent(
@@ -613,8 +606,10 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
     # a relative 1e-12
     s_min = (1e-12 * eps) ** (1.0 / eps) * s_split
     t_lo, t_hi = math.log(s_min), math.log(s_split)
+    # panels carry at most 2 radians of the phase alpha*t and span at most
+    # 2 in t, which the e^{-a s} fall-off near s_split needs
     rad_per_panel = 2.0
-    n_head = max(4, int(math.ceil((t_hi - t_lo) * max(alpha, 0.5) / rad_per_panel)))
+    n_head = max(4, int(math.ceil((t_hi - t_lo) * max(alpha, 1.0) / rad_per_panel)))
     t_nodes, t_w = panels(np.linspace(t_lo, t_hi, n_head + 1))
     s_head = np.exp(t_nodes)
     w_head = t_w * s_head  # ds = s dt

@@ -2,30 +2,30 @@
 
 The conserved pairing between two azimuthally symmetric fields is
 
-    <u, v> = 2 pi i int_0^inf (u* Dv - (Du)* v) rho drho,
+    <u, v> = 2 pi i int_0^inf (u* Dv - (Du)* v) rho drho = 2 pi (c1 - c2),
 
 with D = d/dx0 + (A(x0)/rho) d/drho the flow derivative, the canonical
-momentum of the acoustic metric.  Projecting the packet onto the eikonal
-branch at wavenumber -eta (eta > 0 here labels |eta|) gives, at leading
-order, the pair of coefficients
+momentum of the acoustic metric, and c1, c2 its two sides.  The creation
+density is the squared pairing |<u, v>|^2 / (4 pi^2) = |c1 - c2|^2
+(density_from_projections), the one combination for every mode and time.
+For the packet against the eikonal at wavenumber -eta (eta > 0 here labels
+|eta|) at x0 = 0, the drift terms -A/(2 rho^2) of D E and D C0 cancel in
+c1 - c2, which is then closed:
 
-    c1 = |eta| gt(eta) e^{-i |eta| sigma*} F(-|eta|),      c2 = -c1,
+    c1 - c2 = 2 |eta| gt(eta) e^{-i |eta| sigma*} F(-|eta|),
 
 with gt(eta) = 2^(-1/2) (eta^2+1)^(-1/4) and F the closed-form profile
-transform.  The full pairing of the packet and eikonal fields at x0 = 0,
-which pde-verify takes on quadrature nodes, is not this pair: its density
-falls below the closed one by 5.2e-2 of it at |eta| = 2 and by 8.9e-4 at
-|eta| = 18 (a = 8, alpha = 1, eps = 1/4), roughly as 1/eta^2.  The
-relative sign carried by c2 is fixed so that the creation combination
--4 Re(c1 conj(c2)) = 4 |c1|^2 reproduces the closed density
+transform.  eikonal_projections returns its symmetric split (c1, -c1), so
+the density is exactly, not to leading order,
 
-    n(eta) = 2 eta^2 |Gamma0|^2 e^{-2 alpha asin(a / sqrt(eta^2 + a^2))}
+    n(eta) = 2 eta^2 |Gamma0|^2 e^{-2 alpha atan(a / eta)}
              / ( sqrt(eta^2+1) (eta^2 + a^2)^(eps+1) ),   eta > 0,
 
 which is manifestly nonnegative and vanishes quadratically at eta = 0.
-The projections and the density are vectorised over |eta|: a spectrum
-table is one array pass, with both evaluations computed once and
-cross-checked as arrays.
+The same two sides taken on quadrature nodes also carry c1 + c2, which
+the combination cancels.  The projections and the density are vectorised
+over |eta|: a spectrum table is one array pass, with both evaluations
+computed once and cross-checked as arrays.
 
 Integrated counts: with eta = a cot(theta), theta is the angle of the
 density's exponent and
@@ -78,12 +78,10 @@ _TINY = np.finfo(float).tiny
 def eikonal_projections(eta_abs, p: PacketParams):
     """Projection pair (c1, c2) over an array of |eta| >= 0 (eta = -|eta|).
 
-    c1 is the field-derivative-side integral after the ray change of
-    variables (verified against direct quadrature in the tests); c2 takes
-    the relative sign that makes -4 Re(c1 conj(c2)) equal the closed
-    creation density.  Both members share the modulus
-    |eta| gt(eta) |F(-eta)|, vanish linearly as eta -> 0, and are an exact
-    +0 pair at eta = 0.
+    The symmetric split (c, -c) of the closed pairing c1 - c2 = 2c, with
+    c = |eta| gt(eta) e^{-i |eta| sigma*} F(-|eta|) (verified against
+    direct quadrature in the tests).  Both members vanish linearly as
+    eta -> 0 and are an exact +0 pair at eta = 0.
     """
     eta_abs = np.asarray(eta_abs, dtype=float)
     if np.any(eta_abs < 0.0):
@@ -97,15 +95,16 @@ def eikonal_projections(eta_abs, p: PacketParams):
 
 
 def density_from_projections(c1, c2):
-    """Creation combination -4 Re(c1 conj(c2)) of a projection pair."""
-    return -4.0 * (c1 * np.conj(c2)).real
+    """Creation density |c1 - c2|^2, the squared pairing of a projection pair."""
+    d = c1 - c2
+    return (d * np.conj(d)).real
 
 
 def creation_density(eta_abs, p: PacketParams):
     """Creation density over an array of |eta|, cross-checked to 1e-10 relative.
 
     The closed side is 2 eta^2 |F(-eta)|^2 / sqrt(eta^2+1); the pair side
-    is -4 Re(c1 conj(c2)) of eikonal_projections.  The closed side is
+    is the squared pairing of eikonal_projections.  The closed side is
     returned.
     """
     eta_abs = np.asarray(eta_abs, dtype=float)
@@ -113,7 +112,9 @@ def creation_density(eta_abs, p: PacketParams):
 
 
 def _checked_density(eta_abs: np.ndarray, p: PacketParams, c1, c2):
-    """Closed density at eta_abs, checked against the given projection pair."""
+    """Closed density at eta_abs, checked against the squared pairing of
+    the given projection pair, which computes the same number by another
+    route (the complex transform F rather than its modulus)."""
     pair = density_from_projections(c1, c2)
     closed = (2.0 * eta_abs ** 2 / np.hypot(eta_abs, 1.0)
               * packet_fourier_modulus_sq(-eta_abs, p))

@@ -224,7 +224,7 @@ def test_default_evolved_rows_against_reference(smooth_flow, smooth_profile):
     # the pde-verify defaults (1024 points) against 4096 points with the
     # inner edge at 0.7: inside the horizon both characteristic families
     # point inward, so an outflow inner edge there leaves the rows as they
-    # are (0.3 against 0.7 moved them by 2e-8).  Measured: gaps 8.9e-6/9.5e-6/9.6e-6 at a = 8/16/32, each 2.1 times
+    # are (0.3 against 0.7 moved them by 2e-8).  Measured: gaps 8.7e-6/9.1e-6/9.1e-6 at a = 8/16/32, each 2.12 times
     # discr_estimate, whose divisor 2^4 - 1 assumes h^4 convergence
     cfg = RunConfig()
     assert cfg.profile() == smooth_profile

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sonicbh.cli import _load_config, build_parser, main
-from sonicbh.config import ETA_ABS_MAX, RunConfig, fmt_float
+from sonicbh.config import RunConfig, fmt_float
 from sonicbh.errors import ConfigError
 
 
@@ -645,19 +645,28 @@ def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
 
 
 @pytest.mark.parametrize("eta,accepted", [
-    # the smallest |eta|, and the largest the x0 = 0 quadrature is allowed
-    # (ETA_ABS_MAX); one float beyond it is refused before any work
-    (-1e-300, True),
-    (-ETA_ABS_MAX, True),
-    (math.nextafter(-ETA_ABS_MAX, -math.inf), False),
+    # the x0 = 0 rows are closed, so eta_list has no range of its own: a
+    # sample is refused before any work where its closed eikonal density
+    # (or that density's |F|^2 factor) is no positive normal float, or its
+    # deviation from the exact mode is not finite.  At 1e-300 the density
+    # underflows and the deviation overflows; from about 1e123 (a = 32)
+    # |F|^2 is subnormal, before the density's eta^2 overflows at 1.3e154
+    (-1e-300, False),
+    (-1e5, True),
+    (-1e300, False),
+    (-sys.float_info.max, False),
 ])
 def test_boundary_pde_verify_eta_list(tmp_path, capsys, eta, accepted):
     t0 = time.monotonic()
-    err = _run_boundary(["pde-verify", f"--eta-list={eta!r}"] + _SMALL,
+    err = _run_boundary(["pde-verify", f"--eta-list={eta!r},-2"] + _SMALL,
                         tmp_path, capsys, accepted)
     assert time.monotonic() - t0 < 10.0
-    if not accepted:
-        assert "eta_list" in err, err
+    if accepted:
+        report = _strict_json(tmp_path / "pde_report.json")["report"]
+        assert not report["warnings"]
+        assert report["rows_initial"][0]["eta"] == eta
+    else:
+        assert f"eta_list value {eta!r}" in err, err
         assert not any(tmp_path.iterdir())
 
 
@@ -672,22 +681,6 @@ def test_pde_verify_alpha_beyond_normal_density(tmp_path, capsys):
     assert time.monotonic() - t0 < 10.0
     assert "alpha = 2000 is too large" in err, err
     assert not any(tmp_path.iterdir())
-
-
-def test_pde_verify_warns_on_nonpositive_eikonal_density(tmp_path, capsys):
-    # the x0 = 0 node pairing does not vanish as eta -> 0: at the default
-    # packet and a = 32 its eikonal density is -3.37e-5 at both small etas
-    # and positive at -2, so exactly the first two samples are named
-    rc = main(["pde-verify", "--eta-list=-1e-300,-1e-8,-2"] + _SMALL
-              + ["--out-dir", str(tmp_path)])
-    assert rc == 0
-    report = json.loads((tmp_path / "pde_report.json").read_text())["report"]
-    rows = report["rows_initial"]
-    assert [r["density_eikonal"] > 0.0 for r in rows] == [False, False, True]
-    named = [w.split(":")[0] for w in report["warnings"]
-             if "eikonal density" in w]
-    assert named == ["eta=-1e-300", "eta=-1e-08"]
-    assert capsys.readouterr().out.count("is not positive") == 2
 
 
 def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,

@@ -21,7 +21,6 @@ from sonicbh.pde import (A_VALUES, RadialGrid,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
                          solve_mode, _Stencil, _D1_CENTERED, _D1_UPWIND, _D2,
-                         _delta_c2,
                          _horizon_window, _node_fields, _pair_on_nodes,
                          _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import creation_density, density_from_projections
@@ -36,7 +35,7 @@ def packet(smooth_flow):
                         sigma_star=smooth_flow.sigma_star)
 
 
-# the adaptive reference for the node pair and the closed delta c2
+# the adaptive reference for the node pair and the closed x0 = 0 rows
 def initial_projection_pair(eta: float, p: PacketParams,
                             profile: VelocityProfile,
                             mode: str = "exact") -> tuple[complex, complex]:
@@ -588,54 +587,64 @@ def test_mode_fields_at_nodes_local_cubic():
             at(nodes)
 
 
-def test_closed_density_against_node_pair(smooth_flow):
-    # spectrum's closed eikonal density against the full pairing of the
-    # packet and eikonal fields on nodes at x0 = 0, which pde-verify's rows
-    # use: the closed one reads high by c/eta^2.  Measured c: 0.168 to
-    # 0.380 over these 40 points, so the bounds leave 1.7x below, 1.3x above
+@pytest.mark.parametrize("alpha,eps", [(1.0, 0.25), (0.5, 0.1), (3.0, 0.5)])
+def test_pairing_identities_on_nodes(alpha, eps, smooth_flow):
+    # the node pair (c1, c2) of the packet against the eikonal at x0 = 0:
+    # its squared pairing |c1 - c2|^2 is spectrum's closed density, and
+    # the other combination, -4 Re(c1 conj(c2)), falls short of it by
+    # exactly |c1 + c2|^2.  Against the exact mode the squared pairing is
+    # the closed density times 1 + _frequency_dev.  Measured worst 3.3e-8
     flows = (smooth_flow,
              find_separatrix(VelocityProfile(a_minus=-2.0, a_plus=-0.5,
                                              tau=3.0),
                              bracket=(0.3, 3.0), x0_horizon_max=10.0))
     for flow in flows:
-        for alpha, eps in ((1.0, 0.25), (2.0, 0.1)):
-            for a in (8.0, 32.0):
-                p = PacketParams(alpha=alpha, a=a, eps=eps,
-                                 sigma_star=flow.sigma_star)
-                for eta_abs in (2.0, 6.0, 18.0, 40.0, 160.0):
-                    closed = float(creation_density(eta_abs, p))
-                    pair, _ = pde._initial_densities(-eta_abs, p, flow)
-                    c = (closed / pair - 1.0) * eta_abs ** 2
-                    assert 0.1 <= c <= 0.5, (flow.profile, p, eta_abs, c)
+        a0 = float(flow.profile.eval(0.0))
+        for a in (8.0, 32.0):
+            p = PacketParams(alpha=alpha, a=a, eps=eps,
+                             sigma_star=flow.sigma_star)
+            for eta_abs in (0.5, 2.0, 18.0, 160.0):
+                closed = float(creation_density(eta_abs, p))
+                q = packet_quadrature(p, flow, 0.0, eta_abs)
+                pk, eik = _node_fields(q, p, -eta_abs, flow)
+                c1, c2 = _pair_on_nodes(eik, pk, q)
+                where = (flow.profile, p, eta_abs)
+                assert (density_from_projections(c1, c2)
+                        == pytest.approx(closed, rel=1e-7)), where
+                other = -4.0 * (c1 * np.conj(c2)).real
+                assert (closed - other
+                        == pytest.approx(abs(c1 + c2) ** 2,
+                                         abs=1e-7 * closed)), where
+                exact = density_from_projections(*_pair_on_nodes(
+                    mode_initial_data(eta_abs, q.rho, a0), pk, q))
+                assert exact == pytest.approx(
+                    closed * (1.0 + pde._frequency_dev(eta_abs)),
+                    rel=1e-7), where
 
 
 def test_initial_deviation_follows_frequency_mismatch(packet, smooth_profile):
-    # at x0 = 0 the exact/eikonal density ratio tracks sqrt(1 + 1/eta^2)
-    # up to boundary-type terms that fade with |eta|
-    for eta, tol in ((-6.0, 2e-3), (-18.0, 2e-4)):
+    # at x0 = 0 the exact/eikonal density ratio is exactly
+    # ((|eta| + sqrt(eta^2+1)) / (2|eta|))^2, whatever the packet and flow:
+    # the two modes differ only in the frequency of their D value
+    def ratio(k):
+        return ((k + math.sqrt(k * k + 1.0)) / (2.0 * k)) ** 2
+
+    for eta in (-0.5, -2.0, -6.0, -18.0):
         de = density_from_projections(*initial_projection_pair(
             eta, packet, smooth_profile, mode="exact"))
         dk = density_from_projections(*initial_projection_pair(
             eta, packet, smooth_profile, mode="eikonal"))
-        assert de / dk == pytest.approx(math.sqrt(1.0 + 1.0 / eta ** 2),
-                                        abs=tol)
-
-
-@pytest.mark.parametrize("alpha,eps", [(1.0, 0.25), (0.5, 0.1), (3.0, 0.5)])
-def test_delta_c2_matches_adaptive(alpha, eps, smooth_flow, smooth_profile):
-    # the exact mode changes only c2 at x0 = 0, by a closed multiple of the
-    # packet transform
-    for a in (8.0, 32.0):
-        p = PacketParams(alpha=alpha, a=a, eps=eps,
-                         sigma_star=smooth_flow.sigma_star)
-        for eta in (-2.0, -6.0, -18.0):
-            c1_ex, c2_ex = initial_projection_pair(eta, p, smooth_profile,
-                                                   mode="exact")
-            c1_ek, c2_ek = initial_projection_pair(eta, p, smooth_profile,
-                                                   mode="eikonal")
-            assert c1_ex == c1_ek
-            want = c2_ex - c2_ek
-            assert abs(_delta_c2(eta, p) - want) <= 1e-12 * abs(want), (a, eta)
+        assert de / dk == pytest.approx(ratio(-eta), rel=1e-7), eta
+    # _frequency_dev is the ratio less one, free of its cancellation: in
+    # 40-digit decimal arithmetic it agrees to 1e-12 from 1e-8 to 1e12
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k in (1e-8, 0.5, 2.0, 6.0, 18.0, 1e5, 1e12):
+            dk = Decimal(k)
+            want = ((dk + (dk * dk + 1).sqrt()) / (2 * dk)) ** 2 - 1
+            got = float(pde._frequency_dev(k))
+            assert got == pytest.approx(float(want), rel=1e-12), k
 
 
 @pytest.fixture(scope="module")
@@ -671,14 +680,23 @@ def test_remainder_report_matches_adaptive(report, packet, smooth_profile):
 
 def test_remainder_contribution_makes_no_quad_calls(packet, smooth_profile,
                                                     smooth_flow, monkeypatch):
-    calls = []
+    # no adaptive quadrature at all, and node quadrature only for the
+    # evolved rows: one set of transported nodes per a, at t_final; the
+    # x0 = 0 rows are closed
+    calls, node_x0 = [], []
     quad = scipy.integrate.quad
+    nodes = pde.packet_quadrature
 
     def counting_quad(*args, **kwargs):
         calls.append(1)
         return quad(*args, **kwargs)
 
+    def counting_nodes(p, flow, x0, eta_abs):
+        node_x0.append(x0)
+        return nodes(p, flow, x0, eta_abs)
+
     monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    monkeypatch.setattr(pde, "packet_quadrature", counting_nodes)
     packets.packet_norm(packet, smooth_flow, numeric=True)
     assert calls, "the counter does not see the package's quad calls"
     calls.clear()
@@ -686,6 +704,7 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_profile,
     remainder_contribution(packet, (-2.0, -6.0, -18.0), grid, smooth_flow,
                            t_final=0.05)
     assert not calls
+    assert node_x0 == [0.05] * len(A_VALUES)
 
 
 def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
