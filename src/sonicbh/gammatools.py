@@ -13,7 +13,7 @@ for a > 0.  The phase-rotated Gamma value
 
 carries the modulus that survives in all creation-rate formulas:
 
-    |F(eta)|^2 = |Gamma0|^2 e^{-2 alpha asin(a / sqrt(eta^2 + a^2))}
+    |F(eta)|^2 = |Gamma0|^2 e^{-2 alpha atan2(a, |eta|)}
                  / (eta^2 + a^2)^(eps + 1)      (eta <= 0).
 
 Both transforms read alpha, eps and a from packets.PacketParams.  The
@@ -60,8 +60,10 @@ def packet_fourier(eta, p: PacketParams):
 
 
 def packet_fourier_modulus_sq(eta, p: PacketParams):
-    """|F(eta)|^2 via the Gamma0 modulus and the asin phase-exponent, eta <= 0.
+    """|F(eta)|^2 via the Gamma0 modulus and the phase-exponent angle, eta <= 0.
 
+    The angle is atan2(a, |eta|): asin(a / hypot(eta, a)) loses digits as
+    it nears pi/2, and rounds to it once |eta|/a falls below about 1.5e-8.
     Continuous at eta = 0, where it is |Gamma(w)|^2 / a^(2+2 eps).
     """
     eta = np.asarray(eta, dtype=float)
@@ -69,5 +71,5 @@ def packet_fourier_modulus_sq(eta, p: PacketParams):
         raise ValueError("modulus formula uses the eta <= 0 branch")
     r = np.hypot(eta, p.a)
     return (gamma0_modulus_sq(p.alpha, p.eps)
-            * np.exp(-2.0 * p.alpha * np.arcsin(p.a / r))
+            * np.exp(-2.0 * p.alpha * np.arctan2(p.a, np.abs(eta)))
             / r ** (2.0 * p.eps + 2.0))

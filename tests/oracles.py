@@ -92,8 +92,9 @@ def creation_density_closed(eta_abs: float, p: PacketParams) -> float:
         return 0.0
     g2 = gamma0_modulus_sq(p.alpha, p.eps)
     r = math.hypot(eta_abs, p.a)
+    # atan2, not asin(a / r): the latter is 1e-13 off at |eta|/a ~ 1e-3
     return (2.0 * eta_abs ** 2 * g2
-            * math.exp(-2.0 * p.alpha * math.asin(p.a / r))
+            * math.exp(-2.0 * p.alpha * math.atan2(p.a, eta_abs))
             / (math.hypot(eta_abs, 1.0) * r ** (2.0 * p.eps + 2.0)))
 
 

@@ -652,6 +652,7 @@ def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
     # underflows and the deviation overflows; from about 1e123 (a = 32)
     # |F|^2 is subnormal, before the density's eta^2 overflows at 1.3e154
     (-1e-300, False),
+    (-1e-8, True),
     (-1e5, True),
     (-1e300, False),
     (-sys.float_info.max, False),

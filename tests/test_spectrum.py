@@ -176,6 +176,19 @@ def test_density_identity_over_grid(packet):
     assert creation_density(0.0, packet) == 0.0
 
 
+@pytest.mark.parametrize("a", [8.0, 32.0])
+def test_density_identity_at_tiny_eta(smooth_flow, a):
+    # the closed modulus takes its exponent's angle as atan2(a, |eta|); the
+    # asin(a / hypot(eta, a)) it replaced lost digits near pi/2 and broke
+    # the identity (ToleranceError) from |eta|/a ~ 1e-8
+    p = PacketParams(alpha=1.0, a=a, eps=0.25,
+                     sigma_star=smooth_flow.sigma_star)
+    eta = a * np.array([1e-12, 1e-8, 1e-6])
+    closed = creation_density(eta, p)
+    pair = density_from_projections(*eikonal_projections(eta, p))
+    assert np.all(np.abs(pair - closed) <= 1e-10 * closed)
+
+
 def test_density_frozen_point(smooth_flow):
     p = PacketParams(alpha=1.0, a=1.0, eps=0.5,
                      sigma_star=smooth_flow.sigma_star)
