@@ -502,23 +502,19 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     p_ref = p.with_a(a_ref)
     rows_initial = []
     for eta in map(float, eta_samples):
-        # overflow to inf is what this check looks for: |F|^2 runs
-        # subnormal, its power overflowing, from |eta| ~ 1e147 at most,
-        # before the eta^2 of the density would overflow (1.3e154), so the
-        # density is evaluated only behind a normal |F|^2
+        # |F|^2 overflows to 0 from |eta| ~ 1e147 at most, and the check
+        # refuses that; a positive |F|^2 keeps the density's eta^2 finite
+        # (it overflows from 1.3e154)
         with np.errstate(over="ignore"):
             f2 = float(packet_fourier_modulus_sq(-abs(eta), p_ref))
             dev = float(_frequency_dev(abs(eta)))
-        dk = (float(creation_density(abs(eta), p_ref))
-              if f2 >= sys.float_info.min else None)
-        if dk is None or not (dk >= sys.float_info.min
-                              and math.isfinite(dev)):
+        dk = float(creation_density(abs(eta), p_ref)) if f2 > 0.0 else 0.0
+        if not (min(f2, dk) >= sys.float_info.min and math.isfinite(dev)):
             raise ConfigError(
                 f"eta_list value {eta!r} is out of range: at a = {a_ref:g} "
-                f"its x0 = 0 eikonal density is "
-                f"{'unevaluated' if dk is None else f'{dk:.3g}'} and |F|^2 "
-                f"{f2:.3g}, which must be positive normal floats, and its "
-                f"deviation {dev:.3g}, which must be finite")
+                f"its x0 = 0 eikonal density {dk:.3g} and that density's "
+                f"|F|^2 factor {f2:.3g} must be positive normal floats, and "
+                f"its deviation {dev:.3g} must be finite")
         rows_initial.append(RemainderRow(
             a=a_ref, eta=eta, density_exact=dk * (1.0 + dev),
             density_eikonal=dk, dev_rel=dev, x0=0.0))
