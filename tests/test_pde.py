@@ -587,40 +587,78 @@ def test_mode_fields_at_nodes_local_cubic():
             at(nodes)
 
 
-@pytest.mark.parametrize("alpha,eps", [(1.0, 0.25), (0.5, 0.1), (3.0, 0.5)])
-def test_pairing_identities_on_nodes(alpha, eps, smooth_flow):
-    # the node pair (c1, c2) of the packet against the eikonal at x0 = 0:
-    # its squared pairing |c1 - c2|^2 is spectrum's closed density, and
-    # the other combination, -4 Re(c1 conj(c2)), falls short of it by
-    # exactly |c1 + c2|^2.  Against the exact mode the squared pairing is
-    # the closed density times 1 + _frequency_dev.  Measured worst 6.9e-8
-    # (alpha 0.5, eps 0.1, a 8, |eta| 2)
-    flows = (smooth_flow,
-             find_separatrix(VelocityProfile(a_minus=-2.0, a_plus=-0.5,
-                                             tau=3.0),
-                             bracket=(0.3, 3.0), x0_horizon_max=10.0))
-    for flow in flows:
+_PACKETS = ((1.0, 0.25), (0.5, 0.1), (3.0, 0.5))
+
+
+@pytest.fixture(scope="module")
+def two_flows(smooth_flow):
+    return (smooth_flow,
+            find_separatrix(VelocityProfile(a_minus=-2.0, a_plus=-0.5,
+                                            tau=3.0),
+                            bracket=(0.3, 3.0), x0_horizon_max=10.0))
+
+
+def _x0_node_pair(p, flow, eta_abs):
+    q = packet_quadrature(p, flow, 0.0, eta_abs)
+    pk, eik = _node_fields(q, p, -eta_abs, flow)
+    return q, pk, _pair_on_nodes(eik, pk, q)
+
+
+def test_closed_density_against_node_pair(two_flows):
+    # spectrum's closed eikonal density against the node pair (c1, c2) of
+    # the packet and the eikonal at x0 = 0: its squared pairing
+    # |c1 - c2|^2 is the closed density, and the other combination,
+    # -4 Re(c1 conj(c2)), falls short of it by exactly |c1 + c2|^2.
+    # Measured worst 6.9e-8 (alpha 0.5, eps 0.1, a 8, |eta| 2)
+    for flow in two_flows:
+        for alpha, eps in _PACKETS:
+            for a in (8.0, 32.0):
+                p = PacketParams(alpha=alpha, a=a, eps=eps,
+                                 sigma_star=flow.sigma_star)
+                for eta_abs in (0.5, 2.0, 18.0, 160.0):
+                    closed = float(creation_density(eta_abs, p))
+                    _, _, (c1, c2) = _x0_node_pair(p, flow, eta_abs)
+                    where = (flow.profile, p, eta_abs)
+                    assert (density_from_projections(c1, c2)
+                            == pytest.approx(closed, rel=1e-7)), where
+                    other = -4.0 * (c1 * np.conj(c2)).real
+                    assert (closed - other
+                            == pytest.approx(abs(c1 + c2) ** 2,
+                                             abs=1e-7 * closed)), where
+
+
+@pytest.mark.parametrize("alpha,eps", _PACKETS)
+def test_delta_c2_matches_adaptive(alpha, eps, two_flows, smooth_profile):
+    # the exact mode changes only c2 at x0 = 0, and the closed rows read
+    # the density of the shifted pair as the closed eikonal density times
+    # 1 + _frequency_dev: against the adaptive oracle on the default flow
+    # (measured worst 4.6e-14), and against the node pair on both flows
+    for a in (8.0, 32.0):
+        p = PacketParams(alpha=alpha, a=a, eps=eps,
+                         sigma_star=two_flows[0].sigma_star)
+        for eta in (-2.0, -6.0, -18.0):
+            c1_ex, c2_ex = initial_projection_pair(eta, p, smooth_profile,
+                                                   mode="exact")
+            c1_ek, _ = initial_projection_pair(eta, p, smooth_profile,
+                                               mode="eikonal")
+            assert c1_ex == c1_ek
+            closed = float(creation_density(-eta, p))
+            assert (density_from_projections(c1_ex, c2_ex)
+                    == pytest.approx(closed * (1.0 + pde._frequency_dev(-eta)),
+                                     rel=1e-12)), (a, eta)
+    for flow in two_flows:
         a0 = float(flow.profile.eval(0.0))
         for a in (8.0, 32.0):
             p = PacketParams(alpha=alpha, a=a, eps=eps,
                              sigma_star=flow.sigma_star)
             for eta_abs in (0.5, 2.0, 18.0, 160.0):
                 closed = float(creation_density(eta_abs, p))
-                q = packet_quadrature(p, flow, 0.0, eta_abs)
-                pk, eik = _node_fields(q, p, -eta_abs, flow)
-                c1, c2 = _pair_on_nodes(eik, pk, q)
-                where = (flow.profile, p, eta_abs)
-                assert (density_from_projections(c1, c2)
-                        == pytest.approx(closed, rel=1e-7)), where
-                other = -4.0 * (c1 * np.conj(c2)).real
-                assert (closed - other
-                        == pytest.approx(abs(c1 + c2) ** 2,
-                                         abs=1e-7 * closed)), where
+                q, pk, _ = _x0_node_pair(p, flow, eta_abs)
                 exact = density_from_projections(*_pair_on_nodes(
                     mode_initial_data(eta_abs, q.rho, a0), pk, q))
                 assert exact == pytest.approx(
                     closed * (1.0 + pde._frequency_dev(eta_abs)),
-                    rel=1e-7), where
+                    rel=1e-7), (flow.profile, p, eta_abs)
 
 
 def test_initial_deviation_follows_frequency_mismatch(packet, smooth_profile):
