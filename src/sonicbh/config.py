@@ -77,7 +77,7 @@ class RunConfig:
             raise ConfigError("a_sweep must be strictly increasing")
         if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
             raise ConfigError("eta_list must hold negative values")
-        # at 16 points Simpson misses the adaptive head integral by up to 15%
+        # at 16 points Simpson misses the head integral by up to 15%
         if self.n_eta < 24:
             raise ConfigError("n_eta must be at least 24")
         if not self.grid_rho_max > self.grid_rho_min:

@@ -29,6 +29,7 @@ from the separatrix use DOP853.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,17 +76,27 @@ class VelocityProfile:
     def eval(self, x0):
         """A(x0); a float in gives a float out, an array in an array out.
 
-        The scalar branch goes through math.tanh, about a quarter of the
-        array path's cost on one float, which matters in the scalar ODE
-        right-hand sides; on about one argument in eight the two differ
-        in the last place.
+        The scalar branch is scalar_eval; on about one argument in eight it
+        differs from the array path in the last place.
         """
-        scalar = isinstance(x0, (float, int))
+        if isinstance(x0, (float, int)):
+            return self.scalar_eval(x0)
         mid = 0.5 * (self.a_plus + self.a_minus)
         amp = 0.5 * (self.a_plus - self.a_minus)
-        if scalar:
-            return mid + amp * math.tanh(x0 / self.tau)
         return mid + amp * np.tanh(np.asarray(x0, dtype=float) / self.tau)
+
+    @functools.cached_property
+    def scalar_eval(self):
+        """A(x0) of one float through math.tanh, about a quarter of the
+        array path's cost, which matters in the scalar ODE right-hand
+        sides; built once, so a call does no more than the formula."""
+        mid = 0.5 * (self.a_plus + self.a_minus)
+        amp = 0.5 * (self.a_plus - self.a_minus)
+        tau, tanh = self.tau, math.tanh
+
+        def a_of(x0: float) -> float:
+            return mid + amp * tanh(x0 / tau)
+        return a_of
 
     @property
     def a_max_abs(self) -> float:
@@ -184,11 +195,13 @@ def _lsoda_ray(profile: VelocityProfile, rho0: float, x_out, tol: float):
     StepFailureError with LSODA's message.
     """
     # one equation: plain floats in and out halve the cost of a call
+    a_of = profile.scalar_eval
+
     def rhs(x0, rho):
-        return profile.eval(x0) / rho.item() + 1.0
+        return a_of(x0) / rho.item() + 1.0
 
     def jac(x0, rho):
-        return -profile.eval(x0) / rho.item() ** 2
+        return -a_of(x0) / rho.item() ** 2
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)

@@ -2,15 +2,17 @@
 
 CSV files carry '#'-prefixed metadata lines echoing the resolved config,
 then a header row, then rows of floats at 17 significant digits.  The rows
-are stacked into one float array, checked for width and finiteness once,
-and formatted by a single '%' call over a '%.17g' template, which spells
-each value exactly as f"{v:.17g}" does.  JSON summaries sort keys.  Both
-hold finite numbers only: a NaN or infinity raises ToleranceError and
-writes nothing.  Identical inputs produce byte-identical files.
+are checked for width, their values stacked into one float array only for
+the finiteness check, and the values as given are formatted by a single
+'%' call over a '%.17g' template, which spells each value exactly as
+f"{v:.17g}" does.  JSON summaries sort keys.  Both hold finite numbers
+only: a NaN or infinity raises ToleranceError and writes nothing.
+Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -40,23 +42,30 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
     """
     path = Path(path)
     ncols = len(columns)
-    body = np.array(list(rows), dtype=float)
-    if body.size and (body.ndim != 2 or body.shape[1] != ncols):
-        raise ValueError(f"{path.name}: rows of shape {body.shape[1:]} "
+    rows = list(rows)
+    try:
+        widths = sorted(set(map(len, rows)))
+    except TypeError:  # rows of single numbers
+        widths = []
+    if rows and widths != [ncols]:
+        shape = ", ".join(f"({w},)" for w in widths) or "()"
+        raise ValueError(f"{path.name}: rows of shape {shape} "
                          f"under {ncols} columns")
+    cells = tuple(itertools.chain.from_iterable(rows))
     try:
         lines = [f"# {key} = {format_cell(meta[key])}"
                  for key in sorted(meta or {})]
     except ToleranceError as exc:
         raise ToleranceError(f"{path.name}: {exc}") from None
     lines.append(",".join(columns))
-    if body.size:
+    if cells:
+        body = np.array(cells, dtype=float)
         bad = ~np.isfinite(body)
         if bad.any():
-            v = float(body.flat[np.flatnonzero(bad)[0]])
+            v = float(body[np.flatnonzero(bad)[0]])
             raise ToleranceError(f"{path.name}: non-finite value {v}")
-        template = "\n".join([",".join(["%.17g"] * ncols)] * len(body))
-        lines.append(template % tuple(body.ravel().tolist()))
+        template = "\n".join([",".join(["%.17g"] * ncols)] * len(rows))
+        lines.append(template % cells)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path

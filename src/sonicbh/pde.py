@@ -61,7 +61,7 @@ from .errors import (ConfigError, InstabilityError, ResolutionError,
 from .flow import FlowMap, VelocityProfile, transport
 from .gammatools import packet_fourier_modulus_sq
 from .packets import (FieldOnGrid, PacketParams, eikonal_values,
-                      mode_initial_data, packet_values)
+                      gauss_panels, mode_initial_data, packet_values)
 from .spectrum import creation_density, density_from_projections
 
 __all__ = [
@@ -591,12 +591,6 @@ class PacketQuadrature:
 def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
     """Nodes and weights (for plain ds integration) over (0, s_max], twelve
     Gauss points a panel."""
-    base, bw = np.polynomial.legendre.leggauss(12)
-    def panels(edges):
-        half = 0.5 * np.diff(edges)[:, None]
-        return ((half * (base + 1.0) + edges[:-1, None]).ravel(),
-                (half * bw).ravel())
-
     s_split = min(0.5 / max(eta_abs, 1e-30), 0.25 * s_max)
     # head: t = ln s; truncation below s_min loses O(s_min^eps / eps) mass,
     # a relative 1e-12
@@ -606,7 +600,7 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
     # 2 in t, which the e^{-a s} fall-off near s_split needs
     rad_per_panel = 2.0
     n_head = max(4, int(math.ceil((t_hi - t_lo) * max(alpha, 1.0) / rad_per_panel)))
-    t_nodes, t_w = panels(np.linspace(t_lo, t_hi, n_head + 1))
+    t_nodes, t_w = gauss_panels(np.linspace(t_lo, t_hi, n_head + 1))
     s_head = np.exp(t_nodes)
     w_head = t_w * s_head  # ds = s dt
     # tail: panel edges marched so each carries <= budget radians of the
@@ -616,7 +610,7 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
     while edges[-1] < s_max:
         freq = eta_abs + alpha / edges[-1]
         edges.append(min(s_max, edges[-1] + budget / freq))
-    s_tail, w_tail = panels(np.asarray(edges))
+    s_tail, w_tail = gauss_panels(edges)
     return np.concatenate([s_head, s_tail]), np.concatenate([w_head, w_tail])
 
 

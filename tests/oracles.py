@@ -12,7 +12,10 @@ The density and totals are the eta-space forms the package used before
 its totals became one angle integral: the density point by point, and
 the totals as an adaptive head over (0, 50 (a + 1)] with breakpoints at a
 and 3a plus a u = 1/eta tail.  They share no code path with
-sonicbh.spectrum's array density or its angle integral.
+sonicbh.spectrum's array density or its angle integral.  The angle
+integral and the numeric packet norm also keep the adaptive forms the
+package used before its fixed Gauss rules: an algebraic-weight (QAWS)
+rule in theta, and the norm bracket in u = s^(2 eps).
 
 The stepper is the complex two-array RK4 the package used before its
 state became one real (4, n) array: explicit slice stencils, (f, g) as
@@ -96,6 +99,53 @@ def creation_density_closed(eta_abs: float, p: PacketParams) -> float:
     return (2.0 * eta_abs ** 2 * g2
             * math.exp(-2.0 * p.alpha * math.atan2(p.a, eta_abs))
             / (math.hypot(eta_abs, 1.0) * r ** (2.0 * p.eps + 2.0)))
+
+
+def quad_angle_integral(rate: float, eps: float, a: float = math.inf,
+                        theta_max: float = 0.5 * math.pi) -> float:
+    """int_0^theta_max cos sin^(2 eps - 1) e^{-2 rate theta} w_a dtheta.
+
+    The algebraic-weight rule takes the theta^(2 eps - 1) edge at theta = 0
+    (eta -> inf); the smooth factor carries (sin(theta)/theta)^(2 eps - 1),
+    and w_a = cos / hypot(cos, sin/a) is 1 at a = inf.
+    """
+    power = 2.0 * eps - 1.0
+
+    def smooth(th):
+        s, c = math.sin(th), math.cos(th)
+        sinc = s / th if th > 0.0 else 1.0
+        return (c * c / math.hypot(c, s / a) * sinc ** power
+                * math.exp(-2.0 * rate * th))
+
+    val, _ = integrate.quad(smooth, 0.0, theta_max, weight="alg",
+                            wvar=(power, 0.0), epsabs=0.0, epsrel=1e-11,
+                            limit=200)
+    return float(val)
+
+
+def quad_packet_norm(p: PacketParams, flow: FlowMap) -> float:
+    """The full norm bracket -4 pi Im(C0* D C0) rho at x0 = 0, integrated
+    adaptively; the substitution u = s^(2 eps) absorbs the s^(2 eps - 1)
+    endpoint of the integrand, s = sigma - sigma_star."""
+    a0 = float(flow.profile.eval(0.0))
+    star = p.sigma_star
+    two_eps = 2.0 * p.eps
+
+    def bracket(s):
+        # full x0 = 0 integrand of the KG norm, written in s = rho - sigma_star
+        rho = star + s
+        c, dc = packet_values(s, rho, 1.0, a0, p)
+        return -4.0 * math.pi * (np.conj(c) * dc).imag * rho
+
+    u_max = p.s_max ** two_eps
+
+    def integrand(u):
+        s = u ** (1.0 / two_eps)
+        return bracket(s) * s / (two_eps * u)
+
+    val, _ = integrate.quad(integrand, 0.0, u_max, epsabs=1e-13,
+                            epsrel=1e-11, limit=400)
+    return float(val)
 
 
 def eta_total_number(p: PacketParams) -> TotalNumber:

@@ -18,7 +18,7 @@ from sonicbh.packets import (FieldOnGrid, PacketParams, eval_packet_profile,
                              mode_initial_data, packet_norm)
 from sonicbh.flow import integrate_characteristic
 
-from oracles import eikonal_fields, packet_fields
+from oracles import eikonal_fields, packet_fields, quad_packet_norm
 
 
 def eval_packet(rho, x0, p, flow):
@@ -180,6 +180,56 @@ def test_norm_numeric_non_finite_raises(smooth_flow):
         warnings.simplefilter("ignore")
         with pytest.raises(ToleranceError, match="numeric packet norm is nan"):
             packet_norm(p, smooth_flow, numeric=True)
+
+
+NORM_GRID = [(alpha, eps, a) for alpha in (0.05, 1.0, 3.0, 50.0, 2000.0)
+             for eps in (0.05, 0.1, 0.25, 0.5)
+             for a in (1e-3, 1.0, 8.0, 64.0, 1e6)]
+
+
+def test_norm_numeric_fixed_rule_grid(smooth_flow, monkeypatch):
+    # the fixed Gauss rule against the closed norm over (alpha, eps, a),
+    # on one array pass of the same 444 nodes (37 panels of 12) every time,
+    # and against the adaptive oracle to that oracle's tolerance
+    from sonicbh import packets
+    sizes = []
+    values = packets.packet_values
+
+    def counting(s, *args):
+        sizes.append(np.size(s))
+        return values(s, *args)
+
+    monkeypatch.setattr(packets, "packet_values", counting)
+    star = smooth_flow.sigma_star
+    for alpha, eps, a in NORM_GRID:
+        p = PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=star)
+        numeric = packet_norm(p, smooth_flow, numeric=True)
+        assert abs(numeric / packet_norm(p) - 1.0) <= 1e-13, (alpha, eps, a)
+        assert numeric == pytest.approx(quad_packet_norm(p, smooth_flow),
+                                        rel=1e-10)
+    assert sizes == [444] * len(NORM_GRID)
+
+
+@pytest.mark.parametrize("eps", [0.002, 0.003, 0.0034, 0.0035, 0.004, 0.005,
+                                 0.01, 0.02, 0.03, 0.04, 0.049])
+def test_norm_numeric_below_config_eps(smooth_flow, eps):
+    # below RunConfig's eps floor of 0.05, which PacketParams still takes,
+    # the numeric norm is right to 1e-10 or raises; never a wrong value.
+    # It raises only where its first nodes' s underflows, below ~0.0035
+    star = smooth_flow.sigma_star
+    raised = []
+    for alpha in (0.05, 1.0, 50.0, 2000.0):
+        for a in (1e-3, 8.0, 1e6):
+            p = PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=star)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    numeric = packet_norm(p, smooth_flow, numeric=True)
+                except ToleranceError:
+                    raised.append((alpha, a))
+                    continue
+            assert abs(numeric / packet_norm(p) - 1.0) <= 1e-10, (alpha, a)
+    assert eps < 0.004 or not raised, raised
 
 
 def test_norm_scaling_in_a(smooth_flow):

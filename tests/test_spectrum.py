@@ -28,7 +28,8 @@ from sonicbh.spectrum import (build_spectrum, creation_density,
                               normalized_number_limit_variant, total_number)
 
 from oracles import (creation_density_closed, eta_limit_integral,
-                     eta_total_number, kg_inner, packet_fields)
+                     eta_total_number, kg_inner, packet_fields,
+                     quad_angle_integral)
 
 G2_ONE_HALF = 7.8393421115269398
 DENSITY_1_1_HALF_1 = 0.81481955850645377
@@ -258,6 +259,21 @@ def test_angle_integral_against_eta_form(alpha, eps, a):
         eta_limit_integral(alpha, eps), rel=1e-12)
     assert limit_integral(1.0, eps) == pytest.approx(
         eta_limit_integral(alpha, eps, alpha_in_exponent=False), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.5])
+@pytest.mark.parametrize("rate", [0.05, 0.5, 1.0, 3.0, 50.0, 2000.0])
+def test_angle_integral_against_qaws(rate, eps):
+    # the fixed Gauss rule against the adaptive algebraic-weight rule it
+    # replaced, up to pi/2 and up to total_number's tail angle
+    from sonicbh import spectrum
+    for a in (1e-3, 0.5, 4.0, 64.0, 1e6, math.inf):
+        tail = math.atan(1.0 / 50.0 if a == math.inf
+                         else a / (50.0 * (a + 1.0)))
+        for theta_max in (0.5 * math.pi, tail):
+            got = spectrum._angle_integral(rate, eps, a, theta_max)
+            want = quad_angle_integral(rate, eps, a, theta_max)
+            assert got == pytest.approx(want, rel=1e-11), (a, theta_max)
 
 
 def test_limit_integrand_finite_at_half():
