@@ -7,9 +7,9 @@ radial wave equation, and a reproducible CLI.  The independent quadrature
 twins of the closed forms live with the tests (tests/oracles.py).
 """
 
-from .errors import (BracketError, CaptureError, ConfigError,
-                     GridMismatchError, InstabilityError, ResolutionError,
-                     SonicbhError, StepFailureError, ToleranceError)
+from .errors import (CaptureError, ConfigError, GridMismatchError,
+                     InstabilityError, ResolutionError, SonicbhError,
+                     StepFailureError, ToleranceError)
 from .flow import (CharacteristicPath, FlowMap, HorizonCurve, VelocityProfile,
                    find_separatrix, integrate_characteristic)
 from .gammatools import packet_fourier, packet_fourier_modulus_sq

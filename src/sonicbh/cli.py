@@ -39,9 +39,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _flow(cfg: RunConfig):
-    return find_separatrix(cfg.profile(),
-                           bracket=(cfg.bracket_lo, cfg.bracket_hi),
-                           x0_horizon_max=cfg.x0_horizon_max,
+    return find_separatrix(cfg.profile(), x0_horizon_max=cfg.x0_horizon_max,
                            ode_tol=cfg.ode_tol, rho_min=cfg.rho_min)
 
 

@@ -30,9 +30,6 @@ class RunConfig:
     tau: float = 1.0
     ode_tol: float = 1e-10
     rho_min: float = 1e-3
-    # separatrix search
-    bracket_lo: float = 0.3
-    bracket_hi: float = 3.0
     x0_horizon_max: float = 10.0
     # packet
     alpha: float = 1.0
@@ -51,8 +48,8 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        # inf passes the positivity checks below, and keys without a check
-        # (the bracket) take nan; neither value has a meaning here
+        # inf passes the positivity checks below, and nan fails them under
+        # messages that do not name it; neither value has a meaning here
         for f in fields(self):
             v = getattr(self, f.name)
             if any(isinstance(x, float) and not math.isfinite(x)
@@ -85,8 +82,11 @@ class RunConfig:
         # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
         if self.nrho < 30:
             raise ConfigError("nrho must be at least 30")
-        if not self.bracket_lo < self.bracket_hi:
-            raise ConfigError("bracket_lo must be below bracket_hi")
+
+    # [min|A|, max|A|], where the ray equation confines sigma*: derived, so
+    # neither a key nor echoed; perfbench/workloads.py still reads them
+    bracket_lo = property(lambda self: min(-self.a_minus, -self.a_plus))
+    bracket_hi = property(lambda self: max(-self.a_minus, -self.a_plus))
 
     # -- construction -------------------------------------------------------
 

@@ -13,10 +13,6 @@ class ConfigError(SonicbhError):
     """Malformed or inconsistent run configuration."""
 
 
-class BracketError(ConfigError):
-    """The separatrix value sigma_star falls outside the requested bracket."""
-
-
 class StepFailureError(SonicbhError):
     """ODE integrator could not meet the requested tolerance."""
 

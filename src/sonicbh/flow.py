@@ -10,6 +10,8 @@ infinity from rays that are swallowed (rho -> 0 in finite time).  For a
 time-dependent A the same separation is performed by a distinguished
 solution rho*(x0), the separatrix; its value at x0 = 0 is written
 sigma_star.  The region 0 < rho < rho*(x0) is the acoustic black hole.
+rho* lies in [min|A|, max|A|]: above max|A| a ray only rises, below
+min|A| it only falls.
 
 The characteristic label sigma(rho, x0) is the x0=0 value of the ray
 through (rho, x0).  It is constant along rays, equals rho at x0 = 0 and is
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
-from .errors import BracketError, CaptureError, StepFailureError
+from .errors import CaptureError, StepFailureError
 
 __all__ = [
     "VelocityProfile",
@@ -137,26 +139,23 @@ class CharacteristicPath:
 
 
 def _solve(profile: VelocityProfile, y0, span, *, ode_tol,
-           events=None, t_eval=None, tangent=False):
-    """solve_ivp wrapper for the ray equation.
+           events=None, t_eval=None):
+    """solve_ivp (DOP853) wrapper for n rays together with their tangents.
 
-    With tangent=True, y0 stacks n rays followed by their n tangents J.
+    y0 stacks the n rays followed by their n tangents J, which solve
+    dJ/dx0 = (-A/rho^2) J.  The rtol is ode_tol, clamped at DOP853's
+    floor of 100 machine epsilons; the atol is ode_tol / 100.
     """
+    n = len(y0) // 2
 
-    if tangent:
-        n = len(y0) // 2
+    def rhs(t, y):
+        r, jac = y[:n], y[n:]
+        a = profile.eval(t)
+        return np.concatenate([a / r + 1.0, (-a / r ** 2) * jac])
 
-        def rhs(t, y):
-            r, jac = y[:n], y[n:]
-            a = profile.eval(t)
-            return np.concatenate([a / r + 1.0, (-a / r ** 2) * jac])
-    else:
-        def rhs(t, y):
-            return [profile.eval(t) / y[0] + 1.0]
-
-    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=ode_tol,
-                    atol=ode_tol * 1e-2, events=events, t_eval=t_eval,
-                    dense_output=False)
+    sol = solve_ivp(rhs, span, y0, method="DOP853",
+                    rtol=max(ode_tol, 100.0 * np.finfo(float).eps),
+                    atol=ode_tol * 1e-2, events=events, t_eval=t_eval)
     if not sol.success and sol.status != 1:  # status 1 = terminated by event
         raise StepFailureError(f"ray integration failed: {sol.message}")
     return sol
@@ -174,13 +173,13 @@ def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
                              profile: VelocityProfile, *,
                              ode_tol: float = 1e-10, rho_min: float = 1e-3,
                              t_eval=None) -> CharacteristicPath:
-    """Integrate one ray from rho(x0_from) = sigma0 to x0_to.
+    """Integrate one ray and its tangent from rho(x0_from) = sigma0 to x0_to.
 
     Stops early with captured=True if the ray reaches rho_min.
     """
     if sigma0 <= rho_min:
         raise ValueError(f"sigma0 = {sigma0} must exceed rho_min = {rho_min}")
-    sol = _solve(profile, [sigma0], (x0_from, x0_to), ode_tol=ode_tol,
+    sol = _solve(profile, [sigma0, 1.0], (x0_from, x0_to), ode_tol=ode_tol,
                  events=[_capture_event(rho_min)], t_eval=t_eval)
     captured = bool(sol.t_events[0].size)
     return CharacteristicPath(x0=sol.t, rho=sol.y[0], captured=captured)
@@ -214,9 +213,9 @@ def _lsoda_ray(profile: VelocityProfile, rho0: float, x_out, tol: float):
     return rho[1:, 0]
 
 
-def find_separatrix(profile: VelocityProfile, bracket=None,
-                    x0_horizon_max: float = 10.0, *,
-                    ode_tol: float = 1e-10, rho_min: float = 1e-3) -> FlowMap:
+def find_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
+                    *, ode_tol: float = 1e-10,
+                    rho_min: float = 1e-3) -> FlowMap:
     """Locate sigma_star by one backward solve and sample the horizon curve.
 
     The ray started at |A(+inf)| far in the future and integrated back to
@@ -224,16 +223,10 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
     the horizon, and a backward solve from (0, sigma_star) samples the
     x0 < 0 half, at 401 points each.  Each is one LSODA call with the
     analytic Jacobian, at rtol max(min(ode_tol, 1e-12)/10, 3e-14) and atol
-    rtol/100 (LSODA refuses rtol 1e-14); a failed call raises
-    StepFailureError.  The bracket is only a check: a sigma_star outside
-    (lo, hi) raises BracketError, a ConfigError naming [min|A|, max|A|].
+    rtol/100 (LSODA refuses rtol 1e-14).  A failed call, or a sample that
+    is not finite or lies outside [min|A|, max|A|], raises
+    StepFailureError naming the solve's start.
     """
-    if bracket is None:
-        lo = max(4.0 * rho_min, 0.25 * min(abs(profile.a_minus), abs(profile.a_plus)))
-        hi = 3.0 * profile.a_max_abs
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-
     tol = max(min(ode_tol, 1e-12) / 10.0, 3e-14)
     x_grid = np.linspace(0.0, float(x0_horizon_max), 401)
     # rho*(x) - |A(x)| = O(e^{-2x/tau}), so starting at |A(+inf)| from
@@ -244,14 +237,23 @@ def find_separatrix(profile: VelocityProfile, bracket=None,
     pos = _lsoda_ray(profile, abs(profile.a_plus),
                      np.concatenate([[x_start], x_grid[::-1]]), tol)
     sigma_star = float(pos[-1])
-    if not lo < sigma_star < hi:
-        a_lo = min(abs(profile.a_minus), abs(profile.a_plus))
-        raise BracketError(
-            f"sigma_star = {sigma_star} lies outside the bracket ({lo}, {hi});"
-            f" the ray equation confines it to [min|A|, max|A|] = "
-            f"[{a_lo:g}, {profile.a_max_abs:g}]")
-
     neg = _lsoda_ray(profile, sigma_star, -x_grid, tol)
+
+    # rounding puts a sample up to about one rtol outside [min|A|, max|A|],
+    # and nan or inf fails the <= test.  Samples in solve order, so the
+    # first miss is where a solve went wrong
+    lo = min(abs(profile.a_minus), abs(profile.a_plus))
+    reached = np.concatenate([pos, neg])
+    inside = np.clip(reached, lo, profile.a_max_abs)
+    bad = ~(np.abs(reached - inside) <= 100.0 * tol * inside)
+    if bad.any():
+        i = int(np.argmax(bad))
+        start, at = ((x_start, x_grid[-1 - i]) if i < pos.size
+                     else (0.0, -x_grid[i - pos.size + 1]))
+        raise StepFailureError(
+            f"separatrix integration from x0 = {start:g} failed: rho*({at:g})"
+            f" = {float(reached[i])!r} lies outside [min|A|, max|A|] = "
+            f"[{lo:g}, {profile.a_max_abs:g}]")
     x0 = np.concatenate([-x_grid[::-1], x_grid[1:]])
     rho_star = np.concatenate([neg[::-1], [sigma_star], pos[-2::-1]])
     horizon = HorizonCurve(x0=x0, rho_star=rho_star)
@@ -274,7 +276,7 @@ def transport(rho, x0_from: float, x0_to: float, flow: FlowMap):
     n = rho.size
     sol = _solve(flow.profile, np.concatenate([rho, np.ones(n)]),
                  (float(x0_from), float(x0_to)), ode_tol=flow.ode_tol,
-                 events=[_capture_event(flow.rho_min, n)], tangent=True)
+                 events=[_capture_event(flow.rho_min, n)])
     if sol.t_events[0].size:
         raise CaptureError(
             f"a ray from x0={x0_from} reaches rho_min before x0={x0_to}")

@@ -10,8 +10,7 @@ def smooth_profile():
 
 @pytest.fixture(scope="session")
 def smooth_flow(smooth_profile):
-    return find_separatrix(smooth_profile, bracket=(0.3, 3.0),
-                           x0_horizon_max=10.0)
+    return find_separatrix(smooth_profile, x0_horizon_max=10.0)
 
 
 @pytest.fixture(scope="session")
@@ -21,5 +20,4 @@ def const_profile():
 
 @pytest.fixture(scope="session")
 def const_flow(const_profile):
-    return find_separatrix(const_profile, bracket=(0.4, 2.5),
-                           x0_horizon_max=5.0)
+    return find_separatrix(const_profile, x0_horizon_max=5.0)

@@ -47,7 +47,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def test_ac1_horizon_geometry():
     t0 = time.perf_counter()
     profile = VelocityProfile(a_minus=-1.2, a_plus=-0.8, tau=1.0)
-    flow = find_separatrix(profile, bracket=(0.3, 3.0), x0_horizon_max=10.0)
+    flow = find_separatrix(profile, x0_horizon_max=10.0)
     elapsed = time.perf_counter() - t0
     gap_minus = abs(flow.horizon.rho_star[0] - 1.2)
     gap_plus = abs(flow.horizon.rho_star[-1] - 0.8)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +72,11 @@ def test_config_rejects_bad_input(tmp_path, capsys):
         RunConfig(a_sweep=(8.0, 4.0))
     with pytest.raises(ConfigError):
         RunConfig(x0_horizon_max=0.0)
-    # removed keys: the separatrix needs no search tolerance, the wave
-    # solver derives dt from tfinal and has one scheme, and the profile has
-    # one form
-    for line in ("sep_tol = 1e-12", "dt = 1e-3", "order = 4",
-                 "form = constant"):
+    # removed keys: the separatrix needs no search tolerance and no
+    # bracket (the ray equation sets its interval), the wave solver derives
+    # dt from tfinal and has one scheme, and the profile has one form
+    for line in ("sep_tol = 1e-12", "bracket_lo = 0.3", "bracket_hi = 3",
+                 "dt = 1e-3", "order = 4", "form = constant"):
         with pytest.raises(ConfigError, match="unknown config key"):
             RunConfig.from_text(line + "\n")
     # values the flow, the packet or the wave grid would reject later
@@ -90,15 +91,10 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 {"tau": math.inf}, {"a_minus": -math.inf},
                 {"x0_horizon_max": math.inf}, {"tfinal": math.inf},
                 {"ode_tol": math.inf}, {"rho_min": math.inf},
-                {"bracket_hi": math.inf}, {"bracket_lo": math.nan},
-                {"grid_rho_max": math.inf}, {"alpha": math.inf},
+                {"x0_horizon_max": math.nan}, {"grid_rho_max": math.inf}, {"alpha": math.inf},
                 {"a_sweep": (4.0, math.inf)}, {"eta_list": (-math.inf,)},
                 # the horizon between |A-| and |A+| at or below rho_min
-                {"a_plus": -1e-6}, {"a_minus": -1e-3}, {"rho_min": 0.8},
-                # a reversed or empty bracket is a config error, not a
-                # numerical failure of the separatrix
-                {"bracket_lo": 3.0, "bracket_hi": 0.3},
-                {"bracket_lo": 1.0, "bracket_hi": 1.0}):
+                {"a_plus": -1e-6}, {"a_minus": -1e-3}, {"rho_min": 0.8}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
@@ -121,9 +117,9 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["pde-verify", "--set", "tfinal=inf"],
                  ["spectrum", "--set", "alpha=inf"],
                  ["horizon", "--set", "ode_tol=inf"],
-                 ["horizon", "--set", "bracket_lo=3", "--set", "bracket_hi=0.3"],
                  # removed keys
                  ["horizon", "--set", "sep_tol=1e-12"],
+                 ["horizon", "--set", "bracket_lo=0.3"],
                  ["pde-verify", "--set", "dt=1e-3"],
                  ["horizon", "--set", "form=constant"]):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
@@ -144,8 +140,7 @@ def test_malformed_config_exit_code(tmp_path, capsys):
 def test_horizon_command(tmp_path, capsys):
     rc = main(["horizon", "--out-dir", str(tmp_path),
                "--set", "a_minus=-1.0", "--set", "a_plus=-1.0",
-               "--set", "x0_horizon_max=4",
-               "--set", "bracket_lo=0.4", "--set", "bracket_hi=2.4"])
+               "--set", "x0_horizon_max=4"])
     assert rc == 0
     out = capsys.readouterr().out
     sigma = float(out.splitlines()[0].split("=")[1])
@@ -158,15 +153,18 @@ def test_horizon_command(tmp_path, capsys):
 
 
 def test_horizon_bracket_failure_exit_code(tmp_path, capsys):
-    # a bracket that misses sigma* is a config error, whose message gives
-    # the interval [min|A|, max|A|] the ray equation confines sigma* to
+    # the interval [min|A|, max|A|] is derived, not set: a flow whose
+    # sigma* lay outside the former default bracket (0.3, 3) runs, and the
+    # keys that set the bracket are unknown
     rc = main(["horizon", "--out-dir", str(tmp_path),
-               "--set", "bracket_lo=1.5", "--set", "bracket_hi=2.8",
-               "--set", "a_minus=-1.0", "--set", "a_plus=-1.0"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "[min|A|, max|A|] = [1, 1]" in err
+               "--set", "a_minus=-5", "--set", "a_plus=-4"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("sigma_star = 4.07470251591\n")
+    meta = (tmp_path / "horizon.csv").read_text()
+    assert "# bracket_" not in meta and "# sigma_star = 4.07470251591" in meta
+    assert main(["horizon", "--out-dir", str(tmp_path / "k"),
+                 "--set", "bracket_lo=1.5"]) == 2
+    assert "unknown config key 'bracket_lo'" in capsys.readouterr().err
 
 
 def test_spectrum_command(tmp_path):
@@ -504,25 +502,51 @@ _NEAR_RHO_MIN = repr(math.nextafter(-1e-3, -math.inf))
 
 @pytest.mark.parametrize("sets,codes,names", [
     # a_minus and a_plus: negative and finite, with min|A| above rho_min =
-    # 1e-3; at the largest |A| the run ends in a typed failure (a bracket
-    # miss or an LSODA failure), whichever end it sits at
+    # 1e-3.  At the largest |A-| LSODA gives up (exit 3).  At the largest
+    # |A+| sigma* = |A+| = 1.798e308 is right, and the run exits 0: the ray
+    # moves O(1) per unit x0 against an |A| of 1e308
     ([f"a_minus={_NEAR_RHO_MIN}"], {0}, None),
     (["a_minus=-0.001"], {2}, "must exceed rho_min"),
     ([f"a_minus={-sys.float_info.max!r}"], {2, 3, 4}, None),
     (["a_minus=-inf"], {2}, "a_minus must be finite"),
     ([f"a_plus={_NEAR_RHO_MIN}"], {0}, None),
     (["a_plus=-0.001"], {2}, "must exceed rho_min"),
-    ([f"a_plus={-sys.float_info.max!r}"], {2, 3, 4}, None),
+    ([f"a_plus={-sys.float_info.max!r}"], {0, 2, 3, 4}, None),
     (["a_plus=-inf"], {2}, "a_plus must be finite"),
     # tau: positive and finite
     (["tau=5e-324"], {0}, None),
     (["tau=0"], {2}, "tau must be positive"),
     ([f"tau={sys.float_info.max!r}"], {2, 3, 4}, None),
     (["tau=inf"], {2}, "tau must be finite"),
-    # accepted flows whose sigma* (4.0747, 0.21998) misses the default
-    # bracket (0.3, 3): a config error naming where sigma* must lie
-    (["a_minus=-5", "a_plus=-4"], {2}, "[min|A|, max|A|] = [4, 5]"),
-    (["a_minus=-0.25", "a_plus=-0.2"], {2}, "[min|A|, max|A|] = [0.2, 0.25]"),
+    # flows whose sigma* (4.0747, 0.21998) lay outside the former default
+    # bracket (0.3, 3): right, so exit 0
+    (["a_minus=-5", "a_plus=-4"], {0}, "4.07470251591"),
+    (["a_minus=-0.25", "a_plus=-0.2"], {0}, "0.21998349258"),
+    # x_start = 20 tau overflows to inf, LSODA hands back nan, and the
+    # derived check names the separatrix solve
+    (["tau=1e307"], {3}, "separatrix integration from x0 = inf failed"),
+    # x0_horizon_max: positive and finite.  The horizon runs from about
+    # 1e-146 to 1e298; beyond, LSODA refuses its input or hands back nan,
+    # which the derived check names as a failed separatrix solve
+    (["x0_horizon_max=5e-324"], {3}, "separatrix integration from x0 = 0"),
+    (["x0_horizon_max=1e-300"], {3}, "separatrix integration from x0 = 0"),
+    (["x0_horizon_max=1e308"], {3}, "separatrix integration from x0 = 1e+308"),
+    ([f"x0_horizon_max={sys.float_info.max!r}"], {3}, "separatrix"),
+    (["x0_horizon_max=0"], {2}, "x0_horizon_max must be positive"),
+    (["x0_horizon_max=inf"], {2}, "x0_horizon_max must be finite"),
+    # rho_min: positive and below min|A| = 0.8 (the horizon lies above it)
+    (["rho_min=5e-324"], {0}, "0.893857213414"),
+    ([f"rho_min={math.nextafter(0.8, 0.0)!r}"], {0}, "0.893857213414"),
+    (["rho_min=0.79"], {0}, "0.893857213414"),
+    (["rho_min=0.8"], {2}, "must exceed rho_min"),
+    (["rho_min=0"], {2}, "rho_min must be positive"),
+    # ode_tol: positive and finite; the separatrix clamps its LSODA rtol
+    # to [3e-14, 1e-13], so sigma* moves by at most a few ulps
+    (["ode_tol=5e-324"], {0}, "0.89385721341"),
+    (["ode_tol=1e300"], {0}, "0.89385721341"),
+    ([f"ode_tol={sys.float_info.max!r}"], {0}, "0.89385721341"),
+    (["ode_tol=0"], {2}, "ode_tol must be positive"),
+    (["ode_tol=inf"], {2}, "ode_tol must be finite"),
 ])
 def test_boundary_horizon_flow(tmp_path, capsys, sets, codes, names):
     argv = ["horizon", "--out-dir", str(tmp_path)]
@@ -531,14 +555,37 @@ def test_boundary_horizon_flow(tmp_path, capsys, sets, codes, names):
     t0 = time.monotonic()
     rc = main(argv)
     assert time.monotonic() - t0 < 10.0, sets
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc in codes, (sets, rc, err)
     if rc == 0:
         _assert_outputs_finite(tmp_path)
     else:
         assert _TYPED[rc] in err and "Traceback" not in err, (sets, err)
     if names is not None:
-        assert names in err, (sets, err)
+        # an exit 0 row names its sigma*
+        assert names in (out if rc == 0 else err), (sets, out, err)
+
+
+@pytest.mark.parametrize("ode_tol", ["1e-14", "5e-324"])
+def test_pde_verify_ode_tol_below_dop853_floor(tmp_path, capsys, ode_tol):
+    # solve_ivp warns on an rtol below 100 machine epsilons (2.2e-14) and
+    # runs at that floor anyway; transport clamps the rtol there itself, so
+    # no warning escapes.  The rows match those at the floor to 1e-10 (the
+    # atol, ode_tol / 100, differs; discr_estimate, a difference of two
+    # solves, moves 1e-12 relative)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _run_boundary(["pde-verify", "--nrho", "256", "--tfinal", "0.25",
+                       "--set", f"ode_tol={ode_tol}"], tmp_path / ode_tol,
+                      capsys, accepted=True)
+        _run_boundary(["pde-verify", "--nrho", "256", "--tfinal", "0.25",
+                       "--set", "ode_tol=2.220446049250313e-14"],
+                      tmp_path / "floor", capsys, accepted=True)
+    rows = [_strict_json(tmp_path / d / "pde_report.json")["report"]
+            ["rows_evolved"]
+            for d in (ode_tol, "floor")]
+    for got, floor in zip(*rows):
+        assert got == pytest.approx(floor, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("tau", [1e2, 1e4, 1e6])

@@ -4,7 +4,10 @@ Covers:
   - profile validation and limits
   - constant-A closed forms: equilibrium, first integral rho + ln(rho-1) - x0
   - capture detection and the escape/capture dichotomy around sigma_star
-  - sigma_star against the former bisection value, bracket validation
+  - sigma_star against the former bisection value
+  - the derived interval [min|A|, max|A|]: every sample inside it over a
+    grid of flows, and a sample outside it or not finite as a typed
+    failure of the separatrix solve
   - sigma_star and the horizon against an explicit DOP853 oracle, and a
     failed LSODA call as a typed error
   - the forward-fate oracle over a grid of (A-, A+, tau) profiles
@@ -14,6 +17,8 @@ Covers:
 """
 
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -24,7 +29,7 @@ from scipy.optimize import brentq
 import oracles
 from sonicbh import flow
 from sonicbh.cli import main
-from sonicbh.errors import BracketError, CaptureError, StepFailureError
+from sonicbh.errors import CaptureError, StepFailureError
 from sonicbh.flow import (VelocityProfile, find_separatrix,
                           integrate_characteristic, transport)
 
@@ -102,8 +107,7 @@ def test_semigroup(smooth_flow, smooth_profile):
 
 @pytest.mark.parametrize("a", [-1.0, -0.8])
 def test_separatrix_constant_profile(a):
-    flow = find_separatrix(VelocityProfile(a, a),
-                           bracket=(0.3, 2.8), x0_horizon_max=5.0)
+    flow = find_separatrix(VelocityProfile(a, a), x0_horizon_max=5.0)
     assert flow.sigma_star == pytest.approx(abs(a), abs=1e-9)
     np.testing.assert_allclose(flow.horizon.rho_star, abs(a), atol=1e-7)
 
@@ -130,11 +134,104 @@ def test_horizon_satisfies_ray_equation(smooth_flow, smooth_profile):
     np.testing.assert_allclose(fd, rhs, atol=2e-4)
 
 
-def test_bracket_error(const_profile):
-    with pytest.raises(BracketError):
-        find_separatrix(const_profile, bracket=(1.5, 2.5))
-    with pytest.raises(BracketError):
-        find_separatrix(const_profile, bracket=(0.2, 0.6))
+def _outside(rho, profile):
+    # relative distance of each sample outside [min|A|, max|A|]
+    lo = min(abs(profile.a_minus), abs(profile.a_plus))
+    inside = np.clip(rho, lo, profile.a_max_abs)
+    return np.abs(rho - inside) / inside
+
+
+def _separatrix_grid():
+    # |A-|, |A+| from 10^[-2.5, 1.5] and tau from 10^[-2, 4]; then constant
+    # flows, and ends that differ by 1e-15 relative either way
+    rng = np.random.default_rng(2357)
+    flows = [(-10.0 ** rng.uniform(-2.5, 1.5), -10.0 ** rng.uniform(-2.5, 1.5),
+              10.0 ** rng.uniform(-2.0, 4.0)) for _ in range(320)]
+    for _ in range(20):
+        a, tau = -10.0 ** rng.uniform(-2.5, 1.5), 10.0 ** rng.uniform(-2.0, 4.0)
+        flows += [(a, a, tau), (a, a * (1.0 + 1e-15), tau),
+                  (a * (1.0 + 1e-15), a, tau)]
+    return flows
+
+
+def test_separatrix_inside_derived_interval_over_grid():
+    # the ray equation confines rho* to [min|A|, max|A|], so the check that
+    # find_separatrix makes never fires on a completed solve.  Over these
+    # 380 flows the largest excursion measured 1.6e-13 relative (rounding,
+    # about one rtol); the check admits 100 rtol = 1e-11.  LSODA itself
+    # gives up (exit 3, "Excess work done") on 2 of them, with |A+| near
+    # 0.01 and tau of 1e2-1e3; those raise its own message, not a miss
+    lsoda_failures = 0
+    for am, ap, tau in _separatrix_grid():
+        profile = VelocityProfile(am, ap, tau)
+        try:
+            got = find_separatrix(profile)
+        except StepFailureError as exc:
+            assert "LSODA: Excess work done" in str(exc), (am, ap, tau, exc)
+            lsoda_failures += 1
+            continue
+        assert np.all(_outside(got.horizon.rho_star, profile) <= 1e-12), \
+            (am, ap, tau)
+    assert lsoda_failures <= 2
+
+
+def test_separatrix_off_interval_is_step_failure(const_profile, monkeypatch):
+    # a sample outside [min|A|, max|A|] by more than the rounding slack, or
+    # not finite, is a failed solve (exit 3), named by its start and by the
+    # first sample it missed on, never a config error
+    real = flow._lsoda_ray
+
+    def perturbed(solve, change):
+        calls = []
+
+        def lsoda_ray(profile, rho0, x_out, tol):
+            calls.append(None)
+            rho = real(profile, rho0, x_out, tol)
+            return change(rho) if len(calls) == solve else rho
+        return lsoda_ray
+
+    miss = r"rho\*\({}\) = {} lies outside \[min\|A\|, max\|A\|\] = \[1, 1\]"
+    # const_profile: the first solve starts at x0 = 20 tau = 20, and reaches
+    # x0 = 10 first; the second starts from (0, sigma*) and reaches -0.025
+    for solve, start, first in ((1, "20", "10"), (2, "0", "-0.025")):
+        monkeypatch.setattr(flow, "_lsoda_ray",
+                            perturbed(solve, lambda r: r * (1.0 + 1e-9)))
+        with pytest.raises(StepFailureError,
+                           match=f"separatrix integration from x0 = {start} "
+                                 f"failed: " + miss.format(first, r"1\.0+1")):
+            find_separatrix(const_profile)
+        # a shift within the slack of 100 rtol (1e-11) passes
+        monkeypatch.setattr(flow, "_lsoda_ray",
+                            perturbed(solve, lambda r: r * (1.0 + 1e-12)))
+        find_separatrix(const_profile)
+
+    # an infinite sample fails even where max|A| (1 + slack) overflows
+    profile = VelocityProfile(-1.0, -sys.float_info.max)
+    monkeypatch.setattr(flow, "_lsoda_ray", real)
+    assert find_separatrix(profile).sigma_star == sys.float_info.max
+
+    def to_inf(rho):
+        rho = rho.copy()
+        rho[3] = math.inf
+        return rho
+    monkeypatch.setattr(flow, "_lsoda_ray", perturbed(2, to_inf))
+    with pytest.raises(StepFailureError, match=r"rho\*\(-0\.1\) = inf"):
+        find_separatrix(profile)
+
+
+@pytest.mark.parametrize("tau,x0_max,start,first", [
+    # x_start = 20 tau overflows to inf, and LSODA hands back nan
+    (1e307, 10.0, "inf", "10"),
+    # LSODA hands back nan over the first span, of 2.5e305
+    (1.0, 1e308, "1e+308", "9.925e+307"),
+    # LSODA reports success on the x0 < 0 half and returns nan
+    (1.0, 1e-300, "0", "-2.5e-303"),
+])
+def test_separatrix_nan_is_step_failure(tau, x0_max, start, first):
+    with pytest.raises(StepFailureError,
+                       match=re.escape(f"separatrix integration from x0 = "
+                                       f"{start} failed: rho*({first}) = nan")):
+        find_separatrix(VelocityProfile(-1.2, -0.8, tau=tau), x0_max)
 
 
 _FATE_PROFILES = (
@@ -153,7 +250,7 @@ def test_separatrix_sharpness(a_minus, a_plus, tau):
     # horizon at about |A+|/rho*^2 = 1/|A+| per unit x0, so the window
     # allows twice the e-folds that turn the nudge into an O(1) departure
     profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
-    star = find_separatrix(profile, bracket=(0.3, 3.0)).sigma_star
+    star = find_separatrix(profile).sigma_star
     nudge = 1e-9
     window = 3.0 * tau + 2.0 * math.log(1.0 / nudge) * abs(a_plus)
     up = integrate_characteristic(star * (1.0 + nudge), 0.0, window, profile)
@@ -174,7 +271,7 @@ HORIZON_ATOL = 2e-11
     pytest.param(-1.2, -0.8, 100.0, id="tau100")])
 def test_separatrix_matches_dop853_oracle(a_minus, a_plus, tau):
     profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
-    got = find_separatrix(profile, bracket=(0.3, 3.0))
+    got = find_separatrix(profile)
     star, rho_star = oracles.dop853_separatrix(profile)
     assert abs(got.sigma_star - star) <= SEPARATRIX_ATOL
     assert np.max(np.abs(got.horizon.rho_star - rho_star)) <= HORIZON_ATOL

@@ -595,7 +595,7 @@ def two_flows(smooth_flow):
     return (smooth_flow,
             find_separatrix(VelocityProfile(a_minus=-2.0, a_plus=-0.5,
                                             tau=3.0),
-                            bracket=(0.3, 3.0), x0_horizon_max=10.0))
+                            x0_horizon_max=10.0))
 
 
 def _x0_node_pair(p, flow, eta_abs):
