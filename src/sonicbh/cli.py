@@ -149,8 +149,14 @@ def cmd_limit(cfg: RunConfig) -> int:
 def cmd_pde_verify(cfg: RunConfig) -> int:
     flow = _flow(cfg)
     p = _packet(cfg, flow.sigma_star)
-    grid = pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
-                               flow.profile.a_max_abs, cfg.tfinal)
+    # checked here, not in RunConfig, so that no other command refuses a
+    # flow for a wave-grid key
+    edge, _ = pde.drift_bounds(flow.profile, cfg.tfinal)
+    if not cfg.grid_rho_max > edge:
+        raise ConfigError(f"grid_rho_max must exceed the wave grid's inner "
+                          f"edge {edge:g}")
+    grid = pde.RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho,
+                               flow.profile, cfg.tfinal)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,
                                         t_final=cfg.tfinal)
     meta = cfg.to_dict()

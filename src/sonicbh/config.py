@@ -17,7 +17,6 @@ from .flow import VelocityProfile
 __all__ = ["RunConfig", "fmt_float"]
 
 
-
 def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
@@ -42,7 +41,6 @@ class RunConfig:
     nrho: int = 1024
     tfinal: float = 0.75
     eta_list: tuple[float, ...] = (-2.0, -6.0, -18.0)
-    grid_rho_min: float = 0.3
     grid_rho_max: float = 9.0
     # output
     out_dir: str = "out"
@@ -56,7 +54,7 @@ class RunConfig:
                    for x in (v if isinstance(v, tuple) else (v,))):
                 raise ConfigError(f"{f.name} must be finite")
         for name in ("ode_tol", "rho_min", "tau", "x0_horizon_max", "alpha",
-                     "a", "tfinal", "grid_rho_min"):
+                     "a", "tfinal", "grid_rho_max"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
         if not (self.a_minus < 0.0 and self.a_plus < 0.0):
@@ -77,8 +75,6 @@ class RunConfig:
         # at 16 points Simpson misses the head integral by up to 15%
         if self.n_eta < 24:
             raise ConfigError("n_eta must be at least 24")
-        if not self.grid_rho_max > self.grid_rho_min:
-            raise ConfigError("grid_rho_max must exceed grid_rho_min")
         # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
         if self.nrho < 30:
             raise ConfigError("nrho must be at least 30")

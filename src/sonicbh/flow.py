@@ -100,14 +100,13 @@ class VelocityProfile:
             return mid + amp * tanh(x0 / tau)
         return a_of
 
-    @property
-    def a_max_abs(self) -> float:
-        return max(abs(self.a_minus), abs(self.a_plus))
-
     def min_abs(self, x_lo: float, x_hi: float) -> float:
         """min |A(x0)| over [x_lo, x_hi]; A is monotone, so it lies at an
-        end."""
+        end, and max_abs at the other."""
         return min(abs(self.eval(float(x_lo))), abs(self.eval(float(x_hi))))
+
+    def max_abs(self, x_lo: float, x_hi: float) -> float:
+        return max(abs(self.eval(float(x_lo))), abs(self.eval(float(x_hi))))
 
 
 @dataclass(frozen=True)
@@ -242,9 +241,9 @@ def find_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
     # rounding puts a sample up to about one rtol outside [min|A|, max|A|],
     # and nan or inf fails the <= test.  Samples in solve order, so the
     # first miss is where a solve went wrong
-    lo = min(abs(profile.a_minus), abs(profile.a_plus))
+    lo, hi = sorted((abs(profile.a_minus), abs(profile.a_plus)))
     reached = np.concatenate([pos, neg])
-    inside = np.clip(reached, lo, profile.a_max_abs)
+    inside = np.clip(reached, lo, hi)
     bad = ~(np.abs(reached - inside) <= 100.0 * tol * inside)
     if bad.any():
         i = int(np.argmax(bad))
@@ -253,7 +252,7 @@ def find_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
         raise StepFailureError(
             f"separatrix integration from x0 = {start:g} failed: rho*({at:g})"
             f" = {float(reached[i])!r} lies outside [min|A|, max|A|] = "
-            f"[{lo:g}, {profile.a_max_abs:g}]")
+            f"[{lo:g}, {hi:g}]")
     x0 = np.concatenate([-x_grid[::-1], x_grid[1:]])
     rho_star = np.concatenate([neg[::-1], [sigma_star], pos[-2::-1]])
     horizon = HorizonCurve(x0=x0, rho_star=rho_star)

@@ -18,13 +18,13 @@ speed A/rho is negative everywhere, so its derivative is the third-order
 stencil biased toward larger rho (the inflow side); the wave term's first
 and second derivatives are centred and fourth order; every stencil drops
 to second order in its edge rows.  Inside the horizon both characteristic
-speeds point inward, so the inner edge is pure outflow and one-sided
-stencils suffice there (solve_cauchy refuses an inner edge where |A| does
-not exceed rho_min); the outer edge carries a sponge layer that damps what
-the data window lets by.  The time step is 0.9 of the step at which the
-drift, at its fastest, and the wave term share RK4's stability region,
-from the step limits of the interior drift and second-derivative stencils
-alone (RadialGrid.cfl_dt).
+speeds point inward, so the inner edge, derived from the flow (drift_bounds),
+is pure outflow and one-sided stencils suffice there (solve_cauchy refuses
+an inner edge where |A| does not exceed rho_min); the outer edge carries a
+sponge layer that damps what the data window lets by.  The time step is 0.9
+of the step at which the drift, at its fastest over the solve, and the wave
+term share RK4's stability region, from the step limits of the interior
+drift and second-derivative stencils alone (RadialGrid.cfl_dt).
 
 The coefficients of the system are real, so the real and imaginary parts
 evolve apart: the stepper holds one real (4, n) state, rows Re f, Im f,
@@ -76,6 +76,7 @@ __all__ = [
     "RemainderReport",
     "remainder_contribution",
     "predicted_point_steps",
+    "drift_bounds",
 ]
 
 # RK4 step limits, in drho per unit speed, of the interior stencils alone:
@@ -94,6 +95,15 @@ MAX_POINT_STEPS = 1.2e9
 POINTS_PER_WAVELENGTH = 16
 A_VALUES = (8.0, 16.0, 32.0)  # localisation rates of the remainder sweep
 EVOLVE_ETA = -4.0  # wavenumber of the evolved remainder rows
+INNER_EDGE = 0.8  # the wave grid's inner edge over min(|A-|, |A+|)
+
+
+def drift_bounds(profile: VelocityProfile, t_final: float):
+    """The wave grid's inner edge and max|A| over [0, t_final], which sets
+    the step bound.  |A| and the separatrix stay at or above min(|A-|, |A+|),
+    so the edge, INNER_EDGE times that, takes outflow below the packet."""
+    edge = INNER_EDGE * min(abs(profile.a_minus), abs(profile.a_plus))
+    return edge, profile.max_abs(0.0, t_final)
 
 
 @dataclass(frozen=True)
@@ -121,17 +131,13 @@ class RadialGrid:
     def drho(self) -> float:
         return (self.rho_max - self.rho_min) / (self.n_rho - 1)
 
-    def cfl_dt(self, a_max_abs: float) -> float:
+    def cfl_dt(self, a_max: float) -> float:
         """STEP_SAFETY times the step at which the drift, at its fastest
-        speed max|A|/rho_min, and the wave term share the RK4 stability
-        region: drho / (v_max/s_drift + 1/s_wave), with (s_drift, s_wave)
-        = STEP_LIMITS = (1.7452, sqrt(3/2))."""
+        speed v = a_max/rho_min, and the wave term share the RK4 stability
+        region: drho / (v/s_d + 1/s_w), with (s_d, s_w) = STEP_LIMITS."""
         s_drift, s_wave = STEP_LIMITS
-        return STEP_SAFETY * self.drho / (a_max_abs / self.rho_min / s_drift
+        return STEP_SAFETY * self.drho / (a_max / self.rho_min / s_drift
                                           + 1.0 / s_wave)
-
-    def within_cfl(self, a_max_abs: float) -> bool:
-        return self.dt <= self.cfl_dt(a_max_abs) * (1.0 + 1e-12)
 
     def steps(self, t: float) -> int:
         """The number of steps to x0 = t; ValueError unless t is a positive
@@ -145,17 +151,18 @@ class RadialGrid:
 
     @classmethod
     def auto(cls, rho_min: float, rho_max: float, n_rho: int,
-             a_max_abs: float, t_final: float) -> "RadialGrid":
+             profile: VelocityProfile, t_final: float) -> "RadialGrid":
         """The grid with the largest step within cfl_dt, the stencils' RK4
-        step bound, for which t_final/2 and t_final are whole steps:
-        dt = t_final/(2m).
+        step bound at max|A| over [0, t_final] (drift_bounds), for which
+        t_final/2 and t_final are whole steps: dt = t_final/(2m).
 
         ConfigError when the step count overflows a float or dt falls
         below the smallest normal float, where t_final/dt loses its digits.
         """
-        cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0).cfl_dt(a_max_abs)
         if not t_final > 0.0:
             raise ConfigError("tfinal must be positive")
+        cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0).cfl_dt(
+            drift_bounds(profile, t_final)[1])
         half_steps = t_final / (2.0 * cfl_dt) if cfl_dt > 0.0 else math.inf
         if not half_steps < math.inf:
             raise ConfigError(f"tfinal = {t_final:g} in steps of at most "
@@ -253,10 +260,10 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Evolve data (f, D f) at x0 = 0 to t_final with classic RK4.
 
-    profile is a VelocityProfile, whose max|A| sets the step bound
-    grid.cfl_dt, from the stencils' RK4 limits (ValueError beyond it), and
-    whose min|A| over the solve must exceed grid.rho_min, so that the inner
-    edge is pure outflow (ValueError otherwise); or any callable
+    profile is a VelocityProfile, whose max|A| over the solve sets the step
+    bound grid.cfl_dt (ValueError beyond it), and whose min|A| there must
+    exceed grid.rho_min, so that the inner edge is pure outflow
+    (ValueError otherwise); or any callable
     x0 -> A(x0), which is stepped unchecked.  States are
     recorded after the initial state at out_times (default t_final), each
     with x0 the requested time, which must be a whole number of steps
@@ -276,12 +283,13 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             ([t_final] if out_times is None else out_times)}
     drift = profile
     if isinstance(profile, VelocityProfile):
-        if not grid.within_cfl(profile.a_max_abs):
+        t_end = max(want.values(), default=0.0)
+        a_max = drift_bounds(profile, t_end)[1]
+        if not grid.dt <= grid.cfl_dt(a_max) * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {grid.dt:g} violates the CFL bound "
-                f"{grid.cfl_dt(profile.a_max_abs):g} for max|A| = "
-                f"{profile.a_max_abs:g}")
-        t_end = max(want.values(), default=0.0)
+                f"{grid.cfl_dt(a_max):g} for max|A| = {a_max:g} over "
+                f"[0, {t_end:g}]")
         a_min = profile.min_abs(0.0, t_end)
         if not a_min > grid.rho_min:
             raise ValueError(
@@ -478,17 +486,17 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     a_min = profile.min_abs(0.0, t_final)
     if not a_min > grid.rho_min:
         raise ConfigError(
-            f"grid_rho_min = {grid.rho_min:g} must lie below min|A| = "
+            f"inner edge rho_min = {grid.rho_min:g} must lie below min|A| = "
             f"{a_min:g} over [0, tfinal]: above it the inner edge takes "
             f"inflow")
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
-                             profile.a_max_abs, t_final)
+                             profile, t_final)
     work = predicted_point_steps((grid, coarse), t_final)
     if work > MAX_POINT_STEPS:
         raise ConfigError(
             f"the wave solves would take {work:.3g} point-steps (n_rho x "
             f"steps), beyond the budget of {MAX_POINT_STEPS:.3g}; lower "
-            f"nrho or tfinal, or raise grid_rho_min")
+            f"nrho or tfinal")
     for a in A_VALUES:  # |F|^2 ~ e^{-2 alpha theta} scales each density
         etas = np.append(a * _SWEEP_NODES, abs(EVOLVE_ETA))
         f2 = np.min(packet_fourier_modulus_sq(-etas, p.with_a(a)))
@@ -637,8 +645,8 @@ def _mode_fields_at_nodes(q: PacketQuadrature, fld: FieldOnGrid) -> tuple:
     through the 4 nearest points of the uniform grid (the 4 end points near
     either end)."""
     if q.rho.min() < fld.rho[0]:
-        raise ResolutionError("packet support left the grid below "
-                              "grid_rho_min; lower grid_rho_min")
+        raise ResolutionError(f"packet support left the grid below its "
+                              f"inner edge {fld.rho[0]:g}")
     if q.rho.max() > fld.rho[-1]:
         raise ResolutionError("packet support left the grid beyond "
                               "grid_rho_max; enlarge grid_rho_max")

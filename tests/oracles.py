@@ -48,7 +48,7 @@ from sonicbh.flow import FlowMap, VelocityProfile, transport
 from sonicbh.gammatools import gamma0_modulus_sq
 from sonicbh.packets import (FieldOnGrid, PacketParams, eikonal_values,
                              packet_values)
-from sonicbh.pde import GROWTH_BOUND, GROWTH_LIMIT, RadialGrid
+from sonicbh.pde import GROWTH_BOUND, GROWTH_LIMIT, RadialGrid, drift_bounds
 from sonicbh.pde import solve_cauchy as package_solve_cauchy
 from sonicbh.spectrum import TotalNumber
 
@@ -256,12 +256,13 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             ([t_final] if out_times is None else out_times)}
     drift = profile
     if isinstance(profile, VelocityProfile):
-        if not grid.within_cfl(profile.a_max_abs):
+        t_end = max(want.values(), default=0.0)
+        a_max = drift_bounds(profile, t_end)[1]
+        if not grid.dt <= grid.cfl_dt(a_max) * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {grid.dt:g} violates the CFL bound "
-                f"{grid.cfl_dt(profile.a_max_abs):g} for max|A| = "
-                f"{profile.a_max_abs:g}")
-        t_end = max(want.values(), default=0.0)
+                f"{grid.cfl_dt(a_max):g} for max|A| = {a_max:g} over "
+                f"[0, {t_end:g}]")
         a_min = float(np.min(np.abs(profile.eval(
             np.linspace(0.0, t_end, 1001)))))
         if not a_min > grid.rho_min:
@@ -429,7 +430,11 @@ def dalembert_error(n_rho: int, t_final: float = 1.0) -> float:
     11 - t - 1/4], which neither grid edge nor the sponge (rho > 11) can
     reach by time t at unit speed.
     """
-    grid = RadialGrid.auto(2.0, 12.0, n_rho, 0.0, t_final)
+    # the largest step within the drift-free bound with t_final/2 whole
+    # steps, as RadialGrid.auto takes it
+    bound = RadialGrid(2.0, 12.0, n_rho, dt=1.0).cfl_dt(0.0)
+    grid = RadialGrid(2.0, 12.0, n_rho,
+                      dt=t_final / (2 * math.ceil(t_final / (2 * bound))))
     k = 3.0
     rho = grid.rho
     hist = package_solve_cauchy(special.j0(k * rho).astype(complex),

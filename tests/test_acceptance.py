@@ -29,7 +29,7 @@ from sonicbh.config import RunConfig
 from sonicbh.flow import VelocityProfile, find_separatrix
 from sonicbh.gammatools import gamma0_modulus_sq, packet_fourier
 from sonicbh.packets import PacketParams, packet_norm
-from sonicbh.pde import (A_VALUES, EVOLVE_ETA, RadialGrid,
+from sonicbh.pde import (A_VALUES, EVOLVE_ETA, RadialGrid, drift_bounds,
                          evolved_projection_densities, remainder_contribution,
                          solve_mode)
 from sonicbh.spectrum import (default_eta_grid, density_from_projections,
@@ -195,7 +195,7 @@ def test_ac7_pde_remainder(smooth_flow, smooth_profile):
 
     p = PacketParams(alpha=1.0, a=8.0, eps=0.25,
                      sigma_star=smooth_flow.sigma_star)
-    grid = RadialGrid.auto(0.3, 9.0, 4096, smooth_profile.a_max_abs, 0.5)
+    grid = RadialGrid.auto(0.3, 9.0, 4096, smooth_profile, 0.5)
     rep = remainder_contribution(p, (-2.0, -6.0, -18.0), grid, smooth_flow,
                                  t_final=0.5)
     elapsed = time.perf_counter() - t0
@@ -221,21 +221,22 @@ def test_ac7_pde_remainder(smooth_flow, smooth_profile):
 
 
 def test_default_evolved_rows_against_reference(smooth_flow, smooth_profile):
-    # the pde-verify defaults (1024 points) against 4096 points with the
-    # inner edge at 0.7: inside the horizon both characteristic families
-    # point inward, so an outflow inner edge there leaves the rows as they
-    # are (0.3 against 0.7 moved them by 2e-8).  Measured: gaps 8.7e-6/9.1e-6/9.1e-6 at a = 8/16/32, each 2.12 times
-    # discr_estimate, whose divisor 2^4 - 1 assumes h^4 convergence
+    # the pde-verify defaults (1024 points) against 4096 points, both from
+    # the derived inner edge with the step bound of max|A| over
+    # [0, tfinal].  Measured: gaps 7.7e-6/8.1e-6/8.0e-6 at a = 8/16/32,
+    # each 2.11 times discr_estimate, whose divisor 2^4 - 1 assumes h^4
+    # convergence
     cfg = RunConfig()
     assert cfg.profile() == smooth_profile
     p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
                      sigma_star=smooth_flow.sigma_star)
-    grid = RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, cfg.nrho,
-                           smooth_profile.a_max_abs, cfg.tfinal)
+    edge, _ = drift_bounds(smooth_profile, cfg.tfinal)
+    grid = RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho, smooth_profile,
+                           cfg.tfinal)
     rows = remainder_contribution(p, cfg.eta_list, grid, smooth_flow,
                                   t_final=cfg.tfinal).rows_evolved
-    ref_grid = RadialGrid.auto(0.7, cfg.grid_rho_max, 4096,
-                               smooth_profile.a_max_abs, cfg.tfinal)
+    ref_grid = RadialGrid.auto(edge, cfg.grid_rho_max, 4096, smooth_profile,
+                               cfg.tfinal)
     ref_state = solve_mode(EVOLVE_ETA, ref_grid, smooth_profile,
                            cfg.tfinal)[-1]
     assert [r.a for r in rows] == list(A_VALUES)

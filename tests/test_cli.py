@@ -15,6 +15,7 @@ import pytest
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, fmt_float
 from sonicbh.errors import ConfigError
+from sonicbh.pde import drift_bounds
 
 
 # -- config --------------------------------------------------------------------
@@ -75,15 +76,18 @@ def test_config_rejects_bad_input(tmp_path, capsys):
     # removed keys: the separatrix needs no search tolerance and no
     # bracket (the ray equation sets its interval), the wave solver derives
     # dt from tfinal and has one scheme, and the profile has one form
+    # and the wave grid's inner edge is derived from the flow
     for line in ("sep_tol = 1e-12", "bracket_lo = 0.3", "bracket_hi = 3",
-                 "dt = 1e-3", "order = 4", "form = constant"):
+                 "dt = 1e-3", "order = 4", "form = constant",
+                 "grid_rho_min = 0.3"):
         with pytest.raises(ConfigError, match="unknown config key"):
             RunConfig.from_text(line + "\n")
     # values the flow, the packet or the wave grid would reject later
     for bad in ({"alpha": -1.0}, {"eps": 0.7}, {"a": 0.0}, {"a_minus": 0.5},
                 {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
-                {"nrho": 8}, {"nrho": 29}, {"grid_rho_min": 0.0},
-                {"grid_rho_max": 0.2}, {"tfinal": -1.0}, {"tfinal": 0.0},
+                {"nrho": 8}, {"nrho": 29},
+                {"grid_rho_max": 0.0},
+                {"tfinal": -1.0}, {"tfinal": 0.0},
                 {"n_eta": 23}, {"n_eta": 1}, {"eps": 0.049},
                 {"eps": 0.5001},
                 # non-finite values: the first three hung, the rest ended
@@ -112,7 +116,8 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["pde-verify", "--nrho", "1024", "--set", "eps=0.04"],
                  ["horizon", "--set", "a_minus=0.5"],
                  ["pde-verify", "--nrho", "8"],
-                 ["pde-verify", "--set", "grid_rho_min=0"],
+                 ["pde-verify", "--set", "grid_rho_max=0.2"],
+                 ["pde-verify", "--set", "grid_rho_max=0.5"],
                  ["pde-verify", "--tfinal", "-1"],
                  ["pde-verify", "--set", "tfinal=inf"],
                  ["spectrum", "--set", "alpha=inf"],
@@ -121,6 +126,7 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["horizon", "--set", "sep_tol=1e-12"],
                  ["horizon", "--set", "bracket_lo=0.3"],
                  ["pde-verify", "--set", "dt=1e-3"],
+                 ["pde-verify", "--set", "grid_rho_min=0"],
                  ["horizon", "--set", "form=constant"]):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
@@ -322,9 +328,13 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
     assert snaps == {"field_eta-4_t0.csv", "field_eta-4_t0.375.csv",
                      "field_eta-4_t0.75.csv"}
     assert not report["warnings"]
+    # the inner edge 0.64 and max|A| = 1 over [0, 0.75]: 225 368
+    # point-steps, as test_step_counts_at_the_defaults counts them
     assert report["solves"] == {
-        "fine": {"n_rho": 1024, "dt": 0.75 / 306, "steps": 306},
-        "coarse": {"n_rho": 513, "dt": 0.75 / 154, "steps": 154}}
+        "fine": {"n_rho": 1024, "dt": 0.75 / 176, "steps": 176},
+        "coarse": {"n_rho": 513, "dt": 0.75 / 88, "steps": 88}}
+    assert sum(s["n_rho"] * s["steps"]
+               for s in report["solves"].values()) == 225_368
     for row in report["rows_evolved"]:
         assert f"field_eta-4_t{row['x0']:g}.csv" in snaps
         assert row["x0"] == 0.75  # tfinal itself, a whole number of steps
@@ -333,10 +343,10 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
 def test_pde_verify_short_tfinal_records_first_step(tmp_path):
     # a tfinal below the CFL step is two steps of tfinal/2: the evolved
     # rows and the last snapshot sit at x0 = tfinal exactly
-    from sonicbh.pde import RadialGrid
+    from sonicbh.pde import RadialGrid, drift_bounds
     cfg = RunConfig(nrho=1024)
-    grid = RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, 1024,
-                           cfg.profile().a_max_abs, 1e-4)
+    edge, _ = drift_bounds(cfg.profile(), 1e-4)
+    grid = RadialGrid.auto(edge, cfg.grid_rho_max, 1024, cfg.profile(), 1e-4)
     assert grid.dt == 5e-5
     assert main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "1024",
                  "--tfinal", "1e-4"]) == 0
@@ -607,18 +617,19 @@ def test_horizon_large_tau(tmp_path, capsys, tau):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--nrho", "1024", "--set", "grid_rho_min=1e-6"],
+    ["--tfinal", "30", "--set", f"a_plus={_NEAR_RHO_MIN}"],
     ["--tfinal", "1e5"],
-    ["--tfinal", "1e308", "--set", "grid_rho_min=1e-300"],
+    ["--tfinal", "1e308"],
     ["--tfinal", "5e-324"],
-    ["--set", "grid_rho_min=5e-324"]])
+    ["--nrho", "8192", "--set", f"a_plus={_NEAR_RHO_MIN}"]])
 def test_pde_verify_refuses_work_beyond_budget(tmp_path, capsys, argv):
-    # grid_rho_min = 1e-6 asks for 2.3e8 CFL steps a solve and ran past a
-    # 120 s timeout; tfinal = 1e5 asks for 2.6e8.  The refusal comes before
-    # stepping.  At tfinal = 1e308 the step count overflows a float, as it
-    # does at grid_rho_min = 5e-324, where the CFL step is zero; at tfinal
-    # = 5e-324 the step tfinal/2 underflows to zero.  All are config errors,
-    # none a traceback
+    # |A+| just above rho_min puts the derived inner edge at 8e-4, where
+    # the drift reaches 750: to tfinal = 30 at 1024 points, or to the
+    # default tfinal at 8192, the solves ask for 1.7 and 2.8 times the
+    # budget; tfinal = 1e5 asks for 2.3e7 steps a solve.  The refusal comes
+    # before stepping.  At tfinal = 1e308 the step count overflows a float;
+    # at tfinal = 5e-324 the step tfinal/2 underflows to zero.  All are
+    # config errors, none a traceback
     t0 = time.monotonic()
     assert main(["pde-verify", "--out-dir", str(tmp_path)] + argv) == 2
     assert time.monotonic() - t0 < 10.0
@@ -636,17 +647,16 @@ def test_boundary_pde_verify_eps(tmp_path, capsys, eps):
 
 
 _SMALL = ["--nrho", "256", "--tfinal", "0.1"]
-# |A(tfinal)| at the defaults, 0.87297: |A| falls over [0, tfinal], so an
-# inner edge at or above it takes inflow before tfinal
-_A_END = RunConfig().profile().min_abs(0.0, RunConfig().tfinal)
+# the wave grid's inner edge at the defaults, 0.8 min(|A-|, |A+|) = 0.64
+_EDGE = drift_bounds(RunConfig().profile(), RunConfig().tfinal)[0]
 
 
 @pytest.mark.parametrize("argv,accepted,refused,names", [
-    # nrho: 30 is the config floor, and a grid resolves eta = -4 from 90
+    # nrho: 30 is the config floor, and a grid resolves eta = -4 from 87
     (["--nrho", "29"], False, 2, "nrho must be at least 30"),
     (["--nrho", "30"], False, 4, "eta = -4"),
-    (["--nrho", "89"], False, 4, "eta = -4"),
-    (["--nrho", "90"], True, None, None),
+    (["--nrho", "86"], False, 4, "eta = -4"),
+    (["--nrho", "87"], True, None, None),
     # order: the solver has one scheme, so the flag is refused by argparse
     # and the key as unknown, from --set or from a config file line
     (["--order", "2"], False, "argparse", "unrecognized arguments: --order"),
@@ -654,21 +664,42 @@ _A_END = RunConfig().profile().min_abs(0.0, RunConfig().tfinal)
     (["--set", "order=2"], False, 2, "unknown config key 'order'"),
     (["--set", "order=4"], False, 2, "unknown config key 'order'"),
     (["--config", "order = 4"], False, 2, "unknown config key 'order'"),
-    # grid_rho_min: positive (the smallest floats and 1e-6 exceed the work
-    # budget: test_pde_verify_refuses_work_beyond_budget); at or above
-    # |A(tfinal)| the inner edge takes inflow.  Just below it, as at 0.85,
-    # the edge is outflow, but the packet support, which hugs the
-    # separatrix (0.894 at x0 = 0, 0.830 at tfinal), crosses it
-    (["--set", "grid_rho_min=0"], False, 2, "grid_rho_min must be positive"),
-    (["--set", "grid_rho_min=0.1"] + _SMALL, True, None, None),
-    (["--set", "grid_rho_min=0.85"], False, 4, "below grid_rho_min"),
-    (["--set", f"grid_rho_min={math.nextafter(_A_END, 0.0)!r}"], False, 4,
-     "below grid_rho_min"),
-    (["--set", f"grid_rho_min={_A_END!r}"], False, 2,
-     "inner edge takes inflow"),
-    (["--set", "grid_rho_min=0.9"], False, 2, "inner edge takes inflow"),
-    (["--tfinal", "3", "--set", "grid_rho_min=0.82"], False, 2,
-     "inner edge takes inflow"),
+    # grid_rho_min: the inner edge is derived from the flow, so the key is
+    # unknown.  grid_rho_max: above the edge, where 1024 points resolve
+    # eta = -4 up to 101 (the coarse twin, up to 50, leaves the rows
+    # without an estimate beyond), and at the default edge
+    (["--set", "grid_rho_min=0"], False, 2,
+     "unknown config key 'grid_rho_min'"),
+    (["--set", "grid_rho_max=100"], True, None, None),
+    (["--set", "grid_rho_min=0.3"], False, 2,
+     "unknown config key 'grid_rho_min'"),
+    (["--config", "grid_rho_min = 0.3"], False, 2,
+     "unknown config key 'grid_rho_min'"),
+    # at the edge and one float above it, where the spacing asks for steps
+    # beyond the work budget; short of the transported packet support
+    # (6.5 at x0 = 0 for a = 8); too coarse for eta = -4, up to the largest
+    # float; and not finite
+    (["--set", f"grid_rho_max={_EDGE!r}"], False, 2,
+     "grid_rho_max must exceed the wave grid's inner edge 0.64"),
+    (["--set", f"grid_rho_max={math.nextafter(_EDGE, math.inf)!r}"], False,
+     2, "point-steps"),
+    (["--set", "grid_rho_max=5"], False, 4, "beyond grid_rho_max"),
+    (["--set", "grid_rho_max=102"], False, 4, "eta = -4"),
+    (["--set", f"grid_rho_max={sys.float_info.max!r}"], False, 4,
+     "eta = -4"),
+    (["--set", "grid_rho_max=inf"], False, 2, "grid_rho_max must be finite"),
+    # tfinal: positive and finite; from the smallest float up to twice the
+    # smallest normal its step tfinal/2 is no normal float; by 3 the
+    # packet's outer tail has left the default grid; at the largest float
+    # the step count overflows
+    (["--tfinal", "0"], False, 2, "tfinal must be positive"),
+    (["--tfinal", "5e-324"], False, 2, "smallest normal float"),
+    (["--tfinal", "1e-300"] + _SMALL[:2], True, None, None),
+    (["--tfinal", "2.5"] + _SMALL[:2], True, None, None),
+    (["--tfinal", "3"] + _SMALL[:2], False, 4, "beyond grid_rho_max"),
+    (["--tfinal", repr(sys.float_info.max)], False, 2,
+     "overflows the step count"),
+    (["--tfinal", "inf"], False, 2, "tfinal must be finite"),
 ])
 def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
                                   names):
@@ -689,6 +720,21 @@ def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
     if names is not None:
         assert names in err, (argv, err)
         assert not out.exists(), argv
+
+
+def test_grid_rho_max_refuses_only_pde_verify(tmp_path, capsys):
+    # the wave grid's inner edge, 0.8 min(|A-|, |A+|), reaches the default
+    # grid_rho_max = 9 at |A+| = 11.25: pde-verify refuses the flow before
+    # any output, naming grid_rho_max, while horizon, which has no wave
+    # grid, runs it (sigma* = 11.2719)
+    flow = ["--set", "a_minus=-12", "--set", "a_plus=-11.25"]
+    assert main(["horizon", "--out-dir", str(tmp_path / "h")] + flow) == 0
+    assert "sigma_star = 11.2719" in capsys.readouterr().out
+    out = tmp_path / "p"
+    assert main(["pde-verify", "--out-dir", str(out)] + flow) == 2
+    assert ("grid_rho_max must exceed the wave grid's inner edge 9"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eta,accepted", [
@@ -734,16 +780,17 @@ def test_pde_verify_alpha_beyond_normal_density(tmp_path, capsys):
 def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
                                                     monkeypatch):
     # nrho has no ceiling of its own: the work budget sets it.  The largest
-    # nrho within MAX_POINT_STEPS at the defaults (56 780 points, some
+    # nrho within MAX_POINT_STEPS at the defaults (75 003 points, some
     # minutes of stepping) is accepted up to its first solve; one point
     # more is refused before any work
     from sonicbh import pde
     cfg = RunConfig()
+    edge, _ = drift_bounds(cfg.profile(), cfg.tfinal)
 
     def work(n):
         return pde.predicted_point_steps(
-            [pde.RadialGrid.auto(cfg.grid_rho_min, cfg.grid_rho_max, m,
-                                 cfg.profile().a_max_abs, cfg.tfinal)
+            [pde.RadialGrid.auto(edge, cfg.grid_rho_max, m, cfg.profile(),
+                                 cfg.tfinal)
              for m in (n, n // 2 + 1)],
             cfg.tfinal)
 
@@ -771,18 +818,15 @@ def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
 
 
 def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):
-    # the transported packet support outruns a short grid, or crosses an
-    # inner edge set above the horizon; the message names the edge crossed
-    for setting, edge, other in (("grid_rho_max=5", "grid_rho_max",
-                                  "grid_rho_min"),
-                                 ("grid_rho_min=0.85", "grid_rho_min",
-                                  "grid_rho_max")):
-        rc = main(["pde-verify", "--out-dir", str(tmp_path / edge),
-                   "--nrho", "1024", "--set", setting])
-        assert rc == 4, setting
-        err = capsys.readouterr().err
-        assert "resolution failure" in err, err
-        assert edge in err and other not in err, err
+    # the transported packet support outruns a short grid; the message
+    # names grid_rho_max.  The derived inner edge lies below the packet
+    # (test_pde.py: test_packet_below_inner_edge_is_a_resolution_error)
+    rc = main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "1024",
+               "--set", "grid_rho_max=5"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "resolution failure" in err, err
+    assert "grid_rho_max" in err and "inner edge" not in err, err
 
 
 def test_spectrum_large_alpha(tmp_path):

@@ -136,8 +136,8 @@ def test_horizon_satisfies_ray_equation(smooth_flow, smooth_profile):
 
 def _outside(rho, profile):
     # relative distance of each sample outside [min|A|, max|A|]
-    lo = min(abs(profile.a_minus), abs(profile.a_plus))
-    inside = np.clip(rho, lo, profile.a_max_abs)
+    lo, hi = sorted((abs(profile.a_minus), abs(profile.a_plus)))
+    inside = np.clip(rho, lo, hi)
     return np.abs(rho - inside) / inside
 
 

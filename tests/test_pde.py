@@ -11,6 +11,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles
 from sonicbh import packets, pde
@@ -102,18 +103,19 @@ def test_grid_validation():
 @pytest.mark.parametrize("t_final", [0.75, 0.1, 1.0 / 3.0, 1e-4, 1e-300, 1e5])
 def test_auto_grid_lands_on_half_and_final_time(smooth_profile, t_final):
     # dt = t_final/(2m), the largest such step within the CFL bound
-    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs, t_final)
-    cfl_dt = grid.cfl_dt(smooth_profile.a_max_abs)
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, t_final)
+    a_max = pde.drift_bounds(smooth_profile, t_final)[1]
+    cfl_dt = grid.cfl_dt(a_max)
     m = grid.steps(0.5 * t_final)
     assert grid.steps(t_final) == 2 * m
-    assert grid.within_cfl(smooth_profile.a_max_abs)
+    assert grid.dt <= cfl_dt * (1.0 + 1e-12)
     assert m == 1 or t_final / (2 * m - 2) > cfl_dt
     with pytest.raises(ValueError, match="not a whole number of steps"):
         grid.steps(1.5 * grid.dt)
 
 
 def test_cfl_enforced(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs, 0.1)
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
     f = np.zeros(256, complex)
     with pytest.raises(ValueError):
@@ -177,11 +179,11 @@ def test_step_limits_match_stencil_symbols():
 
 
 def test_solve_cauchy_stable_at_step_bound(smooth_profile):
-    # a pulse on the default flow, to t = 20 where the drift reaches 4 and
-    # to t = 2 where it reaches 60 (grid_rho_min = 0.02)
-    a_max = smooth_profile.a_max_abs
+    # a pulse on the default flow, to t = 20 where the drift reaches 3.3 and
+    # to t = 2 where it reaches 50 (inner edge 0.02)
+    a_max = abs(smooth_profile.a_minus)  # 1.2, max|A| over all x0
     for rho_min, t_final in ((0.3, 20.0), (0.02, 2.0)):
-        grid = RadialGrid.auto(rho_min, 9.0, 384, a_max, t_final)
+        grid = RadialGrid.auto(rho_min, 9.0, 384, smooth_profile, t_final)
         f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
         hist = solve_cauchy(f, np.zeros_like(f), grid, smooth_profile,
                             t_final, out_times=[0.5 * t_final, t_final])
@@ -207,7 +209,7 @@ def test_growth_guard_catches_slow_blowup(smooth_profile, rho_min, factor,
     # below GROWTH_BOUND a step is caught once the state passes
     # GROWTH_LIMIT times its initial sup-norm, long before floats overflow
     dt = RadialGrid(rho_min, 9.0, 384, dt=1.0).cfl_dt(
-        smooth_profile.a_max_abs)
+        abs(smooth_profile.a_minus))
     grid = RadialGrid(rho_min, 9.0, 384, dt=factor * dt)
     f = np.exp(-((grid.rho - centre) / 0.5) ** 2).astype(complex)
     for solver in (solve_cauchy, oracles.solve_cauchy):
@@ -219,7 +221,7 @@ def test_growth_guard_catches_slow_blowup(smooth_profile, rho_min, factor,
 def test_growth_guard_reads_the_whole_state(smooth_profile):
     # data with f = 0 and a pulse in df/dx0 grow f from zero without
     # tripping the guard, which measures (f, g) together
-    grid = RadialGrid.auto(0.3, 9.0, 384, smooth_profile.a_max_abs, 1.0)
+    grid = RadialGrid.auto(0.3, 9.0, 384, smooth_profile, 1.0)
     pulse = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
     hist = solve_cauchy(np.zeros_like(pulse), pulse, grid, smooth_profile,
                         1.0)
@@ -227,15 +229,59 @@ def test_growth_guard_reads_the_whole_state(smooth_profile):
 
 
 def test_step_counts_on_fixed_grids():
-    # the pde-verify defaults (1024 points, and the coarse twin), and 2048
-    # points
+    # 1024 points and the coarse twin, and 2048 points, with the inner edge
+    # at 0.3 and |A| = 1.2: the pde-verify defaults before the edge and
+    # the step bound were derived from the flow
     def grid(n_rho):
-        return RadialGrid.auto(0.3, 9.0, n_rho, 1.2, 0.75)
+        return RadialGrid.auto(0.3, 9.0, n_rho,
+                               VelocityProfile(a_minus=-1.2, a_plus=-1.2),
+                               0.75)
     assert grid(1024).steps(0.75) == 306
     assert grid(513).steps(0.75) == 154
     assert pde.predicted_point_steps((grid(1024), grid(513)),
                                      0.75) == 392_346
     assert grid(2048).steps(0.75) == 610
+
+
+def test_step_counts_at_the_defaults(smooth_profile):
+    # the pde-verify defaults: the inner edge 0.8 min(|A-|, |A+|) = 0.64
+    # and max|A| = |A(0)| = 1 over [0, 0.75] cut the point-steps of the
+    # fixed grids above by 42.6%
+    edge, a_max = pde.drift_bounds(smooth_profile, 0.75)
+    assert edge == pytest.approx(0.64, rel=1e-15) and a_max == 1.0
+
+    def grid(n_rho):
+        return RadialGrid.auto(edge, 9.0, n_rho, smooth_profile, 0.75)
+    assert grid(1024).steps(0.75) == 176
+    assert grid(513).steps(0.75) == 88
+    assert pde.predicted_point_steps((grid(1024), grid(513)),
+                                     0.75) == 225_368
+
+
+def test_step_bound_takes_the_rising_end_of_the_flow():
+    # |A| rises from 1 at x0 = 0 to 1.114 at t_final = 0.651, where 40
+    # steps of the bound of max|A| over [0, t_final], its end value, land:
+    # both steppers take that step and refuse 1.01 times it, though that
+    # lies within the bound of |A(0)|
+    profile = VelocityProfile(a_minus=-0.8, a_plus=-1.2)
+    edge, _ = pde.drift_bounds(profile, 0.75)
+    shape = RadialGrid(edge, 9.0, 256, dt=1.0)
+
+    def bound(t):
+        return shape.cfl_dt(profile.max_abs(0.0, t))
+
+    t_final = brentq(lambda t: t - 40 * bound(t), 0.5, 1.0)
+    dt = t_final / 40
+    assert dt == pytest.approx(bound(t_final), rel=1e-14)
+    assert abs(profile.eval(t_final)) > abs(profile.eval(0.0)) + 0.1
+    assert 1.01 * dt < shape.cfl_dt(abs(profile.eval(0.0)))
+    f = np.exp(-((shape.rho - 3.0) / 0.5) ** 2).astype(complex)
+    for solver in (solve_cauchy, oracles.solve_cauchy):
+        grid = RadialGrid(edge, 9.0, 256, dt=dt)
+        assert solver(f, f, grid, profile, t_final)[-1].x0 == t_final
+        grid = RadialGrid(edge, 9.0, 256, dt=1.01 * dt)
+        with pytest.raises(ValueError, match="violates the CFL bound"):
+            solver(f, f, grid, profile, 40 * grid.dt)
 
 
 def test_dalembert_self_convergence():
@@ -291,7 +337,7 @@ def test_solve_cauchy_matches_oracle(smooth_profile):
     # tanh drift, data over the whole grid (the sponge included), states
     # recorded at the first step and at multiples of t_final; times off
     # the step grid raise the same ValueError from both
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.05)
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile, 0.05)
     rho = grid.rho
     value0 = np.exp(-3j * rho) / np.sqrt(rho)
     dvalue0 = (0.5 + 2j) * value0 * np.cos(rho)
@@ -301,7 +347,7 @@ def test_solve_cauchy_matches_oracle(smooth_profile):
     ref = oracles.solve_cauchy(value0, dvalue0, grid, smooth_profile, 0.2,
                                out_times=times)
     assert [s.x0 for s in ours] == [s.x0 for s in ref] == [0.0] + times
-    for off in ([0.3 * grid.dt], [0.1, 0.13], [-0.05]):
+    for off in ([0.3 * grid.dt], [0.1, 0.1 + 0.5 * grid.dt], [-0.05]):
         messages = set()
         for solver in (solve_cauchy, oracles.solve_cauchy):
             with pytest.raises(ValueError, match="whole number") as exc:
@@ -317,10 +363,10 @@ def test_solve_cauchy_matches_oracle(smooth_profile):
 
 
 def test_solve_cauchy_errors_match_oracle(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile.a_max_abs, 0.1)
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
     blowup = RadialGrid(2.0, 12.0, 256, dt=1.0)
-    inflow = RadialGrid.auto(0.85, 9.0, 256, smooth_profile.a_max_abs, 3.0)
+    inflow = RadialGrid.auto(0.85, 9.0, 256, smooth_profile, 3.0)
     f = np.exp(-((blowup.rho - 7.0) / 0.5) ** 2).astype(complex)
     messages = []
     for solver in (solve_cauchy, oracles.solve_cauchy):
@@ -341,7 +387,7 @@ def test_solve_cauchy_refuses_inflow_inner_edge(a_abs):
     # one-sided stencils there cannot carry: without the growth guard a
     # unit pulse grows 2.9e3-fold by t = 20 at |A| = 2e-5, 72-fold at 0.01
     profile = VelocityProfile(a_minus=-a_abs, a_plus=-a_abs)
-    grid = RadialGrid.auto(0.3, 9.0, 384, a_abs, 20.0)
+    grid = RadialGrid.auto(0.3, 9.0, 384, profile, 20.0)
     f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
     with pytest.raises(ValueError, match="inner edge rho_min = 0.3 takes "
                                          "inflow"):
@@ -356,13 +402,81 @@ def test_inflow_check_spans_every_recorded_time(smooth_profile):
     # edge to x0 = 0.5 (|A| = 0.908) and an inflow edge by x0 = 3 (0.801),
     # whether 3 is t_final or a recorded time beyond it; both are whole
     # numbers of the grid's steps
-    grid = RadialGrid.auto(0.85, 9.0, 128, smooth_profile.a_max_abs, 0.5)
+    grid = RadialGrid.auto(0.85, 9.0, 128, smooth_profile, 0.5)
     f = np.zeros(128, complex)
     assert len(solve_cauchy(f, f, grid, smooth_profile, 0.5)) == 2
     for t_final, out_times in ((3.0, None), (0.5, [0.5, 3.0])):
         with pytest.raises(ValueError, match=r"min\|A\| = 0.800989 over "
                                              r"\[0, 3\]"):
             solve_cauchy(f, f, grid, smooth_profile, t_final, out_times)
+
+
+def test_packet_below_inner_edge_is_a_resolution_error(packet, smooth_profile,
+                                                       smooth_flow):
+    # a direct caller's inner edge above the horizon: 0.85 is an outflow
+    # edge to x0 = 0.75 (|A| = 0.873 there), but the packet support, which
+    # hugs the separatrix (0.830 at x0 = 0.75), crosses it
+    grid = RadialGrid.auto(0.85, 9.0, 256, smooth_profile, 0.75)
+    with pytest.raises(ResolutionError, match="below its inner edge 0.85"):
+        remainder_contribution(packet, (-2.0,), grid, smooth_flow,
+                               t_final=0.75)
+
+
+def test_remainder_contribution_refuses_an_inflow_inner_edge(
+        packet, smooth_profile, smooth_flow):
+    # a direct caller's inner edge at or above min|A| over [0, t_final]
+    # takes inflow, and is refused before any work: at |A(0.75)| = 0.87297
+    # itself, at 0.9, and at 0.82 to t_final = 3, where |A| falls to 0.801
+    a_end = smooth_profile.min_abs(0.0, 0.75)
+    for rho_min, t_final in ((a_end, 0.75), (0.9, 0.75), (0.82, 3.0)):
+        grid = RadialGrid.auto(rho_min, 9.0, 256, smooth_profile, t_final)
+        with pytest.raises(ConfigError, match="inner edge takes inflow"):
+            remainder_contribution(packet, (-2.0,), grid, smooth_flow,
+                                   t_final=t_final)
+
+
+# |A| falling and rising, |A-|/|A+| up to 4, tau from 0.3 to 3, constant
+_EDGE_FLOWS = [(-1.2, -0.8, 1.0), (-0.8, -1.2, 1.0), (-2.0, -0.5, 3.0),
+               (-0.5, -2.0, 0.3), (-1.5, -0.6, 0.3), (-0.6, -1.5, 3.0),
+               (-1.0, -1.0, 1.0)]
+
+
+@pytest.mark.parametrize("a_minus,a_plus,tau", _EDGE_FLOWS)
+def test_derived_inner_edge_keeps_the_evolved_densities(a_minus, a_plus, tau):
+    # inside the horizon both characteristic families point inward, so
+    # nothing the solver computes below the derived edge reaches the
+    # packet.  Two nested grids share drho and dt, one from 0.3 and one
+    # from the derived edge; their evolved densities agree to 3.9e-8
+    # relative at the fast fall (-1.5, -0.6, 0.3), to 1.6e-9 on the
+    # constant flow and 2.3e-10 at the defaults.  The one-sided edge rows
+    # leak grid-scale error that falls steeply with drho: at twice this
+    # spacing, that of the coarse twin, the gaps reach 2.7e-6
+    t_final = 0.75
+    profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
+    flow = find_separatrix(profile)
+    edge, _ = pde.drift_bounds(profile, t_final)
+    on = (flow.horizon.x0 >= 0.0) & (flow.horizon.x0 <= t_final)
+    assert on.sum() > 20 and np.all(edge < flow.horizon.rho_star[on])
+    assert np.all(edge < np.abs(profile.eval(np.linspace(0.0, t_final,
+                                                         301))))
+    # about the default spacing, 1024 points from 0.3 to 9
+    j = math.floor((edge - 0.3) / (8.7 / 1023))  # points below the edge
+    drho = (edge - 0.3) / j
+    n = math.floor((9.0 - edge) / drho) + 1
+    rho_max = edge + (n - 1) * drho
+    wide = RadialGrid.auto(0.3, rho_max, n + j, profile, t_final)
+    narrow = RadialGrid(edge, rho_max, n, dt=wide.dt)
+    np.testing.assert_allclose(wide.rho[j:], narrow.rho, rtol=0.0,
+                               atol=1e-13)
+    states = [solve_mode(pde.EVOLVE_ETA, g, profile, t_final)[-1]
+              for g in (wide, narrow)]
+    p = PacketParams(alpha=1.0, a=8.0, eps=0.25, sigma_star=flow.sigma_star)
+    devs = []
+    for a in A_VALUES:
+        (d_wide, d_narrow), _ = evolved_projection_densities(
+            states, flow, p.with_a(a), pde.EVOLVE_ETA)
+        devs.append(abs(d_narrow / d_wide - 1.0))
+    assert max(devs) <= 1e-7, devs
 
 
 def test_grid_refinement_cuts_error_sixteenfold():
@@ -372,7 +486,7 @@ def test_grid_refinement_cuts_error_sixteenfold():
 
 
 def test_solve_mode_initial_state(smooth_profile, smooth_flow):
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.01)
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile, 0.01)
     eta = -3.0
     hist = solve_mode(eta, grid, smooth_profile, 0.01)
     w = smooth_window(grid.rho, *_horizon_window(grid))
@@ -383,7 +497,7 @@ def test_solve_mode_initial_state(smooth_profile, smooth_flow):
 
 
 def test_solve_mode_resolution_error(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile.a_max_abs, 0.05)
+    grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile, 0.05)
     with pytest.raises(ResolutionError):
         solve_mode(-40.0, grid, smooth_profile, 0.05)
 
@@ -391,7 +505,7 @@ def test_solve_mode_resolution_error(smooth_profile):
 def test_solve_mode_refuses_eta_off_its_branch(smooth_profile):
     # the mode data hold the lambda_- branch at |eta|; nan is refused with
     # the rest, before any work
-    grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile.a_max_abs, 0.05)
+    grid = RadialGrid.auto(0.3, 9.0, 128, smooth_profile, 0.05)
     for eta in (0.0, 2.0, math.nan):
         with pytest.raises(ValueError, match="eta < 0"):
             solve_mode(eta, grid, smooth_profile, 0.05)
@@ -410,7 +524,7 @@ def test_coarse_twin_lands_on_fine_time(packet, smooth_profile, smooth_flow,
         return histories[-1]
 
     monkeypatch.setattr(pde, "solve_mode", recording)
-    grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs, t_final)
+    grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile, t_final)
     report = remainder_contribution(packet, (-2.0, -6.0), grid, smooth_flow,
                                     t_final=t_final)
     fine, coarse = histories
@@ -442,7 +556,7 @@ def test_difference_field_bounded_over_run(smooth_profile, smooth_flow):
     # transport source of L E, so the bound shape is met (C <= 1
     # measured).  Without that term a residual O(eta) source slows the
     # decay and no uniform C fits at desk scale.
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.1)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile, 0.1)
     times = [0.1, 0.2, 0.3]
     worsts = {}
     for eta in (-2.0, -6.0, -18.0):
@@ -474,7 +588,7 @@ def test_stationary_kg_product_constant(const_profile, const_flow):
                      sigma_star=const_flow.sigma_star)
     drifts = []
     for n in (1024, 2048):
-        grid = RadialGrid.auto(0.3, 9.0, n, 1.0, 0.1)
+        grid = RadialGrid.auto(0.3, 9.0, n, const_profile, 0.1)
         times = [0.1, 0.2, 0.3]
         hu = solve_mode(-4.0, grid, const_profile, 0.3, out_times=times)
         pk0 = packet_fields(grid.rho, 0.0, p, const_flow)
@@ -500,7 +614,7 @@ def test_eikonal_transport_of_phase_fronts(smooth_profile, smooth_flow):
     # the numeric solution's phase tracks -eta sigma(rho, x0): the fronts
     # ride the rays, with only the small frequency-mismatch remainder
     eta, t1 = -6.0, 0.1
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, t1)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile, t1)
     hist = solve_mode(eta, grid, smooth_profile, t1)
     idx = [int(np.argmin(np.abs(grid.rho - r))) for r in (1.5, 2.0, 3.0)]
     for i in idx:
@@ -535,7 +649,7 @@ def test_node_pair_matches_adaptive(packet, smooth_flow, smooth_profile):
 
 
 def test_evolved_densities_at_time_zero(packet, smooth_flow, smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.01)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile, 0.01)
     eta = -4.0
     hist = solve_mode(eta, grid, smooth_profile, 0.01)
     (d_num,), d_eik = evolved_projection_densities(hist[:1], smooth_flow,
@@ -581,7 +695,7 @@ def test_mode_fields_at_nodes_local_cubic():
             <= 2.0 * np.max(np.abs(spline - mode(x))))  # measured 1.4x
     assert np.max(np.abs(d_flow - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
     assert np.max(np.abs(at(rho)[0] - fld.value)) <= 1e-14
-    for nodes, edge in ((x - 0.01 * h, "grid_rho_min"),
+    for nodes, edge in ((x - 0.01 * h, "inner edge"),
                         (x + 0.01 * h, "grid_rho_max")):
         with pytest.raises(ResolutionError, match=f"left the grid .* {edge}"):
             at(nodes)
@@ -688,7 +802,7 @@ def test_initial_deviation_follows_frequency_mismatch(packet, smooth_profile):
 
 @pytest.fixture(scope="module")
 def report(packet, smooth_profile, smooth_flow):
-    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile.a_max_abs, 0.3)
+    grid = RadialGrid.auto(0.3, 9.0, 1024, smooth_profile, 0.3)
     return remainder_contribution(packet, (-2.0, -6.0, -18.0), grid,
                                   smooth_flow, t_final=0.3)
 
@@ -748,7 +862,7 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_flow,
         return nodes(p, flow, x0, eta_abs)
 
     monkeypatch.setattr(pde, "packet_quadrature", counting_nodes)
-    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile.a_max_abs, 0.05)
+    grid = RadialGrid.auto(0.3, 9.0, 512, smooth_profile, 0.05)
     remainder_contribution(packet, (-2.0, -6.0, -18.0), grid, smooth_flow,
                            t_final=0.05)
     assert node_x0 == [0.05] * len(A_VALUES)
@@ -776,7 +890,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
     for n_rho, t_final in ((512, 0.05), (256, 1e-4)):
         work.clear()
         grids.clear()
-        grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile.a_max_abs,
+        grid = RadialGrid.auto(0.3, 9.0, n_rho, smooth_profile,
                                t_final)
         remainder_contribution(packet, (-2.0, -6.0), grid, smooth_flow,
                                t_final=t_final)
@@ -789,11 +903,11 @@ def test_work_budget_admits_the_benchmark_grids(smooth_profile, smooth_flow):
     # largest, 4096 points to t = 0.75, takes about 6.2e6 point-steps
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
                            (2048, 0.5), (4096, 0.5), (4096, 0.75)):
-        grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile.a_max_abs,
+        grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile,
                                  t_final) for n in (n_rho, n_rho // 2 + 1)]
         work = pde.predicted_point_steps(grids, t_final)
         assert work < 0.05 * pde.MAX_POINT_STEPS, (n_rho, t_final, work)
-    grid = RadialGrid.auto(1e-6, 9.0, 1024, smooth_profile.a_max_abs, 0.75)
+    grid = RadialGrid.auto(1e-6, 9.0, 1024, smooth_profile, 0.75)
     with pytest.raises(ConfigError, match="point-steps"):
         remainder_contribution(None, (-2.0,), grid, smooth_flow, t_final=0.75)
 
