@@ -411,28 +411,42 @@ def test_inflow_check_spans_every_recorded_time(smooth_profile):
             solve_cauchy(f, f, grid, smooth_profile, t_final, out_times)
 
 
-def test_packet_below_inner_edge_is_a_resolution_error(packet, smooth_profile,
-                                                       smooth_flow):
-    # a direct caller's inner edge above the horizon: 0.85 is an outflow
-    # edge to x0 = 0.75 (|A| = 0.873 there), but the packet support, which
-    # hugs the separatrix (0.830 at x0 = 0.75), crosses it
-    grid = RadialGrid.auto(0.85, 9.0, 256, smooth_profile, 0.75)
-    with pytest.raises(ResolutionError, match="below its inner edge 0.85"):
+# |A(0.75)| on the smooth profile, 0.87297: |A| falls over [0, 0.75], so a
+# direct caller's inner edge at or above it takes inflow before x0 = 0.75
+_A_END = VelocityProfile(a_minus=-1.2, a_plus=-0.8, tau=1.0).min_abs(0.0, 0.75)
+
+
+@pytest.mark.parametrize("rho_min", [
+    pytest.param(0.85, id="0.85"),
+    pytest.param(math.nextafter(_A_END, 0.0), id="just_below_A_end"),
+])
+def test_packet_below_inner_edge_is_a_resolution_error(packet, smooth_flow,
+                                                       smooth_profile,
+                                                       rho_min):
+    # a direct caller's inner edge above the horizon, below |A(0.75)|: an
+    # outflow edge to x0 = 0.75, but the packet support, which hugs the
+    # separatrix (0.830 at x0 = 0.75), crosses it
+    grid = RadialGrid.auto(rho_min, 9.0, 256, smooth_profile, 0.75)
+    with pytest.raises(ResolutionError,
+                       match=f"below its inner edge {rho_min:g}"):
         remainder_contribution(packet, (-2.0,), grid, smooth_flow,
                                t_final=0.75)
 
 
+@pytest.mark.parametrize("rho_min,t_final", [
+    pytest.param(_A_END, 0.75, id="at_A_end"),
+    pytest.param(0.9, 0.75, id="0.9"),
+    pytest.param(0.82, 3.0, id="0.82_to_3"),
+])
 def test_remainder_contribution_refuses_an_inflow_inner_edge(
-        packet, smooth_profile, smooth_flow):
+        packet, smooth_profile, smooth_flow, rho_min, t_final):
     # a direct caller's inner edge at or above min|A| over [0, t_final]
-    # takes inflow, and is refused before any work: at |A(0.75)| = 0.87297
-    # itself, at 0.9, and at 0.82 to t_final = 3, where |A| falls to 0.801
-    a_end = smooth_profile.min_abs(0.0, 0.75)
-    for rho_min, t_final in ((a_end, 0.75), (0.9, 0.75), (0.82, 3.0)):
-        grid = RadialGrid.auto(rho_min, 9.0, 256, smooth_profile, t_final)
-        with pytest.raises(ConfigError, match="inner edge takes inflow"):
-            remainder_contribution(packet, (-2.0,), grid, smooth_flow,
-                                   t_final=t_final)
+    # takes inflow, and is refused before any work: at |A(0.75)| itself, at
+    # 0.9, and at 0.82 to t_final = 3, where |A| falls to 0.801
+    grid = RadialGrid.auto(rho_min, 9.0, 256, smooth_profile, t_final)
+    with pytest.raises(ConfigError, match="inner edge takes inflow"):
+        remainder_contribution(packet, (-2.0,), grid, smooth_flow,
+                               t_final=t_final)
 
 
 # |A| falling and rising, |A-|/|A+| up to 4, tau from 0.3 to 3, constant
