@@ -22,16 +22,19 @@ speeds point inward, so the inner edge, derived from the flow (drift_bounds),
 is pure outflow and one-sided stencils suffice there (solve_cauchy refuses
 an inner edge where |A| does not exceed rho_min); the outer edge carries a
 sponge layer that damps what the data window lets by.  The time step is 0.9
-of the step at which the drift, at its fastest over the solve, and the wave
-term share RK4's stability region, from the step limits of the interior
-drift and second-derivative stencils alone (RadialGrid.cfl_dt).
+of RK4's step limit for the coupled interior system the solver steps, with
+the drift at its fastest over the solve: its frozen symbol is
+v U(theta) +- i sqrt|D2(theta)|, the upwind and second-derivative symbols
+in units of 1/drho, so in units of drho the limit depends on the speed v
+alone (RadialGrid.cfl_dt).
 
 The coefficients of the system are real, so the real and imaginary parts
 evolve apart: the stepper holds one real (4, n) state, rows Re f, Im f,
 Re g, Im g, in preallocated buffers.  Its coefficients are folded once per
-solve: the upwind stencil carries -1/rho, so a stage scales it by A(x0)
-alone, and d^2/drho^2 + (1/rho) d/drho is one stencil with coefficient
-vectors over rho.
+solve: the upwind stencil carries -1/rho, and a stage folds A(x0) into its
+kernel, and d^2/drho^2 + (1/rho) d/drho is one stencil with a coefficient
+vector over rho.  Each stencil term is one np.correlate over the shared
+forward differences of the state.
 
 The exact mode at wavenumber eta < 0 is started from the data that the
 eikonal matches in value (gamma e^{-i eta rho}) and misses in the
@@ -50,6 +53,7 @@ drho, which carries no separate drift term.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -79,11 +83,6 @@ __all__ = [
     "drift_bounds",
 ]
 
-# RK4 step limits, in drho per unit speed, of the interior stencils alone:
-# (upwind _D1_UPWIND, from a theta scan of its symbol against
-# |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1, rounded down; centred _D2, whose
-# wave pair has the imaginary symbol i sqrt|D2|, so 2 sqrt 2 / max sqrt|D2|)
-STEP_LIMITS = (1.7452, math.sqrt(1.5))
 STEP_SAFETY = 0.9
 # discr_estimate divides the fine-coarse gap by 2^4 - 1, which assumes h^4
 # convergence; the rows converge like h^3.2, so it reads about 2x low
@@ -132,12 +131,12 @@ class RadialGrid:
         return (self.rho_max - self.rho_min) / (self.n_rho - 1)
 
     def cfl_dt(self, a_max: float) -> float:
-        """STEP_SAFETY times the step at which the drift, at its fastest
-        speed v = a_max/rho_min, and the wave term share the RK4 stability
-        region: drho / (v/s_d + 1/s_w), with (s_d, s_w) = STEP_LIMITS."""
-        s_drift, s_wave = STEP_LIMITS
-        return STEP_SAFETY * self.drho / (a_max / self.rho_min / s_drift
-                                          + 1.0 / s_wave)
+        """STEP_SAFETY times RK4's step limit for the interior drift+wave
+        system with the drift at its fastest speed v = a_max/rho_min:
+        drho times the limit of the frozen symbol v U +- i sqrt|D2|, which
+        depends on v alone (_joint_step_limit)."""
+        return (STEP_SAFETY * self.drho
+                * _joint_step_limit(a_max / self.rho_min))
 
     def steps(self, t: float) -> int:
         """The number of steps to x0 = t; ValueError unless t is a positive
@@ -164,10 +163,12 @@ class RadialGrid:
         cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0).cfl_dt(
             drift_bounds(profile, t_final)[1])
         half_steps = t_final / (2.0 * cfl_dt) if cfl_dt > 0.0 else math.inf
-        if not half_steps < math.inf:
+        steps = (2.0 * math.ceil(half_steps) if half_steps < math.inf
+                 else math.inf)
+        if not steps < math.inf:
             raise ConfigError(f"tfinal = {t_final:g} in steps of at most "
                               f"{cfl_dt:g} overflows the step count")
-        dt = t_final / (2.0 * math.ceil(half_steps))
+        dt = t_final / steps
         if not dt >= sys.float_info.min:
             raise ConfigError(f"tfinal = {t_final:g} needs a time step below "
                               f"the smallest normal float")
@@ -202,6 +203,69 @@ _D2 = ((slice(2, -2), -2, (1 / 12, -5 / 4, 5 / 4, -1 / 12)),
        (-2, -1, (1.0, -2.0, 1.0)), (-1, -3, (-1.0, 4.0, -5.0, 2.0)))
 
 
+def _symbol(table, theta):
+    """Fourier symbol, in units of drho^-p, of a stencil's interior row,
+    whose coefficients sit on forward differences."""
+    (_, first, coefs), *_ = table
+    z = np.exp(1j * theta)
+    return (z - 1.0) * sum(c * z ** k for k, c in enumerate(coefs, first))
+
+
+# |R(s lam)|^2 - 1 for RK4's gain R(z) = sum_i z^i / i!, i <= 4, is a
+# polynomial in the step s: its s^k coefficient sums R_i conj(R_j) over
+# i + j = k, which row k - 1 of _GAIN_PAIRS picks out of the 5 x 5 products
+_TAYLOR = 1.0 / np.array([1.0, 1.0, 2.0, 6.0, 24.0])
+_GAIN_PAIRS = np.array([[float(i + j == k) for i in range(5) for j in range(5)]
+                        for k in range(1, 9)])
+_POWERS = np.arange(1.0, 9.0)
+_THETA = np.linspace(0.0, math.pi, 129)
+
+
+def _gain_limit(lam):
+    """The largest step s with |R(s lam)| <= 1, up to rounding, over the
+    array lam, and the index of the lam that binds.  RK4's stability region
+    lies within |z| < 3 and the largest |lam| is at least 1, so the
+    bisection starts from [0, 4]."""
+    taylor = lam ** np.arange(5.0)[:, None] * _TAYLOR[:, None]
+    excess = _GAIN_PAIRS @ (taylor[:, None] * taylor.conj()).real.reshape(
+        25, -1)
+    lo, hi = 0.0, 4.0
+    for _ in range(48):  # to 4 / 2^48 = 1.4e-14
+        mid = 0.5 * (lo + hi)
+        if np.max(mid ** _POWERS @ excess) <= 1e-13:
+            lo = mid
+        else:
+            hi = mid
+    return lo, int(np.argmax(hi ** _POWERS @ excess))
+
+
+@functools.lru_cache(maxsize=256)
+def _joint_step_limit(v: float) -> float:
+    """RK4's step limit, in units of drho, for the interior drift+wave
+    system with frozen drift speed v >= 0: its symbol is
+    lambda(theta) = v U(theta) +- i sqrt|D2(theta)|, with U the upwind
+    and D2 the second-derivative symbol, and the limit is the largest s
+    with |R(s lambda)| <= 1 at every theta.
+
+    A scan over 129 theta in [0, pi] finds the binding theta, and a second
+    scan of 129 over the two spacings around it refines the limit.  Both
+    run on lambda / (1 + v) = (1 - p) U +- i p sqrt|D2|, p = 1/(1+v), whose
+    coefficients stay within [0, 1]: nothing overflows, and the limit at
+    v = inf is 0."""
+    p = 1.0 / (1.0 + v)
+
+    def limit(theta):
+        drift = (1.0 - p) * _symbol(_D1_UPWIND, theta)
+        wave = 1j * p * np.sqrt(np.abs(_symbol(_D2, theta)))
+        return _gain_limit(np.concatenate([drift + wave, drift - wave]))
+
+    coarse, j = limit(_THETA)
+    at, step = _THETA[j % len(_THETA)], _THETA[1]
+    fine, _ = limit(np.linspace(max(at - step, 0.0), min(at + step, math.pi),
+                                129))
+    return min(coarse, fine) * p
+
+
 class _Stencil:
     """A banded operator along the last axis of C-contiguous arrays of a
     fixed shape.
@@ -210,22 +274,31 @@ class _Stencil:
     vector over rho; the terms share their interior rows and add, so one
     stencil can carry variable coefficients such as d2 + (1/rho) d1.  The
     interior acts on the forward difference of u, which stencils of one
-    state can share; it runs over the flattened array, all rows in one
-    pass, and the values it leaves where rows meet are overwritten by the
-    edge rows, two small dense blocks over the _EDGE end columns.
+    state can share: each term is one np.correlate over the flattened
+    array, all rows in one C pass, with its scalar scale folded into the
+    kernel and its vector scale multiplied once.  The values it leaves where
+    rows meet are overwritten by the edge rows, two small dense blocks over
+    the _EDGE end columns.  A call's factor scales the kernels and blocks,
+    so a coefficient that changes with x0 costs no pass of its own.
     """
 
     def __init__(self, shape, terms) -> None:
         n = shape[-1]
+        size = math.prod(shape)
         (inner, _, _), *_ = terms[0][0]  # interior rows, shared by the terms
         self.lo, self.hi = inner.start, -inner.stop
         self.left = np.zeros((_EDGE, self.lo))
         self.right = np.zeros((_EDGE, self.hi))
-        taps = {}
+        self.terms = []  # (start in the difference, kernel, vector scale)
         for ((_, first, coefs), *edge_rows), scale in terms:
-            scale = np.broadcast_to(np.asarray(scale, dtype=float), (n,))
-            for k, c in enumerate(coefs, first):
-                taps.setdefault(k, np.zeros(n))[inner] += c * scale[inner]
+            scale = np.asarray(scale, dtype=float)
+            if scale.ndim:  # multiplied after the correlate, on every row
+                kernel, tiled = np.array(coefs), np.tile(
+                    scale, size // n)[self.lo:size - self.hi]
+            else:  # folded into the kernel
+                kernel, tiled = np.multiply(coefs, scale), None
+            self.terms.append((self.lo + first, kernel, tiled))
+            scale = np.broadcast_to(scale, (n,))
             for row, first, coefs in edge_rows:
                 if row >= 0:
                     block, col, dst = self.left, row + first, row
@@ -234,25 +307,34 @@ class _Stencil:
                                        self.hi + row)
                 block[col:col + len(coefs), dst] += np.multiply(coefs,
                                                                 scale[row])
-        self.first = min(taps)
-        size = math.prod(shape)
-        self.taps = [np.tile(taps[k], size // n)[self.lo:size - self.hi]
-                     for k in sorted(taps)]
+        # the first term writes the interior, so the vector-scaled one
+        # goes first and its multiply is the write
+        self.terms.sort(key=lambda term: term[2] is None)
 
-    def __call__(self, u, out, diff):
-        """Apply to u into out; diff is the forward difference of u
-        flattened, which stencils of one state share."""
+    def __call__(self, u, out, diff, factor=1.0):
+        """Apply factor times the operator to u into out; diff is the
+        forward difference of u flattened, which stencils of one state
+        share."""
         n = u.shape[-1]
         inner = out.reshape(-1)[self.lo:u.size - self.hi]
         m = len(inner)
-        at = self.lo + self.first
-        np.multiply(diff[at:at + m], self.taps[0], out=inner)
-        for k, b in enumerate(self.taps[1:], at + 1):
-            inner += b * diff[k:k + m]
+        left, right, terms = self.left, self.right, self.terms
+        if factor != 1.0:
+            left, right = factor * left, factor * right
+            terms = [(at, factor * kernel, scale)
+                     for at, kernel, scale in terms]
+        for k, (at, kernel, scale) in enumerate(terms):
+            part = np.correlate(diff[at:at + m + len(kernel) - 1], kernel)
+            if k == 0:
+                np.multiply(part, 1.0 if scale is None else scale, out=inner)
+            elif scale is None:
+                inner += part
+            else:
+                inner += np.multiply(part, scale, out=part)
         u, out2 = u.reshape(-1, n), out.reshape(-1, n)
         if self.lo:
-            np.matmul(u[:, :_EDGE], self.left, out=out2[:, :self.lo])
-        np.matmul(u[:, n - _EDGE:], self.right, out=out2[:, n - self.hi:])
+            np.matmul(u[:, :_EDGE], left, out=out2[:, :self.lo])
+        np.matmul(u[:, n - _EDGE:], right, out=out2[:, n - self.hi:])
         return out
 
 
@@ -275,9 +357,9 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     The coefficients of the operator are real, so the real and imaginary
     parts evolve apart: the state is one real (4, n) array with rows
     Re f, Im f, Re g, Im g, stepped in place.  The upwind drift stencil
-    carries -1/rho, so a stage multiplies it by A(x0) alone; the Laplacian
-    d2 + (1/rho) d1 is one stencil with coefficient vectors; the sponge
-    acts only where it is nonzero.
+    carries -1/rho, and a stage folds A(x0) into its kernel, A(x0 + dt/2)
+    evaluated once a step; the Laplacian d2 + (1/rho) d1 is one stencil
+    with a coefficient vector; the sponge acts only where it is nonzero.
     """
     want = {grid.steps(t): t for t in
             ([t_final] if out_times is None else out_times)}
@@ -313,11 +395,10 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     acc, k_s, y_s, drift_term, tmp = (np.empty_like(y) for _ in range(5))
     diff = np.empty(4 * n - 1)
 
-    def rhs(y, x0, out):
+    def rhs(y, a, out):
         # out = (g - (A/rho) f_r - sponge f, lap f - (A/rho) g_r - sponge g)
         np.subtract(y.reshape(-1)[1:], y.reshape(-1)[:-1], out=diff)
-        upwind(y, drift_term, diff)
-        np.multiply(drift_term, drift(x0), out=drift_term)
+        upwind(y, drift_term, diff, a)
         np.add(y[2:], drift_term[:2], out=out[:2])
         laplacian(y[:2], out[2:], diff[:2 * n - 1])
         np.add(out[2:], drift_term[2:], out=out[2:])
@@ -331,12 +412,14 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     h = 0.5 * dt
     for k in range(1, max(want, default=0) + 1):
         x0 = (k - 1) * dt
-        rhs(y, x0, acc)
+        rhs(y, drift(x0), acc)
         stage = acc
-        for step, weight in ((h, 2.0), (h, 2.0), (dt, 1.0)):
+        a_half = drift(x0 + h)
+        for step, a, weight in ((h, a_half, 2.0), (h, a_half, 2.0),
+                                (dt, drift(x0 + dt), 1.0)):
             np.multiply(stage, step, out=y_s)
             y_s += y
-            rhs(y_s, x0 + step, k_s)
+            rhs(y_s, a, k_s)
             acc += (k_s if weight == 1.0 else
                     np.multiply(k_s, weight, out=tmp))
             stage = k_s

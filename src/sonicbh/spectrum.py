@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ToleranceError
 from .gammatools import (gamma0_modulus_sq, packet_fourier,
@@ -141,6 +141,31 @@ def default_eta_grid(a: float, n: int = 96) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(lo, hi, n - 1)])
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule over samples y on the increasing grid x,
+    operation for operation as scipy.integrate's rule computes it with x
+    given, so its results are bitwise scipy's: parabolas through pairs of
+    intervals, and for an even number of samples the last interval by
+    Cartwright's correction (for two samples, the trapezoid)."""
+    n = len(y)
+    h = np.diff(x)
+    if n == 2:
+        return float(0.5 * h[-1] * (y[-1] + y[-2]))
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                 + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+        last = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        mid = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+        first = h1 ** 3 / (6 * h0 * (h0 + h1))
+        total += last * y[-1] + mid * y[-2] - first * y[-3]
+    return float(total)
+
+
 @dataclass(frozen=True)
 class SpectrumTable:
     """Per-eta projections and density plus their grid-quadrature total."""
@@ -160,7 +185,7 @@ def build_spectrum(p: PacketParams, eta_grid=None,
     eta_grid = np.asarray(eta_grid, dtype=float)
     c1, c2 = eikonal_projections(eta_grid, p)
     density = _checked_density(eta_grid, p, c1, c2)
-    total = float(integrate.simpson(density, x=eta_grid))
+    total = _simpson(density, eta_grid)
     return SpectrumTable(eta_grid=eta_grid, density=density, c1=c1, c2=c2,
                          total=total)
 

@@ -249,6 +249,34 @@ def test_default_evolved_rows_against_reference(smooth_flow, smooth_profile):
                                                  row.discr_estimate)
 
 
+def test_default_time_error_below_space_error(smooth_flow, smooth_profile):
+    # the pde-verify defaults at the joint step bound: halving dt on the
+    # same grid moves each evolved row by under a tenth of its
+    # discretisation estimate, which measures the spatial error, so the
+    # step the bound allows leaves the time error out of the rows.
+    # Measured: gaps 3.0e-11/2.7e-11/5.8e-12 against estimates of 3.7e-6
+    # to 3.8e-6 at a = 8/16/32
+    cfg = RunConfig()
+    p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
+                     sigma_star=smooth_flow.sigma_star)
+    edge, _ = drift_bounds(smooth_profile, cfg.tfinal)
+    grid = RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho, smooth_profile,
+                           cfg.tfinal)
+    rows = remainder_contribution(p, cfg.eta_list, grid, smooth_flow,
+                                  t_final=cfg.tfinal).rows_evolved
+    half = RadialGrid(grid.rho_min, grid.rho_max, grid.n_rho,
+                      dt=0.5 * grid.dt)
+    states = [solve_mode(EVOLVE_ETA, g, smooth_profile, cfg.tfinal)[-1]
+              for g in (grid, half)]
+    for row in rows:
+        (d, d_half), d_eik = evolved_projection_densities(
+            states, smooth_flow, p.with_a(row.a), EVOLVE_ETA)
+        assert abs(d - d_eik) / abs(d_eik) == row.dev_rel
+        gap = abs(abs(d - d_eik) - abs(d_half - d_eik)) / abs(d_eik)
+        assert gap < 0.1 * row.discr_estimate, (row.a, gap,
+                                                row.discr_estimate)
+
+
 def test_ac8_reproducibility(tmp_path):
     args = ["spectrum", "--out-dir", str(tmp_path),
             "--set", "a_sweep=4,8", "--set", "n_eta=48"]

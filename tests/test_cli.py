@@ -328,13 +328,13 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
     assert snaps == {"field_eta-4_t0.csv", "field_eta-4_t0.375.csv",
                      "field_eta-4_t0.75.csv"}
     assert not report["warnings"]
-    # the inner edge 0.64 and max|A| = 1 over [0, 0.75]: 225 368
+    # the inner edge 0.64 and max|A| = 1 over [0, 0.75]: 197 710
     # point-steps, as test_step_counts_at_the_defaults counts them
     assert report["solves"] == {
-        "fine": {"n_rho": 1024, "dt": 0.75 / 176, "steps": 176},
-        "coarse": {"n_rho": 513, "dt": 0.75 / 88, "steps": 88}}
+        "fine": {"n_rho": 1024, "dt": 0.75 / 154, "steps": 154},
+        "coarse": {"n_rho": 513, "dt": 0.75 / 78, "steps": 78}}
     assert sum(s["n_rho"] * s["steps"]
-               for s in report["solves"].values()) == 225_368
+               for s in report["solves"].values()) == 197_710
     for row in report["rows_evolved"]:
         assert f"field_eta-4_t{row['x0']:g}.csv" in snaps
         assert row["x0"] == 0.75  # tfinal itself, a whole number of steps
@@ -700,6 +700,11 @@ _EDGE = drift_bounds(RunConfig().profile(), RunConfig().tfinal)[0]
     (["--tfinal", repr(sys.float_info.max)], False, 2,
      "overflows the step count"),
     (["--tfinal", "inf"], False, 2, "tfinal must be finite"),
+    # from about 8.8e305, where the half-step count is finite but twice it
+    # is not, the step count overflows too
+    (["--tfinal", "1e306"], False, 2, "overflows the step count"),
+    (["--tfinal", "1.5e306"], False, 2, "overflows the step count"),
+    (["--tfinal", "1.6e306"], False, 2, "overflows the step count"),
 ])
 def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
                                   names):

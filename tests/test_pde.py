@@ -143,22 +143,43 @@ def _rk4_gain(z):
     return np.abs(1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
 
 
+def _rk4_limit(lam, tol=0.0):
+    """The largest s, by bisection, with |R(s lam)| <= 1 + tol over lam."""
+    lo, hi = 0.0, 4.0 / np.max(np.abs(lam))
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        lo, hi = ((mid, hi) if np.all(_rk4_gain(mid * lam) <= 1.0 + tol)
+                  else (lo, mid))
+    return lo
+
+
 def test_step_limits_match_stencil_symbols():
     theta = np.linspace(1e-7, np.pi, 4001)
     drift = _interior_symbol(_D1_UPWIND, theta)
     d2 = _interior_symbol(_D2, theta)
-    lo, hi = 0.0, 4.0  # the drift alone: z = s * symbol
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo, hi = ((mid, hi) if np.all(_rk4_gain(mid * drift) <= 1.0)
-                  else (lo, mid))
+    s_drift = _rk4_limit(drift)  # the drift alone: z = s * symbol
     # the wave pair (f, g) has symbol +-i sqrt|D2|; RK4 holds the
     # imaginary axis to 2 sqrt 2
     s_wave = 2.0 * math.sqrt(2.0) / math.sqrt(np.max(np.abs(d2)))
-    s_drift_table, s_wave_table = pde.STEP_LIMITS
-    assert s_drift_table == pytest.approx(lo, abs=1e-3)
-    assert s_drift_table <= lo
-    assert s_wave_table == pytest.approx(s_wave, abs=1e-3)
+    assert s_drift == pytest.approx(1.7452, abs=1e-3)
+    assert s_wave == pytest.approx(math.sqrt(1.5), rel=1e-12)
+
+    # the joint limit of the coupled symbol v U +- i sqrt|D2| against an
+    # independent scan of 20 001 theta (|R| rounds above 1 by up to 1e-16
+    # near theta = 0), and never below the sum bound 1/(v/s_d + 1/s_w) of
+    # the two stencils' separate limits
+    fine = np.linspace(0.0, np.pi, 20001)
+    up = _interior_symbol(_D1_UPWIND, fine)
+    wave = 1j * np.sqrt(np.abs(_interior_symbol(_D2, fine)))
+    for v in np.geomspace(1e-3, 1e4, 15):
+        joint = pde._joint_step_limit(float(v))
+        scan = _rk4_limit(np.concatenate([v * up + wave, v * up - wave]),
+                          tol=1e-14)
+        assert joint == pytest.approx(scan, rel=1e-3), v
+        assert joint >= 1.0 / (v / s_drift + 1.0 / s_wave), v
+    # at the defaults' speed v = 1/0.64, 13.6% above the sum bound 0.5842
+    assert pde._joint_step_limit(1.0 / 0.64) == pytest.approx(0.6635,
+                                                             abs=1e-4)
 
     # the coupled interior system with coefficients frozen at rho_min,
     # where drift and f_r/rho peak: lambda = v D1up +- sqrt(D2 + D1c/rho).
@@ -230,32 +251,32 @@ def test_growth_guard_reads_the_whole_state(smooth_profile):
 
 def test_step_counts_on_fixed_grids():
     # 1024 points and the coarse twin, and 2048 points, with the inner edge
-    # at 0.3 and |A| = 1.2: the pde-verify defaults before the edge and
-    # the step bound were derived from the flow
+    # at 0.3 and |A| = 1.2: the pde-verify defaults before the edge was
+    # derived from the flow, under the joint step bound
     def grid(n_rho):
         return RadialGrid.auto(0.3, 9.0, n_rho,
                                VelocityProfile(a_minus=-1.2, a_plus=-1.2),
                                0.75)
-    assert grid(1024).steps(0.75) == 306
-    assert grid(513).steps(0.75) == 154
+    assert grid(1024).steps(0.75) == 286
+    assert grid(513).steps(0.75) == 144
     assert pde.predicted_point_steps((grid(1024), grid(513)),
-                                     0.75) == 392_346
-    assert grid(2048).steps(0.75) == 610
+                                     0.75) == 366_736
+    assert grid(2048).steps(0.75) == 572
 
 
 def test_step_counts_at_the_defaults(smooth_profile):
     # the pde-verify defaults: the inner edge 0.8 min(|A-|, |A+|) = 0.64
     # and max|A| = |A(0)| = 1 over [0, 0.75] cut the point-steps of the
-    # fixed grids above by 42.6%
+    # fixed grids above by 46.1%
     edge, a_max = pde.drift_bounds(smooth_profile, 0.75)
     assert edge == pytest.approx(0.64, rel=1e-15) and a_max == 1.0
 
     def grid(n_rho):
         return RadialGrid.auto(edge, 9.0, n_rho, smooth_profile, 0.75)
-    assert grid(1024).steps(0.75) == 176
-    assert grid(513).steps(0.75) == 88
+    assert grid(1024).steps(0.75) == 154
+    assert grid(513).steps(0.75) == 78
     assert pde.predicted_point_steps((grid(1024), grid(513)),
-                                     0.75) == 225_368
+                                     0.75) == 197_710
 
 
 def test_step_bound_takes_the_rising_end_of_the_flow():
@@ -884,8 +905,8 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_flow,
 
 def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
                                                 smooth_flow, monkeypatch):
-    # a stepped drift callable is read four times a step, so the calls
-    # count the steps actually taken
+    # a stepped drift callable is read three times a step, at x0,
+    # x0 + dt/2 and x0 + dt, so the calls count the steps actually taken
     work, grids = [], []
 
     def counting(value0, dvalue0, grid, profile, t_final, out_times=None):
@@ -896,7 +917,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
             return profile.eval(x0)
 
         hist = solve_cauchy(value0, dvalue0, grid, drift, t_final, out_times)
-        work.append(grid.n_rho * calls[0] // 4)
+        work.append(grid.n_rho * calls[0] // 3)
         grids.append(grid)
         return hist
 
@@ -914,7 +935,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
 
 def test_work_budget_admits_the_benchmark_grids(smooth_profile, smooth_flow):
     # 2048 points to t = 0.75 and the wave benchmark's six grids; the
-    # largest, 4096 points to t = 0.75, takes about 6.2e6 point-steps
+    # largest, 4096 points to t = 0.75, takes about 5.1e6 point-steps
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
                            (2048, 0.5), (4096, 0.5), (4096, 0.75)):
         grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile,

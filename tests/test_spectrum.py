@@ -21,7 +21,7 @@ from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_modulus_sq)
 from sonicbh.packets import (FieldOnGrid, PacketParams, gamma_tilde,
                              mode_initial_data, packet_norm)
-from sonicbh.spectrum import (build_spectrum, creation_density,
+from sonicbh.spectrum import (_simpson, build_spectrum, creation_density,
                               default_eta_grid, density_from_projections,
                               eikonal_projections, limit_integral,
                               limit_sweep, normalized_number_limit,
@@ -407,6 +407,30 @@ def test_spectrum_table_matches_scalar_density(smooth_flow, n_eta):
         loop = np.array([creation_density_closed(e, p)
                          for e in table.eta_grid.tolist()])
         np.testing.assert_allclose(table.density, loop, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 96, 97, 1024, 2048])
+def test_simpson_port_matches_scipy_bitwise(n):
+    # odd and even sample counts (the even ones through Cartwright's last
+    # interval, two samples through the trapezoid) on random irregular
+    # grids spanning many scales
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = np.cumsum(rng.uniform(1e-3, 3.0, n)) * 10.0 ** rng.uniform(-5, 5)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+        assert _simpson(y, x) == float(integrate.simpson(y, x=x))
+
+
+@pytest.mark.parametrize("n_eta", [24, 96, 97, 256, 1024, 2048])
+def test_spectrum_total_matches_scipy_simpson(smooth_flow, n_eta):
+    # every default eta grid the commands and the benchmark build: the
+    # table total is bitwise the scipy rule over the same samples
+    p = PacketParams(alpha=1.0, a=8.0, eps=0.25,
+                     sigma_star=smooth_flow.sigma_star)
+    for a in (4.0, 8.0, 16.0, 32.0, 64.0):
+        table = build_spectrum(p.with_a(a), n_eta=n_eta)
+        assert table.total == float(integrate.simpson(table.density,
+                                                      x=table.eta_grid))
 
 
 def test_spectrum_table_fourier_calls_independent_of_n_eta(packet, monkeypatch):
