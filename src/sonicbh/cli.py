@@ -2,8 +2,8 @@
 
 Subcommands: horizon, spectrum, limit, pde-verify.  A config file of
 key=value lines (--config) supplies parameters; repeated --set key=value
-flags override it.  Exit codes: 0 success, 2 config error,
-3 numerical-tolerance failure, 4 resolution failure.
+flags override it.  Exit code 0 on success; a package error prints
+"label: message" to stderr and exits with its type's code (sonicbh.errors).
 """
 
 from __future__ import annotations
@@ -15,16 +15,10 @@ import numpy as np
 
 from . import pde, spectrum
 from .config import RunConfig
-from .errors import (ConfigError, ResolutionError, SonicbhError,
-                     StepFailureError, ToleranceError)
+from .errors import ConfigError, SonicbhError
 from .flow import find_separatrix
 from .output import write_csv, write_json
 from .packets import PacketParams, eval_packet_profile, packet_norm
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_TOLERANCE = 3
-EXIT_RESOLUTION = 4
 
 
 def _load_config(args) -> RunConfig:
@@ -38,9 +32,11 @@ def _load_config(args) -> RunConfig:
     return cfg.with_overrides(pairs)
 
 
-def _flow(cfg: RunConfig):
-    return find_separatrix(cfg.profile(), x0_horizon_max=cfg.x0_horizon_max,
+def _flow_meta(cfg: RunConfig):
+    """The flow of cfg, and the config plus sigma_star every output echoes."""
+    flow = find_separatrix(cfg.profile(), x0_horizon_max=cfg.x0_horizon_max,
                            ode_tol=cfg.ode_tol, rho_min=cfg.rho_min)
+    return flow, {**cfg.to_dict(), "sigma_star": flow.sigma_star}
 
 
 def _packet(cfg: RunConfig, sigma_star: float, a: float | None = None) -> PacketParams:
@@ -49,10 +45,8 @@ def _packet(cfg: RunConfig, sigma_star: float, a: float | None = None) -> Packet
 
 
 def cmd_horizon(cfg: RunConfig) -> int:
-    flow = _flow(cfg)
+    flow, meta = _flow_meta(cfg)
     hz = flow.horizon
-    meta = cfg.to_dict()
-    meta["sigma_star"] = flow.sigma_star
     out = write_csv(f"{cfg.out_dir}/horizon.csv", ["x0", "rho_star"],
                     zip(hz.x0.tolist(), hz.rho_star.tolist()), meta)
     gap_plus = abs(hz.rho_star[-1] - abs(cfg.a_plus))
@@ -61,13 +55,11 @@ def cmd_horizon(cfg: RunConfig) -> int:
     print(f"rho_star({hz.x0[-1]:g}) - |A(+inf)| = {gap_plus:.3e}")
     print(f"rho_star({hz.x0[0]:g}) - |A(-inf)| = {gap_minus:.3e}")
     print(f"wrote {out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    flow = _flow(cfg)
-    meta = cfg.to_dict()
-    meta["sigma_star"] = flow.sigma_star
+    flow, meta = _flow_meta(cfg)
 
     # packet profile over sigma and the closed/numeric norm table
     p0 = _packet(cfg, flow.sigma_star)
@@ -89,7 +81,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
               norm_rows, meta)
 
     totals = {}
-    for a in cfg.a_sweep:
+    for a, norm, _, _ in norm_rows:
         p = _packet(cfg, flow.sigma_star, a)
         table = spectrum.build_spectrum(p, n_eta=cfg.n_eta)
         rows = [(e, d, c1.real, c1.imag, c2.real, c2.imag)
@@ -105,22 +97,20 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             "total": tn.value,
             "tail_value": tn.tail_value,
             "tail_bound": tn.tail_bound,
-            "norm": packet_norm(p),
-            "total_normalized": tn.value / packet_norm(p),
+            "norm": norm,
+            "total_normalized": tn.value / norm,
         }
         print(f"a={a:g}: total={tn.value:.12g} "
               f"normalized={totals[f'{a:g}']['total_normalized']:.12g} ({out})")
     write_json(f"{cfg.out_dir}/spectrum_totals.json",
                {"config": meta, "totals": totals})
-    return EXIT_OK
+    return 0
 
 
 def cmd_limit(cfg: RunConfig) -> int:
-    flow = _flow(cfg)
+    flow, meta = _flow_meta(cfg)
     p = _packet(cfg, flow.sigma_star)
     sweep = spectrum.limit_sweep(p, cfg.a_sweep)
-    meta = cfg.to_dict()
-    meta["sigma_star"] = flow.sigma_star
     rows = [(r.a, r.total, r.total_normalized, r.limit, r.residual)
             for r in sweep.rows]
     out = write_csv(f"{cfg.out_dir}/sweep.csv",
@@ -143,11 +133,11 @@ def cmd_limit(cfg: RunConfig) -> int:
     print(f"residual slope = {sweep.slope:.3f}   final rel residual = "
           f"{sweep.final_relative_residual:.3e}")
     print(f"wrote {out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_pde_verify(cfg: RunConfig) -> int:
-    flow = _flow(cfg)
+    flow, meta = _flow_meta(cfg)
     p = _packet(cfg, flow.sigma_star)
     # checked here, not in RunConfig, so that no other command refuses a
     # flow for a wave-grid key
@@ -159,8 +149,6 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
                                flow.profile, cfg.tfinal)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,
                                         t_final=cfg.tfinal)
-    meta = cfg.to_dict()
-    meta["sigma_star"] = flow.sigma_star
     write_json(f"{cfg.out_dir}/pde_report.json",
                {"config": meta, "report": report.to_jsonable()})
 
@@ -176,7 +164,7 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
           f"(leading {report.leading_exponent:.3f})")
     if report.eta_fit_exponent is not None:
         print(f"eta-decay exponent = {report.eta_fit_exponent:.3f}")
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,20 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return args.handler(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ToleranceError, StepFailureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except ResolutionError as exc:
-        print(f"resolution failure: {exc}", file=sys.stderr)
-        return EXIT_RESOLUTION
+        return args.handler(_load_config(args))
     except SonicbhError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -78,6 +78,9 @@ class RunConfig:
         # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
         if self.nrho < 30:
             raise ConfigError("nrho must be at least 30")
+        # an empty out_dir would put the outputs at the filesystem root
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
 
     # [min|A|, max|A|], where the ray equation confines sigma*: derived, so
     # neither a key nor echoed; perfbench/workloads.py still reads them

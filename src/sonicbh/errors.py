@@ -1,20 +1,24 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: config problems -> 2, numerical
-tolerance failures -> 3, resolution failures -> 4.
+Each type carries its CLI exit code and label, and cli.main prints
+"label: message" to stderr and returns the code: 2 for config errors, 3
+for numerical failures and any other package error, 4 for resolution.
 """
 
 
 class SonicbhError(Exception):
     """Base class for package errors."""
+    exit_code, label = 3, "error"
 
 
 class ConfigError(SonicbhError):
     """Malformed or inconsistent run configuration."""
+    exit_code, label = 2, "config error"
 
 
 class StepFailureError(SonicbhError):
     """ODE integrator could not meet the requested tolerance."""
+    label = "numerical failure"
 
 
 class CaptureError(SonicbhError):
@@ -27,10 +31,12 @@ class GridMismatchError(SonicbhError):
 
 class ToleranceError(SonicbhError):
     """A quadrature or consistency check failed its tolerance."""
+    label = "numerical failure"
 
 
 class ResolutionError(SonicbhError):
     """Grid resolution insufficient for the requested wavenumber."""
+    exit_code, label = 4, "resolution failure"
 
 
 class InstabilityError(SonicbhError):

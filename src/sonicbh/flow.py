@@ -137,13 +137,14 @@ class CharacteristicPath:
     captured: bool
 
 
-def _solve(profile: VelocityProfile, y0, span, *, ode_tol,
-           events=None, t_eval=None):
+def _solve(profile: VelocityProfile, y0, span, *, ode_tol, rho_min,
+           t_eval=None):
     """solve_ivp (DOP853) wrapper for n rays together with their tangents.
 
     y0 stacks the n rays followed by their n tangents J, which solve
     dJ/dx0 = (-A/rho^2) J.  The rtol is ode_tol, clamped at DOP853's
-    floor of 100 machine epsilons; the atol is ode_tol / 100.
+    floor of 100 machine epsilons; the atol is ode_tol / 100.  The solve
+    stops where the lowest ray falls to rho_min (sol.t_events[0]).
     """
     n = len(y0) // 2
 
@@ -152,20 +153,17 @@ def _solve(profile: VelocityProfile, y0, span, *, ode_tol,
         a = profile.eval(t)
         return np.concatenate([a / r + 1.0, (-a / r ** 2) * jac])
 
+    def capture(t, y):
+        return np.min(y[:n]) - rho_min
+    capture.terminal = True
+    capture.direction = -1
+
     sol = solve_ivp(rhs, span, y0, method="DOP853",
                     rtol=max(ode_tol, 100.0 * np.finfo(float).eps),
-                    atol=ode_tol * 1e-2, events=events, t_eval=t_eval)
+                    atol=ode_tol * 1e-2, events=[capture], t_eval=t_eval)
     if not sol.success and sol.status != 1:  # status 1 = terminated by event
         raise StepFailureError(f"ray integration failed: {sol.message}")
     return sol
-
-
-def _capture_event(rho_min: float, n_rays: int = 1):
-    def hit(t, y):
-        return np.min(y[:n_rays]) - rho_min
-    hit.terminal = True
-    hit.direction = -1
-    return hit
 
 
 def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
@@ -179,7 +177,7 @@ def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
     if sigma0 <= rho_min:
         raise ValueError(f"sigma0 = {sigma0} must exceed rho_min = {rho_min}")
     sol = _solve(profile, [sigma0, 1.0], (x0_from, x0_to), ode_tol=ode_tol,
-                 events=[_capture_event(rho_min)], t_eval=t_eval)
+                 rho_min=rho_min, t_eval=t_eval)
     captured = bool(sol.t_events[0].size)
     return CharacteristicPath(x0=sol.t, rho=sol.y[0], captured=captured)
 
@@ -275,7 +273,7 @@ def transport(rho, x0_from: float, x0_to: float, flow: FlowMap):
     n = rho.size
     sol = _solve(flow.profile, np.concatenate([rho, np.ones(n)]),
                  (float(x0_from), float(x0_to)), ode_tol=flow.ode_tol,
-                 events=[_capture_event(flow.rho_min, n)])
+                 rho_min=flow.rho_min)
     if sol.t_events[0].size:
         raise CaptureError(
             f"a ray from x0={x0_from} reaches rho_min before x0={x0_to}")

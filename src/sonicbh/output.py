@@ -6,8 +6,9 @@ are checked for width, their values stacked into one float array only for
 the finiteness check, and the values as given are formatted by a single
 '%' call over a '%.17g' template, which spells each value exactly as
 f"{v:.17g}" does.  JSON summaries sort keys.  Both hold finite numbers
-only: a NaN or infinity raises ToleranceError and writes nothing.
-Identical inputs produce byte-identical files.
+only: a NaN or infinity raises ToleranceError and writes nothing.  A
+directory or file that cannot be written raises ConfigError naming the
+path.  Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import fmt_float
-from .errors import ToleranceError
+from .errors import ConfigError, ToleranceError
 
 __all__ = ["write_csv", "write_json", "format_cell"]
 
@@ -31,6 +32,15 @@ def format_cell(v) -> str:
             raise ToleranceError(f"non-finite value {v}")
         return fmt_float(v)
     return str(v)
+
+
+def _write(path: Path, text: str) -> Path:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
@@ -66,9 +76,7 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
             raise ToleranceError(f"{path.name}: non-finite value {v}")
         template = "\n".join([",".join(["%.17g"] * ncols)] * len(rows))
         lines.append(template % cells)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, obj: dict) -> Path:
@@ -79,6 +87,4 @@ def write_json(path, obj: dict) -> Path:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ToleranceError(f"{path.name}: {exc}") from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-    return path
+    return _write(path, text + "\n")

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sonicbh import cli, errors
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, fmt_float
 from sonicbh.errors import ConfigError
@@ -832,6 +833,92 @@ def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "resolution failure" in err, err
     assert "grid_rho_max" in err and "inner edge" not in err, err
+
+
+@pytest.mark.parametrize("a,refused,names", [
+    # a: positive and finite.  packet_profile.csv samples sigma out to
+    # sigma* + 40/a: at 5e-324 that overflows to inf, the profile's first
+    # cell is refused, and no file is written.  At 1e-300 the samples reach
+    # 4e301 past sigma*, and at the largest float they end 2.2e-307 past
+    # it; both runs are finite
+    ("5e-324", 3, "packet_profile.csv: non-finite value inf"),
+    ("1e-300", None, None),
+    (repr(sys.float_info.max), None, None),
+    ("0", 2, "a must be positive"),
+    ("-1", 2, "a must be positive"),
+])
+def test_boundary_spectrum_a(tmp_path, capsys, a, refused, names):
+    t0 = time.monotonic()
+    with warnings.catch_warnings():
+        if refused == 3:
+            # numpy warns of the inf and nan on the way to the refusal
+            warnings.simplefilter("ignore", RuntimeWarning)
+        err = _run_boundary(["spectrum", "--set", f"a={a}"], tmp_path, capsys,
+                            accepted=refused is None, refused=refused)
+    assert time.monotonic() - t0 < 10.0
+    if refused is not None:
+        assert names in err and "Traceback" not in err, err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("where", ["file", "under a file", "empty"])
+def test_boundary_out_dir(tmp_path, capsys, monkeypatch, where):
+    # an out_dir that is an existing file, or lies under one, cannot be
+    # made: the write step turns the OSError into a config error naming
+    # the path.  An empty out_dir put horizon.csv at the filesystem root
+    # and exited 0; the config refuses it
+    blocker = tmp_path / "run.cfg"
+    blocker.write_text("tau = 2\n")
+    out_dir = {"file": str(blocker), "under a file": str(blocker / "sub"),
+               "empty": ""}[where]
+    root_csv = Path("/horizon.csv")
+
+    def stamp():
+        return root_csv.stat().st_mtime_ns if root_csv.exists() else None
+
+    before = stamp()
+    monkeypatch.chdir(tmp_path)
+    assert main(["horizon", "--out-dir", out_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err, err
+    assert (f"cannot write {blocker}" if out_dir
+            else "out_dir must not be empty") in err, err
+    assert [p.name for p in tmp_path.rglob("*")] == ["run.cfg"]
+    assert blocker.read_text() == "tau = 2\n"
+    assert stamp() == before
+    with pytest.raises(ConfigError, match="out_dir must not be empty"):
+        RunConfig(out_dir="")
+
+
+# every package error type, its exit code and the label heading stderr
+_EXIT_TABLE = {
+    errors.SonicbhError: (3, "error"),
+    errors.ConfigError: (2, "config error"),
+    errors.ToleranceError: (3, "numerical failure"),
+    errors.StepFailureError: (3, "numerical failure"),
+    errors.ResolutionError: (4, "resolution failure"),
+    errors.CaptureError: (3, "error"),
+    errors.GridMismatchError: (3, "error"),
+    errors.InstabilityError: (3, "error"),
+}
+
+
+def test_exit_table_names_every_error_type():
+    assert set(_EXIT_TABLE) == {
+        t for t in vars(errors).values()
+        if isinstance(t, type) and issubclass(t, errors.SonicbhError)}
+
+
+@pytest.mark.parametrize("error", list(_EXIT_TABLE),
+                         ids=lambda t: t.__name__)
+def test_exit_code_of_each_error_type(tmp_path, capsys, monkeypatch, error):
+    def handler(cfg):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(cli, "cmd_horizon", handler)
+    code, label = _EXIT_TABLE[error]
+    assert main(["horizon", "--out-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{label}: raised by the handler\n"
 
 
 def test_spectrum_large_alpha(tmp_path):

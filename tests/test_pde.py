@@ -239,6 +239,40 @@ def test_growth_guard_catches_slow_blowup(smooth_profile, rho_min, factor,
                    steps * grid.dt)
 
 
+@pytest.mark.parametrize("where", ["value", "dvalue"])
+def test_growth_guard_stops_nan_data_at_step_1(smooth_profile, where):
+    # NaN fails every comparison, so the guard's test "not m <= bound"
+    # refuses a state holding one, here from the first step on
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 1.0)
+    pulse = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
+    value, dvalue = pulse.copy(), np.zeros_like(pulse)
+    if where == "value":
+        value[100] = math.nan
+    else:
+        dvalue[100] = complex(0.0, math.nan)
+    for solver in (solve_cauchy, oracles.solve_cauchy):
+        with pytest.raises(InstabilityError, match="blew up at step 1$"):
+            solver(value, dvalue, grid, smooth_profile.eval, 10 * grid.dt)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_growth_guard_stops_a_nan_drift_at_its_step(smooth_profile, k):
+    # a drift that is NaN from the middle of step k on (its stages sample
+    # x0 = (k - 1) dt, (k - 1/2) dt and k dt) turns the state NaN in step
+    # k, and the guard stops the solve there, not later
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 1.0)
+    pulse = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
+
+    def drift(x0):
+        if x0 >= (k - 0.75) * grid.dt:
+            return math.nan
+        return smooth_profile.eval(x0)
+
+    for solver in (solve_cauchy, oracles.solve_cauchy):
+        with pytest.raises(InstabilityError, match=f"blew up at step {k}$"):
+            solver(pulse, np.zeros_like(pulse), grid, drift, 10 * grid.dt)
+
+
 def test_growth_guard_reads_the_whole_state(smooth_profile):
     # data with f = 0 and a pulse in df/dx0 grow f from zero without
     # tripping the guard, which measures (f, g) together
