@@ -17,7 +17,7 @@ from . import pde, spectrum
 from .config import RunConfig
 from .errors import ConfigError, SonicbhError
 from .flow import find_separatrix
-from .output import write_csv, write_json
+from .output import check_out_dir, write_csv, write_json
 from .packets import PacketParams, eval_packet_profile, packet_norm
 
 
@@ -188,7 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_load_config(args))
+        cfg = _load_config(args)
+        check_out_dir(cfg.out_dir)
+        return args.handler(cfg)
     except SonicbhError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

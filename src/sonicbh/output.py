@@ -8,7 +8,8 @@ the finiteness check, and the values as given are formatted by a single
 f"{v:.17g}" does.  JSON summaries sort keys.  Both hold finite numbers
 only: a NaN or infinity raises ToleranceError and writes nothing.  A
 directory or file that cannot be written raises ConfigError naming the
-path.  Identical inputs produce byte-identical files.
+path, and check_out_dir refuses such a directory before any work.
+Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .config import fmt_float
 from .errors import ConfigError, ToleranceError
 
-__all__ = ["write_csv", "write_json", "format_cell"]
+__all__ = ["check_out_dir", "write_csv", "write_json", "format_cell"]
 
 
 def format_cell(v) -> str:
@@ -32,6 +34,17 @@ def format_cell(v) -> str:
             raise ToleranceError(f"non-finite value {v}")
         return fmt_float(v)
     return str(v)
+
+
+def check_out_dir(out_dir) -> None:
+    """Refuse an out_dir whose nearest existing ancestor (itself, if it
+    exists) is not a writable directory; creates nothing."""
+    path = ancestor = Path(out_dir)
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {path}: {ancestor} is not a "
+                          f"writable directory")
 
 
 def _write(path: Path, text: str) -> Path:

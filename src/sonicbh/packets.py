@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import GridMismatchError, ToleranceError
 from .flow import FlowMap
@@ -185,7 +184,7 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     underflows (eps below about 0.0035), which would drop its share
     silently.
     """
-    closed = 4.0 * math.pi * p.alpha * special.gamma(2.0 * p.eps) \
+    closed = 4.0 * math.pi * p.alpha * math.gamma(2.0 * p.eps) \
         / (2.0 * p.a) ** (2.0 * p.eps)
     if not numeric:
         return closed

@@ -425,7 +425,8 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             stage = k_s
         acc *= dt / 6.0
         y += acc
-        m = float(np.max(np.abs(y, out=tmp)))
+        # sup-norm by two reads and no write; a nan in y makes both nan
+        m = max(float(y.max()), -float(y.min()))
         if not m <= min(GROWTH_BOUND * peak, limit):  # nan included
             raise InstabilityError(f"solution blew up at step {k}")
         peak = max(peak, m)

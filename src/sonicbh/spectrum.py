@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ToleranceError
 from .gammatools import (gamma0_modulus_sq, packet_fourier,
@@ -293,14 +292,14 @@ def normalized_number_limit(alpha: float, eps: float) -> float:
     """Sharp-localisation limit K I(alpha, eps, inf) of the normalised number."""
     return (2.0 ** (2.0 * eps) * gamma0_modulus_sq(alpha, eps)
             * limit_integral(alpha, eps)
-            / (2.0 * math.pi * alpha * special.gamma(2.0 * eps)))
+            / (2.0 * math.pi * alpha * math.gamma(2.0 * eps)))
 
 
 def normalized_number_limit_variant(alpha: float, eps: float) -> float:
     """Variant closed form (prefactor 2^eps, rate 1 in the exponent), for reporting."""
     return (2.0 ** eps * gamma0_modulus_sq(alpha, eps)
             * limit_integral(1.0, eps)
-            / (2.0 * math.pi * alpha * special.gamma(2.0 * eps)))
+            / (2.0 * math.pi * alpha * math.gamma(2.0 * eps)))
 
 
 @dataclass(frozen=True)

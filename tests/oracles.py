@@ -2,11 +2,12 @@
 transform, the closed creation density, its totals, the conserved pairing
 and the wave stepper.
 
-The separatrix is the explicit DOP853 pair of backward solves the
-package used before its two solves became LSODA calls with the analytic
-Jacobian, run here at rtol 3e-14 (just above solve_ivp's floor of
-100 machine epsilons).  It shares no integrator with
-sonicbh.flow.find_separatrix, only the start point and the sample grid.
+The separatrix is a pair of backward solves by scipy's DOP853
+(solve_ivp, sampled by its dense output) at rtol 3e-14, just above its
+floor of 100 machine epsilons, from |A+| at max(20 tau, x0_horizon_max +
+tau).  It shares no code with sonicbh.flow's own DOP853 driver, only the
+tableau and the sample grid; lsoda_separatrix is the package's former
+LSODA solve, with a larger step budget.
 
 The density and totals are the eta-space forms the package used before
 its totals became one angle integral: the density point by point, and
@@ -329,6 +330,14 @@ def gamma0(alpha: float, eps: float) -> complex:
                    * special.gamma(1.0 + eps + 1j * alpha))
 
 
+def scipy_gamma0_modulus_sq(alpha: float, eps: float) -> float:
+    """|Gamma0|^2 = e^{pi alpha} |Gamma(1+eps+i*alpha)|^2 in log space on
+    scipy.special.loggamma: the package's formula before it had its own
+    log-Gamma."""
+    return math.exp(math.pi * alpha
+                    + 2.0 * special.loggamma(1.0 + eps + 1j * alpha).real)
+
+
 def gamma0_quadrature(alpha: float, eps: float, theta: float = np.pi / 4) -> complex:
     """Gamma0 from its defining oscillatory integral i*int_0^inf y^(i alpha+eps) e^{-iy} dy.
 
@@ -444,3 +453,23 @@ def dalembert_error(n_rho: int, t_final: float = 1.0) -> float:
     inner = (rho >= 2.25 + last.x0) & (rho <= 10.75 - last.x0)
     exact = special.j0(k * rho[inner]) * math.cos(k * last.x0)
     return float(np.max(np.abs(last.value.real[inner] - exact)))
+
+
+def lsoda_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
+                     rtol: float = 1e-13, mxstep: int = 10 ** 7) -> float:
+    """sigma_star by the backward LSODA solve the package used before its
+    DOP853 driver: one odeint call with the analytic Jacobian -A/rho^2
+    from |A+| at max(20 tau, x0_horizon_max + tau) to x0 = 0, at rtol
+    (atol rtol/100), with mxstep steps allowed (the package allowed 1e5,
+    too few for some small-|A+|, long-tau flows).  It shares no
+    integrator and no start point with sonicbh.flow.find_separatrix.
+    """
+    a_of = profile.scalar_eval
+    x_start = max(20.0 * profile.tau, x0_horizon_max + profile.tau)
+    rho, info = integrate.odeint(
+        lambda x0, r: a_of(x0) / r[0] + 1.0, [abs(profile.a_plus)],
+        [x_start, 0.0], Dfun=lambda x0, r: [[-a_of(x0) / r[0] ** 2]],
+        rtol=rtol, atol=rtol * 1e-2, mxstep=mxstep, full_output=True,
+        tfirst=True)
+    assert info["message"] == "Integration successful.", info["message"]
+    return float(rho[-1, 0])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonicbh import cli, errors
+from sonicbh import cli, errors, pde
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, fmt_float
 from sonicbh.errors import ConfigError
@@ -167,8 +167,9 @@ def test_horizon_bracket_failure_exit_code(tmp_path, capsys):
                "--set", "a_minus=-5", "--set", "a_plus=-4"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("sigma_star = 4.07470251591\n")
+    # the echoed value; a 25-digit mpmath solve gives 4.0747025159068946
     meta = (tmp_path / "horizon.csv").read_text()
-    assert "# bracket_" not in meta and "# sigma_star = 4.07470251591" in meta
+    assert "# bracket_" not in meta and "# sigma_star = 4.074702515906" in meta
     assert main(["horizon", "--out-dir", str(tmp_path / "k"),
                  "--set", "bracket_lo=1.5"]) == 2
     assert "unknown config key 'bracket_lo'" in capsys.readouterr().err
@@ -259,6 +260,32 @@ def test_pde_verify_imports_no_spline(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "pde_report.json").exists()
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # scipy is a test dependency only: a fresh process imports the CLI and
+    # runs every command without loading scipy or any of its submodules
+    import sonicbh
+    src = str(Path(sonicbh.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "import sonicbh.cli\n"
+            "for argv in sys.argv[2:]:\n"
+            "    name, *rest = argv.split()\n"
+            "    rc = sonicbh.cli.main([name, '--out-dir', sys.argv[1] + '/' + "
+            "name] + rest)\n"
+            "    assert rc == 0, (argv, rc)\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), "horizon", "spectrum",
+         "limit", "pde-verify --nrho 256 --tfinal 0.1"],
+        env=env, timeout=120, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "horizon", "limit", "pde-verify", "spectrum"]
+    assert (tmp_path / "pde-verify" / "pde_report.json").exists()
 
 
 def test_limit_command(tmp_path, capsys):
@@ -513,9 +540,10 @@ _NEAR_RHO_MIN = repr(math.nextafter(-1e-3, -math.inf))
 
 @pytest.mark.parametrize("sets,codes,names", [
     # a_minus and a_plus: negative and finite, with min|A| above rho_min =
-    # 1e-3.  At the largest |A-| LSODA gives up (exit 3).  At the largest
-    # |A+| sigma* = |A+| = 1.798e308 is right, and the run exits 0: the ray
-    # moves O(1) per unit x0 against an |A| of 1e308
+    # 1e-3.  At the largest |A-| the profile's mid + amp cancels to 0 far
+    # out, so the solve's start rho = |A| is 0 and it fails (exit 3).  At the
+    # largest |A+| sigma* = |A+| = 1.798e308 is right, and the run exits 0:
+    # the ray moves O(1) per unit x0 against an |A| of 1e308
     ([f"a_minus={_NEAR_RHO_MIN}"], {0}, None),
     (["a_minus=-0.001"], {2}, "must exceed rho_min"),
     ([f"a_minus={-sys.float_info.max!r}"], {2, 3, 4}, None),
@@ -527,32 +555,35 @@ _NEAR_RHO_MIN = repr(math.nextafter(-1e-3, -math.inf))
     # tau: positive and finite
     (["tau=5e-324"], {0}, None),
     (["tau=0"], {2}, "tau must be positive"),
-    ([f"tau={sys.float_info.max!r}"], {2, 3, 4}, None),
+    # at the largest tau the start derived from the contraction lies at
+    # x0 = 49.3, and sigma* = |A(0)| = 1 to every digit
+    ([f"tau={sys.float_info.max!r}"], {0}, None),
     (["tau=inf"], {2}, "tau must be finite"),
     # flows whose sigma* (4.0747, 0.21998) lay outside the former default
     # bracket (0.3, 3): right, so exit 0
     (["a_minus=-5", "a_plus=-4"], {0}, "4.07470251591"),
-    (["a_minus=-0.25", "a_plus=-0.2"], {0}, "0.21998349258"),
-    # x_start = 20 tau overflows to inf, LSODA hands back nan, and the
-    # derived check names the separatrix solve
-    (["tau=1e307"], {3}, "separatrix integration from x0 = inf failed"),
-    # x0_horizon_max: positive and finite.  The horizon runs from about
-    # 1e-146 to 1e298; beyond, LSODA refuses its input or hands back nan,
-    # which the derived check names as a failed separatrix solve
-    (["x0_horizon_max=5e-324"], {3}, "separatrix integration from x0 = 0"),
-    (["x0_horizon_max=1e-300"], {3}, "separatrix integration from x0 = 0"),
+    # (a 25-digit mpmath solve gives 0.21998349257929)
+    (["a_minus=-0.25", "a_plus=-0.2"], {0}, "0.219983492579"),
+    # sigma* = 1 - 0.2/tau + ... = 1
+    (["tau=1e307"], {0}, "sigma_star = 1\n"),
+    # x0_horizon_max: positive and finite.  Down to the smallest float the
+    # horizon is sampled and sigma* is the default's; from 1e308 a step no
+    # longer moves x0
+    (["x0_horizon_max=5e-324"], {0}, "0.893857213413"),
+    (["x0_horizon_max=1e-300"], {0}, "0.893857213413"),
     (["x0_horizon_max=1e308"], {3}, "separatrix integration from x0 = 1e+308"),
     ([f"x0_horizon_max={sys.float_info.max!r}"], {3}, "separatrix"),
     (["x0_horizon_max=0"], {2}, "x0_horizon_max must be positive"),
     (["x0_horizon_max=inf"], {2}, "x0_horizon_max must be finite"),
-    # rho_min: positive and below min|A| = 0.8 (the horizon lies above it)
-    (["rho_min=5e-324"], {0}, "0.893857213414"),
-    ([f"rho_min={math.nextafter(0.8, 0.0)!r}"], {0}, "0.893857213414"),
-    (["rho_min=0.79"], {0}, "0.893857213414"),
+    # rho_min: positive and below min|A| = 0.8 (the horizon lies above it).
+    # sigma* = 0.89385721341349 by a 25-digit mpmath solve
+    (["rho_min=5e-324"], {0}, "0.893857213413"),
+    ([f"rho_min={math.nextafter(0.8, 0.0)!r}"], {0}, "0.893857213413"),
+    (["rho_min=0.79"], {0}, "0.893857213413"),
     (["rho_min=0.8"], {2}, "must exceed rho_min"),
     (["rho_min=0"], {2}, "rho_min must be positive"),
-    # ode_tol: positive and finite; the separatrix clamps its LSODA rtol
-    # to [3e-14, 1e-13], so sigma* moves by at most a few ulps
+    # ode_tol: positive and finite; the separatrix clamps its rtol to
+    # [3e-14, 1e-13], so sigma* moves by at most a few ulps
     (["ode_tol=5e-324"], {0}, "0.89385721341"),
     (["ode_tol=1e300"], {0}, "0.89385721341"),
     ([f"ode_tol={sys.float_info.max!r}"], {0}, "0.89385721341"),
@@ -888,6 +919,27 @@ def test_boundary_out_dir(tmp_path, capsys, monkeypatch, where):
     assert stamp() == before
     with pytest.raises(ConfigError, match="out_dir must not be empty"):
         RunConfig(out_dir="")
+
+
+def test_unwritable_out_dir_refused_before_work(tmp_path, capsys,
+                                               monkeypatch):
+    # an out_dir that is an existing file, or lies under one, is refused
+    # before the wave solve runs
+    blocker = tmp_path / "run.cfg"
+    blocker.write_text("tau = 2\n")
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(None)
+        raise AssertionError("remainder_contribution ran")
+    monkeypatch.setattr(pde, "remainder_contribution", solve)
+    for out_dir in (blocker, blocker / "sub"):
+        assert main(["pde-verify", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: cannot write {out_dir}: {blocker} is "
+                       f"not a writable directory\n")
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 # every package error type, its exit code and the label heading stderr

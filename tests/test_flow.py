@@ -8,8 +8,11 @@ Covers:
   - the derived interval [min|A|, max|A|]: every sample inside it over a
     grid of flows, and a sample outside it or not finite as a typed
     failure of the separatrix solve
-  - sigma_star and the horizon against an explicit DOP853 oracle, and a
-    failed LSODA call as a typed error
+  - sigma_star and the horizon against an explicit DOP853 oracle, two
+    small-|A+|, long-tau flows against LSODA, and a spent step budget or an
+    underflowing step as a typed error
+  - the written-out DOP853 tableau against scipy's, and its eighth order
+    on a fixed-step run
   - the forward-fate oracle over a grid of (A-, A+, tau) profiles
   - sigma(rho, x0): x0=0 identity, first-integral root-find oracle,
     round-trip inversion, monotonicity of the radial derivative
@@ -19,11 +22,11 @@ Covers:
 import math
 import re
 import sys
-import warnings
+import time
 
 import numpy as np
 import pytest
-from scipy.integrate import ODEintWarning
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
 import oracles
@@ -156,82 +159,101 @@ def _separatrix_grid():
 
 def test_separatrix_inside_derived_interval_over_grid():
     # the ray equation confines rho* to [min|A|, max|A|], so the check that
-    # find_separatrix makes never fires on a completed solve.  Over these
-    # 380 flows the largest excursion measured 1.6e-13 relative (rounding,
-    # about one rtol); the check admits 100 rtol = 1e-11.  LSODA itself
-    # gives up (exit 3, "Excess work done") on 2 of them, with |A+| near
-    # 0.01 and tau of 1e2-1e3; those raise its own message, not a miss
-    lsoda_failures = 0
+    # find_separatrix makes never fires on a completed solve, and every one
+    # of these 380 flows completes.  The largest excursion measured 2.8e-13
+    # relative (rounding, about one rtol); the check admits 100 rtol = 1e-11
     for am, ap, tau in _separatrix_grid():
         profile = VelocityProfile(am, ap, tau)
-        try:
-            got = find_separatrix(profile)
-        except StepFailureError as exc:
-            assert "LSODA: Excess work done" in str(exc), (am, ap, tau, exc)
-            lsoda_failures += 1
-            continue
+        got = find_separatrix(profile)
         assert np.all(_outside(got.horizon.rho_star, profile) <= 1e-12), \
             (am, ap, tau)
-    assert lsoda_failures <= 2
+
+
+@pytest.mark.parametrize("a_minus,a_plus,tau", [
+    # the grid flows, by their digits, with the smallest |A+| and a long
+    # tau, where rays close on the separatrix at up to 1/|A+| = 90 and 270
+    # per unit x0
+    (-8.126947235864801, -0.003717189624730734, 167.74903014826378),
+    (-0.18672991296368424, -0.011196492831078658, 1435.2474902678107),
+])
+def test_separatrix_small_a_plus_long_tau(a_minus, a_plus, tau):
+    # measured: 6 ms and 2 ms, sigma* 4.0e-13 and 2.6e-15 off the LSODA
+    # oracle (which takes seconds)
+    profile = VelocityProfile(a_minus, a_plus, tau)
+    t0 = time.monotonic()
+    star = find_separatrix(profile).sigma_star
+    assert time.monotonic() - t0 < 1.0
+    assert abs(star - oracles.lsoda_separatrix(profile)) <= SEPARATRIX_ATOL
 
 
 def test_separatrix_off_interval_is_step_failure(const_profile, monkeypatch):
     # a sample outside [min|A|, max|A|] by more than the rounding slack, or
     # not finite, is a failed solve (exit 3), named by its start and by the
-    # first sample it missed on, never a config error
-    real = flow._lsoda_ray
+    # first sample it missed on, never a config error.  The samples of both
+    # solves come from one re-step pass, 400 from each, in solve order
+    real = flow._resample
 
     def perturbed(solve, change):
-        calls = []
-
-        def lsoda_ray(profile, rho0, x_out, tol):
-            calls.append(None)
-            rho = real(profile, rho0, x_out, tol)
-            return change(rho) if len(calls) == solve else rho
-        return lsoda_ray
+        def resample(f, runs):
+            rho = real(f, runs)
+            part = slice(0, 400) if solve == 1 else slice(400, None)
+            rho[part] = change(rho[part])
+            return rho
+        return resample
 
     miss = r"rho\*\({}\) = {} lies outside \[min\|A\|, max\|A\|\] = \[1, 1\]"
-    # const_profile: the first solve starts at x0 = 20 tau = 20, and reaches
-    # x0 = 10 first; the second starts from (0, sigma*) and reaches -0.025
-    for solve, start, first in ((1, "20", "10"), (2, "0", "-0.025")):
-        monkeypatch.setattr(flow, "_lsoda_ray",
+    # const_profile: the first solve starts at x0 = x0_horizon_max = 10 (a
+    # constant flow needs no run-in), where its first sample lies; the
+    # second starts from (0, sigma*) and reaches -0.025 first
+    for solve, start, first in ((1, "10", "10"), (2, "0", "-0.025")):
+        monkeypatch.setattr(flow, "_resample",
                             perturbed(solve, lambda r: r * (1.0 + 1e-9)))
         with pytest.raises(StepFailureError,
                            match=f"separatrix integration from x0 = {start} "
                                  f"failed: " + miss.format(first, r"1\.0+1")):
             find_separatrix(const_profile)
         # a shift within the slack of 100 rtol (1e-11) passes
-        monkeypatch.setattr(flow, "_lsoda_ray",
+        monkeypatch.setattr(flow, "_resample",
                             perturbed(solve, lambda r: r * (1.0 + 1e-12)))
         find_separatrix(const_profile)
 
     # an infinite sample fails even where max|A| (1 + slack) overflows
     profile = VelocityProfile(-1.0, -sys.float_info.max)
-    monkeypatch.setattr(flow, "_lsoda_ray", real)
+    monkeypatch.setattr(flow, "_resample", real)
     assert find_separatrix(profile).sigma_star == sys.float_info.max
 
     def to_inf(rho):
         rho = rho.copy()
         rho[3] = math.inf
         return rho
-    monkeypatch.setattr(flow, "_lsoda_ray", perturbed(2, to_inf))
+    monkeypatch.setattr(flow, "_resample", perturbed(2, to_inf))
     with pytest.raises(StepFailureError, match=r"rho\*\(-0\.1\) = inf"):
         find_separatrix(profile)
 
 
-@pytest.mark.parametrize("tau,x0_max,start,first", [
-    # x_start = 20 tau overflows to inf, and LSODA hands back nan
-    (1e307, 10.0, "inf", "10"),
-    # LSODA hands back nan over the first span, of 2.5e305
-    (1.0, 1e308, "1e+308", "9.925e+307"),
-    # LSODA reports success on the x0 < 0 half and returns nan
-    (1.0, 1e-300, "0", "-2.5e-303"),
-])
-def test_separatrix_nan_is_step_failure(tau, x0_max, start, first):
+def test_separatrix_far_edge_is_step_failure():
+    # from x0_horizon_max = 1e308 a step of the solve back to x0 = 0 no
+    # longer moves x0
     with pytest.raises(StepFailureError,
-                       match=re.escape(f"separatrix integration from x0 = "
-                                       f"{start} failed: rho*({first}) = nan")):
-        find_separatrix(VelocityProfile(-1.2, -0.8, tau=tau), x0_max)
+                       match=re.escape("separatrix integration from x0 = "
+                                       "1e+308 failed: the step size "
+                                       "underflows at x0 = 1e+308")):
+        find_separatrix(VelocityProfile(-1.2, -0.8), 1e308)
+
+
+@pytest.mark.parametrize("tau,x0_max,star", [
+    # the start derived from the contraction lies at x0 = 49.3, and for
+    # tau -> inf sigma* = 1 - 0.2/tau + ... = |A(0)| to every digit
+    (1e307, 10.0, 1.0),
+    (1e50, 10.0, 1.0),
+    # sigma* is the default flow's (test_separatrix_smooth_step)
+    (1.0, 1e-300, 0.8938572134126047),
+    (1.0, 5e-324, 0.8938572134126047),
+])
+def test_separatrix_extreme_scales_are_right(tau, x0_max, star):
+    flow_map = find_separatrix(VelocityProfile(-1.2, -0.8, tau=tau), x0_max)
+    assert abs(flow_map.sigma_star - star) < 1e-11
+    np.testing.assert_allclose(flow_map.horizon.rho_star, star, atol=1e-11)
 
 
 _FATE_PROFILES = (
@@ -277,22 +299,60 @@ def test_separatrix_matches_dop853_oracle(a_minus, a_plus, tau):
     assert np.max(np.abs(got.horizon.rho_star - rho_star)) <= HORIZON_ATOL
 
 
-def test_separatrix_lsoda_failure_is_typed(smooth_profile, tmp_path, capsys,
-                                           monkeypatch):
-    # odeint's default step budget runs out at tau = 100, where odeint
-    # signals failure only by a warning and returns sigma_star = 0; the
-    # warning must not leak
-    monkeypatch.setattr(flow, "LSODA_MXSTEP", 500)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ODEintWarning)
-        with pytest.raises(StepFailureError, match="LSODA: Excess work done"):
-            find_separatrix(VelocityProfile(-1.2, -0.8, tau=100.0))
-        monkeypatch.setattr(flow, "LSODA_MXSTEP", 5)
-        with pytest.raises(StepFailureError, match="LSODA: Excess work done"):
-            find_separatrix(smooth_profile)
-        assert main(["horizon", "--out-dir", str(tmp_path)]) == 3
+def test_separatrix_step_budget_is_typed(smooth_profile, tmp_path, capsys,
+                                        monkeypatch):
+    # a solve that spends its step budget is a failed solve naming its start
+    # (the default flow takes 40-50 steps a half)
+    monkeypatch.setattr(flow, "RK8_MAX_STEPS", 20)
+    with pytest.raises(StepFailureError,
+                       match=r"separatrix integration from x0 = 15\.9\d* "
+                             r"failed: 20 steps did not reach x0 = 0"):
+        find_separatrix(smooth_profile)
+    assert main(["horizon", "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "Excess work done" in err
+    assert err.startswith("numerical failure: separatrix integration")
+    assert "steps did not reach" in err and "Traceback" not in err
+
+
+def _tableau(prefix, shape):
+    # the package's named coefficients <prefix><i>[_<j>], stages from 1
+    out = np.zeros(shape)
+    for name, value in vars(flow).items():
+        m = re.fullmatch(prefix + r"(\d+)(?:_(\d+))?", name)
+        if m:
+            out[tuple(int(g) - 1 for g in m.groups() if g is not None)] = value
+    return out
+
+
+def test_dop853_tableau_matches_scipy():
+    # entry for entry, zeros included: the stage weights A, the solution
+    # weights B, the nodes C and both error weight vectors
+    ref = dop853_coefficients
+    n = ref.N_STAGES
+    assert np.array_equal(_tableau("A", (n, n)), ref.A[:n, :n])
+    assert np.array_equal(_tableau("B", (n,)), ref.B)
+    assert np.array_equal(_tableau("C", (n,)), ref.C[:n])
+    assert np.array_equal(_tableau("E3_", (n + 1,)), ref.E3)
+    assert np.array_equal(_tableau("E5_", (n + 1,)), ref.E5)
+
+
+def test_dop853_step_is_eighth_order():
+    # 2, 4 and 8 fixed steps over x0 in [0, 8] along the constant-A ray from
+    # rho = 2: the first integral rho + ln(rho - 1) - x0 = 2 measures the
+    # global error (measured 4.7e-6, 2.1e-8, 9.0e-11), which must shrink by
+    # 2^8 (within [2^7, 2^9]) when h is halved
+    def ray(x0, rho):
+        return 1.0 - 1.0 / rho
+
+    def error(n):
+        h, rho = 8.0 / n, 2.0
+        for i in range(n):
+            rho = flow._dop853_step(ray, i * h, rho, h, ray(i * h, rho))[0]
+        return abs(rho + math.log(rho - 1.0) - 8.0 - 2.0)
+
+    errors = [error(n) for n in (2, 4, 8)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 2.0 ** 7 <= coarse / fine <= 2.0 ** 9, errors
 
 
 # sigma(rho, x0) and d sigma/d rho: the rays through rho at x0, carried to 0

@@ -3,6 +3,8 @@
 The closed forms are checked against (i) mpmath's arbitrary-precision
 Gamma, (ii) contour-rotated quadrature of the oscillatory defining
 integral, and (iii) direct adaptive quadrature of the transform integral.
+The package's own log-Gamma is checked against mpmath, and |Gamma0|^2
+against the formula on scipy's log-Gamma it replaced.
 """
 
 import math
@@ -11,11 +13,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
+from sonicbh.gammatools import (gamma0_modulus_sq, loggamma, packet_fourier,
                                 packet_fourier_modulus_sq)
 from sonicbh.packets import PacketParams
 
-from oracles import gamma0, gamma0_quadrature, packet_fourier_quadrature
+from oracles import (gamma0, gamma0_quadrature, packet_fourier_quadrature,
+                     scipy_gamma0_modulus_sq)
 
 
 def _packet(alpha, eps, a):
@@ -34,6 +37,29 @@ def test_gamma0_against_mpmath(alpha, eps):
     got = gamma0(alpha, eps)
     ref = _gamma0_mp(alpha, eps)
     assert abs(got - ref) / abs(ref) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.5])
+def test_loggamma_against_mpmath(eps):
+    # 48 log-spaced alpha over [1e-2, 2000]; near alpha = 0 the value is
+    # small (ln Gamma(1.05) = -0.027), so the bound is relative to |value|.
+    # Measured at most 1.5e-15 (scipy's loggamma: 2.5e-14)
+    with mp.workdps(40):
+        for alpha in np.geomspace(1e-2, 2000.0, 48):
+            z = complex(1.0 + eps, alpha)
+            ref = complex(mp.loggamma(mp.mpc(1.0 + eps, alpha)))
+            assert abs(loggamma(z) - ref) <= 1e-14 * abs(ref), (eps, alpha)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.05, 0.1, 0.25, 0.5])
+def test_gamma0_modulus_sq_matches_scipy_formula(eps):
+    # the same log-space formula on scipy.special.loggamma, kept as the
+    # oracle; measured at most 5.7e-14 relative apart.  Beyond alpha = 50
+    # both lose digits to pi*alpha cancelling against 2 Re ln Gamma (about
+    # 1e-12 at 2000, each alike off mpmath; see the large-alpha test)
+    for alpha in np.geomspace(1e-2, 50.0, 24):
+        assert gamma0_modulus_sq(alpha, eps) == pytest.approx(
+            scipy_gamma0_modulus_sq(alpha, eps), rel=1e-13, abs=0.0)
 
 
 def test_gamma0_real_limit():
