@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .flow import VelocityProfile
+from .packets import A_MIN
 
 __all__ = ["RunConfig", "fmt_float"]
 
@@ -70,6 +71,11 @@ class RunConfig:
             raise ConfigError("a_sweep must hold positive values")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):
             raise ConfigError("a_sweep must be strictly increasing")
+        for name, a in (("a", self.a), ("a_sweep", self.a_sweep[0])):
+            if not a >= A_MIN:
+                raise ConfigError(
+                    f"{name} must be at least {A_MIN!r}: below it the "
+                    f"packet's support 45/a nears float overflow")
         if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
             raise ConfigError("eta_list must hold negative values")
         # at 16 points Simpson misses the head integral by up to 15%

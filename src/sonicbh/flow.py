@@ -146,34 +146,24 @@ class VelocityProfile:
                 0.5 * (self.a_plus - self.a_minus))
 
     def eval(self, x0):
-        """A(x0); a float in gives a float out, an array in an array out.
-
-        The scalar branch is scalar_eval; on about one argument in eight it
-        differs from the array path in the last place.
-        """
-        if isinstance(x0, (float, int)):
-            return self.scalar_eval(x0)
+        """A(x0), one numpy expression for floats and arrays alike: an
+        array in gives an array out, a float numpy's float64 (a float), and
+        a float gives the same bits as its element of an array."""
         mid, amp = self._mid_amp
-        return mid + amp * np.tanh(np.asarray(x0, dtype=float) / self.tau)
-
-    @functools.cached_property
-    def scalar_eval(self):
-        """A(x0) of one float through math.tanh, about a quarter of the
-        array path's cost; built once, so a call does no more than the
-        formula."""
-        (mid, amp), tau, tanh = self._mid_amp, self.tau, math.tanh
-
-        def a_of(x0: float) -> float:
-            return mid + amp * tanh(x0 / tau)
-        return a_of
+        # x0/tau overflows to inf where tau is tiny, and tanh takes that
+        # to +-1
+        with np.errstate(over="ignore"):
+            return mid + amp * np.tanh(np.asarray(x0, dtype=float)
+                                       / self.tau)
 
     def min_abs(self, x_lo: float, x_hi: float) -> float:
         """min |A(x0)| over [x_lo, x_hi]; A is monotone, so it lies at an
-        end, and max_abs at the other."""
-        return min(abs(self.eval(float(x_lo))), abs(self.eval(float(x_hi))))
+        end, and max_abs at the other.  Both are Python floats, so that
+        arithmetic on them overflows without a numpy warning."""
+        return float(np.abs(self.eval([x_lo, x_hi])).min())
 
     def max_abs(self, x_lo: float, x_hi: float) -> float:
-        return max(abs(self.eval(float(x_lo))), abs(self.eval(float(x_hi))))
+        return float(np.abs(self.eval([x_lo, x_hi])).max())
 
 
 @dataclass(frozen=True)
@@ -362,9 +352,7 @@ def _resample(f, runs):
                                        side="right") - 1, 0)
         parts.append((x[j], y[j], k[j], t - x[j]))
     x, y, k, h = (np.concatenate(col) for col in zip(*parts))
-    # x0/tau overflows to inf where tau is tiny, and tanh takes that to 1
-    with np.errstate(over="ignore"):
-        return _dop853_step(f, x, y, h, k)[0]
+    return _dop853_step(f, x, y, h, k)[0]
 
 
 def _ray_tols(ode_tol: float) -> tuple[float, float]:
@@ -376,16 +364,17 @@ def _ray_tols(ode_tol: float) -> tuple[float, float]:
 def _ray_equation(profile: VelocityProfile):
     """drho/dx0 = A(x0)/rho + 1 on floats and on arrays, and on floats the
     step 5 / |d(A/rho + 1)/drho| = 5 rho^2/|A|, inside DOP853's real
-    stability interval [-6.39, 0].  A's formula is written in: the float
-    right-hand side runs a dozen times a step, where a call to scalar_eval
-    would add a fifth to its cost."""
+    stability interval [-6.39, 0].  The array right-hand side takes A from
+    profile.eval.  The float ones write A in with math.tanh: they run a
+    dozen times a step, where a call to eval would add a fifth to their
+    cost."""
     (mid, amp), tau, tanh = profile._mid_amp, profile.tau, math.tanh
 
     def on_floats(x0, rho):
         return (mid + amp * tanh(x0 / tau)) / rho + 1.0
 
     def on_arrays(x0, rho):
-        return (mid + amp * np.tanh(x0 / tau)) / rho + 1.0
+        return profile.eval(x0) / rho + 1.0
 
     def stable_step(x0, rho):
         return -5.0 * rho * rho / (mid + amp * tanh(x0 / tau))
@@ -456,7 +445,7 @@ def _separatrix_start(profile: VelocityProfile, x0_horizon_max: float):
     need = (40.7 + math.log(amp / min(abs(profile.a_minus), a_plus))
             - 2.0 * x / tau)
     while need > 0.0:
-        a = abs(profile.scalar_eval(x))
+        a = abs(float(profile.eval(x)))
         top = max(a, a_plus)
         rate = 2.0 / tau + a / top / top
         if need <= tau * rate:
@@ -528,9 +517,7 @@ def transport(rho, x0_from: float, x0_to: float, flow: FlowMap):
     reaches rho_min on the way.
     """
     rho = np.asarray(rho, dtype=float)
-    if x0_from == x0_to:
-        return rho.copy(), np.ones_like(rho)
-    a_of, rho_min = flow.profile.scalar_eval, flow.rho_min
+    a_of, rho_min = flow.profile.eval, flow.rho_min
 
     def rays(x0, y):
         q = a_of(x0) / y[0]

@@ -16,9 +16,11 @@ carries the modulus that survives in all creation-rate formulas:
     |F(eta)|^2 = |Gamma0|^2 e^{-2 alpha atan2(a, |eta|)}
                  / (eta^2 + a^2)^(eps + 1)      (eta <= 0).
 
-Both transforms read alpha, eps and a from packets.PacketParams.  The
-tests pair each closed form with an independent adaptive quadrature of
-its defining integral (tests/oracles.py), and loggamma with mpmath.
+Both transforms read alpha, eps and a from packets.PacketParams, whose
+eps lies in (0, 1/2]; so loggamma needs, and takes, only Re z in
+[1, 3/2].  The tests pair each closed form with an independent adaptive
+quadrature of its defining integral (tests/oracles.py), and loggamma with
+mpmath.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ if TYPE_CHECKING:
 
 __all__ = ["loggamma", "packet_fourier", "packet_fourier_modulus_sq"]
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # B_2k / (2k (2k - 1)), k = 1..10: Stirling's series, to an ulp for |z| >= 7
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
              1 / 156, -3617 / 122400, 43867 / 244188, -174611 / 125400)
@@ -65,24 +66,14 @@ def _stirling_tail(z):
 
 
 def _lgamma_real(x: float) -> float:
-    """ln Gamma(x), x > 0, to a few ulps of its value also near its zeros at
-    1 and 2, where math.lgamma is 1e-14 relative off: Stirling from 7 on,
-    else the Taylor series about 2 (about 1 less ln x) after unit shifts."""
-    if x >= 7.0:
-        return (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + _stirling_tail(x)
-    acc = 0.0
-    while x < 0.5:
-        acc -= math.log(x)
-        x += 1.0
-    while x > 2.5:
-        x -= 1.0
-        acc += math.log(x)
+    """ln Gamma(x), x in [1, 3/2], to a few ulps of its value also near its
+    zero at 1, where math.lgamma is 1e-14 relative off: the Taylor series
+    about 2, less ln x below 3/2."""
     # u exact (Sterbenz); ln Gamma(1 + u) = ln Gamma(2 + u) - ln(1 + u)
     if x < 1.5:
-        acc -= math.log(x)
-        u = x - 1.0
+        acc, u = -math.log(x), x - 1.0
     else:
-        u = x - 2.0
+        acc, u = 0.0, x - 2.0
     s = 0.0
     for c in reversed(_TAYLOR_2):
         s = (s + c) * u
@@ -91,21 +82,24 @@ def _lgamma_real(x: float) -> float:
 
 @functools.lru_cache(maxsize=256)
 def loggamma(z: complex) -> complex:
-    """ln Gamma(z) for Re z > 0, continuous from the real axis (the branch
-    of scipy.special.loggamma); cached, since each packet reuses its own.
+    """ln Gamma(z) for Re z in [1, 3/2], the packet's 1 + eps, continuous
+    from the real axis (the branch of scipy.special.loggamma); cached,
+    since each packet reuses its own.  ValueError outside that strip.
 
-    Upward recurrence, then Stirling's series: with w = x + n >= 7,
-    ln Gamma(x + iy) = ln Gamma(x) + [ln Gamma(w + iy) - ln Gamma(w)]
-    - sum_{k<n} ln(1 + iy/(x + k)).  Each bracketed difference is formed
-    from ln(1 + iy/w) and the Stirling tails, so nothing cancels against
-    ln Gamma(x): 1e-15 of |value| against mpmath over eps in [0.05, 0.5]
-    and alpha in [1e-2, 2000] at z = 1 + eps + i alpha.
+    Six steps of upward recurrence, then Stirling's series: with
+    w = x + 6 >= 7, ln Gamma(x + iy) = ln Gamma(x) + [ln Gamma(w + iy) -
+    ln Gamma(w)] - sum_{k<6} ln(1 + iy/(x + k)).  Each bracketed
+    difference is formed from ln(1 + iy/w) and the Stirling tails, so
+    nothing cancels against ln Gamma(x): 1e-15 of |value| against mpmath
+    over eps in [0.05, 0.5] and alpha in [1e-2, 2000] at
+    z = 1 + eps + i alpha.
     """
     x, y = z.real, z.imag
-    n = max(0, math.ceil(7.0 - x))
-    w = x + n
+    if not 1.0 <= x <= 1.5:
+        raise ValueError(f"loggamma takes Re z in [1, 3/2], not {x!r}")
+    w = x + 6.0
     re = im = 0.0
-    for k in range(n):
+    for k in range(6):
         t = y / (x + k)
         re -= 0.5 * math.log1p(t * t)
         im -= math.atan(t)
@@ -121,7 +115,8 @@ def gamma0_modulus_sq(alpha: float, eps: float) -> float:
 
     Formed directly, e^{pi alpha/2} overflows and the Gamma value underflows
     once alpha exceeds about 452, while |Gamma0|^2 grows only like
-    alpha^(1 + 2 eps).
+    alpha^(1 + 2 eps).  ValueError unless eps lies in (0, 1/2], the
+    packet's range and loggamma's domain.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive (Gamma(2*eps) finite)")

@@ -30,6 +30,7 @@ sqrt(eta^2+1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import GridMismatchError, ToleranceError
 from .flow import FlowMap
 
 __all__ = [
+    "A_MIN",
     "PacketParams",
     "FieldOnGrid",
     "eval_packet_profile",
@@ -57,6 +59,10 @@ _GL_SHIFTED = _GL_NODES + 1.0
 # then 45; with its first panel that narrow the rule stays within 1e-12 of
 # the closed norm down to the eps at which its first nodes underflow
 _NORM_EDGES = np.concatenate([[0.0], np.exp2(np.arange(-30.0, 6.0)), [45.0]])
+# the smallest rate a the configuration takes: it holds the packet's
+# support s_max = 45/a to half the largest float, so that the sigma samples
+# over the support stay finite
+A_MIN = 90.0 / sys.float_info.max
 
 
 @dataclass(frozen=True)

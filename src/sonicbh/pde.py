@@ -270,16 +270,18 @@ class _Stencil:
     """A banded operator along the last axis of C-contiguous arrays of a
     fixed shape.
 
-    terms is a list of (stencil table, scale), the scale a scalar or a
-    vector over rho; the terms share their interior rows and add, so one
-    stencil can carry variable coefficients such as d2 + (1/rho) d1.  The
+    terms is a list of (stencil table, scale): the first term's scale is a
+    vector over rho (or a scalar, taken as a constant vector), each later
+    one's a scalar.  The terms share their interior rows and add, so one
+    stencil can carry variable coefficients such as (1/rho) d1 + d2.  The
     interior acts on the forward difference of u, which stencils of one
     state can share: each term is one np.correlate over the flattened
-    array, all rows in one C pass, with its scalar scale folded into the
-    kernel and its vector scale multiplied once.  The values it leaves where
-    rows meet are overwritten by the edge rows, two small dense blocks over
-    the _EDGE end columns.  A call's factor scales the kernels and blocks,
-    so a coefficient that changes with x0 costs no pass of its own.
+    array, all rows in one C pass.  The first term's scale multiplies its
+    correlate into the interior, and each later term's is folded into its
+    kernel.  The values it leaves where rows meet are overwritten by the
+    edge rows, two small dense blocks over the _EDGE end columns.  A
+    call's factor scales the kernels and blocks, so a coefficient that
+    changes with x0 costs no pass of its own.
     """
 
     def __init__(self, shape, terms) -> None:
@@ -289,16 +291,15 @@ class _Stencil:
         self.lo, self.hi = inner.start, -inner.stop
         self.left = np.zeros((_EDGE, self.lo))
         self.right = np.zeros((_EDGE, self.hi))
-        self.terms = []  # (start in the difference, kernel, vector scale)
-        for ((_, first, coefs), *edge_rows), scale in terms:
-            scale = np.asarray(scale, dtype=float)
-            if scale.ndim:  # multiplied after the correlate, on every row
-                kernel, tiled = np.array(coefs), np.tile(
-                    scale, size // n)[self.lo:size - self.hi]
-            else:  # folded into the kernel
-                kernel, tiled = np.multiply(coefs, scale), None
-            self.terms.append((self.lo + first, kernel, tiled))
+        self.terms = []  # (start in the difference, kernel)
+        for k, (((_, first, coefs), *edge_rows), scale) in enumerate(terms):
+            # the first term's scale multiplies its correlate, on every
+            # row; each later one's is folded into its kernel
+            self.terms.append((self.lo + first,
+                               np.multiply(coefs, scale if k else 1.0)))
             scale = np.broadcast_to(scale, (n,))
+            if k == 0:
+                self.scale = np.tile(scale, size // n)[self.lo:size - self.hi]
             for row, first, coefs in edge_rows:
                 if row >= 0:
                     block, col, dst = self.left, row + first, row
@@ -307,9 +308,6 @@ class _Stencil:
                                        self.hi + row)
                 block[col:col + len(coefs), dst] += np.multiply(coefs,
                                                                 scale[row])
-        # the first term writes the interior, so the vector-scaled one
-        # goes first and its multiply is the write
-        self.terms.sort(key=lambda term: term[2] is None)
 
     def __call__(self, u, out, diff, factor=1.0):
         """Apply factor times the operator to u into out; diff is the
@@ -321,19 +319,15 @@ class _Stencil:
         left, right, terms = self.left, self.right, self.terms
         if factor != 1.0:
             left, right = factor * left, factor * right
-            terms = [(at, factor * kernel, scale)
-                     for at, kernel, scale in terms]
-        for k, (at, kernel, scale) in enumerate(terms):
+            terms = [(at, factor * kernel) for at, kernel in terms]
+        for k, (at, kernel) in enumerate(terms):
             part = np.correlate(diff[at:at + m + len(kernel) - 1], kernel)
             if k == 0:
-                np.multiply(part, 1.0 if scale is None else scale, out=inner)
-            elif scale is None:
-                inner += part
+                np.multiply(part, self.scale, out=inner)
             else:
-                inner += np.multiply(part, scale, out=part)
+                inner += part
         u, out2 = u.reshape(-1, n), out.reshape(-1, n)
-        if self.lo:
-            np.matmul(u[:, :_EDGE], left, out=out2[:, :self.lo])
+        np.matmul(u[:, :_EDGE], left, out=out2[:, :self.lo])
         np.matmul(u[:, n - _EDGE:], right, out=out2[:, n - self.hi:])
         return out
 
@@ -358,7 +352,7 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     parts evolve apart: the state is one real (4, n) array with rows
     Re f, Im f, Re g, Im g, stepped in place.  The upwind drift stencil
     carries -1/rho, and a stage folds A(x0) into its kernel, A(x0 + dt/2)
-    evaluated once a step; the Laplacian d2 + (1/rho) d1 is one stencil
+    evaluated once a step; the Laplacian (1/rho) d1 + d2 is one stencil
     with a coefficient vector; the sponge acts only where it is nonzero.
     """
     want = {grid.steps(t): t for t in
@@ -388,8 +382,8 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     s0 = int(np.argmax(sponge > 0.0))
     sponge = sponge[s0:]
     upwind = _Stencil((4, n), [(_D1_UPWIND, -inv_rho / grid.drho)])
-    laplacian = _Stencil((2, n), [(_D2, grid.drho ** -2),
-                                  (_D1_CENTERED, inv_rho / grid.drho)])
+    laplacian = _Stencil((2, n), [(_D1_CENTERED, inv_rho / grid.drho),
+                                  (_D2, grid.drho ** -2)])
 
     y = np.empty((4, n))
     acc, k_s, y_s, drift_term, tmp = (np.empty_like(y) for _ in range(5))

@@ -176,12 +176,10 @@ class SpectrumTable:
     total: float
 
 
-def build_spectrum(p: PacketParams, eta_grid=None,
-                   n_eta: int = 96) -> SpectrumTable:
-    """Tabulate projections and density over an |eta| grid in one array pass."""
-    if eta_grid is None:
-        eta_grid = default_eta_grid(p.a, n_eta)
-    eta_grid = np.asarray(eta_grid, dtype=float)
+def build_spectrum(p: PacketParams, n_eta: int = 96) -> SpectrumTable:
+    """Tabulate projections and density over default_eta_grid(a, n_eta)
+    in one array pass."""
+    eta_grid = default_eta_grid(p.a, n_eta)
     c1, c2 = eikonal_projections(eta_grid, p)
     density = _checked_density(eta_grid, p, c1, c2)
     total = _simpson(density, eta_grid)

@@ -464,7 +464,7 @@ def lsoda_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
     too few for some small-|A+|, long-tau flows).  It shares no
     integrator and no start point with sonicbh.flow.find_separatrix.
     """
-    a_of = profile.scalar_eval
+    a_of = profile.eval
     x_start = max(20.0 * profile.tau, x0_horizon_max + profile.tau)
     rho, info = integrate.odeint(
         lambda x0, r: a_of(x0) / r[0] + 1.0, [abs(profile.a_plus)],

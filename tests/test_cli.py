@@ -16,6 +16,7 @@ from sonicbh import cli, errors, pde
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, fmt_float
 from sonicbh.errors import ConfigError
+from sonicbh.packets import A_MIN
 from sonicbh.pde import drift_bounds
 
 
@@ -98,6 +99,8 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                 {"ode_tol": math.inf}, {"rho_min": math.inf},
                 {"x0_horizon_max": math.nan}, {"grid_rho_max": math.inf}, {"alpha": math.inf},
                 {"a_sweep": (4.0, math.inf)}, {"eta_list": (-math.inf,)},
+                # the packet's support 45/a beyond half the largest float
+                {"a": 5e-324}, {"a_sweep": (5e-324, 8.0)},
                 # the horizon between |A-| and |A+| at or below rho_min
                 {"a_plus": -1e-6}, {"a_minus": -1e-3}, {"rho_min": 0.8}):
         with pytest.raises(ConfigError):
@@ -112,6 +115,9 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  ["spectrum", "--set", "alpha=-1"],
                  ["spectrum", "--set", "eps=0.7"],
                  ["spectrum", "--set", "a=0"],
+                 # below A_MIN the numeric norm's nodes (45/a) overflowed
+                 # behind five numpy RuntimeWarnings before exit 3
+                 ["spectrum", "--set", "a_sweep=5e-324,8"],
                  ["spectrum", "--set", "n_eta=1"],
                  ["spectrum", "--set", "eps=0.002"],
                  ["pde-verify", "--nrho", "1024", "--set", "eps=0.04"],
@@ -867,12 +873,16 @@ def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("a,refused,names", [
-    # a: positive and finite.  packet_profile.csv samples sigma out to
-    # sigma* + 40/a: at 5e-324 that overflows to inf, the profile's first
-    # cell is refused, and no file is written.  At 1e-300 the samples reach
-    # 4e301 past sigma*, and at the largest float they end 2.2e-307 past
-    # it; both runs are finite
-    ("5e-324", 3, "packet_profile.csv: non-finite value inf"),
+    # a: positive, finite and at least A_MIN, which holds the packet's
+    # support 45/a to half the largest float.  packet_profile.csv samples
+    # sigma out to sigma* + 40/a: at 5e-324 that overflowed to inf behind
+    # three numpy RuntimeWarnings; now the config refuses it before any
+    # work.  At A_MIN the samples reach 8e307 past sigma*, at 1e-300 4e301,
+    # and at the largest float they end 2.2e-307 past it; all three runs
+    # are finite and quiet
+    ("5e-324", 2, "a must be at least"),
+    (repr(math.nextafter(A_MIN, 0.0)), 2, "a must be at least"),
+    (repr(A_MIN), None, None),
     ("1e-300", None, None),
     (repr(sys.float_info.max), None, None),
     ("0", 2, "a must be positive"),
@@ -880,14 +890,13 @@ def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):
 ])
 def test_boundary_spectrum_a(tmp_path, capsys, a, refused, names):
     t0 = time.monotonic()
-    with warnings.catch_warnings():
-        if refused == 3:
-            # numpy warns of the inf and nan on the way to the refusal
-            warnings.simplefilter("ignore", RuntimeWarning)
-        err = _run_boundary(["spectrum", "--set", f"a={a}"], tmp_path, capsys,
-                            accepted=refused is None, refused=refused)
+    err = _run_boundary(["spectrum", "--set", f"a={a}"], tmp_path, capsys,
+                        accepted=refused is None, refused=refused)
     assert time.monotonic() - t0 < 10.0
-    if refused is not None:
+    if refused is None:
+        assert err == "", err
+    else:
+        assert err.startswith("config error: "), err
         assert names in err and "Traceback" not in err, err
         assert not any(tmp_path.iterdir())
 

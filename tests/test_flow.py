@@ -8,7 +8,9 @@ Covers:
   - the derived interval [min|A|, max|A|]: every sample inside it over a
     grid of flows, and a sample outside it or not finite as a typed
     failure of the separatrix solve
-  - sigma_star and the horizon against an explicit DOP853 oracle, two
+  - one A(x0) evaluator: a float gives the bits of its array element
+  - sigma_star and the horizon against an explicit DOP853 oracle and, on
+    a flow that oracle misses, against stored 25-digit mpmath values; two
     small-|A+|, long-tau flows against LSODA, and a spent step budget or an
     underflowing step as a typed error
   - the written-out DOP853 tableau against scipy's, and its eighth order
@@ -44,8 +46,23 @@ def test_profile_validation():
         VelocityProfile(a_minus=-1.0, a_plus=-1.0, tau=0.0)
 
 
+@pytest.mark.parametrize("a_minus,a_plus,tau", [
+    (-1.2, -0.8, 1.0), (-5.0, -4.0, 0.3), (
+        -1.7984536338313981, -0.728849394594151, 2.3621914712368577)])
+def test_eval_of_a_float_is_its_array_element(a_minus, a_plus, tau):
+    # one evaluator: each float gives the bits of its element of the
+    # array, and a float64, which is a float.  A math.tanh float branch
+    # missed the array in the last place on about one point in eight
+    profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
+    x = np.linspace(-40.0 * tau, 40.0 * tau, 4001)
+    each = [profile.eval(v) for v in x.tolist()]
+    assert all(isinstance(v, float) for v in each)
+    assert np.array_equal(np.array(each), profile.eval(x))
+    assert profile.eval(1) == profile.eval(1.0)
+
+
 def test_constant_form_is_the_step_with_equal_ends():
-    # equal ends give the constant bit for bit, on both evaluation paths
+    # equal ends give the constant bit for bit, on floats and on arrays
     x = np.linspace(-40.0, 40.0, 10001)
     profile = VelocityProfile(a_minus=-1.2, a_plus=-1.2)
     assert np.all(profile.eval(x) == -1.2)
@@ -297,6 +314,34 @@ def test_separatrix_matches_dop853_oracle(a_minus, a_plus, tau):
     star, rho_star = oracles.dop853_separatrix(profile)
     assert abs(got.sigma_star - star) <= SEPARATRIX_ATOL
     assert np.max(np.abs(got.horizon.rho_star - rho_star)) <= HORIZON_ATOL
+
+
+# rho*(x0) of the flow (-1.7984536338313981, -0.728849394594151,
+# 2.3621914712368577), on which oracles.dop853_separatrix misses rho*(9.7)
+# by 5.3e-11, from a 25-digit mpmath.odefun solve (7 s, so its digits are
+# stored), in t = -x0 since odefun steps forward:
+#     with mp.workdps(25):
+#         mid = (mp.mpf(a_plus) + mp.mpf(a_minus)) / 2
+#         amp = (mp.mpf(a_plus) - mp.mpf(a_minus)) / 2
+#         a_of = lambda x: mid + amp * mp.tanh(x / mp.mpf(tau))
+#         rho = mp.odefun(lambda t, r: -(a_of(-t) / r + 1), -40, abs(a_of(40)))
+#         [rho(-mp.mpf(x0)) for x0 in (9.7, 9, 5, 0)]
+# The start at x0 = 40 errs by at most 2|amp| e^(-80/tau) = 2e-15, which
+# the backward solve shrinks by about e^-40 before x0 = 9.7; a start at 30
+# and a 30-digit solve give the same 22 digits
+_MPMATH_FLOW = (-1.7984536338313981, -0.728849394594151, 2.3621914712368577)
+_MPMATH_HORIZON = {9.7: 0.7290287179081508447747, 9.0: 0.7291736873806793989527,
+                   5.0: 0.7383092773854197409056, 0.0: 1.081618329045030364005}
+
+
+def test_separatrix_matches_mpmath_where_dop853_oracle_cannot():
+    got = find_separatrix(VelocityProfile(*_MPMATH_FLOW))
+    hz = got.horizon
+    assert abs(got.sigma_star - _MPMATH_HORIZON[0.0]) <= SEPARATRIX_ATOL
+    for x0, want in _MPMATH_HORIZON.items():
+        i = int(np.argmin(np.abs(hz.x0 - x0)))
+        assert abs(hz.x0[i] - x0) < 1e-14
+        assert abs(hz.rho_star[i] - want) <= HORIZON_ATOL, x0
 
 
 def test_separatrix_step_budget_is_typed(smooth_profile, tmp_path, capsys,

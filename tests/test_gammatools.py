@@ -3,7 +3,8 @@
 The closed forms are checked against (i) mpmath's arbitrary-precision
 Gamma, (ii) contour-rotated quadrature of the oscillatory defining
 integral, and (iii) direct adaptive quadrature of the transform integral.
-The package's own log-Gamma is checked against mpmath, and |Gamma0|^2
+The package's own log-Gamma is checked against mpmath on its strip
+Re z in [1, 3/2] and refuses arguments off it, and |Gamma0|^2 is checked
 against the formula on scipy's log-Gamma it replaced.
 """
 
@@ -49,6 +50,28 @@ def test_loggamma_against_mpmath(eps):
             z = complex(1.0 + eps, alpha)
             ref = complex(mp.loggamma(mp.mpc(1.0 + eps, alpha)))
             assert abs(loggamma(z) - ref) <= 1e-14 * abs(ref), (eps, alpha)
+
+
+@pytest.mark.parametrize("re_z", [0.75, 1.0 - 1e-16, 1.5000000000000002,
+                                  1.75, 3.0, 8.0, math.nan])
+def test_loggamma_refuses_re_z_outside_its_strip(re_z):
+    # loggamma serves the packet's w = 1 + eps, eps in (0, 1/2]: outside
+    # Re z in [1, 3/2] it raises instead of returning a value, and so does
+    # |Gamma0|^2 for eps beyond 1/2
+    with pytest.raises(ValueError, match="Re z in"):
+        loggamma(complex(re_z, 1.0))
+    if re_z > 1.5:
+        with pytest.raises(ValueError, match="Re z in"):
+            gamma0_modulus_sq(1.0, re_z - 1.0)
+
+
+def test_loggamma_takes_both_ends_of_its_strip():
+    # z = 1 and z = 3/2 run the two branches of the series about 2
+    with mp.workdps(40):
+        for z in (complex(1.0, 0.5), complex(1.5, 0.5), complex(1.0, 0.0),
+                  complex(1.5, 0.0)):
+            ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+            assert abs(loggamma(z) - ref) <= 1e-15 * max(abs(ref), 1.0), z
 
 
 @pytest.mark.parametrize("eps", [1e-6, 0.05, 0.1, 0.25, 0.5])
