@@ -8,14 +8,18 @@ back to the same values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .flow import VelocityProfile
+from .gammatools import log_gamma0_modulus_sq
 from .packets import A_MIN
 
 __all__ = ["RunConfig", "fmt_float"]
+
+_LN_MAX = math.log(sys.float_info.max)
 
 
 def fmt_float(x: float) -> str:
@@ -71,11 +75,20 @@ class RunConfig:
             raise ConfigError("a_sweep must hold positive values")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):
             raise ConfigError("a_sweep must be strictly increasing")
-        for name, a in (("a", self.a), ("a_sweep", self.a_sweep[0])):
-            if not a >= A_MIN:
-                raise ConfigError(
-                    f"{name} must be at least {A_MIN!r}: below it the "
-                    f"packet's support 45/a nears float overflow")
+        if not self.a >= A_MIN:
+            raise ConfigError(f"a must be at least {A_MIN!r}: below it the "
+                              f"packet's support 45/a nears float overflow")
+        # the spectrum tables' closed eta -> 0 density modulus |Gamma0|^2
+        # a^-(2+2eps) stays finite from this a on, which lies far above
+        # A_MIN.  A nan logarithm (alpha past loggamma's range) leaves A_MIN
+        log_min = ((log_gamma0_modulus_sq(self.alpha, self.eps) - _LN_MAX)
+                   / (2.0 + 2.0 * self.eps))
+        sweep_min = max(A_MIN, math.exp(log_min))
+        if not self.a_sweep[0] >= sweep_min:
+            raise ConfigError(
+                f"a_sweep must be at least {sweep_min!r} at alpha="
+                f"{self.alpha:g}, eps={self.eps:g}: below it the closed "
+                f"eta -> 0 density modulus |Gamma0|^2 a^-(2+2eps) overflows")
         if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
             raise ConfigError("eta_list must hold negative values")
         # at 16 points Simpson misses the head integral by up to 15%

@@ -120,8 +120,12 @@ def gamma0_modulus_sq(alpha: float, eps: float) -> float:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive (Gamma(2*eps) finite)")
-    return math.exp(math.pi * alpha
-                    + 2.0 * loggamma(complex(1.0 + eps, alpha)).real)
+    return math.exp(log_gamma0_modulus_sq(alpha, eps))
+
+
+def log_gamma0_modulus_sq(alpha: float, eps: float) -> float:
+    """ln |Gamma0|^2 = pi alpha + 2 Re ln Gamma(1+eps+i*alpha)."""
+    return math.pi * alpha + 2.0 * loggamma(complex(1.0 + eps, alpha)).real
 
 
 def packet_fourier(eta, p: PacketParams):

@@ -16,6 +16,7 @@ from sonicbh import cli, errors, pde
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, fmt_float
 from sonicbh.errors import ConfigError
+from sonicbh.gammatools import gamma0_modulus_sq
 from sonicbh.packets import A_MIN
 from sonicbh.pde import drift_bounds
 
@@ -899,6 +900,40 @@ def test_boundary_spectrum_a(tmp_path, capsys, a, refused, names):
         assert err.startswith("config error: "), err
         assert names in err and "Traceback" not in err, err
         assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha,eps", [(1.0, 0.25), (1e-3, 0.05), (40.0, 0.5)])
+def test_boundary_a_sweep(tmp_path, capsys, alpha, eps):
+    # a_sweep: at least the a where the spectrum tables' closed eta -> 0
+    # density modulus |Gamma0|^2 a^-(2+2eps) reaches the largest float.  At
+    # a_sweep=1e-150 spectrum printed two numpy RuntimeWarnings and exited
+    # 3 on a nan density at eta = 0; the config now refuses it, and at the
+    # bound both commands run clean
+    log_max = math.log(sys.float_info.max)
+    want = math.exp((math.log(gamma0_modulus_sq(alpha, eps)) - log_max)
+                    / (2.0 + 2.0 * eps))
+    sets = ["--set", f"alpha={alpha!r}", "--set", f"eps={eps!r}",
+            "--set", "n_eta=24"]
+    refusal = "config error: a_sweep must be at least "
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _run_boundary(["spectrum", "--set", "a_sweep=1e-150"] + sets,
+                            tmp_path / "tiny", capsys, accepted=False)
+        assert err.startswith(refusal), err
+        bound = float(err[len(refusal):].split()[0])
+        assert bound == pytest.approx(want, rel=1e-13)
+        for command in ("spectrum", "limit"):
+            out = tmp_path / command
+            err = _run_boundary([command, "--set", f"a_sweep={bound!r}"]
+                                + sets, out, capsys, accepted=True)
+            assert err == "", err
+            below = repr(math.nextafter(bound, 0.0))
+            err = _run_boundary([command, "--set", f"a_sweep={below},8"]
+                                + sets, out / "below", capsys, accepted=False)
+            assert err.startswith(refusal), err
+            assert not (out / "below").exists()
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "tiny").exists()
 
 
 @pytest.mark.parametrize("where", ["file", "under a file", "empty"])
