@@ -151,7 +151,10 @@ class VelocityProfile:
         a float gives the same bits as its element of an array."""
         mid, amp = self._mid_amp
         # x0/tau overflows to inf where tau is tiny, and tanh takes that
-        # to +-1
+        # to +-1: a float divides as a Python float, with no warning, and
+        # an array under errstate
+        if isinstance(x0, float):
+            return mid + amp * np.tanh(float(x0) / self.tau)
         with np.errstate(over="ignore"):
             return mid + amp * np.tanh(np.asarray(x0, dtype=float)
                                        / self.tau)

@@ -30,11 +30,13 @@ alone (RadialGrid.cfl_dt).
 
 The coefficients of the system are real, so the real and imaginary parts
 evolve apart: the stepper holds one real (4, n) state, rows Re f, Im f,
-Re g, Im g, in preallocated buffers.  Its coefficients are folded once per
-solve: the upwind stencil carries -1/rho, and a stage folds A(x0) into its
-kernel, and d^2/drho^2 + (1/rho) d/drho is one stencil with a coefficient
-vector over rho.  Each stencil term is one np.correlate over the shared
-forward differences of the state.
+Re g, Im g, in preallocated buffers.  Its coefficients are folded before
+the steps: A(x0) is read at every stage time into a table, the upwind
+stencil carries -1/rho and its kernel is scaled by each stage's A, and
+d^2/drho^2 + (1/rho) d/drho is one stencil with a coefficient vector over
+rho.  The right-hand side is bound to the buffers and the table once, so a
+step runs its array arithmetic alone.  Each stencil term is one
+np.correlate over the shared forward differences of the state.
 
 The exact mode at wavenumber eta < 0 is started from the data that the
 eikonal matches in value (gamma e^{-i eta rho}) and misses in the
@@ -89,6 +91,9 @@ STEP_SAFETY = 0.9
 DISCR_DIVISOR = 15.0
 GROWTH_BOUND = 5.0  # per-step sup-norm growth that flags blow-up
 GROWTH_LIMIT = 10.0  # sup-norm growth over the initial state that flags it
+# steps per A(x0) table: the stepper's scaled stencils stay under 0.4 MB
+# at any step count
+_TABLE_STEPS = 512
 # AC7d's 5-minute budget for pde-verify at 250 ns per RK4 point-step
 MAX_POINT_STEPS = 1.2e9
 POINTS_PER_WAVELENGTH = 16
@@ -279,9 +284,9 @@ class _Stencil:
     array, all rows in one C pass.  The first term's scale multiplies its
     correlate into the interior, and each later term's is folded into its
     kernel.  The values it leaves where rows meet are overwritten by the
-    edge rows, two small dense blocks over the _EDGE end columns.  A
-    call's factor scales the kernels and blocks, so a coefficient that
-    changes with x0 costs no pass of its own.
+    edge rows, two small dense blocks over the _EDGE end columns.  bind
+    scales the kernels and blocks by a table of factors once, so a
+    coefficient that changes with x0 costs no pass of its own.
     """
 
     def __init__(self, shape, terms) -> None:
@@ -309,27 +314,37 @@ class _Stencil:
                 block[col:col + len(coefs), dst] += np.multiply(coefs,
                                                                 scale[row])
 
-    def __call__(self, u, out, diff, factor=1.0):
-        """Apply factor times the operator to u into out; diff is the
-        forward difference of u flattened, which stencils of one state
-        share."""
+    def __call__(self, u, out, diff):
+        """Apply the operator to u into out; diff is the forward difference
+        of u flattened, which stencils of one state share."""
+        return self.bind(u, out, diff)(0)
+
+    def bind(self, u, out, diff, factors=(1.0,)):
+        """The operator on u into out, as apply(i), which writes factors[i]
+        times it and returns out; diff is as for __call__.  The kernels and
+        edge blocks are scaled by every factor, and the views made, here."""
+        factors = np.asarray(factors, dtype=float)[..., None]
         n = u.shape[-1]
         inner = out.reshape(-1)[self.lo:u.size - self.hi]
         m = len(inner)
-        left, right, terms = self.left, self.right, self.terms
-        if factor != 1.0:
-            left, right = factor * left, factor * right
-            terms = [(at, factor * kernel) for at, kernel in terms]
-        for k, (at, kernel) in enumerate(terms):
-            part = np.correlate(diff[at:at + m + len(kernel) - 1], kernel)
-            if k == 0:
-                np.multiply(part, self.scale, out=inner)
-            else:
-                inner += part
-        u, out2 = u.reshape(-1, n), out.reshape(-1, n)
-        np.matmul(u[:, :_EDGE], left, out=out2[:, :self.lo])
-        np.matmul(u[:, n - _EDGE:], right, out=out2[:, n - self.hi:])
-        return out
+        (window, kernel), *rest = [
+            (diff[at:at + m + len(kernel) - 1], factors * kernel)
+            for at, kernel in self.terms]
+        u2, out2 = u.reshape(-1, n), out.reshape(-1, n)
+        ends = ((u2[:, :_EDGE], factors[..., None] * self.left,
+                 out2[:, :self.lo]),
+                (u2[:, n - _EDGE:], factors[..., None] * self.right,
+                 out2[:, n - self.hi:]))
+
+        def apply(i):
+            np.multiply(np.correlate(window, kernel[i]), self.scale,
+                        out=inner)
+            for later, scaled in rest:
+                np.add(inner, np.correlate(later, scaled[i]), out=inner)
+            for columns, block, dst in ends:
+                np.matmul(columns, block[i], out=dst)
+            return out
+        return apply
 
 
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
@@ -350,14 +365,17 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
 
     The coefficients of the operator are real, so the real and imaginary
     parts evolve apart: the state is one real (4, n) array with rows
-    Re f, Im f, Re g, Im g, stepped in place.  The upwind drift stencil
-    carries -1/rho, and a stage folds A(x0) into its kernel, A(x0 + dt/2)
-    evaluated once a step; the Laplacian (1/rho) d1 + d2 is one stencil
-    with a coefficient vector; the sponge acts only where it is nonzero.
+    Re f, Im f, Re g, Im g, stepped in place.  The drift is read at every
+    stage time of up to _TABLE_STEPS steps before the first of them, a
+    VelocityProfile by one array eval, a plain callable on each float; the
+    upwind stencil, which carries -1/rho, is scaled by each A of that table
+    at once.  The Laplacian (1/rho) d1 + d2 is one stencil with a
+    coefficient vector; the sponge acts only where it is nonzero.  The
+    right-hand side is bound to the buffers and views once per table, so a
+    step runs its array arithmetic alone.
     """
     want = {grid.steps(t): t for t in
             ([t_final] if out_times is None else out_times)}
-    drift = profile
     if isinstance(profile, VelocityProfile):
         t_end = max(want.values(), default=0.0)
         a_max = drift_bounds(profile, t_end)[1]
@@ -371,7 +389,6 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             raise ValueError(
                 f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
                 f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
-        drift = profile.eval
     n, dt = grid.n_rho, grid.dt
     rho = grid.rho
     inv_rho = 1.0 / rho
@@ -388,45 +405,64 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     y = np.empty((4, n))
     acc, k_s, y_s, drift_term, tmp = (np.empty_like(y) for _ in range(5))
     diff = np.empty(4 * n - 1)
+    damped = np.empty((4, n - s0))
 
-    def rhs(y, a, out):
-        # out = (g - (A/rho) f_r - sponge f, lap f - (A/rho) g_r - sponge g)
-        np.subtract(y.reshape(-1)[1:], y.reshape(-1)[:-1], out=diff)
-        upwind(y, drift_term, diff, a)
-        np.add(y[2:], drift_term[:2], out=out[:2])
-        laplacian(y[:2], out[2:], diff[:2 * n - 1])
-        np.add(out[2:], drift_term[2:], out=out[2:])
-        out[:, s0:] -= sponge * y[:, s0:]
+    def bind_rhs(u, out, a):
+        """rhs(i) writes (g - (A/rho) f_r - sponge f,
+        lap f - (A/rho) g_r - sponge g) at u into out, with A = a[i]."""
+        flat = u.reshape(-1)
+        ahead, behind = flat[1:], flat[:-1]
+        drift = upwind.bind(u, drift_term, diff, a)
+        lap = laplacian.bind(u[:2], out[2:], diff[:2 * n - 1])
+        g, out_f, out_g = u[2:], out[:2], out[2:]
+        drift_f, drift_g = drift_term[:2], drift_term[2:]
+        damp_u, damp_out = u[:, s0:], out[:, s0:]
+
+        def rhs(i):
+            np.subtract(ahead, behind, out=diff)
+            drift(i)
+            np.add(g, drift_f, out=out_f)
+            lap(0)
+            np.add(out_g, drift_g, out=out_g)
+            np.multiply(sponge, damp_u, out=damped)
+            np.subtract(damp_out, damped, out=damp_out)
+        return rhs
 
     f, g = np.array(value0, dtype=complex), np.array(dvalue0, dtype=complex)
     history = [FieldOnGrid(rho, f, g, 0.0)]
     y[:] = f.real, f.imag, g.real, g.imag
     peak = max(float(np.max(np.abs(y))), 1e-300)
     limit = GROWTH_LIMIT * peak
-    h = 0.5 * dt
-    for k in range(1, max(want, default=0) + 1):
-        x0 = (k - 1) * dt
-        rhs(y, drift(x0), acc)
-        stage = acc
-        a_half = drift(x0 + h)
-        for step, a, weight in ((h, a_half, 2.0), (h, a_half, 2.0),
-                                (dt, drift(x0 + dt), 1.0)):
-            np.multiply(stage, step, out=y_s)
+    h, sixth, last = 0.5 * dt, dt / 6.0, max(want, default=0)
+    for start in range(0, last, _TABLE_STEPS):
+        x0s = np.arange(start, min(start + _TABLE_STEPS, last)) * dt
+        # each step's stage times, as the floats (k - 1) dt + h, ...
+        times = (x0s, x0s + h, x0s + dt)
+        a = (profile.eval(times) if isinstance(profile, VelocityProfile)
+             else [list(map(profile, x.tolist())) for x in times])
+        first, later = bind_rhs(y, acc, a), bind_rhs(y_s, k_s, a)
+        for j in range(len(x0s)):
+            k = start + j + 1
+            first((0, j))
+            for stage in (acc, k_s):  # the two midpoint stages
+                np.multiply(stage, h, out=y_s)
+                y_s += y
+                later((1, j))
+                acc += np.multiply(k_s, 2.0, out=tmp)
+            np.multiply(k_s, dt, out=y_s)
             y_s += y
-            rhs(y_s, a, k_s)
-            acc += (k_s if weight == 1.0 else
-                    np.multiply(k_s, weight, out=tmp))
-            stage = k_s
-        acc *= dt / 6.0
-        y += acc
-        # sup-norm by two reads and no write; a nan in y makes both nan
-        m = max(float(y.max()), -float(y.min()))
-        if not m <= min(GROWTH_BOUND * peak, limit):  # nan included
-            raise InstabilityError(f"solution blew up at step {k}")
-        peak = max(peak, m)
-        if k in want:
-            history.append(FieldOnGrid(rho, y[0] + 1j * y[1],
-                                       y[2] + 1j * y[3], want[k]))
+            later((2, j))
+            acc += k_s
+            acc *= sixth
+            y += acc
+            # sup-norm by two reads and no write; a nan in y makes both nan
+            m = max(float(y.max()), -float(y.min()))
+            if not m <= min(GROWTH_BOUND * peak, limit):  # nan included
+                raise InstabilityError(f"solution blew up at step {k}")
+            peak = max(peak, m)
+            if k in want:
+                history.append(FieldOnGrid(rho, y[0] + 1j * y[1],
+                                           y[2] + 1j * y[3], want[k]))
     return history
 
 

@@ -277,14 +277,29 @@ def test_default_time_error_below_space_error(smooth_flow, smooth_profile):
                                                 row.discr_estimate)
 
 
+def _outputs_without_out_dir(out):
+    """Each file of out as bytes, less the lines that name out_dir."""
+    return {f.name: b"".join(line for line in f.read_bytes().splitlines(True)
+                             if b"out_dir" not in line)
+            for f in out.iterdir()}
+
+
 def test_ac8_reproducibility(tmp_path):
-    args = ["spectrum", "--out-dir", str(tmp_path),
+    # spectrum twice into one directory, and pde-verify (the RK4 stepper)
+    # into two, whose files differ only in the lines naming the directory
+    args = ["spectrum", "--out-dir", str(tmp_path / "spectrum"),
             "--set", "a_sweep=4,8", "--set", "n_eta=48"]
     assert main(list(args)) == 0
-    first = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    first = _outputs_without_out_dir(tmp_path / "spectrum")
     assert main(list(args)) == 0
-    second = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-    ok = first == second
+    runs = [(first, _outputs_without_out_dir(tmp_path / "spectrum"))]
+    for out in ("pde1", "pde2"):
+        assert main(["pde-verify", "--nrho", "256", "--tfinal", "0.1",
+                     "--out-dir", str(tmp_path / out)]) == 0
+    runs.append((_outputs_without_out_dir(tmp_path / "pde1"),
+                 _outputs_without_out_dir(tmp_path / "pde2")))
+    ok = all(a == b for a, b in runs)
     _report("AC8 byte-identical outputs", ok,
-            f"{len(first)} files compared")
+            f"{sum(len(a) for a, _ in runs)} files compared")
     assert ok
+    assert len(runs[1][0]) == 4

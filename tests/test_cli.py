@@ -250,6 +250,31 @@ def test_pde_verify_reproducible(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
+# (a, density_exact, density_eikonal, dev_rel, discr_estimate) of the
+# evolved rows of pde-verify --nrho 256 --tfinal 0.1, the repr digits the
+# stepper gave before its right-hand side was bound once per table of A(x0).
+# A change meant to move the stepper's arithmetic updates them, and records
+# the update and its size in CHANGES.md.
+_PINNED_EVOLVED_ROWS = [
+    (8.0, 0.024957785414293866, 0.024107872576118745, 0.03525457650780203,
+     5.3418949818282344e-05),
+    (16.0, 0.003494388512142732, 0.0033719164732554817, 0.0363211959307543,
+     5.811238635279418e-05),
+    (32.0, 0.0005129928632921911, 0.0004954774249873834,
+     0.03535062834649563, 5.848294217946683e-05),
+]
+
+
+def test_pde_verify_evolved_rows_are_pinned(tmp_path):
+    args = ["pde-verify", "--out-dir", str(tmp_path), "--nrho", "256",
+            "--tfinal", "0.1"]
+    assert main(args) == 0
+    report = json.loads((tmp_path / "pde_report.json").read_text())
+    rows = [(r["a"], r["density_exact"], r["density_eikonal"], r["dev_rel"],
+             r["discr_estimate"]) for r in report["report"]["rows_evolved"]]
+    assert rows == _PINNED_EVOLVED_ROWS
+
+
 def test_pde_verify_imports_no_spline(tmp_path):
     # the mode reaches the nodes by a local cubic: a fresh process runs
     # pde-verify without importing scipy.interpolate

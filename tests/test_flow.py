@@ -8,7 +8,8 @@ Covers:
   - the derived interval [min|A|, max|A|]: every sample inside it over a
     grid of flows, and a sample outside it or not finite as a typed
     failure of the separatrix solve
-  - one A(x0) evaluator: a float gives the bits of its array element
+  - one A(x0) evaluator: a float gives the bits of its array element, and
+    a tiny tau saturates it without a warning
   - sigma_star and the horizon against an explicit DOP853 oracle and, on
     a flow that oracle misses, against stored 25-digit mpmath values; two
     small-|A+|, long-tau flows against LSODA, and a spent step budget or an
@@ -25,6 +26,7 @@ import math
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -58,7 +60,20 @@ def test_eval_of_a_float_is_its_array_element(a_minus, a_plus, tau):
     each = [profile.eval(v) for v in x.tolist()]
     assert all(isinstance(v, float) for v in each)
     assert np.array_equal(np.array(each), profile.eval(x))
+    assert np.array_equal([profile.eval(v) for v in x], each)  # float64s
     assert profile.eval(1) == profile.eval(1.0)
+
+
+@pytest.mark.parametrize("x0", [1.0, np.float64(-1.0), 1e300, -1e-300,
+                                np.array([1.0, -1e300])])
+def test_eval_at_a_tiny_tau_saturates_without_a_warning(x0):
+    # x0/tau overflows to inf, which tanh takes to +-1, on floats, float64s
+    # and arrays alike, with no RuntimeWarning
+    profile = VelocityProfile(a_minus=-1.2, a_plus=-0.8, tau=5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = profile.eval(x0)
+    assert np.array_equal(got, np.where(np.asarray(x0) > 0, -0.8, -1.2))
 
 
 def test_constant_form_is_the_step_with_equal_ends():

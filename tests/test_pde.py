@@ -417,6 +417,64 @@ def test_solve_cauchy_matches_oracle(smooth_profile):
             assert err <= 1e-12 * np.max(np.abs(want)), (b.x0, name, err)
 
 
+def _counting(profile):
+    """A copy of profile that appends each eval argument to calls."""
+    calls = []
+
+    class Counting(VelocityProfile):
+        def eval(self, x0):
+            calls.append(x0)
+            return super().eval(x0)
+    return Counting(profile.a_minus, profile.a_plus, profile.tau), calls
+
+
+def _mode_solve(grid, profile, times):
+    """solve_cauchy of the eta = -4 mode data, windowed inside the grid."""
+    rho = grid.rho
+    value0, dvalue0 = mode_initial_data(4.0, rho, -1.0)
+    w = smooth_window(rho, 1.5, 7.0, 0.3)
+    return solve_cauchy(w * value0, w * dvalue0, grid, profile, times[-1],
+                        out_times=times)
+
+
+def test_solve_cauchy_profile_and_its_callable_agree_bitwise(smooth_profile):
+    # a VelocityProfile is read by array evals, a plain callable on each
+    # float: both give the same A at every stage, so the same bits at
+    # every recorded time
+    grid = RadialGrid.auto(0.64, 9.0, 256, smooth_profile, 0.5)
+    times = [grid.dt, 0.25, 0.5]
+    ours = _mode_solve(grid, smooth_profile, times)
+    plain = _mode_solve(grid, smooth_profile.eval, times)
+    assert [s.x0 for s in ours] == [s.x0 for s in plain] == [0.0] + times
+    for a, b in zip(ours[1:], plain[1:]):
+        assert np.array_equal(a.value, b.value), a.x0
+        assert np.array_equal(a.d_flow, b.d_flow), a.x0
+    assert not np.array_equal(ours[-1].value, ours[0].value)
+
+
+def test_solve_cauchy_evaluates_the_profile_once_per_table(smooth_profile,
+                                                           monkeypatch):
+    # one array eval per table of pde._TABLE_STEPS steps, besides the step
+    # bound's: 256 and 512 points to the same t_final, twice the steps,
+    # make the same calls; tables of 8 steps make one call per 8 steps and
+    # give the same bits
+    counts, steps, last = [], [], None
+    for n_rho in (256, 512):
+        profile, calls = _counting(smooth_profile)
+        grid = RadialGrid.auto(0.64, 9.0, n_rho, profile, 0.5)
+        calls.clear()
+        last = _mode_solve(grid, profile, [0.5])[-1]
+        counts.append(len(calls))
+        steps.append(grid.steps(0.5))
+    assert steps == [26, 52] and counts[0] == counts[1] == 3, counts
+    monkeypatch.setattr(pde, "_TABLE_STEPS", 8)
+    calls.clear()
+    again = _mode_solve(grid, profile, [0.5])[-1]
+    assert len(calls) == 2 + math.ceil(52 / 8), len(calls)
+    assert np.array_equal(again.value, last.value)
+    assert np.array_equal(again.d_flow, last.d_flow)
+
+
 def test_solve_cauchy_errors_match_oracle(smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
