@@ -48,7 +48,7 @@ def cmd_horizon(cfg: RunConfig) -> int:
     flow, meta = _flow_meta(cfg)
     hz = flow.horizon
     out = write_csv(f"{cfg.out_dir}/horizon.csv", ["x0", "rho_star"],
-                    zip(hz.x0.tolist(), hz.rho_star.tolist()), meta)
+                    np.column_stack((hz.x0, hz.rho_star)), meta)
     gap_plus = abs(hz.rho_star[-1] - abs(cfg.a_plus))
     gap_minus = abs(hz.rho_star[0] - abs(cfg.a_minus))
     print(f"sigma_star = {flow.sigma_star:.12g}")
@@ -68,8 +68,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     prof = eval_packet_profile(sig, p0)
     write_csv(f"{cfg.out_dir}/packet_profile.csv",
               ["sigma", "re", "im", "abs"],
-              zip(sig.tolist(), prof.real.tolist(), prof.imag.tolist(),
-                  np.abs(prof).tolist()), meta)
+              np.column_stack((sig, prof.real, prof.imag, np.abs(prof))),
+              meta)
     norm_rows = []
     for a in cfg.a_sweep:
         pa = _packet(cfg, flow.sigma_star, a)
@@ -84,10 +84,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for a, norm, _, _ in norm_rows:
         p = _packet(cfg, flow.sigma_star, a)
         table = spectrum.build_spectrum(p, n_eta=cfg.n_eta)
-        rows = [(e, d, c1.real, c1.imag, c2.real, c2.imag)
-                for e, d, c1, c2 in zip(table.eta_grid.tolist(),
-                                        table.density.tolist(),
-                                        table.c1.tolist(), table.c2.tolist())]
+        rows = np.column_stack((table.eta_grid, table.density, table.c1.real,
+                                table.c1.imag, table.c2.real, table.c2.imag))
         out = write_csv(f"{cfg.out_dir}/spectrum_a{a:g}.csv",
                         ["eta", "density", "c1_re", "c1_im", "c2_re", "c2_im"],
                         rows, meta)
@@ -154,8 +152,7 @@ def cmd_pde_verify(cfg: RunConfig) -> int:
 
     # the evolved mode's fine-grid history as CSV snapshots
     for st in report.history:
-        rows = zip(st.rho.tolist(), st.value.real.tolist(),
-                   st.value.imag.tolist())
+        rows = np.column_stack((st.rho, st.value.real, st.value.imag))
         write_csv(f"{cfg.out_dir}/field_eta{pde.EVOLVE_ETA:g}_t{st.x0:g}.csv",
                   ["rho", "re", "im"], rows, meta)
     for w in report.warnings:

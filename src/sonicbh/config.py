@@ -1,8 +1,10 @@
 """Run configuration: key=value text files with flag overrides.
 
 Every output file embeds the fully resolved configuration in canonical
-key order, its floats at 17 significant digits (fmt_float), which parse
-back to the same values.
+key order.  CSV metadata lines spell a float key at 17 significant digits
+(fmt_float) and a list-valued key (a_sweep, eta_list) as a Python list of
+repr floats; JSON summaries spell floats by repr.  Every form parses back
+to the same values.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Deterministic CSV/JSON emission.
 
 CSV files carry '#'-prefixed metadata lines echoing the resolved config,
-then a header row, then rows of floats at 17 significant digits.  The rows
-are checked for width and stacked into one float array, checked finite,
-and spelled in numpy with exactly the bytes of f"{v:.17g}":
+then a header row, then rows of floats at 17 significant digits.  A 2-D
+float array is taken as it is; any other iterable of rows is checked for
+width and packed into one such array.  The array is checked finite, cut
+into ceil(cells / _BLOCK) near-equal blocks of whole rows, and each block
+is spelled in numpy with exactly the bytes of f"{v:.17g}":
 
 - digits: X = floor(log10|v|) and D = round(|v| 10^(16-X)).  |v| and
   10^(16-X) = hi + lo (from a table built with int arithmetic) are split
@@ -21,10 +23,11 @@ and spelled in numpy with exactly the bytes of f"{v:.17g}":
   bytes.translate drops the NULs.
 
 JSON summaries sort keys.  Both hold finite numbers only: a NaN or
-infinity raises ToleranceError and writes nothing.  A directory or file
-that cannot be written raises ConfigError naming the path, and
-check_out_dir refuses such a directory before any work.  Identical inputs
-produce byte-identical files.
+infinity raises ToleranceError and writes nothing.  Files are written as
+bytes, '\n'-terminated on every platform, each CSV block as it is made.
+A directory or file that cannot be written raises ConfigError naming the
+path, and check_out_dir refuses such a directory before any work.
+Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -63,13 +66,12 @@ def check_out_dir(out_dir) -> None:
                           f"writable directory")
 
 
-def _write(path: Path, texts) -> Path:
-    """Write the strings of texts, in order, as path's text."""
+def _write(path: Path, chunks) -> Path:
+    """Write the bytes of chunks, each as it comes, as path's contents."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as f:
-            for text in texts:
-                f.write(text)
+        with path.open("wb") as f:
+            f.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
@@ -78,46 +80,52 @@ def _write(path: Path, texts) -> Path:
 def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
     """Write a CSV of float rows, one value per column.
 
-    rows is any iterable of equal-width rows, or a 2-D array.  A row width
-    other than len(columns) raises ValueError, and a NaN or infinity raises
-    ToleranceError; either way nothing is written.
+    rows is a 2-D array, taken as it is, or any iterable of equal-width
+    rows, packed into one array.  A row width other than len(columns)
+    raises ValueError, and a NaN or infinity raises ToleranceError; either
+    way nothing is written.  The body is spelled and written in
+    ceil(cells / _BLOCK) near-equal blocks of whole rows.
     """
     path = Path(path)
     ncols = len(columns)
-    rows = list(rows)
-    try:
-        widths = sorted(set(map(len, rows)))
-    except TypeError:  # rows of single numbers
-        widths = []
-    if rows and widths != [ncols]:
-        shape = ", ".join(f"({w},)" for w in widths) or "()"
+    if isinstance(rows, np.ndarray):
+        body = np.asarray(rows, dtype=float)
+        shapes = {body.shape[1:]} if len(body) else set()
+    else:
+        rows = list(rows)
+        try:
+            shapes = {(w,) for w in set(map(len, rows))}
+        except TypeError:  # rows of single numbers
+            shapes = {()}
+    if shapes - {(ncols,)}:
+        shape = ", ".join(map(str, sorted(shapes)))
         raise ValueError(f"{path.name}: rows of shape {shape} "
                          f"under {ncols} columns")
-    cells = tuple(itertools.chain.from_iterable(rows))
+    if not isinstance(rows, np.ndarray):
+        body = np.fromiter(itertools.chain.from_iterable(rows), float,
+                           len(rows) * ncols).reshape(len(rows), ncols)
     try:
         lines = [f"# {key} = {format_cell(meta[key])}"
                  for key in sorted(meta or {})]
     except ToleranceError as exc:
         raise ToleranceError(f"{path.name}: {exc}") from None
     lines.append(",".join(columns))
-    head = "\n".join(lines) + "\n"
-    if not cells:
+    head = ("\n".join(lines) + "\n").encode()
+    if not body.size:
         return _write(path, [head])
-    body = np.array(cells, dtype=float)
     bad = ~np.isfinite(body)
     if bad.any():
-        v = float(body[np.flatnonzero(bad)[0]])
-        raise ToleranceError(f"{path.name}: non-finite value {v}")
-    # whole rows of about _BLOCK cells at a time, written as they are made
-    step = max(1, _BLOCK // ncols) * ncols
-    blocks = (_format_rows(body[i:i + step], ncols)
-              for i in range(0, body.size, step))
-    return _write(path, itertools.chain([head], blocks))
+        raise ToleranceError(f"{path.name}: non-finite value "
+                             f"{float(body[bad][0])}")
+    blocks = np.array_split(body, -(-body.size // max(_BLOCK, ncols)))
+    return _write(path, itertools.chain(
+        [head], (_format_rows(b.ravel(), ncols) for b in blocks)))
 
 
-# cells formatted at a time: bounds the formatter's arrays to about 0.3 MB
-# whatever the table's size (a 12288-cell table in one block took 1.2 MB)
-_BLOCK = 2048
+# cells formatted at a time, give or take a row: bounds the formatter's
+# arrays to about 0.55 MB (tracemalloc's peak for 4096 cells) whatever the
+# table's size, and spells a table of up to 4096 cells in one call
+_BLOCK = 4096
 # 10^e for e in [_E_LO, _E_HI] is finite and normal, so its halves are too
 _E_LO, _E_HI = -292, 308
 _CLEAR_LOW27 = ~np.uint64(2 ** 27 - 1)
@@ -199,7 +207,7 @@ def _digits17(a, pow10):
     return d, x, fb
 
 
-def _format_rows(v, ncols: int) -> str:
+def _format_rows(v, ncols: int) -> bytearray:
     """The finite values v, in row order, as CSV rows of ncols cells, each
     spelled as f"{v:.17g}" spells it."""
     pow10, ascii4, zeros4, keep_mask, exps = _tables()
@@ -254,7 +262,7 @@ def _format_rows(v, ncols: int) -> str:
     sep = buf.reshape(-1, ncols, _CELL)
     sep[:, :, -1] = ord(",")
     sep[:, -1, -1] = ord("\n")
-    return raw.translate(None, b"\0").decode()
+    return raw.translate(None, b"\0")
 
 
 def write_json(path, obj: dict) -> Path:
@@ -265,4 +273,4 @@ def write_json(path, obj: dict) -> Path:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ToleranceError(f"{path.name}: {exc}") from None
-    return _write(path, [text + "\n"])
+    return _write(path, [(text + "\n").encode()])

@@ -444,9 +444,11 @@ def test_write_csv_rejects_non_finite(tmp_path):
     from sonicbh.errors import ToleranceError
     from sonicbh.output import write_csv
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ToleranceError, match="bad.csv"):
-            write_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0, 2.0), (3.0, bad)])
-        assert not (tmp_path / "bad.csv").exists()
+        for rows in ([(1.0, 2.0), (3.0, bad)], np.array([[1.0, 2.0], [3.0, bad]])):
+            with pytest.raises(ToleranceError,
+                               match=f"bad.csv: non-finite value {bad}"):
+                write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
+            assert not (tmp_path / "bad.csv").exists()
 
 
 def _per_cell_csv(columns, rows, meta) -> str:
@@ -493,11 +495,15 @@ def test_write_csv_non_finite_deep_in_table(tmp_path):
 
 def test_write_csv_rejects_width_mismatch(tmp_path):
     from sonicbh.output import write_csv
+    # a 2-D array is taken as it is, but checked the same way
     for rows in ([(1.0, 2.0, 3.0)] * 4, [(1.0,)] * 6, [1.0, 2.0],
-                 [(1.0, 2.0), (3.0, 4.0, 5.0)]):
-        with pytest.raises(ValueError):
+                 [(1.0, 2.0), (3.0, 4.0, 5.0)], np.ones((4, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match=r"wide\.csv: rows of shape \("):
             write_csv(tmp_path / "wide.csv", ["a", "b"], rows)
         assert not (tmp_path / "wide.csv").exists()
+    with pytest.raises(ValueError, match=r"rows of shape \(5,\) under 6"):
+        write_csv(tmp_path / "wide.csv", list("abcdef"), np.ones((4, 5)))
+    assert not (tmp_path / "wide.csv").exists()
 
 
 def test_write_csv_empty_table(tmp_path):

@@ -4,6 +4,7 @@ write_csv spells every body cell in numpy.  The values here are the ones
 that path finds hardest: exponents near a power of ten, rounding that
 crosses one, exact ties at the 18th digit, trailing zeros, subnormals,
 zeros, the edges of the power-of-ten table, and random bit patterns.
+The last tests pin how a table is cut into blocks.
 """
 
 import math
@@ -12,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sonicbh import output
 from sonicbh.output import _E_HI, _E_LO, write_csv
 
 
@@ -109,3 +111,54 @@ def test_random_normals(tmp_path, scale):
     # the fixed-notation groups, from 0.000ddd to 16 integer digits
     rng = np.random.default_rng(11)
     _check(tmp_path, [rng.standard_normal(5000) * scale])
+
+
+def _hard_table(nrows, ncols, seed=7919):
+    """nrows x ncols cells mixing the cases above: powers of ten and their
+    neighbours, ties at the 18th digit, subnormals, +-0 and cells below
+    1e-292, among random bit patterns, all in shuffled places."""
+    rng = np.random.default_rng(seed)
+    p = _powers_of_ten(-307, 308)
+    hard = np.concatenate([
+        p, np.nextafter(p, 0.0), np.nextafter(p, np.inf),
+        [1234567890123456.75, 1234567890123456.25, 0.0, -0.0, 5e-324,
+         1e-300, 3.5e-295, 2.2250738585072009e-308],
+        rng.integers(1, 2 ** 52, size=200, dtype=np.uint64).view(np.float64)])
+    bits = rng.integers(0, 2 ** 64, size=2 * nrows * ncols,
+                        dtype=np.uint64).view(np.float64)
+    cells = np.concatenate([hard, bits[np.isfinite(bits)]])[:nrows * ncols]
+    cells *= rng.choice([-1.0, 1.0], size=cells.size)
+    return rng.permutation(cells).reshape(nrows, ncols)
+
+
+def test_partition_leaves_the_bytes_alone(tmp_path, monkeypatch):
+    table = _hard_table(700, 6)
+    assert (table == 0).sum() == 2 and (np.abs(table) < 1e-292).sum() > 200
+    want = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                   for row in table.tolist())
+    for block in (6, 2048, 4096, table.size + 1):
+        monkeypatch.setattr(output, "_BLOCK", block)
+        path = write_csv(tmp_path / f"b{block}.csv", list("abcdef"), table)
+        assert path.read_bytes() == b"a,b,c,d,e,f\n" + want.encode(), block
+
+
+@pytest.mark.parametrize("nrows, ncols, calls", [
+    (96, 6, 1), (1024, 6, 2), (2048, 6, 3), (1024, 3, 1), (4096, 3, 3)])
+def test_partition_is_ceil_cells_over_block(tmp_path, monkeypatch, nrows,
+                                            ncols, calls):
+    # whole rows in ceil(cells / 4096) near-equal blocks, with no short
+    # remainder block: perfbench's 1024 x 6 spectrum table is 2 calls
+    sizes = []
+
+    def counted(v, n):
+        sizes.append(v.size)
+        return format_rows(v, n)
+
+    format_rows = output._format_rows
+    monkeypatch.setattr(output, "_format_rows", counted)
+    table = np.random.default_rng(nrows).standard_normal((nrows, ncols))
+    write_csv(tmp_path / "t.csv", [f"c{i}" for i in range(ncols)], table)
+    assert len(sizes) == calls and sum(sizes) == table.size
+    assert max(sizes) - min(sizes) <= ncols
+    assert max(sizes) <= output._BLOCK + ncols
+
