@@ -34,8 +34,7 @@ def _load_config(args) -> RunConfig:
 
 def _flow_meta(cfg: RunConfig):
     """The flow of cfg, and the config plus sigma_star every output echoes."""
-    flow = find_separatrix(cfg.profile(), x0_horizon_max=cfg.x0_horizon_max,
-                           ode_tol=cfg.ode_tol, rho_min=cfg.rho_min)
+    flow = find_separatrix(cfg.profile(), x0_horizon_max=cfg.x0_horizon_max)
     return flow, {**cfg.to_dict(), "sigma_star": flow.sigma_star}
 
 
@@ -114,8 +113,10 @@ def cmd_limit(cfg: RunConfig) -> int:
     out = write_csv(f"{cfg.out_dir}/sweep.csv",
                     ["a", "total", "total_normalized", "limit", "residual"],
                     rows, meta)
-    if len(sweep.rows) < 3:
-        print("warning: sweep too short for a meaningful slope fit")
+    warnings = (["sweep too short for a meaningful slope fit"]
+                if len(sweep.rows) < 3 else [])
+    for w in warnings:
+        print(f"warning: {w}")
     summary = {
         "config": meta,
         "limit": sweep.limit,
@@ -124,6 +125,7 @@ def cmd_limit(cfg: RunConfig) -> int:
         "residual_slope": -sweep.slope if np.isfinite(sweep.slope) else None,
         "richardson_extrapolation": sweep.richardson,
         "final_relative_residual": sweep.final_relative_residual,
+        "warnings": warnings,
     }
     write_json(f"{cfg.out_dir}/limit_summary.json", summary)
     print(f"limit = {sweep.limit:.12g}   variant = {sweep.limit_variant:.12g} "

@@ -15,9 +15,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .flow import VelocityProfile
+from .flow import CAPTURE_RHO, RAY_RTOL, VelocityProfile
 from .gammatools import log_gamma0_modulus_sq
 from .packets import A_MIN
+from .spectrum import MAX_N_ETA
 
 __all__ = ["RunConfig", "fmt_float"]
 
@@ -34,8 +35,6 @@ class RunConfig:
     a_minus: float = -1.2
     a_plus: float = -0.8
     tau: float = 1.0
-    ode_tol: float = 1e-10
-    rho_min: float = 1e-3
     x0_horizon_max: float = 10.0
     # packet
     alpha: float = 1.0
@@ -60,15 +59,16 @@ class RunConfig:
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in (v if isinstance(v, tuple) else (v,))):
                 raise ConfigError(f"{f.name} must be finite")
-        for name in ("ode_tol", "rho_min", "tau", "x0_horizon_max", "alpha",
-                     "a", "tfinal", "grid_rho_max"):
+        for name in ("tau", "x0_horizon_max", "alpha", "a", "tfinal",
+                     "grid_rho_max"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
         if not (self.a_minus < 0.0 and self.a_plus < 0.0):
             raise ConfigError("a_minus and a_plus must be negative")
-        # the horizon lies between |A-| and |A+|; the ray ODE stops at rho_min
-        if not min(-self.a_minus, -self.a_plus) > self.rho_min:
-            raise ConfigError("min(|a_minus|, |a_plus|) must exceed rho_min")
+        # the horizon lies between |A-| and |A+|; rays stop at CAPTURE_RHO
+        if not min(-self.a_minus, -self.a_plus) > CAPTURE_RHO:
+            raise ConfigError(f"min(|a_minus|, |a_plus|) must exceed rho_min"
+                              f" = {CAPTURE_RHO}, the rays' capture radius")
         if not 0.05 <= self.eps <= 0.5:
             raise ConfigError("eps must lie in [0.05, 1/2]: below 0.05 the "
                               "packet edge s^eps needs quadrature nodes "
@@ -96,6 +96,8 @@ class RunConfig:
         # at 16 points Simpson misses the head integral by up to 15%
         if self.n_eta < 24:
             raise ConfigError("n_eta must be at least 24")
+        if self.n_eta > MAX_N_ETA:  # a spectrum table's memory budget
+            raise ConfigError(f"n_eta must be at most {MAX_N_ETA}")
         # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
         if self.nrho < 30:
             raise ConfigError("nrho must be at least 30")
@@ -103,10 +105,11 @@ class RunConfig:
         if not self.out_dir:
             raise ConfigError("out_dir must not be empty")
 
-    # [min|A|, max|A|], where the ray equation confines sigma*: derived, so
-    # neither a key nor echoed; perfbench/workloads.py still reads them
+    # [min|A|, max|A|], where the ray equation confines sigma*, and the fixed
+    # ray accuracy: not keys, not echoed; perfbench/workloads.py reads them
     bracket_lo = property(lambda self: min(-self.a_minus, -self.a_plus))
     bracket_hi = property(lambda self: max(-self.a_minus, -self.a_plus))
+    ode_tol, rho_min = RAY_RTOL, CAPTURE_RHO
 
     # -- construction -------------------------------------------------------
 

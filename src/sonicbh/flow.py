@@ -29,7 +29,9 @@ straight-line stages that take a float (the separatrix, one ray) or an
 array (rays stacked with their tangents) alike.  Backward, the ray
 equation pulls neighbours in at rate |A|/rho^2, which holds an explicit
 step to a few rho^2/|A|; so the separatrix starts no further out than the
-contraction its start error needs, and its cost stays flat in tau.
+contraction its start error needs, and its cost stays flat in tau.  The
+accuracy is fixed: rays and their tangents step at RAY_RTOL and RAY_ATOL
+down to the capture radius CAPTURE_RHO, the separatrix at SEPARATRIX_RTOL.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ __all__ = [
 # takes about 40-60 a half on ordinary flows; failed steps shrink by 5 at a
 # time, so a solve that cannot go on underflows its step long before this
 RK8_MAX_STEPS = 100_000
+# as settable keys, a ray rtol of 1e-12 or 1e-6 moved only pde-verify's
+# evolved rows (dev_rel by 5.7e-11 or 5.2e-7 relative, far under their
+# discr_estimate), and a capture radius of 1e-8 or 0.5 moved no output
+RAY_RTOL, RAY_ATOL = 1e-10, 1e-12
+CAPTURE_RHO = 1e-3
+SEPARATRIX_RTOL = 1e-13
 
 # the Dormand-Prince 8(5,3) tableau, stages numbered from 1: nodes C, stage
 # weights A<i>_<j>, solution weights B, and the weights of the fifth- and
@@ -179,13 +187,11 @@ class HorizonCurve:
 
 @dataclass(frozen=True)
 class FlowMap:
-    """A profile together with its separatrix data and integrator settings."""
+    """A profile together with its separatrix data."""
 
     profile: VelocityProfile
     sigma_star: float
     horizon: HorizonCurve
-    ode_tol: float = 1e-10
-    rho_min: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -358,12 +364,6 @@ def _resample(f, runs):
     return _dop853_step(f, x, y, h, k)[0]
 
 
-def _ray_tols(ode_tol: float) -> tuple[float, float]:
-    """(rtol, atol) of a ray solve: ode_tol, clamped at DOP853's floor of
-    100 machine epsilons, and ode_tol / 100."""
-    return max(ode_tol, 100.0 * np.finfo(float).eps), ode_tol * 1e-2
-
-
 def _ray_equation(profile: VelocityProfile):
     """drho/dx0 = A(x0)/rho + 1 on floats and on arrays, and on floats the
     step 5 / |d(A/rho + 1)/drho| = 5 rho^2/|A|, inside DOP853's real
@@ -385,43 +385,22 @@ def _ray_equation(profile: VelocityProfile):
 
 
 def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
-                             profile: VelocityProfile, *,
-                             ode_tol: float = 1e-10, rho_min: float = 1e-3,
-                             t_eval=None) -> CharacteristicPath:
+                             profile: VelocityProfile) -> CharacteristicPath:
     """Integrate one ray from rho(x0_from) = sigma0 to x0_to.
 
-    Samples the accepted steps, or the points of t_eval the ray reaches.
-    Stops early with captured=True where the ray falls to rho_min, located
-    within the last step by bisection on the re-step size.
+    Samples the start of every accepted step and the point the solve
+    reached.  A ray that falls to CAPTURE_RHO stops after that step, with
+    captured=True.
     """
-    if sigma0 <= rho_min:
-        raise ValueError(f"sigma0 = {sigma0} must exceed rho_min = {rho_min}")
-    ray, rays, _ = _ray_equation(profile)
-    run = _rk8(ray, float(x0_from), float(sigma0), float(x0_to),
-               *_ray_tols(ode_tol), "ray integration",
-               stop=lambda rho: rho <= rho_min)
-    x_end, rho_end = run.x_end, run.y_end
-    captured = rho_end <= rho_min
-    if captured:
-        x, rho, k, h = run.steps[-1]
-        lo, hi = 0.0, h
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            r = _dop853_step(ray, x, rho, mid, k)[0]
-            if r > rho_min:
-                lo = mid
-            else:
-                hi, rho_end = mid, r
-        x_end = x + hi
-    if t_eval is None:
-        return CharacteristicPath(
-            x0=np.array([step[0] for step in run.steps] + [x_end]),
-            rho=np.array([step[1] for step in run.steps] + [rho_end]),
-            captured=captured)
-    t = np.asarray(t_eval, dtype=float)
-    t = t[(t - x_end) * (x0_to - x0_from) <= 0.0]
-    rho = _resample(rays, [(run, t)])
-    return CharacteristicPath(x0=t, rho=rho, captured=captured)
+    if sigma0 <= CAPTURE_RHO:
+        raise ValueError(f"sigma0 = {sigma0} must exceed {CAPTURE_RHO}")
+    run = _rk8(_ray_equation(profile)[0], float(x0_from), float(sigma0),
+               float(x0_to), RAY_RTOL, RAY_ATOL, "ray integration",
+               stop=lambda rho: rho <= CAPTURE_RHO)
+    return CharacteristicPath(
+        x0=np.array([step[0] for step in run.steps] + [run.x_end]),
+        rho=np.array([step[1] for step in run.steps] + [run.y_end]),
+        captured=run.y_end <= CAPTURE_RHO)
 
 
 def _separatrix_start(profile: VelocityProfile, x0_horizon_max: float):
@@ -457,21 +436,20 @@ def _separatrix_start(profile: VelocityProfile, x0_horizon_max: float):
     return x
 
 
-def find_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
-                    *, ode_tol: float = 1e-10,
-                    rho_min: float = 1e-3) -> FlowMap:
+def find_separatrix(profile: VelocityProfile,
+                    x0_horizon_max: float = 10.0) -> FlowMap:
     """Locate sigma_star by one backward solve and sample the horizon curve.
 
     The ray started at |A| far in the future (_separatrix_start) and
     integrated back to x0 = 0 lands on sigma_star; a backward solve from
     (0, sigma_star) covers the x0 < 0 half.  Both are _rk8 solves at rtol
-    max(min(ode_tol, 1e-12)/10, 3e-14) and atol rtol/100, in plain floats,
+    SEPARATRIX_RTOL and atol SEPARATRIX_RTOL/100, in plain floats,
     and the 800 horizon samples off x0 = 0 come from one vectorised
     re-step pass over the two.  A failed solve, or a sample that is not
     finite or lies outside [min|A|, max|A|], raises StepFailureError
     naming the solve's start.
     """
-    tol = max(min(ode_tol, 1e-12) / 10.0, 3e-14)
+    tol = SEPARATRIX_RTOL
     x_grid = np.linspace(0.0, float(x0_horizon_max), 401)
     x_start = _separatrix_start(profile, float(x0_horizon_max))
     # steps stay stable: where the right-hand side vanishes to the last
@@ -505,8 +483,7 @@ def find_separatrix(profile: VelocityProfile, x0_horizon_max: float = 10.0,
     horizon = HorizonCurve(x0=np.concatenate([-x_grid[::-1], x_grid[1:]]),
                            rho_star=reached[::-1].copy())
 
-    return FlowMap(profile=profile, sigma_star=sigma_star, horizon=horizon,
-                   ode_tol=ode_tol, rho_min=rho_min)
+    return FlowMap(profile=profile, sigma_star=sigma_star, horizon=horizon)
 
 
 def transport(rho, x0_from: float, x0_to: float, flow: FlowMap):
@@ -515,21 +492,21 @@ def transport(rho, x0_from: float, x0_to: float, flow: FlowMap):
     Returns (rho(x0_to), J) for the rays through the points rho at
     x0_from, where J = d rho(x0_to) / d rho(x0_from) solves the tangent
     equation dJ/dx0 = (-A/rho^2) J, J(x0_from) = 1.  Vectorised over rho:
-    one _rk8 solve of the rays stacked over their tangents, at the
-    tolerances of integrate_characteristic; raises CaptureError if a ray
-    reaches rho_min on the way.
+    one _rk8 solve of the rays stacked over their tangents, at RAY_RTOL
+    and RAY_ATOL; raises CaptureError if a ray reaches CAPTURE_RHO on the
+    way.
     """
     rho = np.asarray(rho, dtype=float)
-    a_of, rho_min = flow.profile.eval, flow.rho_min
+    a_of = flow.profile.eval
 
     def rays(x0, y):
         q = a_of(x0) / y[0]
         return np.array([q + 1.0, -q / y[0] * y[1]])
 
     run = _rk8(rays, float(x0_from), np.array([rho, np.ones_like(rho)]),
-               float(x0_to), *_ray_tols(flow.ode_tol), "ray integration",
-               stop=lambda y: y[0].min() <= rho_min)
+               float(x0_to), RAY_RTOL, RAY_ATOL, "ray integration",
+               stop=lambda y: y[0].min() <= CAPTURE_RHO)
     if run.x_end != x0_to:
-        raise CaptureError(
-            f"a ray from x0={x0_from} reaches rho_min before x0={x0_to}")
+        raise CaptureError(f"a ray from x0={x0_from} reaches the capture "
+                           f"radius {CAPTURE_RHO} before x0={x0_to}")
     return run.y_end[0], run.y_end[1]

@@ -314,15 +314,11 @@ class _Stencil:
                 block[col:col + len(coefs), dst] += np.multiply(coefs,
                                                                 scale[row])
 
-    def __call__(self, u, out, diff):
-        """Apply the operator to u into out; diff is the forward difference
-        of u flattened, which stencils of one state share."""
-        return self.bind(u, out, diff)(0)
-
     def bind(self, u, out, diff, factors=(1.0,)):
         """The operator on u into out, as apply(i), which writes factors[i]
-        times it and returns out; diff is as for __call__.  The kernels and
-        edge blocks are scaled by every factor, and the views made, here."""
+        times it and returns out; diff is the forward difference of u
+        flattened, which stencils of one state share.  The kernels and edge
+        blocks are scaled by every factor, and the views made, here."""
         factors = np.asarray(factors, dtype=float)[..., None]
         n = u.shape[-1]
         inner = out.reshape(-1)[self.lo:u.size - self.hi]

@@ -76,6 +76,9 @@ __all__ = [
 ]
 
 DENSITY_IDENTITY_RTOL = 1e-10
+# a table's 256 MB memory budget at 214 bytes an eta: sonicbh spectrum
+# peaked at 32 MB resident at n_eta = 24, 256 MB at 2^20 (Intel Xeon)
+MAX_N_ETA = 1_200_000
 _TINY = np.finfo(float).tiny
 
 

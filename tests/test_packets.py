@@ -146,10 +146,11 @@ def test_eikonal_time_derivative_fd(smooth_flow, smooth_profile):
 
 
 def test_eikonal_constant_along_rays(smooth_flow, smooth_profile):
-    # E sqrt(rho) (eta^2+1)^(1/4) depends only on the ray label
+    # E sqrt(rho) (eta^2+1)^(1/4) depends only on the ray label, at every
+    # accepted step of the ray and at its end
     eta, sigma0 = -2.0, 1.9
-    path = integrate_characteristic(sigma0, 0.0, 2.0, smooth_profile,
-                                    t_eval=np.linspace(0.0, 2.0, 5))
+    path = integrate_characteristic(sigma0, 0.0, 2.0, smooth_profile)
+    assert len(path.x0) > 3 and path.x0[-1] == 2.0
     vals = [eval_eikonal(r, t, eta, smooth_flow) * math.sqrt(r)
             * (eta * eta + 1.0) ** 0.25
             for t, r in zip(path.x0, path.rho)]

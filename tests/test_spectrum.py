@@ -17,6 +17,7 @@ import pytest
 from scipy import integrate
 
 from sonicbh.errors import GridMismatchError, ToleranceError
+from sonicbh.flow import CAPTURE_RHO
 from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_modulus_sq)
 from sonicbh.packets import (FieldOnGrid, PacketParams, gamma_tilde,
@@ -108,11 +109,11 @@ def _smeared_mode(rho, eta_c, family, sigma_w, rho_c, profile):
             sigma_w * math.sqrt(math.pi))  # int |w|^2 d eta
 
 
-def test_smeared_norms_and_orthogonality(smooth_flow, smooth_profile):
+def test_smeared_norms_and_orthogonality(smooth_profile):
     # delta-normalisation in smeared form: <u+, u+> = (2 pi)^2 int|w|^2,
     # <v-, v-> = -(2 pi)^2 int|w|^2, and +/- cross products vanish both for
     # the same and for disjoint windows
-    rho = np.linspace(smooth_flow.rho_min + 20.0, 120.0, 9001)
+    rho = np.linspace(CAPTURE_RHO + 20.0, 120.0, 9001)
     sigma_w, rho_c = 0.4, 60.0
     u_plus, w2 = _smeared_mode(rho, 6.0, "+", sigma_w, rho_c, smooth_profile)
     v_minus, _ = _smeared_mode(rho, 2.5, "-", sigma_w, rho_c, smooth_profile)
