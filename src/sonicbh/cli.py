@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pde, spectrum
 from .config import RunConfig
-from .errors import ConfigError, SonicbhError
+from .errors import SonicbhError
 from .flow import find_separatrix
 from .output import check_out_dir, write_csv, write_json
 from .packets import PacketParams, eval_packet_profile, packet_norm
@@ -139,14 +139,8 @@ def cmd_limit(cfg: RunConfig) -> int:
 def cmd_pde_verify(cfg: RunConfig) -> int:
     flow, meta = _flow_meta(cfg)
     p = _packet(cfg, flow.sigma_star)
-    # checked here, not in RunConfig, so that no other command refuses a
-    # flow for a wave-grid key
-    edge, _ = pde.drift_bounds(flow.profile, cfg.tfinal)
-    if not cfg.grid_rho_max > edge:
-        raise ConfigError(f"grid_rho_max must exceed the wave grid's inner "
-                          f"edge {edge:g}")
-    grid = pde.RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho,
-                               flow.profile, cfg.tfinal)
+    grid = pde.RadialGrid.auto(pde.inner_edge(flow.profile), cfg.grid_rho_max,
+                               cfg.nrho, flow.profile, cfg.tfinal)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,
                                         t_final=cfg.tfinal)
     write_json(f"{cfg.out_dir}/pde_report.json",

@@ -1,11 +1,4 @@
-"""Run configuration: key=value text files with flag overrides.
-
-Every output file embeds the fully resolved configuration in canonical
-key order.  CSV metadata lines spell a float key at 17 significant digits
-(fmt_float) and a list-valued key (a_sweep, eta_list) as a Python list of
-repr floats; JSON summaries spell floats by repr.  Every form parses back
-to the same values.
-"""
+"""Run configuration: key=value text files with flag overrides."""
 
 from __future__ import annotations
 
@@ -20,13 +13,9 @@ from .gammatools import log_gamma0_modulus_sq
 from .packets import A_MIN
 from .spectrum import MAX_N_ETA
 
-__all__ = ["RunConfig", "fmt_float"]
+__all__ = ["RunConfig"]
 
 _LN_MAX = math.log(sys.float_info.max)
-
-
-def fmt_float(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -96,8 +85,12 @@ class RunConfig:
         # at 16 points Simpson misses the head integral by up to 15%
         if self.n_eta < 24:
             raise ConfigError("n_eta must be at least 24")
-        if self.n_eta > MAX_N_ETA:  # a spectrum table's memory budget
-            raise ConfigError(f"n_eta must be at most {MAX_N_ETA}")
+        # a run's budget: len(a_sweep) spectrum tables of n_eta rows each
+        k = len(self.a_sweep)
+        if self.n_eta * k > MAX_N_ETA:
+            raise ConfigError(f"n_eta must be at most {MAX_N_ETA // k} at "
+                              f"{k} a_sweep values: n_eta x len(a_sweep) "
+                              f"must be at most {MAX_N_ETA}")
         # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
         if self.nrho < 30:
             raise ConfigError("nrho must be at least 30")

@@ -22,6 +22,12 @@ is spelled in numpy with exactly the bytes of f"{v:.17g}":
   '0.000' before the digits or the point after the right one, and one
   bytes.translate drops the NULs.
 
+Every output file embeds the fully resolved configuration in canonical
+key order.  CSV metadata lines spell a float key at 17 significant digits
+(format_cell) and a list-valued key (a_sweep, eta_list) as a Python list
+of repr floats; JSON summaries spell floats by repr.  Every form parses
+back to the same values.
+
 JSON summaries sort keys.  Both hold finite numbers only: a NaN or
 infinity raises ToleranceError and writes nothing.  Files are written as
 bytes, '\n'-terminated on every platform, each CSV block as it is made.
@@ -41,7 +47,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import fmt_float
 from .errors import ConfigError, ToleranceError
 
 __all__ = ["check_out_dir", "write_csv", "write_json", "format_cell"]
@@ -51,7 +56,7 @@ def format_cell(v) -> str:
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ToleranceError(f"non-finite value {v}")
-        return fmt_float(v)
+        return f"{v:.17g}"
     return str(v)
 
 

@@ -18,9 +18,10 @@ speed A/rho is negative everywhere, so its derivative is the third-order
 stencil biased toward larger rho (the inflow side); the wave term's first
 and second derivatives are centred and fourth order; every stencil drops
 to second order in its edge rows.  Inside the horizon both characteristic
-speeds point inward, so the inner edge, derived from the flow (drift_bounds),
+speeds point inward, so the inner edge, derived from the flow (inner_edge),
 is pure outflow and one-sided stencils suffice there (solve_cauchy refuses
-an inner edge where |A| does not exceed rho_min); the outer edge carries a
+an inner edge where |A| does not exceed rho_min with ConfigError, as
+RadialGrid does an outer edge at or below it); the outer edge carries a
 sponge layer that damps what the data window lets by.  The time step is 0.9
 of RK4's step limit for the coupled interior system the solver steps, with
 the drift at its fastest over the solve: its frozen symbol is
@@ -82,7 +83,7 @@ __all__ = [
     "RemainderReport",
     "remainder_contribution",
     "predicted_point_steps",
-    "drift_bounds",
+    "inner_edge",
 ]
 
 STEP_SAFETY = 0.9
@@ -94,7 +95,9 @@ GROWTH_LIMIT = 10.0  # sup-norm growth over the initial state that flags it
 # steps per A(x0) table: the stepper's scaled stencils stay under 0.4 MB
 # at any step count
 _TABLE_STEPS = 512
-# AC7d's 5-minute budget for pde-verify at 250 ns per RK4 point-step
+# pde-verify's work budget (AC7d): about 5 minutes at 1024 points (160-280
+# ns a point-step) but 14-30 minutes at 87, where a step's fixed 76-150 us
+# dominates (solve_mode at eta = -4, default flow, 2-core Intel Xeon)
 MAX_POINT_STEPS = 1.2e9
 POINTS_PER_WAVELENGTH = 16
 A_VALUES = (8.0, 16.0, 32.0)  # localisation rates of the remainder sweep
@@ -102,17 +105,17 @@ EVOLVE_ETA = -4.0  # wavenumber of the evolved remainder rows
 INNER_EDGE = 0.8  # the wave grid's inner edge over min(|A-|, |A+|)
 
 
-def drift_bounds(profile: VelocityProfile, t_final: float):
-    """The wave grid's inner edge and max|A| over [0, t_final], which sets
-    the step bound.  |A| and the separatrix stay at or above min(|A-|, |A+|),
-    so the edge, INNER_EDGE times that, takes outflow below the packet."""
-    edge = INNER_EDGE * min(abs(profile.a_minus), abs(profile.a_plus))
-    return edge, profile.max_abs(0.0, t_final)
+def inner_edge(profile: VelocityProfile) -> float:
+    """The wave grid's inner edge.  |A| and the separatrix stay at or above
+    min(|A-|, |A+|), so the edge, INNER_EDGE times that, takes outflow
+    below the packet."""
+    return INNER_EDGE * min(abs(profile.a_minus), abs(profile.a_plus))
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid and time step for the wave stepper."""
+    """Uniform radial grid and time step for the wave stepper; ConfigError
+    names grid_rho_max when rho_max does not exceed rho_min, the inner edge."""
 
     rho_min: float
     rho_max: float
@@ -120,8 +123,11 @@ class RadialGrid:
     dt: float
 
     def __post_init__(self) -> None:
-        if self.rho_min <= 0.0 or self.rho_max <= self.rho_min:
-            raise ValueError("need 0 < rho_min < rho_max")
+        if self.rho_min <= 0.0:
+            raise ValueError("rho_min must be positive")
+        if not self.rho_max > self.rho_min:
+            raise ConfigError(f"grid_rho_max must exceed the wave grid's "
+                              f"inner edge {self.rho_min:g}")
         if self.n_rho < 16:
             raise ValueError("n_rho too small")
         if self.dt <= 0.0:
@@ -157,16 +163,18 @@ class RadialGrid:
     def auto(cls, rho_min: float, rho_max: float, n_rho: int,
              profile: VelocityProfile, t_final: float) -> "RadialGrid":
         """The grid with the largest step within cfl_dt, the stencils' RK4
-        step bound at max|A| over [0, t_final] (drift_bounds), for which
-        t_final/2 and t_final are whole steps: dt = t_final/(2m).
+        step bound at max|A| over [0, t_final], for which t_final/2 and
+        t_final are whole steps: dt = t_final/(2m).  rho_min is the inner
+        edge, for a flow's wave grid inner_edge(profile).
 
-        ConfigError when the step count overflows a float or dt falls
-        below the smallest normal float, where t_final/dt loses its digits.
+        ConfigError when t_final is not positive, rho_max does not exceed
+        rho_min, the step count overflows a float or dt falls below the
+        smallest normal float, where t_final/dt loses its digits.
         """
         if not t_final > 0.0:
             raise ConfigError("tfinal must be positive")
         cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0).cfl_dt(
-            drift_bounds(profile, t_final)[1])
+            profile.max_abs(0.0, t_final))
         half_steps = t_final / (2.0 * cfl_dt) if cfl_dt > 0.0 else math.inf
         steps = (2.0 * math.ceil(half_steps) if half_steps < math.inf
                  else math.inf)
@@ -348,10 +356,10 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     """Evolve data (f, D f) at x0 = 0 to t_final with classic RK4.
 
     profile is a VelocityProfile, whose max|A| over the solve sets the step
-    bound grid.cfl_dt (ValueError beyond it), and whose min|A| there must
+    bound grid.cfl_dt (ConfigError beyond it), and whose min|A| there must
     exceed grid.rho_min, so that the inner edge is pure outflow
-    (ValueError otherwise); or any callable
-    x0 -> A(x0), which is stepped unchecked.  States are
+    (ConfigError otherwise; inner_edge(profile) is such an edge); or any
+    callable x0 -> A(x0), which is stepped unchecked.  States are
     recorded after the initial state at out_times (default t_final), each
     with x0 the requested time, which must be a whole number of steps
     (ValueError otherwise); the loop stops at the last of them.  Each
@@ -374,15 +382,15 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             ([t_final] if out_times is None else out_times)}
     if isinstance(profile, VelocityProfile):
         t_end = max(want.values(), default=0.0)
-        a_max = drift_bounds(profile, t_end)[1]
+        a_max = profile.max_abs(0.0, t_end)
         if not grid.dt <= grid.cfl_dt(a_max) * (1.0 + 1e-12):
-            raise ValueError(
+            raise ConfigError(
                 f"dt = {grid.dt:g} violates the CFL bound "
                 f"{grid.cfl_dt(a_max):g} for max|A| = {a_max:g} over "
                 f"[0, {t_end:g}]")
         a_min = profile.min_abs(0.0, t_end)
         if not a_min > grid.rho_min:
-            raise ValueError(
+            raise ConfigError(
                 f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
                 f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
     n, dt = grid.n_rho, grid.dt
@@ -586,19 +594,14 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     raises ResolutionError; a coarse twin too coarse for it leaves the
     estimate None, with a warning.  The report records n_rho, dt and steps
     of each solve made.  These raise ConfigError before any work: grids
-    whose inner edge takes inflow before t_final or whose two solves would
-    take more than MAX_POINT_STEPS point-steps; an alpha that leaves the
-    |F|^2 factor of a sweep or evolved density subnormal; and an eta sample
-    whose x0 = 0 eikonal density or its |F|^2 factor is not a positive
-    normal float, or whose deviation is not finite.
+    whose two solves would take more than MAX_POINT_STEPS point-steps; an
+    alpha that leaves the |F|^2 factor of a sweep or evolved density
+    subnormal; and an eta sample whose x0 = 0 eikonal density or its |F|^2
+    factor is not a positive normal float, or whose deviation is not
+    finite.  A grid whose inner edge takes inflow before t_final is
+    solve_cauchy's ConfigError; inner_edge(flow.profile) takes none.
     """
     profile = flow.profile
-    a_min = profile.min_abs(0.0, t_final)
-    if not a_min > grid.rho_min:
-        raise ConfigError(
-            f"inner edge rho_min = {grid.rho_min:g} must lie below min|A| = "
-            f"{a_min:g} over [0, tfinal]: above it the inner edge takes "
-            f"inflow")
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
                              profile, t_final)
     work = predicted_point_steps((grid, coarse), t_final)

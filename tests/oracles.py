@@ -44,12 +44,12 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from sonicbh.errors import GridMismatchError, InstabilityError
+from sonicbh.errors import ConfigError, GridMismatchError, InstabilityError
 from sonicbh.flow import FlowMap, VelocityProfile, transport
 from sonicbh.gammatools import gamma0_modulus_sq
 from sonicbh.packets import (FieldOnGrid, PacketParams, eikonal_values,
                              packet_values)
-from sonicbh.pde import GROWTH_BOUND, GROWTH_LIMIT, RadialGrid, drift_bounds
+from sonicbh.pde import GROWTH_BOUND, GROWTH_LIMIT, RadialGrid
 from sonicbh.pde import solve_cauchy as package_solve_cauchy
 from sonicbh.spectrum import TotalNumber
 
@@ -246,7 +246,7 @@ def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Complex two-array RK4 with the contract of sonicbh.pde.solve_cauchy:
-    data (f, g = D f) at x0 = 0, the same CFL and inflow-edge ValueErrors,
+    data (f, g = D f) at x0 = 0, the same CFL and inflow-edge ConfigErrors,
     the same growth guard over the sup-norm of the real and imaginary parts
     of (f, g) and its InstabilityError message, and a state (f, g) recorded
     at x0 = t for each t in out_times, each a whole number of steps (the
@@ -258,16 +258,16 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     drift = profile
     if isinstance(profile, VelocityProfile):
         t_end = max(want.values(), default=0.0)
-        a_max = drift_bounds(profile, t_end)[1]
+        a_max = profile.max_abs(0.0, t_end)
         if not grid.dt <= grid.cfl_dt(a_max) * (1.0 + 1e-12):
-            raise ValueError(
+            raise ConfigError(
                 f"dt = {grid.dt:g} violates the CFL bound "
                 f"{grid.cfl_dt(a_max):g} for max|A| = {a_max:g} over "
                 f"[0, {t_end:g}]")
         a_min = float(np.min(np.abs(profile.eval(
             np.linspace(0.0, t_end, 1001)))))
         if not a_min > grid.rho_min:
-            raise ValueError(
+            raise ConfigError(
                 f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
                 f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
         drift = profile.eval

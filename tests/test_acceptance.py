@@ -29,7 +29,7 @@ from sonicbh.config import RunConfig
 from sonicbh.flow import VelocityProfile, find_separatrix
 from sonicbh.gammatools import gamma0_modulus_sq, packet_fourier
 from sonicbh.packets import PacketParams, packet_norm
-from sonicbh.pde import (A_VALUES, EVOLVE_ETA, RadialGrid, drift_bounds,
+from sonicbh.pde import (A_VALUES, EVOLVE_ETA, RadialGrid, inner_edge,
                          evolved_projection_densities, remainder_contribution,
                          solve_mode)
 from sonicbh.spectrum import (default_eta_grid, density_from_projections,
@@ -230,7 +230,7 @@ def test_default_evolved_rows_against_reference(smooth_flow, smooth_profile):
     assert cfg.profile() == smooth_profile
     p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
                      sigma_star=smooth_flow.sigma_star)
-    edge, _ = drift_bounds(smooth_profile, cfg.tfinal)
+    edge = inner_edge(smooth_profile)
     grid = RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho, smooth_profile,
                            cfg.tfinal)
     rows = remainder_contribution(p, cfg.eta_list, grid, smooth_flow,
@@ -259,7 +259,7 @@ def test_default_time_error_below_space_error(smooth_flow, smooth_profile):
     cfg = RunConfig()
     p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
                      sigma_star=smooth_flow.sigma_star)
-    edge, _ = drift_bounds(smooth_profile, cfg.tfinal)
+    edge = inner_edge(smooth_profile)
     grid = RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho, smooth_profile,
                            cfg.tfinal)
     rows = remainder_contribution(p, cfg.eta_list, grid, smooth_flow,

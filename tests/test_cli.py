@@ -14,11 +14,12 @@ import pytest
 
 from sonicbh import cli, errors, pde
 from sonicbh.cli import _load_config, build_parser, main
-from sonicbh.config import RunConfig, fmt_float
+from sonicbh.config import RunConfig
 from sonicbh.errors import ConfigError
 from sonicbh.gammatools import gamma0_modulus_sq
 from sonicbh.packets import A_MIN
-from sonicbh.pde import drift_bounds
+from sonicbh.output import format_cell
+from sonicbh.pde import inner_edge
 from sonicbh.spectrum import MAX_N_ETA
 
 
@@ -31,9 +32,9 @@ def test_config_text_roundtrip():
     lines = []
     for key, v in cfg.to_dict().items():
         if isinstance(v, list):
-            v = ",".join(fmt_float(x) for x in v)
+            v = ",".join(format_cell(x) for x in v)
         elif isinstance(v, float):
-            v = fmt_float(v)
+            v = format_cell(v)
         lines.append(f"{key} = {v}")
     assert RunConfig.from_text("\n".join(lines) + "\n") == cfg
 
@@ -110,7 +111,12 @@ def test_config_rejects_bad_input(tmp_path, capsys):
             RunConfig(**bad)
     RunConfig(nrho=30)  # its coarse twin still has 16 points
     RunConfig(n_eta=24)
-    RunConfig(n_eta=MAX_N_ETA)
+    # the budget bounds n_eta x len(a_sweep): all of it for one a value,
+    # a fifth of it at the five default values
+    RunConfig(n_eta=MAX_N_ETA, a_sweep=(8.0,))
+    RunConfig(n_eta=MAX_N_ETA // 5)
+    with pytest.raises(ConfigError, match=f"at most {MAX_N_ETA // 5} at 5"):
+        RunConfig(n_eta=MAX_N_ETA // 5 + 1)
     RunConfig(eps=0.05)
     # the same values from the command line exit 2, before any output
     for argv in (["pde-verify", "--eta-list", "2,-6"],
@@ -326,15 +332,16 @@ def test_commands_import_no_scipy(tmp_path):
 
 def test_spectrum_refuses_n_eta_beyond_budget(tmp_path, capsys):
     # np.geomspace raised a raw ValueError at n_eta = 1e20, after two of
-    # the outputs were written; beyond the memory budget the refusal comes
-    # before any work
-    for n_eta in (MAX_N_ETA + 1, 10 ** 20):
+    # the outputs were written; beyond the run's budget, n_eta times the
+    # five default a_sweep values, the refusal comes before any work and
+    # names the largest n_eta for the sweep
+    for n_eta in (MAX_N_ETA // 5 + 1, MAX_N_ETA + 1, 10 ** 20):
         out = tmp_path / str(n_eta)
         assert main(["spectrum", "--set", f"n_eta={n_eta}",
                      "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: n_eta must be at most "
-                              f"{MAX_N_ETA}"), err
+                              f"{MAX_N_ETA // 5} at 5 a_sweep values"), err
         assert not out.exists()
 
 
@@ -426,10 +433,10 @@ def test_pde_verify_defaults_two_solves(tmp_path, monkeypatch):
 def test_pde_verify_short_tfinal_records_first_step(tmp_path):
     # a tfinal below the CFL step is two steps of tfinal/2: the evolved
     # rows and the last snapshot sit at x0 = tfinal exactly
-    from sonicbh.pde import RadialGrid, drift_bounds
+    from sonicbh.pde import RadialGrid
     cfg = RunConfig(nrho=1024)
-    edge, _ = drift_bounds(cfg.profile(), 1e-4)
-    grid = RadialGrid.auto(edge, cfg.grid_rho_max, 1024, cfg.profile(), 1e-4)
+    grid = RadialGrid.auto(inner_edge(cfg.profile()), cfg.grid_rho_max, 1024,
+                           cfg.profile(), 1e-4)
     assert grid.dt == 5e-5
     assert main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", "1024",
                  "--tfinal", "1e-4"]) == 0
@@ -707,7 +714,7 @@ def test_boundary_pde_verify_eps(tmp_path, capsys, eps):
 
 _SMALL = ["--nrho", "256", "--tfinal", "0.1"]
 # the wave grid's inner edge at the defaults, 0.8 min(|A-|, |A+|) = 0.64
-_EDGE = drift_bounds(RunConfig().profile(), RunConfig().tfinal)[0]
+_EDGE = inner_edge(RunConfig().profile())
 
 
 @pytest.mark.parametrize("argv,accepted,refused,names", [
@@ -849,7 +856,7 @@ def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
     # more is refused before any work
     from sonicbh import pde
     cfg = RunConfig()
-    edge, _ = drift_bounds(cfg.profile(), cfg.tfinal)
+    edge = inner_edge(cfg.profile())
 
     def work(n):
         return pde.predicted_point_steps(

@@ -98,14 +98,18 @@ def test_grid_validation():
         RadialGrid(0.0, 1.0, 64, dt=1e-3)
     with pytest.raises(ValueError):
         RadialGrid(0.5, 1.0, 8, dt=1e-3)
+    # an outer edge at the inner one is the config's grid_rho_max, exit 2
+    with pytest.raises(ConfigError, match="grid_rho_max must exceed the "
+                                          "wave grid's inner edge 1$") as exc:
+        RadialGrid(1.0, 1.0, 64, dt=1e-3)
+    assert exc.value.exit_code == 2
 
 
 @pytest.mark.parametrize("t_final", [0.75, 0.1, 1.0 / 3.0, 1e-4, 1e-300, 1e5])
 def test_auto_grid_lands_on_half_and_final_time(smooth_profile, t_final):
     # dt = t_final/(2m), the largest such step within the CFL bound
     grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, t_final)
-    a_max = pde.drift_bounds(smooth_profile, t_final)[1]
-    cfl_dt = grid.cfl_dt(a_max)
+    cfl_dt = grid.cfl_dt(smooth_profile.max_abs(0.0, t_final))
     m = grid.steps(0.5 * t_final)
     assert grid.steps(t_final) == 2 * m
     assert grid.dt <= cfl_dt * (1.0 + 1e-12)
@@ -118,7 +122,7 @@ def test_cfl_enforced(smooth_profile):
     grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
     f = np.zeros(256, complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         solve_cauchy(f, f, bad, smooth_profile, 10 * bad.dt)
 
 
@@ -302,8 +306,9 @@ def test_step_counts_at_the_defaults(smooth_profile):
     # the pde-verify defaults: the inner edge 0.8 min(|A-|, |A+|) = 0.64
     # and max|A| = |A(0)| = 1 over [0, 0.75] cut the point-steps of the
     # fixed grids above by 46.1%
-    edge, a_max = pde.drift_bounds(smooth_profile, 0.75)
-    assert edge == pytest.approx(0.64, rel=1e-15) and a_max == 1.0
+    edge = pde.inner_edge(smooth_profile)
+    assert edge == pytest.approx(0.64, rel=1e-15)
+    assert smooth_profile.max_abs(0.0, 0.75) == 1.0
 
     def grid(n_rho):
         return RadialGrid.auto(edge, 9.0, n_rho, smooth_profile, 0.75)
@@ -319,7 +324,7 @@ def test_step_bound_takes_the_rising_end_of_the_flow():
     # both steppers take that step and refuse 1.01 times it, though that
     # lies within the bound of |A(0)|
     profile = VelocityProfile(a_minus=-0.8, a_plus=-1.2)
-    edge, _ = pde.drift_bounds(profile, 0.75)
+    edge = pde.inner_edge(profile)
     shape = RadialGrid(edge, 9.0, 256, dt=1.0)
 
     def bound(t):
@@ -335,7 +340,7 @@ def test_step_bound_takes_the_rising_end_of_the_flow():
         grid = RadialGrid(edge, 9.0, 256, dt=dt)
         assert solver(f, f, grid, profile, t_final)[-1].x0 == t_final
         grid = RadialGrid(edge, 9.0, 256, dt=1.01 * dt)
-        with pytest.raises(ValueError, match="violates the CFL bound"):
+        with pytest.raises(ConfigError, match="violates the CFL bound"):
             solver(f, f, grid, profile, 40 * grid.dt)
 
 
@@ -483,12 +488,14 @@ def test_solve_cauchy_errors_match_oracle(smooth_profile):
     f = np.exp(-((blowup.rho - 7.0) / 0.5) ** 2).astype(complex)
     messages = []
     for solver in (solve_cauchy, oracles.solve_cauchy):
-        with pytest.raises(ValueError) as cfl:
+        with pytest.raises(ConfigError) as cfl:
             solver(f, f, bad, smooth_profile, 10 * bad.dt)
         with pytest.raises(InstabilityError) as unstable:
             solver(f, np.zeros_like(f), blowup, lambda x0: 0.0, 10.0)
-        with pytest.raises(ValueError, match="takes inflow") as edge:
+        with pytest.raises(ConfigError, match="takes inflow") as edge:
             solver(f, f, inflow, smooth_profile, 3.0)
+        # both refusals are the config's: exit 2 from the CLI
+        assert cfl.value.exit_code == edge.value.exit_code == 2
         messages.append((str(cfl.value), str(unstable.value),
                          str(edge.value)))
     assert messages[0] == messages[1]
@@ -502,8 +509,8 @@ def test_solve_cauchy_refuses_inflow_inner_edge(a_abs):
     profile = VelocityProfile(a_minus=-a_abs, a_plus=-a_abs)
     grid = RadialGrid.auto(0.3, 9.0, 384, profile, 20.0)
     f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
-    with pytest.raises(ValueError, match="inner edge rho_min = 0.3 takes "
-                                         "inflow"):
+    with pytest.raises(ConfigError, match="inner edge rho_min = 0.3 takes "
+                                          "inflow"):
         solve_cauchy(f, np.zeros_like(f), grid, profile, 20.0)
     # a plain callable drift is stepped unchecked
     hist = solve_cauchy(f, np.zeros_like(f), grid, profile.eval, 10 * grid.dt)
@@ -519,8 +526,8 @@ def test_inflow_check_spans_every_recorded_time(smooth_profile):
     f = np.zeros(128, complex)
     assert len(solve_cauchy(f, f, grid, smooth_profile, 0.5)) == 2
     for t_final, out_times in ((3.0, None), (0.5, [0.5, 3.0])):
-        with pytest.raises(ValueError, match=r"min\|A\| = 0.800989 over "
-                                             r"\[0, 3\]"):
+        with pytest.raises(ConfigError, match=r"min\|A\| = 0.800989 over "
+                                              r"\[0, 3\]"):
             solve_cauchy(f, f, grid, smooth_profile, t_final, out_times)
 
 
@@ -554,10 +561,10 @@ def test_packet_below_inner_edge_is_a_resolution_error(packet, smooth_flow,
 def test_remainder_contribution_refuses_an_inflow_inner_edge(
         packet, smooth_profile, smooth_flow, rho_min, t_final):
     # a direct caller's inner edge at or above min|A| over [0, t_final]
-    # takes inflow, and is refused before any work: at |A(0.75)| itself, at
+    # takes inflow, and solve_cauchy refuses it: at |A(0.75)| itself, at
     # 0.9, and at 0.82 to t_final = 3, where |A| falls to 0.801
     grid = RadialGrid.auto(rho_min, 9.0, 256, smooth_profile, t_final)
-    with pytest.raises(ConfigError, match="inner edge takes inflow"):
+    with pytest.raises(ConfigError, match="takes inflow"):
         remainder_contribution(packet, (-2.0,), grid, smooth_flow,
                                t_final=t_final)
 
@@ -581,7 +588,7 @@ def test_derived_inner_edge_keeps_the_evolved_densities(a_minus, a_plus, tau):
     t_final = 0.75
     profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
     flow = find_separatrix(profile)
-    edge, _ = pde.drift_bounds(profile, t_final)
+    edge = pde.inner_edge(profile)
     on = (flow.horizon.x0 >= 0.0) & (flow.horizon.x0 <= t_final)
     assert on.sum() > 20 and np.all(edge < flow.horizon.rho_star[on])
     assert np.all(edge < np.abs(profile.eval(np.linspace(0.0, t_final,
