@@ -84,10 +84,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         p = _packet(cfg, flow.sigma_star, a)
         table = spectrum.build_spectrum(p, n_eta=cfg.n_eta)
         rows = np.column_stack((table.eta_grid, table.density, table.c1.real,
-                                table.c1.imag, table.c2.real, table.c2.imag))
+                                table.c1.imag))
         out = write_csv(f"{cfg.out_dir}/spectrum_a{a:g}.csv",
-                        ["eta", "density", "c1_re", "c1_im", "c2_re", "c2_im"],
-                        rows, meta)
+                        ["eta", "density", "c1_re", "c1_im"], rows, meta)
         tn = spectrum.total_number(p)
         totals[f"{a:g}"] = {
             "total_grid": table.total,
@@ -115,6 +114,9 @@ def cmd_limit(cfg: RunConfig) -> int:
                     rows, meta)
     warnings = (["sweep too short for a meaningful slope fit"]
                 if len(sweep.rows) < 3 else [])
+    if not np.isfinite(sweep.slope):
+        warnings.append("residual_slope is null: fewer than two a_sweep "
+                        "values leave a nonzero residual to fit")
     for w in warnings:
         print(f"warning: {w}")
     summary = {

@@ -16,6 +16,9 @@ from .spectrum import MAX_N_ETA
 __all__ = ["RunConfig"]
 
 _LN_MAX = math.log(sys.float_info.max)
+# limit fits its last three a against a^-2, a normal float while ln a <=
+# -ln(min)/2: up to 2^511 = 6.7e153, far below where 2a overflows (9e307)
+_SWEEP_MAX = sys.float_info.min ** -0.5
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,9 @@ class RunConfig:
             raise ConfigError("a_sweep must hold positive values")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):
             raise ConfigError("a_sweep must be strictly increasing")
+        if not self.a_sweep[-1] <= _SWEEP_MAX:
+            raise ConfigError(f"a_sweep must be at most {_SWEEP_MAX!r}: above "
+                              f"it limit's a^-2 error term is subnormal")
         if not self.a >= A_MIN:
             raise ConfigError(f"a must be at least {A_MIN!r}: below it the "
                               f"packet's support 45/a nears float overflow")

@@ -95,10 +95,16 @@ GROWTH_LIMIT = 10.0  # sup-norm growth over the initial state that flags it
 # steps per A(x0) table: the stepper's scaled stencils stay under 0.4 MB
 # at any step count
 _TABLE_STEPS = 512
-# pde-verify's work budget (AC7d): about 5 minutes at 1024 points (160-280
-# ns a point-step) but 14-30 minutes at 87, where a step's fixed 76-150 us
-# dominates (solve_mode at eta = -4, default flow, 2-core Intel Xeon)
-MAX_POINT_STEPS = 1.2e9
+# a step's fixed cost in point-steps: solve_mode at eta = -4 on the default
+# flow takes 72-81 ns a point and 67-70 us a step at 87 to 4096 points
+# (best of 5, 2-core Intel Xeon), so N_STEP = 850-980
+N_STEP = 900
+# pde-verify's work budget (AC7d) in steps x (n_rho + N_STEP), fine solve
+# plus twin: at 1024 points it admits what 1.2e9 plain point-steps did,
+# 936 950 fine steps at the defaults.  That is about 3 minutes of stepping
+# from 87 to 4096 points; the largest grid it admits at the defaults,
+# 114 037 points, steps at 205 ns a unit, about 8 minutes
+MAX_POINT_STEPS = 2.465298e9
 POINTS_PER_WAVELENGTH = 16
 A_VALUES = (8.0, 16.0, 32.0)  # localisation rates of the remainder sweep
 EVOLVE_ETA = -4.0  # wavenumber of the evolved remainder rows
@@ -594,7 +600,7 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     raises ResolutionError; a coarse twin too coarse for it leaves the
     estimate None, with a warning.  The report records n_rho, dt and steps
     of each solve made.  These raise ConfigError before any work: grids
-    whose two solves would take more than MAX_POINT_STEPS point-steps; an
+    whose two solves would take more work than MAX_POINT_STEPS; an
     alpha that leaves the |F|^2 factor of a sweep or evolved density
     subnormal; and an eta sample whose x0 = 0 eikonal density or its |F|^2
     factor is not a positive normal float, or whose deviation is not
@@ -607,9 +613,9 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     work = predicted_point_steps((grid, coarse), t_final)
     if work > MAX_POINT_STEPS:
         raise ConfigError(
-            f"the wave solves would take {work:.3g} point-steps (n_rho x "
-            f"steps), beyond the budget of {MAX_POINT_STEPS:.3g}; lower "
-            f"nrho or tfinal")
+            f"the wave solves would take {work:.3g} point-steps (steps x "
+            f"(n_rho + {N_STEP})), beyond the budget of "
+            f"{MAX_POINT_STEPS:.7g}; lower nrho or tfinal")
     for a in A_VALUES:  # |F|^2 ~ e^{-2 alpha theta} scales each density
         etas = np.append(a * _SWEEP_NODES, abs(EVOLVE_ETA))
         f2 = np.min(packet_fourier_modulus_sq(-etas, p.with_a(a)))
@@ -815,8 +821,9 @@ def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
 
 
 def predicted_point_steps(grids, t_final: float) -> float:
-    """RK4 point-steps (n_rho x steps) of solves to t_final on grids."""
-    return sum(g.n_rho * float(g.steps(t_final)) for g in grids)
+    """Work of solves to t_final on grids: steps x (n_rho + N_STEP), RK4
+    point-steps plus each step's fixed cost."""
+    return sum((g.n_rho + N_STEP) * float(g.steps(t_final)) for g in grids)
 
 
 def _evolved_row(p: PacketParams, eta: float, states: list[FieldOnGrid],

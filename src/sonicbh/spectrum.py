@@ -77,9 +77,9 @@ __all__ = [
 
 DENSITY_IDENTITY_RTOL = 1e-10
 # a run's budget of spectrum rows, n_eta x len(a_sweep): one table peaks
-# at 214 bytes an eta (sonicbh spectrum: 32 MB resident at n_eta = 24, 256
-# MB at 2^20), and a full budget at the five default a values wrote 156 MB
-# of CSV in 2.3 s at 85 MB resident (Intel Xeon)
+# at 104 bytes an eta (sonicbh spectrum: 33 MB resident at n_eta = 24, 138
+# MB at 2^20), and a full budget at the five default a values wrote 103 MB
+# of CSV in 1.4 s at 81 MB resident (2-core Intel Xeon)
 MAX_N_ETA = 1_200_000
 _TINY = np.finfo(float).tiny
 

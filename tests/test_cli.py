@@ -198,8 +198,9 @@ def test_spectrum_command(tmp_path):
     assert rc == 0
     body = [ln for ln in (tmp_path / "spectrum_a4.csv").read_text().splitlines()
             if not ln.startswith("#")]
-    assert body[0] == "eta,density,c1_re,c1_im,c2_re,c2_im"
-    assert body[1] == "0,0,0,0,0,0"  # +0 throughout, no -0
+    # one projection column pair: the pair is the split (c1, -c1)
+    assert body[0] == "eta,density,c1_re,c1_im"
+    assert body[1] == "0,0,0,0"  # +0 throughout, no -0
 
     # density column reproduces the closed form for the echoed sigma_star
     totals = json.loads((tmp_path / "spectrum_totals.json").read_text())
@@ -366,6 +367,48 @@ def test_limit_short_sweep_warns(tmp_path, capsys):
     summary = json.loads((tmp_path / "limit_summary.json").read_text())
     assert summary["warnings"] == [
         "sweep too short for a meaningful slope fit"]
+
+
+def test_limit_null_slope_warns(tmp_path, capsys):
+    # at these a every normalised total equals the limit, so no residual
+    # is left to fit: the slope is null, and a warning says why
+    rc = main(["limit", "--out-dir", str(tmp_path),
+               "--set", "a_sweep=1e101,1e102,1e103"])
+    assert rc == 0
+    assert "warning: residual_slope is null" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "limit_summary.json").read_text())
+    assert summary["residual_slope"] is None
+    assert summary["warnings"] == [
+        "residual_slope is null: fewer than two a_sweep values leave a "
+        "nonzero residual to fit"]
+
+
+_SWEEP_MAX = 2.0 ** 511  # 1 / sqrt(the smallest normal float)
+
+
+@pytest.mark.parametrize("a_sweep,accepted", [
+    # limit fits its last three a against a^-2, which is normal up to
+    # 2^511.  Above it 1e154,1e155,1e156 raised numpy's LinAlgError, 1e200
+    # printed an overflow RuntimeWarning, and 1.7e308 raised
+    # ZeroDivisionError where 2a overflows; all are refused before output
+    (f"4,8,{_SWEEP_MAX!r}", True),
+    (f"1e153,2e153,{_SWEEP_MAX!r}", True),
+    (f"4,8,{math.nextafter(_SWEEP_MAX, math.inf)!r}", False),
+    ("1e154,1e155,1e156", False),
+    ("4,8,1e200", False),
+    ("4,1.7e308", False),
+])
+def test_boundary_limit_a_sweep_ceiling(tmp_path, capsys, a_sweep, accepted):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _run_boundary(["limit", "--set", f"a_sweep={a_sweep}"],
+                            tmp_path / "out", capsys, accepted=accepted)
+    if accepted:
+        assert err == "", err
+    else:
+        assert err.startswith(f"config error: a_sweep must be at most "
+                              f"{_SWEEP_MAX!r}"), err
+        assert not (tmp_path / "out").exists()
 
 
 def test_pde_verify_command(tmp_path, capsys):
@@ -886,6 +929,28 @@ def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
     assert time.monotonic() - t0 < 10.0
     assert "point-steps" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_pde_verify_budget_counts_the_fixed_step_cost(tmp_path, capsys):
+    # at 87 points a step's fixed cost dominates its time.  tfinal = 2e5
+    # takes 3.4e6 fine steps, 3.8e8 plain point-steps with the twin's,
+    # which the former budget of 1.2e9 admitted (about 6 minutes of
+    # stepping); counting N_STEP for each step puts it at 5.0e9, and it is
+    # refused before any work
+    profile = RunConfig().profile()
+    grids = [pde.RadialGrid.auto(inner_edge(profile), 9.0, n, profile, 2e5)
+             for n in (87, 44)]
+    assert sum(g.n_rho * g.steps(2e5) for g in grids) <= 1.2e9
+    assert pde.predicted_point_steps(grids, 2e5) > pde.MAX_POINT_STEPS
+    t0 = time.monotonic()
+    out = tmp_path / "out"
+    assert main(["pde-verify", "--nrho", "87", "--tfinal", "2e5",
+                 "--out-dir", str(out)]) == 2
+    assert time.monotonic() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the wave solves would take "), err
+    assert "(steps x (n_rho + 900))" in err, err
+    assert not out.exists()
 
 
 def test_pde_verify_packet_off_grid_exit_code(tmp_path, capsys):

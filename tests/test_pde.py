@@ -297,8 +297,9 @@ def test_step_counts_on_fixed_grids():
                                0.75)
     assert grid(1024).steps(0.75) == 286
     assert grid(513).steps(0.75) == 144
+    # point-steps 1024 * 286 + 513 * 144, plus N_STEP for each step
     assert pde.predicted_point_steps((grid(1024), grid(513)),
-                                     0.75) == 366_736
+                                     0.75) == 366_736 + 900 * (286 + 144)
     assert grid(2048).steps(0.75) == 572
 
 
@@ -315,7 +316,7 @@ def test_step_counts_at_the_defaults(smooth_profile):
     assert grid(1024).steps(0.75) == 154
     assert grid(513).steps(0.75) == 78
     assert pde.predicted_point_steps((grid(1024), grid(513)),
-                                     0.75) == 197_710
+                                     0.75) == 197_710 + 900 * (154 + 78)
 
 
 def test_step_bound_takes_the_rising_end_of_the_flow():
@@ -1005,7 +1006,8 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_flow,
 def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
                                                 smooth_flow, monkeypatch):
     # a stepped drift callable is read three times a step, at x0,
-    # x0 + dt/2 and x0 + dt, so the calls count the steps actually taken
+    # x0 + dt/2 and x0 + dt, so the calls count the steps actually taken;
+    # each costs n_rho point-steps plus the fixed N_STEP
     work, grids = [], []
 
     def counting(value0, dvalue0, grid, profile, t_final, out_times=None):
@@ -1016,7 +1018,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
             return profile.eval(x0)
 
         hist = solve_cauchy(value0, dvalue0, grid, drift, t_final, out_times)
-        work.append(grid.n_rho * calls[0] // 3)
+        work.append((grid.n_rho + pde.N_STEP) * (calls[0] // 3))
         grids.append(grid)
         return hist
 
@@ -1034,7 +1036,7 @@ def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
 
 def test_work_budget_admits_the_benchmark_grids(smooth_profile, smooth_flow):
     # 2048 points to t = 0.75 and the wave benchmark's six grids; the
-    # largest, 4096 points to t = 0.75, takes about 5.1e6 point-steps
+    # largest, 4096 points to t = 0.75, takes about 6.4e6 units of work
     for n_rho, t_final in ((2048, 0.75), (1024, 0.5), (1024, 0.75),
                            (2048, 0.5), (4096, 0.5), (4096, 0.75)):
         grids = [RadialGrid.auto(0.3, 9.0, n, smooth_profile,
@@ -1044,6 +1046,29 @@ def test_work_budget_admits_the_benchmark_grids(smooth_profile, smooth_flow):
     grid = RadialGrid.auto(1e-6, 9.0, 1024, smooth_profile, 0.75)
     with pytest.raises(ConfigError, match="point-steps"):
         remainder_contribution(None, (-2.0,), grid, smooth_flow, t_final=0.75)
+
+
+def test_work_budget_keeps_the_1024_point_limit(smooth_profile):
+    # the budget counts each step's fixed cost, N_STEP point-steps, and is
+    # restated so that at 1024 points it admits exactly the runs that 1.2e9
+    # plain point-steps did: at the defaults the last of them takes 936 950
+    # fine steps, and the next 936 952
+    edge = pde.inner_edge(smooth_profile)
+
+    def admitted(t_final):
+        grids = [RadialGrid.auto(edge, 9.0, n, smooth_profile, t_final)
+                 for n in (1024, 513)]
+        plain = sum(g.n_rho * g.steps(t_final) for g in grids) <= 1.2e9
+        work = pde.predicted_point_steps(grids, t_final)
+        assert plain == (work <= pde.MAX_POINT_STEPS), t_final
+        return plain, grids[0].steps(t_final)
+
+    lo, hi = 0.75, 1e5
+    assert admitted(lo)[0] and not admitted(hi)[0]
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if admitted(mid)[0] else (lo, mid)
+    assert admitted(lo)[1] == 936_950 and admitted(hi)[1] == 936_952
 
 
 def test_remainder_contribution_report(report, packet):

@@ -398,6 +398,24 @@ def test_spectrum_table_invariants(packet):
     assert table.total > 0.0
 
 
+@pytest.mark.parametrize("n_eta", [24, 96, 97, 2048])
+def test_spectrum_table_c2_is_minus_c1(smooth_flow, n_eta):
+    # the pair is the split (c1, -c1) of the closed pairing: c2 is bitwise
+    # -c1, and both are +0j at eta = 0.  spectrum_a*.csv writes c1 alone
+    # on the strength of this
+    star = smooth_flow.sigma_star
+    for alpha, eps, a in ((1.0, 0.25, 8.0), (0.5, 0.05, 4.0),
+                          (3.0, 0.5, 64.0), (40.0, 0.1, 1e-3)):
+        p = PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=star)
+        table = build_spectrum(p, n_eta=n_eta)
+        assert table.eta_grid[0] == 0.0
+        bits = table.c2[1:].view(np.uint64)
+        assert np.array_equal(bits, (-table.c1[1:]).view(np.uint64))
+        for c in (table.c1[0], table.c2[0]):
+            assert (math.copysign(1.0, c.real), math.copysign(1.0, c.imag),
+                    c) == (1.0, 1.0, 0j)
+
+
 @pytest.mark.parametrize("n_eta", [96, 2048])
 def test_spectrum_table_matches_scalar_density(smooth_flow, n_eta):
     # the array pass against the scalar closed form, point by point
