@@ -38,9 +38,9 @@ def _flow_meta(cfg: RunConfig):
     return flow, {**cfg.to_dict(), "sigma_star": flow.sigma_star}
 
 
-def _packet(cfg: RunConfig, sigma_star: float, a: float | None = None) -> PacketParams:
-    return PacketParams(alpha=cfg.alpha, a=cfg.a if a is None else a,
-                        eps=cfg.eps, sigma_star=sigma_star)
+def _packet(cfg: RunConfig, sigma_star: float, a: float) -> PacketParams:
+    return PacketParams(alpha=cfg.alpha, a=a, eps=cfg.eps,
+                        sigma_star=sigma_star)
 
 
 def cmd_horizon(cfg: RunConfig) -> int:
@@ -60,18 +60,17 @@ def cmd_horizon(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     flow, meta = _flow_meta(cfg)
 
-    # packet profile over sigma and the closed/numeric norm table
-    p0 = _packet(cfg, flow.sigma_star)
-    sig = flow.sigma_star + np.concatenate(
-        [[0.0], np.geomspace(1e-6, 40.0 / p0.a, 400)])
-    prof = eval_packet_profile(sig, p0)
-    write_csv(f"{cfg.out_dir}/packet_profile.csv",
-              ["sigma", "re", "im", "abs"],
-              np.column_stack((sig, prof.real, prof.imag, np.abs(prof))),
-              meta)
+    # each packet's profile over sigma and its closed/numeric norm row
     norm_rows = []
     for a in cfg.a_sweep:
         pa = _packet(cfg, flow.sigma_star, a)
+        sig = flow.sigma_star + np.concatenate(
+            [[0.0], np.geomspace(1e-6, 40.0 / a, 400)])
+        prof = eval_packet_profile(sig, pa)
+        write_csv(f"{cfg.out_dir}/packet_profile_a{a:g}.csv",
+                  ["sigma", "re", "im", "abs"],
+                  np.column_stack((sig, prof.real, prof.imag, np.abs(prof))),
+                  meta)
         closed = packet_norm(pa)
         numeric = packet_norm(pa, flow, numeric=True)
         norm_rows.append((a, closed, numeric, abs(numeric / closed - 1.0)))
@@ -105,7 +104,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_limit(cfg: RunConfig) -> int:
     flow, meta = _flow_meta(cfg)
-    p = _packet(cfg, flow.sigma_star)
+    # limit_sweep sets each rate of a_sweep itself
+    p = _packet(cfg, flow.sigma_star, cfg.a_sweep[0])
     sweep = spectrum.limit_sweep(p, cfg.a_sweep)
     rows = [(r.a, r.total, r.total_normalized, r.limit, r.residual)
             for r in sweep.rows]
@@ -140,7 +140,8 @@ def cmd_limit(cfg: RunConfig) -> int:
 
 def cmd_pde_verify(cfg: RunConfig) -> int:
     flow, meta = _flow_meta(cfg)
-    p = _packet(cfg, flow.sigma_star)
+    # remainder_contribution sets each rate it uses itself (pde.A_VALUES)
+    p = _packet(cfg, flow.sigma_star, cfg.a_sweep[0])
     grid = pde.RadialGrid.auto(pde.inner_edge(flow.profile), cfg.grid_rho_max,
                                cfg.nrho, flow.profile, cfg.tfinal)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,

@@ -9,13 +9,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .flow import CAPTURE_RHO, RAY_RTOL, VelocityProfile
-from .gammatools import log_gamma0_modulus_sq
 from .packets import A_MIN
 from .spectrum import MAX_N_ETA
 
 __all__ = ["RunConfig"]
 
-_LN_MAX = math.log(sys.float_info.max)
 # limit fits its last three a against a^-2, a normal float while ln a <=
 # -ln(min)/2: up to 2^511 = 6.7e153, far below where 2a overflows (9e307)
 _SWEEP_MAX = sys.float_info.min ** -0.5
@@ -31,7 +29,6 @@ class RunConfig:
     # packet
     alpha: float = 1.0
     eps: float = 0.25
-    a: float = 8.0
     a_sweep: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0, 64.0)
     # spectrum grid
     n_eta: int = 96
@@ -51,7 +48,7 @@ class RunConfig:
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in (v if isinstance(v, tuple) else (v,))):
                 raise ConfigError(f"{f.name} must be finite")
-        for name in ("tau", "x0_horizon_max", "alpha", "a", "tfinal",
+        for name in ("tau", "x0_horizon_max", "alpha", "tfinal",
                      "grid_rho_max"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -72,20 +69,11 @@ class RunConfig:
         if not self.a_sweep[-1] <= _SWEEP_MAX:
             raise ConfigError(f"a_sweep must be at most {_SWEEP_MAX!r}: above "
                               f"it limit's a^-2 error term is subnormal")
-        if not self.a >= A_MIN:
-            raise ConfigError(f"a must be at least {A_MIN!r}: below it the "
-                              f"packet's support 45/a nears float overflow")
-        # the spectrum tables' closed eta -> 0 density modulus |Gamma0|^2
-        # a^-(2+2eps) stays finite from this a on, which lies far above
-        # A_MIN.  A nan logarithm (alpha past loggamma's range) leaves A_MIN
-        log_min = ((log_gamma0_modulus_sq(self.alpha, self.eps) - _LN_MAX)
-                   / (2.0 + 2.0 * self.eps))
-        sweep_min = max(A_MIN, math.exp(log_min))
-        if not self.a_sweep[0] >= sweep_min:
-            raise ConfigError(
-                f"a_sweep must be at least {sweep_min!r} at alpha="
-                f"{self.alpha:g}, eps={self.eps:g}: below it the closed "
-                f"eta -> 0 density modulus |Gamma0|^2 a^-(2+2eps) overflows")
+        # the one floor, the same at every alpha and eps (packets.A_MIN)
+        if not self.a_sweep[0] >= A_MIN:
+            raise ConfigError(f"a_sweep must be at least {A_MIN!r}: below it "
+                              f"the packet's squared support (45/a)^2 "
+                              f"overflows")
         if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
             raise ConfigError("eta_list must hold negative values")
         # at 16 points Simpson misses the head integral by up to 15%

@@ -59,10 +59,10 @@ _GL_SHIFTED = _GL_NODES + 1.0
 # then 45; with its first panel that narrow the rule stays within 1e-12 of
 # the closed norm down to the eps at which its first nodes underflow
 _NORM_EDGES = np.concatenate([[0.0], np.exp2(np.arange(-30.0, 6.0)), [45.0]])
-# the smallest rate a the configuration takes: it holds the packet's
-# support s_max = 45/a to half the largest float, so that the sigma samples
-# over the support stay finite
-A_MIN = 90.0 / sys.float_info.max
+# the smallest rate a the configuration takes, 3.3562533290400936e-153:
+# down to it the numeric norm's squared support (45/a)^2 is a finite float,
+# and so is limit's error-model term ln(1/a)/a^2, as ln(1/a) < 45^2 there
+A_MIN = 45.0 / math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,12 @@ def packet_values(s, rho, dsig_drho, a0, p: PacketParams):
     prof, dprof = _profile(s, p)
     inv_sqrt = rho ** -0.5
     value = inv_sqrt * prof
-    return value, -inv_sqrt * dprof * dsig_drho - 0.5 * a0 / rho ** 2 * value
+    # rho^2 overflows from rho = 1.34e154 (as at |A+-| = 1e160), where the
+    # drift |a0|/(2 rho^2) < 1 then reads 0: a real term, which drops out of
+    # the norm bracket Im(C0* D C0)
+    with np.errstate(over="ignore"):
+        drift = 0.5 * a0 / rho ** 2
+    return value, -inv_sqrt * dprof * dsig_drho - drift * value
 
 
 def gamma_tilde(eta: float) -> float:

@@ -21,7 +21,8 @@ the density is exactly, not to leading order,
     n(eta) = 2 eta^2 |Gamma0|^2 e^{-2 alpha atan(a / eta)}
              / ( sqrt(eta^2+1) (eta^2 + a^2)^(eps+1) ),   eta > 0,
 
-which is manifestly nonnegative and vanishes quadratically at eta = 0.
+which is manifestly nonnegative and vanishes quadratically as eta -> 0;
+at eta = 0 both it and the squared pairing are an exact +0.
 The same two sides taken on quadrature nodes also carry c1 + c2, which
 the combination cancels.  The projections and the density are vectorised
 over |eta|: a spectrum table is one array pass, with both evaluations
@@ -125,8 +126,12 @@ def _checked_density(eta_abs: np.ndarray, p: PacketParams, c1, c2):
     the given projection pair, which computes the same number by another
     route (the complex transform F rather than its modulus)."""
     pair = density_from_projections(c1, c2)
+    # eta^2 makes the closed side an exact +0 at eta = 0, as the pair side
+    # is; |F|^2 is taken at a stand-in |eta| = 1 there, since |F(0)|^2 =
+    # |Gamma0|^2 a^-(2+2eps) overflows at small a
+    stand_in = np.where(eta_abs > 0.0, eta_abs, 1.0)
     closed = (2.0 * eta_abs ** 2 / np.hypot(eta_abs, 1.0)
-              * packet_fourier_modulus_sq(-eta_abs, p))
+              * packet_fourier_modulus_sq(-stand_in, p))
     # below the smallest normal float both sides have lost their digits
     bad = ~(np.abs(pair - closed) <= DENSITY_IDENTITY_RTOL * np.abs(closed)
             + _TINY)

@@ -228,7 +228,7 @@ def test_default_evolved_rows_against_reference(smooth_flow, smooth_profile):
     # convergence
     cfg = RunConfig()
     assert cfg.profile() == smooth_profile
-    p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
+    p = PacketParams(alpha=cfg.alpha, a=cfg.a_sweep[0], eps=cfg.eps,
                      sigma_star=smooth_flow.sigma_star)
     edge = inner_edge(smooth_profile)
     grid = RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho, smooth_profile,
@@ -257,7 +257,7 @@ def test_default_time_error_below_space_error(smooth_flow, smooth_profile):
     # Measured: gaps 3.0e-11/2.7e-11/5.8e-12 against estimates of 3.7e-6
     # to 3.8e-6 at a = 8/16/32
     cfg = RunConfig()
-    p = PacketParams(alpha=cfg.alpha, a=cfg.a, eps=cfg.eps,
+    p = PacketParams(alpha=cfg.alpha, a=cfg.a_sweep[0], eps=cfg.eps,
                      sigma_star=smooth_flow.sigma_star)
     edge = inner_edge(smooth_profile)
     grid = RadialGrid.auto(edge, cfg.grid_rho_max, cfg.nrho, smooth_profile,

@@ -11,6 +11,7 @@ Frozen reference values were produced with mpmath at 30 digits:
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from sonicbh.errors import GridMismatchError, ToleranceError
 from sonicbh.flow import CAPTURE_RHO
 from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_modulus_sq)
-from sonicbh.packets import (FieldOnGrid, PacketParams, gamma_tilde,
+from sonicbh.packets import (A_MIN, FieldOnGrid, PacketParams, gamma_tilde,
                              mode_initial_data, packet_norm)
 from sonicbh.spectrum import (_simpson, build_spectrum, creation_density,
                               default_eta_grid, density_from_projections,
@@ -176,6 +177,22 @@ def test_density_identity_over_grid(packet):
         assert abs(pair - closed) <= 1e-10 * abs(closed)
         assert closed >= 0.0
     assert creation_density(0.0, packet) == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.25, 0.5])
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 2000.0])
+def test_density_exact_zero_at_the_floor(alpha, eps):
+    # at a = A_MIN the eta = 0 modulus |F(0)|^2 = |Gamma0|^2 a^-(2+2eps)
+    # overflows (at the defaults from a ~ 1e-123); the closed density is
+    # still an exact +0 there, with no numpy warning, and so is a table's
+    # first row
+    p = PacketParams(alpha=alpha, a=A_MIN, eps=eps, sigma_star=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = creation_density(0.0, p)
+        first = build_spectrum(p, n_eta=24).density[0]
+    for x in (d, first):
+        assert x == 0.0 and math.copysign(1.0, x) == 1.0, x
 
 
 @pytest.mark.parametrize("a", [8.0, 32.0])
