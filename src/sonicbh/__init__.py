@@ -10,8 +10,7 @@ twins of the closed forms live with the tests (tests/oracles.py).
 from .errors import (CaptureError, ConfigError, GridMismatchError,
                      InstabilityError, ResolutionError, SonicbhError,
                      StepFailureError, ToleranceError)
-from .flow import (CharacteristicPath, FlowMap, HorizonCurve, VelocityProfile,
-                   find_separatrix, integrate_characteristic)
+from .flow import FlowMap, HorizonCurve, VelocityProfile, find_separatrix
 from .gammatools import packet_fourier, packet_fourier_modulus_sq
 from .packets import (FieldOnGrid, PacketParams, eval_packet_profile,
                       mode_initial_data, packet_norm)

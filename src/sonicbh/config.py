@@ -3,20 +3,16 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .flow import CAPTURE_RHO, RAY_RTOL, VelocityProfile
-from .packets import A_MIN
-from .spectrum import MAX_N_ETA
+from .packets import A_MIN, EPS_MAX
+from .pde import EPS_MIN, NRHO_MAX, NRHO_MIN
+from .spectrum import A_SWEEP_MAX, MAX_N_ETA, N_ETA_MIN
 
 __all__ = ["RunConfig"]
-
-# limit fits its last three a against a^-2, a normal float while ln a <=
-# -ln(min)/2: up to 2^511 = 6.7e153, far below where 2a overflows (9e307)
-_SWEEP_MAX = sys.float_info.min ** -0.5
 
 
 @dataclass(frozen=True)
@@ -58,17 +54,18 @@ class RunConfig:
         if not min(-self.a_minus, -self.a_plus) > CAPTURE_RHO:
             raise ConfigError(f"min(|a_minus|, |a_plus|) must exceed rho_min"
                               f" = {CAPTURE_RHO}, the rays' capture radius")
-        if not 0.05 <= self.eps <= 0.5:
-            raise ConfigError("eps must lie in [0.05, 1/2]: below 0.05 the "
+        if not EPS_MIN <= self.eps <= EPS_MAX:
+            raise ConfigError("eps must lie in [{0}, {1}/{2}]: below {0} the "
                               "packet edge s^eps needs quadrature nodes "
-                              "smaller than the smallest float")
+                              "smaller than the smallest float".format(
+                                  EPS_MIN, *EPS_MAX.as_integer_ratio()))
         if not self.a_sweep or not self.a_sweep[0] > 0.0:
             raise ConfigError("a_sweep must hold positive values")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):
             raise ConfigError("a_sweep must be strictly increasing")
-        if not self.a_sweep[-1] <= _SWEEP_MAX:
-            raise ConfigError(f"a_sweep must be at most {_SWEEP_MAX!r}: above "
-                              f"it limit's a^-2 error term is subnormal")
+        if not self.a_sweep[-1] <= A_SWEEP_MAX:
+            raise ConfigError(f"a_sweep must be at most {A_SWEEP_MAX!r}: above"
+                              f" it limit's a^-2 error term is subnormal")
         # the one floor, the same at every alpha and eps (packets.A_MIN)
         if not self.a_sweep[0] >= A_MIN:
             raise ConfigError(f"a_sweep must be at least {A_MIN!r}: below it "
@@ -76,18 +73,19 @@ class RunConfig:
                               f"overflows")
         if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
             raise ConfigError("eta_list must hold negative values")
-        # at 16 points Simpson misses the head integral by up to 15%
-        if self.n_eta < 24:
-            raise ConfigError("n_eta must be at least 24")
+        if self.n_eta < N_ETA_MIN:
+            raise ConfigError(f"n_eta must be at least {N_ETA_MIN}")
         # a run's budget: len(a_sweep) spectrum tables of n_eta rows each
         k = len(self.a_sweep)
         if self.n_eta * k > MAX_N_ETA:
             raise ConfigError(f"n_eta must be at most {MAX_N_ETA // k} at "
                               f"{k} a_sweep values: n_eta x len(a_sweep) "
                               f"must be at most {MAX_N_ETA}")
-        # the coarse twin of the wave solver has nrho // 2 + 1 >= 16 points
-        if self.nrho < 30:
-            raise ConfigError("nrho must be at least 30")
+        if self.nrho < NRHO_MIN:
+            raise ConfigError(f"nrho must be at least {NRHO_MIN}")
+        if self.nrho > NRHO_MAX:
+            raise ConfigError(f"nrho must be at most {NRHO_MAX}, where the "
+                              f"wave budget still bounds the run time")
         # an empty out_dir would put the outputs at the filesystem root
         if not self.out_dir:
             raise ConfigError("out_dir must not be empty")

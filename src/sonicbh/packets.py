@@ -63,6 +63,9 @@ _NORM_EDGES = np.concatenate([[0.0], np.exp2(np.arange(-30.0, 6.0)), [45.0]])
 # down to it the numeric norm's squared support (45/a)^2 is a finite float,
 # and so is limit's error-model term ln(1/a)/a^2, as ln(1/a) < 45^2 there
 A_MIN = 45.0 / math.sqrt(sys.float_info.max)
+# the largest edge exponent: gammatools.loggamma, behind every closed form
+# here, takes Re z = 1 + eps only up to 3/2
+EPS_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class PacketParams:
                    for v in (self.alpha, self.a, self.sigma_star)):
             raise ValueError("alpha, a and sigma_star must be finite and "
                              "positive")
-        if not 0.0 < self.eps <= 0.5:
+        if not 0.0 < self.eps <= EPS_MAX:
             raise ValueError("eps must lie in (0, 1/2]")
 
     @property

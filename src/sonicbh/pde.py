@@ -102,9 +102,17 @@ N_STEP = 900
 # pde-verify's work budget (AC7d) in steps x (n_rho + N_STEP), fine solve
 # plus twin: at 1024 points it admits what 1.2e9 plain point-steps did,
 # 936 950 fine steps at the defaults.  That is about 3 minutes of stepping
-# from 87 to 4096 points; the largest grid it admits at the defaults,
-# 114 037 points, steps at 205 ns a unit, about 8 minutes
+# from 87 to 4096 points; NRHO_MAX keeps it within 5 minutes above them
 MAX_POINT_STEPS = 2.465298e9
+# the largest power of two of points at which MAX_POINT_STEPS units take
+# at most 5 minutes, as a unit grows more costly with the grid: 114-115 ns
+# at 8192 points (281-284 s), 127-131 ns at 16 384 (314-323 s), 205 ns at
+# 114 037 (solve_mode at eta = -4, best of 3, 2-core Intel Xeon)
+NRHO_MAX = 8192
+# the fewest points of a wave grid; NRHO_MIN is the smallest n_rho whose
+# coarse twin, n_rho // 2 + 1 points, keeps that many
+MIN_POINTS = 16
+NRHO_MIN = 2 * (MIN_POINTS - 1)
 POINTS_PER_WAVELENGTH = 16
 A_VALUES = (8.0, 16.0, 32.0)  # localisation rates of the remainder sweep
 EVOLVE_ETA = -4.0  # wavenumber of the evolved remainder rows
@@ -134,7 +142,7 @@ class RadialGrid:
         if not self.rho_max > self.rho_min:
             raise ConfigError(f"grid_rho_max must exceed the wave grid's "
                               f"inner edge {self.rho_min:g}")
-        if self.n_rho < 16:
+        if self.n_rho < MIN_POINTS:
             raise ValueError("n_rho too small")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -713,6 +721,12 @@ class PacketQuadrature:
     dsig_drho: np.ndarray
     weights: np.ndarray
     x0: float
+
+
+# the smallest edge exponent: below it _two_zone_nodes' head node s_min
+# underflows (at |eta| = 4: 1.2e-267 at eps = 0.05, 3.2e-298 at 0.045 and
+# 0 at 0.04, where math.log raises)
+EPS_MIN = 0.05
 
 
 def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,13 +187,21 @@ class SpectrumTable:
     total: float
 
 
+# the fewest eta points of a table: at 16 Simpson misses the head
+# integral by up to 15%
+N_ETA_MIN = 24
+
+
 def build_spectrum(p: PacketParams, n_eta: int = 96) -> SpectrumTable:
     """Tabulate projections and density over default_eta_grid(a, n_eta)
     in one array pass."""
     eta_grid = default_eta_grid(p.a, n_eta)
     c1, c2 = eikonal_projections(eta_grid, p)
     density = _checked_density(eta_grid, p, c1, c2)
-    total = _simpson(density, eta_grid)
+    # Simpson on the grid over a power of two near max(a, 1), which keeps
+    # the total's bits and the cubed last step h1^3 finite at large a
+    scale = 2.0 ** math.frexp(max(p.a, 1.0))[1]
+    total = scale * _simpson(density, eta_grid / scale)
     return SpectrumTable(eta_grid=eta_grid, density=density, c1=c1, c2=c2,
                          total=total)
 
@@ -330,6 +339,12 @@ class SweepResult:
     @property
     def final_relative_residual(self) -> float:
         return self.rows[-1].residual / self.limit
+
+
+# the largest a of a sweep: the Richardson column a^-2 is a normal float
+# while ln a <= -ln(min)/2, up to 2^511 = 6.7e153, far below where 2a
+# overflows (9e307)
+A_SWEEP_MAX = sys.float_info.min ** -0.5
 
 
 def limit_sweep(p: PacketParams, a_list) -> SweepResult:

@@ -1,10 +1,13 @@
 """Config handling, CLI commands, file formats, exit codes, determinism."""
 
+import ast
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 from pathlib import Path
@@ -16,10 +19,10 @@ from sonicbh import cli, errors, pde
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig
 from sonicbh.errors import ConfigError
-from sonicbh.packets import A_MIN
+from sonicbh.packets import A_MIN, EPS_MAX
 from sonicbh.output import format_cell
-from sonicbh.pde import inner_edge
-from sonicbh.spectrum import MAX_N_ETA
+from sonicbh.pde import EPS_MIN, NRHO_MAX, NRHO_MIN, inner_edge
+from sonicbh.spectrum import A_SWEEP_MAX, MAX_N_ETA, N_ETA_MIN
 
 
 # -- config --------------------------------------------------------------------
@@ -92,7 +95,7 @@ def test_config_rejects_bad_input(tmp_path, capsys):
     # values the flow, the packet or the wave grid would reject later
     for bad in ({"alpha": -1.0}, {"eps": 0.7}, {"a_minus": 0.5},
                 {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
-                {"nrho": 8}, {"nrho": 29},
+                {"nrho": 8}, {"nrho": 29}, {"nrho": NRHO_MAX + 1},
                 {"grid_rho_max": 0.0},
                 {"tfinal": -1.0}, {"tfinal": 0.0},
                 {"n_eta": 23}, {"n_eta": 1}, {"n_eta": MAX_N_ETA + 1},
@@ -154,6 +157,43 @@ def test_config_rejects_bad_input(tmp_path, capsys):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
         assert not any(tmp_path.iterdir()), argv
+
+
+_EPS_REFUSAL = ("eps must lie in [0.05, 1/2]: below 0.05 the packet edge "
+                "s^eps needs quadrature nodes smaller than the smallest float")
+
+
+@pytest.mark.parametrize("key,bound,past,message", [
+    ("eps", EPS_MIN, math.nextafter(EPS_MIN, 0.0), _EPS_REFUSAL),
+    ("eps", EPS_MAX, math.nextafter(EPS_MAX, 1.0), _EPS_REFUSAL),
+    ("n_eta", N_ETA_MIN, N_ETA_MIN - 1, "n_eta must be at least 24"),
+    ("nrho", NRHO_MIN, NRHO_MIN - 1, "nrho must be at least 30"),
+    ("nrho", NRHO_MAX, NRHO_MAX + 1, "nrho must be at most 8192, where the "
+                                     "wave budget still bounds the run time"),
+    ("a_sweep", (A_SWEEP_MAX,), (math.nextafter(A_SWEEP_MAX, math.inf),),
+     "a_sweep must be at most 6.703903964971299e+153: above it limit's "
+     "a^-2 error term is subnormal"),
+])
+def test_config_bounds_from_their_modules(key, bound, past, message):
+    # each bound is defined beside the arithmetic that sets it; RunConfig
+    # takes it and refuses one step past it with a message that names it
+    RunConfig(**{key: bound})
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**{key: past})
+    assert str(exc.value) == message
+
+
+def test_config_checks_state_no_number_of_their_own():
+    # every bound RunConfig applies comes from the module that derives it
+    post_init = ast.parse(textwrap.dedent(
+        inspect.getsource(RunConfig.__post_init__)))
+    indices = {id(node) for sub in ast.walk(post_init)
+               if isinstance(sub, ast.Subscript)
+               for node in ast.walk(sub.slice)}
+    numbers = {node.value for node in ast.walk(post_init)
+               if isinstance(node, ast.Constant) and id(node) not in indices
+               and type(node.value) in (int, float)}
+    assert numbers == {0.0}, numbers
 
 
 # -- commands --------------------------------------------------------------------
@@ -414,6 +454,24 @@ def test_boundary_limit_a_sweep_ceiling(tmp_path, capsys, a_sweep, accepted):
         assert err.startswith(f"config error: a_sweep must be at most "
                               f"{_SWEEP_MAX!r}"), err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.25])
+@pytest.mark.parametrize("a", ["1e102", "5e120"])
+def test_spectrum_at_large_a(tmp_path, capsys, a, eps):
+    # Simpson's last grid step cubed overflowed here, and the -inf
+    # total_grid ended the run in exit 3 after its tables were written;
+    # on the grid over a power of two near a the rule stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["spectrum", "--out-dir", str(tmp_path), "--set",
+                   f"a_sweep={a}", "--set", "n_eta=24", "--set", f"eps={eps}"])
+    assert rc == 0, capsys.readouterr().err
+    totals = json.loads((tmp_path / "spectrum_totals.json").read_text())
+    row = totals["totals"][f"{float(a):g}"]
+    # the table reaches 50 (a + 1), short of the tail total_number books
+    ratio = row["total_grid"] / (row["total"] - row["tail_value"])
+    assert abs(ratio - 1.0) < 0.03, ratio
 
 
 def test_pde_verify_command(tmp_path, capsys):
@@ -898,12 +956,12 @@ def test_pde_verify_alpha_beyond_normal_density(tmp_path, capsys):
 
 def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
                                                     monkeypatch):
-    # nrho has no ceiling of its own: the work budget sets it.  The largest
-    # nrho within MAX_POINT_STEPS at the defaults (75 003 points, some
+    # below NRHO_MAX the work budget sets nrho's ceiling.  At tfinal =
+    # 1000 the largest nrho within MAX_POINT_STEPS (2644 points, some
     # minutes of stepping) is accepted up to its first solve; one point
     # more is refused before any work
     from sonicbh import pde
-    cfg = RunConfig()
+    cfg = RunConfig(tfinal=1000.0)
     edge = inner_edge(cfg.profile())
 
     def work(n):
@@ -913,7 +971,7 @@ def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
              for m in (n, n // 2 + 1)],
             cfg.tfinal)
 
-    lo, hi = cfg.nrho, 2 ** 20
+    lo, hi = cfg.nrho, pde.NRHO_MAX
     assert work(lo) <= pde.MAX_POINT_STEPS < work(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -928,9 +986,10 @@ def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
     monkeypatch.setattr(pde, "solve_mode", first_solve)
     t0 = time.monotonic()
     with pytest.raises(Stepping):
-        main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", str(lo)])
+        main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", str(lo),
+              "--tfinal", "1000"])
     assert main(["pde-verify", "--out-dir", str(tmp_path),
-                 "--nrho", str(hi)]) == 2
+                 "--nrho", str(hi), "--tfinal", "1000"]) == 2
     assert time.monotonic() - t0 < 10.0
     assert "point-steps" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

@@ -98,6 +98,12 @@ def test_grid_validation():
         RadialGrid(0.0, 1.0, 64, dt=1e-3)
     with pytest.raises(ValueError):
         RadialGrid(0.5, 1.0, 8, dt=1e-3)
+    # NRHO_MIN is the smallest n_rho whose coarse twin keeps MIN_POINTS
+    RadialGrid(0.3, 9.0, pde.MIN_POINTS, dt=1e-3)
+    with pytest.raises(ValueError, match="n_rho too small"):
+        RadialGrid(0.3, 9.0, pde.MIN_POINTS - 1, dt=1e-3)
+    assert pde.NRHO_MIN // 2 + 1 == pde.MIN_POINTS
+    assert (pde.NRHO_MIN - 1) // 2 + 1 == pde.MIN_POINTS - 1
     # an outer edge at the inner one is the config's grid_rho_max, exit 2
     with pytest.raises(ConfigError, match="grid_rho_max must exceed the "
                                           "wave grid's inner edge 1$") as exc:

@@ -460,13 +460,16 @@ def test_simpson_port_matches_scipy_bitwise(n):
 @pytest.mark.parametrize("n_eta", [24, 96, 97, 256, 1024, 2048])
 def test_spectrum_total_matches_scipy_simpson(smooth_flow, n_eta):
     # every default eta grid the commands and the benchmark build: the
-    # table total is bitwise the scipy rule over the same samples
+    # table total is bitwise the scipy rule over the same samples.  The
+    # table takes it on the grid over a power of two near max(a, 1), which
+    # scales every term exactly, so the bits hold at every a here
     p = PacketParams(alpha=1.0, a=8.0, eps=0.25,
                      sigma_star=smooth_flow.sigma_star)
-    for a in (4.0, 8.0, 16.0, 32.0, 64.0):
+    for a in (A_MIN, 0.3, 1.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1e3, 1e50,
+              1e100):
         table = build_spectrum(p.with_a(a), n_eta=n_eta)
         assert table.total == float(integrate.simpson(table.density,
-                                                      x=table.eta_grid))
+                                                      x=table.eta_grid)), a
 
 
 def test_spectrum_table_fourier_calls_independent_of_n_eta(packet, monkeypatch):
