@@ -59,28 +59,20 @@ def cmd_horizon(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     flow, meta = _flow_meta(cfg)
-
-    # each packet's profile over sigma and its closed/numeric norm row
-    norm_rows = []
+    # the norm table and the totals file sum up every rate, so they come last
+    norm_rows, totals = [], {}
     for a in cfg.a_sweep:
-        pa = _packet(cfg, flow.sigma_star, a)
+        p = _packet(cfg, flow.sigma_star, a)
         sig = flow.sigma_star + np.concatenate(
             [[0.0], np.geomspace(1e-6, 40.0 / a, 400)])
-        prof = eval_packet_profile(sig, pa)
+        prof = eval_packet_profile(sig, p)
         write_csv(f"{cfg.out_dir}/packet_profile_a{a:g}.csv",
                   ["sigma", "re", "im", "abs"],
                   np.column_stack((sig, prof.real, prof.imag, np.abs(prof))),
                   meta)
-        closed = packet_norm(pa)
-        numeric = packet_norm(pa, flow, numeric=True)
-        norm_rows.append((a, closed, numeric, abs(numeric / closed - 1.0)))
-    write_csv(f"{cfg.out_dir}/norm_table.csv",
-              ["a", "norm_closed", "norm_numeric", "rel_err"],
-              norm_rows, meta)
-
-    totals = {}
-    for a, norm, _, _ in norm_rows:
-        p = _packet(cfg, flow.sigma_star, a)
+        norm = packet_norm(p)
+        numeric = packet_norm(p, flow, numeric=True)
+        norm_rows.append((a, norm, numeric, abs(numeric / norm - 1.0)))
         table = spectrum.build_spectrum(p, n_eta=cfg.n_eta)
         rows = np.column_stack((table.eta_grid, table.density, table.c1.real,
                                 table.c1.imag))
@@ -96,7 +88,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             "total_normalized": tn.value / norm,
         }
         print(f"a={a:g}: total={tn.value:.12g} "
-              f"normalized={totals[f'{a:g}']['total_normalized']:.12g} ({out})")
+              f"normalized={tn.value / norm:.12g} ({out})")
+    write_csv(f"{cfg.out_dir}/norm_table.csv",
+              ["a", "norm_closed", "norm_numeric", "rel_err"],
+              norm_rows, meta)
     write_json(f"{cfg.out_dir}/spectrum_totals.json",
                {"config": meta, "totals": totals})
     return 0

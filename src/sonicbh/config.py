@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .flow import CAPTURE_RHO, RAY_RTOL, VelocityProfile
-from .packets import A_MIN, EPS_MAX
+from .packets import A_MIN, EPS_MAX, SUPPORT_CUT
 from .pde import EPS_MIN, NRHO_MAX, NRHO_MIN
 from .spectrum import A_SWEEP_MAX, MAX_N_ETA, N_ETA_MIN
 
@@ -69,8 +69,8 @@ class RunConfig:
         # the one floor, the same at every alpha and eps (packets.A_MIN)
         if not self.a_sweep[0] >= A_MIN:
             raise ConfigError(f"a_sweep must be at least {A_MIN!r}: below it "
-                              f"the packet's squared support (45/a)^2 "
-                              f"overflows")
+                              f"the packet's squared support "
+                              f"({SUPPORT_CUT:g}/a)^2 overflows")
         if not self.eta_list or not all(e < 0.0 for e in self.eta_list):
             raise ConfigError("eta_list must hold negative values")
         if self.n_eta < N_ETA_MIN:

@@ -365,23 +365,18 @@ def _resample(f, runs):
 
 
 def _ray_equation(profile: VelocityProfile):
-    """drho/dx0 = A(x0)/rho + 1 on floats and on arrays, and on floats the
-    step 5 / |d(A/rho + 1)/drho| = 5 rho^2/|A|, inside DOP853's real
-    stability interval [-6.39, 0].  The array right-hand side takes A from
-    profile.eval.  The float ones write A in with math.tanh: they run a
-    dozen times a step, where a call to eval would add a fifth to their
-    cost."""
+    """drho/dx0 = A(x0)/rho + 1 on floats, and the step 5 / |d(A/rho +
+    1)/drho| = 5 rho^2/|A|, inside DOP853's real stability interval
+    [-6.39, 0].  Both write A in with math.tanh: they run a dozen times a
+    step, where a call to profile.eval would add a fifth to their cost."""
     (mid, amp), tau, tanh = profile._mid_amp, profile.tau, math.tanh
 
-    def on_floats(x0, rho):
+    def ray(x0, rho):
         return (mid + amp * tanh(x0 / tau)) / rho + 1.0
-
-    def on_arrays(x0, rho):
-        return profile.eval(x0) / rho + 1.0
 
     def stable_step(x0, rho):
         return -5.0 * rho * rho / (mid + amp * tanh(x0 / tau))
-    return on_floats, on_arrays, stable_step
+    return ray, stable_step
 
 
 def integrate_characteristic(sigma0: float, x0_from: float, x0_to: float,
@@ -451,20 +446,24 @@ def find_separatrix(profile: VelocityProfile,
     """
     tol = SEPARATRIX_RTOL
     x_grid = np.linspace(0.0, float(x0_horizon_max), 401)
+    # the samples' x0 in solve order, 10 ... 0.025, 0, -0.025 ... -10,
+    # with x0 = +0 at index n
+    n = x_grid.size - 1
+    x0 = np.concatenate([x_grid[::-1], -x_grid[1:]])
     x_start = _separatrix_start(profile, float(x0_horizon_max))
     # steps stay stable: where the right-hand side vanishes to the last
     # bit, the error estimate alone would let a step grow past stability,
     # and a re-step over part of such a step would blow rounding up
-    ray, rays, stable_step = _ray_equation(profile)
+    ray, stable_step = _ray_equation(profile)
     pos = _rk8(ray, x_start, abs(profile.eval(x_start)), 0.0, tol,
                tol * 1e-2, f"separatrix integration from x0 = {x_start:g}",
                h_max=stable_step)
     sigma_star = pos.y_end
-    neg = _rk8(ray, 0.0, sigma_star, -x_grid[-1], tol, tol * 1e-2,
+    neg = _rk8(ray, 0.0, sigma_star, x0[-1], tol, tol * 1e-2,
                "separatrix integration from x0 = 0", h_max=stable_step)
-    # samples in solve order, x0 = 10 ... 0.025, 0, -0.025 ... -10
-    samples = _resample(rays, [(pos, x_grid[:0:-1]), (neg, -x_grid[1:])])
-    reached = np.concatenate([samples[:400], [sigma_star], samples[400:]])
+    samples = _resample(lambda x, rho: profile.eval(x) / rho + 1.0,
+                        [(pos, x0[:n]), (neg, x0[n + 1:])])
+    reached = np.insert(samples, n, sigma_star)
 
     # rounding puts a sample up to about one rtol outside [min|A|, max|A|],
     # and nan or inf fails the <= test; the first miss in solve order is
@@ -474,14 +473,12 @@ def find_separatrix(profile: VelocityProfile,
     bad = ~(np.abs(reached - inside) <= 100.0 * tol * inside)
     if bad.any():
         i = int(np.argmax(bad))
-        start, at = ((x_start, x_grid[-1 - i]) if i <= 400
-                     else (0.0, -x_grid[i - 400]))
+        start = x_start if i <= n else 0.0
         raise StepFailureError(
-            f"separatrix integration from x0 = {start:g} failed: rho*({at:g})"
-            f" = {float(reached[i])!r} lies outside [min|A|, max|A|] = "
-            f"[{lo:g}, {hi:g}]")
-    horizon = HorizonCurve(x0=np.concatenate([-x_grid[::-1], x_grid[1:]]),
-                           rho_star=reached[::-1].copy())
+            f"separatrix integration from x0 = {start:g} failed: rho*("
+            f"{x0[i]:g}) = {float(reached[i])!r} lies outside [min|A|, "
+            f"max|A|] = [{lo:g}, {hi:g}]")
+    horizon = HorizonCurve(x0=x0[::-1].copy(), rho_star=reached[::-1].copy())
 
     return FlowMap(profile=profile, sigma_star=sigma_star, horizon=horizon)
 

@@ -51,18 +51,19 @@ __all__ = [
     "gauss_panels",
 ]
 
-# twelve-point Gauss-Legendre on [-1, 1], shifted to [0, 2]: the one
-# panel rule of the fixed quadratures here, in spectrum and in pde
+# twelve-point Gauss-Legendre on [-1, 1], shifted to [0, 2]: the panel rule
+# of the fixed quadratures here, in spectrum and in pde, except pde's a-sweep
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_SHIFTED = _GL_NODES + 1.0
+SUPPORT_CUT = 45.0  # the packet's support cut in a*s: e^{-a s} = e^{-45}
 # the numeric norm's panel edges in a*s: 0, then doubling from 2^-30 to 32,
-# then 45; with its first panel that narrow the rule stays within 1e-12 of
-# the closed norm down to the eps at which its first nodes underflow
-_NORM_EDGES = np.concatenate([[0.0], np.exp2(np.arange(-30.0, 6.0)), [45.0]])
+# then the cut; with its first panel that narrow the rule stays within 1e-12
+# of the closed norm down to the eps at which its first nodes underflow
+_NORM_EDGES = np.r_[0.0, np.exp2(np.arange(-30.0, 6.0)), SUPPORT_CUT]
 # the smallest rate a the configuration takes, 3.3562533290400936e-153:
 # down to it the numeric norm's squared support (45/a)^2 is a finite float,
 # and so is limit's error-model term ln(1/a)/a^2, as ln(1/a) < 45^2 there
-A_MIN = 45.0 / math.sqrt(sys.float_info.max)
+A_MIN = SUPPORT_CUT / math.sqrt(sys.float_info.max)
 # the largest edge exponent: gammatools.loggamma, behind every closed form
 # here, takes Re z = 1 + eps only up to 3/2
 EPS_MAX = 0.5
@@ -87,8 +88,8 @@ class PacketParams:
 
     @property
     def s_max(self) -> float:
-        """Support cut in s = sigma - sigma_star, where e^{-a s} = e^{-45}."""
-        return 45.0 / self.a
+        """Support cut in s = sigma - sigma_star (SUPPORT_CUT / a)."""
+        return SUPPORT_CUT / self.a
 
     def with_a(self, a: float) -> "PacketParams":
         return PacketParams(alpha=self.alpha, a=a, eps=self.eps,

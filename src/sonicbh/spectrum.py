@@ -144,11 +144,15 @@ def _checked_density(eta_abs: np.ndarray, p: PacketParams, c1, c2):
     return closed
 
 
+def _eta_top(a: float) -> float:
+    """Top of the eta table at rate a: the density tail beyond is negligible."""
+    return 50.0 * (a + 1.0)
+
+
 def default_eta_grid(a: float, n: int = 96) -> np.ndarray:
-    """Zero plus a geometric grid reaching where the density tail is negligible."""
+    """Zero plus a geometric grid from 1e-3 max(a, 1) up to _eta_top(a)."""
     lo = 1e-3 * max(a, 1.0)
-    hi = 50.0 * (a + 1.0)
-    return np.concatenate([[0.0], np.geomspace(lo, hi, n - 1)])
+    return np.concatenate([[0.0], np.geomspace(lo, _eta_top(a), n - 1)])
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -278,12 +282,12 @@ def total_number(p: PacketParams) -> TotalNumber:
     """Integral of the closed creation density over eta in (0, inf).
 
     One angle integral, 2 |Gamma0|^2 a^(-2 eps) I(alpha, eps, a).
-    tail_value is its part beyond eta_break = 50 (a + 1), i.e. below
-    theta_b = atan(a / eta_break); tail_bound = |Gamma0|^2
+    tail_value is its part beyond the table's top eta_break = _eta_top(a),
+    i.e. below theta_b = atan(a / eta_break); tail_bound = |Gamma0|^2
     eta_break^(-2 eps) / eps dominates it.
     """
     a, eps = p.a, p.eps
-    eta_break = 50.0 * (a + 1.0)
+    eta_break = _eta_top(a)
     tail = _total_value(p, math.atan(a / eta_break))
     bound = gamma0_modulus_sq(p.alpha, eps) * eta_break ** (-2.0 * eps) / eps
     return TotalNumber(value=_total_value(p), tail_value=tail,

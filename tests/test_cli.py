@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonicbh import cli, errors, pde
+from sonicbh import cli, errors, pde, spectrum
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig
 from sonicbh.errors import ConfigError
@@ -219,6 +219,9 @@ def test_horizon_command(tmp_path, capsys):
     assert any("a_minus" in ln for ln in meta)
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header == "x0,rho_star"
+    # the x0 = 0 row is +0, not -0
+    zero = [ln for ln in lines if ln.split(",")[0] in ("0", "-0")]
+    assert len(zero) == 1 and zero[0].startswith("0,"), zero
 
 
 def test_horizon_bracket_failure_exit_code(tmp_path, capsys):
@@ -270,6 +273,26 @@ def test_spectrum_command(tmp_path):
                  if not ln.startswith("#")]
     assert norm_body[0] == "a,norm_closed,norm_numeric,rel_err"
     assert all(float(ln.split(",")[3]) < 1e-8 for ln in norm_body[1:])
+
+
+def test_spectrum_failure_writes_no_summary(tmp_path, capsys, monkeypatch):
+    # a rate that fails ends the run in exit 3 after the earlier rates'
+    # files and its own profile; the norm table and the totals file sum up
+    # every rate, so neither is written
+    real = spectrum.build_spectrum
+
+    def fail_second(p, n_eta):
+        if p.a == 8.0:
+            raise errors.ToleranceError("density identity violated")
+        return real(p, n_eta=n_eta)
+    monkeypatch.setattr(spectrum, "build_spectrum", fail_second)
+    rc = main(["spectrum", "--out-dir", str(tmp_path),
+               "--set", "a_sweep=4,8,16", "--set", "n_eta=24"])
+    assert rc == 3
+    assert capsys.readouterr().err == ("numerical failure: density identity "
+                                       "violated\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "packet_profile_a4.csv", "packet_profile_a8.csv", "spectrum_a4.csv"]
 
 
 def test_spectrum_totals_report_tail(tmp_path):

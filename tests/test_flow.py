@@ -167,6 +167,14 @@ def test_horizon_satisfies_ray_equation(smooth_flow, smooth_profile):
     np.testing.assert_allclose(fd, rhs, atol=2e-4)
 
 
+def test_horizon_centre_is_positive_zero(smooth_flow):
+    # the x0 < 0 half negates the grid past its zero, so the centre sample
+    # is +0 and horizon.csv spells it "0", not "-0"
+    x0 = smooth_flow.horizon.x0
+    centre = x0[len(x0) // 2]
+    assert centre == 0.0 and not np.signbit(centre)
+
+
 def _outside(rho, profile):
     # relative distance of each sample outside [min|A|, max|A|]
     lo, hi = sorted((abs(profile.a_minus), abs(profile.a_plus)))
