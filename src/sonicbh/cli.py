@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: horizon, spectrum, limit, pde-verify.  A config file of
-key=value lines (--config) supplies parameters; repeated --set key=value
-flags override it.  Exit code 0 on success; a package error prints
-"label: message" to stderr and exits with its type's code (sonicbh.errors).
+Subcommands: horizon, spectrum, limit, pde-verify.  The key=value lines of
+a config file (--config), then repeated --set key=value pairs, then the
+flags form one list that is parsed and checked once, so a later value of
+a key wins and a replaced value is never checked.  Exit code 0 on success;
+a package error prints "label: message" to stderr and exits with its
+type's code (sonicbh.errors).
 """
 
 from __future__ import annotations
@@ -14,28 +16,22 @@ import sys
 import numpy as np
 
 from . import pde, spectrum
-from .config import RunConfig
+from .config import RunConfig, read_pairs
 from .errors import SonicbhError
-from .flow import find_separatrix
+from .flow import FlowMap, find_separatrix
 from .output import check_out_dir, write_csv, write_json
 from .packets import PacketParams, eval_packet_profile, packet_norm
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    # the flags come last, so they win over --set; one check of the result
-    pairs = list(args.set)
+    # the flags come last, so they win over --set and --set over the file
+    pairs = read_pairs(args.config) if args.config is not None else []
+    pairs += args.set
     for key in ("nrho", "tfinal", "eta_list", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             pairs.append(f"{key}={val}")
-    return cfg.with_overrides(pairs)
-
-
-def _flow_meta(cfg: RunConfig):
-    """The flow of cfg, and the config plus sigma_star every output echoes."""
-    flow = find_separatrix(cfg.profile(), x0_horizon_max=cfg.x0_horizon_max)
-    return flow, {**cfg.to_dict(), "sigma_star": flow.sigma_star}
+    return RunConfig().with_overrides(pairs)
 
 
 def _packet(cfg: RunConfig, sigma_star: float, a: float) -> PacketParams:
@@ -43,8 +39,7 @@ def _packet(cfg: RunConfig, sigma_star: float, a: float) -> PacketParams:
                         sigma_star=sigma_star)
 
 
-def cmd_horizon(cfg: RunConfig) -> int:
-    flow, meta = _flow_meta(cfg)
+def cmd_horizon(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     hz = flow.horizon
     out = write_csv(f"{cfg.out_dir}/horizon.csv", ["x0", "rho_star"],
                     np.column_stack((hz.x0, hz.rho_star)), meta)
@@ -57,8 +52,7 @@ def cmd_horizon(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    flow, meta = _flow_meta(cfg)
+def cmd_spectrum(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     # the norm table and the totals file sum up every rate, so they come last
     norm_rows, totals = [], {}
     for a in cfg.a_sweep:
@@ -97,8 +91,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_limit(cfg: RunConfig) -> int:
-    flow, meta = _flow_meta(cfg)
+def cmd_limit(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     # limit_sweep sets each rate of a_sweep itself
     p = _packet(cfg, flow.sigma_star, cfg.a_sweep[0])
     sweep = spectrum.limit_sweep(p, cfg.a_sweep)
@@ -133,8 +126,7 @@ def cmd_limit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_pde_verify(cfg: RunConfig) -> int:
-    flow, meta = _flow_meta(cfg)
+def cmd_pde_verify(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     # remainder_contribution sets each rate it uses itself (pde.A_VALUES)
     p = _packet(cfg, flow.sigma_star, cfg.a_sweep[0])
     grid = pde.RadialGrid.auto(pde.inner_edge(flow.profile), cfg.grid_rho_max,
@@ -169,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override a config key")
         sp.add_argument("--out-dir", dest="out_dir")
         if name == "pde-verify":
-            sp.add_argument("--nrho", type=int)
-            sp.add_argument("--tfinal", type=float)
+            sp.add_argument("--nrho")
+            sp.add_argument("--tfinal")
             sp.add_argument("--eta-list", dest="eta_list")
         sp.set_defaults(handler=fn)
     return ap
@@ -181,7 +173,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         check_out_dir(cfg.out_dir)
-        return args.handler(cfg)
+        # every output echoes the config plus sigma_star
+        flow = find_separatrix(cfg.profile(),
+                               x0_horizon_max=cfg.x0_horizon_max)
+        meta = {**cfg.to_dict(), "sigma_star": flow.sigma_star}
+        return args.handler(cfg, flow, meta)
     except SonicbhError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

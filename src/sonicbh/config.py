@@ -12,7 +12,7 @@ from .packets import A_MIN, EPS_MAX, SUPPORT_CUT
 from .pde import EPS_MIN, NRHO_MAX, NRHO_MIN
 from .spectrum import A_SWEEP_MAX, MAX_N_ETA, N_ETA_MIN
 
-__all__ = ["RunConfig"]
+__all__ = ["RunConfig", "read_pairs"]
 
 
 @dataclass(frozen=True)
@@ -98,20 +98,6 @@ class RunConfig:
 
     # -- construction -------------------------------------------------------
 
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        """Defaults overridden by the key=value lines of text (# comments)."""
-        lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-        return cls().with_overrides([line for line in lines if line])
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_text(text)
-
     def with_overrides(self, pairs) -> "RunConfig":
         known = {f.name: f for f in fields(self)}
         updates = {}
@@ -139,6 +125,16 @@ class RunConfig:
     def profile(self) -> VelocityProfile:
         return VelocityProfile(a_minus=self.a_minus, a_plus=self.a_plus,
                                tau=self.tau)
+
+
+def read_pairs(path) -> list[str]:
+    """The key=value lines of a config file, without # comments or blanks."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
 
 
 def _parse(ftype: str, key: str, val: str):

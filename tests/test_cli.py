@@ -17,7 +17,7 @@ import pytest
 
 from sonicbh import cli, errors, pde, spectrum
 from sonicbh.cli import _load_config, build_parser, main
-from sonicbh.config import RunConfig
+from sonicbh.config import RunConfig, read_pairs
 from sonicbh.errors import ConfigError
 from sonicbh.packets import A_MIN, EPS_MAX
 from sonicbh.output import format_cell
@@ -27,7 +27,14 @@ from sonicbh.spectrum import A_SWEEP_MAX, MAX_N_ETA, N_ETA_MIN
 
 # -- config --------------------------------------------------------------------
 
-def test_config_text_roundtrip():
+def _config_of_file(directory, text: str) -> RunConfig:
+    """The defaults overridden by the key=value lines of a file of text."""
+    path = directory / "run.cfg"
+    path.write_text(text)
+    return RunConfig().with_overrides(read_pairs(path))
+
+
+def test_config_text_roundtrip(tmp_path):
     # every key, spelled as the outputs echo it (floats at 17 digits),
     # parses back to the same config
     cfg = RunConfig()
@@ -38,14 +45,14 @@ def test_config_text_roundtrip():
         elif isinstance(v, float):
             v = format_cell(v)
         lines.append(f"{key} = {v}")
-    assert RunConfig.from_text("\n".join(lines) + "\n") == cfg
+    assert _config_of_file(tmp_path, "\n".join(lines) + "\n") == cfg
 
 
 def test_config_parsing_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("a_minus = -1.1\n# comment line\ntau = 2.0\n"
                     "a_sweep = 4,8,16\nnrho = 512\n")
-    cfg = RunConfig.from_file(path)
+    cfg = RunConfig().with_overrides(read_pairs(path))
     assert cfg.a_minus == -1.1 and cfg.tau == 2.0 and cfg.nrho == 512
     assert cfg.a_sweep == (4.0, 8.0, 16.0)
     cfg2 = cfg.with_overrides(["alpha=2.5", "out_dir=elsewhere"])
@@ -67,15 +74,28 @@ def test_config_file_set_and_flags_in_one_parse(tmp_path):
     with pytest.raises(ConfigError, match="nrho must be at least 30"):
         _load_config(build_parser().parse_args(
             ["pde-verify", "--config", str(path), "--set", "nrho=5"]))
+    # a file value below the floor is no refusal either once a later pair,
+    # from --set or from the flag, replaces it; as the last value it is
+    path.write_text("nrho = 10  # replaced below\n")
+    for later in (["--nrho", "256"], ["--set", "nrho=256"]):
+        cfg = _load_config(build_parser().parse_args(
+            ["pde-verify", "--config", str(path)] + later))
+        assert cfg.nrho == 256, later
+    for later in ([], ["--set", "nrho=256", "--set", "nrho=10"]):
+        with pytest.raises(ConfigError, match="nrho must be at least 30"):
+            _load_config(build_parser().parse_args(
+                ["pde-verify", "--config", str(path)] + later))
 
 
-def test_config_rejects_bad_input(tmp_path, capsys):
+def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
+    # the config files go apart from tmp_path, the out_dir checked below
+    cfg_dir = tmp_path_factory.mktemp("cfg")
     with pytest.raises(ConfigError):
-        RunConfig.from_text("unknown_key = 3\n")
+        _config_of_file(cfg_dir, "unknown_key = 3\n")
     with pytest.raises(ConfigError):
-        RunConfig.from_text("alpha\n")
+        _config_of_file(cfg_dir, "alpha\n")
     with pytest.raises(ConfigError):
-        RunConfig.from_text("tau = banana\n")
+        _config_of_file(cfg_dir, "tau = banana\n")
     with pytest.raises(ConfigError):
         RunConfig(a_sweep=(8.0, 4.0))
     with pytest.raises(ConfigError):
@@ -91,7 +111,7 @@ def test_config_rejects_bad_input(tmp_path, capsys):
                  "grid_rho_min = 0.3", "ode_tol = 1e-8", "rho_min = 1e-4",
                  "a = 8"):
         with pytest.raises(ConfigError, match="unknown config key"):
-            RunConfig.from_text(line + "\n")
+            _config_of_file(cfg_dir, line + "\n")
     # values the flow, the packet or the wave grid would reject later
     for bad in ({"alpha": -1.0}, {"eps": 0.7}, {"a_minus": 0.5},
                 {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
@@ -204,6 +224,33 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     rc = main(["horizon", "--config", str(bad)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bytes.cfg", "", "missing.cfg"],
+                         ids=["not-utf8", "empty-path", "missing"])
+def test_unreadable_config_exit_code(tmp_path, capsys, name):
+    # a file that is no UTF-8 text, the empty path and a missing file each
+    # refuse the run before any output
+    (tmp_path / "bytes.cfg").write_bytes(b"tau = 2.0\n\xff\n")
+    out = tmp_path / "out"
+    rc = main(["horizon", "--config", str(tmp_path / name) if name else "",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot read config")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("nrho", "x"), ("tfinal", "1e-1x")])
+def test_flag_value_parsed_as_its_key(tmp_path, capsys, flag, value):
+    # a flag's value goes through the config parser, so one that does not
+    # parse gives the config error of its --set spelling
+    out = tmp_path / "out"
+    for argv in ([f"--{flag}", value], ["--set", f"{flag}={value}"]):
+        assert main(["pde-verify"] + argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: bad value for {flag}: {value!r}"), argv
+        assert not out.exists()
 
 
 def test_horizon_command(tmp_path, capsys):
@@ -375,7 +422,8 @@ def test_pde_verify_imports_no_spline(tmp_path):
 
 def test_commands_import_no_scipy(tmp_path):
     # scipy is a test dependency only: a fresh process imports the CLI and
-    # runs every command without loading scipy or any of its submodules
+    # runs every command without loading scipy or any of its submodules,
+    # and under -W error, so that any warning fails the run
     import sonicbh
     src = str(Path(sonicbh.__file__).resolve().parents[1])
     code = ("import sys\n"
@@ -390,8 +438,8 @@ def test_commands_import_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     run = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path), "horizon", "spectrum",
-         "limit", "pde-verify --nrho 256 --tfinal 0.1"],
+        [sys.executable, "-W", "error", "-c", code, str(tmp_path), "horizon",
+         "spectrum", "limit", "pde-verify --nrho 256 --tfinal 0.1"],
         env=env, timeout=120, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -1173,7 +1221,7 @@ def test_exit_table_names_every_error_type():
 @pytest.mark.parametrize("error", list(_EXIT_TABLE),
                          ids=lambda t: t.__name__)
 def test_exit_code_of_each_error_type(tmp_path, capsys, monkeypatch, error):
-    def handler(cfg):
+    def handler(cfg, flow, meta):
         raise error("raised by the handler")
 
     monkeypatch.setattr(cli, "cmd_horizon", handler)
