@@ -372,12 +372,14 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
     profile is a VelocityProfile, whose max|A| over the solve sets the step
     bound grid.cfl_dt (ConfigError beyond it), and whose min|A| there must
     exceed grid.rho_min, so that the inner edge is pure outflow
-    (ConfigError otherwise; inner_edge(profile) is such an edge); or any
-    callable x0 -> A(x0), which is stepped unchecked.  States are
-    recorded after the initial state at out_times (default t_final), each
-    with x0 the requested time, which must be a whole number of steps
-    (ValueError otherwise); the loop stops at the last of them.  Each
-    recorded state is (f, g = D f) as stepped, the format of the data.
+    (ConfigError otherwise; inner_edge(profile) is such an edge), while
+    grid.rho_max must exceed that max|A|, so that the flow at the outer edge
+    is subsonic (ConfigError otherwise); or any callable x0 -> A(x0), which
+    is stepped unchecked.  States are recorded after the initial state at
+    out_times (default t_final), each with x0 the requested time, which
+    must be a whole number of steps (ValueError otherwise); the loop stops
+    at the last of them.  Each recorded state is (f, g = D f) as stepped,
+    the format of the data.
     InstabilityError when the sup-norm of the state grows GROWTH_BOUND-fold
     in a step or past GROWTH_LIMIT times its initial value.
 
@@ -407,6 +409,9 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             raise ConfigError(
                 f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
                 f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
+        if not grid.rho_max > a_max:
+            raise ConfigError(f"grid_rho_max = {grid.rho_max:g} must exceed "
+                              f"max|A| = {a_max:g} over [0, {t_end:g}]")
     n, dt = grid.n_rho, grid.dt
     rho = grid.rho
     inv_rho = 1.0 / rho

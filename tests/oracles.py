@@ -246,12 +246,12 @@ def d2(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
     """Complex two-array RK4 with the contract of sonicbh.pde.solve_cauchy:
-    data (f, g = D f) at x0 = 0, the same CFL and inflow-edge ConfigErrors,
-    the same growth guard over the sup-norm of the real and imaginary parts
-    of (f, g) and its InstabilityError message, and a state (f, g) recorded
-    at x0 = t for each t in out_times, each a whole number of steps (the
-    same ValueError otherwise).  The inflow check samples |A| densely over
-    the solve rather than at its ends."""
+    data (f, g = D f) at x0 = 0, the same CFL, inflow-edge and outer-edge
+    ConfigErrors, the same growth guard over the sup-norm of the real and
+    imaginary parts of (f, g) and its InstabilityError message, and a state
+    (f, g) recorded at x0 = t for each t in out_times, each a whole number
+    of steps (the same ValueError otherwise).  The inflow check samples |A|
+    densely over the solve rather than at its ends."""
     dt = grid.dt
     want = {grid.steps(t): t for t in
             ([t_final] if out_times is None else out_times)}
@@ -270,6 +270,9 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
             raise ConfigError(
                 f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
                 f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
+        if not grid.rho_max > a_max:
+            raise ConfigError(f"grid_rho_max = {grid.rho_max:g} must exceed "
+                              f"max|A| = {a_max:g} over [0, {t_end:g}]")
         drift = profile.eval
     rho = grid.rho
     inv_rho = 1.0 / rho

@@ -401,38 +401,26 @@ def test_pde_verify_evolved_rows_are_pinned(tmp_path):
     assert rows == _PINNED_EVOLVED_ROWS
 
 
-def test_pde_verify_imports_no_spline(tmp_path):
-    # the mode reaches the nodes by a local cubic: a fresh process runs
-    # pde-verify without importing scipy.interpolate
-    import sonicbh
-    src = str(Path(sonicbh.__file__).resolve().parents[1])
-    code = ("import sys\n"
-            "from sonicbh.cli import main\n"
-            f"rc = main(['pde-verify', '--out-dir', {str(tmp_path)!r}, "
-            "'--nrho', '256', '--tfinal', '0.1'])\n"
-            "assert rc == 0, rc\n"
-            "assert 'scipy.interpolate' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert (tmp_path / "pde_report.json").exists()
-
-
 def test_commands_import_no_scipy(tmp_path):
-    # scipy is a test dependency only: a fresh process imports the CLI and
-    # runs every command without loading scipy or any of its submodules,
-    # and under -W error, so that any warning fails the run
+    # scipy is a test dependency only: one fresh process runs every command
+    # as `python -m sonicbh.cli` does, through its __main__ path to exit 0,
+    # without loading scipy or any of its submodules (so the wave mode
+    # reaches its nodes with no spline), and under -W error, so that any
+    # warning fails the run
     import sonicbh
     src = str(Path(sonicbh.__file__).resolve().parents[1])
-    code = ("import sys\n"
-            "import sonicbh.cli\n"
-            "for argv in sys.argv[2:]:\n"
-            "    name, *rest = argv.split()\n"
-            "    rc = sonicbh.cli.main([name, '--out-dir', sys.argv[1] + '/' + "
-            "name] + rest)\n"
-            "    assert rc == 0, (argv, rc)\n"
+    code = ("import runpy, sys\n"
+            "out, *runs = sys.argv[1:]\n"
+            "for run in runs:\n"
+            "    name, *rest = run.split()\n"
+            "    sys.argv = ['sonicbh', name, '--out-dir', f'{out}/{name}']"
+            " + rest\n"
+            "    try:\n"
+            "        runpy.run_module('sonicbh.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (run, exc.code)\n"
+            "    else:\n"
+            "        raise AssertionError(f'{run}: no SystemExit')\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -721,6 +709,8 @@ def test_write_csv_empty_table(tmp_path):
 
 
 def _assert_outputs_finite(out_dir):
+    # every number is finite, and each CSV table has rows whose cells are
+    # the %.17g spelling of the floats they parse to
     def finite(text):
         x = float(text)
         assert np.isfinite(x), text
@@ -729,9 +719,10 @@ def _assert_outputs_finite(out_dir):
     for path in out_dir.glob("*.csv"):
         body = [ln for ln in path.read_text().splitlines()
                 if not ln.startswith("#")]
+        assert body[1:], path.name
         for ln in body[1:]:
-            for cell in ln.split(","):
-                finite(cell)
+            want = ",".join(f"{finite(cell):.17g}" for cell in ln.split(","))
+            assert ln == want, (path.name, ln, want)
     for path in out_dir.glob("*.json"):
         json.loads(path.read_text(), parse_float=finite,
                    parse_constant=finite)
@@ -751,6 +742,45 @@ def _run_boundary(argv, out_dir, capsys, accepted, refused=2):
         assert _TYPED[rc] in err, (argv, err)
     assert rc == (0 if accepted else refused), (argv, err)
     return err
+
+
+@pytest.mark.parametrize("argv,want", [
+    # the snapshot at tfinal, after 52 fine steps on the default 1024 points
+    (["pde-verify", "--tfinal", "0.25"],
+     lambda out: (out / "field_eta-4_t0.25.csv").exists() and _strict_json(
+         out / "pde_report.json")["report"]["solves"]["fine"]["steps"] == 52),
+    (["pde-verify", "--tfinal", "0.25", "--nrho", "2048"],
+     lambda out: (out / "field_eta-4_t0.25.csv").exists()),
+    # the numeric norm of each of the five default rates, the table's last
+    # rows, within 1e-12 of the closed one
+    (["spectrum"], lambda out: [float(ln.split(",")[3]) <= 1e-12 for ln in (
+        out / "norm_table.csv").read_text().splitlines()[-5:]] == [True] * 5),
+    # a config file line may end in a comment; the echo spells 2.0 as 2
+    (["horizon", "--config", "a_minus = -1.1  # inflow end\ntau = 2.0",
+      "--set", "a_plus=-0.7"],
+     lambda out: "# tau = 2" in (
+         out / "horizon.csv").read_text().splitlines()),
+    (["pde-verify", "--nrho", "8193", "--tfinal", "1e-3"],
+     "config error: nrho must be at most"),
+], ids=["pde-tfinal", "pde-nrho-2048", "norm-table", "config-comment",
+        "nrho-ceiling"])
+def test_console_runs(tmp_path, capsys, argv, want):
+    # runs no other test makes: exit 0, with no warning and outputs that
+    # read back, or refused (want, a stderr prefix) before any output.  The
+    # text after --config is the config file's
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        (tmp_path / "run.cfg").write_text(argv[i] + "\n")
+        argv = argv[:i] + [str(tmp_path / "run.cfg")] + argv[i + 1:]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _run_boundary(argv, out, capsys, accepted=callable(want))
+    if callable(want):
+        assert err == "" and want(out), err
+    else:
+        assert err.startswith(want), err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.5, 0.049, 0.5001])
@@ -948,6 +978,14 @@ _EDGE = inner_edge(RunConfig().profile())
     (["--tfinal", "1e306"], False, 2, "overflows the step count"),
     (["--tfinal", "1.5e306"], False, 2, "overflows the step count"),
     (["--tfinal", "1.6e306"], False, 2, "overflows the step count"),
+    # an outer edge at or inside max|A| = 1 lies in supersonic flow, where
+    # both characteristics enter the grid: 0.65 and 0.9 ended in "blew up"
+    # (exit 3), 0.95 and 1 in exit 4.  Just outside it the packet leaves
+    # the grid
+    *[(["--set", f"grid_rho_max={r}"] + _SMALL, False, 2,
+       f"grid_rho_max = {r} must exceed max|A| = 1 over [0, 0.1]")
+      for r in ("0.65", "0.9", "0.95", "1")],
+    (["--set", "grid_rho_max=1.02"] + _SMALL, False, 4, "beyond grid_rho_max"),
 ])
 def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
                                   names):

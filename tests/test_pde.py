@@ -492,6 +492,8 @@ def test_solve_cauchy_errors_match_oracle(smooth_profile):
     bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
     blowup = RadialGrid(2.0, 12.0, 256, dt=1.0)
     inflow = RadialGrid.auto(0.85, 9.0, 256, smooth_profile, 3.0)
+    # an outer edge inside max|A| = 1 lies in supersonic flow
+    narrow = RadialGrid.auto(0.3, 0.9, 256, smooth_profile, 0.1)
     f = np.exp(-((blowup.rho - 7.0) / 0.5) ** 2).astype(complex)
     messages = []
     for solver in (solve_cauchy, oracles.solve_cauchy):
@@ -501,11 +503,16 @@ def test_solve_cauchy_errors_match_oracle(smooth_profile):
             solver(f, np.zeros_like(f), blowup, lambda x0: 0.0, 10.0)
         with pytest.raises(ConfigError, match="takes inflow") as edge:
             solver(f, f, inflow, smooth_profile, 3.0)
-        # both refusals are the config's: exit 2 from the CLI
-        assert cfl.value.exit_code == edge.value.exit_code == 2
+        with pytest.raises(ConfigError) as outer:
+            solver(f, f, narrow, smooth_profile, 0.1)
+        # the refusals are the config's: exit 2 from the CLI
+        assert {cfl.value.exit_code, edge.value.exit_code,
+                outer.value.exit_code} == {2}
         messages.append((str(cfl.value), str(unstable.value),
-                         str(edge.value)))
+                         str(edge.value), str(outer.value)))
     assert messages[0] == messages[1]
+    assert messages[0][3] == ("grid_rho_max = 0.9 must exceed max|A| = 1 "
+                              "over [0, 0.1]")
 
 
 @pytest.mark.parametrize("a_abs", [2e-5, 0.01])
