@@ -34,11 +34,6 @@ def _load_config(args) -> RunConfig:
     return RunConfig().with_overrides(pairs)
 
 
-def _packet(cfg: RunConfig, sigma_star: float, a: float) -> PacketParams:
-    return PacketParams(alpha=cfg.alpha, a=a, eps=cfg.eps,
-                        sigma_star=sigma_star)
-
-
 def cmd_horizon(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     hz = flow.horizon
     out = write_csv(f"{cfg.out_dir}/horizon.csv", ["x0", "rho_star"],
@@ -56,7 +51,7 @@ def cmd_spectrum(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     # the norm table and the totals file sum up every rate, so they come last
     norm_rows, totals = [], {}
     for a in cfg.a_sweep:
-        p = _packet(cfg, flow.sigma_star, a)
+        p = PacketParams(cfg.alpha, a, cfg.eps, flow.sigma_star)
         sig = flow.sigma_star + np.concatenate(
             [[0.0], np.geomspace(1e-6, 40.0 / a, 400)])
         prof = eval_packet_profile(sig, p)
@@ -93,19 +88,14 @@ def cmd_spectrum(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
 
 def cmd_limit(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     # limit_sweep sets each rate of a_sweep itself
-    p = _packet(cfg, flow.sigma_star, cfg.a_sweep[0])
+    p = PacketParams(cfg.alpha, cfg.a_sweep[0], cfg.eps, flow.sigma_star)
     sweep = spectrum.limit_sweep(p, cfg.a_sweep)
     rows = [(r.a, r.total, r.total_normalized, r.limit, r.residual)
             for r in sweep.rows]
     out = write_csv(f"{cfg.out_dir}/sweep.csv",
                     ["a", "total", "total_normalized", "limit", "residual"],
                     rows, meta)
-    warnings = (["sweep too short for a meaningful slope fit"]
-                if len(sweep.rows) < 3 else [])
-    if not np.isfinite(sweep.slope):
-        warnings.append("residual_slope is null: fewer than two a_sweep "
-                        "values leave a nonzero residual to fit")
-    for w in warnings:
+    for w in sweep.warnings:
         print(f"warning: {w}")
     summary = {
         "config": meta,
@@ -115,7 +105,7 @@ def cmd_limit(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
         "residual_slope": -sweep.slope if np.isfinite(sweep.slope) else None,
         "richardson_extrapolation": sweep.richardson,
         "final_relative_residual": sweep.final_relative_residual,
-        "warnings": warnings,
+        "warnings": sweep.warnings,
     }
     write_json(f"{cfg.out_dir}/limit_summary.json", summary)
     print(f"limit = {sweep.limit:.12g}   variant = {sweep.limit_variant:.12g} "
@@ -128,9 +118,9 @@ def cmd_limit(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
 
 def cmd_pde_verify(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     # remainder_contribution sets each rate it uses itself (pde.A_VALUES)
-    p = _packet(cfg, flow.sigma_star, cfg.a_sweep[0])
-    grid = pde.RadialGrid.auto(pde.inner_edge(flow.profile), cfg.grid_rho_max,
-                               cfg.nrho, flow.profile, cfg.tfinal)
+    p = PacketParams(cfg.alpha, cfg.a_sweep[0], cfg.eps, flow.sigma_star)
+    grid = pde.verify_grid(flow.profile, cfg.grid_rho_max, cfg.nrho,
+                           cfg.tfinal)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,
                                         t_final=cfg.tfinal)
     write_json(f"{cfg.out_dir}/pde_report.json",

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaptureError, StepFailureError
+from .errors import CaptureError, ConfigError, StepFailureError
 
 __all__ = [
     "VelocityProfile",
@@ -143,9 +143,9 @@ class VelocityProfile:
 
     def __post_init__(self) -> None:
         if not (self.a_minus < 0.0 and self.a_plus < 0.0):
-            raise ValueError("flow strength must be negative at both ends")
+            raise ConfigError("a_minus and a_plus must be negative")
         if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+            raise ConfigError("tau must be positive")
 
     @functools.cached_property
     def _mid_amp(self) -> tuple[float, float]:
@@ -442,8 +442,12 @@ def find_separatrix(profile: VelocityProfile,
     and the 800 horizon samples off x0 = 0 come from one vectorised
     re-step pass over the two.  A failed solve, or a sample that is not
     finite or lies outside [min|A|, max|A|], raises StepFailureError
-    naming the solve's start.
+    naming the solve's start; ConfigError where min|A| <= CAPTURE_RHO.
     """
+    lo, hi = sorted((abs(profile.a_minus), abs(profile.a_plus)))
+    if not lo > CAPTURE_RHO:
+        raise ConfigError(f"min(|a_minus|, |a_plus|) must exceed rho_min = "
+                          f"{CAPTURE_RHO}, the rays' capture radius")
     tol = SEPARATRIX_RTOL
     x_grid = np.linspace(0.0, float(x0_horizon_max), 401)
     # the samples' x0 in solve order, 10 ... 0.025, 0, -0.025 ... -10,
@@ -468,7 +472,6 @@ def find_separatrix(profile: VelocityProfile,
     # rounding puts a sample up to about one rtol outside [min|A|, max|A|],
     # and nan or inf fails the <= test; the first miss in solve order is
     # where a solve went wrong
-    lo, hi = sorted((abs(profile.a_minus), abs(profile.a_plus)))
     inside = np.clip(reached, lo, hi)
     bad = ~(np.abs(reached - inside) <= 100.0 * tol * inside)
     if bad.any():

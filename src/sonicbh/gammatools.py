@@ -17,10 +17,10 @@ carries the modulus that survives in all creation-rate formulas:
                  / (eta^2 + a^2)^(eps + 1)      (eta <= 0).
 
 Both transforms read alpha, eps and a from packets.PacketParams, whose
-eps lies in (0, 1/2]; so loggamma needs, and takes, only Re z in
-[1, 3/2].  The tests pair each closed form with an independent adaptive
-quadrature of its defining integral (tests/oracles.py), and loggamma with
-mpmath.
+eps lies in [packets.EPS_MIN, 1/2]; so loggamma needs, and takes, only
+Re z in [1, 3/2].  The tests pair each closed form with an independent
+adaptive quadrature of its defining integral (tests/oracles.py), and
+loggamma with mpmath.
 """
 
 from __future__ import annotations
@@ -115,11 +115,8 @@ def gamma0_modulus_sq(alpha: float, eps: float) -> float:
 
     Formed directly, e^{pi alpha/2} overflows and the Gamma value underflows
     once alpha exceeds about 452, while |Gamma0|^2 grows only like
-    alpha^(1 + 2 eps).  ValueError unless eps lies in (0, 1/2], the
-    packet's range and loggamma's domain.
+    alpha^(1 + 2 eps).  ValueError for eps outside loggamma's [0, 1/2].
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive (Gamma(2*eps) finite)")
     return math.exp(log_gamma0_modulus_sq(alpha, eps))
 
 

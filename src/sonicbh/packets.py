@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridMismatchError, ToleranceError
+from .errors import ConfigError, GridMismatchError, ToleranceError
 from .flow import FlowMap
 
 __all__ = [
@@ -67,6 +67,11 @@ A_MIN = SUPPORT_CUT / math.sqrt(sys.float_info.max)
 # the largest edge exponent: gammatools.loggamma, behind every closed form
 # here, takes Re z = 1 + eps only up to 3/2
 EPS_MAX = 0.5
+# the smallest edge exponent, 0.007028136337406645: from it up the numeric
+# norm's first node (2^-30/a) t^(1/(2 eps)), t = _GL_SHIFTED[0]/2, is normal
+# at every a up to 1/sqrt(min) (spectrum.A_SWEEP_MAX); at a = 4, from 0.0034
+EPS_MIN = (math.log(0.5 * _GL_SHIFTED[0])
+           / (2.0 * math.log(sys.float_info.min ** 0.5 / _NORM_EDGES[1])))
 
 
 @dataclass(frozen=True)
@@ -79,12 +84,14 @@ class PacketParams:
     sigma_star: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0.0
-                   for v in (self.alpha, self.a, self.sigma_star)):
-            raise ValueError("alpha, a and sigma_star must be finite and "
-                             "positive")
-        if not 0.0 < self.eps <= EPS_MAX:
-            raise ValueError("eps must lie in (0, 1/2]")
+        for name in ("alpha", "a", "sigma_star"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
+        if not EPS_MIN <= self.eps <= EPS_MAX:
+            raise ConfigError(
+                "eps must lie in [{0!r}, {1}/{2}]: below {0!r} the numeric "
+                "norm's first node underflows at large a".format(
+                    EPS_MIN, *EPS_MAX.as_integer_ratio()))
 
     @property
     def s_max(self) -> float:
@@ -92,8 +99,7 @@ class PacketParams:
         return SUPPORT_CUT / self.a
 
     def with_a(self, a: float) -> "PacketParams":
-        return PacketParams(alpha=self.alpha, a=a, eps=self.eps,
-                            sigma_star=self.sigma_star)
+        return replace(self, a=a)
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,8 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     s^(2 eps - 1) edge of the bracket: panels at a*s = 0, 2^-30, 2^-29,
     ..., 16, 32 and a*s_max = 45, twelve nodes each (444 nodes).  A
     non-finite sum raises ToleranceError, and so does a node whose s
-    underflows (eps below about 0.0035), which would drop its share
-    silently.
+    underflows (at a rate above spectrum.A_SWEEP_MAX, where EPS_MIN no
+    longer keeps it normal), which would drop its share silently.
     """
     closed = 4.0 * math.pi * p.alpha * math.gamma(2.0 * p.eps) \
         / (2.0 * p.a) ** (2.0 * p.eps)

@@ -67,7 +67,7 @@ from .errors import (ConfigError, InstabilityError, ResolutionError,
                      ToleranceError)
 from .flow import FlowMap, VelocityProfile, transport
 from .gammatools import packet_fourier_modulus_sq
-from .packets import (FieldOnGrid, PacketParams, eikonal_values,
+from .packets import (EPS_MAX, FieldOnGrid, PacketParams, eikonal_values,
                       gauss_panels, mode_initial_data, packet_values)
 from .spectrum import creation_density, density_from_projections
 
@@ -84,6 +84,7 @@ __all__ = [
     "remainder_contribution",
     "predicted_point_steps",
     "inner_edge",
+    "verify_grid",
 ]
 
 STEP_SAFETY = 0.9
@@ -110,7 +111,7 @@ MAX_POINT_STEPS = 2.465298e9
 # 114 037 (solve_mode at eta = -4, best of 3, 2-core Intel Xeon)
 NRHO_MAX = 8192
 # the fewest points of a wave grid; NRHO_MIN is the smallest n_rho whose
-# coarse twin, n_rho // 2 + 1 points, keeps that many
+# coarse twin, n_rho // 2 + 1 points, keeps that many (verify_grid)
 MIN_POINTS = 16
 NRHO_MIN = 2 * (MIN_POINTS - 1)
 POINTS_PER_WAVELENGTH = 16
@@ -124,6 +125,19 @@ def inner_edge(profile: VelocityProfile) -> float:
     min(|A-|, |A+|), so the edge, INNER_EDGE times that, takes outflow
     below the packet."""
     return INNER_EDGE * min(abs(profile.a_minus), abs(profile.a_plus))
+
+
+def verify_grid(profile: VelocityProfile, rho_max: float, n_rho: int,
+                t_final: float) -> "RadialGrid":
+    """pde-verify's grid from inner_edge(profile); ConfigError names nrho
+    outside [NRHO_MIN, NRHO_MAX]."""
+    if n_rho < NRHO_MIN:
+        raise ConfigError(f"nrho must be at least {NRHO_MIN}")
+    if n_rho > NRHO_MAX:
+        raise ConfigError(f"nrho must be at most {NRHO_MAX}, where the "
+                          f"wave budget still bounds the run time")
+    return RadialGrid.auto(inner_edge(profile), rho_max, n_rho, profile,
+                           t_final)
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,8 @@ class RadialGrid:
         if self.rho_min <= 0.0:
             raise ValueError("rho_min must be positive")
         if not self.rho_max > self.rho_min:
-            raise ConfigError(f"grid_rho_max must exceed the wave grid's "
-                              f"inner edge {self.rho_min:g}")
+            raise ConfigError(f"grid_rho_max = {self.rho_max!r} must exceed "
+                              f"the wave grid's inner edge {self.rho_min!r}")
         if self.n_rho < MIN_POINTS:
             raise ValueError("n_rho too small")
         if self.dt <= 0.0:
@@ -178,8 +192,8 @@ class RadialGrid:
              profile: VelocityProfile, t_final: float) -> "RadialGrid":
         """The grid with the largest step within cfl_dt, the stencils' RK4
         step bound at max|A| over [0, t_final], for which t_final/2 and
-        t_final are whole steps: dt = t_final/(2m).  rho_min is the inner
-        edge, for a flow's wave grid inner_edge(profile).
+        t_final are whole steps: dt = t_final/(2m), from the inner edge
+        rho_min (verify_grid's is inner_edge(profile)).
 
         ConfigError when t_final is not positive, rho_max does not exceed
         rho_min, the step count overflows a float or dt falls below the
@@ -401,17 +415,17 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         a_max = profile.max_abs(0.0, t_end)
         if not grid.dt <= grid.cfl_dt(a_max) * (1.0 + 1e-12):
             raise ConfigError(
-                f"dt = {grid.dt:g} violates the CFL bound "
-                f"{grid.cfl_dt(a_max):g} for max|A| = {a_max:g} over "
+                f"dt = {grid.dt!r} violates the CFL bound "
+                f"{grid.cfl_dt(a_max)!r} for max|A| = {a_max!r} over "
                 f"[0, {t_end:g}]")
         a_min = profile.min_abs(0.0, t_end)
         if not a_min > grid.rho_min:
             raise ConfigError(
-                f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
-                f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
+                f"inner edge rho_min = {grid.rho_min!r} takes inflow: "
+                f"min|A| = {a_min!r} over [0, {t_end:g}] does not exceed it")
         if not grid.rho_max > a_max:
-            raise ConfigError(f"grid_rho_max = {grid.rho_max:g} must exceed "
-                              f"max|A| = {a_max:g} over [0, {t_end:g}]")
+            raise ConfigError(f"grid_rho_max = {grid.rho_max!r} must exceed "
+                              f"max|A| = {a_max!r} over [0, {t_end:g}]")
     n, dt = grid.n_rho, grid.dt
     rho = grid.rho
     inv_rho = 1.0 / rho
@@ -613,12 +627,13 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     raises ResolutionError; a coarse twin too coarse for it leaves the
     estimate None, with a warning.  The report records n_rho, dt and steps
     of each solve made.  These raise ConfigError before any work: grids
-    whose two solves would take more work than MAX_POINT_STEPS; an
-    alpha that leaves the |F|^2 factor of a sweep or evolved density
-    subnormal; and an eta sample whose x0 = 0 eikonal density or its |F|^2
-    factor is not a positive normal float, or whose deviation is not
-    finite.  A grid whose inner edge takes inflow before t_final is
-    solve_cauchy's ConfigError; inner_edge(flow.profile) takes none.
+    whose two solves would take more work than MAX_POINT_STEPS; eps below
+    EPS_MIN; no eta sample, or one not negative; an alpha that leaves the
+    |F|^2 factor of a sweep or evolved density subnormal; and an eta sample
+    whose x0 = 0 eikonal density or its |F|^2 factor is not a positive
+    normal float, or whose deviation is not finite.  A grid whose inner
+    edge takes inflow before t_final is solve_cauchy's ConfigError;
+    inner_edge(flow.profile) takes none.
     """
     profile = flow.profile
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
@@ -629,6 +644,13 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"the wave solves would take {work:.3g} point-steps (steps x "
             f"(n_rho + {N_STEP})), beyond the budget of "
             f"{MAX_POINT_STEPS:.7g}; lower nrho or tfinal")
+    if not p.eps >= EPS_MIN:
+        raise ConfigError("eps must lie in [{0}, {1}/{2}]: below {0} the "
+                          "packet edge s^eps needs quadrature nodes smaller "
+                          "than the smallest float".format(
+                              EPS_MIN, *EPS_MAX.as_integer_ratio()))
+    if not (len(eta_samples) and max(eta_samples) < 0.0):
+        raise ConfigError("eta_list must hold negative values")
     for a in A_VALUES:  # |F|^2 ~ e^{-2 alpha theta} scales each density
         etas = np.append(a * _SWEEP_NODES, abs(EVOLVE_ETA))
         f2 = np.min(packet_fourier_modulus_sq(-etas, p.with_a(a)))
@@ -728,9 +750,9 @@ class PacketQuadrature:
     x0: float
 
 
-# the smallest edge exponent: below it _two_zone_nodes' head node s_min
-# underflows (at |eta| = 4: 1.2e-267 at eps = 0.05, 3.2e-298 at 0.045 and
-# 0 at 0.04, where math.log raises)
+# pde-verify's smallest edge exponent: below it _two_zone_nodes' head node
+# s_min underflows (at |eta| = 4: 1.2e-267 at eps = 0.05, 3.2e-298 at 0.045
+# and 0 at 0.04, where math.log raises); packets.EPS_MIN is far below
 EPS_MIN = 0.05
 
 

@@ -338,7 +338,8 @@ class SweepResult:
     limit: float
     limit_variant: float
     slope: float
-    richardson: float
+    richardson: float | None
+    warnings: list[str]
 
     @property
     def final_relative_residual(self) -> float:
@@ -363,6 +364,7 @@ def limit_sweep(p: PacketParams, a_list) -> SweepResult:
     with c = K e^{-pi alpha} / 2 (K the limit prefactor).  richardson
     eliminates (limit, c, d) from the last three sweep points under that
     model; with fewer than three points it is the last normalised total.
+    warnings says why a sweep is short or a slope or richardson is null.
     """
     lim = normalized_number_limit(p.alpha, p.eps)
     var = normalized_number_limit_variant(p.alpha, p.eps)
@@ -377,19 +379,27 @@ def limit_sweep(p: PacketParams, a_list) -> SweepResult:
     res = np.array([r.residual for r in rows])
     a_arr = np.array([r.a for r in rows])
     ok = res > 0.0
-    if np.count_nonzero(ok) >= 2:
-        # least-squares line through (log a, log residual)
-        x, y = np.log(a_arr[ok]), np.log(res[ok])
+    x, y = np.log(a_arr[ok]), np.log(res[ok])
+    slope, rich = math.nan, rows[-1].total_normalized
+    warnings = ["sweep too short for a meaningful slope fit"] * (len(rows) < 3)
+    if x.size < 2:
+        warnings.append("residual_slope is null: fewer than two a_sweep "
+                        "values leave a nonzero residual to fit")
+    elif not np.ptp(x) > 0.0:
+        warnings.append("residual_slope is null: the a_sweep values that "
+                        "leave a nonzero residual coincide in log a")
+    else:  # least-squares line through (log a, log residual)
         x = x - x.mean()
         slope = float(np.dot(x, y - y.mean()) / np.dot(x, x))
-    else:
-        slope = float("nan")
     if len(rows) >= 3:
         a3 = a_arr[-3:]
         m = np.column_stack([np.ones(3), -np.log(a3) / a3 ** 2, -1.0 / a3 ** 2])
         v3 = np.array([r.total_normalized for r in rows[-3:]])
-        rich = np.linalg.solve(m, v3)[0]
-    else:
-        rich = rows[-1].total_normalized
-    return SweepResult(rows=rows, limit=lim, limit_variant=var,
-                       slope=slope, richardson=float(rich))
+        try:
+            rich = float(np.linalg.solve(m, v3)[0])
+        except np.linalg.LinAlgError:
+            rich = None
+            warnings.append("richardson_extrapolation is null: its 3x3 system"
+                            " in the last three a_sweep values is singular")
+    return SweepResult(rows=rows, limit=lim, limit_variant=var, slope=slope,
+                       richardson=rich, warnings=warnings)

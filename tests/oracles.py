@@ -261,18 +261,18 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         a_max = profile.max_abs(0.0, t_end)
         if not grid.dt <= grid.cfl_dt(a_max) * (1.0 + 1e-12):
             raise ConfigError(
-                f"dt = {grid.dt:g} violates the CFL bound "
-                f"{grid.cfl_dt(a_max):g} for max|A| = {a_max:g} over "
+                f"dt = {grid.dt!r} violates the CFL bound "
+                f"{grid.cfl_dt(a_max)!r} for max|A| = {a_max!r} over "
                 f"[0, {t_end:g}]")
         a_min = float(np.min(np.abs(profile.eval(
             np.linspace(0.0, t_end, 1001)))))
         if not a_min > grid.rho_min:
             raise ConfigError(
-                f"inner edge rho_min = {grid.rho_min:g} takes inflow: "
-                f"min|A| = {a_min:g} over [0, {t_end:g}] does not exceed it")
+                f"inner edge rho_min = {grid.rho_min!r} takes inflow: "
+                f"min|A| = {a_min!r} over [0, {t_end:g}] does not exceed it")
         if not grid.rho_max > a_max:
-            raise ConfigError(f"grid_rho_max = {grid.rho_max:g} must exceed "
-                              f"max|A| = {a_max:g} over [0, {t_end:g}]")
+            raise ConfigError(f"grid_rho_max = {grid.rho_max!r} must exceed "
+                              f"max|A| = {a_max!r} over [0, {t_end:g}]")
         drift = profile.eval
     rho = grid.rho
     inv_rho = 1.0 / rho

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonicbh import cli, errors, pde, spectrum
+from sonicbh import cli, errors, packets, pde, spectrum
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, read_pairs
 from sonicbh.errors import ConfigError
@@ -60,10 +60,11 @@ def test_config_parsing_and_overrides(tmp_path):
     assert cfg2.a_minus == -1.1
 
 
-def test_config_file_set_and_flags_in_one_parse(tmp_path):
+def test_config_file_set_and_flags_in_one_parse(tmp_path, capsys):
     # the file's lines, then --set, then the flags go through one parser:
     # the last value of a key wins, and only the final config is checked,
-    # so nrho=5 (below the floor of 30) is no refusal once --nrho replaces it
+    # so nrho=5 (below pde-verify's floor of 30) is no refusal once --nrho
+    # replaces it
     path = tmp_path / "run.cfg"
     path.write_text("nrho = 512  # from the file\ntau = 2.0\n\n")
     args = build_parser().parse_args(
@@ -71,9 +72,16 @@ def test_config_file_set_and_flags_in_one_parse(tmp_path):
          "--set", "tau=3.0", "--nrho", "256", "--eta-list=-2,-6"])
     cfg = _load_config(args)
     assert (cfg.nrho, cfg.tau, cfg.eta_list) == (256, 3.0, (-2.0, -6.0))
-    with pytest.raises(ConfigError, match="nrho must be at least 30"):
-        _load_config(build_parser().parse_args(
-            ["pde-verify", "--config", str(path), "--set", "nrho=5"]))
+
+    def refused(later):
+        out = tmp_path / "out"
+        rc = main(["pde-verify", "--config", str(path)] + later
+                  + ["--out-dir", str(out)])
+        err = capsys.readouterr().err
+        return (rc == 2 and not out.exists()
+                and err.startswith("config error: nrho must be at least 30"))
+
+    assert refused(["--set", "nrho=5"])
     # a file value below the floor is no refusal either once a later pair,
     # from --set or from the flag, replaces it; as the last value it is
     path.write_text("nrho = 10  # replaced below\n")
@@ -82,9 +90,7 @@ def test_config_file_set_and_flags_in_one_parse(tmp_path):
             ["pde-verify", "--config", str(path)] + later))
         assert cfg.nrho == 256, later
     for later in ([], ["--set", "nrho=256", "--set", "nrho=10"]):
-        with pytest.raises(ConfigError, match="nrho must be at least 30"):
-            _load_config(build_parser().parse_args(
-                ["pde-verify", "--config", str(path)] + later))
+        assert refused(later), later
 
 
 def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
@@ -112,14 +118,11 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
                  "a = 8"):
         with pytest.raises(ConfigError, match="unknown config key"):
             _config_of_file(cfg_dir, line + "\n")
-    # values the flow, the packet or the wave grid would reject later
-    for bad in ({"alpha": -1.0}, {"eps": 0.7}, {"a_minus": 0.5},
-                {"a_sweep": ()}, {"eta_list": ()}, {"eta_list": (2.0, -6.0)},
-                {"nrho": 8}, {"nrho": 29}, {"nrho": NRHO_MAX + 1},
-                {"grid_rho_max": 0.0},
-                {"tfinal": -1.0}, {"tfinal": 0.0},
-                {"n_eta": 23}, {"n_eta": 1}, {"n_eta": MAX_N_ETA + 1},
-                {"eps": 0.049}, {"eps": 0.5001},
+    # values the config itself refuses, for every command: values not
+    # finite, and the a_sweep and n_eta bounds, which must hold before
+    # spectrum writes its first rate's tables
+    for bad in ({"a_sweep": ()}, {"n_eta": 23}, {"n_eta": 1},
+                {"n_eta": MAX_N_ETA + 1},
                 # non-finite values: the first three hung, the rest ended
                 # in a traceback or a later failure instead of exit 2
                 {"tau": math.inf}, {"a_minus": -math.inf},
@@ -129,13 +132,14 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
                 # a_sweep values not positive, or whose packet's squared
                 # support (45/a)^2 exceeds the largest float
                 {"a_sweep": (0.0, 8.0)}, {"a_sweep": (-1.0,)},
-                {"a_sweep": (5e-324, 8.0)},
-                # the horizon between |A-| and |A+| at or below the
-                # capture radius 1e-3
-                {"a_plus": -1e-6}, {"a_minus": -1e-3}):
+                {"a_sweep": (5e-324, 8.0)}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
-    RunConfig(nrho=30)  # its coarse twin still has 16 points
+    # the flow's, the packet's and pde-verify's bounds are checked where
+    # their arithmetic is, for the commands that read them
+    # (test_each_command_checks_only_its_own_keys)
+    RunConfig(alpha=-1.0, eps=0.7, a_minus=0.5, a_plus=-1e-6, nrho=8,
+              tfinal=-1.0, grid_rho_max=0.0, eta_list=(2.0,))
     RunConfig(n_eta=24)
     # the budget bounds n_eta x len(a_sweep): all of it for one a value,
     # a fifth of it at the five default values
@@ -143,26 +147,14 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
     RunConfig(n_eta=MAX_N_ETA // 5)
     with pytest.raises(ConfigError, match=f"at most {MAX_N_ETA // 5} at 5"):
         RunConfig(n_eta=MAX_N_ETA // 5 + 1)
-    RunConfig(eps=0.05)
     # the same values from the command line exit 2, before any output
-    for argv in (["pde-verify", "--eta-list", "2,-6"],
-                 ["pde-verify", "--eta-list="],
-                 ["limit", "--set", "a_sweep="],
-                 ["spectrum", "--set", "alpha=-1"],
-                 ["spectrum", "--set", "eps=0.7"],
+    for argv in (["limit", "--set", "a_sweep="],
                  # below A_MIN the numeric norm's nodes (45/a) overflowed
                  # behind five numpy RuntimeWarnings before exit 3
                  ["spectrum", "--set", "a_sweep=5e-324,8"],
                  ["spectrum", "--set", "a_sweep=0"],
                  ["limit", "--set", "a_sweep=-1,8"],
                  ["spectrum", "--set", "n_eta=1"],
-                 ["spectrum", "--set", "eps=0.002"],
-                 ["pde-verify", "--nrho", "1024", "--set", "eps=0.04"],
-                 ["horizon", "--set", "a_minus=0.5"],
-                 ["pde-verify", "--nrho", "8"],
-                 ["pde-verify", "--set", "grid_rho_max=0.2"],
-                 ["pde-verify", "--set", "grid_rho_max=0.5"],
-                 ["pde-verify", "--tfinal", "-1"],
                  ["pde-verify", "--set", "tfinal=inf"],
                  ["spectrum", "--set", "alpha=inf"],
                  # removed keys
@@ -181,26 +173,54 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
 
 _EPS_REFUSAL = ("eps must lie in [0.05, 1/2]: below 0.05 the packet edge "
                 "s^eps needs quadrature nodes smaller than the smallest float")
+_PACKET_EPS_REFUSAL = (f"eps must lie in [{packets.EPS_MIN!r}, 1/2]: below "
+                       f"{packets.EPS_MIN!r} the numeric norm's first node "
+                       f"underflows at large a")
+_PDE_SHORT = ["pde-verify", "--tfinal", "1e-3"]
 
 
-@pytest.mark.parametrize("key,bound,past,message", [
-    ("eps", EPS_MIN, math.nextafter(EPS_MIN, 0.0), _EPS_REFUSAL),
-    ("eps", EPS_MAX, math.nextafter(EPS_MAX, 1.0), _EPS_REFUSAL),
-    ("n_eta", N_ETA_MIN, N_ETA_MIN - 1, "n_eta must be at least 24"),
-    ("nrho", NRHO_MIN, NRHO_MIN - 1, "nrho must be at least 30"),
-    ("nrho", NRHO_MAX, NRHO_MAX + 1, "nrho must be at most 8192, where the "
-                                     "wave budget still bounds the run time"),
-    ("a_sweep", (A_SWEEP_MAX,), (math.nextafter(A_SWEEP_MAX, math.inf),),
-     "a_sweep must be at most 6.703903964971299e+153: above it limit's "
-     "a^-2 error term is subnormal"),
+@pytest.mark.parametrize("argv,key,bound,past,message", [
+    pytest.param(_PDE_SHORT + ["--nrho", "256"], "eps", repr(EPS_MIN),
+                 repr(math.nextafter(EPS_MIN, 0.0)), _EPS_REFUSAL,
+                 id=f"eps-0.05-0.049999999999999996-{_EPS_REFUSAL}"),
+    pytest.param(["limit"], "eps", repr(packets.EPS_MIN),
+                 repr(math.nextafter(packets.EPS_MIN, 0.0)),
+                 _PACKET_EPS_REFUSAL, id="eps-packet-floor"),
+    pytest.param(["spectrum", "--set", "n_eta=24"], "eps", repr(EPS_MAX),
+                 repr(math.nextafter(EPS_MAX, 1.0)), _PACKET_EPS_REFUSAL,
+                 id="eps-packet-ceiling"),
+    pytest.param(["spectrum"], "n_eta", str(N_ETA_MIN), str(N_ETA_MIN - 1),
+                 "n_eta must be at least 24",
+                 id="n_eta-24-23-n_eta must be at least 24"),
+    pytest.param(_PDE_SHORT, "nrho", str(NRHO_MIN), str(NRHO_MIN - 1),
+                 "nrho must be at least 30",
+                 id="nrho-30-29-nrho must be at least 30"),
+    pytest.param(_PDE_SHORT, "nrho", str(NRHO_MAX), str(NRHO_MAX + 1),
+                 "nrho must be at most 8192, where the wave budget still "
+                 "bounds the run time",
+                 id="nrho-8192-8193-nrho must be at most 8192, where the wave "
+                    "budget still bounds the run time"),
+    pytest.param(["limit"], "a_sweep", repr(A_SWEEP_MAX),
+                 repr(math.nextafter(A_SWEEP_MAX, math.inf)),
+                 "a_sweep must be at most 6.703903964971299e+153: above it "
+                 "limit's a^-2 error term is subnormal",
+                 id="a_sweep-bound5-past5-a_sweep must be at most "
+                    "6.703903964971299e+153: above it limit's a^-2 error "
+                    "term is subnormal"),
 ])
-def test_config_bounds_from_their_modules(key, bound, past, message):
-    # each bound is defined beside the arithmetic that sets it; RunConfig
-    # takes it and refuses one step past it with a message that names it
-    RunConfig(**{key: bound})
-    with pytest.raises(ConfigError) as exc:
-        RunConfig(**{key: past})
-    assert str(exc.value) == message
+def test_config_bounds_from_their_modules(tmp_path, capsys, argv, key, bound,
+                                          past, message):
+    # each bound is defined beside the arithmetic that sets it and checked
+    # there, for the command that reads the key: the bound itself is no
+    # config error (nrho = 30 is too coarse for eta = -4, exit 4), and one
+    # float or one int past it is refused with a message that names it,
+    # before any output
+    main(argv + ["--set", f"{key}={bound}", "--out-dir", str(tmp_path / "at")])
+    assert not capsys.readouterr().err.startswith("config error")
+    out = tmp_path / "past"
+    assert main(argv + ["--set", f"{key}={past}", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_config_checks_state_no_number_of_their_own():
@@ -214,6 +234,103 @@ def test_config_checks_state_no_number_of_their_own():
                if isinstance(node, ast.Constant) and id(node) not in indices
                and type(node.value) in (int, float)}
     assert numbers == {0.0}, numbers
+
+
+_ALPHA_REFUSAL = "alpha must be finite and positive"
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    # the packet's keys: spectrum, limit and pde-verify build a packet;
+    # eps has the packet's floor, and pde-verify's own far above it
+    pytest.param(["horizon", "--set", "alpha=-1"], None, id="alpha-horizon"),
+    pytest.param(["spectrum", "--set", "alpha=-1"], _ALPHA_REFUSAL,
+                 id="alpha-spectrum"),
+    pytest.param(["limit", "--set", "alpha=-1"], _ALPHA_REFUSAL,
+                 id="alpha-limit"),
+    pytest.param(["pde-verify", "--set", "alpha=-1"], _ALPHA_REFUSAL,
+                 id="alpha-pde-verify"),
+    pytest.param(["horizon", "--set", "eps=0.001"], None, id="eps-horizon"),
+    pytest.param(["spectrum", "--set", "eps=0.01"], None, id="eps-spectrum"),
+    pytest.param(["limit", "--set", "eps=0.01"], None, id="eps-limit"),
+    pytest.param(["spectrum", "--set", "eps=0.002"], _PACKET_EPS_REFUSAL,
+                 id="eps-below-spectrum"),
+    pytest.param(["spectrum", "--set", "eps=0.7"], _PACKET_EPS_REFUSAL,
+                 id="eps-above-spectrum"),
+    pytest.param(["pde-verify", "--nrho", "1024", "--set", "eps=0.04"],
+                 _EPS_REFUSAL, id="eps-pde-verify"),
+    pytest.param(["pde-verify", "--set", "eps=0.049"], _EPS_REFUSAL,
+                 id="eps-0.049-pde-verify"),
+    # the flow's keys, which every command reads
+    pytest.param(["horizon", "--set", "a_minus=0.5"],
+                 "a_minus and a_plus must be negative", id="a_minus-horizon"),
+    pytest.param(["spectrum", "--set", "a_plus=-1e-6"],
+                 "min(|a_minus|, |a_plus|) must exceed rho_min = 0.001",
+                 id="a_plus-spectrum"),
+    # pde-verify's keys (test_boundary_pde_verify_grid holds its nrho,
+    # tfinal and grid_rho_max refusals)
+    pytest.param(["horizon", "--set", "nrho=8193"], None, id="nrho-horizon"),
+    pytest.param(["spectrum", "--set", "nrho=8"], None, id="nrho-spectrum"),
+    pytest.param(["horizon", "--set", "tfinal=-1"], None, id="tfinal-horizon"),
+    pytest.param(["limit", "--set", "tfinal=0"], None, id="tfinal-limit"),
+    pytest.param(["horizon", "--set", "grid_rho_max=-1"], None,
+                 id="grid_rho_max-horizon"),
+    pytest.param(["spectrum", "--set", "grid_rho_max=0"], None,
+                 id="grid_rho_max-spectrum"),
+    pytest.param(["horizon", "--set", "eta_list=1"], None,
+                 id="eta_list-horizon"),
+    pytest.param(["limit", "--set", "eta_list="], None, id="eta_list-limit"),
+    pytest.param(["pde-verify", "--set", "eta_list=1"],
+                 "eta_list must hold negative values", id="eta_list-pde-verify"),
+    pytest.param(["pde-verify", "--eta-list", "2,-6"],
+                 "eta_list must hold negative values",
+                 id="eta_list-mixed-pde-verify"),
+    pytest.param(["pde-verify", "--eta-list="],
+                 "eta_list must hold negative values",
+                 id="eta_list-empty-pde-verify"),
+    # a_sweep and n_eta stay the config's, for every command: spectrum
+    # writes each rate's tables before it builds the next rate's packet
+    pytest.param(["horizon", "--set", "n_eta=23"], "n_eta must be at least 24",
+                 id="n_eta-horizon"),
+    pytest.param(["horizon", "--set", "a_sweep=8,4"],
+                 "a_sweep must be strictly increasing", id="a_sweep-horizon"),
+])
+def test_each_command_checks_only_its_own_keys(tmp_path, capsys, argv,
+                                               refusal):
+    # a bound is checked by the code whose arithmetic sets it, so a command
+    # is refused only on a key it reads: it exits 0 with no warning, or 2
+    # before any output with a message that names the key
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _run_boundary(argv, out, capsys, accepted=refusal is None)
+    if refusal is None:
+        assert err == "", err
+    else:
+        assert err.startswith(f"config error: {refusal}"), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 40.0])
+@pytest.mark.parametrize("command", ["spectrum", "limit"])
+def test_boundary_packet_eps_floor(tmp_path, capsys, command, alpha):
+    # spectrum and limit hold down to the packet's own eps floor,
+    # packets.EPS_MIN = 0.00703, far below pde-verify's 0.05: at it they
+    # run clean, with every numeric norm within 1e-12 of the closed one,
+    # and one float below it they are refused before any output
+    floor = packets.EPS_MIN
+    for eps, out in ((floor, tmp_path / "at"),
+                     (math.nextafter(floor, 0.0), tmp_path / "below")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _run_boundary([command, "--set", f"eps={eps!r}", "--set",
+                                 f"alpha={alpha!r}"], out, capsys,
+                                accepted=eps == floor)
+        if eps != floor:
+            assert err == f"config error: {_PACKET_EPS_REFUSAL}\n", err
+            assert not out.exists()
+        elif command == "spectrum":
+            rows = (out / "norm_table.csv").read_text().splitlines()[-5:]
+            assert max(float(ln.split(",")[3]) for ln in rows) <= 1e-12, rows
 
 
 # -- commands --------------------------------------------------------------------
@@ -241,7 +358,8 @@ def test_unreadable_config_exit_code(tmp_path, capsys, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("nrho", "x"), ("tfinal", "1e-1x")])
+@pytest.mark.parametrize("flag,value", [("nrho", "x"), ("tfinal", "1e-1x")],
+                         ids=["nrho-x", "tfinal-1e-1x"])
 def test_flag_value_parsed_as_its_key(tmp_path, capsys, flag, value):
     # a flag's value goes through the config parser, so one that does not
     # parse gives the config error of its --set spelling
@@ -490,29 +608,53 @@ def test_limit_null_slope_warns(tmp_path, capsys):
 _SWEEP_MAX = 2.0 ** 511  # 1 / sqrt(the smallest normal float)
 
 
-@pytest.mark.parametrize("a_sweep,accepted", [
+@pytest.mark.parametrize("a_sweep,accepted,warned", [
     # limit fits its last three a against a^-2, which is normal up to
     # 2^511.  Above it 1e154,1e155,1e156 raised numpy's LinAlgError, 1e200
     # printed an overflow RuntimeWarning, and 1.7e308 raised
     # ZeroDivisionError where 2a overflows; all are refused before output
-    (f"4,8,{_SWEEP_MAX!r}", True),
-    (f"1e153,2e153,{_SWEEP_MAX!r}", True),
-    (f"4,8,{math.nextafter(_SWEEP_MAX, math.inf)!r}", False),
-    ("1e154,1e155,1e156", False),
-    ("4,8,1e200", False),
-    ("4,1.7e308", False),
+    pytest.param(f"4,8,{_SWEEP_MAX!r}", True, [],
+                 id="4,8,6.703903964971299e+153-True"),
+    pytest.param(f"1e153,2e153,{_SWEEP_MAX!r}", True, [],
+                 id="1e153,2e153,6.703903964971299e+153-True"),
+    pytest.param(f"4,8,{math.nextafter(_SWEEP_MAX, math.inf)!r}", False, None,
+                 id="4,8,6.7039039649713e+153-False"),
+    pytest.param("1e154,1e155,1e156", False, None,
+                 id="1e154,1e155,1e156-False"),
+    pytest.param("4,8,1e200", False, None, id="4,8,1e200-False"),
+    pytest.param("4,1.7e308", False, None, id="4,1.7e308-False"),
+    # rates that coincide to rounding are accepted: where the three rows of
+    # the Richardson system coincide it raised numpy's LinAlgError, and
+    # where the log rates do not spread the slope fit divided 0 by 0 behind
+    # a RuntimeWarning and then blamed the residuals.  Each null is named
+    pytest.param("1,1.000000000001,1.000000000002", True,
+                 ["richardson_extrapolation is null: its 3x3 system in the "
+                  "last three a_sweep values is singular"],
+                 id="coincide-richardson"),
+    pytest.param("1e150,1.0000000000000002e150,1.0000000000000004e150", True,
+                 ["residual_slope is null: the a_sweep values that leave a "
+                  "nonzero residual coincide in log a"],
+                 id="coincide-slope"),
 ])
-def test_boundary_limit_a_sweep_ceiling(tmp_path, capsys, a_sweep, accepted):
+def test_boundary_limit_a_sweep_ceiling(tmp_path, capsys, a_sweep, accepted,
+                                        warned):
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err = _run_boundary(["limit", "--set", f"a_sweep={a_sweep}"],
-                            tmp_path / "out", capsys, accepted=accepted)
+        err = _run_boundary(["limit", "--set", f"a_sweep={a_sweep}"], out,
+                            capsys, accepted=accepted)
     if accepted:
         assert err == "", err
+        summary = _strict_json(out / "limit_summary.json")
+        assert summary["warnings"] == warned
+        assert (summary["richardson_extrapolation"] is None) == any(
+            w.startswith("richardson") for w in warned)
+        assert (summary["residual_slope"] is None) == any(
+            w.startswith("residual_slope") for w in warned)
     else:
         assert err.startswith(f"config error: a_sweep must be at most "
                               f"{_SWEEP_MAX!r}"), err
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.25])
@@ -762,8 +904,12 @@ def _run_boundary(argv, out_dir, capsys, accepted, refused=2):
          out / "horizon.csv").read_text().splitlines()),
     (["pde-verify", "--nrho", "8193", "--tfinal", "1e-3"],
      "config error: nrho must be at most"),
+    # below pde-verify's eps floor, within the packet's, the norm holds
+    (["spectrum", "--set", "eps=0.01"],
+     lambda out: [float(ln.split(",")[3]) <= 1e-12 for ln in (
+         out / "norm_table.csv").read_text().splitlines()[-5:]] == [True] * 5),
 ], ids=["pde-tfinal", "pde-nrho-2048", "norm-table", "config-comment",
-        "nrho-ceiling"])
+        "nrho-ceiling", "norm-table-eps-0.01"])
 def test_console_runs(tmp_path, capsys, argv, want):
     # runs no other test makes: exit 0, with no warning and outputs that
     # read back, or refused (want, a stderr prefix) before any output.  The
@@ -786,6 +932,8 @@ def test_console_runs(tmp_path, capsys, argv, want):
 @pytest.mark.parametrize("eps", [0.05, 0.5, 0.049, 0.5001])
 @pytest.mark.parametrize("command", ["spectrum", "limit"])
 def test_boundary_inputs_finite_or_typed(tmp_path, capsys, command, eps):
+    # spectrum and limit take eps up to 1/2 and down to the packet's own
+    # floor, far below pde-verify's 0.05
     for alpha in (0.05, 2000.0):
         for a in (1e-3, 1e6):
             for n_eta in (24, 23):
@@ -794,7 +942,7 @@ def test_boundary_inputs_finite_or_typed(tmp_path, capsys, command, eps):
                         "--set", f"n_eta={n_eta}"]
                 out = tmp_path / f"{alpha}_{a}_{n_eta}"
                 _run_boundary(argv, out, capsys,
-                              accepted=eps in (0.05, 0.5) and n_eta == 24)
+                              accepted=eps <= EPS_MAX and n_eta == 24)
 
 
 def test_boundary_amplitudes_against_rho_min(tmp_path, capsys):
@@ -814,6 +962,8 @@ def test_boundary_amplitudes_against_rho_min(tmp_path, capsys):
 _NEAR_RHO_MIN = repr(math.nextafter(-1e-3, -math.inf))
 
 
+# explicit ids, so that a row added beside its key renames no other; the
+# rows from before ids were explicit keep their former positional ids
 @pytest.mark.parametrize("sets,codes,names", [
     # a_minus and a_plus: negative and finite, with min|A| above the
     # capture radius rho_min = 1e-3.  At the largest |A-| the profile's
@@ -821,37 +971,60 @@ _NEAR_RHO_MIN = repr(math.nextafter(-1e-3, -math.inf))
     # out, so the solve's start rho = |A| is 0 and it fails (exit 3).  At the
     # largest |A+| sigma* = |A+| = 1.798e308 is right, and the run exits 0:
     # the ray moves O(1) per unit x0 against an |A| of 1e308
-    ([f"a_minus={_NEAR_RHO_MIN}"], {0}, None),
-    (["a_minus=-0.001"], {2}, "must exceed rho_min"),
-    ([f"a_minus={-sys.float_info.max!r}"], {2, 3, 4}, None),
-    (["a_minus=-inf"], {2}, "a_minus must be finite"),
-    ([f"a_plus={_NEAR_RHO_MIN}"], {0}, None),
-    (["a_plus=-0.001"], {2}, "must exceed rho_min"),
-    ([f"a_plus={-sys.float_info.max!r}"], {0, 2, 3, 4}, None),
-    (["a_plus=-inf"], {2}, "a_plus must be finite"),
+    pytest.param([f"a_minus={_NEAR_RHO_MIN}"], {0}, None,
+                 id="sets0-codes0-None"),
+    pytest.param(["a_minus=-0.001"], {2}, "must exceed rho_min",
+                 id="sets1-codes1-must exceed rho_min"),
+    pytest.param([f"a_minus={-sys.float_info.max!r}"], {2, 3, 4}, None,
+                 id="sets2-codes2-None"),
+    pytest.param(["a_minus=-inf"], {2}, "a_minus must be finite",
+                 id="sets3-codes3-a_minus must be finite"),
+    pytest.param(["a_minus=0.5"], {2}, "a_minus and a_plus must be negative",
+                 id="a_minus-positive"),
+    pytest.param([f"a_plus={_NEAR_RHO_MIN}"], {0}, None,
+                 id="sets4-codes4-None"),
+    pytest.param(["a_plus=-0.001"], {2}, "must exceed rho_min",
+                 id="sets5-codes5-must exceed rho_min"),
+    pytest.param([f"a_plus={-sys.float_info.max!r}"], {0, 2, 3, 4}, None,
+                 id="sets6-codes6-None"),
+    pytest.param(["a_plus=-inf"], {2}, "a_plus must be finite",
+                 id="sets7-codes7-a_plus must be finite"),
     # tau: positive and finite
-    (["tau=5e-324"], {0}, None),
-    (["tau=0"], {2}, "tau must be positive"),
+    pytest.param(["tau=5e-324"], {0}, None, id="sets8-codes8-None"),
+    pytest.param(["tau=0"], {2}, "tau must be positive",
+                 id="sets9-codes9-tau must be positive"),
     # at the largest tau the start derived from the contraction lies at
     # x0 = 49.3, and sigma* = |A(0)| = 1 to every digit
-    ([f"tau={sys.float_info.max!r}"], {0}, None),
-    (["tau=inf"], {2}, "tau must be finite"),
+    pytest.param([f"tau={sys.float_info.max!r}"], {0}, None,
+                 id="sets10-codes10-None"),
+    pytest.param(["tau=inf"], {2}, "tau must be finite",
+                 id="sets11-codes11-tau must be finite"),
     # flows whose sigma* (4.0747, 0.21998) lay outside the former default
     # bracket (0.3, 3): right, so exit 0
-    (["a_minus=-5", "a_plus=-4"], {0}, "4.07470251591"),
+    pytest.param(["a_minus=-5", "a_plus=-4"], {0}, "4.07470251591",
+                 id="sets12-codes12-4.07470251591"),
     # (a 25-digit mpmath solve gives 0.21998349257929)
-    (["a_minus=-0.25", "a_plus=-0.2"], {0}, "0.219983492579"),
+    pytest.param(["a_minus=-0.25", "a_plus=-0.2"], {0}, "0.219983492579",
+                 id="sets13-codes13-0.219983492579"),
     # sigma* = 1 - 0.2/tau + ... = 1
-    (["tau=1e307"], {0}, "sigma_star = 1\n"),
+    pytest.param(["tau=1e307"], {0}, "sigma_star = 1\n",
+                 id="sets14-codes14-sigma_star = 1\n"),
     # x0_horizon_max: positive and finite.  Down to the smallest float the
     # horizon is sampled and sigma* is the default's; from 1e308 a step no
     # longer moves x0
-    (["x0_horizon_max=5e-324"], {0}, "0.893857213413"),
-    (["x0_horizon_max=1e-300"], {0}, "0.893857213413"),
-    (["x0_horizon_max=1e308"], {3}, "separatrix integration from x0 = 1e+308"),
-    ([f"x0_horizon_max={sys.float_info.max!r}"], {3}, "separatrix"),
-    (["x0_horizon_max=0"], {2}, "x0_horizon_max must be positive"),
-    (["x0_horizon_max=inf"], {2}, "x0_horizon_max must be finite"),
+    pytest.param(["x0_horizon_max=5e-324"], {0}, "0.893857213413",
+                 id="sets15-codes15-0.893857213413"),
+    pytest.param(["x0_horizon_max=1e-300"], {0}, "0.893857213413",
+                 id="sets16-codes16-0.893857213413"),
+    pytest.param(["x0_horizon_max=1e308"], {3},
+                 "separatrix integration from x0 = 1e+308",
+                 id="sets17-codes17-separatrix integration from x0 = 1e+308"),
+    pytest.param([f"x0_horizon_max={sys.float_info.max!r}"], {3},
+                 "separatrix", id="sets18-codes18-separatrix"),
+    pytest.param(["x0_horizon_max=0"], {2}, "x0_horizon_max must be positive",
+                 id="sets19-codes19-x0_horizon_max must be positive"),
+    pytest.param(["x0_horizon_max=inf"], {2}, "x0_horizon_max must be finite",
+                 id="sets20-codes20-x0_horizon_max must be finite"),
 ])
 def test_boundary_horizon_flow(tmp_path, capsys, sets, codes, names):
     argv = ["horizon", "--out-dir", str(tmp_path)]
@@ -890,11 +1063,13 @@ def test_horizon_large_tau(tmp_path, capsys, tau):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--tfinal", "30", "--set", f"a_plus={_NEAR_RHO_MIN}"],
-    ["--tfinal", "1e5"],
-    ["--tfinal", "1e308"],
-    ["--tfinal", "5e-324"],
-    ["--nrho", "8192", "--set", f"a_plus={_NEAR_RHO_MIN}"]])
+    pytest.param(["--tfinal", "30", "--set", f"a_plus={_NEAR_RHO_MIN}"],
+                 id="argv0"),
+    pytest.param(["--tfinal", "1e5"], id="argv1"),
+    pytest.param(["--tfinal", "1e308"], id="argv2"),
+    pytest.param(["--tfinal", "5e-324"], id="argv3"),
+    pytest.param(["--nrho", "8192", "--set", f"a_plus={_NEAR_RHO_MIN}"],
+                 id="argv4")])
 def test_pde_verify_refuses_work_beyond_budget(tmp_path, capsys, argv):
     # |A+| just above rho_min puts the derived inner edge at 8e-4, where
     # the drift reaches 750: to tfinal = 30 at 1024 points, or to the
@@ -925,67 +1100,121 @@ _EDGE = inner_edge(RunConfig().profile())
 
 
 @pytest.mark.parametrize("argv,accepted,refused,names", [
-    # nrho: 30 is the config floor, and a grid resolves eta = -4 from 87
-    (["--nrho", "29"], False, 2, "nrho must be at least 30"),
-    (["--nrho", "30"], False, 4, "eta = -4"),
-    (["--nrho", "86"], False, 4, "eta = -4"),
-    (["--nrho", "87"], True, None, None),
+    # nrho: 30 is pde-verify's floor, and a grid resolves eta = -4 from 87
+    pytest.param(["--nrho", "8"], False, 2, "nrho must be at least 30",
+                 id="nrho-8"),
+    pytest.param(["--nrho", "29"], False, 2, "nrho must be at least 30",
+                 id="argv0-False-2-nrho must be at least 30"),
+    pytest.param(["--nrho", "30"], False, 4, "eta = -4",
+                 id="argv1-False-4-eta = -4"),
+    pytest.param(["--nrho", "86"], False, 4, "eta = -4",
+                 id="argv2-False-4-eta = -4"),
+    pytest.param(["--nrho", "87"], True, None, None,
+                 id="argv3-True-None-None"),
     # order: the solver has one scheme, so the flag is refused by argparse
     # and the key as unknown, from --set or from a config file line
-    (["--order", "2"], False, "argparse", "unrecognized arguments: --order"),
-    (["--order", "4"], False, "argparse", "unrecognized arguments: --order"),
-    (["--set", "order=2"], False, 2, "unknown config key 'order'"),
-    (["--set", "order=4"], False, 2, "unknown config key 'order'"),
-    (["--config", "order = 4"], False, 2, "unknown config key 'order'"),
+    pytest.param(["--order", "2"], False, "argparse",
+                 "unrecognized arguments: --order",
+                 id="argv4-False-argparse-unrecognized arguments: --order"),
+    pytest.param(["--order", "4"], False, "argparse",
+                 "unrecognized arguments: --order",
+                 id="argv5-False-argparse-unrecognized arguments: --order"),
+    pytest.param(["--set", "order=2"], False, 2, "unknown config key 'order'",
+                 id="argv6-False-2-unknown config key 'order'"),
+    pytest.param(["--set", "order=4"], False, 2, "unknown config key 'order'",
+                 id="argv7-False-2-unknown config key 'order'"),
+    pytest.param(["--config", "order = 4"], False, 2,
+                 "unknown config key 'order'",
+                 id="argv8-False-2-unknown config key 'order'"),
     # grid_rho_min: the inner edge is derived from the flow, so the key is
     # unknown.  grid_rho_max: above the edge, where 1024 points resolve
     # eta = -4 up to 101 (the coarse twin, up to 50, leaves the rows
     # without an estimate beyond), and at the default edge
-    (["--set", "grid_rho_min=0"], False, 2,
-     "unknown config key 'grid_rho_min'"),
-    (["--set", "grid_rho_max=100"], True, None, None),
-    (["--set", "grid_rho_min=0.3"], False, 2,
-     "unknown config key 'grid_rho_min'"),
-    (["--config", "grid_rho_min = 0.3"], False, 2,
-     "unknown config key 'grid_rho_min'"),
-    # at the edge and one float above it, where the spacing asks for steps
-    # beyond the work budget; short of the transported packet support
-    # (6.5 at x0 = 0 for a = 8); too coarse for eta = -4, up to the largest
-    # float; and not finite
-    (["--set", f"grid_rho_max={_EDGE!r}"], False, 2,
-     "grid_rho_max must exceed the wave grid's inner edge 0.64"),
-    (["--set", f"grid_rho_max={math.nextafter(_EDGE, math.inf)!r}"], False,
-     2, "point-steps"),
-    (["--set", "grid_rho_max=5"], False, 4, "beyond grid_rho_max"),
-    (["--set", "grid_rho_max=102"], False, 4, "eta = -4"),
-    (["--set", f"grid_rho_max={sys.float_info.max!r}"], False, 4,
-     "eta = -4"),
-    (["--set", "grid_rho_max=inf"], False, 2, "grid_rho_max must be finite"),
+    pytest.param(["--set", "grid_rho_min=0"], False, 2,
+                 "unknown config key 'grid_rho_min'",
+                 id="argv9-False-2-unknown config key 'grid_rho_min'"),
+    pytest.param(["--set", "grid_rho_max=100"], True, None, None,
+                 id="argv10-True-None-None"),
+    pytest.param(["--set", "grid_rho_min=0.3"], False, 2,
+                 "unknown config key 'grid_rho_min'",
+                 id="argv11-False-2-unknown config key 'grid_rho_min'"),
+    pytest.param(["--config", "grid_rho_min = 0.3"], False, 2,
+                 "unknown config key 'grid_rho_min'",
+                 id="argv12-False-2-unknown config key 'grid_rho_min'"),
+    # at or below the edge (repr shows why 0.64 is refused: the edge is
+    # 0.8 * 0.8 = 0.6400000000000001), and one float above it, where the
+    # spacing asks for steps beyond the work budget; short of the
+    # transported packet support (6.5 at x0 = 0 for a = 8); too coarse for
+    # eta = -4, up to the largest float; and not finite
+    pytest.param(["--set", "grid_rho_max=0"], False, 2,
+                 f"grid_rho_max = 0.0 must exceed the wave grid's inner "
+                 f"edge {_EDGE!r}", id="grid_rho_max-0"),
+    pytest.param(["--set", "grid_rho_max=0.2"], False, 2,
+                 f"grid_rho_max = 0.2 must exceed the wave grid's inner "
+                 f"edge {_EDGE!r}", id="grid_rho_max-0.2"),
+    pytest.param(["--set", "grid_rho_max=0.5"], False, 2,
+                 f"grid_rho_max = 0.5 must exceed the wave grid's inner "
+                 f"edge {_EDGE!r}", id="grid_rho_max-0.5"),
+    pytest.param(["--set", "grid_rho_max=0.64"], False, 2,
+                 f"grid_rho_max = 0.64 must exceed the wave grid's inner "
+                 f"edge {_EDGE!r}", id="grid_rho_max-0.64"),
+    pytest.param(["--set", f"grid_rho_max={_EDGE!r}"], False, 2,
+                 f"grid_rho_max = {_EDGE!r} must exceed the wave grid's "
+                 f"inner edge {_EDGE!r}",
+                 id="argv13-False-2-grid_rho_max must exceed the wave grid's "
+                    "inner edge 0.64"),
+    pytest.param(["--set", f"grid_rho_max={math.nextafter(_EDGE, math.inf)!r}"],
+                 False, 2, "point-steps", id="argv14-False-2-point-steps"),
+    pytest.param(["--set", "grid_rho_max=5"], False, 4, "beyond grid_rho_max",
+                 id="argv15-False-4-beyond grid_rho_max"),
+    pytest.param(["--set", "grid_rho_max=102"], False, 4, "eta = -4",
+                 id="argv16-False-4-eta = -4"),
+    pytest.param(["--set", f"grid_rho_max={sys.float_info.max!r}"], False, 4,
+                 "eta = -4", id="argv17-False-4-eta = -4"),
+    pytest.param(["--set", "grid_rho_max=inf"], False, 2,
+                 "grid_rho_max must be finite",
+                 id="argv18-False-2-grid_rho_max must be finite"),
     # tfinal: positive and finite; from the smallest float up to twice the
     # smallest normal its step tfinal/2 is no normal float; by 3 the
     # packet's outer tail has left the default grid; at the largest float
     # the step count overflows
-    (["--tfinal", "0"], False, 2, "tfinal must be positive"),
-    (["--tfinal", "5e-324"], False, 2, "smallest normal float"),
-    (["--tfinal", "1e-300"] + _SMALL[:2], True, None, None),
-    (["--tfinal", "2.5"] + _SMALL[:2], True, None, None),
-    (["--tfinal", "3"] + _SMALL[:2], False, 4, "beyond grid_rho_max"),
-    (["--tfinal", repr(sys.float_info.max)], False, 2,
-     "overflows the step count"),
-    (["--tfinal", "inf"], False, 2, "tfinal must be finite"),
+    pytest.param(["--tfinal", "-1"], False, 2, "tfinal must be positive",
+                 id="tfinal--1"),
+    pytest.param(["--tfinal", "0"], False, 2, "tfinal must be positive",
+                 id="argv19-False-2-tfinal must be positive"),
+    pytest.param(["--tfinal", "5e-324"], False, 2, "smallest normal float",
+                 id="argv20-False-2-smallest normal float"),
+    pytest.param(["--tfinal", "1e-300"] + _SMALL[:2], True, None, None,
+                 id="argv21-True-None-None"),
+    pytest.param(["--tfinal", "2.5"] + _SMALL[:2], True, None, None,
+                 id="argv22-True-None-None"),
+    pytest.param(["--tfinal", "3"] + _SMALL[:2], False, 4,
+                 "beyond grid_rho_max", id="argv23-False-4-beyond grid_rho_max"),
+    pytest.param(["--tfinal", repr(sys.float_info.max)], False, 2,
+                 "overflows the step count",
+                 id="argv24-False-2-overflows the step count"),
+    pytest.param(["--tfinal", "inf"], False, 2, "tfinal must be finite",
+                 id="argv25-False-2-tfinal must be finite"),
     # from about 8.8e305, where the half-step count is finite but twice it
     # is not, the step count overflows too
-    (["--tfinal", "1e306"], False, 2, "overflows the step count"),
-    (["--tfinal", "1.5e306"], False, 2, "overflows the step count"),
-    (["--tfinal", "1.6e306"], False, 2, "overflows the step count"),
+    pytest.param(["--tfinal", "1e306"], False, 2, "overflows the step count",
+                 id="argv26-False-2-overflows the step count"),
+    pytest.param(["--tfinal", "1.5e306"], False, 2, "overflows the step count",
+                 id="argv27-False-2-overflows the step count"),
+    pytest.param(["--tfinal", "1.6e306"], False, 2, "overflows the step count",
+                 id="argv28-False-2-overflows the step count"),
     # an outer edge at or inside max|A| = 1 lies in supersonic flow, where
     # both characteristics enter the grid: 0.65 and 0.9 ended in "blew up"
     # (exit 3), 0.95 and 1 in exit 4.  Just outside it the packet leaves
     # the grid
-    *[(["--set", f"grid_rho_max={r}"] + _SMALL, False, 2,
-       f"grid_rho_max = {r} must exceed max|A| = 1 over [0, 0.1]")
-      for r in ("0.65", "0.9", "0.95", "1")],
-    (["--set", "grid_rho_max=1.02"] + _SMALL, False, 4, "beyond grid_rho_max"),
+    *[pytest.param(["--set", f"grid_rho_max={r}"] + _SMALL, False, 2,
+                   f"grid_rho_max = {float(r)!r} must exceed max|A| = 1.0 "
+                   f"over [0, 0.1]",
+                   id=f"argv{k}-False-2-grid_rho_max = {r} must exceed "
+                      f"max|A| = 1 over [0, 0.1]")
+      for k, r in enumerate(("0.65", "0.9", "0.95", "1"), 29)],
+    pytest.param(["--set", "grid_rho_max=1.02"] + _SMALL, False, 4,
+                 "beyond grid_rho_max", id="argv33-False-4-beyond grid_rho_max"),
 ])
 def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
                                   names):
@@ -1018,7 +1247,7 @@ def test_grid_rho_max_refuses_only_pde_verify(tmp_path, capsys):
     assert "sigma_star = 11.2719" in capsys.readouterr().out
     out = tmp_path / "p"
     assert main(["pde-verify", "--out-dir", str(out)] + flow) == 2
-    assert ("grid_rho_max must exceed the wave grid's inner edge 9"
+    assert ("grid_rho_max = 9.0 must exceed the wave grid's inner edge 9.0"
             in capsys.readouterr().err)
     assert not out.exists()
 

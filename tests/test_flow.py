@@ -36,17 +36,25 @@ from scipy.optimize import brentq
 import oracles
 from sonicbh import flow
 from sonicbh.cli import main
-from sonicbh.errors import CaptureError, StepFailureError
+from sonicbh.errors import CaptureError, ConfigError, StepFailureError
 from sonicbh.flow import (CAPTURE_RHO, RAY_RTOL, VelocityProfile,
                           find_separatrix, integrate_characteristic,
                           transport)
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
+    # the flow's bounds are the config's, exit 2 from the CLI
+    with pytest.raises(ConfigError, match="a_minus and a_plus must be "
+                                          "negative"):
         VelocityProfile(a_minus=-1.0, a_plus=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="tau must be positive"):
         VelocityProfile(a_minus=-1.0, a_plus=-1.0, tau=0.0)
+    # a profile takes any negative strength (the wave stepper's tests step
+    # |A| = 2e-5), but the separatrix needs its horizon above the rays'
+    # capture radius, and refuses before any solve
+    weak = VelocityProfile(a_minus=-1.0, a_plus=-CAPTURE_RHO)
+    with pytest.raises(ConfigError, match="must exceed rho_min = 0.001"):
+        find_separatrix(weak)
 
 
 @pytest.mark.parametrize("a_minus,a_plus,tau", [

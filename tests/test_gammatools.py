@@ -14,9 +14,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sonicbh.errors import ConfigError
 from sonicbh.gammatools import (gamma0_modulus_sq, loggamma, packet_fourier,
                                 packet_fourier_modulus_sq)
-from sonicbh.packets import PacketParams
+from sonicbh.packets import EPS_MAX, EPS_MIN, PacketParams
 
 from oracles import (gamma0, gamma0_quadrature, packet_fourier_quadrature,
                      scipy_gamma0_modulus_sq)
@@ -55,7 +56,7 @@ def test_loggamma_against_mpmath(eps):
 @pytest.mark.parametrize("re_z", [0.75, 1.0 - 1e-16, 1.5000000000000002,
                                   1.75, 3.0, 8.0, math.nan])
 def test_loggamma_refuses_re_z_outside_its_strip(re_z):
-    # loggamma serves the packet's w = 1 + eps, eps in (0, 1/2]: outside
+    # loggamma serves the packet's w = 1 + eps, eps at most 1/2: outside
     # Re z in [1, 3/2] it raises instead of returning a value, and so does
     # |Gamma0|^2 for eps beyond 1/2
     with pytest.raises(ValueError, match="Re z in"):
@@ -130,14 +131,19 @@ def test_gamma0_contour_quadrature(alpha, eps):
 
 
 def test_packet_params_validation():
-    # alpha, a and sigma_star finite and positive, eps in (0, 1/2]
+    # alpha, a and sigma_star finite and positive, eps in [EPS_MIN, 1/2]:
+    # the packet's bounds are the config's, exit 2 from the CLI
     good = dict(alpha=1.0, a=8.0, eps=0.25, sigma_star=1.0)
+    for eps in (EPS_MIN, EPS_MAX):
+        PacketParams(**dict(good, eps=eps))
     bad = [{"alpha": -1.0}, {"eps": 0.0}, {"eps": 0.7}, {"eps": math.nan},
+           {"eps": math.nextafter(EPS_MIN, 0.0)},
+           {"eps": math.nextafter(EPS_MAX, 1.0)},
            {"a": 0.0}, {"sigma_star": -1.0}]
     bad += [{key: v} for key in ("alpha", "a", "sigma_star")
             for v in (math.inf, math.nan)]
     for change in bad:
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PacketParams(**dict(good, **change))
 
 

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from sonicbh.errors import GridMismatchError, ToleranceError
+from sonicbh import packets
+from sonicbh.errors import ConfigError, GridMismatchError, ToleranceError
+from sonicbh.spectrum import A_SWEEP_MAX
 from sonicbh.packets import (FieldOnGrid, PacketParams, eval_packet_profile,
                              mode_initial_data, packet_norm)
 from sonicbh.flow import integrate_characteristic
@@ -173,9 +175,10 @@ def test_norm_numeric_matches_closed(smooth_flow):
 
 
 def test_norm_numeric_non_finite_raises(smooth_flow):
-    # at eps = 0.002 the bracket overflows to nan near the edge; the numeric
-    # norm refuses it instead of returning it
-    p = PacketParams(alpha=1.0, a=8.0, eps=0.002,
+    # beyond the largest rate a run takes, A_SWEEP_MAX, the rule's first
+    # node underflows even at eps = 0.01 and carries no bracket; the
+    # numeric norm refuses the sum instead of returning it
+    p = PacketParams(alpha=1.0, a=1e300, eps=0.01,
                      sigma_star=smooth_flow.sigma_star)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -214,23 +217,44 @@ def test_norm_numeric_fixed_rule_grid(smooth_flow, monkeypatch):
 @pytest.mark.parametrize("eps", [0.002, 0.003, 0.0034, 0.0035, 0.004, 0.005,
                                  0.01, 0.02, 0.03, 0.04, 0.049])
 def test_norm_numeric_below_config_eps(smooth_flow, eps):
-    # below RunConfig's eps floor of 0.05, which PacketParams still takes,
-    # the numeric norm is right to 1e-10 or raises; never a wrong value.
-    # It raises only where its first nodes' s underflows, below ~0.0035
+    # below pde-verify's eps floor of 0.05 the packet holds down to its own,
+    # packets.EPS_MIN = 0.00703, where the rule's first node is normal at
+    # every rate up to A_SWEEP_MAX: from it up the numeric norm is within
+    # 1e-12 of the closed one with no warning, and below it PacketParams
+    # refuses the eps (at a = 8 the node underflows from about 0.0034)
     star = smooth_flow.sigma_star
-    raised = []
     for alpha in (0.05, 1.0, 50.0, 2000.0):
         for a in (1e-3, 8.0, 1e6):
+            if eps < packets.EPS_MIN:
+                with pytest.raises(ConfigError, match="eps must lie in"):
+                    PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=star)
+                continue
             p = PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=star)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    numeric = packet_norm(p, smooth_flow, numeric=True)
-                except ToleranceError:
-                    raised.append((alpha, a))
-                    continue
-            assert abs(numeric / packet_norm(p) - 1.0) <= 1e-10, (alpha, a)
-    assert eps < 0.004 or not raised, raised
+                warnings.simplefilter("error")
+                numeric = packet_norm(p, smooth_flow, numeric=True)
+            assert abs(numeric / packet_norm(p) - 1.0) <= 1e-12, (alpha, a)
+
+
+def test_eps_floor_keeps_the_first_node_normal(smooth_flow):
+    # packets.EPS_MIN is where the numeric norm's first node, at the
+    # largest rate a run takes, meets the smallest normal float: at it the
+    # node is normal and the norm holds, a hair below it the node underflows
+    def first_node(eps):  # packet_norm's arithmetic
+        two_eps = 2.0 * eps
+        u, _ = packets.gauss_panels((packets._NORM_EDGES / A_SWEEP_MAX)
+                                    ** two_eps)
+        return u[0] ** (1.0 / two_eps)
+
+    tiny = np.finfo(float).tiny
+    assert first_node(packets.EPS_MIN * (1.0 - 1e-6)) < tiny
+    assert first_node(packets.EPS_MIN) >= tiny
+    p = PacketParams(alpha=1e-3, a=A_SWEEP_MAX, eps=packets.EPS_MIN,
+                     sigma_star=smooth_flow.sigma_star)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        numeric = packet_norm(p, smooth_flow, numeric=True)
+    assert abs(numeric / packet_norm(p) - 1.0) <= 1e-12
 
 
 def test_norm_scaling_in_a(smooth_flow):

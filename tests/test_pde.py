@@ -105,8 +105,9 @@ def test_grid_validation():
     assert pde.NRHO_MIN // 2 + 1 == pde.MIN_POINTS
     assert (pde.NRHO_MIN - 1) // 2 + 1 == pde.MIN_POINTS - 1
     # an outer edge at the inner one is the config's grid_rho_max, exit 2
-    with pytest.raises(ConfigError, match="grid_rho_max must exceed the "
-                                          "wave grid's inner edge 1$") as exc:
+    with pytest.raises(ConfigError, match="grid_rho_max = 1.0 must exceed "
+                                          "the wave grid's inner edge 1.0$") \
+            as exc:
         RadialGrid(1.0, 1.0, 64, dt=1e-3)
     assert exc.value.exit_code == 2
 
@@ -511,7 +512,7 @@ def test_solve_cauchy_errors_match_oracle(smooth_profile):
         messages.append((str(cfl.value), str(unstable.value),
                          str(edge.value), str(outer.value)))
     assert messages[0] == messages[1]
-    assert messages[0][3] == ("grid_rho_max = 0.9 must exceed max|A| = 1 "
+    assert messages[0][3] == ("grid_rho_max = 0.9 must exceed max|A| = 1.0 "
                               "over [0, 0.1]")
 
 
@@ -540,8 +541,8 @@ def test_inflow_check_spans_every_recorded_time(smooth_profile):
     f = np.zeros(128, complex)
     assert len(solve_cauchy(f, f, grid, smooth_profile, 0.5)) == 2
     for t_final, out_times in ((3.0, None), (0.5, [0.5, 3.0])):
-        with pytest.raises(ConfigError, match=r"min\|A\| = 0.800989 over "
-                                              r"\[0, 3\]"):
+        with pytest.raises(ConfigError, match=r"min\|A\| = 0.8009890492626539 "
+                                              r"over \[0, 3\]"):
             solve_cauchy(f, f, grid, smooth_profile, t_final, out_times)
 
 
@@ -581,6 +582,37 @@ def test_remainder_contribution_refuses_an_inflow_inner_edge(
     with pytest.raises(ConfigError, match="takes inflow"):
         remainder_contribution(packet, (-2.0,), grid, smooth_flow,
                                t_final=t_final)
+
+
+def test_pde_verify_bounds_refused_before_any_solve(packet, smooth_flow,
+                                                    smooth_profile,
+                                                    monkeypatch):
+    # the bounds of pde-verify alone, each in the code whose arithmetic
+    # sets it: nrho in verify_grid (the coarse twin keeps MIN_POINTS, the
+    # budget still bounds the time); eps from pde.EPS_MIN, where the x0 = 0
+    # packet quadrature's head node stays normal, and negative eta samples
+    # in remainder_contribution, before its first solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a wave solve ran")
+
+    monkeypatch.setattr(pde, "solve_mode", no_solve)
+    for n_rho in (pde.NRHO_MIN, pde.NRHO_MAX):
+        grid = pde.verify_grid(smooth_profile, 9.0, n_rho, 1e-3)
+        assert (grid.rho_min, grid.n_rho) == (
+            pde.inner_edge(smooth_profile), n_rho)
+    for n_rho, message in ((pde.NRHO_MIN - 1, "nrho must be at least 30"),
+                           (pde.NRHO_MAX + 1, "nrho must be at most 8192")):
+        with pytest.raises(ConfigError, match=message):
+            pde.verify_grid(smooth_profile, 9.0, n_rho, 1e-3)
+    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
+    low = PacketParams(packet.alpha, packet.a,
+                       math.nextafter(pde.EPS_MIN, 0.0), packet.sigma_star)
+    cases = [(low, (-2.0,), r"eps must lie in \[0.05, 1/2\]: below 0.05")]
+    cases += [(packet, etas, "eta_list must hold negative values")
+              for etas in ((), (2.0,), (-2.0, 0.0), np.array([-6.0, 1e-3]))]
+    for p, etas, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            remainder_contribution(p, etas, grid, smooth_flow, t_final=0.1)
 
 
 # |A| falling and rising, |A-|/|A+| up to 4, tau from 0.3 to 3, constant

@@ -403,6 +403,21 @@ def test_sweep_richardson_extrapolation_model(monkeypatch):
     # fewer than three points: the last normalised total
     short = spectrum.limit_sweep(p, [8.0, 16.0])
     assert short.richardson == short.rows[-1].total_normalized
+    assert short.warnings == ["sweep too short for a meaningful slope fit"]
+    # three rates that coincide to rounding leave the 3x3 system singular
+    # and a slope fit through log rates that do not spread; each is null,
+    # with a warning that names it, and nothing warns from numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same = spectrum.limit_sweep(p, [1.0, 1.000000000001, 1.000000000002])
+        flat = spectrum.limit_sweep(p, [1e150, 1.0000000000000002e150])
+    assert same.richardson is None and math.isfinite(same.slope)
+    assert same.warnings == ["richardson_extrapolation is null: its 3x3 "
+                             "system in the last three a_sweep values is "
+                             "singular"]
+    assert math.isnan(flat.slope) and flat.warnings[-1] == (
+        "residual_slope is null: the a_sweep values that leave a nonzero "
+        "residual coincide in log a")
 
 
 # -- spectrum table -------------------------------------------------------------
