@@ -46,8 +46,6 @@ class RunConfig:
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in (v if isinstance(v, tuple) else (v,))):
                 raise ConfigError(f"{key} must be finite")
-        if not self.x0_horizon_max > 0.0:
-            raise ConfigError("x0_horizon_max must be positive")
         if not self.a_sweep or not self.a_sweep[0] > 0.0:
             raise ConfigError("a_sweep must hold positive values")
         if list(self.a_sweep) != sorted(set(self.a_sweep)):

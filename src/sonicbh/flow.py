@@ -442,8 +442,11 @@ def find_separatrix(profile: VelocityProfile,
     and the 800 horizon samples off x0 = 0 come from one vectorised
     re-step pass over the two.  A failed solve, or a sample that is not
     finite or lies outside [min|A|, max|A|], raises StepFailureError
-    naming the solve's start; ConfigError where min|A| <= CAPTURE_RHO.
+    naming the solve's start; ConfigError, before any solve, where
+    x0_horizon_max is not positive or min|A| <= CAPTURE_RHO.
     """
+    if not x0_horizon_max > 0.0:
+        raise ConfigError("x0_horizon_max must be positive")
     lo, hi = sorted((abs(profile.a_minus), abs(profile.a_plus)))
     if not lo > CAPTURE_RHO:
         raise ConfigError(f"min(|a_minus|, |a_plus|) must exceed rho_min = "

@@ -18,13 +18,13 @@ speed A/rho is negative everywhere, so its derivative is the third-order
 stencil biased toward larger rho (the inflow side); the wave term's first
 and second derivatives are centred and fourth order; every stencil drops
 to second order in its edge rows.  Inside the horizon both characteristic
-speeds point inward, so the inner edge, derived from the flow (inner_edge),
-is pure outflow and one-sided stencils suffice there (solve_cauchy refuses
-an inner edge where |A| does not exceed rho_min with ConfigError, as
-RadialGrid does an outer edge at or below it); the outer edge carries a
-sponge layer that damps what the data window lets by.  The time step is 0.9
-of RK4's step limit for the coupled interior system the solver steps, with
-the drift at its fastest over the solve: its frozen symbol is
+speeds point inward, so an inner edge below min|A| over the solve, such as
+inner_edge's, is pure outflow and one-sided stencils suffice there; beyond
+max|A| the flow is subsonic, and the outer edge carries a sponge layer that
+damps what the data window lets by.  RadialGrid.auto alone checks a grid
+against its flow, both edges included, and picks its time step: 0.9 of
+RK4's step limit for the coupled interior system the solver steps, with
+the drift at its fastest over the solve.  Its frozen symbol is
 v U(theta) +- i sqrt|D2(theta)|, the upwind and second-derivative symbols
 in units of 1/drho, so in units of drho the limit depends on the speed v
 alone (RadialGrid.cfl_dt).
@@ -142,8 +142,8 @@ def verify_grid(profile: VelocityProfile, rho_max: float, n_rho: int,
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid and time step for the wave stepper; ConfigError
-    names grid_rho_max when rho_max does not exceed rho_min, the inner edge."""
+    """Uniform radial grid and time step for the wave stepper; ValueError
+    on an empty span, too few points or no step (auto checks the flow)."""
 
     rho_min: float
     rho_max: float
@@ -154,8 +154,7 @@ class RadialGrid:
         if self.rho_min <= 0.0:
             raise ValueError("rho_min must be positive")
         if not self.rho_max > self.rho_min:
-            raise ConfigError(f"grid_rho_max = {self.rho_max!r} must exceed "
-                              f"the wave grid's inner edge {self.rho_min!r}")
+            raise ValueError("rho_max must exceed rho_min")
         if self.n_rho < MIN_POINTS:
             raise ValueError("n_rho too small")
         if self.dt <= 0.0:
@@ -190,28 +189,37 @@ class RadialGrid:
     @classmethod
     def auto(cls, rho_min: float, rho_max: float, n_rho: int,
              profile: VelocityProfile, t_final: float) -> "RadialGrid":
-        """The grid with the largest step within cfl_dt, the stencils' RK4
-        step bound at max|A| over [0, t_final], for which t_final/2 and
-        t_final are whole steps: dt = t_final/(2m), from the inner edge
-        rho_min (verify_grid's is inner_edge(profile)).
+        """The grid from rho_min to rho_max for the flow of profile over
+        [0, t_final], the one check of a wave grid against its flow; its
+        step dt = t_final/(2m) is the largest within cfl_dt at max|A| there.
 
-        ConfigError when t_final is not positive, rho_max does not exceed
-        rho_min, the step count overflows a float or dt falls below the
-        smallest normal float, where t_final/dt loses its digits.
+        ConfigError, in this order, where t_final is not positive; the
+        inner edge takes inflow, min|A| over [0, t_final] not exceeding
+        rho_min (inner_edge(profile) takes none); the outer edge is not
+        subsonic, rho_max not exceeding max|A| there; or the step count
+        overflows a float or dt falls below the smallest normal float.
         """
         if not t_final > 0.0:
             raise ConfigError("tfinal must be positive")
-        cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0).cfl_dt(
-            profile.max_abs(0.0, t_final))
+        a_min = profile.min_abs(0.0, t_final)
+        if not a_min > rho_min:
+            raise ConfigError(
+                f"inner edge rho_min = {rho_min!r} takes inflow: min|A| = "
+                f"{a_min!r} over [0, {t_final:g}] does not exceed it")
+        a_max = profile.max_abs(0.0, t_final)
+        if not rho_max > a_max:
+            raise ConfigError(f"grid_rho_max = {rho_max!r} must exceed "
+                              f"max|A| = {a_max!r} over [0, {t_final:g}]")
+        cfl_dt = cls(rho_min, rho_max, n_rho, dt=1.0).cfl_dt(a_max)
         half_steps = t_final / (2.0 * cfl_dt) if cfl_dt > 0.0 else math.inf
         steps = (2.0 * math.ceil(half_steps) if half_steps < math.inf
                  else math.inf)
         if not steps < math.inf:
-            raise ConfigError(f"tfinal = {t_final:g} in steps of at most "
-                              f"{cfl_dt:g} overflows the step count")
+            raise ConfigError(f"tfinal = {t_final!r} in steps of at most "
+                              f"{cfl_dt!r} overflows the step count")
         dt = t_final / steps
         if not dt >= sys.float_info.min:
-            raise ConfigError(f"tfinal = {t_final:g} needs a time step below "
+            raise ConfigError(f"tfinal = {t_final!r} needs a time step below "
                               f"the smallest normal float")
         return cls(rho_min, rho_max, n_rho, dt=dt)
 
@@ -381,51 +389,30 @@ class _Stencil:
 
 def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
                  t_final: float, out_times=None) -> list[FieldOnGrid]:
-    """Evolve data (f, D f) at x0 = 0 to t_final with classic RK4.
+    """Evolve data (f, D f) at x0 = 0 on grid to t_final with classic RK4.
 
-    profile is a VelocityProfile, whose max|A| over the solve sets the step
-    bound grid.cfl_dt (ConfigError beyond it), and whose min|A| there must
-    exceed grid.rho_min, so that the inner edge is pure outflow
-    (ConfigError otherwise; inner_edge(profile) is such an edge), while
-    grid.rho_max must exceed that max|A|, so that the flow at the outer edge
-    is subsonic (ConfigError otherwise); or any callable x0 -> A(x0), which
-    is stepped unchecked.  States are recorded after the initial state at
-    out_times (default t_final), each with x0 the requested time, which
-    must be a whole number of steps (ValueError otherwise); the loop stops
-    at the last of them.  Each recorded state is (f, g = D f) as stepped,
-    the format of the data.
+    grid is stepped as given: RadialGrid.auto is where a grid is checked
+    against its flow.  profile is anything whose eval maps an array of
+    times to A(x0) there, such as a VelocityProfile.  States are recorded
+    after the initial state at out_times (default t_final), each with x0
+    the requested time, which must be a whole number of steps (ValueError
+    otherwise); the loop stops at the last of them.  Each recorded state
+    is (f, g = D f) as stepped, the format of the data.
     InstabilityError when the sup-norm of the state grows GROWTH_BOUND-fold
     in a step or past GROWTH_LIMIT times its initial value.
 
     The coefficients of the operator are real, so the real and imaginary
     parts evolve apart: the state is one real (4, n) array with rows
-    Re f, Im f, Re g, Im g, stepped in place.  The drift is read at every
-    stage time of up to _TABLE_STEPS steps before the first of them, a
-    VelocityProfile by one array eval, a plain callable on each float; the
-    upwind stencil, which carries -1/rho, is scaled by each A of that table
-    at once.  The Laplacian (1/rho) d1 + d2 is one stencil with a
-    coefficient vector; the sponge acts only where it is nonzero.  The
-    right-hand side is bound to the buffers and views once per table, so a
-    step runs its array arithmetic alone.
+    Re f, Im f, Re g, Im g, stepped in place.  The drift is read by one
+    profile.eval at every stage time of up to _TABLE_STEPS steps before
+    the first of them; the upwind stencil, which carries -1/rho, is scaled
+    by each A of that table at once.  The Laplacian (1/rho) d1 + d2 is one
+    stencil with a coefficient vector; the sponge acts only where it is
+    nonzero.  The right-hand side is bound to the buffers and views once
+    per table, so a step runs its array arithmetic alone.
     """
     want = {grid.steps(t): t for t in
             ([t_final] if out_times is None else out_times)}
-    if isinstance(profile, VelocityProfile):
-        t_end = max(want.values(), default=0.0)
-        a_max = profile.max_abs(0.0, t_end)
-        if not grid.dt <= grid.cfl_dt(a_max) * (1.0 + 1e-12):
-            raise ConfigError(
-                f"dt = {grid.dt!r} violates the CFL bound "
-                f"{grid.cfl_dt(a_max)!r} for max|A| = {a_max!r} over "
-                f"[0, {t_end:g}]")
-        a_min = profile.min_abs(0.0, t_end)
-        if not a_min > grid.rho_min:
-            raise ConfigError(
-                f"inner edge rho_min = {grid.rho_min!r} takes inflow: "
-                f"min|A| = {a_min!r} over [0, {t_end:g}] does not exceed it")
-        if not grid.rho_max > a_max:
-            raise ConfigError(f"grid_rho_max = {grid.rho_max!r} must exceed "
-                              f"max|A| = {a_max!r} over [0, {t_end:g}]")
     n, dt = grid.n_rho, grid.dt
     rho = grid.rho
     inv_rho = 1.0 / rho
@@ -475,8 +462,7 @@ def solve_cauchy(value0, dvalue0, grid: RadialGrid, profile,
         x0s = np.arange(start, min(start + _TABLE_STEPS, last)) * dt
         # each step's stage times, as the floats (k - 1) dt + h, ...
         times = (x0s, x0s + h, x0s + dt)
-        a = (profile.eval(times) if isinstance(profile, VelocityProfile)
-             else [list(map(profile, x.tolist())) for x in times])
+        a = profile.eval(times)
         first, later = bind_rhs(y, acc, a), bind_rhs(y_s, k_s, a)
         for j in range(len(x0s)):
             k = start + j + 1
@@ -626,14 +612,14 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     against the deviation being measured.  A grid too coarse for EVOLVE_ETA
     raises ResolutionError; a coarse twin too coarse for it leaves the
     estimate None, with a warning.  The report records n_rho, dt and steps
-    of each solve made.  These raise ConfigError before any work: grids
-    whose two solves would take more work than MAX_POINT_STEPS; eps below
-    EPS_MIN; no eta sample, or one not negative; an alpha that leaves the
-    |F|^2 factor of a sweep or evolved density subnormal; and an eta sample
-    whose x0 = 0 eikonal density or its |F|^2 factor is not a positive
-    normal float, or whose deviation is not finite.  A grid whose inner
-    edge takes inflow before t_final is solve_cauchy's ConfigError;
-    inner_edge(flow.profile) takes none.
+    of each solve made.  These raise ConfigError before any work: a grid
+    whose edges do not hold for the flow over [0, t_final] (the coarse
+    twin's RadialGrid.auto); grids whose two solves would take more work
+    than MAX_POINT_STEPS; eps below EPS_MIN; no eta sample, or one not
+    negative; an alpha that leaves the |F|^2 factor of a sweep or evolved
+    density subnormal; and an eta sample whose x0 = 0 eikonal density or
+    its |F|^2 factor is not a positive normal float, or whose deviation is
+    not finite.
     """
     profile = flow.profile
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,

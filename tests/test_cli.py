@@ -104,8 +104,6 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
         _config_of_file(cfg_dir, "tau = banana\n")
     with pytest.raises(ConfigError):
         RunConfig(a_sweep=(8.0, 4.0))
-    with pytest.raises(ConfigError):
-        RunConfig(x0_horizon_max=0.0)
     # removed keys: the separatrix needs no search tolerance and no
     # bracket (the ray equation sets its interval), the wave solver derives
     # dt from tfinal and has one scheme, and the profile has one form,
@@ -606,6 +604,11 @@ def test_limit_null_slope_warns(tmp_path, capsys):
 
 
 _SWEEP_MAX = 2.0 ** 511  # 1 / sqrt(the smallest normal float)
+_RICH_NULL = ("richardson_extrapolation is null: its 3x3 system in the last "
+              "three a_sweep values is ill-conditioned, with its condition "
+              "number times the unit roundoff above 1e-11")
+_SLOPE_NULL = ("residual_slope is null: the a_sweep values that leave a "
+               "nonzero residual coincide in log a")
 
 
 @pytest.mark.parametrize("a_sweep,accepted,warned", [
@@ -626,15 +629,18 @@ _SWEEP_MAX = 2.0 ** 511  # 1 / sqrt(the smallest normal float)
     # rates that coincide to rounding are accepted: where the three rows of
     # the Richardson system coincide it raised numpy's LinAlgError, and
     # where the log rates do not spread the slope fit divided 0 by 0 behind
-    # a RuntimeWarning and then blamed the residuals.  Each null is named
-    pytest.param("1,1.000000000001,1.000000000002", True,
-                 ["richardson_extrapolation is null: its 3x3 system in the "
-                  "last three a_sweep values is singular"],
+    # a RuntimeWarning and then blamed the residuals.  Nearly coinciding
+    # rates gave Richardson 0.98325 against the limit 1.00941 at
+    # 1,1.00000001,1.00000002, and a slope of -0.0 from log rates one ulp
+    # apart at 4,4.000000000000001,4.000000000000002.  Each null is named
+    pytest.param("1,1.000000000001,1.000000000002", True, [_RICH_NULL],
                  id="coincide-richardson"),
     pytest.param("1e150,1.0000000000000002e150,1.0000000000000004e150", True,
-                 ["residual_slope is null: the a_sweep values that leave a "
-                  "nonzero residual coincide in log a"],
-                 id="coincide-slope"),
+                 [_SLOPE_NULL, _RICH_NULL], id="coincide-slope"),
+    pytest.param("1,1.00000001,1.00000002", True, [_RICH_NULL],
+                 id="near-richardson"),
+    pytest.param("4,4.000000000000001,4.000000000000002", True,
+                 [_SLOPE_NULL, _RICH_NULL], id="near-slope"),
 ])
 def test_boundary_limit_a_sweep_ceiling(tmp_path, capsys, a_sweep, accepted,
                                         warned):
@@ -1099,6 +1105,12 @@ _SMALL = ["--nrho", "256", "--tfinal", "0.1"]
 _EDGE = inner_edge(RunConfig().profile())
 
 
+def _within_max_abs(r: str, t: str = "0.75") -> str:
+    """The refusal of an outer edge r inside the default flow's max|A| = 1
+    over [0, t]."""
+    return f"grid_rho_max = {r} must exceed max|A| = 1.0 over [0, {t}]"
+
+
 @pytest.mark.parametrize("argv,accepted,refused,names", [
     # nrho: 30 is pde-verify's floor, and a grid resolves eta = -4 from 87
     pytest.param(["--nrho", "8"], False, 2, "nrho must be at least 30",
@@ -1141,30 +1153,27 @@ _EDGE = inner_edge(RunConfig().profile())
     pytest.param(["--config", "grid_rho_min = 0.3"], False, 2,
                  "unknown config key 'grid_rho_min'",
                  id="argv12-False-2-unknown config key 'grid_rho_min'"),
-    # at or below the edge (repr shows why 0.64 is refused: the edge is
-    # 0.8 * 0.8 = 0.6400000000000001), and one float above it, where the
-    # spacing asks for steps beyond the work budget; short of the
-    # transported packet support (6.5 at x0 = 0 for a = 8); too coarse for
-    # eta = -4, up to the largest float; and not finite
+    # at or below the edge (0.8 * 0.8 = 0.6400000000000001) and one float
+    # above it: all lie inside max|A| = 1 over [0, 0.75], and the outer
+    # edge rule refuses them.  Then short of the transported packet
+    # support (6.5 at x0 = 0 for a = 8); too coarse for eta = -4, up to
+    # the largest float; and not finite
     pytest.param(["--set", "grid_rho_max=0"], False, 2,
-                 f"grid_rho_max = 0.0 must exceed the wave grid's inner "
-                 f"edge {_EDGE!r}", id="grid_rho_max-0"),
+                 _within_max_abs("0.0"), id="grid_rho_max-0"),
     pytest.param(["--set", "grid_rho_max=0.2"], False, 2,
-                 f"grid_rho_max = 0.2 must exceed the wave grid's inner "
-                 f"edge {_EDGE!r}", id="grid_rho_max-0.2"),
+                 _within_max_abs("0.2"), id="grid_rho_max-0.2"),
     pytest.param(["--set", "grid_rho_max=0.5"], False, 2,
-                 f"grid_rho_max = 0.5 must exceed the wave grid's inner "
-                 f"edge {_EDGE!r}", id="grid_rho_max-0.5"),
+                 _within_max_abs("0.5"), id="grid_rho_max-0.5"),
     pytest.param(["--set", "grid_rho_max=0.64"], False, 2,
-                 f"grid_rho_max = 0.64 must exceed the wave grid's inner "
-                 f"edge {_EDGE!r}", id="grid_rho_max-0.64"),
+                 _within_max_abs("0.64"), id="grid_rho_max-0.64"),
     pytest.param(["--set", f"grid_rho_max={_EDGE!r}"], False, 2,
-                 f"grid_rho_max = {_EDGE!r} must exceed the wave grid's "
-                 f"inner edge {_EDGE!r}",
+                 _within_max_abs(repr(_EDGE)),
                  id="argv13-False-2-grid_rho_max must exceed the wave grid's "
                     "inner edge 0.64"),
     pytest.param(["--set", f"grid_rho_max={math.nextafter(_EDGE, math.inf)!r}"],
-                 False, 2, "point-steps", id="argv14-False-2-point-steps"),
+                 False, 2, _within_max_abs(repr(math.nextafter(_EDGE,
+                                                               math.inf))),
+                 id="argv14-False-2-point-steps"),
     pytest.param(["--set", "grid_rho_max=5"], False, 4, "beyond grid_rho_max",
                  id="argv15-False-4-beyond grid_rho_max"),
     pytest.param(["--set", "grid_rho_max=102"], False, 4, "eta = -4",
@@ -1208,11 +1217,14 @@ _EDGE = inner_edge(RunConfig().profile())
     # (exit 3), 0.95 and 1 in exit 4.  Just outside it the packet leaves
     # the grid
     *[pytest.param(["--set", f"grid_rho_max={r}"] + _SMALL, False, 2,
-                   f"grid_rho_max = {float(r)!r} must exceed max|A| = 1.0 "
-                   f"over [0, 0.1]",
+                   _within_max_abs(repr(float(r)), "0.1"),
                    id=f"argv{k}-False-2-grid_rho_max = {r} must exceed "
                       f"max|A| = 1 over [0, 0.1]")
       for k, r in enumerate(("0.65", "0.9", "0.95", "1"), 29)],
+    *[pytest.param(["--set", f"grid_rho_max={r}"] + _SMALL, False, 2,
+                   _within_max_abs(repr(float(r)), "0.1"),
+                   id=f"grid_rho_max-{r}-small")
+      for r in ("-1", repr(_EDGE))],
     pytest.param(["--set", "grid_rho_max=1.02"] + _SMALL, False, 4,
                  "beyond grid_rho_max", id="argv33-False-4-beyond grid_rho_max"),
 ])
@@ -1239,15 +1251,15 @@ def test_boundary_pde_verify_grid(tmp_path, capsys, argv, accepted, refused,
 
 def test_grid_rho_max_refuses_only_pde_verify(tmp_path, capsys):
     # the wave grid's inner edge, 0.8 min(|A-|, |A+|), reaches the default
-    # grid_rho_max = 9 at |A+| = 11.25: pde-verify refuses the flow before
-    # any output, naming grid_rho_max, while horizon, which has no wave
-    # grid, runs it (sigma* = 11.2719)
+    # grid_rho_max = 9 at |A+| = 11.25, where max|A| = |A(0)| = 11.625:
+    # pde-verify refuses the flow before any output, naming grid_rho_max,
+    # while horizon, which has no wave grid, runs it (sigma* = 11.2719)
     flow = ["--set", "a_minus=-12", "--set", "a_plus=-11.25"]
     assert main(["horizon", "--out-dir", str(tmp_path / "h")] + flow) == 0
     assert "sigma_star = 11.2719" in capsys.readouterr().out
     out = tmp_path / "p"
     assert main(["pde-verify", "--out-dir", str(out)] + flow) == 2
-    assert ("grid_rho_max = 9.0 must exceed the wave grid's inner edge 9.0"
+    assert ("grid_rho_max = 9.0 must exceed max|A| = 11.625 over [0, 0.75]"
             in capsys.readouterr().err)
     assert not out.exists()
 

@@ -55,6 +55,13 @@ def test_profile_validation():
     weak = VelocityProfile(a_minus=-1.0, a_plus=-CAPTURE_RHO)
     with pytest.raises(ConfigError, match="must exceed rho_min = 0.001"):
         find_separatrix(weak)
+    # the horizon is sampled on [0, x0_horizon_max]: 0 raised IndexError,
+    # and -1 gave a curve whose x0 ran from 1 down to -1
+    for x_max in (0.0, -1.0, -0.0, math.nan):
+        with pytest.raises(ConfigError,
+                           match="^x0_horizon_max must be positive$"):
+            find_separatrix(VelocityProfile(a_minus=-1.2, a_plus=-0.8),
+                            x_max)
 
 
 @pytest.mark.parametrize("a_minus,a_plus,tau", [

@@ -8,6 +8,7 @@ fraction of a transition time.
 import ast
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -104,12 +105,10 @@ def test_grid_validation():
         RadialGrid(0.3, 9.0, pde.MIN_POINTS - 1, dt=1e-3)
     assert pde.NRHO_MIN // 2 + 1 == pde.MIN_POINTS
     assert (pde.NRHO_MIN - 1) // 2 + 1 == pde.MIN_POINTS - 1
-    # an outer edge at the inner one is the config's grid_rho_max, exit 2
-    with pytest.raises(ConfigError, match="grid_rho_max = 1.0 must exceed "
-                                          "the wave grid's inner edge 1.0$") \
-            as exc:
+    # an empty span: RadialGrid.auto's edge rules leave none, so it is no
+    # config error
+    with pytest.raises(ValueError, match="rho_max must exceed rho_min"):
         RadialGrid(1.0, 1.0, 64, dt=1e-3)
-    assert exc.value.exit_code == 2
 
 
 @pytest.mark.parametrize("t_final", [0.75, 0.1, 1.0 / 3.0, 1e-4, 1e-300, 1e5])
@@ -126,20 +125,36 @@ def test_auto_grid_lands_on_half_and_final_time(smooth_profile, t_final):
 
 
 def test_cfl_enforced(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
-    bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
-    f = np.zeros(256, complex)
-    with pytest.raises(ConfigError):
-        solve_cauchy(f, f, bad, smooth_profile, 10 * bad.dt)
+    # the step bound is RadialGrid.auto's alone: its step lies within
+    # cfl_dt at max|A| over [0, t_final] on every flow and time, and a
+    # t_final whose step count or step no float holds is refused there,
+    # both numbers spelled by repr
+    for a_minus, a_plus, tau in _EDGE_FLOWS:
+        profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
+        for t_final in (1e-6, 0.1, 0.75, 30.0):
+            grid = RadialGrid.auto(pde.inner_edge(profile), 9.0, 256,
+                                   profile, t_final)
+            bound = grid.cfl_dt(profile.max_abs(0.0, t_final))
+            assert grid.dt <= bound * (1.0 + 1e-12), (profile, t_final)
+    big, tiny = sys.float_info.max, 5e-324
+    cfl = RadialGrid(0.3, 9.0, 256, dt=1.0).cfl_dt(1.0)  # max|A| = |A(0)|
+    for t_final, message in (
+            (big, f"tfinal = {big!r} in steps of at most {cfl!r} overflows "
+                  f"the step count"),
+            (tiny, "tfinal = 5e-324 needs a time step below the smallest "
+                   "normal float")):
+        with pytest.raises(ConfigError) as exc:
+            RadialGrid.auto(0.3, 9.0, 256, smooth_profile, t_final)
+        assert str(exc.value) == message
 
 
 def test_instability_detector():
-    # far beyond the CFL bound (a callable drift, so no CFL check)
+    # far beyond the CFL bound, on a grid built by hand
     grid = RadialGrid(2.0, 12.0, 256, dt=1.0)
     rho = grid.rho
     f = np.exp(-((rho - 7.0) / 0.5) ** 2).astype(complex)
     with pytest.raises(InstabilityError):
-        solve_cauchy(f, np.zeros_like(f), grid, lambda x0: 0.0, 10.0)
+        solve_cauchy(f, np.zeros_like(f), grid, oracles.STILL, 10.0)
 
 
 def _interior_symbol(table, theta):
@@ -221,13 +236,13 @@ def test_solve_cauchy_stable_at_step_bound(smooth_profile):
                             t_final, out_times=[0.5 * t_final, t_final])
         peak = max(float(np.max(np.abs(st.value))) for st in hist[1:])
         assert peak <= 1.5, (rho_min, peak)
-    # the control: five times the bound (a callable drift, so no CFL check)
-    # blows up within tens of steps
+    # the control: five times the bound, on a grid built by hand, blows up
+    # within tens of steps
     dt = RadialGrid(0.3, 9.0, 384, dt=1.0).cfl_dt(a_max)
     grid = RadialGrid(0.3, 9.0, 384, dt=5.0 * dt)
     f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
     with pytest.raises(InstabilityError):
-        solve_cauchy(f, np.zeros_like(f), grid, smooth_profile.eval,
+        solve_cauchy(f, np.zeros_like(f), grid, smooth_profile,
                      200 * grid.dt)
 
 
@@ -237,7 +252,7 @@ def test_solve_cauchy_stable_at_step_bound(smooth_profile):
 ])
 def test_growth_guard_catches_slow_blowup(smooth_profile, rho_min, factor,
                                           centre, steps):
-    # beyond the step bound (a callable drift, so no CFL check): growth
+    # beyond the step bound, on a grid built by hand: growth
     # below GROWTH_BOUND a step is caught once the state passes
     # GROWTH_LIMIT times its initial sup-norm, long before floats overflow
     dt = RadialGrid(rho_min, 9.0, 384, dt=1.0).cfl_dt(
@@ -246,7 +261,7 @@ def test_growth_guard_catches_slow_blowup(smooth_profile, rho_min, factor,
     f = np.exp(-((grid.rho - centre) / 0.5) ** 2).astype(complex)
     for solver in (solve_cauchy, oracles.solve_cauchy):
         with pytest.raises(InstabilityError, match="blew up"):
-            solver(f, np.zeros_like(f), grid, smooth_profile.eval,
+            solver(f, np.zeros_like(f), grid, smooth_profile,
                    steps * grid.dt)
 
 
@@ -263,7 +278,7 @@ def test_growth_guard_stops_nan_data_at_step_1(smooth_profile, where):
         dvalue[100] = complex(0.0, math.nan)
     for solver in (solve_cauchy, oracles.solve_cauchy):
         with pytest.raises(InstabilityError, match="blew up at step 1$"):
-            solver(value, dvalue, grid, smooth_profile.eval, 10 * grid.dt)
+            solver(value, dvalue, grid, smooth_profile, 10 * grid.dt)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -274,11 +289,11 @@ def test_growth_guard_stops_a_nan_drift_at_its_step(smooth_profile, k):
     grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 1.0)
     pulse = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
 
-    def drift(x0):
-        if x0 >= (k - 0.75) * grid.dt:
-            return math.nan
-        return smooth_profile.eval(x0)
+    def nan_from(x0):
+        return np.where(np.asarray(x0) >= (k - 0.75) * grid.dt, math.nan,
+                        smooth_profile.eval(x0))
 
+    drift = oracles.drift(nan_from)
     for solver in (solve_cauchy, oracles.solve_cauchy):
         with pytest.raises(InstabilityError, match=f"blew up at step {k}$"):
             solver(pulse, np.zeros_like(pulse), grid, drift, 10 * grid.dt)
@@ -327,10 +342,10 @@ def test_step_counts_at_the_defaults(smooth_profile):
 
 
 def test_step_bound_takes_the_rising_end_of_the_flow():
-    # |A| rises from 1 at x0 = 0 to 1.114 at t_final = 0.651, where 40
-    # steps of the bound of max|A| over [0, t_final], its end value, land:
-    # both steppers take that step and refuse 1.01 times it, though that
-    # lies within the bound of |A(0)|
+    # |A| rises from 1 at x0 = 0 to 1.124 at t_final = 0.728, just short of
+    # where 40 steps of the bound of max|A| over [0, t_final], its end
+    # value, land: RadialGrid.auto takes those 40 steps, where the bound of
+    # |A(0)|, 7.5% longer, would take 38, and both steppers step them
     profile = VelocityProfile(a_minus=-0.8, a_plus=-1.2)
     edge = pde.inner_edge(profile)
     shape = RadialGrid(edge, 9.0, 256, dt=1.0)
@@ -338,18 +353,15 @@ def test_step_bound_takes_the_rising_end_of_the_flow():
     def bound(t):
         return shape.cfl_dt(profile.max_abs(0.0, t))
 
-    t_final = brentq(lambda t: t - 40 * bound(t), 0.5, 1.0)
-    dt = t_final / 40
-    assert dt == pytest.approx(bound(t_final), rel=1e-14)
+    t_final = brentq(lambda t: t - 40 * bound(t), 0.5, 1.0) * (1.0 - 1e-12)
     assert abs(profile.eval(t_final)) > abs(profile.eval(0.0)) + 0.1
-    assert 1.01 * dt < shape.cfl_dt(abs(profile.eval(0.0)))
+    grid = RadialGrid.auto(edge, 9.0, 256, profile, t_final)
+    assert grid.steps(t_final) == 40 and grid.dt <= bound(t_final)
+    start = shape.cfl_dt(abs(profile.eval(0.0)))
+    assert 2 * math.ceil(t_final / (2.0 * start)) == 38
     f = np.exp(-((shape.rho - 3.0) / 0.5) ** 2).astype(complex)
     for solver in (solve_cauchy, oracles.solve_cauchy):
-        grid = RadialGrid(edge, 9.0, 256, dt=dt)
         assert solver(f, f, grid, profile, t_final)[-1].x0 == t_final
-        grid = RadialGrid(edge, 9.0, 256, dt=1.01 * dt)
-        with pytest.raises(ConfigError, match="violates the CFL bound"):
-            solver(f, f, grid, profile, 40 * grid.dt)
 
 
 def test_dalembert_self_convergence():
@@ -450,27 +462,12 @@ def _mode_solve(grid, profile, times):
                         out_times=times)
 
 
-def test_solve_cauchy_profile_and_its_callable_agree_bitwise(smooth_profile):
-    # a VelocityProfile is read by array evals, a plain callable on each
-    # float: both give the same A at every stage, so the same bits at
-    # every recorded time
-    grid = RadialGrid.auto(0.64, 9.0, 256, smooth_profile, 0.5)
-    times = [grid.dt, 0.25, 0.5]
-    ours = _mode_solve(grid, smooth_profile, times)
-    plain = _mode_solve(grid, smooth_profile.eval, times)
-    assert [s.x0 for s in ours] == [s.x0 for s in plain] == [0.0] + times
-    for a, b in zip(ours[1:], plain[1:]):
-        assert np.array_equal(a.value, b.value), a.x0
-        assert np.array_equal(a.d_flow, b.d_flow), a.x0
-    assert not np.array_equal(ours[-1].value, ours[0].value)
-
-
 def test_solve_cauchy_evaluates_the_profile_once_per_table(smooth_profile,
                                                            monkeypatch):
-    # one array eval per table of pde._TABLE_STEPS steps, besides the step
-    # bound's: 256 and 512 points to the same t_final, twice the steps,
-    # make the same calls; tables of 8 steps make one call per 8 steps and
-    # give the same bits
+    # one array eval per table of pde._TABLE_STEPS steps and no other:
+    # 256 and 512 points to the same t_final, twice the steps, make the
+    # same one call; tables of 8 steps make one call per 8 steps and give
+    # the same bits
     counts, steps, last = [], [], None
     for n_rho in (256, 512):
         profile, calls = _counting(smooth_profile)
@@ -479,71 +476,71 @@ def test_solve_cauchy_evaluates_the_profile_once_per_table(smooth_profile,
         last = _mode_solve(grid, profile, [0.5])[-1]
         counts.append(len(calls))
         steps.append(grid.steps(0.5))
-    assert steps == [26, 52] and counts[0] == counts[1] == 3, counts
+    assert steps == [26, 52] and counts[0] == counts[1] == 1, counts
     monkeypatch.setattr(pde, "_TABLE_STEPS", 8)
     calls.clear()
     again = _mode_solve(grid, profile, [0.5])[-1]
-    assert len(calls) == 2 + math.ceil(52 / 8), len(calls)
+    assert len(calls) == math.ceil(52 / 8), len(calls)
     assert np.array_equal(again.value, last.value)
     assert np.array_equal(again.d_flow, last.d_flow)
 
 
 def test_solve_cauchy_errors_match_oracle(smooth_profile):
-    grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
-    bad = RadialGrid(0.3, 9.0, 256, dt=3.0 * grid.dt)
+    # the steppers blow up with one message; a grid's refusals are
+    # RadialGrid.auto's, in the order of its rules, each the config's
+    # (exit 2 from the CLI)
     blowup = RadialGrid(2.0, 12.0, 256, dt=1.0)
-    inflow = RadialGrid.auto(0.85, 9.0, 256, smooth_profile, 3.0)
-    # an outer edge inside max|A| = 1 lies in supersonic flow
-    narrow = RadialGrid.auto(0.3, 0.9, 256, smooth_profile, 0.1)
     f = np.exp(-((blowup.rho - 7.0) / 0.5) ** 2).astype(complex)
-    messages = []
+    messages = set()
     for solver in (solve_cauchy, oracles.solve_cauchy):
-        with pytest.raises(ConfigError) as cfl:
-            solver(f, f, bad, smooth_profile, 10 * bad.dt)
         with pytest.raises(InstabilityError) as unstable:
-            solver(f, np.zeros_like(f), blowup, lambda x0: 0.0, 10.0)
-        with pytest.raises(ConfigError, match="takes inflow") as edge:
-            solver(f, f, inflow, smooth_profile, 3.0)
-        with pytest.raises(ConfigError) as outer:
-            solver(f, f, narrow, smooth_profile, 0.1)
-        # the refusals are the config's: exit 2 from the CLI
-        assert {cfl.value.exit_code, edge.value.exit_code,
-                outer.value.exit_code} == {2}
-        messages.append((str(cfl.value), str(unstable.value),
-                         str(edge.value), str(outer.value)))
-    assert messages[0] == messages[1]
-    assert messages[0][3] == ("grid_rho_max = 0.9 must exceed max|A| = 1.0 "
-                              "over [0, 0.1]")
+            solver(f, np.zeros_like(f), blowup, oracles.STILL, 10.0)
+        messages.add(str(unstable.value))
+    assert messages == {"solution blew up at step 1"}, messages
+    inflow = ("inner edge rho_min = 0.85 takes inflow: min|A| = "
+              "0.8009890492626539 over [0, 3] does not exceed it")
+    # an outer edge inside max|A| = 1 lies in supersonic flow
+    narrow = "grid_rho_max = 0.9 must exceed max|A| = 1.0 over [0, 0.1]"
+    for (rho_min, rho_max, t_final), message in (
+            ((0.3, 9.0, 0.0), "tfinal must be positive"),
+            ((0.3, 9.0, -1.0), "tfinal must be positive"),
+            ((0.85, 9.0, 3.0), inflow), ((0.85, 0.5, 3.0), inflow),
+            ((0.3, 0.9, 0.1), narrow),
+            ((0.64, 0.5, 0.1), "grid_rho_max = 0.5 must exceed max|A| = 1.0 "
+                               "over [0, 0.1]")):
+        with pytest.raises(ConfigError) as exc:
+            RadialGrid.auto(rho_min, rho_max, 256, smooth_profile, t_final)
+        assert str(exc.value) == message and exc.value.exit_code == 2
 
 
 @pytest.mark.parametrize("a_abs", [2e-5, 0.01])
 def test_solve_cauchy_refuses_inflow_inner_edge(a_abs):
     # with |A| below rho_min the inner edge takes inflow, which the
     # one-sided stencils there cannot carry: without the growth guard a
-    # unit pulse grows 2.9e3-fold by t = 20 at |A| = 2e-5, 72-fold at 0.01
+    # unit pulse grows 2.9e3-fold by t = 20 at |A| = 2e-5, 72-fold at 0.01.
+    # RadialGrid.auto refuses the grid; solve_cauchy steps what it is given
     profile = VelocityProfile(a_minus=-a_abs, a_plus=-a_abs)
-    grid = RadialGrid.auto(0.3, 9.0, 384, profile, 20.0)
-    f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
     with pytest.raises(ConfigError, match="inner edge rho_min = 0.3 takes "
                                           "inflow"):
-        solve_cauchy(f, np.zeros_like(f), grid, profile, 20.0)
-    # a plain callable drift is stepped unchecked
-    hist = solve_cauchy(f, np.zeros_like(f), grid, profile.eval, 10 * grid.dt)
+        RadialGrid.auto(0.3, 9.0, 384, profile, 20.0)
+    grid = RadialGrid(0.3, 9.0, 384, dt=RadialGrid(
+        0.3, 9.0, 384, dt=1.0).cfl_dt(a_abs))
+    f = np.exp(-((grid.rho - 3.0) / 0.5) ** 2).astype(complex)
+    hist = solve_cauchy(f, np.zeros_like(f), grid, profile, 10 * grid.dt)
     assert hist[-1].x0 == 10 * grid.dt
 
 
 def test_inflow_check_spans_every_recorded_time(smooth_profile):
     # |A| falls from 1 at x0 = 0 toward 0.8: rho_min = 0.85 is an outflow
-    # edge to x0 = 0.5 (|A| = 0.908) and an inflow edge by x0 = 3 (0.801),
-    # whether 3 is t_final or a recorded time beyond it; both are whole
-    # numbers of the grid's steps
+    # edge to x0 = 0.5 (|A| = 0.908) and an inflow edge by x0 = 3 (0.801).
+    # RadialGrid.auto checks the whole of [0, t_final], every time a solve
+    # can record
     grid = RadialGrid.auto(0.85, 9.0, 128, smooth_profile, 0.5)
     f = np.zeros(128, complex)
     assert len(solve_cauchy(f, f, grid, smooth_profile, 0.5)) == 2
-    for t_final, out_times in ((3.0, None), (0.5, [0.5, 3.0])):
-        with pytest.raises(ConfigError, match=r"min\|A\| = 0.8009890492626539 "
-                                              r"over \[0, 3\]"):
-            solve_cauchy(f, f, grid, smooth_profile, t_final, out_times)
+    with pytest.raises(ConfigError, match=r"min\|A\| = 0.8009890492626539 "
+                                          r"over \[0, 3\]"):
+        RadialGrid.auto(0.85, 9.0, 128, smooth_profile, 3.0)
 
 
 # |A(0.75)| on the smooth profile, 0.87297: |A| falls over [0, 0.75], so a
@@ -576,9 +573,13 @@ def test_packet_below_inner_edge_is_a_resolution_error(packet, smooth_flow,
 def test_remainder_contribution_refuses_an_inflow_inner_edge(
         packet, smooth_profile, smooth_flow, rho_min, t_final):
     # a direct caller's inner edge at or above min|A| over [0, t_final]
-    # takes inflow, and solve_cauchy refuses it: at |A(0.75)| itself, at
-    # 0.9, and at 0.82 to t_final = 3, where |A| falls to 0.801
-    grid = RadialGrid.auto(rho_min, 9.0, 256, smooth_profile, t_final)
+    # takes inflow: at |A(0.75)| itself, at 0.9, and at 0.82 to t_final = 3,
+    # where |A| falls to 0.801.  RadialGrid.auto refuses it, and so does
+    # remainder_contribution, through its coarse twin's, for a grid built
+    # by hand
+    with pytest.raises(ConfigError, match="takes inflow"):
+        RadialGrid.auto(rho_min, 9.0, 256, smooth_profile, t_final)
+    grid = RadialGrid(rho_min, 9.0, 256, dt=t_final / 64)
     with pytest.raises(ConfigError, match="takes inflow"):
         remainder_contribution(packet, (-2.0,), grid, smooth_flow,
                                t_final=t_final)
@@ -619,6 +620,21 @@ def test_pde_verify_bounds_refused_before_any_solve(packet, smooth_flow,
 _EDGE_FLOWS = [(-1.2, -0.8, 1.0), (-0.8, -1.2, 1.0), (-2.0, -0.5, 3.0),
                (-0.5, -2.0, 0.3), (-1.5, -0.6, 0.3), (-0.6, -1.5, 3.0),
                (-1.0, -1.0, 1.0)]
+
+
+@pytest.mark.parametrize("a_minus,a_plus,tau", _EDGE_FLOWS)
+def test_auto_inner_edge_rule_against_dense_samples(a_minus, a_plus, tau):
+    # RadialGrid.auto reads min|A| at the ends of [0, t_final], as A is
+    # monotone; its twin samples |A| densely over the solve: an edge one
+    # float below the sampled min|A| is taken and one at it refused
+    profile = VelocityProfile(a_minus=a_minus, a_plus=a_plus, tau=tau)
+    for t_final in (1e-6, 0.1, 0.75, 3.0, 30.0):
+        a_min = float(np.min(np.abs(profile.eval(
+            np.linspace(0.0, t_final, 1001)))))
+        RadialGrid.auto(math.nextafter(a_min, 0.0), 20.0, 256, profile,
+                        t_final)
+        with pytest.raises(ConfigError, match="takes inflow"):
+            RadialGrid.auto(a_min, 20.0, 256, profile, t_final)
 
 
 @pytest.mark.parametrize("a_minus,a_plus,tau", _EDGE_FLOWS)
@@ -1050,20 +1066,21 @@ def test_remainder_contribution_makes_no_quad_calls(packet, smooth_flow,
 
 def test_predicted_point_steps_count_both_solves(packet, smooth_profile,
                                                 smooth_flow, monkeypatch):
-    # a stepped drift callable is read three times a step, at x0,
-    # x0 + dt/2 and x0 + dt, so the calls count the steps actually taken;
-    # each costs n_rho point-steps plus the fixed N_STEP
+    # a stepped drift is read once per table of steps, at the stage times
+    # of each, so the tables' lengths count the steps actually taken; each
+    # costs n_rho point-steps plus the fixed N_STEP
     work, grids = [], []
 
     def counting(value0, dvalue0, grid, profile, t_final, out_times=None):
-        calls = [0]
+        steps = [0]
 
-        def drift(x0):
-            calls[0] += 1
-            return profile.eval(x0)
+        def table(times):
+            steps[0] += len(times[0])
+            return profile.eval(times)
 
-        hist = solve_cauchy(value0, dvalue0, grid, drift, t_final, out_times)
-        work.append((grid.n_rho + pde.N_STEP) * (calls[0] // 3))
+        hist = solve_cauchy(value0, dvalue0, grid, oracles.drift(table),
+                            t_final, out_times)
+        work.append((grid.n_rho + pde.N_STEP) * steps[0])
         grids.append(grid)
         return hist
 

@@ -405,19 +405,30 @@ def test_sweep_richardson_extrapolation_model(monkeypatch):
     assert short.richardson == short.rows[-1].total_normalized
     assert short.warnings == ["sweep too short for a meaningful slope fit"]
     # three rates that coincide to rounding leave the 3x3 system singular
-    # and a slope fit through log rates that do not spread; each is null,
-    # with a warning that names it, and nothing warns from numpy
+    # or too ill-conditioned to resolve, and a slope fit through log rates
+    # that spread by no more than rounding; each is null, with a warning
+    # that names it, and nothing warns from numpy.  Rates 1e-8 apart missed
+    # the model's limit by 0.6%, and log rates an ulp apart gave a slope
+    rich_null = ("richardson_extrapolation is null: its 3x3 system in the "
+                 "last three a_sweep values is ill-conditioned, with its "
+                 "condition number times the unit roundoff above 1e-11")
+    slope_null = ("residual_slope is null: the a_sweep values that leave a "
+                  "nonzero residual coincide in log a")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        same = spectrum.limit_sweep(p, [1.0, 1.000000000001, 1.000000000002])
-        flat = spectrum.limit_sweep(p, [1e150, 1.0000000000000002e150])
-    assert same.richardson is None and math.isfinite(same.slope)
-    assert same.warnings == ["richardson_extrapolation is null: its 3x3 "
-                             "system in the last three a_sweep values is "
-                             "singular"]
-    assert math.isnan(flat.slope) and flat.warnings[-1] == (
-        "residual_slope is null: the a_sweep values that leave a nonzero "
-        "residual coincide in log a")
+        for rates in ([1.0, 1.000000000001, 1.000000000002],
+                      [1.0, 1.00000001, 1.00000002]):
+            same = spectrum.limit_sweep(p, rates)
+            assert same.richardson is None and math.isfinite(same.slope)
+            assert same.warnings == [rich_null], rates
+        for rates in ([1e150, 1.0000000000000002e150],
+                      [4.0, 4.000000000000001]):
+            flat = spectrum.limit_sweep(p, rates)
+            assert math.isnan(flat.slope) and flat.warnings[-1] == slope_null
+        # rates 1e-2 apart keep both (kappa u = 2.5e-12)
+        close = spectrum.limit_sweep(p, [1.0, 1.01, 1.02])
+    assert close.richardson == pytest.approx(L, abs=1e-11)
+    assert close.warnings == [] and math.isfinite(close.slope)
 
 
 # -- spectrum table -------------------------------------------------------------
