@@ -17,10 +17,10 @@ import numpy as np
 
 from . import pde, spectrum
 from .config import RunConfig, read_pairs
-from .errors import SonicbhError
+from .errors import ConfigError, SonicbhError
 from .flow import FlowMap, find_separatrix
 from .output import check_out_dir, write_csv, write_json
-from .packets import PacketParams, eval_packet_profile, packet_norm
+from .packets import A_MIN, PacketParams, eval_packet_profile, packet_norm
 
 
 def _load_config(args) -> RunConfig:
@@ -48,27 +48,42 @@ def cmd_horizon(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
-    # the norm table and the totals file sum up every rate, so they come last
-    norm_rows, totals = [], {}
+    # every rate's packet and file name, the run's budget and (with the
+    # first table) n_eta are checked before the first file is written
+    if not cfg.a_sweep:
+        raise ConfigError("a_sweep must not be empty")
+    k, budget = len(cfg.a_sweep), spectrum.MAX_N_ETA
+    if cfg.n_eta * k > budget:
+        raise ConfigError(f"n_eta must be at most {budget // k} at {k} "
+                          f"a_sweep values: n_eta x len(a_sweep) must be at "
+                          f"most {budget}")
+    by_name = {}
     for a in cfg.a_sweep:
         p = PacketParams(cfg.alpha, a, cfg.eps, flow.sigma_star)
+        first = by_name.setdefault(f"{a:g}", p)
+        if first is not p:
+            raise ConfigError(f"a_sweep values {first.a!r} and {a!r} both "
+                              f"write spectrum_a{a:g}.csv")
+    # the norm table and the totals file sum up every rate, so they come last
+    norm_rows, totals = [], {}
+    for name, p in by_name.items():
+        table = spectrum.build_spectrum(p, n_eta=cfg.n_eta)
         sig = flow.sigma_star + np.concatenate(
-            [[0.0], np.geomspace(1e-6, 40.0 / a, 400)])
+            [[0.0], np.geomspace(1e-6, 40.0 / p.a, 400)])
         prof = eval_packet_profile(sig, p)
-        write_csv(f"{cfg.out_dir}/packet_profile_a{a:g}.csv",
+        write_csv(f"{cfg.out_dir}/packet_profile_a{name}.csv",
                   ["sigma", "re", "im", "abs"],
                   np.column_stack((sig, prof.real, prof.imag, np.abs(prof))),
                   meta)
         norm = packet_norm(p)
         numeric = packet_norm(p, flow, numeric=True)
-        norm_rows.append((a, norm, numeric, abs(numeric / norm - 1.0)))
-        table = spectrum.build_spectrum(p, n_eta=cfg.n_eta)
+        norm_rows.append((p.a, norm, numeric, abs(numeric / norm - 1.0)))
         rows = np.column_stack((table.eta_grid, table.density, table.c1.real,
                                 table.c1.imag))
-        out = write_csv(f"{cfg.out_dir}/spectrum_a{a:g}.csv",
+        out = write_csv(f"{cfg.out_dir}/spectrum_a{name}.csv",
                         ["eta", "density", "c1_re", "c1_im"], rows, meta)
         tn = spectrum.total_number(p)
-        totals[f"{a:g}"] = {
+        totals[name] = {
             "total_grid": table.total,
             "total": tn.value,
             "tail_value": tn.tail_value,
@@ -76,7 +91,7 @@ def cmd_spectrum(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
             "norm": norm,
             "total_normalized": tn.value / norm,
         }
-        print(f"a={a:g}: total={tn.value:.12g} "
+        print(f"a={name}: total={tn.value:.12g} "
               f"normalized={tn.value / norm:.12g} ({out})")
     write_csv(f"{cfg.out_dir}/norm_table.csv",
               ["a", "norm_closed", "norm_numeric", "rel_err"],
@@ -87,8 +102,8 @@ def cmd_spectrum(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
 
 
 def cmd_limit(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
-    # limit_sweep sets each rate of a_sweep itself
-    p = PacketParams(cfg.alpha, cfg.a_sweep[0], cfg.eps, flow.sigma_star)
+    # limit_sweep checks a_sweep and sets each of its rates itself
+    p = PacketParams(cfg.alpha, A_MIN, cfg.eps, flow.sigma_star)
     sweep = spectrum.limit_sweep(p, cfg.a_sweep)
     rows = [(r.a, r.total, r.total_normalized, r.limit, r.residual)
             for r in sweep.rows]
@@ -118,7 +133,7 @@ def cmd_limit(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
 
 def cmd_pde_verify(cfg: RunConfig, flow: FlowMap, meta: dict) -> int:
     # remainder_contribution sets each rate it uses itself (pde.A_VALUES)
-    p = PacketParams(cfg.alpha, cfg.a_sweep[0], cfg.eps, flow.sigma_star)
+    p = PacketParams(cfg.alpha, pde.A_VALUES[0], cfg.eps, flow.sigma_star)
     grid = pde.verify_grid(flow.profile, cfg.grid_rho_max, cfg.nrho,
                            cfg.tfinal)
     report = pde.remainder_contribution(p, cfg.eta_list, grid, flow,

@@ -32,7 +32,7 @@ JSON summaries sort keys.  Both hold finite numbers only: a NaN or
 infinity raises ToleranceError and writes nothing.  Files are written as
 bytes, '\n'-terminated on every platform, each CSV block as it is made.
 A directory or file that cannot be written raises ConfigError naming the
-path, and check_out_dir refuses such a directory before any work.
+path, and check_out_dir refuses it, or an empty or NUL path, before any work.
 Identical inputs produce byte-identical files.
 """
 
@@ -61,8 +61,13 @@ def format_cell(v) -> str:
 
 
 def check_out_dir(out_dir) -> None:
-    """Refuse an out_dir whose nearest existing ancestor (itself, if it
-    exists) is not a writable directory; creates nothing."""
+    """Refuse an out_dir that is empty (the filesystem root), holds a NUL
+    byte, or whose nearest existing ancestor (itself, if it exists) is not
+    a writable directory; creates nothing."""
+    if not out_dir:
+        raise ConfigError("out_dir must not be empty")
+    if "\0" in str(out_dir):
+        raise ConfigError(f"out_dir must not hold a NUL byte: {out_dir!r}")
     path = ancestor = Path(out_dir)
     while not ancestor.exists():
         ancestor = ancestor.parent

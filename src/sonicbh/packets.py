@@ -40,6 +40,7 @@ from .flow import FlowMap
 
 __all__ = [
     "A_MIN",
+    "A_MAX",
     "PacketParams",
     "FieldOnGrid",
     "eval_packet_profile",
@@ -60,16 +61,19 @@ SUPPORT_CUT = 45.0  # the packet's support cut in a*s: e^{-a s} = e^{-45}
 # then the cut; with its first panel that narrow the rule stays within 1e-12
 # of the closed norm down to the eps at which its first nodes underflow
 _NORM_EDGES = np.r_[0.0, np.exp2(np.arange(-30.0, 6.0)), SUPPORT_CUT]
-# the smallest rate a the configuration takes, 3.3562533290400936e-153:
+# the smallest rate a packet takes, 3.3562533290400936e-153:
 # down to it the numeric norm's squared support (45/a)^2 is a finite float,
 # and so is limit's error-model term ln(1/a)/a^2, as ln(1/a) < 45^2 there
 A_MIN = SUPPORT_CUT / math.sqrt(sys.float_info.max)
+# the largest rate, 2^511 = 6.7e153: up to it limit's Richardson column
+# a^-2 is a normal float, far below where 2a overflows (9e307)
+A_MAX = sys.float_info.min ** -0.5
 # the largest edge exponent: gammatools.loggamma, behind every closed form
 # here, takes Re z = 1 + eps only up to 3/2
 EPS_MAX = 0.5
 # the smallest edge exponent, 0.007028136337406645: from it up the numeric
 # norm's first node (2^-30/a) t^(1/(2 eps)), t = _GL_SHIFTED[0]/2, is normal
-# at every a up to 1/sqrt(min) (spectrum.A_SWEEP_MAX); at a = 4, from 0.0034
+# at every a up to A_MAX; at a = 4, from 0.0034
 EPS_MIN = (math.log(0.5 * _GL_SHIFTED[0])
            / (2.0 * math.log(sys.float_info.min ** 0.5 / _NORM_EDGES[1])))
 
@@ -84,9 +88,16 @@ class PacketParams:
     sigma_star: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "a", "sigma_star"):
+        for name in ("alpha", "sigma_star"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive")
+        if not self.a >= A_MIN:
+            raise ConfigError(f"a_sweep must be at least {A_MIN!r}: below it "
+                              f"the packet's squared support "
+                              f"({SUPPORT_CUT:g}/a)^2 overflows")
+        if not self.a <= A_MAX:
+            raise ConfigError(f"a_sweep must be at most {A_MAX!r}: above it "
+                              f"limit's a^-2 error term is subnormal")
         if not EPS_MIN <= self.eps <= EPS_MAX:
             raise ConfigError(
                 "eps must lie in [{0!r}, {1}/{2}]: below {0!r} the numeric "
@@ -200,10 +211,9 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     the full norm bracket -4 pi Im(C0* D C0) rho, s = sigma - sigma_star,
     is summed on a fixed Gauss rule in u = s^(2 eps), which absorbs the
     s^(2 eps - 1) edge of the bracket: panels at a*s = 0, 2^-30, 2^-29,
-    ..., 16, 32 and a*s_max = 45, twelve nodes each (444 nodes).  A
-    non-finite sum raises ToleranceError, and so does a node whose s
-    underflows (at a rate above spectrum.A_SWEEP_MAX, where EPS_MIN no
-    longer keeps it normal), which would drop its share silently.
+    ..., 16, 32 and a*s_max = 45, twelve nodes each (444 nodes); EPS_MIN
+    keeps the first node's s normal at every rate up to A_MAX.  A
+    non-finite sum raises ToleranceError.
     """
     closed = 4.0 * math.pi * p.alpha * math.gamma(2.0 * p.eps) \
         / (2.0 * p.a) ** (2.0 * p.eps)
@@ -217,12 +227,12 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     u, w = gauss_panels((_NORM_EDGES / p.a) ** two_eps)
     s = u ** (1.0 / two_eps)
     rho = p.sigma_star + s
-    c, dc = packet_values(s, rho, 1.0, a0, p)
-    # ds = s du / (2 eps u)
-    val = float(np.dot(w * s / (two_eps * u),
-                       -4.0 * math.pi * (np.conj(c) * dc).imag * rho))
-    if not s[0] >= np.finfo(float).tiny:
-        val = math.nan  # an underflowed node carries no bracket
+    # w/s overflows in P' from alpha = 4 at a = A_MAX, eps = EPS_MIN
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, dc = packet_values(s, rho, 1.0, a0, p)
+        # ds = s du / (2 eps u)
+        val = float(np.dot(w * s / (two_eps * u),
+                           -4.0 * math.pi * (np.conj(c) * dc).imag * rho))
     if not math.isfinite(val):
         raise ToleranceError(f"numeric packet norm is {val} at alpha="
                              f"{p.alpha}, a={p.a}, eps={p.eps}")

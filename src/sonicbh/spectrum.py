@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError
+from .errors import ConfigError, ToleranceError
 from .gammatools import (gamma0_modulus_sq, packet_fourier,
                          packet_fourier_modulus_sq)
 from .packets import PacketParams, gamma_tilde, gauss_panels, packet_norm
@@ -198,7 +198,9 @@ N_ETA_MIN = 24
 
 def build_spectrum(p: PacketParams, n_eta: int = 96) -> SpectrumTable:
     """Tabulate projections and density over default_eta_grid(a, n_eta)
-    in one array pass."""
+    in one array pass; n_eta is at least N_ETA_MIN."""
+    if n_eta < N_ETA_MIN:
+        raise ConfigError(f"n_eta must be at least {N_ETA_MIN}")
     eta_grid = default_eta_grid(p.a, n_eta)
     c1, c2 = eikonal_projections(eta_grid, p)
     density = _checked_density(eta_grid, p, c1, c2)
@@ -346,17 +348,14 @@ class SweepResult:
         return self.rows[-1].residual / self.limit
 
 
-# the largest a of a sweep: the Richardson column a^-2 is a normal float
-# while ln a <= -ln(min)/2, up to 2^511 = 6.7e153, far below where 2a
-# overflows (9e307)
-A_SWEEP_MAX = sys.float_info.min ** -0.5
 _U = 0.5 * sys.float_info.epsilon  # the unit roundoff
 
 
 def limit_sweep(p: PacketParams, a_list) -> SweepResult:
     """Normalised totals along an a-sweep against the closed limit.
 
-    slope is the log-log regression exponent of |residual| against a.
+    The rates come from a_list, nonempty and strictly increasing, and not
+    from p.  slope is the log-log regression exponent of |residual| on a.
     After eta = a*eta' the normalised total differs from the limit only
     through eta'/sqrt(eta'^2 + a^-2), which gives the error model
 
@@ -367,15 +366,18 @@ def limit_sweep(p: PacketParams, a_list) -> SweepResult:
     model; with fewer than three points it is the last normalised total.
     warnings says why a sweep is short or a slope or richardson is null.
     """
+    a_list = [float(a) for a in a_list]
+    if not a_list or a_list != sorted(set(a_list)):
+        raise ConfigError("a_sweep must be nonempty and strictly increasing")
     lim = normalized_number_limit(p.alpha, p.eps)
     var = normalized_number_limit_variant(p.alpha, p.eps)
     rows = []
     for a in a_list:
-        pa = p.with_a(float(a))
+        pa = p.with_a(a)
         tn = _total_value(pa)
         norm = packet_norm(pa)
         v = tn / norm
-        rows.append(SweepRow(a=float(a), total=tn, total_normalized=v,
+        rows.append(SweepRow(a=a, total=tn, total_normalized=v,
                              limit=lim, residual=abs(v - lim)))
     res = np.array([r.residual for r in rows])
     a_arr = np.array([r.a for r in rows])

@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonicbh import cli, errors, packets, pde, spectrum
+from sonicbh import cli, config, errors, packets, pde, spectrum
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, read_pairs
 from sonicbh.errors import ConfigError
-from sonicbh.packets import A_MIN, EPS_MAX
-from sonicbh.output import format_cell
+from sonicbh.packets import A_MAX, A_MIN, EPS_MAX
+from sonicbh.output import check_out_dir, format_cell
 from sonicbh.pde import EPS_MIN, NRHO_MAX, NRHO_MIN, inner_edge
-from sonicbh.spectrum import A_SWEEP_MAX, MAX_N_ETA, N_ETA_MIN
+from sonicbh.spectrum import MAX_N_ETA, N_ETA_MIN
 
 
 # -- config --------------------------------------------------------------------
@@ -102,8 +102,6 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
         _config_of_file(cfg_dir, "alpha\n")
     with pytest.raises(ConfigError):
         _config_of_file(cfg_dir, "tau = banana\n")
-    with pytest.raises(ConfigError):
-        RunConfig(a_sweep=(8.0, 4.0))
     # removed keys: the separatrix needs no search tolerance and no
     # bracket (the ray equation sets its interval), the wave solver derives
     # dt from tfinal and has one scheme, and the profile has one form,
@@ -116,37 +114,26 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
                  "a = 8"):
         with pytest.raises(ConfigError, match="unknown config key"):
             _config_of_file(cfg_dir, line + "\n")
-    # values the config itself refuses, for every command: values not
-    # finite, and the a_sweep and n_eta bounds, which must hold before
-    # spectrum writes its first rate's tables
-    for bad in ({"a_sweep": ()}, {"n_eta": 23}, {"n_eta": 1},
-                {"n_eta": MAX_N_ETA + 1},
-                # non-finite values: the first three hung, the rest ended
-                # in a traceback or a later failure instead of exit 2
-                {"tau": math.inf}, {"a_minus": -math.inf},
+    # the one thing the config itself refuses, for every command: a value
+    # not finite.  The first three hung, the rest ended in a traceback or
+    # a later failure instead of exit 2
+    for bad in ({"tau": math.inf}, {"a_minus": -math.inf},
                 {"x0_horizon_max": math.inf}, {"tfinal": math.inf},
-                {"x0_horizon_max": math.nan}, {"grid_rho_max": math.inf}, {"alpha": math.inf},
-                {"a_sweep": (4.0, math.inf)}, {"eta_list": (-math.inf,)},
-                # a_sweep values not positive, or whose packet's squared
-                # support (45/a)^2 exceeds the largest float
-                {"a_sweep": (0.0, 8.0)}, {"a_sweep": (-1.0,)},
-                {"a_sweep": (5e-324, 8.0)}):
-        with pytest.raises(ConfigError):
+                {"x0_horizon_max": math.nan}, {"grid_rho_max": math.inf},
+                {"alpha": math.inf}, {"a_sweep": (4.0, math.inf)},
+                {"eta_list": (-math.inf,)}):
+        with pytest.raises(ConfigError, match="must be finite"):
             RunConfig(**bad)
-    # the flow's, the packet's and pde-verify's bounds are checked where
-    # their arithmetic is, for the commands that read them
-    # (test_each_command_checks_only_its_own_keys)
+    # every other bound is checked where its arithmetic is, for the
+    # commands that read the key (test_each_command_checks_only_its_own_keys)
     RunConfig(alpha=-1.0, eps=0.7, a_minus=0.5, a_plus=-1e-6, nrho=8,
-              tfinal=-1.0, grid_rho_max=0.0, eta_list=(2.0,))
-    RunConfig(n_eta=24)
-    # the budget bounds n_eta x len(a_sweep): all of it for one a value,
-    # a fifth of it at the five default values
-    RunConfig(n_eta=MAX_N_ETA, a_sweep=(8.0,))
-    RunConfig(n_eta=MAX_N_ETA // 5)
-    with pytest.raises(ConfigError, match=f"at most {MAX_N_ETA // 5} at 5"):
-        RunConfig(n_eta=MAX_N_ETA // 5 + 1)
+              tfinal=-1.0, grid_rho_max=0.0, eta_list=(2.0,), out_dir="")
+    RunConfig(a_sweep=(), n_eta=1)
+    RunConfig(a_sweep=(8.0, 4.0, 5e-324, 0.0, -1.0, 1e300),
+              n_eta=MAX_N_ETA + 1)
     # the same values from the command line exit 2, before any output
     for argv in (["limit", "--set", "a_sweep="],
+                 ["limit", "--set", "a_sweep=8,4"],
                  # below A_MIN the numeric norm's nodes (45/a) overflowed
                  # behind five numpy RuntimeWarnings before exit 3
                  ["spectrum", "--set", "a_sweep=5e-324,8"],
@@ -198,8 +185,8 @@ _PDE_SHORT = ["pde-verify", "--tfinal", "1e-3"]
                  "bounds the run time",
                  id="nrho-8192-8193-nrho must be at most 8192, where the wave "
                     "budget still bounds the run time"),
-    pytest.param(["limit"], "a_sweep", repr(A_SWEEP_MAX),
-                 repr(math.nextafter(A_SWEEP_MAX, math.inf)),
+    pytest.param(["limit"], "a_sweep", repr(A_MAX),
+                 repr(math.nextafter(A_MAX, math.inf)),
                  "a_sweep must be at most 6.703903964971299e+153: above it "
                  "limit's a^-2 error term is subnormal",
                  id="a_sweep-bound5-past5-a_sweep must be at most "
@@ -222,16 +209,17 @@ def test_config_bounds_from_their_modules(tmp_path, capsys, argv, key, bound,
 
 
 def test_config_checks_state_no_number_of_their_own():
-    # every bound RunConfig applies comes from the module that derives it
+    # RunConfig only parses: it applies no bound, so its checks state no
+    # number and it imports nothing from the packet or the spectrum
     post_init = ast.parse(textwrap.dedent(
         inspect.getsource(RunConfig.__post_init__)))
-    indices = {id(node) for sub in ast.walk(post_init)
-               if isinstance(sub, ast.Subscript)
-               for node in ast.walk(sub.slice)}
     numbers = {node.value for node in ast.walk(post_init)
-               if isinstance(node, ast.Constant) and id(node) not in indices
+               if isinstance(node, ast.Constant)
                and type(node.value) in (int, float)}
-    assert numbers == {0.0}, numbers
+    assert numbers == set(), numbers
+    imported = {node.module for node in ast.walk(ast.parse(
+        inspect.getsource(config))) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"packets", "spectrum"}, imported
 
 
 _ALPHA_REFUSAL = "alpha must be finite and positive"
@@ -285,12 +273,19 @@ _ALPHA_REFUSAL = "alpha must be finite and positive"
     pytest.param(["pde-verify", "--eta-list="],
                  "eta_list must hold negative values",
                  id="eta_list-empty-pde-verify"),
-    # a_sweep and n_eta stay the config's, for every command: spectrum
-    # writes each rate's tables before it builds the next rate's packet
-    pytest.param(["horizon", "--set", "n_eta=23"], "n_eta must be at least 24",
-                 id="n_eta-horizon"),
-    pytest.param(["horizon", "--set", "a_sweep=8,4"],
-                 "a_sweep must be strictly increasing", id="a_sweep-horizon"),
+    # a_sweep is read by spectrum and limit, n_eta by spectrum alone;
+    # pde-verify takes its own rates
+    pytest.param(["horizon", "--set", "n_eta=23"], None, id="n_eta-horizon"),
+    pytest.param(["horizon", "--set", "a_sweep=8,4"], None,
+                 id="a_sweep-horizon"),
+    pytest.param(["limit", "--set", "n_eta=1"], None, id="n_eta-limit"),
+    pytest.param(["pde-verify", "--nrho", "256", "--tfinal", "0.1", "--set",
+                  "a_sweep=0"], None, id="a_sweep-pde-verify"),
+    pytest.param(["spectrum", "--set", "a_sweep="],
+                 "a_sweep must not be empty", id="a_sweep-spectrum"),
+    pytest.param(["limit", "--set", "a_sweep="],
+                 "a_sweep must be nonempty and strictly increasing",
+                 id="a_sweep-limit"),
 ])
 def test_each_command_checks_only_its_own_keys(tmp_path, capsys, argv,
                                                refusal):
@@ -440,8 +435,8 @@ def test_spectrum_command(tmp_path):
 
 def test_spectrum_failure_writes_no_summary(tmp_path, capsys, monkeypatch):
     # a rate that fails ends the run in exit 3 after the earlier rates'
-    # files and its own profile; the norm table and the totals file sum up
-    # every rate, so neither is written
+    # files (its table comes before its own files); the norm table and the
+    # totals file sum up every rate, so neither is written
     real = spectrum.build_spectrum
 
     def fail_second(p, n_eta):
@@ -455,7 +450,7 @@ def test_spectrum_failure_writes_no_summary(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ("numerical failure: density identity "
                                        "violated\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "packet_profile_a4.csv", "packet_profile_a8.csv", "spectrum_a4.csv"]
+        "packet_profile_a4.csv", "spectrum_a4.csv"]
 
 
 def test_spectrum_totals_report_tail(tmp_path):
@@ -554,16 +549,41 @@ def test_commands_import_no_scipy(tmp_path):
 def test_spectrum_refuses_n_eta_beyond_budget(tmp_path, capsys):
     # np.geomspace raised a raw ValueError at n_eta = 1e20, after two of
     # the outputs were written; beyond the run's budget, n_eta times the
-    # five default a_sweep values, the refusal comes before any work and
-    # names the largest n_eta for the sweep
-    for n_eta in (MAX_N_ETA // 5 + 1, MAX_N_ETA + 1, 10 ** 20):
-        out = tmp_path / str(n_eta)
-        assert main(["spectrum", "--set", f"n_eta={n_eta}",
-                     "--out-dir", str(out)]) == 2
+    # number of a_sweep values, the refusal comes before any output and
+    # names the largest n_eta for the sweep: a fifth of the budget at the
+    # five default values, all of it at one
+    for n_eta, k in ((MAX_N_ETA // 5 + 1, 5), (MAX_N_ETA + 1, 5),
+                     (10 ** 20, 5), (MAX_N_ETA + 1, 1)):
+        out = tmp_path / f"{n_eta}-{k}"
+        rates = ["--set", "a_sweep=8"] if k == 1 else []
+        assert main(["spectrum", "--set", f"n_eta={n_eta}", "--out-dir",
+                     str(out)] + rates) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: n_eta must be at most "
-                              f"{MAX_N_ETA // 5} at 5 a_sweep values"), err
+                              f"{MAX_N_ETA // k} at {k} a_sweep values"), err
         assert not out.exists()
+
+
+def test_spectrum_refuses_rates_sharing_a_file_name(tmp_path, capsys):
+    # the file names spell a rate by :g, six digits: 4,4.000001 exited 0
+    # with one spectrum_a4.csv, one packet_profile_a4.csv and one totals
+    # key "4", the second rate's, beside two norm-table rows.  spectrum
+    # refuses the pair before any output and names both rates; limit,
+    # which writes one row a rate, takes them
+    for rates in ("4,4.000001", "4,8,4"):
+        out = tmp_path / rates
+        assert main(["spectrum", "--set", f"a_sweep={rates}", "--set",
+                     "n_eta=24", "--out-dir", str(out)]) == 2
+        a, b = rates.split(",")[0], rates.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"config error: a_sweep values {float(a)!r} and {float(b)!r} "
+            f"both write spectrum_a4.csv\n")
+        assert not out.exists()
+    out = tmp_path / "limit"
+    assert main(["limit", "--set", "a_sweep=4,4.000001", "--out-dir",
+                 str(out)]) == 0
+    assert len(_strict_json(out / "limit_summary.json")["config"]
+               ["a_sweep"]) == 2
 
 
 def test_limit_command(tmp_path, capsys):
@@ -939,7 +959,7 @@ def test_console_runs(tmp_path, capsys, argv, want):
 @pytest.mark.parametrize("command", ["spectrum", "limit"])
 def test_boundary_inputs_finite_or_typed(tmp_path, capsys, command, eps):
     # spectrum and limit take eps up to 1/2 and down to the packet's own
-    # floor, far below pde-verify's 0.05
+    # floor, far below pde-verify's 0.05; n_eta is spectrum's alone
     for alpha in (0.05, 2000.0):
         for a in (1e-3, 1e6):
             for n_eta in (24, 23):
@@ -947,8 +967,8 @@ def test_boundary_inputs_finite_or_typed(tmp_path, capsys, command, eps):
                         "--set", f"alpha={alpha}", "--set", f"a_sweep={a}",
                         "--set", f"n_eta={n_eta}"]
                 out = tmp_path / f"{alpha}_{a}_{n_eta}"
-                _run_boundary(argv, out, capsys,
-                              accepted=eps <= EPS_MAX and n_eta == 24)
+                _run_boundary(argv, out, capsys, accepted=eps <= EPS_MAX and (
+                    n_eta == 24 or command == "limit"))
 
 
 def test_boundary_amplitudes_against_rho_min(tmp_path, capsys):
@@ -1433,7 +1453,7 @@ def test_boundary_out_dir(tmp_path, capsys, monkeypatch, where):
     # an out_dir that is an existing file, or lies under one, cannot be
     # made: the write step turns the OSError into a config error naming
     # the path.  An empty out_dir put horizon.csv at the filesystem root
-    # and exited 0; the config refuses it
+    # and exited 0; check_out_dir refuses it
     blocker = tmp_path / "run.cfg"
     blocker.write_text("tau = 2\n")
     out_dir = {"file": str(blocker), "under a file": str(blocker / "sub"),
@@ -1454,7 +1474,23 @@ def test_boundary_out_dir(tmp_path, capsys, monkeypatch, where):
     assert blocker.read_text() == "tau = 2\n"
     assert stamp() == before
     with pytest.raises(ConfigError, match="out_dir must not be empty"):
-        RunConfig(out_dir="")
+        check_out_dir("")
+
+
+def test_out_dir_with_nul_refused_before_work(tmp_path, capsys,
+                                              monkeypatch):
+    # a config file line out_dir = a<NUL>b ended horizon in exit 1 with a
+    # raw "ValueError: embedded null byte" from mkdir, after the separatrix
+    # solve; check_out_dir refuses it first
+    def solve(*args, **kwargs):
+        raise AssertionError("find_separatrix ran")
+    monkeypatch.setattr(cli, "find_separatrix", solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out_dir = a\0b\n")
+    assert main(["horizon", "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err == ("config error: out_dir must not hold "
+                                       "a NUL byte: 'a\\x00b'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_unwritable_out_dir_refused_before_work(tmp_path, capsys,

@@ -15,7 +15,6 @@ from scipy import special
 
 from sonicbh import packets
 from sonicbh.errors import ConfigError, GridMismatchError, ToleranceError
-from sonicbh.spectrum import A_SWEEP_MAX
 from sonicbh.packets import (FieldOnGrid, PacketParams, eval_packet_profile,
                              mode_initial_data, packet_norm)
 from sonicbh.flow import integrate_characteristic
@@ -175,15 +174,32 @@ def test_norm_numeric_matches_closed(smooth_flow):
 
 
 def test_norm_numeric_non_finite_raises(smooth_flow):
-    # beyond the largest rate a run takes, A_SWEEP_MAX, the rule's first
-    # node underflows even at eps = 0.01 and carries no bracket; the
-    # numeric norm refuses the sum instead of returning it
-    p = PacketParams(alpha=1.0, a=1e300, eps=0.01,
+    # at alpha = 1e300 the packet's D value overflows at the rule's
+    # smallest nodes; the numeric norm refuses the sum instead of
+    # returning it, and numpy warns of nothing
+    p = PacketParams(alpha=1e300, a=8.0, eps=0.25,
                      sigma_star=smooth_flow.sigma_star)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         with pytest.raises(ToleranceError, match="numeric packet norm is nan"):
             packet_norm(p, smooth_flow, numeric=True)
+
+
+def test_packet_rate_range():
+    # the packet owns its rates [A_MIN, A_MAX]: below A_MIN the numeric
+    # norm's squared support (45/a)^2 overflows, above A_MAX limit's a^-2
+    # term is subnormal, and beyond it the rule's first node underflowed
+    # (a = 1e300 raised a RuntimeWarning in limit_sweep)
+    assert packets.A_MAX == 2.0 ** 511
+    for a in (packets.A_MIN, 8.0, packets.A_MAX):
+        PacketParams(alpha=1.0, a=a, eps=0.25, sigma_star=1.0)
+    for a, bound in ((math.nextafter(packets.A_MIN, 0.0), "at least"),
+                     (0.0, "at least"), (-1.0, "at least"),
+                     (math.nan, "at least"),
+                     (math.nextafter(packets.A_MAX, math.inf), "at most"),
+                     (1e300, "at most"), (math.inf, "at most")):
+        with pytest.raises(ConfigError, match=f"a_sweep must be {bound}"):
+            PacketParams(alpha=1.0, a=a, eps=0.25, sigma_star=1.0)
 
 
 NORM_GRID = [(alpha, eps, a) for alpha in (0.05, 1.0, 3.0, 50.0, 2000.0)
@@ -219,7 +235,7 @@ def test_norm_numeric_fixed_rule_grid(smooth_flow, monkeypatch):
 def test_norm_numeric_below_config_eps(smooth_flow, eps):
     # below pde-verify's eps floor of 0.05 the packet holds down to its own,
     # packets.EPS_MIN = 0.00703, where the rule's first node is normal at
-    # every rate up to A_SWEEP_MAX: from it up the numeric norm is within
+    # every rate up to A_MAX: from it up the numeric norm is within
     # 1e-12 of the closed one with no warning, and below it PacketParams
     # refuses the eps (at a = 8 the node underflows from about 0.0034)
     star = smooth_flow.sigma_star
@@ -242,19 +258,27 @@ def test_eps_floor_keeps_the_first_node_normal(smooth_flow):
     # node is normal and the norm holds, a hair below it the node underflows
     def first_node(eps):  # packet_norm's arithmetic
         two_eps = 2.0 * eps
-        u, _ = packets.gauss_panels((packets._NORM_EDGES / A_SWEEP_MAX)
+        u, _ = packets.gauss_panels((packets._NORM_EDGES / packets.A_MAX)
                                     ** two_eps)
         return u[0] ** (1.0 / two_eps)
 
     tiny = np.finfo(float).tiny
     assert first_node(packets.EPS_MIN * (1.0 - 1e-6)) < tiny
     assert first_node(packets.EPS_MIN) >= tiny
-    p = PacketParams(alpha=1e-3, a=A_SWEEP_MAX, eps=packets.EPS_MIN,
-                     sigma_star=smooth_flow.sigma_star)
+    # there |w|/s, w = eps + i alpha, overflows in P' above alpha = 4: the
+    # sum is refused, where numpy warned of an overflow in divide and an
+    # invalid value before
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        numeric = packet_norm(p, smooth_flow, numeric=True)
-    assert abs(numeric / packet_norm(p) - 1.0) <= 1e-12
+        for alpha in (1e-3, 4.0, 40.0, 2000.0):
+            p = PacketParams(alpha=alpha, a=packets.A_MAX, eps=packets.EPS_MIN,
+                             sigma_star=smooth_flow.sigma_star)
+            if alpha > 4.0:
+                with pytest.raises(ToleranceError, match="norm is nan"):
+                    packet_norm(p, smooth_flow, numeric=True)
+                continue
+            numeric = packet_norm(p, smooth_flow, numeric=True)
+            assert abs(numeric / packet_norm(p) - 1.0) <= 1e-12, alpha
 
 
 def test_norm_scaling_in_a(smooth_flow):

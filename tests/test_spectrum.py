@@ -17,16 +17,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sonicbh.errors import GridMismatchError, ToleranceError
+from sonicbh.errors import ConfigError, GridMismatchError, ToleranceError
 from sonicbh.flow import CAPTURE_RHO
 from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_modulus_sq)
 from sonicbh.packets import (A_MIN, FieldOnGrid, PacketParams, gamma_tilde,
                              mode_initial_data, packet_norm)
-from sonicbh.spectrum import (_simpson, build_spectrum, creation_density,
-                              default_eta_grid, density_from_projections,
-                              eikonal_projections, limit_integral,
-                              limit_sweep, normalized_number_limit,
+from sonicbh.spectrum import (N_ETA_MIN, _simpson, build_spectrum,
+                              creation_density, default_eta_grid,
+                              density_from_projections, eikonal_projections,
+                              limit_integral, limit_sweep,
+                              normalized_number_limit,
                               normalized_number_limit_variant, total_number)
 
 from oracles import (creation_density_closed, eta_limit_integral,
@@ -431,7 +432,29 @@ def test_sweep_richardson_extrapolation_model(monkeypatch):
     assert close.warnings == [] and math.isfinite(close.slope)
 
 
+def test_limit_sweep_refuses_rates_out_of_order(smooth_flow):
+    # its slope, its fit over the last three rates and its final residual
+    # take the rates in increasing order: [64, 8, 16] reported a "final"
+    # residual for a = 16, and [] raised a raw IndexError
+    p = PacketParams(alpha=1.0, a=4.0, eps=0.25,
+                     sigma_star=smooth_flow.sigma_star)
+    for rates in ([], [8.0, 4.0], [64.0, 8.0, 16.0], [4.0, 4.0]):
+        with pytest.raises(ConfigError, match="a_sweep must be nonempty and "
+                                              "strictly increasing"):
+            limit_sweep(p, rates)
+    with pytest.raises(ConfigError, match="a_sweep must be at most"):
+        limit_sweep(p, [4.0, 1e300])
+
+
 # -- spectrum table -------------------------------------------------------------
+
+def test_build_spectrum_refuses_too_few_points(packet):
+    # at 16 points Simpson missed the head integral by up to 15%
+    build_spectrum(packet, n_eta=N_ETA_MIN)
+    for n_eta in (N_ETA_MIN - 1, 3):
+        with pytest.raises(ConfigError, match="n_eta must be at least 24"):
+            build_spectrum(packet, n_eta=n_eta)
+
 
 def test_spectrum_table_invariants(packet):
     table = build_spectrum(packet, n_eta=48)
