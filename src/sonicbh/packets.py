@@ -44,6 +44,7 @@ __all__ = [
     "PacketParams",
     "FieldOnGrid",
     "eval_packet_profile",
+    "packet_profile",
     "packet_values",
     "mode_initial_data",
     "eikonal_values",
@@ -57,10 +58,9 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_SHIFTED = _GL_NODES + 1.0
 SUPPORT_CUT = 45.0  # the packet's support cut in a*s: e^{-a s} = e^{-45}
-# the numeric norm's panel edges in a*s: 0, then doubling from 2^-30 to 32,
-# then the cut; with its first panel that narrow the rule stays within 1e-12
-# of the closed norm down to the eps at which its first nodes underflow
-_NORM_EDGES = np.r_[0.0, np.exp2(np.arange(-30.0, 6.0)), SUPPORT_CUT]
+# the numeric norm's panel edges in a*s: the unit roundoff 2^-53, below
+# which its head is closed, then doubling from 2^-30 to 32, then the cut
+_NORM_EDGES = np.r_[2.0 ** -53, np.exp2(np.arange(-30.0, 6.0)), SUPPORT_CUT]
 # the smallest rate a packet takes, 3.3562533290400936e-153:
 # down to it the numeric norm's squared support (45/a)^2 is a finite float,
 # and so is limit's error-model term ln(1/a)/a^2, as ln(1/a) < 45^2 there
@@ -71,11 +71,11 @@ A_MAX = sys.float_info.min ** -0.5
 # the largest edge exponent: gammatools.loggamma, behind every closed form
 # here, takes Re z = 1 + eps only up to 3/2
 EPS_MAX = 0.5
-# the smallest edge exponent, 0.007028136337406645: from it up the numeric
-# norm's first node (2^-30/a) t^(1/(2 eps)), t = _GL_SHIFTED[0]/2, is normal
-# at every a up to A_MAX; at a = 4, from 0.0034
-EPS_MIN = (math.log(0.5 * _GL_SHIFTED[0])
-           / (2.0 * math.log(sys.float_info.min ** 0.5 / _NORM_EDGES[1])))
+# the smallest edge exponent, 2.7755575615628914e-06: the angle integrals
+# (spectrum._angle_integral) hold the edge's exponent 2 eps - 1 to u/2, which
+# moves their edge mass ~1/(2 eps) by a relative u/(4 eps); from EPS_MIN up
+# that is within the 1e-11 the totals are held to
+EPS_MIN = 0.5 * sys.float_info.epsilon / (4.0 * 1e-11)
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ class PacketParams:
                               f"limit's a^-2 error term is subnormal")
         if not EPS_MIN <= self.eps <= EPS_MAX:
             raise ConfigError(
-                "eps must lie in [{0!r}, {1}/{2}]: below {0!r} the numeric "
-                "norm's first node underflows at large a".format(
+                "eps must lie in [{0!r}, {1}/{2}]: below {0!r} the rounding "
+                "of 2 eps - 1 moves the totals by more than 1e-11".format(
                     EPS_MIN, *EPS_MAX.as_integer_ratio()))
 
     @property
@@ -130,7 +130,7 @@ class FieldOnGrid:
                 raise GridMismatchError("field components disagree in shape")
 
 
-def _profile(s, p: PacketParams):
+def packet_profile(s, p: PacketParams):
     """P and dP/dsigma at offsets s = sigma - sigma_star, both zero for s <= 0.
 
     P' = P ((eps + i alpha)/s - a) is integrably singular at the edge for eps < 1.
@@ -144,17 +144,16 @@ def _profile(s, p: PacketParams):
 
 def eval_packet_profile(sigma, p: PacketParams):
     """Profile P(sigma): zero at and below sigma_star, continuous there (eps > 0)."""
-    return _profile(np.asarray(sigma, dtype=float) - p.sigma_star, p)[0]
+    return packet_profile(np.asarray(sigma, dtype=float) - p.sigma_star, p)[0]
 
 
-def packet_values(s, rho, dsig_drho, a0, p: PacketParams):
-    """Packet value and D value at offsets s = sigma - sigma_star.
+def packet_values(prof, dprof, rho, dsig_drho, a0):
+    """Packet value and D value from its profile P and P' (packet_profile).
 
     rho is where the ray of label sigma sits, dsig_drho its tangent and a0
     the flow strength A(x0).  Along rays D sigma = -dsigma/drho, so
     D C0 = -rho^(-1/2) P'(sigma) dsigma/drho - (A/(2 rho^2)) C0.
     """
-    prof, dprof = _profile(s, p)
     inv_sqrt = rho ** -0.5
     value = inv_sqrt * prof
     # rho^2 overflows from rho = 1.34e154 (as at |A+-| = 1e160), where the
@@ -210,9 +209,10 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
     Closed form 4 pi alpha Gamma(2 eps) / (2a)^(2 eps).  With numeric=True
     the full norm bracket -4 pi Im(C0* D C0) rho, s = sigma - sigma_star,
     is summed on a fixed Gauss rule in u = s^(2 eps), which absorbs the
-    s^(2 eps - 1) edge of the bracket: panels at a*s = 0, 2^-30, 2^-29,
-    ..., 16, 32 and a*s_max = 45, twelve nodes each (444 nodes); EPS_MIN
-    keeps the first node's s normal at every rate up to A_MAX.  A
+    s^(2 eps - 1) edge of the bracket: panels at a*s = 2^-53, 2^-30,
+    2^-29, ..., 16, 32 and a*s_max = 45, twelve nodes each (444 nodes).
+    Below a*s = 2^-53 the bracket is 4 pi alpha s^(2 eps - 1) to rounding,
+    and its head 4 pi alpha s^(2 eps) / (2 eps) is added closed.  A
     non-finite sum raises ToleranceError.
     """
     closed = 4.0 * math.pi * p.alpha * math.gamma(2.0 * p.eps) \
@@ -224,15 +224,17 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
 
     a0 = float(flow.profile.eval(0.0))
     two_eps = 2.0 * p.eps
-    u, w = gauss_panels((_NORM_EDGES / p.a) ** two_eps)
+    edges = _NORM_EDGES / p.a
+    u, w = gauss_panels(edges ** two_eps)
     s = u ** (1.0 / two_eps)
     rho = p.sigma_star + s
-    # w/s overflows in P' from alpha = 4 at a = A_MAX, eps = EPS_MIN
+    # w/s overflows in P' at the first node s = 2^-53/a from alpha ~ 3e138
     with np.errstate(over="ignore", invalid="ignore"):
-        c, dc = packet_values(s, rho, 1.0, a0, p)
-        # ds = s du / (2 eps u)
-        val = float(np.dot(w * s / (two_eps * u),
-                           -4.0 * math.pi * (np.conj(c) * dc).imag * rho))
+        c, dc = packet_values(*packet_profile(s, p), rho, 1.0, a0)
+        # ds = s du / (2 eps u); the head leaves out e^{-2 a s} >= 1 - 2u
+        val = 4.0 * math.pi * p.alpha * edges[0] ** two_eps / two_eps + float(
+            np.dot(w * s / (two_eps * u),
+                   -4.0 * math.pi * (np.conj(c) * dc).imag * rho))
     if not math.isfinite(val):
         raise ToleranceError(f"numeric packet norm is {val} at alpha="
                              f"{p.alpha}, a={p.a}, eps={p.eps}")

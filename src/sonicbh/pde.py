@@ -49,9 +49,10 @@ squared pairing |c1 - c2|^2 of spectrum.  At x0 = 0 both densities are
 closed: the eikonal's is spectrum.creation_density, and the exact mode's
 is that times ((|eta| + sqrt(eta^2+1)) / (2|eta|))^2, a ratio of eta
 alone.  On evolved grids the pair is taken on transported Gauss nodes,
-with the mode's (f, g) interpolated onto them by a local cubic.  The pair
-is the conserved pairing in its D form, 2 pi i int (u* Dv - (Du)* v) rho
-drho, which carries no separate drift term.
+with the mode's (f, g) interpolated onto them by a local cubic, and on one
+closed node for the edge head, where the packet meets the separatrix ray.
+The pair is the conserved pairing in its D form, 2 pi i int (u* Dv -
+(Du)* v) rho drho, which carries no separate drift term.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ from .errors import (ConfigError, InstabilityError, ResolutionError,
                      ToleranceError)
 from .flow import FlowMap, VelocityProfile, transport
 from .gammatools import packet_fourier_modulus_sq
-from .packets import (EPS_MAX, FieldOnGrid, PacketParams, eikonal_values,
-                      gauss_panels, mode_initial_data, packet_values)
+from .packets import (FieldOnGrid, PacketParams, eikonal_values, gauss_panels,
+                      mode_initial_data, packet_profile, packet_values)
 from .spectrum import creation_density, density_from_projections
 
 __all__ = [
@@ -615,11 +616,10 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
     of each solve made.  These raise ConfigError before any work: a grid
     whose edges do not hold for the flow over [0, t_final] (the coarse
     twin's RadialGrid.auto); grids whose two solves would take more work
-    than MAX_POINT_STEPS; eps below EPS_MIN; no eta sample, or one not
-    negative; an alpha that leaves the |F|^2 factor of a sweep or evolved
-    density subnormal; and an eta sample whose x0 = 0 eikonal density or
-    its |F|^2 factor is not a positive normal float, or whose deviation is
-    not finite.
+    than MAX_POINT_STEPS; no eta sample, or one not negative; an alpha
+    that leaves the |F|^2 factor of a sweep or evolved density subnormal;
+    and an eta sample whose x0 = 0 eikonal density or its |F|^2 factor is
+    not a positive normal float, or whose deviation is not finite.
     """
     profile = flow.profile
     coarse = RadialGrid.auto(grid.rho_min, grid.rho_max, grid.n_rho // 2 + 1,
@@ -630,11 +630,6 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"the wave solves would take {work:.3g} point-steps (steps x "
             f"(n_rho + {N_STEP})), beyond the budget of "
             f"{MAX_POINT_STEPS:.7g}; lower nrho or tfinal")
-    if not p.eps >= EPS_MIN:
-        raise ConfigError("eps must lie in [{0}, {1}/{2}]: below {0} the "
-                          "packet edge s^eps needs quadrature nodes smaller "
-                          "than the smallest float".format(
-                              EPS_MIN, *EPS_MAX.as_integer_ratio()))
     if not (len(eta_samples) and max(eta_samples) < 0.0):
         raise ConfigError("eta_list must hold negative values")
     for a in A_VALUES:  # |F|^2 ~ e^{-2 alpha theta} scales each density
@@ -721,12 +716,14 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
 class PacketQuadrature:
     """Gauss nodes over the packet support, transported to time x0.
 
-    Node positions sigma = sigma_star + s split into a head zone with
-    panels uniform in ln(s) -- there the log-phase alpha*ln(s) advances
-    linearly and the edge singularity is absorbed by the measure -- and a
-    tail zone with panels sized to the e^{i eta s} oscillation.  rho(s)
-    and dsigma/drho follow the rays; the weights carry the node-variable
-    and ray Jacobians, so weighted sums evaluate integrals over rho.
+    Node 0, at s_c = ulp(sigma_star) with unit weight in s, stands for the
+    edge head (0, s_c] on sigma_star's ray (_node_fields).  The others split
+    into a near zone from s_c with panels uniform in ln(s) -- there the
+    log-phase alpha*ln(s) advances linearly and the edge singularity is
+    absorbed by the measure -- and a tail zone with panels sized to the
+    e^{i eta s} oscillation.  rho(s) and dsigma/drho follow the rays; the
+    weights carry the node-variable and ray Jacobians, so weighted sums
+    evaluate integrals over rho.
     """
 
     s: np.ndarray
@@ -736,27 +733,19 @@ class PacketQuadrature:
     x0: float
 
 
-# pde-verify's smallest edge exponent: below it _two_zone_nodes' head node
-# s_min underflows (at |eta| = 4: 1.2e-267 at eps = 0.05, 3.2e-298 at 0.045
-# and 0 at 0.04, where math.log raises); packets.EPS_MIN is far below
-EPS_MIN = 0.05
-
-
-def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
-    """Nodes and weights (for plain ds integration) over (0, s_max], twelve
-    Gauss points a panel."""
+def _two_zone_nodes(alpha: float, eta_abs: float, s_c: float, s_max: float):
+    """Nodes and weights (for plain ds integration): s_c with weight 1 for
+    the head (0, s_c], then twelve Gauss points a panel over [s_c, s_max]."""
     s_split = min(0.5 / max(eta_abs, 1e-30), 0.25 * s_max)
-    # head: t = ln s; truncation below s_min loses O(s_min^eps / eps) mass,
-    # a relative 1e-12
-    s_min = (1e-12 * eps) ** (1.0 / eps) * s_split
-    t_lo, t_hi = math.log(s_min), math.log(s_split)
-    # panels carry at most 2 radians of the phase alpha*t and span at most
-    # 2 in t, which the e^{-a s} fall-off near s_split needs
+    # near zone: t = ln s, panels carrying at most 2 radians of the phase
+    # alpha*t and spanning at most 2 in t, which the e^{-a s} fall-off near
+    # s_split needs
+    t_lo, t_hi = math.log(s_c), math.log(s_split)
     rad_per_panel = 2.0
-    n_head = max(4, int(math.ceil((t_hi - t_lo) * max(alpha, 1.0) / rad_per_panel)))
-    t_nodes, t_w = gauss_panels(np.linspace(t_lo, t_hi, n_head + 1))
-    s_head = np.exp(t_nodes)
-    w_head = t_w * s_head  # ds = s dt
+    n_near = max(4, int(math.ceil((t_hi - t_lo) * max(alpha, 1.0) / rad_per_panel)))
+    t_nodes, t_w = gauss_panels(np.linspace(t_lo, t_hi, n_near + 1))
+    s_near = np.exp(t_nodes)
+    w_near = t_w * s_near  # ds = s dt
     # tail: panel edges marched so each carries <= budget radians of the
     # local phase |eta| s + alpha ln s
     budget = 6.5
@@ -765,13 +754,13 @@ def _two_zone_nodes(eps: float, alpha: float, eta_abs: float, s_max: float):
         freq = eta_abs + alpha / edges[-1]
         edges.append(min(s_max, edges[-1] + budget / freq))
     s_tail, w_tail = gauss_panels(edges)
-    return np.concatenate([s_head, s_tail]), np.concatenate([w_head, w_tail])
+    return np.r_[s_c, s_near, s_tail], np.r_[1.0, w_near, w_tail]
 
 
 def packet_quadrature(p: PacketParams, flow: FlowMap, x0: float,
                       eta_abs: float) -> PacketQuadrature:
-    s, w = _two_zone_nodes(p.eps, p.alpha, float(eta_abs), p.s_max)
-
+    s, w = _two_zone_nodes(p.alpha, float(eta_abs), math.ulp(p.sigma_star),
+                           p.s_max)
     # forward rays from (0, sigma_star + s) with tangent drho/dsigma
     rho, jac = transport(p.sigma_star + s, 0.0, x0, flow)
     return PacketQuadrature(s=s, rho=rho, dsig_drho=1.0 / jac,
@@ -780,9 +769,14 @@ def packet_quadrature(p: PacketParams, flow: FlowMap, x0: float,
 
 def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
                  flow: FlowMap):
-    """Packet and eikonal (value, D value) on transported nodes."""
+    """Packet and eikonal (value, D value) on transported nodes; node 0
+    carries the profile's integrals over the head (0, s_c]: int P' ds =
+    P(s_c), as P(0) = 0, and int P ds = s_c P(s_c) / (1 + eps + i alpha)
+    to a relative a s_c."""
     a0 = float(flow.profile.eval(q.x0))
-    return (packet_values(q.s, q.rho, q.dsig_drho, a0, p),
+    prof, dprof = packet_profile(q.s, p)
+    prof[0], dprof[0] = q.s[0] * prof[0] / (1.0 + p.eps + 1j * p.alpha), prof[0]
+    return (packet_values(prof, dprof, q.rho, q.dsig_drho, a0),
             eikonal_values(p.sigma_star + q.s, q.rho, q.dsig_drho, a0, eta))
 
 

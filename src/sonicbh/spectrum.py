@@ -198,9 +198,11 @@ N_ETA_MIN = 24
 
 def build_spectrum(p: PacketParams, n_eta: int = 96) -> SpectrumTable:
     """Tabulate projections and density over default_eta_grid(a, n_eta)
-    in one array pass; n_eta is at least N_ETA_MIN."""
+    in one array pass; n_eta lies in [N_ETA_MIN, MAX_N_ETA]."""
     if n_eta < N_ETA_MIN:
         raise ConfigError(f"n_eta must be at least {N_ETA_MIN}")
+    if n_eta > MAX_N_ETA:
+        raise ConfigError(f"n_eta must be at most {MAX_N_ETA}")
     eta_grid = default_eta_grid(p.a, n_eta)
     c1, c2 = eikonal_projections(eta_grid, p)
     density = _checked_density(eta_grid, p, c1, c2)
@@ -381,18 +383,20 @@ def limit_sweep(p: PacketParams, a_list) -> SweepResult:
                              limit=lim, residual=abs(v - lim)))
     res = np.array([r.residual for r in rows])
     a_arr = np.array([r.a for r in rows])
-    ok = res > 0.0
+    # v and the limit each take about eight roundings, so a residual that is
+    # rounding reads up to a few u |limit| (measured 4u): within 8u it is 0
+    ok = res > 8.0 * _U * abs(lim)
     x, y = np.log(a_arr[ok]), np.log(res[ok])
     slope, rich = math.nan, rows[-1].total_normalized
     warnings = ["sweep too short for a meaningful slope fit"] * (len(rows) < 3)
     if x.size < 2:
         warnings.append("residual_slope is null: fewer than two a_sweep "
-                        "values leave a nonzero residual to fit")
+                        "values leave a residual above rounding to fit")
     # each log a is off by up to about u (1 + |log a|), from the rate's
     # rounding and the log's; log rates that spread by no more coincide
     elif not np.ptp(x) > 2.0 * _U * (1.0 + np.max(np.abs(x))):
         warnings.append("residual_slope is null: the a_sweep values that "
-                        "leave a nonzero residual coincide in log a")
+                        "leave a residual above rounding coincide in log a")
     else:  # least-squares line through (log a, log residual)
         x = x - x.mean()
         slope = float(np.dot(x, y - y.mean()) / np.dot(x, x))

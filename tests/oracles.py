@@ -49,7 +49,7 @@ from sonicbh.errors import GridMismatchError, InstabilityError
 from sonicbh.flow import FlowMap, VelocityProfile, transport
 from sonicbh.gammatools import gamma0_modulus_sq
 from sonicbh.packets import (FieldOnGrid, PacketParams, eikonal_values,
-                             packet_values)
+                             packet_profile, packet_values)
 from sonicbh.pde import GROWTH_BOUND, GROWTH_LIMIT, RadialGrid
 from sonicbh.pde import solve_cauchy as package_solve_cauchy
 from sonicbh.spectrum import TotalNumber
@@ -125,6 +125,24 @@ def quad_angle_integral(rate: float, eps: float, a: float = math.inf,
     return float(val)
 
 
+def mp_angle_integral(rate: float, eps: float, a: float) -> float:
+    """quad_angle_integral up to pi/2 in mpmath, with eps taken exactly:
+    theta^(2 eps - 1) g, g = cos (sin/theta)^(2 eps - 1) e^{-2 rate theta}
+    w_a, as g(0) (pi/2)^(2 eps) / (2 eps) plus the bounded rest."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        e2, top = 2 * mp.mpf(eps), mp.pi / 2
+
+        def g(th):
+            s, c = mp.sin(th), mp.cos(th)
+            return (c * (s / th) ** (e2 - 1) * mp.exp(-2 * rate * th)
+                    * c / mp.sqrt(c * c + (s / a) ** 2))
+
+        rest = mp.quad(lambda th: th ** (e2 - 1) * (g(th) - 1), [0, top])
+        return float(top ** e2 / e2 + rest)
+
+
 def quad_packet_norm(p: PacketParams, flow: FlowMap) -> float:
     """The full norm bracket -4 pi Im(C0* D C0) rho at x0 = 0, integrated
     adaptively; the substitution u = s^(2 eps) absorbs the s^(2 eps - 1)
@@ -136,7 +154,7 @@ def quad_packet_norm(p: PacketParams, flow: FlowMap) -> float:
     def bracket(s):
         # full x0 = 0 integrand of the KG norm, written in s = rho - sigma_star
         rho = star + s
-        c, dc = packet_values(s, rho, 1.0, a0, p)
+        c, dc = packet_values(*packet_profile(s, p), rho, 1.0, a0)
         return -4.0 * math.pi * (np.conj(c) * dc).imag * rho
 
     u_max = p.s_max ** two_eps
@@ -382,8 +400,8 @@ def packet_fields(rho, x0: float, p: PacketParams, flow: FlowMap) -> FieldOnGrid
     sigma(rho, x0) and its radial derivative."""
     rho = np.asarray(rho, dtype=float)
     sigma, dsig = transport(rho, x0, 0.0, flow)
-    return FieldOnGrid(rho, *packet_values(sigma - p.sigma_star, rho, dsig,
-                                           flow.profile.eval(x0), p), x0)
+    return FieldOnGrid(rho, *packet_values(*packet_profile(
+        sigma - p.sigma_star, p), rho, dsig, flow.profile.eval(x0)), x0)
 
 
 def eikonal_fields(rho, x0: float, eta: float, flow: FlowMap) -> FieldOnGrid:

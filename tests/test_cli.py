@@ -21,7 +21,7 @@ from sonicbh.config import RunConfig, read_pairs
 from sonicbh.errors import ConfigError
 from sonicbh.packets import A_MAX, A_MIN, EPS_MAX
 from sonicbh.output import check_out_dir, format_cell
-from sonicbh.pde import EPS_MIN, NRHO_MAX, NRHO_MIN, inner_edge
+from sonicbh.pde import NRHO_MAX, NRHO_MIN, inner_edge
 from sonicbh.spectrum import MAX_N_ETA, N_ETA_MIN
 
 
@@ -156,18 +156,16 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
         assert not any(tmp_path.iterdir()), argv
 
 
-_EPS_REFUSAL = ("eps must lie in [0.05, 1/2]: below 0.05 the packet edge "
-                "s^eps needs quadrature nodes smaller than the smallest float")
 _PACKET_EPS_REFUSAL = (f"eps must lie in [{packets.EPS_MIN!r}, 1/2]: below "
-                       f"{packets.EPS_MIN!r} the numeric norm's first node "
-                       f"underflows at large a")
+                       f"{packets.EPS_MIN!r} the rounding of 2 eps - 1 moves "
+                       f"the totals by more than 1e-11")
 _PDE_SHORT = ["pde-verify", "--tfinal", "1e-3"]
 
 
 @pytest.mark.parametrize("argv,key,bound,past,message", [
-    pytest.param(_PDE_SHORT + ["--nrho", "256"], "eps", repr(EPS_MIN),
-                 repr(math.nextafter(EPS_MIN, 0.0)), _EPS_REFUSAL,
-                 id=f"eps-0.05-0.049999999999999996-{_EPS_REFUSAL}"),
+    pytest.param(_PDE_SHORT + ["--nrho", "256"], "eps", repr(packets.EPS_MIN),
+                 repr(math.nextafter(packets.EPS_MIN, 0.0)),
+                 _PACKET_EPS_REFUSAL, id="eps-pde-verify-packet-floor"),
     pytest.param(["limit"], "eps", repr(packets.EPS_MIN),
                  repr(math.nextafter(packets.EPS_MIN, 0.0)),
                  _PACKET_EPS_REFUSAL, id="eps-packet-floor"),
@@ -227,7 +225,7 @@ _ALPHA_REFUSAL = "alpha must be finite and positive"
 
 @pytest.mark.parametrize("argv,refusal", [
     # the packet's keys: spectrum, limit and pde-verify build a packet;
-    # eps has the packet's floor, and pde-verify's own far above it
+    # eps has the packet's range, pde-verify's too
     pytest.param(["horizon", "--set", "alpha=-1"], None, id="alpha-horizon"),
     pytest.param(["spectrum", "--set", "alpha=-1"], _ALPHA_REFUSAL,
                  id="alpha-spectrum"),
@@ -238,13 +236,13 @@ _ALPHA_REFUSAL = "alpha must be finite and positive"
     pytest.param(["horizon", "--set", "eps=0.001"], None, id="eps-horizon"),
     pytest.param(["spectrum", "--set", "eps=0.01"], None, id="eps-spectrum"),
     pytest.param(["limit", "--set", "eps=0.01"], None, id="eps-limit"),
-    pytest.param(["spectrum", "--set", "eps=0.002"], _PACKET_EPS_REFUSAL,
+    pytest.param(["spectrum", "--set", "eps=1e-6"], _PACKET_EPS_REFUSAL,
                  id="eps-below-spectrum"),
     pytest.param(["spectrum", "--set", "eps=0.7"], _PACKET_EPS_REFUSAL,
                  id="eps-above-spectrum"),
     pytest.param(["pde-verify", "--nrho", "1024", "--set", "eps=0.04"],
-                 _EPS_REFUSAL, id="eps-pde-verify"),
-    pytest.param(["pde-verify", "--set", "eps=0.049"], _EPS_REFUSAL,
+                 None, id="eps-pde-verify"),
+    pytest.param(["pde-verify", "--set", "eps=0.049"], None,
                  id="eps-0.049-pde-verify"),
     # the flow's keys, which every command reads
     pytest.param(["horizon", "--set", "a_minus=0.5"],
@@ -304,19 +302,20 @@ def test_each_command_checks_only_its_own_keys(tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 1.0, 40.0])
-@pytest.mark.parametrize("command", ["spectrum", "limit"])
+@pytest.mark.parametrize("command", ["spectrum", "limit", "pde-verify"])
 def test_boundary_packet_eps_floor(tmp_path, capsys, command, alpha):
-    # spectrum and limit hold down to the packet's own eps floor,
-    # packets.EPS_MIN = 0.00703, far below pde-verify's 0.05: at it they
-    # run clean, with every numeric norm within 1e-12 of the closed one,
-    # and one float below it they are refused before any output
+    # every command that builds a packet holds down to its eps floor,
+    # packets.EPS_MIN = 2.8e-6: at it they run clean, with every numeric
+    # norm within 1e-12 of the closed one, and one float below it they are
+    # refused before any output
     floor = packets.EPS_MIN
+    argv = [command] + (_SMALL if command == "pde-verify" else [])
     for eps, out in ((floor, tmp_path / "at"),
                      (math.nextafter(floor, 0.0), tmp_path / "below")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            err = _run_boundary([command, "--set", f"eps={eps!r}", "--set",
-                                 f"alpha={alpha!r}"], out, capsys,
+            err = _run_boundary(argv + ["--set", f"eps={eps!r}", "--set",
+                                        f"alpha={alpha!r}"], out, capsys,
                                 accepted=eps == floor)
         if eps != floor:
             assert err == f"config error: {_PACKET_EPS_REFUSAL}\n", err
@@ -489,16 +488,16 @@ def test_pde_verify_reproducible(tmp_path):
 
 # (a, density_exact, density_eikonal, dev_rel, discr_estimate) of the
 # evolved rows of pde-verify --nrho 256 --tfinal 0.1, the repr digits the
-# stepper gave before its right-hand side was bound once per table of A(x0).
-# A change meant to move the stepper's arithmetic updates them, and records
-# the update and its size in CHANGES.md.
+# packet quadrature gave once its edge head was closed.  A change meant to
+# move the stepper's or the node rule's arithmetic updates them, and
+# records the update and its size in CHANGES.md.
 _PINNED_EVOLVED_ROWS = [
-    (8.0, 0.024957785414293866, 0.024107872576118745, 0.03525457650780203,
-     5.3418949818282344e-05),
-    (16.0, 0.003494388512142732, 0.0033719164732554817, 0.0363211959307543,
-     5.811238635279418e-05),
-    (32.0, 0.0005129928632921911, 0.0004954774249873834,
-     0.03535062834649563, 5.848294217946683e-05),
+    (8.0, 0.02495778609221605, 0.024107872576106002, 0.035254604628714575,
+     5.340726795468829e-05),
+    (16.0, 0.0034943887463800153, 0.0033719164732497683,
+     0.036321265399617456, 5.807800634270814e-05),
+    (32.0, 0.0005129928972410324, 0.0004954774249851282,
+     0.035350696868641375, 5.842024661862529e-05),
 ]
 
 
@@ -610,17 +609,17 @@ def test_limit_short_sweep_warns(tmp_path, capsys):
 
 
 def test_limit_null_slope_warns(tmp_path, capsys):
-    # at these a every normalised total equals the limit, so no residual
-    # is left to fit: the slope is null, and a warning says why
-    rc = main(["limit", "--out-dir", str(tmp_path),
-               "--set", "a_sweep=1e101,1e102,1e103"])
-    assert rc == 0
-    assert "warning: residual_slope is null" in capsys.readouterr().out
-    summary = json.loads((tmp_path / "limit_summary.json").read_text())
-    assert summary["residual_slope"] is None
-    assert summary["warnings"] == [
-        "residual_slope is null: fewer than two a_sweep values leave a "
-        "nonzero residual to fit"]
+    # at these a every normalised total equals the limit, and at alpha =
+    # 1e10 every residual is 0 or one unit of rounding (a slope of -0.0 was
+    # reported): no residual above 8 u |limit| is left to fit, so the slope
+    # is null, and a warning says why
+    for key in ("a_sweep=1e101,1e102,1e103", "alpha=1e10"):
+        out = tmp_path / key
+        assert main(["limit", "--out-dir", str(out), "--set", key]) == 0
+        assert "warning: residual_slope is null" in capsys.readouterr().out
+        summary = json.loads((out / "limit_summary.json").read_text())
+        assert summary["residual_slope"] is None, key
+        assert summary["warnings"] == [_SLOPE_ROUNDING], key
 
 
 _SWEEP_MAX = 2.0 ** 511  # 1 / sqrt(the smallest normal float)
@@ -628,7 +627,9 @@ _RICH_NULL = ("richardson_extrapolation is null: its 3x3 system in the last "
               "three a_sweep values is ill-conditioned, with its condition "
               "number times the unit roundoff above 1e-11")
 _SLOPE_NULL = ("residual_slope is null: the a_sweep values that leave a "
-               "nonzero residual coincide in log a")
+               "residual above rounding coincide in log a")
+_SLOPE_ROUNDING = ("residual_slope is null: fewer than two a_sweep values "
+                   "leave a residual above rounding to fit")
 
 
 @pytest.mark.parametrize("a_sweep,accepted,warned", [
@@ -638,7 +639,9 @@ _SLOPE_NULL = ("residual_slope is null: the a_sweep values that leave a "
     # ZeroDivisionError where 2a overflows; all are refused before output
     pytest.param(f"4,8,{_SWEEP_MAX!r}", True, [],
                  id="4,8,6.703903964971299e+153-True"),
-    pytest.param(f"1e153,2e153,{_SWEEP_MAX!r}", True, [],
+    # at 1e153, 2e153 and 2^511 the residuals, 2, 2 and 0 u |limit|, are
+    # rounding, and the slope fitted through them read 0.0
+    pytest.param(f"1e153,2e153,{_SWEEP_MAX!r}", True, [_SLOPE_ROUNDING],
                  id="1e153,2e153,6.703903964971299e+153-True"),
     pytest.param(f"4,8,{math.nextafter(_SWEEP_MAX, math.inf)!r}", False, None,
                  id="4,8,6.7039039649713e+153-False"),
@@ -656,7 +659,7 @@ _SLOPE_NULL = ("residual_slope is null: the a_sweep values that leave a "
     pytest.param("1,1.000000000001,1.000000000002", True, [_RICH_NULL],
                  id="coincide-richardson"),
     pytest.param("1e150,1.0000000000000002e150,1.0000000000000004e150", True,
-                 [_SLOPE_NULL, _RICH_NULL], id="coincide-slope"),
+                 [_SLOPE_ROUNDING, _RICH_NULL], id="coincide-slope"),
     pytest.param("1,1.00000001,1.00000002", True, [_RICH_NULL],
                  id="near-richardson"),
     pytest.param("4,4.000000000000001,4.000000000000002", True,
@@ -930,7 +933,7 @@ def _run_boundary(argv, out_dir, capsys, accepted, refused=2):
          out / "horizon.csv").read_text().splitlines()),
     (["pde-verify", "--nrho", "8193", "--tfinal", "1e-3"],
      "config error: nrho must be at most"),
-    # below pde-verify's eps floor, within the packet's, the norm holds
+    # near the packet's eps floor the norm holds
     (["spectrum", "--set", "eps=0.01"],
      lambda out: [float(ln.split(",")[3]) <= 1e-12 for ln in (
          out / "norm_table.csv").read_text().splitlines()[-5:]] == [True] * 5),
@@ -958,8 +961,8 @@ def test_console_runs(tmp_path, capsys, argv, want):
 @pytest.mark.parametrize("eps", [0.05, 0.5, 0.049, 0.5001])
 @pytest.mark.parametrize("command", ["spectrum", "limit"])
 def test_boundary_inputs_finite_or_typed(tmp_path, capsys, command, eps):
-    # spectrum and limit take eps up to 1/2 and down to the packet's own
-    # floor, far below pde-verify's 0.05; n_eta is spectrum's alone
+    # spectrum and limit take eps up to 1/2 and down to the packet's
+    # floor; n_eta is spectrum's alone
     for alpha in (0.05, 2000.0):
         for a in (1e-3, 1e6):
             for n_eta in (24, 23):
@@ -1114,10 +1117,12 @@ def test_pde_verify_refuses_work_beyond_budget(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.04])
+@pytest.mark.parametrize("eps", [0.05, 0.04, 0.01])
 def test_boundary_pde_verify_eps(tmp_path, capsys, eps):
-    _run_boundary(["pde-verify", "--nrho", "1024", "--set", f"eps={eps}"],
-                  tmp_path, capsys, accepted=eps == 0.05)
+    # pde-verify's own floor of 0.05, where the smallest node of its packet
+    # quadrature underflowed, went with the closed edge head
+    _run_boundary(["pde-verify", "--nrho", "256", "--tfinal", "0.1", "--set",
+                   f"eps={eps}"], tmp_path, capsys, accepted=True)
 
 
 _SMALL = ["--nrho", "256", "--tfinal", "0.1"]
@@ -1188,12 +1193,11 @@ def _within_max_abs(r: str, t: str = "0.75") -> str:
                  _within_max_abs("0.64"), id="grid_rho_max-0.64"),
     pytest.param(["--set", f"grid_rho_max={_EDGE!r}"], False, 2,
                  _within_max_abs(repr(_EDGE)),
-                 id="argv13-False-2-grid_rho_max must exceed the wave grid's "
-                    "inner edge 0.64"),
+                 id="grid_rho_max-at-edge"),
     pytest.param(["--set", f"grid_rho_max={math.nextafter(_EDGE, math.inf)!r}"],
                  False, 2, _within_max_abs(repr(math.nextafter(_EDGE,
                                                                math.inf))),
-                 id="argv14-False-2-point-steps"),
+                 id="grid_rho_max-above-edge"),
     pytest.param(["--set", "grid_rho_max=5"], False, 4, "beyond grid_rho_max",
                  id="argv15-False-4-beyond grid_rho_max"),
     pytest.param(["--set", "grid_rho_max=102"], False, 4, "eta = -4",

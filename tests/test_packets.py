@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from sonicbh import packets
+from sonicbh import packets, spectrum
 from sonicbh.errors import ConfigError, GridMismatchError, ToleranceError
 from sonicbh.packets import (FieldOnGrid, PacketParams, eval_packet_profile,
                              mode_initial_data, packet_norm)
 from sonicbh.flow import integrate_characteristic
 
-from oracles import eikonal_fields, packet_fields, quad_packet_norm
+from oracles import (eikonal_fields, mp_angle_integral, packet_fields,
+                     quad_packet_norm)
 
 
 def eval_packet(rho, x0, p, flow):
@@ -211,7 +212,7 @@ def test_norm_numeric_fixed_rule_grid(smooth_flow, monkeypatch):
     # the fixed Gauss rule against the closed norm over (alpha, eps, a),
     # on one array pass of the same 444 nodes (37 panels of 12) every time,
     # and against the adaptive oracle to that oracle's tolerance
-    from sonicbh import packets
+    from sonicbh import packets, spectrum
     sizes = []
     values = packets.packet_values
 
@@ -230,14 +231,14 @@ def test_norm_numeric_fixed_rule_grid(smooth_flow, monkeypatch):
     assert sizes == [444] * len(NORM_GRID)
 
 
-@pytest.mark.parametrize("eps", [0.002, 0.003, 0.0034, 0.0035, 0.004, 0.005,
-                                 0.01, 0.02, 0.03, 0.04, 0.049])
+@pytest.mark.parametrize("eps", [1e-6, 3e-6, 1e-5, 0.002, 0.003, 0.0034,
+                                 0.0035, 0.004, 0.005, 0.01, 0.02, 0.03, 0.04,
+                                 0.049])
 def test_norm_numeric_below_config_eps(smooth_flow, eps):
-    # below pde-verify's eps floor of 0.05 the packet holds down to its own,
-    # packets.EPS_MIN = 0.00703, where the rule's first node is normal at
-    # every rate up to A_MAX: from it up the numeric norm is within
-    # 1e-12 of the closed one with no warning, and below it PacketParams
-    # refuses the eps (at a = 8 the node underflows from about 0.0034)
+    # from packets.EPS_MIN = 2.8e-6 up the numeric norm is within 1e-12 of
+    # the closed one with no warning, at every rate; below it PacketParams
+    # refuses the eps.  (The rule's first node underflowed at a = 8 from
+    # about eps = 0.0034 before its head was closed)
     star = smooth_flow.sigma_star
     for alpha in (0.05, 1.0, 50.0, 2000.0):
         for a in (1e-3, 8.0, 1e6):
@@ -253,30 +254,30 @@ def test_norm_numeric_below_config_eps(smooth_flow, eps):
 
 
 def test_eps_floor_keeps_the_first_node_normal(smooth_flow):
-    # packets.EPS_MIN is where the numeric norm's first node, at the
-    # largest rate a run takes, meets the smallest normal float: at it the
-    # node is normal and the norm holds, a hair below it the node underflows
-    def first_node(eps):  # packet_norm's arithmetic
-        two_eps = 2.0 * eps
-        u, _ = packets.gauss_panels((packets._NORM_EDGES / packets.A_MAX)
-                                    ** two_eps)
-        return u[0] ** (1.0 / two_eps)
-
-    tiny = np.finfo(float).tiny
-    assert first_node(packets.EPS_MIN * (1.0 - 1e-6)) < tiny
-    assert first_node(packets.EPS_MIN) >= tiny
-    # there |w|/s, w = eps + i alpha, overflows in P' above alpha = 4: the
-    # sum is refused, where numpy warned of an overflow in divide and an
-    # invalid value before
+    # the numeric norm's first node is 2^-53/a or more, normal at every
+    # rate and eps, so the floor comes from the angle integrals: they hold
+    # the exponent 2 eps - 1 to u/2, a relative u/(4 eps) of their edge
+    # mass 1/(2 eps), which is 1e-11 at packets.EPS_MIN.  Against mpmath
+    # with eps exact the rule is off by at most that (measured 2.68e-11 of
+    # 2.78e-11 at eps = 1e-6), within 1e-11 from the floor up
+    for eps in (packets.EPS_MIN, 1e-5, 1e-3, 1e-6):
+        for rate in (0.05, 1.0, 50.0):
+            want = mp_angle_integral(rate, eps, 4.0)
+            err = abs(spectrum._angle_integral(rate, eps, 4.0) / want - 1.0)
+            assert err <= 2.0 ** -53 / (4.0 * eps) + 1e-15, (eps, rate)
+            assert (err <= 1e-11) == (eps >= packets.EPS_MIN), (eps, rate)
+    two_eps = 2.0 * packets.EPS_MIN
+    u, _ = packets.gauss_panels((packets._NORM_EDGES / packets.A_MAX)
+                                ** two_eps)
+    assert u[0] ** (1.0 / two_eps) >= np.finfo(float).tiny
+    # at the floor and a = A_MAX, |w|/s overflowed in P' from alpha = 4 and
+    # the sum was refused as nan, while the first node was 2^-30/a t^(1/(2
+    # eps)); from 2^-53/a it holds
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for alpha in (1e-3, 4.0, 40.0, 2000.0):
             p = PacketParams(alpha=alpha, a=packets.A_MAX, eps=packets.EPS_MIN,
                              sigma_star=smooth_flow.sigma_star)
-            if alpha > 4.0:
-                with pytest.raises(ToleranceError, match="norm is nan"):
-                    packet_norm(p, smooth_flow, numeric=True)
-                continue
             numeric = packet_norm(p, smooth_flow, numeric=True)
             assert abs(numeric / packet_norm(p) - 1.0) <= 1e-12, alpha
 

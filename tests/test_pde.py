@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 import oracles
 from sonicbh import packets, pde
+from sonicbh.config import RunConfig
 from sonicbh.errors import ConfigError, InstabilityError, ResolutionError
 from sonicbh.flow import VelocityProfile, find_separatrix, transport
 from sonicbh.packets import PacketParams, mode_initial_data, gamma_tilde
@@ -590,9 +591,9 @@ def test_pde_verify_bounds_refused_before_any_solve(packet, smooth_flow,
                                                     monkeypatch):
     # the bounds of pde-verify alone, each in the code whose arithmetic
     # sets it: nrho in verify_grid (the coarse twin keeps MIN_POINTS, the
-    # budget still bounds the time); eps from pde.EPS_MIN, where the x0 = 0
-    # packet quadrature's head node stays normal, and negative eta samples
-    # in remainder_contribution, before its first solve
+    # budget still bounds the time), and negative eta samples in
+    # remainder_contribution, before its first solve; pde-verify's eps is
+    # the packet's (PacketParams)
     def no_solve(*args, **kwargs):
         raise AssertionError("a wave solve ran")
 
@@ -606,14 +607,11 @@ def test_pde_verify_bounds_refused_before_any_solve(packet, smooth_flow,
         with pytest.raises(ConfigError, match=message):
             pde.verify_grid(smooth_profile, 9.0, n_rho, 1e-3)
     grid = RadialGrid.auto(0.3, 9.0, 256, smooth_profile, 0.1)
-    low = PacketParams(packet.alpha, packet.a,
-                       math.nextafter(pde.EPS_MIN, 0.0), packet.sigma_star)
-    cases = [(low, (-2.0,), r"eps must lie in \[0.05, 1/2\]: below 0.05")]
-    cases += [(packet, etas, "eta_list must hold negative values")
-              for etas in ((), (2.0,), (-2.0, 0.0), np.array([-6.0, 1e-3]))]
-    for p, etas, message in cases:
-        with pytest.raises(ConfigError, match=message):
-            remainder_contribution(p, etas, grid, smooth_flow, t_final=0.1)
+    for etas in ((), (2.0,), (-2.0, 0.0), np.array([-6.0, 1e-3])):
+        with pytest.raises(ConfigError,
+                           match="eta_list must hold negative values"):
+            remainder_contribution(packet, etas, grid, smooth_flow,
+                                   t_final=0.1)
 
 
 # |A| falling and rising, |A-|/|A+| up to 4, tau from 0.3 to 3, constant
@@ -825,13 +823,105 @@ def test_eikonal_transport_of_phase_fronts(smooth_profile, smooth_flow):
 
 def test_node_quadrature_closed_form(packet, smooth_flow):
     from scipy import special
+    # node 0 stands for the edge head (0, s_c], where the integral is
+    # s_c^w / w to rounding
     w = packet.eps + 1j * packet.alpha
     for eta in (-2.0, -24.0):
         q = packet_quadrature(packet, smooth_flow, 0.0, abs(eta))
-        val = np.sum(q.weights * q.s ** (w - 1.0)
-                     * np.exp(-(packet.a - 1j * eta) * q.s))
+        s = q.s[1:]
+        val = q.s[0] ** w / w + np.sum(q.weights[1:] * s ** (w - 1.0)
+                                       * np.exp(-(packet.a - 1j * eta) * s))
         ref = special.gamma(w) * np.exp(-w * np.log(packet.a - 1j * eta))
         assert abs(val - ref) / abs(ref) < 1e-8
+
+
+# the rows before the edge head was closed, when the near zone reached down
+# to s_min = (1e-12 eps)^(1/eps) s_split: per (alpha, eps) the numeric norm
+# at a = 8, then the evolved (fine, eikonal) densities at each a in A_VALUES
+# on the default 1024-point state at tfinal
+_HEADLESS = {
+    (1.0, 0.05): (90.60215752249988,
+                  0.06008048260534122, 0.05415457600435051,
+                  0.010979481800167955, 0.009674952978350382,
+                  0.002109426072908386, 0.0018590403320035613),
+    (1.0, 0.25): (5.568327996831708,
+                  0.02631897055065105, 0.024107872576118745,
+                  0.0037765521750193188, 0.003371916473255481,
+                  0.0005576141400387105, 0.0004954774249873843),
+    (1.0, 0.5): (0.7853981633974483,
+                  0.009976505553609976, 0.009287803051925841,
+                  0.0010564524981115458, 0.00095666787331377,
+                  0.00011209370930372753, 0.00010052918205059991),
+    (10.0, 0.05): (906.0215752249987,
+                  1.5264698800711029e-09, 1.4904971832182364e-09,
+                  5.479151815480055e-12, 5.199288959140338e-12,
+                  1.3489558641373203e-13, 1.1392849680455047e-13),
+    (10.0, 0.25): (55.68327996831708,
+                  1.5984002061225662e-09, 1.5595907108108749e-09,
+                  4.489787210271629e-12, 4.259196158245748e-12,
+                  8.414898762221002e-14, 7.137121283101166e-14),
+    (10.0, 0.5): (7.853981633974482,
+                  1.6944534573283795e-09, 1.651897942790079e-09,
+                  3.503951819224106e-12, 3.322236410671029e-12,
+                  4.6734113665045385e-14, 3.981165606007845e-14),
+    (40.0, 0.05): (3624.0863008999954,
+                  5.361774356410056e-18, 2.125751964926602e-28,
+                  3.669467739979592e-18, 2.563281410271984e-28,
+                  1.866777864749291e-18, 3.303665124985173e-28),
+    (40.0, 0.25): (222.7331198732683,
+                  1.1957858646519622e-18, 2.410438070972437e-27,
+                  7.874834254351508e-19, 2.5886540031511968e-27,
+                  3.941059465344861e-19, 2.7201777178972257e-27),
+    (40.0, 0.5): (31.415926535897924,
+                  1.932167888294022e-19, 3.511002663784049e-27,
+                  1.1660710253866959e-19, 3.4812579217896995e-27,
+                  5.753495203676317e-20, 3.4868742353406104e-27),
+    (234.0, 0.05): (21200.90486026497,
+                  9.699667509384923e-18, 2.5299350827036627e-26,
+                  4.509249356273257e-19, 2.903192096506503e-26,
+                  1.0119399887012672e-20, 3.229463182279379e-26),
+    (234.0, 0.25): (1302.9887512586195,
+                  4.9588687992453755e-18, 5.0240081360193686e-27,
+                  2.1839228342720886e-19, 4.0045215641056454e-27,
+                  2.32267787265318e-21, 3.669575506146057e-27),
+    (234.0, 0.5): (183.7831702350029,
+                  2.1652393424321045e-18, 3.0734974809843218e-27,
+                  9.629408869143996e-20, 3.1067330567621908e-27,
+                  4.703762575791271e-22, 3.397527211899584e-27),
+}
+
+
+def test_closed_head_against_the_headless_rule(smooth_flow):
+    # the closed head plus the nodes above s_c against the old node sums.
+    # |c1 - c2| moves by at most 1e-8 of the sum of its node terms' moduli,
+    # the scale of the sum's rounding (measured worst 6.0e-9, at alpha = 1,
+    # from the near zone's new panels), and the numeric norm by at most
+    # 1e-15 (measured 3.3e-16).  At eps = 0.05 the old rule took 441 864
+    # nodes at alpha = 40 and 2 584 200 at 234, of which 94.05% and 94.08%
+    # sat on sigma*; the closed head leaves 5.84% and 5.81% of them
+    cfg = RunConfig()
+    grid = pde.verify_grid(smooth_flow.profile, cfg.grid_rho_max, cfg.nrho,
+                           cfg.tfinal)
+    state = solve_mode(pde.EVOLVE_ETA, grid, smooth_flow.profile,
+                       cfg.tfinal)[-1]
+    nodes = {}
+    for (alpha, eps), (norm, *dens) in _HEADLESS.items():
+        p = PacketParams(alpha, 8.0, eps, smooth_flow.sigma_star)
+        numeric = packets.packet_norm(p, smooth_flow, numeric=True)
+        assert abs(numeric / norm - 1.0) <= 1e-15, (alpha, eps)
+        nodes[alpha, eps] = 0
+        for a, ref in zip(A_VALUES, zip(dens[::2], dens[1::2])):
+            q = packet_quadrature(p.with_a(a), smooth_flow, cfg.tfinal, 4.0)
+            pk, eik = _node_fields(q, p.with_a(a), pde.EVOLVE_ETA, smooth_flow)
+            nodes[alpha, eps] += len(q.s)
+            for (u, du), d in zip((pde._mode_fields_at_nodes(q, state), eik),
+                                  ref):
+                c1, c2 = _pair_on_nodes((u, du), pk, q)
+                scale = np.sum(q.weights * q.rho * (np.abs(u * pk[1])
+                                                    + np.abs(du * pk[0])))
+                assert (abs(abs(c1 - c2) - math.sqrt(d)) <= 1e-8 * scale), (
+                    alpha, eps, a)
+    assert (nodes[40.0, 0.05], nodes[234.0, 0.05]) == (25815, 150171)
 
 
 def test_node_pair_matches_adaptive(packet, smooth_flow, smooth_profile):

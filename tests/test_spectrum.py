@@ -23,7 +23,7 @@ from sonicbh.gammatools import (gamma0_modulus_sq, packet_fourier,
                                 packet_fourier_modulus_sq)
 from sonicbh.packets import (A_MIN, FieldOnGrid, PacketParams, gamma_tilde,
                              mode_initial_data, packet_norm)
-from sonicbh.spectrum import (N_ETA_MIN, _simpson, build_spectrum,
+from sonicbh.spectrum import (MAX_N_ETA, N_ETA_MIN, _simpson, build_spectrum,
                               creation_density, default_eta_grid,
                               density_from_projections, eikonal_projections,
                               limit_integral, limit_sweep,
@@ -414,7 +414,7 @@ def test_sweep_richardson_extrapolation_model(monkeypatch):
                  "last three a_sweep values is ill-conditioned, with its "
                  "condition number times the unit roundoff above 1e-11")
     slope_null = ("residual_slope is null: the a_sweep values that leave a "
-                  "nonzero residual coincide in log a")
+                  "residual above rounding coincide in log a")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rates in ([1.0, 1.000000000001, 1.000000000002],
@@ -453,6 +453,16 @@ def test_build_spectrum_refuses_too_few_points(packet):
     build_spectrum(packet, n_eta=N_ETA_MIN)
     for n_eta in (N_ETA_MIN - 1, 3):
         with pytest.raises(ConfigError, match="n_eta must be at least 24"):
+            build_spectrum(packet, n_eta=n_eta)
+
+
+def test_build_spectrum_refuses_too_many_points(packet):
+    # the run's budget of rows, which cli.cmd_spectrum splits between its
+    # rates, is one table's ceiling too: 10**20 raised a raw ValueError
+    # from np.geomspace
+    for n_eta in (MAX_N_ETA + 1, 10 ** 20):
+        with pytest.raises(ConfigError,
+                           match=f"^n_eta must be at most {MAX_N_ETA}$"):
             build_spectrum(packet, n_eta=n_eta)
 
 
