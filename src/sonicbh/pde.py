@@ -717,13 +717,13 @@ class PacketQuadrature:
     """Gauss nodes over the packet support, transported to time x0.
 
     Node 0, at s_c = ulp(sigma_star) with unit weight in s, stands for the
-    edge head (0, s_c] on sigma_star's ray (_node_fields).  The others split
-    into a near zone from s_c with panels uniform in ln(s) -- there the
-    log-phase alpha*ln(s) advances linearly and the edge singularity is
-    absorbed by the measure -- and a tail zone with panels sized to the
-    e^{i eta s} oscillation.  rho(s) and dsigma/drho follow the rays; the
-    weights carry the node-variable and ray Jacobians, so weighted sums
-    evaluate integrals over rho.
+    edge head (0, s_c], on sigma_star's ray to rounding (_node_fields).
+    The others split into a near zone from s_c with panels uniform in
+    ln(s) -- there the log-phase alpha*ln(s) advances linearly and the edge
+    singularity is absorbed by the measure -- and a tail zone with panels
+    sized to the e^{i eta s} oscillation.  rho(s) and dsigma/drho follow
+    the rays; the weights carry the node-variable and ray Jacobians, so
+    weighted sums evaluate integrals over rho.
     """
 
     s: np.ndarray
@@ -775,7 +775,7 @@ def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
     to a relative a s_c."""
     a0 = float(flow.profile.eval(q.x0))
     prof, dprof = packet_profile(q.s, p)
-    prof[0], dprof[0] = q.s[0] * prof[0] / (1.0 + p.eps + 1j * p.alpha), prof[0]
+    prof[0], dprof[0] = q.s[0] * prof[0] / (1 + p.eps + 1j * p.alpha), prof[0]
     return (packet_values(prof, dprof, q.rho, q.dsig_drho, a0),
             eikonal_values(p.sigma_star + q.s, q.rho, q.dsig_drho, a0, eta))
 
