@@ -665,13 +665,16 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
         name: {"n_rho": g.n_rho, "dt": g.dt, "steps": g.steps(t_final)}
         for name, g in (("fine", grid), ("coarse", coarse))})
 
-    if len(report.rows_initial) >= 2:
+    # samples whose log1p|eta| spread by no more than rounding coincide, as
+    # limit_sweep's log rates do, and a line through them has no slope
+    x = np.log1p(np.abs([r.eta for r in report.rows_initial]))
+    if np.ptp(x) > sys.float_info.epsilon * (1.0 + np.max(x)):
         report.eta_fit_exponent = _decay_exponent(
             [r.eta for r in report.rows_initial],
             [r.dev_rel for r in report.rows_initial], "eta", np.log1p)
     else:
-        report.warnings.append("eta-decay exponent needs at least two eta "
-                               "samples; none fitted")
+        report.warnings.append("eta-decay exponent needs two eta samples "
+                               "apart in log1p|eta|; none fitted")
 
     # a-sweep of the fixed-node totals over eta = a*eta' at x0 = 0 of the
     # eikonal density and of the exact-minus-eikonal density

@@ -1,28 +1,35 @@
 """Config handling, CLI commands, file formats, exit codes, determinism."""
 
 import ast
+import contextlib
+import functools
+import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sonicbh import cli, config, errors, packets, pde, spectrum
+import sonicbh
+from domain import BOUNDS, COMMANDS, EPS_REFUSAL, KEYS, ROWS
+from sonicbh import cli, config, errors, pde, spectrum
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, read_pairs
 from sonicbh.errors import ConfigError
-from sonicbh.packets import A_MAX, A_MIN, EPS_MAX
+from sonicbh.packets import A_MIN, EPS_MAX
 from sonicbh.output import check_out_dir, format_cell
-from sonicbh.pde import NRHO_MAX, NRHO_MIN, inner_edge
-from sonicbh.spectrum import MAX_N_ETA, N_ETA_MIN
+from sonicbh.pde import inner_edge
+from sonicbh.spectrum import MAX_N_ETA
 
 
 # -- config --------------------------------------------------------------------
@@ -131,15 +138,9 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
     RunConfig(a_sweep=(), n_eta=1)
     RunConfig(a_sweep=(8.0, 4.0, 5e-324, 0.0, -1.0, 1e300),
               n_eta=MAX_N_ETA + 1)
-    # the same values from the command line exit 2, before any output
-    for argv in (["limit", "--set", "a_sweep="],
-                 ["limit", "--set", "a_sweep=8,4"],
-                 # below A_MIN the numeric norm's nodes (45/a) overflowed
-                 # behind five numpy RuntimeWarnings before exit 3
-                 ["spectrum", "--set", "a_sweep=5e-324,8"],
-                 ["spectrum", "--set", "a_sweep=0"],
-                 ["limit", "--set", "a_sweep=-1,8"],
-                 ["spectrum", "--set", "n_eta=1"],
+    # from the command line, refusals that no row of tests/domain.py
+    # holds exit 2 before any output
+    for argv in (["limit", "--set", "a_sweep=8,4"],
                  ["pde-verify", "--set", "tfinal=inf"],
                  ["spectrum", "--set", "alpha=inf"],
                  # removed keys
@@ -156,56 +157,6 @@ def test_config_rejects_bad_input(tmp_path, capsys, tmp_path_factory):
         assert not any(tmp_path.iterdir()), argv
 
 
-_PACKET_EPS_REFUSAL = (f"eps must lie in [{packets.EPS_MIN!r}, 1/2]: below "
-                       f"{packets.EPS_MIN!r} the rounding of 2 eps - 1 moves "
-                       f"the totals by more than 1e-11")
-_PDE_SHORT = ["pde-verify", "--tfinal", "1e-3"]
-
-
-@pytest.mark.parametrize("argv,key,bound,past,message", [
-    pytest.param(_PDE_SHORT + ["--nrho", "256"], "eps", repr(packets.EPS_MIN),
-                 repr(math.nextafter(packets.EPS_MIN, 0.0)),
-                 _PACKET_EPS_REFUSAL, id="eps-pde-verify-packet-floor"),
-    pytest.param(["limit"], "eps", repr(packets.EPS_MIN),
-                 repr(math.nextafter(packets.EPS_MIN, 0.0)),
-                 _PACKET_EPS_REFUSAL, id="eps-packet-floor"),
-    pytest.param(["spectrum", "--set", "n_eta=24"], "eps", repr(EPS_MAX),
-                 repr(math.nextafter(EPS_MAX, 1.0)), _PACKET_EPS_REFUSAL,
-                 id="eps-packet-ceiling"),
-    pytest.param(["spectrum"], "n_eta", str(N_ETA_MIN), str(N_ETA_MIN - 1),
-                 "n_eta must be at least 24",
-                 id="n_eta-24-23-n_eta must be at least 24"),
-    pytest.param(_PDE_SHORT, "nrho", str(NRHO_MIN), str(NRHO_MIN - 1),
-                 "nrho must be at least 30",
-                 id="nrho-30-29-nrho must be at least 30"),
-    pytest.param(_PDE_SHORT, "nrho", str(NRHO_MAX), str(NRHO_MAX + 1),
-                 "nrho must be at most 8192, where the wave budget still "
-                 "bounds the run time",
-                 id="nrho-8192-8193-nrho must be at most 8192, where the wave "
-                    "budget still bounds the run time"),
-    pytest.param(["limit"], "a_sweep", repr(A_MAX),
-                 repr(math.nextafter(A_MAX, math.inf)),
-                 "a_sweep must be at most 6.703903964971299e+153: above it "
-                 "limit's a^-2 error term is subnormal",
-                 id="a_sweep-bound5-past5-a_sweep must be at most "
-                    "6.703903964971299e+153: above it limit's a^-2 error "
-                    "term is subnormal"),
-])
-def test_config_bounds_from_their_modules(tmp_path, capsys, argv, key, bound,
-                                          past, message):
-    # each bound is defined beside the arithmetic that sets it and checked
-    # there, for the command that reads the key: the bound itself is no
-    # config error (nrho = 30 is too coarse for eta = -4, exit 4), and one
-    # float or one int past it is refused with a message that names it,
-    # before any output
-    main(argv + ["--set", f"{key}={bound}", "--out-dir", str(tmp_path / "at")])
-    assert not capsys.readouterr().err.startswith("config error")
-    out = tmp_path / "past"
-    assert main(argv + ["--set", f"{key}={past}", "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
 def test_config_checks_state_no_number_of_their_own():
     # RunConfig only parses: it applies no bound, so its checks state no
     # number and it imports nothing from the packet or the spectrum
@@ -220,105 +171,139 @@ def test_config_checks_state_no_number_of_their_own():
     assert not imported & {"packets", "spectrum"}, imported
 
 
-_ALPHA_REFUSAL = "alpha must be finite and positive"
+# -- the domain table (tests/domain.py) ----------------------------------------
+
+class Started(Exception):
+    """Raised in place of the call where a run's work starts."""
 
 
-@pytest.mark.parametrize("argv,refusal", [
-    # the packet's keys: spectrum, limit and pde-verify build a packet;
-    # eps has the packet's range, pde-verify's too
-    pytest.param(["horizon", "--set", "alpha=-1"], None, id="alpha-horizon"),
-    pytest.param(["spectrum", "--set", "alpha=-1"], _ALPHA_REFUSAL,
-                 id="alpha-spectrum"),
-    pytest.param(["limit", "--set", "alpha=-1"], _ALPHA_REFUSAL,
-                 id="alpha-limit"),
-    pytest.param(["pde-verify", "--set", "alpha=-1"], _ALPHA_REFUSAL,
-                 id="alpha-pde-verify"),
-    pytest.param(["horizon", "--set", "eps=0.001"], None, id="eps-horizon"),
-    pytest.param(["spectrum", "--set", "eps=0.01"], None, id="eps-spectrum"),
-    pytest.param(["limit", "--set", "eps=0.01"], None, id="eps-limit"),
-    pytest.param(["spectrum", "--set", "eps=1e-6"], _PACKET_EPS_REFUSAL,
-                 id="eps-below-spectrum"),
-    pytest.param(["spectrum", "--set", "eps=0.7"], _PACKET_EPS_REFUSAL,
-                 id="eps-above-spectrum"),
-    pytest.param(["pde-verify", "--nrho", "1024", "--set", "eps=0.04"],
-                 None, id="eps-pde-verify"),
-    pytest.param(["pde-verify", "--set", "eps=0.049"], None,
-                 id="eps-0.049-pde-verify"),
-    # the flow's keys, which every command reads
-    pytest.param(["horizon", "--set", "a_minus=0.5"],
-                 "a_minus and a_plus must be negative", id="a_minus-horizon"),
-    pytest.param(["spectrum", "--set", "a_plus=-1e-6"],
-                 "min(|a_minus|, |a_plus|) must exceed rho_min = 0.001",
-                 id="a_plus-spectrum"),
-    # pde-verify's keys (test_boundary_pde_verify_grid holds its nrho,
-    # tfinal and grid_rho_max refusals)
-    pytest.param(["horizon", "--set", "nrho=8193"], None, id="nrho-horizon"),
-    pytest.param(["spectrum", "--set", "nrho=8"], None, id="nrho-spectrum"),
-    pytest.param(["horizon", "--set", "tfinal=-1"], None, id="tfinal-horizon"),
-    pytest.param(["limit", "--set", "tfinal=0"], None, id="tfinal-limit"),
-    pytest.param(["horizon", "--set", "grid_rho_max=-1"], None,
-                 id="grid_rho_max-horizon"),
-    pytest.param(["spectrum", "--set", "grid_rho_max=0"], None,
-                 id="grid_rho_max-spectrum"),
-    pytest.param(["horizon", "--set", "eta_list=1"], None,
-                 id="eta_list-horizon"),
-    pytest.param(["limit", "--set", "eta_list="], None, id="eta_list-limit"),
-    pytest.param(["pde-verify", "--set", "eta_list=1"],
-                 "eta_list must hold negative values", id="eta_list-pde-verify"),
-    pytest.param(["pde-verify", "--eta-list", "2,-6"],
-                 "eta_list must hold negative values",
-                 id="eta_list-mixed-pde-verify"),
-    pytest.param(["pde-verify", "--eta-list="],
-                 "eta_list must hold negative values",
-                 id="eta_list-empty-pde-verify"),
-    # a_sweep is read by spectrum and limit, n_eta by spectrum alone;
-    # pde-verify takes its own rates
-    pytest.param(["horizon", "--set", "n_eta=23"], None, id="n_eta-horizon"),
-    pytest.param(["horizon", "--set", "a_sweep=8,4"], None,
-                 id="a_sweep-horizon"),
-    pytest.param(["limit", "--set", "n_eta=1"], None, id="n_eta-limit"),
-    pytest.param(["pde-verify", "--nrho", "256", "--tfinal", "0.1", "--set",
-                  "a_sweep=0"], None, id="a_sweep-pde-verify"),
-    pytest.param(["spectrum", "--set", "a_sweep="],
-                 "a_sweep must not be empty", id="a_sweep-spectrum"),
-    pytest.param(["limit", "--set", "a_sweep="],
-                 "a_sweep must be nonempty and strictly increasing",
-                 id="a_sweep-limit"),
-])
-def test_each_command_checks_only_its_own_keys(tmp_path, capsys, argv,
-                                               refusal):
+def _at_bound_cases():
+    for row in BOUNDS:
+        works = [c for c in row.readers if c not in row.defects]
+        yield pytest.param(row, works, id=row.id)
+        for command, why in row.defects.items():
+            yield pytest.param(row, [command], id=f"{row.id}-{command}",
+                               marks=pytest.mark.xfail(raises=RuntimeWarning,
+                                                       strict=True,
+                                                       reason=why))
+
+
+@pytest.mark.parametrize("row,commands", _at_bound_cases())
+def test_config_bounds_from_their_modules(tmp_path, capsys, row, commands):
+    # at the bound each command that reads the key runs: exit 0, or the
+    # row's named exit, with no warning; a run that reaches the row's stop
+    # call, where its work starts, is accepted there
+    for command in commands:
+        argv = COMMANDS[command] + ["--set", f"{row.key}={row.at}"]
+        code = row.at_exit.get(command, 0)
+        module, _, name = row.stop.partition(".")
+        stop = (mock.patch.object(getattr(sonicbh, module), name,
+                                  side_effect=Started)
+                if row.stop else contextlib.nullcontext())
+        with warnings.catch_warnings(), stop:
+            warnings.simplefilter("error")
+            try:
+                err = _run_boundary(argv, tmp_path / command, capsys,
+                                    accepted=code == 0, refused=code)
+            except Started:
+                err = capsys.readouterr().err
+        assert code or err == "", (argv, err)
+
+
+# rows from before the table: values inside the domain, and the sign,
+# order and emptiness rules that no bound's row holds
+_ETA_SIGN = "eta_list must hold negative values"
+_OWN_KEY_ROWS = [
+    (["spectrum", "--set", "eps=1e-6"], EPS_REFUSAL, "eps-below-spectrum"),
+    (["spectrum", "--set", "eps=0.7"], EPS_REFUSAL, "eps-above-spectrum"),
+    (["pde-verify", "--set", "eps=0.049"], None, "eps-0.049-pde-verify"),
+    (["pde-verify", "--eta-list", "2,-6"], _ETA_SIGN,
+     "eta_list-mixed-pde-verify"),
+    (["pde-verify", "--eta-list="], _ETA_SIGN, "eta_list-empty-pde-verify"),
+    (["horizon", "--set", "eta_list=1"], None, "eta_list-positive-horizon"),
+    (["limit", "--set", "eta_list="], None, "eta_list-empty-limit"),
+    (["horizon", "--set", "a_sweep=8,4"], None, "a_sweep-unsorted-horizon"),
+    (["spectrum", "--set", "a_sweep="], "a_sweep must not be empty",
+     "a_sweep-empty-spectrum"),
+    (["limit", "--set", "a_sweep="],
+     "a_sweep must be nonempty and strictly increasing",
+     "a_sweep-empty-limit"),
+]
+
+
+@pytest.mark.parametrize("key,command,run", [
+    *[pytest.param(key, command, None, id=f"{key}-{command}")
+      for key in KEYS for command in COMMANDS],
+    *[pytest.param(None, None, (argv, refusal), id=name)
+      for argv, refusal, name in _OWN_KEY_ROWS]])
+def test_each_command_checks_only_its_own_keys(tmp_path, capsys, key,
+                                               command, run):
     # a bound is checked by the code whose arithmetic sets it, so a command
-    # is refused only on a key it reads: it exits 0 with no warning, or 2
-    # before any output with a message that names the key
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        err = _run_boundary(argv, out, capsys, accepted=refusal is None)
-    if refusal is None:
-        assert err == "", err
-    else:
-        assert err.startswith(f"config error: {refusal}"), err
-        assert not out.exists()
+    # is refused only on a key it reads.  One past each bound of the key, a
+    # command that reads it exits 2 before any output with the owner's
+    # refusal, and any other runs: exit 0 with no warning
+    runs = [run] if run else [
+        (COMMANDS[command] + ["--set", f"{key}={row.past}"],
+         row.message if command in row.readers else None)
+        for row in BOUNDS if row.key == key]
+    for i, (argv, refusal) in enumerate(runs):
+        out = tmp_path / str(i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _run_boundary(argv, out, capsys, accepted=refusal is None)
+        if refusal is None:
+            assert err == "", (argv, err)
+        else:
+            assert err == f"config error: {refusal}\n", (argv, err)
+            assert not out.exists(), argv
+
+
+def test_every_bound_constant_has_a_row():
+    # each module-level constant named in the condition of an if that
+    # raises ConfigError is a bound, and a row of the table names it
+    # as its owner; every other row names the check its bound comes from
+    guarded = set()
+    for info in pkgutil.iter_modules(sonicbh.__path__):
+        tree = ast.parse(inspect.getsource(
+            importlib.import_module(f"sonicbh.{info.name}")))
+        constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                     for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.If) and any(
+                    isinstance(s, ast.Raise) and isinstance(s.exc, ast.Call)
+                    and getattr(s.exc.func, "id", None) == "ConfigError"
+                    for s in node.body):
+                guarded |= {f"{info.name}.{n.id}" for n in ast.walk(node.test)
+                            if isinstance(n, ast.Name) and n.id in constants}
+    owners = {row.owner for row in BOUNDS}
+    assert guarded == {o for o in owners if o.split(".")[-1].isupper()}
+    for row in BOUNDS:
+        functools.reduce(getattr, row.owner.split("."), sonicbh)
+        # a row's past value is the one float or one int past its bound
+        at, past = (float(v) for v in (row.at, row.past))
+        assert past == (at + math.copysign(1, past - at)
+                        if row.at.lstrip("-").isdigit()
+                        else math.nextafter(at, past)), row.id
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 1.0, 40.0])
 @pytest.mark.parametrize("command", ["spectrum", "limit", "pde-verify"])
 def test_boundary_packet_eps_floor(tmp_path, capsys, command, alpha):
     # every command that builds a packet holds down to its eps floor,
-    # packets.EPS_MIN = 2.8e-6: at it they run clean, with every numeric
-    # norm within 1e-12 of the closed one, and one float below it they are
-    # refused before any output
-    floor = packets.EPS_MIN
+    # packets.EPS_MIN = 2.8e-6, at every alpha: at it they run clean, with
+    # every numeric norm within 1e-12 of the closed one, and one float
+    # below it they are refused before any output
+    row = ROWS["eps-packet-floor"]
     argv = [command] + (_SMALL if command == "pde-verify" else [])
-    for eps, out in ((floor, tmp_path / "at"),
-                     (math.nextafter(floor, 0.0), tmp_path / "below")):
+    for eps, out in ((row.at, tmp_path / "at"),
+                     (row.past, tmp_path / "below")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            err = _run_boundary(argv + ["--set", f"eps={eps!r}", "--set",
+            err = _run_boundary(argv + ["--set", f"eps={eps}", "--set",
                                         f"alpha={alpha!r}"], out, capsys,
-                                accepted=eps == floor)
-        if eps != floor:
-            assert err == f"config error: {_PACKET_EPS_REFUSAL}\n", err
+                                accepted=out.name == "at")
+        if out.name == "below":
+            assert err == f"config error: {EPS_REFUSAL}\n", err
             assert not out.exists()
         elif command == "spectrum":
             rows = (out / "norm_table.csv").read_text().splitlines()[-5:]
@@ -727,6 +712,24 @@ def test_pde_verify_resolution_exit_code(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert "resolution failure" in err and "eta = -4" in err
+
+
+_ETA_FIT_NULL = ("eta-decay exponent needs two eta samples apart in "
+                 "log1p|eta|; none fitted")
+
+
+@pytest.mark.parametrize("eta_list,exponent", [
+    # samples that coincide in log1p|eta| fitted a line through one point:
+    # 0.9593 at -2,-2 and -1.77e9 at -1e-8,-1e-8, with no warning
+    ("-2,-2", None), ("-1e-8,-1e-8", None), ("-2,-6", 2.5639102402132936)],
+    ids=["coincide", "coincide-near-zero", "apart"])
+def test_pde_verify_eta_fit_needs_samples_apart(tmp_path, eta_list,
+                                                exponent):
+    assert main(["pde-verify", f"--eta-list={eta_list}", "--out-dir",
+                 str(tmp_path)] + _SMALL) == 0
+    report = _strict_json(tmp_path / "pde_report.json")["report"]
+    assert report["eta_fit_exponent"] == exponent
+    assert report["warnings"] == ([] if exponent else [_ETA_FIT_NULL])
 
 
 def _strict_json(path):
@@ -1351,15 +1354,9 @@ def test_boundary_pde_verify_nrho_at_the_work_budget(tmp_path, capsys,
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if work(mid) <= pde.MAX_POINT_STEPS else (lo, mid)
 
-    class Stepping(Exception):
-        pass
-
-    def first_solve(*args, **kwargs):
-        raise Stepping
-
-    monkeypatch.setattr(pde, "solve_mode", first_solve)
+    monkeypatch.setattr(pde, "solve_mode", mock.Mock(side_effect=Started))
     t0 = time.monotonic()
-    with pytest.raises(Stepping):
+    with pytest.raises(Started):
         main(["pde-verify", "--out-dir", str(tmp_path), "--nrho", str(lo),
               "--tfinal", "1000"])
     assert main(["pde-verify", "--out-dir", str(tmp_path),
@@ -1415,22 +1412,21 @@ def test_boundary_a_sweep(tmp_path, capsys, alpha, eps):
     # limit's fit of three a against ln(a)/a^2 stays finite
     sets = ["--set", f"alpha={alpha!r}", "--set", f"eps={eps!r}",
             "--set", "n_eta=24"]
-    refusal = f"config error: a_sweep must be at least {A_MIN!r}: "
-    below = repr(math.nextafter(A_MIN, 0.0))
+    row = ROWS["a_sweep-packet-floor"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for command in ("spectrum", "limit"):
-            for a in (repr(A_MIN), "1e-150", f"{A_MIN!r},1e-152,1e-151"):
+        for command in row.readers:
+            for a in (row.at, "1e-150", f"{row.at},1e-152,1e-151"):
                 out = tmp_path / f"{command}_{a}"
                 err = _run_boundary([command, "--set", f"a_sweep={a}"]
                                     + sets, out, capsys, accepted=True)
                 assert err == "", err
             out = tmp_path / f"{command}_below"
-            err = _run_boundary([command, "--set", f"a_sweep={below},8"]
+            err = _run_boundary([command, "--set", f"a_sweep={row.past},8"]
                                 + sets, out, capsys, accepted=False)
-            assert err.startswith(refusal), err
+            assert err == f"config error: {row.message}\n", err
             assert not out.exists()
-    out = tmp_path / f"spectrum_{A_MIN!r}"
+    out = tmp_path / f"spectrum_{row.at}"
     assert (out / f"packet_profile_a{A_MIN:g}.csv").exists()
 
 
