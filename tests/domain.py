@@ -46,6 +46,7 @@ class Bound:
     at_exit: dict = field(default_factory=dict)  # named exits at the bound
     stop: str = ""  # a run at the bound that reaches this call stops there
     defects: dict = field(default_factory=dict)  # readers that fail at it
+    own_case: dict = field(default_factory=dict)  # reader -> its own case id
 
 
 def _float(bound, side):
@@ -93,8 +94,10 @@ BOUNDS = [
           "235.27140443565906", "235.2714044356591",
           _eta_refusal(-2.0, "7.96e-308", "2.23e-308", "0.122"),
           stop="pde.solve_mode"),
+    # pde-verify's wave solves at the floor run as a case of their own
     Bound("eps-packet-floor", "eps", "packets.EPS_MIN", PACKET,
-          *_float(packets.EPS_MIN, "floor"), EPS_REFUSAL),
+          *_float(packets.EPS_MIN, "floor"), EPS_REFUSAL,
+          own_case={"pde-verify": "eps-pde-verify-packet-floor"}),
     Bound("eps-packet-ceiling", "eps", "packets.EPS_MAX", PACKET,
           *_float(packets.EPS_MAX, "ceiling"), EPS_REFUSAL),
     Bound("a_sweep-packet-floor", "a_sweep", "packets.A_MIN", RATES,

@@ -179,8 +179,11 @@ class Started(Exception):
 
 def _at_bound_cases():
     for row in BOUNDS:
-        works = [c for c in row.readers if c not in row.defects]
+        works = [c for c in row.readers
+                 if c not in row.defects and c not in row.own_case]
         yield pytest.param(row, works, id=row.id)
+        for command, case in row.own_case.items():
+            yield pytest.param(row, [command], id=case)
         for command, why in row.defects.items():
             yield pytest.param(row, [command], id=f"{row.id}-{command}",
                                marks=pytest.mark.xfail(raises=RuntimeWarning,
