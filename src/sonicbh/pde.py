@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -532,9 +532,9 @@ class RemainderReport:
 
     rows_initial: list[RemainderRow] = field(default_factory=list)
     rows_evolved: list[RemainderRow] = field(default_factory=list)
-    sweep_a: list[float] = field(default_factory=list)
-    sweep_dev: list[float] = field(default_factory=list)
-    sweep_leading: list[float] = field(default_factory=list)
+    # the x0 = 0 a-sweep: each rate, its relative deviation and its total
+    sweep: dict[str, list[float]] = field(default_factory=lambda: {
+        "a": [], "dev_rel": [], "leading": []})
     fit_exponent: float = float("nan")
     fit_exponent_absolute: float = float("nan")
     leading_exponent: float = float("nan")
@@ -547,22 +547,13 @@ class RemainderReport:
     history: list[FieldOnGrid] = field(default_factory=list, repr=False)
 
     def to_jsonable(self) -> dict:
-        # the x0 = 0 rows have no discretisation estimate
-        initial = [{k: v for k, v in asdict(r).items()
-                    if k not in ("discr_estimate", "resolved")}
-                   for r in self.rows_initial]
-        return {
-            "rows_initial": initial,
-            "rows_evolved": [asdict(r) for r in self.rows_evolved],
-            "sweep": {"a": self.sweep_a, "dev_rel": self.sweep_dev,
-                      "leading": self.sweep_leading},
-            "fit_exponent": self.fit_exponent,
-            "fit_exponent_absolute": self.fit_exponent_absolute,
-            "leading_exponent": self.leading_exponent,
-            "eta_fit_exponent": self.eta_fit_exponent,
-            "warnings": self.warnings,
-            "solves": self.solves,
-        }
+        """The fields less history; the x0 = 0 rows have no
+        discretisation estimate."""
+        js = asdict(replace(self, history=[]))
+        del js["history"]
+        for row in js["rows_initial"]:
+            del row["discr_estimate"], row["resolved"]
+        return js
 
 
 # Gauss-Legendre nodes on scaled wavenumber eta' = eta/a, where the density
@@ -678,17 +669,18 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
 
     # a-sweep of the fixed-node totals over eta = a*eta' at x0 = 0 of the
     # eikonal density and of the exact-minus-eikonal density
+    sweep = report.sweep
     for a in A_VALUES:
         etas = a * _SWEEP_NODES
         wdk = _SWEEP_WEIGHTS * a * creation_density(etas, p.with_a(a))
         tk = float(np.sum(wdk))
-        report.sweep_a.append(a)
-        report.sweep_dev.append(float(np.sum(wdk * _frequency_dev(etas))) / tk)
-        report.sweep_leading.append(tk)
-    report.fit_exponent = _decay_exponent(report.sweep_a, report.sweep_dev,
-                                          "a", np.log)
-    report.leading_exponent = _decay_exponent(
-        report.sweep_a, report.sweep_leading, "a", np.log)
+        sweep["a"].append(a)
+        sweep["dev_rel"].append(float(np.sum(wdk * _frequency_dev(etas))) / tk)
+        sweep["leading"].append(tk)
+    report.fit_exponent = _decay_exponent(sweep["a"], sweep["dev_rel"], "a",
+                                          np.log)
+    report.leading_exponent = _decay_exponent(sweep["a"], sweep["leading"],
+                                              "a", np.log)
     report.fit_exponent_absolute = report.fit_exponent + report.leading_exponent
 
     # the mode solve depends only on eta: run it (and its coarse twin) once
@@ -704,36 +696,53 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
         report.warnings.append(
             f"evolved rows have no discretisation estimate: coarse twin {exc}")
 
+    # each row from the fine state and, when solved, its coarse twin
     for a in A_VALUES:
-        row = _evolved_row(p.with_a(a), eta, states, flow)
-        report.rows_evolved.append(row)
-        if row.discr_estimate is not None and not row.resolved:
+        d_nums, d_eik = evolved_projection_densities(states, flow,
+                                                     p.with_a(a), eta)
+        dev, *dev_c = (abs(d - d_eik) / abs(d_eik) for d in d_nums)
+        discr = float(abs(dev - dev_c[0]) / DISCR_DIVISOR) if dev_c else None
+        resolved = discr is not None and bool(discr < 0.3 * dev)
+        report.rows_evolved.append(RemainderRow(
+            a=a, eta=eta, density_exact=float(d_nums[0]),
+            density_eikonal=float(d_eik), dev_rel=float(dev),
+            x0=float(states[0].x0), discr_estimate=discr, resolved=resolved))
+        if discr is not None and not resolved:
             report.warnings.append(
-                f"a={a} eta={eta}: discretisation estimate "
-                f"{row.discr_estimate:.3g} not small against the measured "
-                f"deviation {row.dev_rel:.3g}")
+                f"a={a} eta={eta}: discretisation estimate {discr:.3g} not "
+                f"small against the measured deviation {dev:.3g}")
     return report
 
 
 @dataclass(frozen=True)
 class PacketQuadrature:
-    """Gauss nodes over the packet support, transported to time x0.
+    """Gauss nodes over the packet support, transported to time x0, and the
+    packet's and the eikonal's (value, D value) on them.
 
     Node 0, at s_c = ulp(sigma_star) with unit weight in s, stands for the
-    edge head (0, s_c], on sigma_star's ray to rounding (_node_fields).
+    edge head (0, s_c], on sigma_star's ray to rounding (packet_quadrature).
     The others split into a near zone from s_c with panels uniform in
     ln(s) -- there the log-phase alpha*ln(s) advances linearly and the edge
     singularity is absorbed by the measure -- and a tail zone with panels
-    sized to the e^{i eta s} oscillation.  rho(s) and dsigma/drho follow
-    the rays; the weights carry the node-variable and ray Jacobians, so
-    weighted sums evaluate integrals over rho.
+    sized to the e^{i eta s} oscillation.  rho(s) follows the rays; the
+    weights carry the node-variable and ray Jacobians, so weighted sums
+    evaluate integrals over rho, and pair pairs a mode with the packet.
     """
 
     s: np.ndarray
     rho: np.ndarray
-    dsig_drho: np.ndarray
     weights: np.ndarray
-    x0: float
+    packet: tuple
+    eikonal: tuple
+
+    def pair(self, u, du) -> tuple[complex, complex]:
+        """The two sides (c1, c2) = i int (u* Dv, (Du)* v) rho drho, on the
+        nodes, of the pairing <u, v> = 2 pi (c1 - c2) of the mode (u, du)
+        with the packet v."""
+        v, dv = self.packet
+        c1 = 1j * np.sum(self.weights * np.conj(u) * dv * self.rho)
+        c2 = 1j * np.sum(self.weights * np.conj(du) * v * self.rho)
+        return complex(c1), complex(c2)
 
 
 def _two_zone_nodes(alpha: float, eta_abs: float, s_c: float, s_max: float):
@@ -762,39 +771,34 @@ def _two_zone_nodes(alpha: float, eta_abs: float, s_c: float, s_max: float):
 
 def packet_quadrature(p: PacketParams, flow: FlowMap, x0: float,
                       eta_abs: float) -> PacketQuadrature:
+    """The nodes of p transported to x0, with the packet and the eikonal at
+    eta = -eta_abs on them.  Node 0 carries the profile's integrals over
+    the head (0, s_c]: int P' ds = P(s_c), as P(0) = 0, and int P ds =
+    s_c P(s_c) / (1 + eps + i alpha) to a relative a s_c."""
     s, w = _two_zone_nodes(p.alpha, float(eta_abs), math.ulp(p.sigma_star),
                            p.s_max)
     # forward rays from (0, sigma_star + s) with tangent drho/dsigma
     rho, jac = transport(p.sigma_star + s, 0.0, x0, flow)
-    return PacketQuadrature(s=s, rho=rho, dsig_drho=1.0 / jac,
-                            weights=w * jac, x0=float(x0))
+    dsig_drho, a0 = 1.0 / jac, float(flow.profile.eval(float(x0)))
+    prof, dprof = packet_profile(s, p)
+    prof[0], dprof[0] = s[0] * prof[0] / (1 + p.eps + 1j * p.alpha), prof[0]
+    return PacketQuadrature(
+        s, rho, w * jac, packet_values(prof, dprof, rho, dsig_drho, a0),
+        eikonal_values(p.sigma_star + s, rho, dsig_drho, a0, -float(eta_abs)))
 
 
-def _node_fields(q: PacketQuadrature, p: PacketParams, eta: float,
-                 flow: FlowMap):
-    """Packet and eikonal (value, D value) on transported nodes; node 0
-    carries the profile's integrals over the head (0, s_c]: int P' ds =
-    P(s_c), as P(0) = 0, and int P ds = s_c P(s_c) / (1 + eps + i alpha)
-    to a relative a s_c."""
-    a0 = float(flow.profile.eval(q.x0))
-    prof, dprof = packet_profile(q.s, p)
-    prof[0], dprof[0] = q.s[0] * prof[0] / (1 + p.eps + 1j * p.alpha), prof[0]
-    return (packet_values(prof, dprof, q.rho, q.dsig_drho, a0),
-            eikonal_values(p.sigma_star + q.s, q.rho, q.dsig_drho, a0, eta))
-
-
-def _mode_fields_at_nodes(q: PacketQuadrature, fld: FieldOnGrid) -> tuple:
-    """The mode's (value, D value) on the nodes, each by the Lagrange cubic
-    through the 4 nearest points of the uniform grid (the 4 end points near
-    either end)."""
-    if q.rho.min() < fld.rho[0]:
+def _mode_fields_at_nodes(rho, fld: FieldOnGrid) -> tuple:
+    """The mode's (value, D value) at the node radii rho, each by the
+    Lagrange cubic through the 4 nearest points of the uniform grid (the 4
+    end points near either end)."""
+    if rho.min() < fld.rho[0]:
         raise ResolutionError(f"packet support left the grid below its "
                               f"inner edge {fld.rho[0]:g}")
-    if q.rho.max() > fld.rho[-1]:
+    if rho.max() > fld.rho[-1]:
         raise ResolutionError("packet support left the grid beyond "
                               "grid_rho_max; enlarge grid_rho_max")
     n = len(fld.rho)
-    s = (q.rho - fld.rho[0]) * ((n - 1) / (fld.rho[-1] - fld.rho[0]))
+    s = (rho - fld.rho[0]) * ((n - 1) / (fld.rho[-1] - fld.rho[0]))
     j = np.clip(s.astype(int) - 1, 0, n - 4)  # s >= 0: truncation floors
     t = s - j
     w = (-(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
@@ -803,17 +807,6 @@ def _mode_fields_at_nodes(q: PacketQuadrature, fld: FieldOnGrid) -> tuple:
          t * (t - 1.0) * (t - 2.0) / 6.0)
     return tuple(sum(wk * f[j + k] for k, wk in enumerate(w))
                  for f in (fld.value, fld.d_flow))
-
-
-def _pair_on_nodes(mode_fields, packet_fields,
-                   q: PacketQuadrature) -> tuple[complex, complex]:
-    """The two sides (c1, c2) = i int (u* Dv, (Du)* v) rho drho, on the
-    nodes, of the pairing <u, v> = 2 pi (c1 - c2)."""
-    u, du = mode_fields
-    v, dv = packet_fields
-    c1 = 1j * np.sum(q.weights * np.conj(u) * dv * q.rho)
-    c2 = 1j * np.sum(q.weights * np.conj(du) * v * q.rho)
-    return complex(c1), complex(c2)
 
 
 def evolved_projection_densities(states, flow: FlowMap, p: PacketParams,
@@ -829,10 +822,9 @@ def evolved_projection_densities(states, flow: FlowMap, p: PacketParams,
     if any(st.x0 != x0 for st in states):
         raise ValueError("states must share one x0")
     q = packet_quadrature(p, flow, x0, abs(eta))
-    pk, eik = _node_fields(q, p, eta, flow)
-    d_nums = [density_from_projections(*_pair_on_nodes(
-        _mode_fields_at_nodes(q, st), pk, q)) for st in states]
-    return d_nums, density_from_projections(*_pair_on_nodes(eik, pk, q))
+    d_nums = [density_from_projections(*q.pair(*_mode_fields_at_nodes(
+        q.rho, st))) for st in states]
+    return d_nums, density_from_projections(*q.pair(*q.eikonal))
 
 
 def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
@@ -848,16 +840,3 @@ def predicted_point_steps(grids, t_final: float) -> float:
     """Work of solves to t_final on grids: steps x (n_rho + N_STEP), RK4
     point-steps plus each step's fixed cost."""
     return sum((g.n_rho + N_STEP) * float(g.steps(t_final)) for g in grids)
-
-
-def _evolved_row(p: PacketParams, eta: float, states: list[FieldOnGrid],
-                 flow: FlowMap) -> RemainderRow:
-    """The row from the fine state and, when given, its coarse twin."""
-    d_nums, d_eik = evolved_projection_densities(states, flow, p, eta)
-    dev, *dev_c = (abs(d - d_eik) / abs(d_eik) for d in d_nums)
-    discr = float(abs(dev - dev_c[0]) / DISCR_DIVISOR) if dev_c else None
-    return RemainderRow(a=float(p.a), eta=float(eta),
-                        density_exact=float(d_nums[0]),
-                        density_eikonal=float(d_eik), dev_rel=float(dev),
-                        x0=float(states[0].x0), discr_estimate=discr,
-                        resolved=discr is not None and bool(discr < 0.3 * dev))

@@ -24,8 +24,7 @@ from sonicbh.pde import (A_VALUES, RadialGrid,
                          evolved_projection_densities, packet_quadrature,
                          remainder_contribution, smooth_window, solve_cauchy,
                          solve_mode, _Stencil, _D1_CENTERED, _D1_UPWIND, _D2,
-                         _horizon_window, _node_fields, _pair_on_nodes,
-                         _SWEEP_NODES, _SWEEP_WEIGHTS)
+                         _horizon_window, _SWEEP_NODES, _SWEEP_WEIGHTS)
 from sonicbh.spectrum import creation_density, density_from_projections
 
 from oracles import (dalembert_error, eikonal_fields, kg_inner,
@@ -912,11 +911,11 @@ def test_closed_head_against_the_headless_rule(smooth_flow):
         nodes[alpha, eps] = 0
         for a, ref in zip(A_VALUES, zip(dens[::2], dens[1::2])):
             q = packet_quadrature(p.with_a(a), smooth_flow, cfg.tfinal, 4.0)
-            pk, eik = _node_fields(q, p.with_a(a), pde.EVOLVE_ETA, smooth_flow)
+            pk = q.packet
             nodes[alpha, eps] += len(q.s)
-            for (u, du), d in zip((pde._mode_fields_at_nodes(q, state), eik),
-                                  ref):
-                c1, c2 = _pair_on_nodes((u, du), pk, q)
+            for (u, du), d in zip((pde._mode_fields_at_nodes(q.rho, state),
+                                   q.eikonal), ref):
+                c1, c2 = q.pair(u, du)
                 scale = np.sum(q.weights * q.rho * (np.abs(u * pk[1])
                                                     + np.abs(du * pk[0])))
                 assert (abs(abs(c1 - c2) - math.sqrt(d)) <= 1e-8 * scale), (
@@ -927,8 +926,7 @@ def test_closed_head_against_the_headless_rule(smooth_flow):
 def test_node_pair_matches_adaptive(packet, smooth_flow, smooth_profile):
     for eta in (-2.0, -8.0):
         q = packet_quadrature(packet, smooth_flow, 0.0, abs(eta))
-        pk, eik = _node_fields(q, packet, eta, smooth_flow)
-        d_nodes = density_from_projections(*_pair_on_nodes(eik, pk, q))
+        d_nodes = density_from_projections(*q.pair(*q.eikonal))
         d_adapt = density_from_projections(*initial_projection_pair(
             eta, packet, smooth_profile, mode="eikonal"))
         assert abs(d_nodes / d_adapt - 1.0) < 1e-8
@@ -970,9 +968,7 @@ def test_mode_fields_at_nodes_local_cubic():
                         rho[-1] - ends * h])
 
     def at(nodes):
-        q = pde.PacketQuadrature(s=nodes, rho=nodes, dsig_drho=nodes,
-                                 weights=nodes, x0=0.0)
-        return pde._mode_fields_at_nodes(q, fld)
+        return pde._mode_fields_at_nodes(nodes, fld)
 
     value, d_flow = at(x)
     spline = CubicSpline(rho, fld.value)(x)
@@ -1000,8 +996,7 @@ def two_flows(smooth_flow):
 
 def _x0_node_pair(p, flow, eta_abs):
     q = packet_quadrature(p, flow, 0.0, eta_abs)
-    pk, eik = _node_fields(q, p, -eta_abs, flow)
-    return q, pk, _pair_on_nodes(eik, pk, q)
+    return q, q.packet, q.pair(*q.eikonal)
 
 
 def test_closed_density_against_node_pair(two_flows):
@@ -1053,9 +1048,9 @@ def test_delta_c2_matches_adaptive(alpha, eps, two_flows, smooth_profile):
                              sigma_star=flow.sigma_star)
             for eta_abs in (0.5, 2.0, 18.0, 160.0):
                 closed = float(creation_density(eta_abs, p))
-                q, pk, _ = _x0_node_pair(p, flow, eta_abs)
-                exact = density_from_projections(*_pair_on_nodes(
-                    mode_initial_data(eta_abs, q.rho, a0), pk, q))
+                q, _, _ = _x0_node_pair(p, flow, eta_abs)
+                exact = density_from_projections(*q.pair(
+                    *mode_initial_data(eta_abs, q.rho, a0)))
                 assert exact == pytest.approx(
                     closed * (1.0 + pde._frequency_dev(eta_abs)),
                     rel=1e-7), (flow.profile, p, eta_abs)
@@ -1104,9 +1099,9 @@ def test_remainder_report_matches_adaptive(report, packet, smooth_profile):
         assert row.density_exact == pytest.approx(de, rel=1e-7)
         assert row.density_eikonal == pytest.approx(dk, rel=1e-7)
         assert row.dev_rel == pytest.approx(abs(de - dk) / abs(dk), rel=1e-7)
-    assert report.sweep_a == list(A_VALUES)
-    for a, dev, lead in zip(report.sweep_a, report.sweep_dev,
-                            report.sweep_leading):
+    assert report.sweep["a"] == list(A_VALUES)
+    for a, dev, lead in zip(report.sweep["a"], report.sweep["dev_rel"],
+                            report.sweep["leading"]):
         pa = packet.with_a(a)
         te = tk = 0.0
         for w, ep in zip(_SWEEP_WEIGHTS, _SWEEP_NODES):
@@ -1232,7 +1227,7 @@ def test_remainder_contribution_report(report, packet):
     assert all(r.dev_rel > 0 for r in report.rows_initial)
     # the remainder never touches the first significant digit of the
     # normalised total once a >= 16
-    for a, dev in zip(report.sweep_a, report.sweep_dev):
+    for a, dev in zip(report.sweep["a"], report.sweep["dev_rel"]):
         if a >= 16.0:
             assert dev < 0.05, (a, dev)
     # evolved diagnostics carry a discretisation estimate and sit at
