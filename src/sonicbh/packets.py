@@ -39,6 +39,7 @@ from .errors import ConfigError, GridMismatchError, ToleranceError
 from .flow import FlowMap
 
 __all__ = [
+    "ALPHA_MIN",
     "A_MIN",
     "A_MAX",
     "PacketParams",
@@ -61,6 +62,10 @@ SUPPORT_CUT = 45.0  # the packet's support cut in a*s: e^{-a s} = e^{-45}
 # the numeric norm's panel edges in a*s: the unit roundoff 2^-53, below
 # which its head is closed, then doubling from 2^-30 to 32, then the cut
 _NORM_EDGES = np.r_[2.0 ** -53, np.exp2(np.arange(-30.0, 6.0)), SUPPORT_CUT]
+# the smallest alpha, the smallest normal float: below it the closed
+# forms that alpha scales leave the normal range (at 5e-324 the totals
+# over the norm overflow)
+ALPHA_MIN = sys.float_info.min
 # the smallest rate a packet takes, 3.3562533290400936e-153:
 # down to it the numeric norm's squared support (45/a)^2 is a finite float,
 # and so is limit's error-model term ln(1/a)/a^2, as ln(1/a) < 45^2 there
@@ -88,9 +93,11 @@ class PacketParams:
     sigma_star: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "sigma_star"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive")
+        if not ALPHA_MIN <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and at least "
+                              f"{ALPHA_MIN!r}, the smallest normal float")
+        if not 0.0 < self.sigma_star < math.inf:
+            raise ConfigError("sigma_star must be finite and positive")
         if not self.a >= A_MIN:
             raise ConfigError(f"a_sweep must be at least {A_MIN!r}: below it "
                               f"the packet's squared support "
@@ -103,6 +110,12 @@ class PacketParams:
                 "eps must lie in [{0!r}, {1}/{2}]: below {0!r} the rounding "
                 "of 2 eps - 1 moves the totals by more than 1e-11".format(
                     EPS_MIN, *EPS_MAX.as_integer_ratio()))
+        norm = packet_norm(self)  # every total is read over it
+        if not norm >= sys.float_info.min:
+            raise ConfigError(
+                f"the packet's closed norm {norm!r} at alpha = {self.alpha!r}"
+                f", a = {self.a!r}, eps = {self.eps!r} is below the smallest "
+                f"normal float")
 
     @property
     def s_max(self) -> float:

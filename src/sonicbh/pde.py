@@ -645,10 +645,11 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
         dk = float(creation_density(abs(eta), p_ref)) if f2 > 0.0 else 0.0
         if not (min(f2, dk) >= sys.float_info.min and math.isfinite(dev)):
             raise ConfigError(
-                f"eta_list value {eta!r} is out of range: at a = {a_ref:g} "
-                f"its x0 = 0 eikonal density {dk:.3g} and that density's "
-                f"|F|^2 factor {f2:.3g} must be positive normal floats, and "
-                f"its deviation {dev:.3g} must be finite")
+                f"eta_list value {eta!r} is out of range at alpha = "
+                f"{p.alpha!r}: at a = {a_ref:g} its x0 = 0 eikonal density "
+                f"{dk:.3g} and that density's |F|^2 factor {f2:.3g} must be "
+                f"positive normal floats, and its deviation {dev:.3g} must "
+                f"be finite")
         rows_initial.append(RemainderRow(
             a=a_ref, eta=eta, density_exact=dk * (1.0 + dev),
             density_eikonal=dk, dev_rel=dev, x0=0.0))

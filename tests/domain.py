@@ -55,11 +55,12 @@ def _float(bound, side):
     return repr(bound), repr(past)
 
 
-def _eta_refusal(eta, density, f2, dev):
-    return (f"eta_list value {eta!r} is out of range: at a = 32 its x0 = 0 "
-            f"eikonal density {density} and that density's |F|^2 factor {f2} "
-            f"must be positive normal floats, and its deviation {dev} must be "
-            f"finite")
+def _eta_refusal(eta, density, f2, dev, alpha=1.0):
+    # the sample and alpha set the density together, so both are named
+    return (f"eta_list value {eta!r} is out of range at alpha = {alpha!r}: "
+            f"at a = 32 its x0 = 0 eikonal density {density} and that "
+            f"density's |F|^2 factor {f2} must be positive normal floats, and "
+            f"its deviation {dev} must be finite")
 
 
 EPS_REFUSAL = (f"eps must lie in [{packets.EPS_MIN!r}, 1/2]: below "
@@ -84,15 +85,16 @@ BOUNDS = [
     Bound("x0_horizon_max-flow-floor", "x0_horizon_max",
           "flow.find_separatrix", FLOW, _TINY, "0.0",
           "x0_horizon_max must be positive"),
-    # the packet.  At the smallest alpha spectrum's and limit's totals
-    # overflow (exit 3).  pde-verify's alpha range ends where the x0 = 0
-    # density of its sample eta = -2 is subnormal
-    Bound("alpha-packet-floor", "alpha", "packets.PacketParams", PACKET,
-          _TINY, "0.0", "alpha must be finite and positive",
-          at_exit={"spectrum": 3, "limit": 3}),
+    # the packet.  alpha is a normal float; pde-verify's alpha range ends
+    # where the x0 = 0 density of its sample eta = -2 is subnormal
+    Bound("alpha-packet-floor", "alpha", "packets.ALPHA_MIN", PACKET,
+          *_float(packets.ALPHA_MIN, "floor"),
+          f"alpha must be finite and at least {packets.ALPHA_MIN!r}, the "
+          f"smallest normal float"),
     Bound("alpha-pde-ceiling", "alpha", "pde.remainder_contribution", WAVE,
           "235.27140443565906", "235.2714044356591",
-          _eta_refusal(-2.0, "7.96e-308", "2.23e-308", "0.122"),
+          _eta_refusal(-2.0, "7.96e-308", "2.23e-308", "0.122",
+                       alpha=235.2714044356591),
           stop="pde.solve_mode"),
     # pde-verify's wave solves at the floor run as a case of their own
     Bound("eps-packet-floor", "eps", "packets.EPS_MIN", PACKET,

@@ -26,7 +26,7 @@ from sonicbh import cli, config, errors, pde, spectrum
 from sonicbh.cli import _load_config, build_parser, main
 from sonicbh.config import RunConfig, read_pairs
 from sonicbh.errors import ConfigError
-from sonicbh.packets import A_MIN, EPS_MAX
+from sonicbh.packets import A_MIN, EPS_MAX, EPS_MIN
 from sonicbh.output import check_out_dir, format_cell
 from sonicbh.pde import inner_edge
 from sonicbh.spectrum import MAX_N_ETA
@@ -1319,6 +1319,39 @@ def test_boundary_pde_verify_eta_list(tmp_path, capsys, eta, accepted):
     else:
         assert f"eta_list value {eta!r}" in err, err
         assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    # a closed norm that underflows: a raw ZeroDivisionError at total/norm,
+    # in spectrum after two files were written
+    pytest.param(["spectrum", "--set", "alpha=1e-300", "--set",
+                  "a_sweep=1e100", "--set", "eps=0.5", "--set", "n_eta=24"],
+                 "the packet's closed norm 0.0", id="norm-spectrum"),
+    pytest.param(["limit", "--set", "alpha=1e-300", "--set",
+                  "a_sweep=1e100,1e101,1e102", "--set", "eps=0.5"],
+                 "the packet's closed norm 0.0", id="norm-limit"),
+    pytest.param(["limit", "--set", "alpha=1e-200", "--set",
+                  "a_sweep=6.703903964971299e+153", "--set", "eps=0.5"],
+                 "the packet's closed norm 0.0", id="norm-limit-a-max"),
+    # a subnormal alpha: the totals over the norm overflow (exit 3), and at
+    # eps = EPS_MIN, where Gamma(2 eps) keeps the norm normal, spectrum
+    # had written three files first
+    pytest.param(["spectrum", "--set", "alpha=5e-324", "--set", "a_sweep=8",
+                  "--set", "n_eta=24"], "alpha must be", id="alpha-spectrum"),
+    pytest.param(["limit", "--set", "alpha=5e-324"], "alpha must be",
+                 id="alpha-limit"),
+    pytest.param(["spectrum", "--set", "alpha=1e-314", "--set",
+                  f"eps={EPS_MIN!r}", "--set", "a_sweep=8", "--set",
+                  "n_eta=24"], "alpha must be", id="alpha-normal-norm-spectrum"),
+])
+def test_vanishing_packet_refused_before_output(tmp_path, capsys, argv,
+                                                refusal):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _run_boundary(argv, out, capsys, accepted=False)
+    assert err.startswith(f"config error: {refusal}"), err
+    assert not out.exists()
 
 
 def test_pde_verify_alpha_beyond_normal_density(tmp_path, capsys):
