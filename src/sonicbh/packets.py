@@ -62,9 +62,8 @@ SUPPORT_CUT = 45.0  # the packet's support cut in a*s: e^{-a s} = e^{-45}
 # the numeric norm's panel edges in a*s: the unit roundoff 2^-53, below
 # which its head is closed, then doubling from 2^-30 to 32, then the cut
 _NORM_EDGES = np.r_[2.0 ** -53, np.exp2(np.arange(-30.0, 6.0)), SUPPORT_CUT]
-# the smallest alpha, the smallest normal float: below it the closed
-# forms that alpha scales leave the normal range (at 5e-324 the totals
-# over the norm overflow)
+# the smallest alpha, the smallest normal float: below it the closed forms
+# that alpha scales are subnormal (at 5e-324 totals over the norm overflow)
 ALPHA_MIN = sys.float_info.min
 # the smallest rate a packet takes, 3.3562533290400936e-153:
 # down to it the numeric norm's squared support (45/a)^2 is a finite float,

@@ -48,11 +48,11 @@ localisation rate a and with |eta| through the creation density, the
 squared pairing |c1 - c2|^2 of spectrum.  At x0 = 0 both densities are
 closed: the eikonal's is spectrum.creation_density, and the exact mode's
 is that times ((|eta| + sqrt(eta^2+1)) / (2|eta|))^2, a ratio of eta
-alone.  On evolved grids the pair is taken on transported Gauss nodes,
-with the mode's (f, g) interpolated onto them by a local cubic, and on one
-closed node for the edge head, where the packet meets the separatrix ray.
-The pair is the conserved pairing in its D form, 2 pi i int (u* Dv -
-(Du)* v) rho drho, which carries no separate drift term.
+alone.  On evolved grids PacketQuadrature, the one node object, holds
+transported Gauss nodes (node 0 closed, for the edge head on the separatrix
+ray) and the packet's and eikonal's (value, D value) there; the mode's
+(f, g) reaches them by a local cubic.  The pair is the conserved pairing in
+its D form, 2 pi i int (u* Dv - (Du)* v) rho drho, with no drift term.
 """
 
 from __future__ import annotations
@@ -496,9 +496,10 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
 
     Data: W times the lambda_- branch of the plane-wave mode data at
     wavenumber |eta| (mode_initial_data), which share value and radial
-    derivative with the eikonal at x0 = 0.  W is the horizon window: 1 from
-    the inner edge to a taper ahead of the outer sponge, so it never clips
-    the packet support; its own D stays out of the data.
+    derivative with the eikonal at x0 = 0.  W is the horizon window, within
+    2.1e-9 of 1 from the inner edge to a taper ahead of the outer sponge
+    (_horizon_window), so it never clips the packet support; its own D
+    stays out of the data.
     """
     if not eta < 0.0:  # nan included
         raise ValueError("solve_mode uses the eta < 0 branch")
@@ -659,11 +660,11 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
 
     # samples whose log1p|eta| spread by no more than rounding coincide, as
     # limit_sweep's log rates do, and a line through them has no slope
-    x = np.log1p(np.abs([r.eta for r in report.rows_initial]))
+    samples = [r.eta for r in rows_initial]
+    x = np.log1p(np.abs(samples))
     if np.ptp(x) > sys.float_info.epsilon * (1.0 + np.max(x)):
         report.eta_fit_exponent = _decay_exponent(
-            [r.eta for r in report.rows_initial],
-            [r.dev_rel for r in report.rows_initial], "eta", np.log1p)
+            samples, [r.dev_rel for r in rows_initial], "eta", np.log1p)
     else:
         report.warnings.append("eta-decay exponent needs two eta samples "
                                "apart in log1p|eta|; none fitted")
@@ -813,12 +814,8 @@ def _mode_fields_at_nodes(rho, fld: FieldOnGrid) -> tuple:
 def evolved_projection_densities(states, flow: FlowMap, p: PacketParams,
                                  eta: float) -> tuple[list[float], float]:
     """Numeric-mode projection densities of states, which share one x0,
-    and the eikonal density there.
-
-    Every side uses the one transported node quadrature, so its error
-    cancels in the deviations; each numeric mode is interpolated onto the
-    nodes by a local cubic.
-    """
+    and the eikonal density there, all on one PacketQuadrature, so that its
+    error cancels in the deviations."""
     x0 = states[0].x0
     if any(st.x0 != x0 for st in states):
         raise ValueError("states must share one x0")
@@ -829,9 +826,12 @@ def evolved_projection_densities(states, flow: FlowMap, p: PacketParams,
 
 
 def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
-    """Outer taper only: the packet support hugs the horizon, and inside it
-    both characteristic families point inward, so the inner edge needs no
-    damping and must not clip the data."""
+    """Mostly an outer taper: the packet support hugs the horizon, and
+    inside it both characteristic families point inward, so the inner edge
+    needs no damping and must not clip the data.  The rising edge sits 10
+    widths below rho_min, where it still scales the data: at the defaults
+    by 1 - 2.06e-9 at the inner edge and 1 - 3.6e-11 at sigma*, and by
+    exactly 1 only from rho = 1.71, after the first 131 of 1024 points."""
     span = grid.rho_max - grid.rho_min
     width = 0.015 * span
     return (grid.rho_min - 10.0 * width, grid.rho_max - 0.18 * span, width)
