@@ -1112,14 +1112,47 @@ def test_remainder_report_matches_adaptive(report, packet, smooth_profile):
         assert lead == pytest.approx(abs(tk), rel=1e-7)
 
 
-def _quad_references(path):
-    """Lines of a module that import scipy.integrate's quad or reach it as
-    an attribute."""
+def _quad_references(path, names=("quad",)):
+    """Lines of a module that import one of names (by default
+    scipy.integrate's quad) or reach it as an attribute or a bare name."""
     tree = ast.parse(path.read_text())
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "quad"
+            if isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.Name) and node.id in names
             or isinstance(node, ast.ImportFrom)
-            and any(alias.name == "quad" for alias in node.names)]
+            and any(alias.name in names for alias in node.names)]
+
+
+def _scipy_imports(path):
+    """Lines of a module that import scipy or one of its submodules, at
+    any depth."""
+    tree = ast.parse(path.read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy"
+                    for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy"]
+
+
+def test_package_source_rules(tmp_path):
+    # the package's source imports no scipy, at any depth, and references
+    # neither an adaptive quad nor scipy's simpson (spectrum has its own
+    # port of the rule): scipy is a test dependency only.  The probes see
+    # a function-local simpson import, an integrate.quad call and a
+    # top-level scipy import
+    pkg = pathlib.Path(pde.__file__).parent
+    found = {path.name: _scipy_imports(path)
+             + _quad_references(path, ("quad", "simpson"))
+             for path in sorted(pkg.glob("*.py"))}
+    assert len(found) >= 10
+    assert not any(found.values()), found
+    probe = tmp_path / "probe.py"
+    for source in ("def f():\n    from scipy.integrate import simpson\n",
+                   "v = integrate.quad(f, 0.0, 1.0)\n", "import scipy\n"):
+        probe.write_text(source)
+        assert (_scipy_imports(probe)
+                + _quad_references(probe, ("quad", "simpson"))), source
 
 
 def test_remainder_contribution_makes_no_quad_calls(packet, smooth_flow,
