@@ -109,7 +109,7 @@ class PacketParams:
                 "eps must lie in [{0!r}, {1}/{2}]: below {0!r} the rounding "
                 "of 2 eps - 1 moves the totals by more than 1e-11".format(
                     EPS_MIN, *EPS_MAX.as_integer_ratio()))
-        norm = packet_norm(self)  # every total is read over it
+        norm = packet_norm(self)  # the totals are normalised by it
         if not norm >= sys.float_info.min:
             raise ConfigError(
                 f"the packet's closed norm {norm!r} at alpha = {self.alpha!r}"
