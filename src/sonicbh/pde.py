@@ -70,7 +70,7 @@ from .flow import FlowMap, VelocityProfile, transport
 from .gammatools import packet_fourier_modulus_sq
 from .packets import (FieldOnGrid, PacketParams, eikonal_values, gauss_panels,
                       mode_initial_data, packet_profile, packet_values)
-from .spectrum import creation_density, density_from_projections
+from .spectrum import _log_slope, creation_density, density_from_projections
 
 __all__ = [
     "RadialGrid",
@@ -496,10 +496,9 @@ def solve_mode(eta: float, grid: RadialGrid, profile: VelocityProfile,
 
     Data: W times the lambda_- branch of the plane-wave mode data at
     wavenumber |eta| (mode_initial_data), which share value and radial
-    derivative with the eikonal at x0 = 0.  W is the horizon window, within
-    2.1e-9 of 1 from the inner edge to a taper ahead of the outer sponge
-    (_horizon_window), so it never clips the packet support; its own D
-    stays out of the data.
+    derivative with the eikonal at x0 = 0.  W is the horizon window, the
+    outer taper alone (_horizon_window): exactly 1 from the inner edge to
+    mid-grid, so the data there are the mode data; its own D stays out.
     """
     if not eta < 0.0:  # nan included
         raise ValueError("solve_mode uses the eta < 0 branch")
@@ -577,14 +576,16 @@ def _frequency_dev(eta_abs):
     return m / eta_abs * (1.0 + m / (4.0 * eta_abs))
 
 
-def _decay_exponent(xs, ys, name: str, scale) -> float:
-    """-slope of the line fitted through (scale(|x|), log y); ToleranceError
-    naming the first row whose y has no logarithm."""
+def _decay_exponent(xs, ys, name: str, scale) -> float | None:
+    """-slope of spectrum's decay fit through (scale(|x|), log y), None where
+    the scale(|x|) coincide; ToleranceError naming the first row whose y has
+    no logarithm."""
     for x, y in zip(xs, ys):
         if not 0.0 < y < math.inf:
             raise ToleranceError(f"{name}={x:g}: x0=0 value {y:.3g} has no "
                                  f"logarithm for the decay fit")
-    return float(-np.polyfit(scale(np.abs(xs)), np.log(ys), 1)[0])
+    slope = _log_slope(scale(np.abs(xs)), np.log(ys))
+    return None if slope is None else -slope
 
 
 def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
@@ -624,17 +625,28 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"{MAX_POINT_STEPS:.7g}; lower nrho or tfinal")
     if not (len(eta_samples) and max(eta_samples) < 0.0):
         raise ConfigError("eta_list must hold negative values")
-    for a in A_VALUES:  # |F|^2 ~ e^{-2 alpha theta} scales each density
-        etas = np.append(a * _SWEEP_NODES, abs(EVOLVE_ETA))
-        f2 = np.min(packet_fourier_modulus_sq(-etas, p.with_a(a)))
+    # each rate's packet, and its fixed-node totals over eta = a*eta' at
+    # x0 = 0 of the eikonal density and of the exact-minus-eikonal density
+    packets, sweep = {}, {"a": [], "dev_rel": [], "leading": []}
+    for a in A_VALUES:
+        pa = packets[a] = p.with_a(a)
+        etas = a * _SWEEP_NODES
+        # |F|^2 ~ e^{-2 alpha theta} scales each density
+        f2 = np.min(packet_fourier_modulus_sq(
+            -np.append(etas, abs(EVOLVE_ETA)), pa))
         if not f2 >= sys.float_info.min:
             raise ConfigError(
                 f"alpha = {p.alpha:g} is too large: the packet transform "
                 f"|F|^2 at a = {a:g} is {f2:.3g}, below the smallest normal "
                 f"float, where the x0 = 0 densities lose their digits")
+        wdk = _SWEEP_WEIGHTS * a * creation_density(etas, pa)
+        tk = float(np.sum(wdk))
+        sweep["a"].append(a)
+        sweep["dev_rel"].append(float(np.sum(wdk * _frequency_dev(etas))) / tk)
+        sweep["leading"].append(tk)
     # per-eta departures at x0 = 0, fixed eta samples, largest a
     a_ref = max(A_VALUES)
-    p_ref = p.with_a(a_ref)
+    p_ref = packets[a_ref]
     rows_initial = []
     for eta in map(float, eta_samples):
         # |F|^2 overflows to 0 from |eta| ~ 1e147 at most, and the check
@@ -654,31 +666,15 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
         rows_initial.append(RemainderRow(
             a=a_ref, eta=eta, density_exact=dk * (1.0 + dev),
             density_eikonal=dk, dev_rel=dev, x0=0.0))
-    report = RemainderReport(rows_initial=rows_initial, solves={
+    report = RemainderReport(rows_initial=rows_initial, sweep=sweep, solves={
         name: {"n_rho": g.n_rho, "dt": g.dt, "steps": g.steps(t_final)}
         for name, g in (("fine", grid), ("coarse", coarse))})
-
-    # samples whose log1p|eta| spread by no more than rounding coincide, as
-    # limit_sweep's log rates do, and a line through them has no slope
-    samples = [r.eta for r in rows_initial]
-    x = np.log1p(np.abs(samples))
-    if np.ptp(x) > sys.float_info.epsilon * (1.0 + np.max(x)):
-        report.eta_fit_exponent = _decay_exponent(
-            samples, [r.dev_rel for r in rows_initial], "eta", np.log1p)
-    else:
+    report.eta_fit_exponent = _decay_exponent(
+        [r.eta for r in rows_initial], [r.dev_rel for r in rows_initial],
+        "eta", np.log1p)
+    if report.eta_fit_exponent is None:
         report.warnings.append("eta-decay exponent needs two eta samples "
                                "apart in log1p|eta|; none fitted")
-
-    # a-sweep of the fixed-node totals over eta = a*eta' at x0 = 0 of the
-    # eikonal density and of the exact-minus-eikonal density
-    sweep = report.sweep
-    for a in A_VALUES:
-        etas = a * _SWEEP_NODES
-        wdk = _SWEEP_WEIGHTS * a * creation_density(etas, p.with_a(a))
-        tk = float(np.sum(wdk))
-        sweep["a"].append(a)
-        sweep["dev_rel"].append(float(np.sum(wdk * _frequency_dev(etas))) / tk)
-        sweep["leading"].append(tk)
     report.fit_exponent = _decay_exponent(sweep["a"], sweep["dev_rel"], "a",
                                           np.log)
     report.leading_exponent = _decay_exponent(sweep["a"], sweep["leading"],
@@ -699,9 +695,8 @@ def remainder_contribution(p: PacketParams, eta_samples, grid: RadialGrid,
             f"evolved rows have no discretisation estimate: coarse twin {exc}")
 
     # each row from the fine state and, when solved, its coarse twin
-    for a in A_VALUES:
-        d_nums, d_eik = evolved_projection_densities(states, flow,
-                                                     p.with_a(a), eta)
+    for a, pa in packets.items():
+        d_nums, d_eik = evolved_projection_densities(states, flow, pa, eta)
         dev, *dev_c = (abs(d - d_eik) / abs(d_eik) for d in d_nums)
         discr = float(abs(dev - dev_c[0]) / DISCR_DIVISOR) if dev_c else None
         resolved = discr is not None and bool(discr < 0.3 * dev)
@@ -826,15 +821,12 @@ def evolved_projection_densities(states, flow: FlowMap, p: PacketParams,
 
 
 def _horizon_window(grid: RadialGrid) -> tuple[float, float, float]:
-    """Mostly an outer taper: the packet support hugs the horizon, and
-    inside it both characteristic families point inward, so the inner edge
-    needs no damping and must not clip the data.  The rising edge sits 10
-    widths below rho_min, where it still scales the data: at the defaults
-    by 1 - 2.06e-9 at the inner edge and 1 - 3.6e-11 at sigma*, and by
-    exactly 1 only from rho = 1.71, after the first 131 of 1024 points."""
+    """The outer taper alone: inside the horizon both characteristic
+    families point inward, so the inner edge (inner_edge) needs no damping
+    and must not clip the data.  lo = -inf makes the rising factor exactly
+    1: the window is 1 to 0.46 of the span below rho_max, 5.18 by default."""
     span = grid.rho_max - grid.rho_min
-    width = 0.015 * span
-    return (grid.rho_min - 10.0 * width, grid.rho_max - 0.18 * span, width)
+    return -math.inf, grid.rho_max - 0.18 * span, 0.015 * span
 
 
 def predicted_point_steps(grids, t_final: float) -> float:

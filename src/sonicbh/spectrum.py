@@ -353,6 +353,16 @@ class SweepResult:
 _U = 0.5 * sys.float_info.epsilon  # the unit roundoff
 
 
+def _log_slope(x, y) -> float | None:
+    """Least-squares slope through the log-log points (x, y), the one decay
+    fit; None below two points or where the x, logarithms each off by about
+    u (1 + |x|), spread by no more than 2u (1 + max|x|) and so coincide."""
+    if x.size < 2 or not np.ptp(x) > 2.0 * _U * (1.0 + np.max(np.abs(x))):
+        return None
+    x = x - x.mean()
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
+
+
 def limit_sweep(p: PacketParams, a_list) -> SweepResult:
     """Normalised totals along an a-sweep against the closed limit.
 
@@ -386,20 +396,17 @@ def limit_sweep(p: PacketParams, a_list) -> SweepResult:
     # v and the limit each take about eight roundings, so a residual that is
     # rounding reads up to a few u |limit| (measured 4u): within 8u it is 0
     ok = res > 8.0 * _U * abs(lim)
-    x, y = np.log(a_arr[ok]), np.log(res[ok])
-    slope, rich = math.nan, rows[-1].total_normalized
+    x = np.log(a_arr[ok])
+    fit = _log_slope(x, np.log(res[ok]))
+    slope = math.nan if fit is None else fit
+    rich = rows[-1].total_normalized
     warnings = ["sweep too short for a meaningful slope fit"] * (len(rows) < 3)
     if x.size < 2:
         warnings.append("residual_slope is null: fewer than two a_sweep "
                         "values leave a residual above rounding to fit")
-    # each log a is off by up to about u (1 + |log a|), from the rate's
-    # rounding and the log's; log rates that spread by no more coincide
-    elif not np.ptp(x) > 2.0 * _U * (1.0 + np.max(np.abs(x))):
+    elif fit is None:
         warnings.append("residual_slope is null: the a_sweep values that "
                         "leave a residual above rounding coincide in log a")
-    else:  # least-squares line through (log a, log residual)
-        x = x - x.mean()
-        slope = float(np.dot(x, y - y.mean()) / np.dot(x, x))
     if len(rows) >= 3:
         a3 = a_arr[-3:]
         m = np.column_stack([np.ones(3), -np.log(a3) / a3 ** 2, -1.0 / a3 ** 2])

@@ -475,17 +475,17 @@ def test_pde_verify_reproducible(tmp_path):
 
 
 # (a, density_exact, density_eikonal, dev_rel, discr_estimate) of the
-# evolved rows of pde-verify --nrho 256 --tfinal 0.1, the repr digits the
-# packet quadrature gave once its edge head was closed.  A change meant to
-# move the stepper's or the node rule's arithmetic updates them, and
+# evolved rows of pde-verify --nrho 256 --tfinal 0.1, the repr digits from
+# data whose window is the outer taper alone.  A change meant to move the
+# data, the stepper's or the node rule's arithmetic updates them, and
 # records the update and its size in CHANGES.md.
 _PINNED_EVOLVED_ROWS = [
-    (8.0, 0.02495778609221605, 0.024107872576106002, 0.035254604628714575,
-     5.340726795468829e-05),
-    (16.0, 0.0034943887463800153, 0.0033719164732497683,
-     0.036321265399617456, 5.807800634270814e-05),
-    (32.0, 0.0005129928972410324, 0.0004954774249851282,
-     0.035350696868641375, 5.842024661862529e-05),
+    (8.0, 0.024957786092070566, 0.024107872576106002, 0.035254604622679854,
+     5.3407268033428086e-05),
+    (16.0, 0.0034943887463648434, 0.0033719164732497683,
+     0.03632126539511797, 5.8078006298104e-05),
+    (32.0, 0.0005129928972454029, 0.0004954774249851282,
+     0.03535069687746199, 5.8420246120737444e-05),
 ]
 
 
@@ -724,7 +724,7 @@ _ETA_FIT_NULL = ("eta-decay exponent needs two eta samples apart in "
 @pytest.mark.parametrize("eta_list,exponent", [
     # samples that coincide in log1p|eta| fitted a line through one point:
     # 0.9593 at -2,-2 and -1.77e9 at -1e-8,-1e-8, with no warning
-    ("-2,-2", None), ("-1e-8,-1e-8", None), ("-2,-6", 2.5639102402132936)],
+    ("-2,-2", None), ("-1e-8,-1e-8", None), ("-2,-6", 2.5639102402132927)],
     ids=["coincide", "coincide-near-zero", "apart"])
 def test_pde_verify_eta_fit_needs_samples_apart(tmp_path, eta_list,
                                                 exponent):
@@ -821,6 +821,21 @@ def test_write_csv_rejects_non_finite(tmp_path):
                                match=f"bad.csv: non-finite value {bad}"):
                 write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
             assert not (tmp_path / "bad.csv").exists()
+
+
+def test_format_cell_rejects_non_finite():
+    from sonicbh.errors import ToleranceError
+    with pytest.raises(ToleranceError, match="^non-finite value inf$"):
+        format_cell(math.inf)
+
+
+def test_write_csv_rejects_non_finite_meta(tmp_path):
+    from sonicbh.errors import ToleranceError
+    from sonicbh.output import write_csv
+    with pytest.raises(ToleranceError,
+                       match="^bad.csv: non-finite value nan$"):
+        write_csv(tmp_path / "bad.csv", ["a"], [(1.0,)], {"x": math.nan})
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def _per_cell_csv(columns, rows, meta) -> str:
@@ -1548,6 +1563,19 @@ def test_unwritable_out_dir_refused_before_work(tmp_path, capsys,
                        f"not a writable directory\n")
     assert calls == []
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_write_failure_is_a_config_error(tmp_path, capsys):
+    # out_dir passes check_out_dir, but its horizon.csv is a directory:
+    # the write's OSError exits 2 naming the path, and nothing is written
+    target = tmp_path / "horizon.csv"
+    target.mkdir()
+    with pytest.raises(OSError) as exc:
+        target.open("wb")
+    assert main(["horizon", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {target}: {exc.value}\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["horizon.csv"]
 
 
 # every package error type, its exit code and the label heading stderr

@@ -145,6 +145,12 @@ def test_capture_flag(const_profile):
     assert path.x0[-1] < 30.0
 
 
+def test_characteristic_refuses_a_start_at_capture(const_profile):
+    with pytest.raises(ValueError, match=re.escape(
+            f"sigma0 = {CAPTURE_RHO} must exceed {CAPTURE_RHO}")):
+        integrate_characteristic(CAPTURE_RHO, 0.0, 1.0, const_profile)
+
+
 def test_semigroup(smooth_profile):
     one = integrate_characteristic(1.7, 0.0, 2.4, smooth_profile)
     mid = integrate_characteristic(1.7, 0.0, 1.1, smooth_profile)

@@ -186,6 +186,12 @@ def test_norm_numeric_non_finite_raises(smooth_flow):
             packet_norm(p, smooth_flow, numeric=True)
 
 
+def test_norm_numeric_needs_the_flow(packet):
+    with pytest.raises(ValueError,
+                       match=r"^numeric norm needs the flow \(for A\(0\)\)$"):
+        packet_norm(packet, numeric=True)
+
+
 def test_packet_rate_range():
     # the packet owns its rates [A_MIN, A_MAX]: below A_MIN the numeric
     # norm's squared support (45/a)^2 overflows, above A_MAX limit's a^-2

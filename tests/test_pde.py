@@ -17,7 +17,8 @@ from scipy.optimize import brentq
 import oracles
 from sonicbh import packets, pde
 from sonicbh.config import RunConfig
-from sonicbh.errors import ConfigError, InstabilityError, ResolutionError
+from sonicbh.errors import (ConfigError, InstabilityError, ResolutionError,
+                            ToleranceError)
 from sonicbh.flow import VelocityProfile, find_separatrix, transport
 from sonicbh.packets import PacketParams, mode_initial_data, gamma_tilde
 from sonicbh.pde import (A_VALUES, RadialGrid,
@@ -109,6 +110,8 @@ def test_grid_validation():
     # config error
     with pytest.raises(ValueError, match="rho_max must exceed rho_min"):
         RadialGrid(1.0, 1.0, 64, dt=1e-3)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        RadialGrid(0.3, 9.0, 64, dt=0.0)
 
 
 @pytest.mark.parametrize("t_final", [0.75, 0.1, 1.0 / 3.0, 1e-4, 1e-300, 1e5])
@@ -687,6 +690,45 @@ def test_solve_mode_initial_state(smooth_profile, smooth_flow):
     np.testing.assert_allclose(hist[0].value, w * val, atol=1e-15)
     # g = D f is the data's own D value
     np.testing.assert_allclose(hist[0].d_flow, w * dval, atol=1e-15)
+
+
+def test_horizon_window_leaves_the_data_whole(smooth_flow):
+    # the data window is the outer taper alone: on pde-verify's default
+    # grid it is exactly 1 from the inner edge through the packet support
+    # at a = 16 and 32, and the x0 = 0 state is the mode data bit for bit
+    # there.  (At a = 8 the support runs to 6.52, past 5.18, where the
+    # taper first rounds below 1; the packet there is below e^-34.)
+    cfg = RunConfig()
+    assert smooth_flow.profile == cfg.profile()
+    grid = pde.verify_grid(cfg.profile(), cfg.grid_rho_max, cfg.nrho,
+                           cfg.tfinal)
+    whole = grid.rho <= smooth_flow.sigma_star + packets.SUPPORT_CUT / 16.0
+    assert np.count_nonzero(whole) == 376
+    w = smooth_window(grid.rho, *_horizon_window(grid))
+    assert np.all(w[whole] == 1.0)
+    state = solve_mode(pde.EVOLVE_ETA, grid, cfg.profile(), grid.dt)[0]
+    value, dvalue = mode_initial_data(-pde.EVOLVE_ETA, grid.rho,
+                                      cfg.profile().eval(0.0))
+    assert np.array_equal(state.value[whole], value[whole])
+    assert np.array_equal(state.d_flow[whole], dvalue[whole])
+
+
+def test_evolved_densities_refuse_states_at_two_x0(smooth_flow):
+    # the rows pair one node set with every state, so the states share x0
+    rho = np.linspace(0.5, 9.0, 32)
+    zero = np.zeros(32, dtype=complex)
+    states = [packets.FieldOnGrid(rho, zero, zero, x0) for x0 in (0.1, 0.2)]
+    p = PacketParams(alpha=1.0, a=8.0, eps=0.25,
+                     sigma_star=smooth_flow.sigma_star)
+    with pytest.raises(ValueError, match="^states must share one x0$"):
+        evolved_projection_densities(states, smooth_flow, p, -4.0)
+
+
+def test_decay_fit_names_the_row_with_no_logarithm():
+    with pytest.raises(ToleranceError, match=(
+            "^a=16: x0=0 value 0 has no logarithm for the decay fit$")):
+        pde._decay_exponent([8.0, 16.0, 32.0], [1e-3, 0.0, 1e-5], "a",
+                            np.log)
 
 
 def test_solve_mode_resolution_error(smooth_profile):

@@ -141,6 +141,11 @@ def test_projections_linear_at_small_eta(packet):
     assert abs(c2b) / abs(c2a) == pytest.approx(2.0, rel=1e-5)
 
 
+def test_projections_refuse_a_negative_eta_abs(packet):
+    with pytest.raises(ValueError, match="^eta_abs must be nonnegative$"):
+        eikonal_projections(np.array([0.5, -0.5]), packet)
+
+
 def test_projections_equal_moduli(packet):
     for eta in (0.3, 2.0, 40.0):
         c1, c2 = eikonal_projections(eta, packet)
