@@ -29,6 +29,7 @@ sqrt(eta^2+1).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -52,6 +53,7 @@ __all__ = [
     "gamma_tilde",
     "packet_norm",
     "gauss_panels",
+    "jacobi_panels",
 ]
 
 # twelve-point Gauss-Legendre on [-1, 1], shifted to [0, 2]: the panel rule
@@ -59,9 +61,9 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_SHIFTED = _GL_NODES + 1.0
 SUPPORT_CUT = 45.0  # the packet's support cut in a*s: e^{-a s} = e^{-45}
-# the numeric norm's panel edges in a*s: the unit roundoff 2^-53, below
-# which its head is closed, then doubling from 2^-30 to 32, then the cut
-_NORM_EDGES = np.r_[2.0 ** -53, np.exp2(np.arange(-30.0, 6.0)), SUPPORT_CUT]
+# the numeric norm's panel edges in a*s: its Gauss-Jacobi edge panel ends
+# at 1, then they double to 32, then the cut
+_NORM_EDGES = np.r_[np.exp2(np.arange(0.0, 6.0)), SUPPORT_CUT]
 # the smallest alpha, the smallest normal float: below it the closed forms
 # that alpha scales are subnormal (at 5e-324 totals over the norm overflow)
 ALPHA_MIN = sys.float_info.min
@@ -76,9 +78,9 @@ A_MAX = sys.float_info.min ** -0.5
 # here, takes Re z = 1 + eps only up to 3/2
 EPS_MAX = 0.5
 # the smallest edge exponent, 2.7755575615628914e-06: the angle integrals
-# (spectrum._angle_integral) hold the edge's exponent 2 eps - 1 to u/2, which
-# moves their edge mass ~1/(2 eps) by a relative u/(4 eps); from EPS_MIN up
-# that is within the 1e-11 the totals are held to
+# and the numeric norm (jacobi_panels) hold the edge's exponent 2 eps - 1 to
+# u/2, which moves their edge mass ~1/(2 eps) by a relative u/(4 eps); from
+# EPS_MIN up that is within the 1e-11 the totals are held to
 EPS_MIN = 0.5 * sys.float_info.epsilon / (4.0 * 1e-11)
 
 
@@ -214,21 +216,48 @@ def gauss_panels(edges):
             (half * _GL_WEIGHTS).ravel())
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_jacobi(power: float):
+    """Twelve nodes t on [0, 1] for the weight t^power, power > -1, by
+    Golub-Welsch, with weights that carry t^(-power): sum w f(t) then
+    approximates int_0^1 f dt for f ~ t^power g, g smooth.  Read-only."""
+    k = np.arange(1.0, 12.0)
+    q = 2.0 * k + power
+    # Jacobi matrix of the monic Jacobi recurrence on [-1, 1] for the
+    # weight (1 + x)^power
+    diag = np.concatenate([[power / (power + 2.0)],
+                           power * power / (q * (q + 2.0))])
+    off = np.sqrt(4.0 * k * k * (k + power) ** 2
+                  / (q * q * (q + 1.0) * (q - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    t = 0.5 * (x + 1.0)
+    w = vec[0] ** 2 / (power + 1.0) * t ** -power
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def jacobi_panels(power: float, edges):
+    """Nodes and weights of the twelve-point Gauss-Jacobi rule for an
+    s^power edge on [0, edges[0]], then gauss_panels(edges): the rule of
+    both s^(2 eps - 1) integrals, the angle integrals and the numeric norm."""
+    t, w = _gauss_jacobi(power)
+    s, ws = gauss_panels(edges)
+    return (np.concatenate([edges[0] * t, s]),
+            np.concatenate([edges[0] * w, ws]))
+
+
 def packet_norm(p: PacketParams, flow: FlowMap | None = None,
                 numeric: bool = False) -> float:
     """Klein-Gordon norm of the packet at x0 = 0.
 
     Closed form 4 pi alpha Gamma(2 eps) / (2a)^(2 eps).  With numeric=True
     the full norm bracket -4 pi Im(C0* D C0) rho, s = sigma - sigma_star,
-    is summed on a fixed Gauss rule in u = s^(2 eps), which absorbs the
-    s^(2 eps - 1) edge of the bracket: panels at a*s = 2^-53, 2^-30,
-    2^-29, ..., 16, 32 and a*s_max = 45, twelve nodes each (444 nodes).
-    Below a*s = 2^-53 the bracket is 4 pi alpha s^(2 eps - 1) to rounding,
-    and its head 4 pi alpha s^(2 eps) / (2 eps) is added closed.  The
-    head's share of the norm is (2^-52)^(2 eps) / Gamma(1 + 2 eps): 0.029
-    at eps = 0.05, about 1/2 at eps = 0.0098 and 0.9998 at EPS_MIN, so
-    below eps ~ 0.01 the numeric norm mostly checks the closed head.  A
-    non-finite sum raises ToleranceError.
+    is summed on the angle integrals' fixed rule (jacobi_panels):
+    Gauss-Jacobi for the bracket's s^(2 eps - 1) edge on a*s in [0, 1],
+    then Gauss-Legendre panels at a*s = 2, 4, ..., 32 and a*s_max = 45,
+    twelve nodes each (84 nodes).  Like the angle integrals it holds the
+    edge's exponent 2 eps - 1 to u/2, a relative u/(4 eps) of the norm.
+    A non-finite sum raises ToleranceError.
     """
     closed = 4.0 * math.pi * p.alpha * math.gamma(2.0 * p.eps) \
         / (2.0 * p.a) ** (2.0 * p.eps)
@@ -238,18 +267,12 @@ def packet_norm(p: PacketParams, flow: FlowMap | None = None,
         raise ValueError("numeric norm needs the flow (for A(0))")
 
     a0 = float(flow.profile.eval(0.0))
-    two_eps = 2.0 * p.eps
-    edges = _NORM_EDGES / p.a
-    u, w = gauss_panels(edges ** two_eps)
-    s = u ** (1.0 / two_eps)
+    s, w = jacobi_panels(2.0 * p.eps - 1.0, _NORM_EDGES / p.a)
     rho = p.sigma_star + s
-    # w/s overflows in P' at the first node s = 2^-53/a from alpha ~ 3e138
+    # w/s overflows in P' at the first node t_0/a: from alpha ~ 1e305 at a = 8
     with np.errstate(over="ignore", invalid="ignore"):
         c, dc = packet_values(*packet_profile(s, p), rho, 1.0, a0)
-        # ds = s du / (2 eps u); the head leaves out e^{-2 a s} >= 1 - 2u
-        val = 4.0 * math.pi * p.alpha * edges[0] ** two_eps / two_eps + float(
-            np.dot(w * s / (two_eps * u),
-                   -4.0 * math.pi * (np.conj(c) * dc).imag * rho))
+        val = float(np.dot(w, -4.0 * math.pi * (np.conj(c) * dc).imag * rho))
     if not math.isfinite(val):
         raise ToleranceError(f"numeric packet norm is {val} at alpha="
                              f"{p.alpha}, a={p.a}, eps={p.eps}")

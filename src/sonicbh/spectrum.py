@@ -48,7 +48,6 @@ only at alpha = 1 up to the 2^(-eps) prefactor ratio.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, ToleranceError
 from .gammatools import (gamma0_modulus_sq, packet_fourier,
                          packet_fourier_modulus_sq)
-from .packets import PacketParams, gamma_tilde, gauss_panels, packet_norm
+from .packets import PacketParams, gamma_tilde, jacobi_panels, packet_norm
 
 __all__ = [
     "eikonal_projections",
@@ -223,37 +222,17 @@ class TotalNumber:
     tail_bound: float
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_jacobi(power: float):
-    """Twelve nodes t on [0, 1] for the weight t^power, power > -1, by
-    Golub-Welsch, with weights that carry t^(-power): sum w f(t) then
-    approximates int_0^1 f dt for f ~ t^power g, g smooth.  Read-only."""
-    k = np.arange(1.0, 12.0)
-    q = 2.0 * k + power
-    # Jacobi matrix of the monic Jacobi recurrence on [-1, 1] for the
-    # weight (1 + x)^power
-    diag = np.concatenate([[power / (power + 2.0)],
-                           power * power / (q * (q + 2.0))])
-    off = np.sqrt(4.0 * k * k * (k + power) ** 2
-                  / (q * q * (q + 1.0) * (q - 1.0)))
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    t = 0.5 * (x + 1.0)
-    w = vec[0] ** 2 / (power + 1.0) * t ** -power
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
 def _angle_integral(rate: float, eps: float, a: float = math.inf,
                     theta_max: float = 0.5 * math.pi) -> float:
     """int_0^theta_max cos sin^(2 eps - 1) e^{-2 rate theta} w_a dtheta.
 
-    A fixed Gauss rule, summed in one array pass: Gauss-Jacobi for the
-    theta^(2 eps - 1) edge at theta = 0 (eta -> inf) on [0, h], h =
-    min(theta_max, 1/max(rate, 1), a/2), inside the scales of the
-    exponential and of w_a = cos / hypot(cos, sin/a) near 0; then
-    Gauss-Legendre panels doubling up to pi/4; and, for finite a, panels
-    graded toward pi/2, with edges at pi/2 - phi for phi doubling from
-    1/(4a), since w_a turns within about 1/a of pi/2.
+    The numeric norm's fixed rule, packets.jacobi_panels, summed in one
+    array pass: Gauss-Jacobi for the theta^(2 eps - 1) edge at theta = 0
+    (eta -> inf) on [0, h], h = min(theta_max, 1/max(rate, 1), a/2),
+    inside the scales of the exponential and of w_a = cos / hypot(cos,
+    sin/a) near 0; then Gauss-Legendre panels doubling up to pi/4; and,
+    for finite a, panels graded toward pi/2, with edges at pi/2 - phi for
+    phi doubling from 1/(4a), since w_a turns within about 1/a of pi/2.
     """
     power = 2.0 * eps - 1.0
     h = min(theta_max, 1.0 / max(rate, 1.0), 0.5 * a)
@@ -271,10 +250,7 @@ def _angle_integral(rate: float, eps: float, a: float = math.inf,
                 phi *= 2.0
             edges += [e for e in reversed(graded) if e < theta_max]
         edges.append(theta_max)
-    t, w = _gauss_jacobi(power)
-    th, wt = gauss_panels(edges)
-    th = np.concatenate([h * t, th])
-    wt = np.concatenate([h * w, wt])
+    th, wt = jacobi_panels(power, edges)
     s, c = np.sin(th), np.cos(th)
     f = c * s ** power * np.exp(-2.0 * rate * th)
     if a < math.inf:

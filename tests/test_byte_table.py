@@ -9,8 +9,10 @@ bytes regenerates the table with
     PYTHONPATH=src python tests/test_byte_table.py
 
 and lists each file that moved, and why, in CHANGES.md.  The table records
-the Python and numpy versions it was made with: a digest that differs on
-another numpy is a finding to record, not a case to skip.
+the Python and numpy versions it was made with, the machine, and the SIMD
+extensions numpy's dispatch found on its CPU: a digest that differs on
+another numpy or another CPU's code paths is a finding to record, not a
+case to skip.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import re
 import sys
 from pathlib import Path
@@ -66,7 +69,12 @@ def run_digests(argv, out: Path) -> dict:
 
 
 def _versions() -> dict:
-    return {"python": sys.version.split()[0], "numpy": np.__version__}
+    # numpy's private CPU tables, as np.show_runtime() reads them (numpy 2)
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "machine": platform.machine(),
+            "simd": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}
 
 
 @pytest.mark.parametrize("name", RUNS)

@@ -175,10 +175,10 @@ def test_norm_numeric_matches_closed(smooth_flow):
 
 
 def test_norm_numeric_non_finite_raises(smooth_flow):
-    # at alpha = 1e300 the packet's D value overflows at the rule's
-    # smallest nodes; the numeric norm refuses the sum instead of
-    # returning it, and numpy warns of nothing
-    p = PacketParams(alpha=1e300, a=8.0, eps=0.25,
+    # at alpha = 1e305 the packet's D value overflows at the rule's
+    # smallest nodes (from 2.5e-4 at a = 8); the numeric norm refuses the
+    # sum instead of returning it, and numpy warns of nothing
+    p = PacketParams(alpha=1e305, a=8.0, eps=0.25,
                      sigma_star=smooth_flow.sigma_star)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -216,7 +216,8 @@ NORM_GRID = [(alpha, eps, a) for alpha in (0.05, 1.0, 3.0, 50.0, 2000.0)
 
 def test_norm_numeric_fixed_rule_grid(smooth_flow, monkeypatch):
     # the fixed Gauss rule against the closed norm over (alpha, eps, a),
-    # on one array pass of the same 444 nodes (37 panels of 12) every time,
+    # on one array pass of the same 84 nodes (a Gauss-Jacobi edge panel and
+    # six Gauss-Legendre panels, twelve nodes each) every time,
     # and against the adaptive oracle to that oracle's tolerance
     from sonicbh import packets, spectrum
     sizes = []
@@ -234,20 +235,24 @@ def test_norm_numeric_fixed_rule_grid(smooth_flow, monkeypatch):
         assert abs(numeric / packet_norm(p) - 1.0) <= 1e-13, (alpha, eps, a)
         assert numeric == pytest.approx(quad_packet_norm(p, smooth_flow),
                                         rel=1e-10)
-    assert sizes == [444] * len(NORM_GRID)
+    assert sizes == [84] * len(NORM_GRID)
 
 
-@pytest.mark.parametrize("eps", [1e-6, 3e-6, 1e-5, 0.002, 0.003, 0.0034,
-                                 0.0035, 0.004, 0.005, 0.01, 0.02, 0.03, 0.04,
-                                 0.049])
+@pytest.mark.parametrize("eps", [1e-6, packets.EPS_MIN, 3e-6, 1e-5, 0.001,
+                                 0.002, 0.003, 0.0034, 0.0035, 0.004, 0.005,
+                                 0.0098, 0.01, 0.02, 0.03, 0.04, 0.049, 0.05,
+                                 0.25, 0.49, 0.5])
 def test_norm_numeric_below_config_eps(smooth_flow, eps):
-    # from packets.EPS_MIN = 2.8e-6 up the numeric norm is within 1e-12 of
-    # the closed one with no warning, at every rate; below it PacketParams
-    # refuses the eps.  (The rule's first node underflowed at a = 8 from
-    # about eps = 0.0034 before its head was closed)
+    # from packets.EPS_MIN = 2.8e-6 up the numeric norm is within 1e-13 +
+    # u/(4 eps) of the closed one with no warning, at every rate from A_MIN
+    # to A_MAX; below it PacketParams refuses the eps.  u/(4 eps) is the
+    # floor of holding the edge exponent 2 eps - 1 to u/2 (8.3e-12 of the
+    # bound's 9.3e-12 at eps = 3e-6).  The rows at a >= 1e150 and eps near
+    # 1/2 are where a rule in u = s^(2 eps) lost up to 6.7e-8 to its
+    # Jacobian s / (2 eps u) underflowing
     star = smooth_flow.sigma_star
-    for alpha in (0.05, 1.0, 50.0, 2000.0):
-        for a in (1e-3, 8.0, 1e6):
+    for alpha in (1e-3, 0.05, 1.0, 40.0, 50.0, 2000.0):
+        for a in (packets.A_MIN, 1e-3, 1.0, 8.0, 1e6, 1e150, packets.A_MAX):
             if eps < packets.EPS_MIN:
                 with pytest.raises(ConfigError, match="eps must lie in"):
                     PacketParams(alpha=alpha, a=a, eps=eps, sigma_star=star)
@@ -256,12 +261,13 @@ def test_norm_numeric_below_config_eps(smooth_flow, eps):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 numeric = packet_norm(p, smooth_flow, numeric=True)
-            assert abs(numeric / packet_norm(p) - 1.0) <= 1e-12, (alpha, a)
+            bound = 1e-13 + 2.0 ** -53 / (4.0 * eps)
+            assert abs(numeric / packet_norm(p) - 1.0) <= bound, (alpha, a)
 
 
 def test_eps_floor_keeps_the_first_node_normal(smooth_flow):
-    # the numeric norm's first node is 2^-53/a or more, normal at every
-    # rate and eps, so the floor comes from the angle integrals: they hold
+    # the numeric norm's first node is normal at every rate and eps, so the
+    # floor comes from the rule it shares with the angle integrals: they hold
     # the exponent 2 eps - 1 to u/2, a relative u/(4 eps) of their edge
     # mass 1/(2 eps), which is 1e-11 at packets.EPS_MIN.  Against mpmath
     # with eps exact the rule is off by at most that (measured 2.68e-11 of
@@ -272,13 +278,12 @@ def test_eps_floor_keeps_the_first_node_normal(smooth_flow):
             err = abs(spectrum._angle_integral(rate, eps, 4.0) / want - 1.0)
             assert err <= 2.0 ** -53 / (4.0 * eps) + 1e-15, (eps, rate)
             assert (err <= 1e-11) == (eps >= packets.EPS_MIN), (eps, rate)
-    two_eps = 2.0 * packets.EPS_MIN
-    u, _ = packets.gauss_panels((packets._NORM_EDGES / packets.A_MAX)
-                                ** two_eps)
-    assert u[0] ** (1.0 / two_eps) >= np.finfo(float).tiny
+    s, _ = packets.jacobi_panels(2.0 * packets.EPS_MIN - 1.0,
+                                 packets._NORM_EDGES / packets.A_MAX)
+    assert s[0] >= np.finfo(float).tiny  # 5.8e-162
     # at the floor and a = A_MAX, |w|/s overflowed in P' from alpha = 4 and
     # the sum was refused as nan, while the first node was 2^-30/a t^(1/(2
-    # eps)); from 2^-53/a it holds
+    # eps)); from the Gauss-Jacobi node t_0/a it holds
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for alpha in (1e-3, 4.0, 40.0, 2000.0):
